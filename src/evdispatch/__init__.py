@@ -30,7 +30,7 @@ from .schedules import (
     DEFAULT_POLICY, GenerationPolicy, feasible_schedules, schedule_value,
     validate_policy,
 )
-from .dispatcher import DispatcherState, dispatch, run_online, utility
+from .dispatcher import DispatcherState, dispatch, run_online
 from .offline import OfflineResult, exact_offline, search_space_size, upper_bound
 from .baselines import run_threshold, threshold_dispatch
 from .harness import (
@@ -55,7 +55,7 @@ __all__ = [
     "price_generation", "price_out_of_service", "psi", "validate_bounds",
     "verify_dapr", "DEFAULT_POLICY", "GenerationPolicy", "feasible_schedules",
     "schedule_value", "validate_policy", "DispatcherState", "dispatch",
-    "run_online", "utility", "OfflineResult", "exact_offline",
+    "run_online", "OfflineResult", "exact_offline",
     "search_space_size", "upper_bound", "run_threshold", "threshold_dispatch",
     "ComparisonTable", "ExperimentSpec", "GeneratorParams", "PRESETS",
     "compare", "generate_scenario", "ingest_traces", "read_config",

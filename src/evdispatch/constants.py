@@ -9,12 +9,3 @@ agree on what "equal" means.
 #: Absolute tolerance for money comparisons, in dollars.
 MONEY_ATOL = 1e-9
 
-
-def money_eq(a: float, b: float) -> bool:
-    """True when two money amounts agree within MONEY_ATOL."""
-    return abs(a - b) <= MONEY_ATOL
-
-
-def money_leq(a: float, b: float) -> bool:
-    """True when a <= b up to MONEY_ATOL."""
-    return a <= b + MONEY_ATOL

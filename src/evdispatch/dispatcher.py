@@ -21,12 +21,27 @@ from .domain import (
     ScenarioConfig, Schedule, Session, instance_hash, validate,
 )
 from .pricing import Alphas, PriceBounds
-from .schedules import DEFAULT_POLICY, GenerationPolicy, feasible_schedules
+from .schedules import (
+    DEFAULT_POLICY, GenerationPolicy, feasible_schedules, validate_policy,
+)
 
 
 @dataclass
 class DispatcherState:
-    """Mutable state of one online run."""
+    """Mutable state of one online run.
+
+    ``payments`` memoises the payment terms of ``utility_breakdown``:
+    prices stay posted until a session commits, so its candidates keep
+    integrating the same terms. A key is the family; the cell that the
+    payment's parameters come from (a destination (d, t+), an
+    out-of-service slot t, a facility for cables and EVSE energy, a
+    (facility, t) for generation); the load read from the ledger; and,
+    for energy and generation, the amount, as other families demand one
+    unit. Since the load is in the key, an entry is never read against
+    another load; config and bounds are fixed for the run. ``dispatch``
+    empties the memo when it commits, so that it holds the payments of
+    one ledger state at a time.
+    """
 
     config: ScenarioConfig
     policy: GenerationPolicy
@@ -40,6 +55,8 @@ class DispatcherState:
     utilities: List[float] = field(default_factory=list)
     last_t: int = 1
     captured: Optional[Dict[int, List[Schedule]]] = None
+    payments: Dict[tuple, float] = field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
 
     @classmethod
     def fresh(cls, config: ScenarioConfig, policy: GenerationPolicy = DEFAULT_POLICY,
@@ -48,6 +65,9 @@ class DispatcherState:
         problems = validate(config)
         if problems:
             raise ValueError("invalid config: " + "; ".join(str(p) for p in problems[:5]))
+        bad_policy = validate_policy(policy, config)
+        if bad_policy:
+            raise ValueError("invalid policy: " + "; ".join(bad_policy))
         psi_ = pricing.psi(config)
         if bounds is None:
             bounds = pricing.estimate_bounds(config, policy.charge_targets,
@@ -68,23 +88,34 @@ def utility_breakdown(schedule: Schedule,
 
     Schedules touching a saturated slot are priced, not rejected; the
     integral payment runs past capacity, so their utility is nonpositive.
+    Each payment term comes from ``state.payments`` when that cell was
+    already priced at the same load and amount; the terms are added in
+    the same order either way, so the result does not depend on the memo.
     """
     config = state.config
     ledger = state.ledger
     bounds = state.bounds
     psi_ = state.psi
+    memo = state.payments
 
     d, tp = schedule.dest_region, schedule.t_plus
-    pay_dest = pricing.destination_payment(
-        ledger.y_d[d][tp - 1], ledger.y_d[d][tp - 1] + 1,
-        config.regions[d].vehicle_limit[tp - 1], bounds, psi_)
+    y = ledger.y_d[d][tp - 1]
+    key = ("destination", d, tp, y)
+    pay_dest = memo.get(key)
+    if pay_dest is None:
+        pay_dest = memo[key] = pricing.destination_payment(
+            y, y + 1, config.regions[d].vehicle_limit[tp - 1], bounds, psi_)
 
     pay_oos = 0.0
     for t in schedule.out_of_service_slots:
         y = ledger.y_o[t - 1]
-        pay_oos += pricing.out_of_service_payment(
-            y, y + 1, config.out_of_service_cap[t - 1],
-            config.out_of_service_penalty[t - 1], bounds, psi_)
+        key = ("out_of_service", t, y)
+        pay = memo.get(key)
+        if pay is None:
+            pay = memo[key] = pricing.out_of_service_payment(
+                y, y + 1, config.out_of_service_cap[t - 1],
+                config.out_of_service_penalty[t - 1], bounds, psi_)
+        pay_oos += pay
 
     pay_cable = pay_energy = pay_gen = 0.0
     if schedule.charging:
@@ -93,25 +124,33 @@ def utility_breakdown(schedule: Schedule,
         fac = config.facilities[f]
         for t in schedule.cable_slots:
             y = ledger.y_c[f][m][t - 1]
-            pay_cable += pricing.cable_payment(y, y + 1, fac.cables_per_evse,
-                                               bounds, psi_)
+            key = ("cable", f, y)
+            pay = memo.get(key)
+            if pay is None:
+                pay = memo[key] = pricing.cable_payment(
+                    y, y + 1, fac.cables_per_evse, bounds, psi_)
+            pay_cable += pay
         for t, e in schedule.energy_slots:
             ye = ledger.y_e[f][m][t - 1]
-            pay_energy += pricing.energy_payment(ye, ye + e, fac.evse_energy_limit,
-                                                 bounds, psi_)
+            key = ("energy", f, ye, e)
+            pay = memo.get(key)
+            if pay is None:
+                pay = memo[key] = pricing.energy_payment(
+                    ye, ye + e, fac.evse_energy_limit, bounds, psi_)
+            pay_energy += pay
             yg = ledger.y_g[f][t - 1]
-            pay_gen += pricing.generation_payment(
-                yg, yg + e, fac.solar[t - 1], fac.grid_limit[t - 1],
-                fac.grid_price[t - 1], bounds, psi_)
+            key = ("generation", f, t, yg, e)
+            pay = memo.get(key)
+            if pay is None:
+                pay = memo[key] = pricing.generation_payment(
+                    yg, yg + e, fac.solar[t - 1], fac.grid_limit[t - 1],
+                    fac.grid_price[t - 1], bounds, psi_)
+            pay_gen += pay
 
     breakdown = PriceBreakdown(destination=pay_dest, out_of_service=pay_oos,
                                cable=pay_cable, energy=pay_energy,
                                generation=pay_gen)
     return schedule.value - breakdown.total, breakdown
-
-
-def utility(schedule: Schedule, state: DispatcherState) -> float:
-    return utility_breakdown(schedule, state)[0]
 
 
 def _dual_increment(schedule: Schedule, u: float, state: DispatcherState) -> float:
@@ -210,6 +249,7 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
     d_primal = economics.primal_increment(state.ledger, schedule, state.config)
     d_dual = _dual_increment(schedule, u, state)
     state.ledger.apply(schedule, sign=1)
+    state.payments.clear()
 
     decision = DispatchDecision(session_id=session.id, schedule=schedule,
                                 utility=u, breakdown=breakdown)

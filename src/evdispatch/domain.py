@@ -380,15 +380,6 @@ class ResourceLedger:
         y_d = [[0] * T for _ in config.regions]
         return cls(y_c, y_e, y_g, y_o, y_d)
 
-    def copy(self) -> "ResourceLedger":
-        return ResourceLedger(
-            [[col[:] for col in fac] for fac in self.y_c],
-            [[col[:] for col in fac] for fac in self.y_e],
-            [col[:] for col in self.y_g],
-            self.y_o[:],
-            [col[:] for col in self.y_d],
-        )
-
     def apply(self, schedule: Schedule, sign: int = 1) -> None:
         """Add (sign=+1) or remove (sign=-1) one schedule's demands."""
         if schedule.charging:

@@ -7,11 +7,15 @@ the resource is empty and exactly at U when it is full. Generation and
 out-of-service prices ride on top of their marginal cost offsets (the grid
 price pi and the penalty phi).
 
-Prices are pure functions of the ledger and are recomputed on demand,
-never cached. Payments are exact integrals of the price curves (see
-*_payment below), which is what makes the per-session primal/dual
-inequality and weak duality hold to machine precision instead of only up
-to a discretization gap.
+Prices and payments are pure functions of the load and the resource's
+parameters, and this module caches nothing. Its callers reuse results
+while the ledger stays put: the candidate builder prices each slot once
+per session and the dispatcher memoises payments until a session
+commits. Payments are exact integrals of the price curves (see *_payment
+below), which is what makes the per-session primal/dual inequality and
+weak duality hold to machine precision instead of only up to a
+discretization gap. A payment that runs so far past capacity that it
+leaves the float range is infinite.
 """
 
 from __future__ import annotations
@@ -167,7 +171,12 @@ def _exp_payment(y0: float, y1: float, cap: float, low: float, high: float,
     a = (low - offset) / (2.0 * psi_)
     b = 2.0 * psi_ * (high - offset) / (low - offset)
     z = math.log(b)
-    return a * cap / z * (b ** (y1 / cap) - b ** (y0 / cap)) + offset * (y1 - y0)
+    try:
+        growth = b ** (y1 / cap) - b ** (y0 / cap)
+    except OverflowError:
+        # an overfill many capacities deep: the barrier price is unbounded
+        return math.inf
+    return a * cap / z * growth + offset * (y1 - y0)
 
 
 def cable_payment(y0: float, y1: float, cables: int, bounds: PriceBounds,

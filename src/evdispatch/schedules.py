@@ -11,6 +11,7 @@ without exhaustive search.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -122,11 +123,8 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
     t0 = session.t_minus
     radius = policy.dest_hop_radius
 
-    # ---- enumerate analytic tuples (kind, value, canonical key) ----
-    # charge tuple: (v, f, target, dest, h1, h2, k)
-    # rebalance tuple: (v, None, 0, dest, 0, h2, 0)
-    tuples = []
-
+    # ---- every reachable pure rebalance ----
+    out: List[Schedule] = []
     for dest in range(len(config.regions)):
         h2 = hops(session.origin_region, dest, config)
         if h2 is UNREACHABLE:
@@ -140,8 +138,13 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
             continue
         final = energy0 - h2 * e_hop
         v = slope * final + config.regions[dest].pickup_value - pen * h2
-        tuples.append((v, -1, 0.0, dest, 0, h2, 0))
+        out.append(Schedule(session_id=session.id, t_minus=t0, facility_id=None,
+                            evse_index=None, t_arrival=None, cable_slots=(),
+                            energy_slots=(), dest_region=dest, t_plus=t_plus,
+                            hops_total=h2, final_soc=final / cap, value=v))
 
+    # ---- enumerate analytic charging tuples ----
+    # (-v, f, target, dest, h1, h2, k); the first four fields are unique
     facs = []
     for fac in config.facilities:
         h1 = hops(session.origin_region, fac.region_id, config)
@@ -155,6 +158,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
     facs.sort()
     facs = facs[:policy.max_candidate_facilities]
 
+    tuples = []
     targets = _targets(config, policy)
     for h1, fid in facs:
         fac = config.facilities[fid]
@@ -162,49 +166,34 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
         headroom = cap - arrival_energy
         t_arr = t0 + h1
         rate = pricing.effective_charge_rate(fac, policy.charge_rate)
+        # the facility's hop row, read once; -1 marks an unreachable region
+        onward = [(dest, h2) for dest, h2 in enumerate(config.hop_table[fac.region_id])
+                  if h2 >= 0 and (radius is None or h2 <= radius)]
         for target in targets:
             if target > headroom + MONEY_ATOL:
                 break
             k = math.ceil(target / rate - 1e-12)
             if t_arr + k - 1 > T:
                 continue
-            for dest in range(len(config.regions)):
-                h2 = hops(fac.region_id, dest, config)
-                if h2 is UNREACHABLE:
-                    continue
-                if radius is not None and h2 > radius:
-                    continue
+            for dest, h2 in onward:
                 final = arrival_energy + target - h2 * e_hop
                 if final < -MONEY_ATOL:
                     continue
                 if t_arr + k - 1 + h2 > T:
                     continue
                 v = slope * final + config.regions[dest].pickup_value - pen * (h1 + h2)
-                tuples.append((v, fid, target, dest, h1, h2, k))
+                tuples.append((-v, fid, target, dest, h1, h2, k))
 
-    # descending value; canonical tuple key for ties
-    tuples.sort(key=lambda tup: (-tup[0], tup[1], tup[2], tup[3]))
-
-    # ---- build the tuples into schedules ----
+    # ---- build charging tuples, best value first, until the cap ----
+    # Popping the heap yields the tuples in sorted order, and the build
+    # stops at the cap, so the tuples it never reaches are never sorted.
+    heapq.heapify(tuples)
     prices = _PostedPrices(ledger, bounds, psi_)
-    out: List[Schedule] = []
+    evse_for = {}  # (facility, window end) -> EVSE; the window starts at t_arr
     seen = set()
     built_charges = 0
-    for v, fid, target, dest, h1, h2, k in tuples:
-        if fid < 0:
-            t_plus = t0 + h2
-            final = (energy0 - h2 * e_hop) / cap
-            s = Schedule(session_id=session.id, t_minus=t0, facility_id=None,
-                         evse_index=None, t_arrival=None, cable_slots=(),
-                         energy_slots=(), dest_region=dest, t_plus=t_plus,
-                         hops_total=h2, final_soc=final, value=v)
-            key = (-1, -1, (), dest, t_plus)
-            if key not in seen:
-                seen.add(key)
-                out.append(s)
-            continue
-        if built_charges >= policy.max_candidates_total:
-            continue
+    while tuples and built_charges < policy.max_candidates_total:
+        neg_v, fid, target, dest, h1, h2, k = heapq.heappop(tuples)
         fac = config.facilities[fid]
         t_arr = t0 + h1
         rate = pricing.effective_charge_rate(fac, policy.charge_rate)
@@ -212,10 +201,12 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
             if built_charges >= policy.max_candidates_total:
                 break
             hi = min(T - h2, t_arr + k - 1 + w)
-            window = list(range(t_arr, hi + 1))
+            window = range(t_arr, hi + 1)
             if len(window) < k:
                 continue
-            evse = _pick_evse(fid, fac, window, prices)
+            evse = evse_for.get((fid, hi))
+            if evse is None:
+                evse = evse_for[fid, hi] = _pick_evse(fid, fac, window, prices)
             chosen = _pick_slots(fid, evse, fac, window, k, prices)
             energy_slots = _assign_energy(chosen, target, rate, fid, evse, fac, prices)
             last = chosen[-1]
@@ -231,7 +222,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
                 evse_index=evse, t_arrival=t_arr,
                 cable_slots=tuple(range(t_arr, last + 1)),
                 energy_slots=tuple(energy_slots), dest_region=dest,
-                t_plus=t_plus, hops_total=h1 + h2, final_soc=final, value=v))
+                t_plus=t_plus, hops_total=h1 + h2, final_soc=final, value=-neg_v))
     out.sort(key=_candidate_key)
     return out
 

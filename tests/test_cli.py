@@ -53,6 +53,15 @@ def test_run_reruns_are_byte_identical(tmp_path):
             == (b / "online-report.json").read_bytes())
 
 
+def test_run_rejects_an_invalid_policy(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--seed", "0", "--preset", "tiny",
+                 "--max-candidates", "-3", "--out", str(out)]) != 0
+    assert "invalid policy" in capsys.readouterr().err
+    assert not (out / "online-report.json").exists()
+    assert not (out / "online-decisions.csv").exists()
+
+
 def test_run_streams_json_without_out(capsys):
     assert main(["run", "--seed", "3", "--preset", "tiny"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -4,6 +4,7 @@ capacity backstop behind the price barrier."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -16,7 +17,7 @@ from evdispatch.domain import (
     CapacityError, ResourceLedger, Session, recompute_ledger,
 )
 from evdispatch.pricing import PriceBounds
-from evdispatch.schedules import feasible_schedules
+from evdispatch.schedules import GenerationPolicy, feasible_schedules
 
 from conftest import build_mini_config
 
@@ -31,6 +32,13 @@ def test_fresh_rejects_invalid_bounds(mini_config, mini_bounds):
     bad = dataclasses.replace(mini_bounds, U_c=1e-9)
     with pytest.raises(ValueError, match="invalid bounds"):
         DispatcherState.fresh(mini_config, bounds=bad)
+
+
+def test_fresh_rejects_invalid_policy(mini_config):
+    for policy in (GenerationPolicy(max_candidates_total=-3),
+                   GenerationPolicy(charge_targets=(3.3,))):
+        with pytest.raises(ValueError, match="invalid policy"):
+            DispatcherState.fresh(mini_config, policy)
 
 
 def test_utility_is_value_minus_payments(mini_config, mini_session,
@@ -76,6 +84,26 @@ def test_out_of_order_arrivals_are_rejected(mini_config):
     dispatch(Session(id=0, t_minus=3, origin_region=1, soc=0.5), state)
     with pytest.raises(ValueError, match="arrives out of order"):
         dispatch(Session(id=1, t_minus=2, origin_region=1, soc=0.5), state)
+
+
+def test_candidate_with_infinite_payment_is_never_chosen(mini_config,
+                                                       mini_session):
+    # 0.01 kWh of grid and no solar: charging 5 kWh overflows the payment
+    fac = dataclasses.replace(mini_config.facilities[0],
+                              grid_limit=(0.01,) * mini_config.horizon)
+    config = dataclasses.replace(mini_config, facilities=(fac,))
+    state = DispatcherState.fresh(config)
+    candidates = feasible_schedules(mini_session, config, state.ledger,
+                                    state.bounds, state.psi, state.policy)
+    priced = [utility_breakdown(s, state) for s in candidates]
+    infinite = [s for s, (u, b) in zip(candidates, priced)
+                if b.generation == math.inf]
+    assert infinite and all(u == -math.inf for u, b in priced
+                            if b.generation == math.inf)
+
+    decision = dispatch(mini_session, state)
+    assert decision.schedule not in infinite
+    assert math.isfinite(decision.utility)
 
 
 def test_capacity_backstop_fires_without_the_barrier(mini_config,

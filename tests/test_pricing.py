@@ -183,6 +183,21 @@ def test_payment_beyond_capacity_prices_above_ceiling():
         assert got > BOUNDS.U_e * extra
 
 
+def test_overfill_beyond_the_float_range_prices_at_infinity(mini_config):
+    """b ** (y/cap) leaves the float range long before a load does; the
+    payment is then infinite instead of raising OverflowError."""
+    bounds = estimate_bounds(mini_config)
+    psi_ = psi(mini_config)
+    # 5 kWh against 0.01 kWh of solar and no grid
+    assert pricing.generation_payment(0, 5, 0.01, 0, 0.2, bounds, psi_) == math.inf
+    assert pricing.cable_payment(0, 5000, 1, bounds, psi_) == math.inf
+    assert pricing.out_of_service_payment(0, 5000, 1, 0.4, bounds, psi_) == math.inf
+    # the first solar branch never runs past delta, so it stays finite
+    # right up to the boundary
+    assert math.isfinite(pricing.generation_payment(0, 0.01, 0.01, 0, 0.2,
+                                                    bounds, psi_))
+
+
 # ---------------------------------------------------------------------------
 # Bound estimation
 # ---------------------------------------------------------------------------

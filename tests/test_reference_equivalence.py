@@ -1,0 +1,190 @@
+"""The memoised payment walk and the heap-driven candidate build against
+plain reference implementations.
+
+``utility_breakdown`` looks payments up in ``DispatcherState.payments``
+and ``feasible_schedules`` picks each EVSE once per window and stops
+ordering charging tuples at the candidate cap. Both must give exactly
+what the straightforward versions below give: the same floats, compared
+with ``==``, and the same schedules in the same order, on every session
+of runs whose ledger changes between sessions.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import pytest
+
+from evdispatch import pricing
+from evdispatch.constants import MONEY_ATOL
+from evdispatch.dispatcher import DispatcherState, dispatch, utility_breakdown
+from evdispatch.domain import PriceBreakdown, Schedule, UNREACHABLE, hops
+from evdispatch.harness import PRESETS, generate_scenario
+from evdispatch.schedules import (
+    _PostedPrices, _assign_energy, _candidate_key, _pick_evse, _pick_slots,
+    _targets, feasible_schedules,
+)
+
+
+def reference_utility_breakdown(schedule, state):
+    """Every payment integrated afresh from the ledger, family by family."""
+    config, ledger, bounds, psi_ = state.config, state.ledger, state.bounds, state.psi
+    d, tp = schedule.dest_region, schedule.t_plus
+    pay_dest = pricing.destination_payment(
+        ledger.y_d[d][tp - 1], ledger.y_d[d][tp - 1] + 1,
+        config.regions[d].vehicle_limit[tp - 1], bounds, psi_)
+    pay_oos = 0.0
+    for t in schedule.out_of_service_slots:
+        y = ledger.y_o[t - 1]
+        pay_oos += pricing.out_of_service_payment(
+            y, y + 1, config.out_of_service_cap[t - 1],
+            config.out_of_service_penalty[t - 1], bounds, psi_)
+    pay_cable = pay_energy = pay_gen = 0.0
+    if schedule.charging:
+        f, m = schedule.facility_id, schedule.evse_index
+        fac = config.facilities[f]
+        for t in schedule.cable_slots:
+            y = ledger.y_c[f][m][t - 1]
+            pay_cable += pricing.cable_payment(y, y + 1, fac.cables_per_evse,
+                                               bounds, psi_)
+        for t, e in schedule.energy_slots:
+            ye = ledger.y_e[f][m][t - 1]
+            pay_energy += pricing.energy_payment(ye, ye + e, fac.evse_energy_limit,
+                                                 bounds, psi_)
+            yg = ledger.y_g[f][t - 1]
+            pay_gen += pricing.generation_payment(
+                yg, yg + e, fac.solar[t - 1], fac.grid_limit[t - 1],
+                fac.grid_price[t - 1], bounds, psi_)
+    breakdown = PriceBreakdown(destination=pay_dest, out_of_service=pay_oos,
+                               cable=pay_cable, energy=pay_energy,
+                               generation=pay_gen)
+    return schedule.value - breakdown.total, breakdown
+
+
+def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
+    """Enumerate every tuple with a hop lookup each, sort them all, and
+    pick the EVSE afresh for every window."""
+    T = config.horizon
+    if session.t_minus >= T:
+        return []
+    cap = config.battery_capacity
+    e_hop = config.per_hop_energy
+    pen = config.per_hop_value_penalty
+    slope = config.soc_value_slope
+    energy0 = session.soc * cap
+    t0 = session.t_minus
+    radius = policy.dest_hop_radius
+
+    tuples = []
+    for dest in range(len(config.regions)):
+        h2 = hops(session.origin_region, dest, config)
+        if h2 is UNREACHABLE or (radius is not None and h2 > radius):
+            continue
+        if energy0 - h2 * e_hop < -MONEY_ATOL or t0 + h2 > T:
+            continue
+        final = energy0 - h2 * e_hop
+        v = slope * final + config.regions[dest].pickup_value - pen * h2
+        tuples.append((v, -1, 0.0, dest, 0, h2, 0))
+    facs = []
+    for fac in config.facilities:
+        h1 = hops(session.origin_region, fac.region_id, config)
+        if h1 is UNREACHABLE or energy0 - h1 * e_hop < -MONEY_ATOL or t0 + h1 > T:
+            continue
+        facs.append((h1, fac.id))
+    facs = sorted(facs)[:policy.max_candidate_facilities]
+    for h1, fid in facs:
+        fac = config.facilities[fid]
+        arrival_energy = energy0 - h1 * e_hop
+        t_arr = t0 + h1
+        rate = pricing.effective_charge_rate(fac, policy.charge_rate)
+        for target in _targets(config, policy):
+            if target > cap - arrival_energy + MONEY_ATOL:
+                break
+            k = math.ceil(target / rate - 1e-12)
+            if t_arr + k - 1 > T:
+                continue
+            for dest in range(len(config.regions)):
+                h2 = hops(fac.region_id, dest, config)
+                if h2 is UNREACHABLE or (radius is not None and h2 > radius):
+                    continue
+                final = arrival_energy + target - h2 * e_hop
+                if final < -MONEY_ATOL or t_arr + k - 1 + h2 > T:
+                    continue
+                v = slope * final + config.regions[dest].pickup_value - pen * (h1 + h2)
+                tuples.append((v, fid, target, dest, h1, h2, k))
+    tuples.sort(key=lambda tup: (-tup[0], tup[1], tup[2], tup[3]))
+
+    prices = _PostedPrices(ledger, bounds, psi_)
+    out, seen, built = [], set(), 0
+    for v, fid, target, dest, h1, h2, k in tuples:
+        if fid < 0:
+            out.append(Schedule(
+                session_id=session.id, t_minus=t0, facility_id=None,
+                evse_index=None, t_arrival=None, cable_slots=(), energy_slots=(),
+                dest_region=dest, t_plus=t0 + h2, hops_total=h2,
+                final_soc=(energy0 - h2 * e_hop) / cap, value=v))
+            continue
+        fac = config.facilities[fid]
+        t_arr = t0 + h1
+        rate = pricing.effective_charge_rate(fac, policy.charge_rate)
+        for w in range(policy.max_start_offset + 1):
+            if built >= policy.max_candidates_total:
+                break
+            window = list(range(t_arr, min(T - h2, t_arr + k - 1 + w) + 1))
+            if len(window) < k:
+                continue
+            evse = _pick_evse(fid, fac, window, prices)
+            chosen = _pick_slots(fid, evse, fac, window, k, prices)
+            energy_slots = tuple(_assign_energy(chosen, target, rate, fid, evse,
+                                                fac, prices))
+            key = (fid, evse, energy_slots, dest, chosen[-1] + h2)
+            if key in seen:
+                continue
+            seen.add(key)
+            built += 1
+            out.append(Schedule(
+                session_id=session.id, t_minus=t0, facility_id=fid,
+                evse_index=evse, t_arrival=t_arr,
+                cable_slots=tuple(range(t_arr, chosen[-1] + 1)),
+                energy_slots=energy_slots, dest_region=dest,
+                t_plus=chosen[-1] + h2, hops_total=h1 + h2,
+                final_soc=(energy0 - h1 * e_hop + target - h2 * e_hop) / cap,
+                value=v))
+    out.sort(key=_candidate_key)
+    return out
+
+
+RUNS = {
+    # a short lightly loaded day
+    "desk": dataclasses.replace(PRESETS["desk"], max_sessions=120),
+    # congested: one facility of 2 EVSEs, Omega = 3 and I = 25, where
+    # payments run up the steep end of the curves and past capacity
+    "rush": dataclasses.replace(PRESETS["desk"], arrival_rate=10.0,
+                                facility_count=1, evse_per_facility=2,
+                                vehicle_limit=3, out_of_service_cap=25,
+                                max_sessions=400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_memo_and_build_match_the_references(name):
+    config, sessions = generate_scenario(3, RUNS[name])
+    state = DispatcherState.fresh(config)
+    priced = committed = 0
+    for session in sessions:
+        candidates = feasible_schedules(session, config, state.ledger,
+                                        state.bounds, state.psi, state.policy)
+        assert candidates == reference_feasible_schedules(
+            session, config, state.ledger, state.bounds, state.psi, state.policy)
+        for schedule in candidates:
+            assert (utility_breakdown(schedule, state)
+                    == reference_utility_breakdown(schedule, state))
+        priced += len(candidates)
+        # dispatch prices the same candidates again, now from the memo
+        decision = dispatch(session, state)
+        if not decision.is_depot:
+            committed += 1
+            assert state.payments == {}
+    assert committed > len(sessions) // 2
+    assert priced > 10 * len(sessions)
