@@ -27,8 +27,7 @@ from .pricing import (
     price_generation, price_out_of_service, psi, validate_bounds, verify_dapr,
 )
 from .schedules import (
-    DEFAULT_POLICY, GenerationPolicy, feasible_schedules, schedule_value,
-    validate_policy,
+    DEFAULT_POLICY, GenerationPolicy, feasible_schedules, validate_policy,
 )
 from .dispatcher import DispatcherState, dispatch, run_online
 from .offline import OfflineResult, exact_offline, search_space_size, upper_bound
@@ -54,7 +53,7 @@ __all__ = [
     "estimate_bounds", "price_cable", "price_destination", "price_energy",
     "price_generation", "price_out_of_service", "psi", "validate_bounds",
     "verify_dapr", "DEFAULT_POLICY", "GenerationPolicy", "feasible_schedules",
-    "schedule_value", "validate_policy", "DispatcherState", "dispatch",
+    "validate_policy", "DispatcherState", "dispatch",
     "run_online", "OfflineResult", "exact_offline",
     "search_space_size", "upper_bound", "run_threshold", "threshold_dispatch",
     "ComparisonTable", "ExperimentSpec", "GeneratorParams", "PRESETS",

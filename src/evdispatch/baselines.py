@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .domain import (
     DispatchDecision, ResourceLedger, RunReport, ScenarioConfig, Schedule,
-    Session, UNREACHABLE, hops, instance_hash, validate,
+    Session, UNREACHABLE, hops, instance_hash, plan_value, validate,
 )
 from .dispatcher import peak_utilization
 from .economics import primal_increment
@@ -46,14 +46,11 @@ def _rebalance(session: Session, config: ScenarioConfig,
         final = energy0 - h2 * config.per_hop_energy
         if t_plus > T or final < 0:
             continue
-        value = (config.soc_value_slope * final
-                 + config.regions[dest].pickup_value
-                 - config.per_hop_value_penalty * h2)
         s = Schedule(session_id=session.id, t_minus=session.t_minus,
                      facility_id=None, evse_index=None, t_arrival=None,
                      cable_slots=(), energy_slots=(), dest_region=dest,
                      t_plus=t_plus, hops_total=h2, final_soc=final / cap,
-                     value=value)
+                     value=plan_value(config, final, dest, h2))
         if ledger.fits(s, config):
             return s
     return None
@@ -104,16 +101,14 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
                 final = cap - h2 * e_hop
                 if t_plus > T or final < 0:
                     continue
-                value = (config.soc_value_slope * final
-                         + config.regions[dest].pickup_value
-                         - config.per_hop_value_penalty * (h1 + h2))
                 s = Schedule(
                     session_id=session.id, t_minus=session.t_minus,
                     facility_id=fac.id, evse_index=m, t_arrival=t_arr,
                     cable_slots=tuple(range(t_arr, done + 1)),
                     energy_slots=tuple(zip(range(start, done + 1), amounts)),
                     dest_region=dest, t_plus=t_plus, hops_total=h1 + h2,
-                    final_soc=final / cap, value=value)
+                    final_soc=final / cap,
+                    value=plan_value(config, final, dest, h1 + h2))
                 if ledger.fits(s, config):
                     return s
     return None

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import astuple
 from typing import List, Optional, Tuple
 
 from . import harness, offline, pricing
@@ -152,8 +153,7 @@ def _cmd_verify(args) -> int:
     print(f"psi={psi_} alpha={alphas.alpha:.6f} "
           + " ".join(f"{k}={v:.4f}" for k, v in alphas.as_dict().items()
                      if k != "alpha"))
-    per_family = {"cable": alphas.a1, "energy": alphas.a2, "generation": alphas.a3,
-                  "destination": alphas.a4, "out_of_service": alphas.a5}
+    per_family = dict(zip(pricing.NAMES, astuple(alphas)))
     ok = True
     for family, params in pricing.dapr_cases(config, bounds, psi_):
         if args.family is not None and family != args.family:
@@ -242,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="desk", choices=sorted(harness.PRESETS),
                    help="generator preset used with --seed (default: desk)")
     p.add_argument("--grid-points", type=int, default=10_000)
-    p.add_argument("--family", choices=("cable", "energy", "generation",
-                                        "destination", "out_of_service"))
+    p.add_argument("--family", choices=pricing.NAMES)
     p.add_argument("--alpha-scale", type=float, default=1.0,
                    help="scale every alpha before checking (sanity tests)")
     p.set_defaults(func=_cmd_verify)

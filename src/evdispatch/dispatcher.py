@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import economics, pricing
-from .constants import MONEY_ATOL
 from .domain import (
     CapacityError, DispatchDecision, PriceBreakdown, ResourceLedger, RunReport,
     ScenarioConfig, Schedule, Session, instance_hash, validate,
 )
-from .pricing import Alphas, PriceBounds
+from .pricing import (
+    CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE, Alphas, PriceBounds,
+)
 from .schedules import (
     DEFAULT_POLICY, GenerationPolicy, feasible_schedules, validate_policy,
 )
@@ -30,17 +31,13 @@ from .schedules import (
 class DispatcherState:
     """Mutable state of one online run.
 
-    ``payments`` memoises the payment terms of ``utility_breakdown``:
-    prices stay posted until a session commits, so its candidates keep
-    integrating the same terms. A key is the family; the cell that the
-    payment's parameters come from (a destination (d, t+), an
-    out-of-service slot t, a facility for cables and EVSE energy, a
-    (facility, t) for generation); the load read from the ledger; and,
-    for energy and generation, the amount, as other families demand one
-    unit. Since the load is in the key, an entry is never read against
-    another load; config and bounds are fixed for the run. ``dispatch``
-    empties the memo when it commits, so that it holds the payments of
-    one ledger state at a time.
+    ``payments`` memoises the payment terms of ``utility_breakdown`` by
+    what a payment is a function of: the cell's shape (its family and
+    arguments, shared by equal cells), the load read from the ledger and
+    the amount. One entry thus serves every cell of that shape and load,
+    such as every destination arrival of a day with one Omega. ``dispatch``
+    empties the memo when it commits, so that it holds the payments of one
+    ledger state at a time.
     """
 
     config: ScenarioConfig
@@ -88,122 +85,37 @@ def utility_breakdown(schedule: Schedule,
 
     Schedules touching a saturated slot are priced, not rejected; the
     integral payment runs past capacity, so their utility is nonpositive.
-    Each payment term comes from ``state.payments`` when that cell was
-    already priced at the same load and amount; the terms are added in
-    the same order either way, so the result does not depend on the memo.
+    Each payment comes from ``state.payments`` when a cell of the same
+    shape was already priced at the same load and amount; the terms are
+    added in the same order either way, so the result does not depend on
+    the memo.
     """
-    config = state.config
-    ledger = state.ledger
-    bounds = state.bounds
-    psi_ = state.psi
-    memo = state.payments
-
-    d, tp = schedule.dest_region, schedule.t_plus
-    y = ledger.y_d[d][tp - 1]
-    key = ("destination", d, tp, y)
-    pay_dest = memo.get(key)
-    if pay_dest is None:
-        pay_dest = memo[key] = pricing.destination_payment(
-            y, y + 1, config.regions[d].vehicle_limit[tp - 1], bounds, psi_)
-
-    pay_oos = 0.0
-    for t in schedule.out_of_service_slots:
-        y = ledger.y_o[t - 1]
-        key = ("out_of_service", t, y)
+    loads, memo = state.ledger.loads, state.payments
+    paid = [0.0] * len(loads)
+    for k, i, amount, shape in state.config.cells.demands(schedule):
+        y = loads[k][i]
+        key = (shape, y, amount)
         pay = memo.get(key)
         if pay is None:
-            pay = memo[key] = pricing.out_of_service_payment(
-                y, y + 1, config.out_of_service_cap[t - 1],
-                config.out_of_service_penalty[t - 1], bounds, psi_)
-        pay_oos += pay
-
-    pay_cable = pay_energy = pay_gen = 0.0
-    if schedule.charging:
-        f = schedule.facility_id
-        m = schedule.evse_index
-        fac = config.facilities[f]
-        for t in schedule.cable_slots:
-            y = ledger.y_c[f][m][t - 1]
-            key = ("cable", f, y)
-            pay = memo.get(key)
-            if pay is None:
-                pay = memo[key] = pricing.cable_payment(
-                    y, y + 1, fac.cables_per_evse, bounds, psi_)
-            pay_cable += pay
-        for t, e in schedule.energy_slots:
-            ye = ledger.y_e[f][m][t - 1]
-            key = ("energy", f, ye, e)
-            pay = memo.get(key)
-            if pay is None:
-                pay = memo[key] = pricing.energy_payment(
-                    ye, ye + e, fac.evse_energy_limit, bounds, psi_)
-            pay_energy += pay
-            yg = ledger.y_g[f][t - 1]
-            key = ("generation", f, t, yg, e)
-            pay = memo.get(key)
-            if pay is None:
-                pay = memo[key] = pricing.generation_payment(
-                    yg, yg + e, fac.solar[t - 1], fac.grid_limit[t - 1],
-                    fac.grid_price[t - 1], bounds, psi_)
-            pay_gen += pay
-
-    breakdown = PriceBreakdown(destination=pay_dest, out_of_service=pay_oos,
-                               cable=pay_cable, energy=pay_energy,
-                               generation=pay_gen)
+            # looked up on the module at call time, so a wrapper there sees it
+            pay = memo[key] = getattr(pricing, shape.family.name + "_payment")(
+                y, y + amount, *shape.args, state.bounds, state.psi)
+        paid[k] += pay
+    breakdown = PriceBreakdown(
+        destination=paid[DESTINATION], out_of_service=paid[OUT_OF_SERVICE],
+        cable=paid[CABLE], energy=paid[ENERGY], generation=paid[GENERATION])
     return schedule.value - breakdown.total, breakdown
 
 
 def _dual_increment(schedule: Schedule, u: float, state: DispatcherState) -> float:
     """Exact dual objective change: u plus every touched conjugate's move."""
-    config = state.config
-    ledger = state.ledger
-    bounds = state.bounds
-    psi_ = state.psi
+    bounds, psi_ = state.bounds, state.psi
     total = u
-
-    d, tp = schedule.dest_region, schedule.t_plus
-    omega = config.regions[d].vehicle_limit[tp - 1]
-    y = ledger.y_d[d][tp - 1]
-    total += (economics.conj_destination(pricing.price_destination(y + 1, omega, bounds, psi_), omega)
-              - economics.conj_destination(pricing.price_destination(y, omega, bounds, psi_), omega))
-
-    for t in schedule.out_of_service_slots:
-        cap = config.out_of_service_cap[t - 1]
-        phi = config.out_of_service_penalty[t - 1]
-        y = ledger.y_o[t - 1]
-        total += (economics.conj_out_of_service(
-                      pricing.price_out_of_service(y + 1, cap, phi, bounds, psi_), phi, cap)
-                  - economics.conj_out_of_service(
-                      pricing.price_out_of_service(y, cap, phi, bounds, psi_), phi, cap))
-
-    if schedule.charging:
-        f = schedule.facility_id
-        m = schedule.evse_index
-        fac = config.facilities[f]
-        for t in schedule.cable_slots:
-            y = ledger.y_c[f][m][t - 1]
-            total += (economics.conj_cable(
-                          pricing.price_cable(y + 1, fac.cables_per_evse, bounds, psi_),
-                          fac.cables_per_evse)
-                      - economics.conj_cable(
-                          pricing.price_cable(y, fac.cables_per_evse, bounds, psi_),
-                          fac.cables_per_evse))
-        for t, e in schedule.energy_slots:
-            ye = ledger.y_e[f][m][t - 1]
-            total += (economics.conj_energy(
-                          pricing.price_energy(ye + e, fac.evse_energy_limit, bounds, psi_),
-                          fac.evse_energy_limit)
-                      - economics.conj_energy(
-                          pricing.price_energy(ye, fac.evse_energy_limit, bounds, psi_),
-                          fac.evse_energy_limit))
-            delta, mu, pi = fac.solar[t - 1], fac.grid_limit[t - 1], fac.grid_price[t - 1]
-            yg = ledger.y_g[f][t - 1]
-            total += (economics.conj_generation(
-                          pricing.price_generation(yg + e, delta, mu, pi, bounds, psi_),
-                          delta, mu, pi)
-                      - economics.conj_generation(
-                          pricing.price_generation(yg, delta, mu, pi, bounds, psi_),
-                          delta, mu, pi))
+    for k, i, amount, shape in sorted(state.config.cells.demands(schedule),
+                                      key=lambda demand: pricing.DUAL_RANK[demand[0]]):
+        y = state.ledger.loads[k][i]
+        total += (shape.conj(shape.price(y + amount, bounds, psi_))
+                  - shape.conj(shape.price(y, bounds, psi_)))
     return total
 
 
@@ -262,29 +174,8 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
 
 def peak_utilization(ledger: ResourceLedger, config: ScenarioConfig) -> Dict[str, float]:
     """Max fraction of capacity reached per resource family."""
-    peaks = {"cable": 0.0, "energy": 0.0, "generation": 0.0,
-             "out_of_service": 0.0, "destination": 0.0}
-    T = config.horizon
-    for f, fac in enumerate(config.facilities):
-        for m in range(fac.evse_count):
-            for t in range(T):
-                peaks["cable"] = max(peaks["cable"],
-                                     ledger.y_c[f][m][t] / fac.cables_per_evse)
-                peaks["energy"] = max(peaks["energy"],
-                                      ledger.y_e[f][m][t] / fac.evse_energy_limit)
-        for t in range(T):
-            cap = fac.solar[t] + fac.grid_limit[t]
-            if cap > 0:
-                peaks["generation"] = max(peaks["generation"], ledger.y_g[f][t] / cap)
-    for t in range(T):
-        peaks["out_of_service"] = max(peaks["out_of_service"],
-                                      ledger.y_o[t] / config.out_of_service_cap[t])
-    for d, region in enumerate(config.regions):
-        for t in range(T):
-            if region.vehicle_limit[t] > 0:
-                peaks["destination"] = max(peaks["destination"],
-                                           ledger.y_d[d][t] / region.vehicle_limit[t])
-    return peaks
+    return {name: max((y / s.cap for y, s in zip(loads, shapes) if s.cap > 0), default=0.0)
+            for name, loads, shapes in zip(pricing.NAMES, ledger.loads, config.cells.shapes)}
 
 
 def run_online(sessions: Sequence[Session], config: ScenarioConfig,

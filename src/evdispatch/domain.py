@@ -7,7 +7,10 @@ lists, so ``config.regions[r].id == r`` always holds for a valid instance.
 
 Every type in this module is immutable value data except ResourceLedger,
 which is the single mutable accumulator shared by the online dispatcher,
-the baselines, and the offline solvers.
+the baselines, and the offline solvers. It keeps one flat load list per
+resource family, in the cell order of ``config.cells``, the resource
+table that ``pricing`` builds for each config; every ledger operation is
+one walk over a schedule's demands or over the cells.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cached_property
 from typing import Optional, Tuple, List, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .pricing import PriceBounds, Alphas
+    from .pricing import Alphas, Cells, PriceBounds
 
 from .constants import MONEY_ATOL
 
@@ -181,6 +184,13 @@ class ScenarioConfig:
         """
         return _hop_table(self)
 
+    @cached_property
+    def cells(self) -> "Cells":
+        """The ledger cells of every resource family (``pricing.Cells``),
+        built once per config object like ``hop_table``."""
+        from .pricing import Cells
+        return Cells(self)
+
 
 @dataclass(frozen=True)
 class Session:
@@ -275,6 +285,14 @@ class Schedule:
         return sum(e for _, e in self.energy_slots)
 
 
+def plan_value(config: "ScenarioConfig", final_energy: float, dest: int,
+               hops_total: int) -> float:
+    """v_js: stored-energy value plus destination value minus hop penalty."""
+    return (config.soc_value_slope * final_energy
+            + config.regions[dest].pickup_value
+            - config.per_hop_value_penalty * hops_total)
+
+
 @dataclass(frozen=True)
 class PriceBreakdown:
     """Per-family payment components of one utility evaluation."""
@@ -348,106 +366,61 @@ class CapacityError(AssertionError):
 
 
 class ResourceLedger:
-    """Running allocation counts per resource and slot.
+    """Running load of every resource cell.
 
-    Fields (all indexed with t - 1 on the slot axis):
-
-    - ``y_c[f][m][t]``: cables in use on EVSE m of facility f
-    - ``y_e[f][m][t]``: energy drawn from EVSE m of facility f, kWh
-    - ``y_g[f][t]``: energy generated at facility f, kWh
-    - ``y_o[t]``: vehicles out of service
-    - ``y_d[d][t]``: vehicle arrivals in region d
-
-    ``y_g[f][t]`` always equals the sum of ``y_e[f][m][t]`` over m.
+    ``loads[k][i]`` is the load of cell i of family k, laid out as in
+    ``cells`` (``pricing.Cells``): cables in use and energy drawn per
+    (facility, EVSE, slot), energy generated per (facility, slot), vehicle
+    arrivals per (region, slot) and vehicles out of service per slot. A
+    facility's generation load always equals its summed EVSE energy.
     """
 
-    __slots__ = ("y_c", "y_e", "y_g", "y_o", "y_d")
+    __slots__ = ("cells", "loads")
 
-    def __init__(self, y_c, y_e, y_g, y_o, y_d) -> None:
-        self.y_c = y_c
-        self.y_e = y_e
-        self.y_g = y_g
-        self.y_o = y_o
-        self.y_d = y_d
+    def __init__(self, cells: "Cells", loads: List[list]) -> None:
+        self.cells = cells
+        self.loads = loads
 
     @classmethod
     def zero(cls, config: ScenarioConfig) -> "ResourceLedger":
-        T = config.horizon
-        y_c = [[[0] * T for _ in range(f.evse_count)] for f in config.facilities]
-        y_e = [[[0.0] * T for _ in range(f.evse_count)] for f in config.facilities]
-        y_g = [[0.0] * T for _ in config.facilities]
-        y_o = [0] * T
-        y_d = [[0] * T for _ in config.regions]
-        return cls(y_c, y_e, y_g, y_o, y_d)
+        cells = config.cells
+        return cls(cells, [[0] * len(shapes) for shapes in cells.shapes])
 
     def apply(self, schedule: Schedule, sign: int = 1) -> None:
         """Add (sign=+1) or remove (sign=-1) one schedule's demands."""
-        if schedule.charging:
-            f = schedule.facility_id
-            m = schedule.evse_index
-            for t in schedule.cable_slots:
-                self.y_c[f][m][t - 1] += sign
-            for t, e in schedule.energy_slots:
-                self.y_e[f][m][t - 1] += sign * e
-                self.y_g[f][t - 1] += sign * e
-        for t in schedule.out_of_service_slots:
-            self.y_o[t - 1] += sign
-        self.y_d[schedule.dest_region][schedule.t_plus - 1] += sign
+        loads = self.loads
+        for k, i, amount, _ in self.cells.demands(schedule):
+            loads[k][i] += sign * amount
 
     def fits(self, schedule: Schedule, config: ScenarioConfig) -> bool:
         """True when applying the schedule breaches no capacity."""
-        if schedule.charging:
-            f = schedule.facility_id
-            m = schedule.evse_index
-            fac = config.facilities[f]
-            for t in schedule.cable_slots:
-                if self.y_c[f][m][t - 1] + 1 > fac.cables_per_evse:
-                    return False
-            for t, e in schedule.energy_slots:
-                if self.y_e[f][m][t - 1] + e > fac.evse_energy_limit + MONEY_ATOL:
-                    return False
-                cap = fac.solar[t - 1] + fac.grid_limit[t - 1]
-                if self.y_g[f][t - 1] + e > cap + MONEY_ATOL:
-                    return False
-        for t in schedule.out_of_service_slots:
-            if self.y_o[t - 1] + 1 > config.out_of_service_cap[t - 1]:
+        loads = self.loads
+        for k, i, amount, shape in config.cells.demands(schedule):
+            if loads[k][i] + amount > shape.cap + MONEY_ATOL:
                 return False
-        d, tp = schedule.dest_region, schedule.t_plus
-        if self.y_d[d][tp - 1] + 1 > config.regions[d].vehicle_limit[tp - 1]:
-            return False
         return True
 
     def violations(self, config: ScenarioConfig) -> List["Violation"]:
         """All capacity breaches in the current counts."""
+        from .pricing import ENERGY, GENERATION
+
         out: List[Violation] = []
+        cells = config.cells
+        for loads, shapes in zip(self.loads, cells.shapes):
+            for i, (y, shape) in enumerate(zip(loads, shapes)):
+                if y > shape.cap + MONEY_ATOL:
+                    family = shape.family
+                    where, _ = family.cells(config)[i]
+                    out.append(Violation("y_" + family.bound, family.where.format(*where),
+                                         f"{y} > {family.symbol}={shape.cap}"))
         T = config.horizon
+        energy, generated = self.loads[ENERGY], self.loads[GENERATION]
         for f, fac in enumerate(config.facilities):
-            for m in range(fac.evse_count):
-                for t in range(T):
-                    if self.y_c[f][m][t] > fac.cables_per_evse:
-                        out.append(Violation("y_c", f"facility {f} evse {m} slot {t + 1}",
-                                             f"{self.y_c[f][m][t]} > C={fac.cables_per_evse}"))
-                    if self.y_e[f][m][t] > fac.evse_energy_limit + MONEY_ATOL:
-                        out.append(Violation("y_e", f"facility {f} evse {m} slot {t + 1}",
-                                             f"{self.y_e[f][m][t]} > E={fac.evse_energy_limit}"))
-            for t in range(T):
-                cap = fac.solar[t] + fac.grid_limit[t]
-                if self.y_g[f][t] > cap + MONEY_ATOL:
-                    out.append(Violation("y_g", f"facility {f} slot {t + 1}",
-                                         f"{self.y_g[f][t]} > delta+mu={cap}"))
-                drawn = sum(self.y_e[f][m][t] for m in range(fac.evse_count))
-                if abs(self.y_g[f][t] - drawn) > MONEY_ATOL:
-                    out.append(Violation("y_g", f"facility {f} slot {t + 1}",
+            for t in range(1, T + 1):
+                drawn = sum(energy[cells.evse_cell(f, m, t)] for m in range(fac.evse_count))
+                if abs(generated[cells.facility_cell(f, t)] - drawn) > MONEY_ATOL:
+                    out.append(Violation("y_g", f"facility {f} slot {t}",
                                          "generation does not match summed EVSE energy"))
-        for t in range(T):
-            if self.y_o[t] > config.out_of_service_cap[t]:
-                out.append(Violation("y_o", f"slot {t + 1}",
-                                     f"{self.y_o[t]} > I={config.out_of_service_cap[t]}"))
-        for d, region in enumerate(config.regions):
-            for t in range(T):
-                if self.y_d[d][t] > region.vehicle_limit[t]:
-                    out.append(Violation("y_d", f"region {d} slot {t + 1}",
-                                         f"{self.y_d[d][t]} > Omega={region.vehicle_limit[t]}"))
         return out
 
     def assert_capacity(self, config: ScenarioConfig) -> None:
@@ -456,14 +429,9 @@ class ResourceLedger:
             raise CapacityError("; ".join(str(v) for v in vs[:5]))
 
     def equals(self, other: "ResourceLedger") -> bool:
-        return (self.y_c == other.y_c
-                and all(all(abs(a - b) <= MONEY_ATOL for a, b in zip(ca, cb))
-                        for fa, fb in zip(self.y_e, other.y_e)
-                        for ca, cb in zip(fa, fb))
-                and all(abs(a - b) <= MONEY_ATOL for fa, fb in zip(self.y_g, other.y_g)
-                        for a, b in zip(fa, fb))
-                and self.y_o == other.y_o
-                and self.y_d == other.y_d)
+        return all(len(mine) == len(theirs)
+                   and all(abs(a - b) <= MONEY_ATOL for a, b in zip(mine, theirs))
+                   for mine, theirs in zip(self.loads, other.loads))
 
 
 # ---------------------------------------------------------------------------

@@ -1,36 +1,29 @@
-"""Primal cost functions, Fenchel conjugates, and objective evaluators.
+"""Primal costs, Fenchel conjugates, and objective evaluators.
 
-All functions here are pure. Infeasible cost branches are represented by
-the explicit INFEASIBLE marker, never by a large float, so accidental
-arithmetic on a sentinel fails loudly instead of corrupting a total.
+Each family's cost and conjugate are written once, on its cell shape in
+``pricing``; the per-family functions here are entry points into that
+table, and the objectives walk the ledger's cells. Every family's cost is
+a capacity indicator except generation (free solar, then the grid price)
+and out of service (the penalty per vehicle-slot). All functions here are
+pure. Infeasible cost branches are represented by the explicit INFEASIBLE
+marker, never by a large float, so accidental arithmetic on a sentinel
+fails loudly instead of corrupting a total.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union, TYPE_CHECKING
+from typing import Sequence, Union, TYPE_CHECKING
 
 from .constants import MONEY_ATOL
 from .domain import DispatchDecision, ResourceLedger, ScenarioConfig
+from .pricing import (
+    CABLE, COSTED, DESTINATION, ENERGY, GENERATION, INFEASIBLE, OUT_OF_SERVICE,
+    InfeasibleType, cell_shape,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pricing import PriceBounds
 
-
-class InfeasibleType:
-    """Marker for cost values outside the feasible domain."""
-
-    _instance: Optional["InfeasibleType"] = None
-
-    def __new__(cls) -> "InfeasibleType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Infeasible"
-
-
-INFEASIBLE = InfeasibleType()
 
 #: Either a finite nonnegative dollar amount or INFEASIBLE.
 CostValue = Union[float, InfeasibleType]
@@ -51,22 +44,12 @@ def generation_cost(y_g: float, delta: float, mu: float, pi: float) -> CostValue
     Free while solar covers the demand, grid-priced for the excess, and
     INFEASIBLE past the combined solar plus grid limit.
     """
-    if y_g < 0:
-        raise ValueError(f"negative generation {y_g}")
-    if y_g <= delta:
-        return 0.0
-    if y_g <= delta + mu + MONEY_ATOL:
-        return pi * (y_g - delta)
-    return INFEASIBLE
+    return cell_shape(GENERATION, delta, mu, pi).cost(y_g)
 
 
 def out_of_service_cost(y_o: float, phi: float, cap: float) -> CostValue:
     """Penalty for y_o out-of-service vehicles in one slot, capped at I."""
-    if y_o < 0:
-        raise ValueError(f"negative out-of-service count {y_o}")
-    if y_o <= cap + MONEY_ATOL:
-        return phi * y_o
-    return INFEASIBLE
+    return cell_shape(OUT_OF_SERVICE, cap, phi).cost(y_o)
 
 
 # ---------------------------------------------------------------------------
@@ -74,43 +57,29 @@ def out_of_service_cost(y_o: float, phi: float, cap: float) -> CostValue:
 # ---------------------------------------------------------------------------
 
 
-def _require_price(p: float) -> None:
-    if p < 0:
-        raise ValueError(f"negative price {p}")
-
-
 def conj_cable(p: float, cables: int) -> float:
     """Conjugate of the cable capacity indicator: p * C."""
-    _require_price(p)
-    return p * cables
+    return cell_shape(CABLE, cables).conj(p)
 
 
 def conj_energy(p: float, energy_limit: float) -> float:
     """Conjugate of the EVSE energy capacity indicator: p * E."""
-    _require_price(p)
-    return p * energy_limit
+    return cell_shape(ENERGY, energy_limit).conj(p)
 
 
 def conj_generation(p: float, delta: float, mu: float, pi: float) -> float:
     """Conjugate of the generation cost: delta*p below pi, then kinked."""
-    _require_price(p)
-    if p < pi:
-        return delta * p
-    return (delta + mu) * p - mu * pi
+    return cell_shape(GENERATION, delta, mu, pi).conj(p)
 
 
 def conj_destination(p: float, omega: float) -> float:
     """Conjugate of the arrival capacity indicator: p * Omega."""
-    _require_price(p)
-    return p * omega
+    return cell_shape(DESTINATION, omega).conj(p)
 
 
 def conj_out_of_service(p: float, phi: float, cap: float) -> float:
     """Conjugate of the out-of-service penalty: 0 below phi, then (p-phi)*I."""
-    _require_price(p)
-    if p < phi:
-        return 0.0
-    return (p - phi) * cap
+    return cell_shape(OUT_OF_SERVICE, cap, phi).conj(p)
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +95,12 @@ def primal_objective(decisions: Sequence[DispatchDecision], ledger: ResourceLedg
     for decision in decisions:
         if decision.schedule is not None:
             total += decision.schedule.value
-    for f, fac in enumerate(config.facilities):
-        for t in range(config.horizon):
-            c = generation_cost(ledger.y_g[f][t], fac.solar[t], fac.grid_limit[t],
-                                fac.grid_price[t])
+    for k in COSTED:
+        for y, shape in zip(ledger.loads[k], config.cells.shapes[k]):
+            c = shape.cost(y)
             if c is INFEASIBLE:
                 return INFEASIBLE
             total -= c
-    for t in range(config.horizon):
-        c = out_of_service_cost(ledger.y_o[t], config.out_of_service_penalty[t],
-                                config.out_of_service_cap[t])
-        if c is INFEASIBLE:
-            return INFEASIBLE
-        total -= c
     return total
 
 
@@ -146,27 +108,13 @@ def primal_increment(ledger: ResourceLedger, schedule, config: ScenarioConfig) -
     """Change in primal_objective from accepting one schedule against the
     given pre-decision ledger. Reads the ledger without mutating it."""
     delta = schedule.value
-    if schedule.charging:
-        f = schedule.facility_id
-        fac = config.facilities[f]
-        # energy may hit several slots; cost change is per facility-slot
-        for t, e in schedule.energy_slots:
-            y0 = ledger.y_g[f][t - 1]
-            c0 = generation_cost(y0, fac.solar[t - 1], fac.grid_limit[t - 1],
-                                 fac.grid_price[t - 1])
-            c1 = generation_cost(y0 + e, fac.solar[t - 1], fac.grid_limit[t - 1],
-                                 fac.grid_price[t - 1])
-            if c0 is INFEASIBLE or c1 is INFEASIBLE:
-                raise ValueError("generation increment leaves the feasible domain")
-            delta -= c1 - c0
-    for t in schedule.out_of_service_slots:
-        phi = config.out_of_service_penalty[t - 1]
-        cap = config.out_of_service_cap[t - 1]
-        y0 = ledger.y_o[t - 1]
-        c0 = out_of_service_cost(y0, phi, cap)
-        c1 = out_of_service_cost(y0 + 1, phi, cap)
+    for k, i, amount, shape in config.cells.demands(schedule):
+        if k not in COSTED:
+            continue
+        y0 = ledger.loads[k][i]
+        c0, c1 = shape.cost(y0), shape.cost(y0 + amount)
         if c0 is INFEASIBLE or c1 is INFEASIBLE:
-            raise ValueError("out-of-service increment leaves the feasible domain")
+            raise ValueError(f"{shape.family.name} increment leaves the feasible domain")
         delta -= c1 - c0
     return delta
 
@@ -175,38 +123,15 @@ def dual_objective(utilities: Sequence[float], ledger: ResourceLedger,
                    config: ScenarioConfig, bounds: "PriceBounds", psi: int) -> float:
     """Value of the Fenchel dual at the prices implied by the ledger.
 
-    Sum of session utilities plus every resource-slot's conjugate
+    Sum of session utilities plus every resource cell's conjugate
     evaluated at its current posted price. This is the true, unshifted
     dual; with an empty ledger it already carries the base conjugates.
     """
-    from . import pricing
-
     for u in utilities:
         if u < -MONEY_ATOL:
             raise ValueError(f"negative utility {u}")
     total = float(sum(utilities))
-    T = config.horizon
-    for f, fac in enumerate(config.facilities):
-        for m in range(fac.evse_count):
-            for t in range(T):
-                pc = pricing.price_cable(ledger.y_c[f][m][t], fac.cables_per_evse,
-                                         bounds, psi)
-                total += conj_cable(pc, fac.cables_per_evse)
-                pe = pricing.price_energy(ledger.y_e[f][m][t], fac.evse_energy_limit,
-                                          bounds, psi)
-                total += conj_energy(pe, fac.evse_energy_limit)
-        for t in range(T):
-            delta, mu, pi = fac.solar[t], fac.grid_limit[t], fac.grid_price[t]
-            pg = pricing.price_generation(ledger.y_g[f][t], delta, mu, pi, bounds, psi)
-            total += conj_generation(pg, delta, mu, pi)
-    for t in range(T):
-        phi = config.out_of_service_penalty[t]
-        cap = config.out_of_service_cap[t]
-        po = pricing.price_out_of_service(ledger.y_o[t], cap, phi, bounds, psi)
-        total += conj_out_of_service(po, phi, cap)
-    for d, region in enumerate(config.regions):
-        for t in range(T):
-            omega = region.vehicle_limit[t]
-            pd = pricing.price_destination(ledger.y_d[d][t], omega, bounds, psi)
-            total += conj_destination(pd, omega)
+    for loads, shapes in zip(ledger.loads, config.cells.shapes):
+        for y, shape in zip(loads, shapes):
+            total += shape.conj(shape.price(y, bounds, psi))
     return total

@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -308,10 +308,7 @@ def report_to_dict(report: RunReport) -> dict:
         "algorithm": report.algorithm,
         "instance_hash": report.instance_hash,
         "psi": report.psi,
-        "bounds": None if report.bounds is None else {
-            k: getattr(report.bounds, k)
-            for k in ("L_c", "U_c", "L_e", "U_e", "L_g", "U_g",
-                      "L_d", "U_d", "L_o", "U_o")},
+        "bounds": None if report.bounds is None else asdict(report.bounds),
         "alphas": None if report.alphas is None else report.alphas.as_dict(),
         "welfare": report.welfare,
         "accepted": report.accepted,
@@ -322,12 +319,7 @@ def report_to_dict(report: RunReport) -> dict:
         "decisions": [
             {"session_id": d.session_id, "utility": d.utility,
              "schedule": None if d.schedule is None else schedule_to_dict(d.schedule),
-             "breakdown": {
-                 "destination": d.breakdown.destination,
-                 "out_of_service": d.breakdown.out_of_service,
-                 "cable": d.breakdown.cable,
-                 "energy": d.breakdown.energy,
-                 "generation": d.breakdown.generation}}
+             "breakdown": asdict(d.breakdown)}
             for d in report.decisions],
     }
 
@@ -361,8 +353,7 @@ def report_from_dict(d: Mapping) -> RunReport:
         psi=int(d["psi"]),
         bounds=None if d["bounds"] is None else PriceBounds(**d["bounds"]),
         alphas=None if alphas_d is None else Alphas(
-            a1=alphas_d["a1"], a2=alphas_d["a2"], a3=alphas_d["a3"],
-            a4=alphas_d["a4"], a5=alphas_d["a5"]),
+            *(alphas_d[f"a{k}"] for k in range(1, 6))),
         decisions=tuple(
             DispatchDecision(
                 session_id=int(x["session_id"]), utility=float(x["utility"]),

@@ -22,6 +22,7 @@ from . import pricing
 from .constants import MONEY_ATOL
 from .domain import (
     ScenarioConfig, Schedule, Session, ResourceLedger, UNREACHABLE, hops,
+    plan_value,
 )
 from .economics import primal_increment
 
@@ -69,8 +70,6 @@ def session_upper_bound(session: Session, config: ScenarioConfig,
 
     cap = config.battery_capacity
     e_hop = config.per_hop_energy
-    pen = config.per_hop_value_penalty
-    slope = config.soc_value_slope
     energy0 = session.soc * cap
     targets = (tuple(sorted(charge_targets)) if charge_targets is not None
                else pricing.default_charge_targets(config))
@@ -82,8 +81,7 @@ def session_upper_bound(session: Session, config: ScenarioConfig,
         final = energy0 - h2 * e_hop
         if final < -MONEY_ATOL:
             continue
-        net = (slope * final + config.regions[dest].pickup_value - pen * h2
-               - _span_penalty(prefix, t0, t0 + h2))
+        net = plan_value(config, final, dest, h2) - _span_penalty(prefix, t0, t0 + h2)
         best = max(best, net)
 
     for fac in config.facilities:
@@ -112,8 +110,7 @@ def session_upper_bound(session: Session, config: ScenarioConfig,
                 final = arrival_energy + target - h2 * e_hop
                 if final < -MONEY_ATOL:
                     continue
-                net = (slope * final + config.regions[dest].pickup_value
-                       - pen * (h1 + h2)
+                net = (plan_value(config, final, dest, h1 + h2)
                        - _span_penalty(prefix, t0, t_done + h2))
                 best = max(best, net)
     return best
@@ -225,7 +222,9 @@ def exact_offline(sessions: Sequence[Session], config: ScenarioConfig,
         # depot branch
         search(j + 1, acc)
 
-    search(0, 0.0)
+    # each option is checked and applied at many nodes: walk its demands once
+    with config.cells.keep(s for opts in options for _, s in opts):
+        search(0, 0.0)
     return OfflineResult(welfare=best_welfare,
                          assignment=tuple(best_assignment),
                          nodes_explored=nodes,

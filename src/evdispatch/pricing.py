@@ -1,28 +1,37 @@
-"""Dual-price update functions, bound estimation, competitive ratios, and
-the differential allocation-payment verifier.
+"""The resource table, price curves, bound estimation, competitive
+ratios, and the differential allocation-payment verifier.
 
-Each of the five resource families posts a price that grows exponentially
-in the fraction of capacity already allocated, anchored at L/(2*Psi) when
-the resource is empty and exactly at U when it is full. Generation and
-out-of-service prices ride on top of their marginal cost offsets (the grid
-price pi and the penalty phi).
+Every shared resource is a ledger cell of one of the five families listed
+once in ``FAMILIES``: cables and EVSE energy per (facility, EVSE, slot),
+generation per (facility, slot), destination arrivals per (region, slot)
+and vehicles out of service per slot. A cell's arguments give its
+``Shape``: a capacity, a cost offset (grid price pi, penalty phi, else 0)
+and a solar split (delta, else 0). Its price grows exponentially in the
+fraction of capacity allocated, from L/(2*Psi) above the offset when empty
+to U when full; below delta the generation price climbs from L_g/(2*Psi)
+to pi instead. Price, payment, conjugate and primal cost are written once,
+on the shape's exponential segments, which ``verify_dapr`` also checks;
+the per-family functions (``price_cable``, ``cable_payment``, ...) are
+entry points into them.
 
-Prices and payments are pure functions of the load and the resource's
-parameters, and this module caches nothing. Its callers reuse results
-while the ledger stays put: the candidate builder prices each slot once
-per session and the dispatcher memoises payments until a session
-commits. Payments are exact integrals of the price curves (see *_payment
-below), which is what makes the per-session primal/dual inequality and
-weak duality hold to machine precision instead of only up to a
-discretization gap. A payment that runs so far past capacity that it
-leaves the float range is infinite.
+Payments are exact integrals of the price curves, which is what makes the
+per-session primal/dual inequality and weak duality hold to machine
+precision instead of only up to a discretization gap. A payment that runs
+so far past capacity that it leaves the float range is infinite. Shapes
+keep their segments for the last bounds they were priced with; the
+callers reuse prices and payments while the ledger stays put.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+    Tuple,
+)
 
 from .constants import MONEY_ATOL
 from .domain import ScenarioConfig
@@ -65,13 +74,10 @@ class PriceBounds:
 def validate_bounds(bounds: PriceBounds, config: ScenarioConfig) -> List[str]:
     """Invariant check for a bounds object against a config; [] if clean."""
     out = []
-    for name, lo, hi in (("cable", bounds.L_c, bounds.U_c),
-                         ("energy", bounds.L_e, bounds.U_e),
-                         ("generation", bounds.L_g, bounds.U_g),
-                         ("destination", bounds.L_d, bounds.U_d),
-                         ("out_of_service", bounds.L_o, bounds.U_o)):
+    for family in FAMILIES:
+        lo, hi = family.limits(bounds)
         if not (0 < lo <= hi):
-            out.append(f"{name}: need 0 < L <= U, got ({lo}, {hi})")
+            out.append(f"{family.name}: need 0 < L <= U, got ({lo}, {hi})")
     pi_max = max((p for f in config.facilities for p in f.grid_price), default=0.0)
     pi_min = min((p for f in config.facilities for p in f.grid_price), default=None)
     if config.facilities and bounds.L_g <= pi_max:
@@ -85,147 +91,362 @@ def validate_bounds(bounds: PriceBounds, config: ScenarioConfig) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Price update functions (point prices)
+# The resource table
 # ---------------------------------------------------------------------------
 
 
-def _exp_price(y: float, cap: float, low: float, high: float, psi_: int,
-               offset: float = 0.0) -> float:
-    """(low-offset)/(2 Psi) * (2 Psi (high-offset)/(low-offset))^(y/cap) + offset."""
-    a = (low - offset) / (2.0 * psi_)
-    b = 2.0 * psi_ * (high - offset) / (low - offset)
-    return a * b ** (y / cap) + offset
+class InfeasibleType:
+    """Marker for cost values outside the feasible domain."""
+
+    _instance: Optional["InfeasibleType"] = None
+
+    def __new__(cls) -> "InfeasibleType":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "Infeasible"
 
 
-def _check_range(y: float, cap: float, family: str) -> None:
-    if y < 0:
-        raise ValueError(f"{family}: negative allocation {y}")
-    if y > cap + MONEY_ATOL:
-        raise ValueError(f"{family}: allocation {y} beyond capacity {cap}")
+INFEASIBLE = InfeasibleType()
+
+
+class Segment(NamedTuple):
+    """One exponential piece of a price curve: p(y) = a * b^(y/cap) + offset
+    on [lo, hi). The offset is also the marginal primal cost there, and hi
+    the slope of the conjugate at the piece's prices."""
+
+    lo: float
+    hi: float
+    cap: float
+    a: float
+    b: float
+    offset: float
+
+    def price(self, y: float) -> float:
+        return self.a * self.b ** (y / self.cap) + self.offset
+
+    def integral(self, y0: float, y1: float) -> float:
+        """The antiderivative a*cap/ln(b) * b^(y/cap) + offset*y from y0 to
+        y1. It extends smoothly beyond hi: an increment that would overfill
+        the resource meets prices above U, which is the saturation barrier."""
+        _, _, cap, a, b, offset = self
+        if y1 == y0:
+            return 0.0
+        try:
+            growth = b ** (y1 / cap) - b ** (y0 / cap)
+        except OverflowError:
+            # an overfill many capacities deep: the barrier price is unbounded
+            return math.inf
+        return a * cap / math.log(b) * growth + offset * (y1 - y0)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of the resource table.
+
+    ``cells`` lists a config's cells of the family in ledger order, as
+    (coordinates ending in the 1-based slot, arguments); the arguments are
+    the scalars the family's public functions take after the load, and
+    ``shape`` maps them to (capacity, offset, split). ``conj`` is the
+    conjugate's closed form in them and ``params`` their names in
+    ``verify_dapr``. The prices use PriceBounds L_<bound> and U_<bound>;
+    ``symbol`` and ``where`` label capacity breaches.
+    """
+
+    name: str
+    bound: str
+    params: Tuple[str, ...]
+    shape: Callable[..., Tuple[float, float, float]]
+    conj: Callable[..., float]
+    cells: Callable[[ScenarioConfig], list]
+    symbol: str
+    where: str
+
+    def limits(self, bounds: PriceBounds) -> Tuple[float, float]:
+        return getattr(bounds, "L_" + self.bound), getattr(bounds, "U_" + self.bound)
+
+
+def _capacity(cap: float) -> Tuple[float, float, float]:
+    return cap, 0.0, 0.0
+
+
+def _conj_capacity(p: float, cap: float) -> float:
+    """Conjugate of a capacity indicator: p * capacity."""
+    return p * cap
+
+
+def _evse_cells(config: ScenarioConfig, cap: Callable) -> list:
+    return [((f, m, t), (cap(fac),)) for f, fac in enumerate(config.facilities)
+            for m in range(fac.evse_count) for t in range(1, config.horizon + 1)]
+
+
+#: Family indices, in the paper's order (alphas a1..a5).
+CABLE, ENERGY, GENERATION, DESTINATION, OUT_OF_SERVICE = range(5)
+
+FAMILIES = (
+    Family("cable", "c", ("capacity",), _capacity, _conj_capacity,
+           lambda config: _evse_cells(config, lambda fac: fac.cables_per_evse),
+           "C", "facility {} evse {} slot {}"),
+    Family("energy", "e", ("capacity",), _capacity, _conj_capacity,
+           lambda config: _evse_cells(config, lambda fac: fac.evse_energy_limit),
+           "E", "facility {} evse {} slot {}"),
+    # free solar up to delta, then grid energy at pi up to delta + mu
+    Family("generation", "g", ("delta", "mu", "pi"),
+           lambda delta, mu, pi: (delta + mu, pi, delta),
+           lambda p, delta, mu, pi: delta * p if p < pi else (delta + mu) * p - mu * pi,
+           lambda config: [((f, t + 1), (fac.solar[t], fac.grid_limit[t], fac.grid_price[t]))
+                           for f, fac in enumerate(config.facilities)
+                           for t in range(config.horizon)],
+           "delta+mu", "facility {} slot {}"),
+    Family("destination", "d", ("capacity",), _capacity, _conj_capacity,
+           lambda config: [((d, t + 1), (omega,)) for d, region in enumerate(config.regions)
+                           for t, omega in enumerate(region.vehicle_limit)],
+           "Omega", "region {} slot {}"),
+    # the penalty phi per vehicle-slot, up to the fleet-wide cap I
+    Family("out_of_service", "o", ("capacity", "phi"),
+           lambda cap, phi: (cap, phi, 0.0),
+           lambda p, cap, phi: 0.0 if p < phi else (p - phi) * cap,
+           lambda config: [((t + 1,), (cap, phi)) for t, (cap, phi) in enumerate(
+               zip(config.out_of_service_cap, config.out_of_service_penalty))],
+           "I", "slot {}"),
+)
+
+NAMES = tuple(family.name for family in FAMILIES)
+
+#: Families whose primal cost is more than a capacity indicator.
+COSTED = (GENERATION, OUT_OF_SERVICE)
+
+#: Where each family's terms go in a dual increment: destination, out of
+#: service, cable, then energy and generation slot by slot. This is the
+#: order the family-by-family walk summed them in, kept so that dual
+#: trajectories stay bit-identical.
+DUAL_RANK = {DESTINATION: 0, OUT_OF_SERVICE: 1, CABLE: 2, ENERGY: 3, GENERATION: 3}
+
+
+class Shape:
+    """A cell's family, arguments, and the capacity, offset and solar split
+    they give. Cells with equal arguments share one shape."""
+
+    __slots__ = ("family", "args", "cap", "offset", "split", "_curve")
+
+    def __init__(self, family: int, *args: float) -> None:
+        self.family = FAMILIES[family]
+        self.args = args
+        self.cap, self.offset, self.split = self.family.shape(*args)
+        self._curve = None
+
+    def curve(self, bounds: PriceBounds, psi_: int) -> List[Segment]:
+        """``segments`` at the family's bounds, kept for the last bounds
+        object and Psi asked for."""
+        hit = self._curve
+        if hit is None or hit[0] is not bounds or hit[1] != psi_:
+            hit = self._curve = (bounds, psi_,
+                                 self.segments(*self.family.limits(bounds), psi_))
+        return hit[2]
+
+    def segments(self, low: float, high: float, psi_: int) -> List[Segment]:
+        """The price curve for (L, U) = (low, high). Below a solar split it
+        climbs from L/(2 Psi) to the offset; from the split on it climbs
+        from (L - offset)/(2 Psi) above the offset to U at capacity."""
+        two_psi = 2.0 * psi_
+        off = self.offset
+        grid = Segment(self.split, self.cap, self.cap, (low - off) / two_psi,
+                       two_psi * (high - off) / (low - off), off)
+        if self.split > 0:
+            solar = Segment(0.0, self.split, self.split, low / two_psi,
+                            two_psi * off / low, 0.0)
+            return [solar, grid]
+        return [grid]
+
+    def price(self, y: float, bounds: PriceBounds, psi_: int) -> float:
+        """Posted price at load y. A zero-capacity cell is permanently at
+        its ceiling price."""
+        name = self.family.name
+        if y < 0:
+            raise ValueError(f"{name}: negative allocation {y}")
+        if y > self.cap + MONEY_ATOL:
+            raise ValueError(f"{name}: allocation {y} beyond capacity {self.cap}")
+        if self.cap == 0:
+            return self.family.limits(bounds)[1]
+        return self.curve(bounds, psi_)[0 if y < self.split else -1].price(y)
+
+    def payment(self, y0: float, y1: float, bounds: PriceBounds, psi_: int) -> float:
+        """Exact integral of the price from y0 to y1.
+
+        An increment that first reaches the solar split also pays a
+        one-time surcharge equal to the conjugate's jump there; without it
+        the dual objective would jump while the payment stays infinitesimal.
+        """
+        if y1 < y0:
+            raise ValueError("payment requires y1 >= y0")
+        if y1 == y0:
+            return 0.0
+        if self.cap <= 0:
+            return math.inf
+        segments = self.curve(bounds, psi_)
+        grid, split = segments[-1], self.split
+        if y0 >= split:
+            return grid.integral(y0, y1)
+        total = segments[0].integral(y0, min(y1, split))
+        if y1 >= split:
+            total += grid.integral(split, y1)
+            # cap times the price step from the offset up to the grid piece
+            total += self.cap * (grid.price(split) - self.offset)
+        return total
+
+    def conj(self, p: float) -> float:
+        """Fenchel conjugate of the cell's primal cost at price p."""
+        if p < 0:
+            raise ValueError(f"negative price {p}")
+        return self.family.conj(p, *self.args)
+
+    def cost(self, y: float):
+        """Primal cost of load y: free up to the split, the offset per unit
+        beyond it, and INFEASIBLE past capacity."""
+        if y < 0:
+            raise ValueError(f"{self.family.name}: negative load {y}")
+        if y <= self.split:
+            return 0.0
+        if y <= self.cap + MONEY_ATOL:
+            return self.offset * (y - self.split)
+        return INFEASIBLE
+
+
+class Cells:
+    """The ledger cells of one config, family by family, in ledger order.
+
+    ``shapes[k][i]`` is the shape of cell i of family k, in the order that
+    ``FAMILIES[k].cells`` lists the config's cells: slot fastest, so the
+    cell of slot t in row r is r * T + t - 1, a row being a facility, a
+    region, or a (facility, EVSE) pair counted across facilities.
+    """
+
+    def __init__(self, config: ScenarioConfig) -> None:
+        self.horizon = config.horizon
+        self.evse_row = []  # first (facility, EVSE) row of each facility
+        rows = 0
+        for fac in config.facilities:
+            self.evse_row.append(rows)
+            rows += fac.evse_count
+        self.shapes = [[cell_shape(k, *args) for _, args in family.cells(config)]
+                       for k, family in enumerate(FAMILIES)]
+        # one vehicle out of service per slot, sliced by every schedule
+        self.idle = tuple((OUT_OF_SERVICE, i, 1, shape)
+                          for i, shape in enumerate(self.shapes[OUT_OF_SERVICE]))
+        self._kept: Dict[int, tuple] = {}
+
+    def evse_cell(self, f: int, m: int, t: int) -> int:
+        return (self.evse_row[f] + m) * self.horizon + t - 1
+
+    def facility_cell(self, f: int, t: int) -> int:
+        return f * self.horizon + t - 1
+
+    def demands(self, schedule) -> Iterable[Tuple[int, int, float, Shape]]:
+        """Every unit the schedule takes, as (family, cell, amount, shape):
+        each energy slot's EVSE energy and generation in turn, each cable
+        slot, each out-of-service slot, then the destination arrival. The
+        scarcest cells come first, where a capacity check stops soonest."""
+        kept = self._kept.get(id(schedule))
+        if kept is not None and kept[0] is schedule:
+            return kept[1]
+        return self._walk(schedule)
+
+    @contextmanager
+    def keep(self, schedules: Iterable) -> Iterator[None]:
+        """Walk each schedule's demands once and reuse them inside the block,
+        for schedules that are checked and applied many times over. Entries
+        hold their schedules, so no kept id can be reused meanwhile."""
+        self._kept = {id(s): (s, tuple(self._walk(s))) for s in schedules}
+        try:
+            yield
+        finally:
+            self._kept = {}
+
+    def _walk(self, schedule) -> Iterator[Tuple[int, int, float, Shape]]:
+        T, shapes = self.horizon, self.shapes
+        f = schedule.facility_id
+        if f is not None:
+            row = (self.evse_row[f] + schedule.evse_index) * T - 1
+            cable, energy, generation = shapes[CABLE], shapes[ENERGY], shapes[GENERATION]
+            for t, e in schedule.energy_slots:
+                yield ENERGY, row + t, e, energy[row + t]
+                yield GENERATION, f * T + t - 1, e, generation[f * T + t - 1]
+            for t in schedule.cable_slots:
+                yield CABLE, row + t, 1, cable[row + t]
+        yield from self.idle[schedule.t_minus - 1:schedule.t_plus]
+        i = schedule.dest_region * T + schedule.t_plus - 1
+        yield DESTINATION, i, 1, shapes[DESTINATION][i]
+
+
+def cell_index(config: ScenarioConfig, family: int, *coords: int) -> int:
+    """Ledger index of the cell of ``family`` at these coordinates."""
+    return [where for where, _ in FAMILIES[family].cells(config)].index(coords)
+
+
+# ---------------------------------------------------------------------------
+# Per-family entry points
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1024)
+def cell_shape(family: int, *args: float) -> Shape:
+    """The shape of a cell of ``family`` with these arguments, interned so
+    that repeated calls for one cell reuse its curve."""
+    return Shape(family, *args)
 
 
 def price_cable(y: float, cables: int, bounds: PriceBounds, psi_: int) -> float:
     """Posted price of one cable-slot at load y of C."""
-    _check_range(y, cables, "cable")
-    return _exp_price(y, cables, bounds.L_c, bounds.U_c, psi_)
+    return cell_shape(CABLE, cables).price(y, bounds, psi_)
 
 
 def price_energy(y: float, energy_limit: float, bounds: PriceBounds, psi_: int) -> float:
     """Posted price per kWh of EVSE energy at load y of E."""
-    _check_range(y, energy_limit, "energy")
-    return _exp_price(y, energy_limit, bounds.L_e, bounds.U_e, psi_)
+    return cell_shape(ENERGY, energy_limit).price(y, bounds, psi_)
 
 
 def price_generation(y: float, delta: float, mu: float, pi: float,
                      bounds: PriceBounds, psi_: int) -> float:
-    """Posted price per kWh of facility generation at load y of delta+mu.
-
-    Below the free solar budget the price climbs from L_g/(2 Psi) to the
-    grid price; from delta onward it climbs from just above pi to U_g.
-    With no solar the second branch applies from y = 0.
-    """
-    _check_range(y, delta + mu, "generation")
-    if y < delta:
-        return (bounds.L_g / (2.0 * psi_)) * (2.0 * psi_ * pi / bounds.L_g) ** (y / delta)
-    return _exp_price(y, delta + mu, bounds.L_g, bounds.U_g, psi_, offset=pi)
+    """Posted price per kWh of facility generation at load y of delta+mu."""
+    return cell_shape(GENERATION, delta, mu, pi).price(y, bounds, psi_)
 
 
 def price_destination(y: float, omega: float, bounds: PriceBounds, psi_: int) -> float:
-    """Posted price of one arrival at load y of Omega. A zero-capacity
-    region is permanently at its ceiling price."""
-    if omega == 0:
-        if y > 0:
-            raise ValueError(f"destination: allocation {y} beyond capacity 0")
-        return bounds.U_d
-    _check_range(y, omega, "destination")
-    return _exp_price(y, omega, bounds.L_d, bounds.U_d, psi_)
+    """Posted price of one arrival at load y of Omega."""
+    return cell_shape(DESTINATION, omega).price(y, bounds, psi_)
 
 
 def price_out_of_service(y: float, cap: float, phi: float,
                          bounds: PriceBounds, psi_: int) -> float:
     """Posted price of one out-of-service vehicle-slot at load y of I."""
-    _check_range(y, cap, "out_of_service")
-    return _exp_price(y, cap, bounds.L_o, bounds.U_o, psi_, offset=phi)
-
-
-# ---------------------------------------------------------------------------
-# Payments (exact integrals of the price curves)
-# ---------------------------------------------------------------------------
-#
-# The antiderivative of a * b^(y/K) + c is a*K/ln(b) * b^(y/K) + c*y, and it
-# extends smoothly beyond K: an increment that would overfill a resource
-# meets prices above U, which is precisely the saturation barrier. The
-# generation payment adds a one-time surcharge equal to the conjugate jump
-# when an increment first reaches the solar boundary; without it the dual
-# objective would jump while the payment stays infinitesimal.
-
-
-def _exp_payment(y0: float, y1: float, cap: float, low: float, high: float,
-                 psi_: int, offset: float = 0.0) -> float:
-    if y1 < y0:
-        raise ValueError("payment requires y1 >= y0")
-    if y1 == y0:
-        return 0.0
-    if cap <= 0:
-        return math.inf
-    a = (low - offset) / (2.0 * psi_)
-    b = 2.0 * psi_ * (high - offset) / (low - offset)
-    z = math.log(b)
-    try:
-        growth = b ** (y1 / cap) - b ** (y0 / cap)
-    except OverflowError:
-        # an overfill many capacities deep: the barrier price is unbounded
-        return math.inf
-    return a * cap / z * growth + offset * (y1 - y0)
+    return cell_shape(OUT_OF_SERVICE, cap, phi).price(y, bounds, psi_)
 
 
 def cable_payment(y0: float, y1: float, cables: int, bounds: PriceBounds,
                   psi_: int) -> float:
-    return _exp_payment(y0, y1, cables, bounds.L_c, bounds.U_c, psi_)
+    return cell_shape(CABLE, cables).payment(y0, y1, bounds, psi_)
 
 
 def energy_payment(y0: float, y1: float, energy_limit: float, bounds: PriceBounds,
                    psi_: int) -> float:
-    return _exp_payment(y0, y1, energy_limit, bounds.L_e, bounds.U_e, psi_)
-
-
-def destination_payment(y0: float, y1: float, omega: float, bounds: PriceBounds,
-                        psi_: int) -> float:
-    return _exp_payment(y0, y1, omega, bounds.L_d, bounds.U_d, psi_)
-
-
-def out_of_service_payment(y0: float, y1: float, cap: float, phi: float,
-                           bounds: PriceBounds, psi_: int) -> float:
-    return _exp_payment(y0, y1, cap, bounds.L_o, bounds.U_o, psi_, offset=phi)
+    return cell_shape(ENERGY, energy_limit).payment(y0, y1, bounds, psi_)
 
 
 def generation_payment(y0: float, y1: float, delta: float, mu: float, pi: float,
                        bounds: PriceBounds, psi_: int) -> float:
-    if y1 < y0:
-        raise ValueError("payment requires y1 >= y0")
-    if y1 == y0:
-        return 0.0
-    if delta + mu <= 0:
-        return math.inf
-    total = 0.0
-    if y0 < delta:
-        b1 = min(y1, delta)
-        # first branch: anchor L_g/(2 Psi), ceiling pi at y = delta
-        a = bounds.L_g / (2.0 * psi_)
-        base = 2.0 * psi_ * pi / bounds.L_g
-        z = math.log(base)
-        total += a * delta / z * (base ** (b1 / delta) - base ** (y0 / delta))
-    if y1 >= delta:
-        a2 = max(y0, delta)
-        total += _exp_payment(a2, y1, delta + mu, bounds.L_g, bounds.U_g, psi_,
-                              offset=pi)
-        if y0 < delta:
-            # conjugate jump at the solar boundary, charged once on crossing:
-            # (delta+mu) times the price step from pi up to the second branch
-            p_delta = _exp_price(delta, delta + mu, bounds.L_g, bounds.U_g,
-                                 psi_, offset=pi)
-            total += (delta + mu) * (p_delta - pi)
-    return total
+    return cell_shape(GENERATION, delta, mu, pi).payment(y0, y1, bounds, psi_)
+
+
+def destination_payment(y0: float, y1: float, omega: float, bounds: PriceBounds,
+                        psi_: int) -> float:
+    return cell_shape(DESTINATION, omega).payment(y0, y1, bounds, psi_)
+
+
+def out_of_service_payment(y0: float, y1: float, cap: float, phi: float,
+                           bounds: PriceBounds, psi_: int) -> float:
+    return cell_shape(OUT_OF_SERVICE, cap, phi).payment(y0, y1, bounds, psi_)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +499,9 @@ def estimate_bounds(config: ScenarioConfig,
     U's divide the best possible schedule value by the minimal usage of
     the family's resource (one cable-slot, one vehicle, or the smallest
     positive per-slot energy); L's divide the smallest positive pickup
-    value by Psi times the largest per-schedule usage. L_g and L_o are
-    then clamped just above the largest grid price and penalty, and the
-    U's re-clamped above the L's.
+    value by Psi times the largest per-schedule usage. L's of families
+    with a cost offset are then clamped just above the largest offset
+    (grid price, penalty), and every U re-clamped above its L.
 
     Raises ValueError when the config admits no positive-value schedule.
     """
@@ -306,29 +527,19 @@ def estimate_bounds(config: ScenarioConfig,
     targets = tuple(charge_targets) if charge_targets else default_charge_targets(config)
     e_min = _min_slot_energy(config, targets, charge_rate) if config.facilities else 1.0
 
-    l_c = v_min / (psi_ * T)
-    l_e = v_min / (psi_ * cap)
-    l_d = v_min / psi_
-    l_o = v_min / (psi_ * T)
-    u_c = u_best
-    u_e = u_best / e_min
-    u_g = u_best / e_min
-    u_d = u_best
-    u_o = u_best
-    l_g = l_e
-
-    pi_max = max((p for f in config.facilities for p in f.grid_price), default=0.0)
-    if pi_max > 0:
-        l_g = max(l_g, pi_max * (1.0 + 1e-6))
-        u_g = max(u_g, l_g * (1.0 + 1e-6))
-    phi_max = max(config.out_of_service_penalty, default=0.0)
-    if phi_max > 0:
-        l_o = max(l_o, phi_max * (1.0 + 1e-6))
-        u_o = max(u_o, l_o * (1.0 + 1e-6))
-
-    bounds = PriceBounds(L_c=l_c, U_c=max(u_c, l_c), L_e=l_e, U_e=max(u_e, l_e),
-                         L_g=l_g, U_g=u_g, L_d=l_d, U_d=max(u_d, l_d),
-                         L_o=l_o, U_o=u_o)
+    # the largest and the smallest use of each family's resource by one schedule
+    usage = {CABLE: (T, 1), ENERGY: (cap, e_min), GENERATION: (cap, e_min),
+             DESTINATION: (1, 1), OUT_OF_SERVICE: (T, 1)}
+    limits = []
+    for k, shapes in enumerate(config.cells.shapes):
+        most, least = usage[k]
+        low, high = v_min / (psi_ * most), u_best / least
+        top = max((shape.offset for shape in shapes), default=0.0)
+        if top > 0:
+            low = max(low, top * (1.0 + 1e-6))
+            high = max(high, low * (1.0 + 1e-6))
+        limits += [low, max(high, low)]
+    bounds = PriceBounds(*limits)
     problems = validate_bounds(bounds, config)
     if problems:
         raise ValueError("estimated bounds are unusable: " + "; ".join(problems))
@@ -360,24 +571,16 @@ class Alphas:
 
 
 def alphas(bounds: PriceBounds, psi_: int, config: ScenarioConfig) -> Alphas:
-    """Per-family ratios ln(2 Psi U/L), with the cost offsets subtracted
-    for generation and out-of-service, maximized over their traces."""
+    """Per-family ratios ln(2 Psi (U - offset)/(L - offset)), maximized
+    over the offsets (grid prices, penalties) of the family's cells."""
     two_psi = 2.0 * psi_
-    a1 = math.log(two_psi * bounds.U_c / bounds.L_c)
-    a2 = math.log(two_psi * bounds.U_e / bounds.L_e)
-    a4 = math.log(two_psi * bounds.U_d / bounds.L_d)
-    a3 = 0.0
-    for fac in config.facilities:
-        for pi in fac.grid_price:
-            a3 = max(a3, math.log(two_psi * (bounds.U_g - pi) / (bounds.L_g - pi)))
-    if not config.facilities:
-        a3 = math.log(two_psi * bounds.U_g / bounds.L_g)
-    a5 = 0.0
-    for phi in config.out_of_service_penalty:
-        a5 = max(a5, math.log(two_psi * (bounds.U_o - phi) / (bounds.L_o - phi)))
-    if not config.out_of_service_penalty:
-        a5 = math.log(two_psi * bounds.U_o / bounds.L_o)
-    out = Alphas(a1=a1, a2=a2, a3=a3, a4=a4, a5=a5)
+    ratios = []
+    for family, shapes in zip(FAMILIES, config.cells.shapes):
+        low, high = family.limits(bounds)
+        offsets = {shape.offset for shape in shapes} or {0.0}
+        ratios.append(max(math.log(two_psi * (high - off) / (low - off))
+                          for off in offsets))
+    out = Alphas(*ratios)
     for name, val in out.as_dict().items():
         if val < 1.0:
             raise ValueError(f"ratio component {name}={val} below 1; bounds too tight")
@@ -413,64 +616,34 @@ class DaprReport:
     segments: int
 
 
-_FAMILIES = ("cable", "energy", "generation", "destination", "out_of_service")
-
-
 def verify_dapr(family: str, params: Mapping[str, float], alpha: float,
                 grid_points: int) -> DaprReport:
     """Grid-check the allocation-payment inequality for one resource.
 
     ``params`` carries the family's scalars: capacity, L, U, psi, plus pi
-    (generation: with delta and mu) or phi (out_of_service). The
-    generation grid is split at the solar boundary so no increment
-    straddles the branch switch.
+    (generation: with delta and mu) or phi (out_of_service). The grid runs
+    over the segments of the price curve, split at the solar boundary so
+    that no increment straddles the branch switch; on each, f' is the
+    segment's offset and f*' its upper end.
     """
-    if family not in _FAMILIES:
+    if family not in NAMES:
         raise ValueError(f"unknown family {family!r}")
     if grid_points < 100:
         raise ValueError("grid_points must be at least 100")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
 
-    psi_ = int(params["psi"])
-    low, high = float(params["L"]), float(params["U"])
+    k = NAMES.index(family)
+    shape = Shape(k, *(float(params[name]) for name in FAMILIES[k].params))
+    segments = [seg for seg in shape.segments(float(params["L"]), float(params["U"]),
+                                              int(params["psi"]))
+                if seg.hi > seg.lo]
 
-    # each segment: (lo, hi, cap, a, b, offset, cost_slope, conj_slope)
-    # describing p(y) = a * b^(y/cap) + offset on [lo, hi)
-    segments: List[Tuple[float, ...]] = []
-
-    if family == "generation":
-        delta = float(params["delta"])
-        mu = float(params["mu"])
-        pi = float(params["pi"])
-        if delta > 0:
-            # first branch: free solar, conjugate slope delta below pi
-            segments.append((0.0, delta, delta, low / (2.0 * psi_),
-                             2.0 * psi_ * pi / low, 0.0, 0.0, delta))
-        if mu > 0 or delta == 0:
-            a2 = (low - pi) / (2.0 * psi_)
-            b2 = 2.0 * psi_ * (high - pi) / (low - pi)
-            segments.append((delta, delta + mu, delta + mu, a2, b2, pi, pi,
-                             delta + mu))
-    elif family == "out_of_service":
-        cap = float(params["capacity"])
-        phi = float(params["phi"])
-        a = (low - phi) / (2.0 * psi_)
-        b = 2.0 * psi_ * (high - phi) / (low - phi)
-        segments.append((0.0, cap, cap, a, b, phi, phi, cap))
-    else:
-        cap = float(params["capacity"])
-        a = low / (2.0 * psi_)
-        b = 2.0 * psi_ * high / low
-        segments.append((0.0, cap, cap, a, b, 0.0, 0.0, cap))
-
-    total_len = sum(hi - lo for lo, hi, *_ in segments)
+    total_len = sum(seg.hi - seg.lo for seg in segments)
     worst_margin = math.inf
     worst_y = 0.0
     checked = 0
-    for lo, hi, cap, a, b, offset, cost_slope, conj_slope in segments:
-        if hi <= lo:
-            continue
+    for lo, hi, cap, a, b, offset in segments:
         n = max(1, round(grid_points * (hi - lo) / total_len))
         dy = (hi - lo) / n
         z = math.log(b)
@@ -479,7 +652,7 @@ def verify_dapr(family: str, params: Mapping[str, float], alpha: float,
             growth = a * b ** (y / cap)
             p = growth + offset
             pprime = growth * z / cap
-            margin = (p - cost_slope) * dy - (conj_slope * pprime * dy) / alpha
+            margin = (p - offset) * dy - (hi * pprime * dy) / alpha
             checked += 1
             if margin < worst_margin:
                 worst_margin = margin
@@ -492,34 +665,13 @@ def verify_dapr(family: str, params: Mapping[str, float], alpha: float,
 
 def dapr_cases(config: ScenarioConfig, bounds: PriceBounds,
                psi_: int) -> List[Tuple[str, Dict[str, float]]]:
-    """Deduplicated (family, params) pairs covering every resource shape
-    that appears in a config."""
+    """One (family, params) pair per distinct cell shape of a config,
+    family by family; zero-capacity cells have no curve to check."""
     cases: List[Tuple[str, Dict[str, float]]] = []
-    seen = set()
-
-    def add(family: str, params: Dict[str, float]) -> None:
-        key = (family, tuple(sorted(params.items())))
-        if key not in seen:
-            seen.add(key)
-            cases.append((family, params))
-
-    for fac in config.facilities:
-        add("cable", {"capacity": fac.cables_per_evse, "L": bounds.L_c,
-                      "U": bounds.U_c, "psi": psi_})
-        add("energy", {"capacity": fac.evse_energy_limit, "L": bounds.L_e,
-                       "U": bounds.U_e, "psi": psi_})
-        for t in range(config.horizon):
-            add("generation", {"delta": fac.solar[t], "mu": fac.grid_limit[t],
-                               "pi": fac.grid_price[t], "L": bounds.L_g,
-                               "U": bounds.U_g, "psi": psi_})
-    for region in config.regions:
-        for t in range(config.horizon):
-            omega = region.vehicle_limit[t]
-            if omega > 0:
-                add("destination", {"capacity": omega, "L": bounds.L_d,
-                                    "U": bounds.U_d, "psi": psi_})
-    for t in range(config.horizon):
-        add("out_of_service", {"capacity": config.out_of_service_cap[t],
-                               "phi": config.out_of_service_penalty[t],
-                               "L": bounds.L_o, "U": bounds.U_o, "psi": psi_})
+    for family, shapes in zip(FAMILIES, config.cells.shapes):
+        low, high = family.limits(bounds)
+        for shape in dict.fromkeys(shapes):
+            if shape.cap > 0:
+                cases.append((family.name, dict(zip(family.params, shape.args),
+                                                L=low, U=high, psi=psi_)))
     return cases

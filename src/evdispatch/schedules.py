@@ -20,8 +20,9 @@ from . import pricing
 from .constants import MONEY_ATOL
 from .domain import (
     ResourceLedger, ScenarioConfig, Schedule, Session, UNREACHABLE, hops,
+    plan_value,
 )
-from .pricing import PriceBounds
+from .pricing import CABLE, ENERGY, GENERATION, PriceBounds
 
 
 @dataclass(frozen=True)
@@ -84,14 +85,6 @@ def validate_policy(policy: GenerationPolicy, config: ScenarioConfig) -> List[st
     return out
 
 
-def schedule_value(schedule: Schedule, config: ScenarioConfig) -> float:
-    """v_js: stored-energy value plus destination value minus hop penalty."""
-    stored = schedule.final_soc * config.battery_capacity
-    return (config.soc_value_slope * stored
-            + config.regions[schedule.dest_region].pickup_value
-            - config.per_hop_value_penalty * schedule.hops_total)
-
-
 def _targets(config: ScenarioConfig, policy: GenerationPolicy) -> Tuple[float, ...]:
     if policy.charge_targets is not None:
         return tuple(sorted(policy.charge_targets))
@@ -117,8 +110,6 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
 
     cap = config.battery_capacity
     e_hop = config.per_hop_energy
-    pen = config.per_hop_value_penalty
-    slope = config.soc_value_slope
     energy0 = session.soc * cap
     t0 = session.t_minus
     radius = policy.dest_hop_radius
@@ -137,7 +128,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
         if t_plus > T:
             continue
         final = energy0 - h2 * e_hop
-        v = slope * final + config.regions[dest].pickup_value - pen * h2
+        v = plan_value(config, final, dest, h2)
         out.append(Schedule(session_id=session.id, t_minus=t0, facility_id=None,
                             evse_index=None, t_arrival=None, cable_slots=(),
                             energy_slots=(), dest_region=dest, t_plus=t_plus,
@@ -181,7 +172,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
                     continue
                 if t_arr + k - 1 + h2 > T:
                     continue
-                v = slope * final + config.regions[dest].pickup_value - pen * (h1 + h2)
+                v = plan_value(config, final, dest, h1 + h2)
                 tuples.append((-v, fid, target, dest, h1, h2, k))
 
     # ---- build charging tuples, best value first, until the cap ----
@@ -239,8 +230,10 @@ class _PostedPrices:
     """Posted cable and charging prices against one ledger snapshot.
 
     The ledger does not move while a session's candidates are built, so
-    each (facility, EVSE, slot) price is computed once, with the scalar
-    pricing functions, and reused by every candidate that looks it up.
+    each (facility, EVSE, slot) price is looked up once and reused by every
+    candidate that asks for it, and each price is computed once per cell
+    shape and load. A cell loaded beyond capacity keeps its ceiling price:
+    these prices only rank slots.
     """
 
     def __init__(self, ledger: ResourceLedger, bounds: PriceBounds, psi_: int):
@@ -249,30 +242,34 @@ class _PostedPrices:
         self.psi = psi_
         self._cable = {}
         self._charge = {}
+        self._at = {}  # (shape, load) -> price
 
-    def cable(self, fid: int, fac, m: int, t: int) -> float:
+    def _posted(self, k: int, i: int) -> float:
+        shape = self.ledger.cells.shapes[k][i]
+        y = min(self.ledger.loads[k][i], shape.cap)
+        p = self._at.get((shape, y))
+        if p is None:
+            p = self._at[shape, y] = shape.price(y, self.bounds, self.psi)
+        return p
+
+    def cable(self, fid: int, m: int, t: int) -> float:
         key = (fid, m, t)
         p = self._cable.get(key)
         if p is None:
-            # beyond-capacity slots keep the ceiling price; ranking only
-            y = min(self.ledger.y_c[fid][m][t - 1], fac.cables_per_evse)
-            p = pricing.price_cable(y, fac.cables_per_evse, self.bounds, self.psi)
-            self._cable[key] = p
+            p = self._cable[key] = self._posted(CABLE, self.ledger.cells.evse_cell(fid, m, t))
         return p
 
-    def charge(self, fid: int, fac, m: int, t: int) -> float:
+    def charge(self, fid: int, m: int, t: int) -> float:
         """Energy plus generation price per kWh; energy alone at a slot
         without generation capacity (callers decide what that means)."""
         key = (fid, m, t)
         p = self._charge.get(key)
         if p is None:
-            ye = min(self.ledger.y_e[fid][m][t - 1], fac.evse_energy_limit)
-            p = pricing.price_energy(ye, fac.evse_energy_limit, self.bounds, self.psi)
-            delta, mu = fac.solar[t - 1], fac.grid_limit[t - 1]
-            if delta + mu > 0:
-                yg = min(self.ledger.y_g[fid][t - 1], delta + mu)
-                p += pricing.price_generation(yg, delta, mu, fac.grid_price[t - 1],
-                                              self.bounds, self.psi)
+            cells = self.ledger.cells
+            p = self._posted(ENERGY, cells.evse_cell(fid, m, t))
+            g = cells.facility_cell(fid, t)
+            if cells.shapes[GENERATION][g].cap > 0:
+                p += self._posted(GENERATION, g)
             self._charge[key] = p
         return p
 
@@ -283,7 +280,7 @@ def _pick_evse(fid: int, fac, window: Sequence[int], prices: _PostedPrices) -> i
     for m in range(fac.evse_count):
         cost = 0.0
         for t in window:
-            cost += prices.cable(fid, fac, m, t)
+            cost += prices.cable(fid, m, t)
         if cost < best_cost - 1e-15:
             best_m, best_cost = m, cost
     return best_m
@@ -297,7 +294,7 @@ def _pick_slots(fid: int, m: int, fac, window: Sequence[int], k: int,
     priced = []
     for t in window:
         if fac.solar[t - 1] + fac.grid_limit[t - 1] > 0:
-            priced.append((prices.charge(fid, fac, m, t), t))
+            priced.append((prices.charge(fid, m, t), t))
         else:
             priced.append((math.inf, t))
     priced.sort()
@@ -314,7 +311,7 @@ def _assign_energy(chosen: Sequence[int], target: float, rate: float, fid: int,
         return [(chosen[0], min(target, rate))]
     worst_t, worst_p = chosen[0], -math.inf
     for t in chosen:
-        p = prices.charge(fid, fac, m, t)
+        p = prices.charge(fid, m, t)
         if p > worst_p + 1e-15:
             worst_t, worst_p = t, p
     return [(t, rem if t == worst_t else rate) for t in chosen]

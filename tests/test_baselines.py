@@ -10,6 +10,7 @@ from evdispatch.domain import (
 )
 from evdispatch.economics import primal_objective
 from evdispatch.harness import generate_scenario
+from evdispatch.pricing import DESTINATION, cell_index
 
 from conftest import build_mini_config
 
@@ -25,7 +26,8 @@ def test_above_threshold_takes_the_best_pickup(mini_config, mini_session):
 def test_full_destination_slot_falls_through(mini_config, mini_session):
     ledger = ResourceLedger.zero(mini_config)
     for t in range(mini_config.horizon):
-        ledger.y_d[1][t] = mini_config.regions[1].vehicle_limit[t]
+        cell = cell_index(mini_config, DESTINATION, 1, t + 1)
+        ledger.loads[DESTINATION][cell] = mini_config.regions[1].vehicle_limit[t]
     s = threshold_dispatch(mini_session, mini_config, ledger, threshold=0.5)
     assert s is not None and s.dest_region == 0
 

@@ -16,7 +16,7 @@ from evdispatch.dispatcher import (
 from evdispatch.domain import (
     CapacityError, ResourceLedger, Session, recompute_ledger,
 )
-from evdispatch.pricing import PriceBounds
+from evdispatch.pricing import DESTINATION, PriceBounds, cell_index
 from evdispatch.schedules import GenerationPolicy, feasible_schedules
 
 from conftest import build_mini_config
@@ -116,7 +116,9 @@ def test_capacity_backstop_fires_without_the_barrier(mini_config,
     state = dataclasses.replace(state, bounds=flat)
     for d in range(len(mini_config.regions)):
         for t in range(mini_config.horizon):
-            state.ledger.y_d[d][t] = mini_config.regions[d].vehicle_limit[t]
+            cell = cell_index(mini_config, DESTINATION, d, t + 1)
+            state.ledger.loads[DESTINATION][cell] = (
+                mini_config.regions[d].vehicle_limit[t])
     with pytest.raises(CapacityError, match="price barrier failed"):
         dispatch(mini_session, state)
 

@@ -19,6 +19,9 @@ from evdispatch.domain import (
     recompute_ledger, schedule_violations, validate,
 )
 from evdispatch.harness import generate_scenario
+from evdispatch.pricing import (
+    CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE, cell_index,
+)
 
 from conftest import build_mini_config
 
@@ -194,11 +197,16 @@ def test_ledger_apply_and_violations(mini_config, mini_charge):
     ledger = ResourceLedger.zero(mini_config)
     assert ledger.fits(mini_charge, mini_config)
     ledger.apply(mini_charge, sign=1)
-    assert ledger.y_c[0][0][1] == 1
-    assert ledger.y_e[0][0][1] == pytest.approx(5.0)
-    assert ledger.y_g[0][1] == pytest.approx(5.0)
-    assert ledger.y_o[0] == 1 and ledger.y_o[2] == 1 and ledger.y_o[3] == 0
-    assert ledger.y_d[1][2] == 1
+
+    def load(family, *cell):
+        return ledger.loads[family][cell_index(mini_config, family, *cell)]
+
+    assert load(CABLE, 0, 0, 2) == 1
+    assert load(ENERGY, 0, 0, 2) == pytest.approx(5.0)
+    assert load(GENERATION, 0, 2) == pytest.approx(5.0)
+    assert load(OUT_OF_SERVICE, 1) == 1 and load(OUT_OF_SERVICE, 3) == 1
+    assert load(OUT_OF_SERVICE, 4) == 0
+    assert load(DESTINATION, 1, 3) == 1
     assert ledger.violations(mini_config) == []
     ledger.apply(mini_charge, sign=-1)
     assert ledger.equals(ResourceLedger.zero(mini_config))
@@ -236,7 +244,7 @@ def test_recompute_ledger_strict_raises_on_breach(mini_config, mini_charge):
     with pytest.raises(CapacityError):
         recompute_ledger(decisions, mini_config, strict=True)
     ledger = recompute_ledger(decisions, mini_config)
-    assert ledger.y_c[0][0][1] == 3
+    assert ledger.loads[CABLE][cell_index(mini_config, CABLE, 0, 0, 2)] == 3
 
 
 # ---------------------------------------------------------------------------

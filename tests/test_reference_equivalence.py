@@ -1,12 +1,14 @@
-"""The memoised payment walk and the heap-driven candidate build against
+"""The table-driven walks and the heap-driven candidate build against
 plain reference implementations.
 
-``utility_breakdown`` looks payments up in ``DispatcherState.payments``
-and ``feasible_schedules`` picks each EVSE once per window and stops
-ordering charging tuples at the candidate cap. Both must give exactly
-what the straightforward versions below give: the same floats, compared
-with ``==``, and the same schedules in the same order, on every session
-of runs whose ledger changes between sessions.
+``utility_breakdown`` walks a schedule's demands on the config's cells
+and looks payments up in ``DispatcherState.payments``; ``_dual_increment``
+and ``primal_increment`` walk the same demands; ``feasible_schedules`` picks
+each EVSE once per window and stops ordering charging tuples at the
+candidate cap. Each must give exactly what the family-by-family versions
+below give: the same floats, compared with ``==``, and the same schedules
+in the same order, on every session of runs whose ledger changes between
+sessions. Summation order is where a generic walk could move a bit.
 """
 
 from __future__ import annotations
@@ -16,27 +18,55 @@ import math
 
 import pytest
 
-from evdispatch import pricing
+from evdispatch import economics, pricing
 from evdispatch.constants import MONEY_ATOL
-from evdispatch.dispatcher import DispatcherState, dispatch, utility_breakdown
+from evdispatch.dispatcher import (
+    DispatcherState, _dual_increment, dispatch, utility_breakdown,
+)
 from evdispatch.domain import PriceBreakdown, Schedule, UNREACHABLE, hops
 from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.schedules import (
     _PostedPrices, _assign_energy, _candidate_key, _pick_evse, _pick_slots,
     _targets, feasible_schedules,
 )
+from evdispatch.pricing import (
+    CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE,
+)
 
 
-def reference_utility_breakdown(schedule, state):
+def _loads(config, ledger):
+    """Family-by-family views of the flat ledger, indexed as the
+    references read them: cable and energy [f][m][t], generation [f][t],
+    out of service [t] and destination [d][t], with t 0-based."""
+    def view(family):
+        loads = dict(zip((where for where, _ in FAMILIES[family].cells(config)),
+                         ledger.loads[family]))
+        return lambda *cell: loads[cell]
+
+    cable, energy, generation, destination, idle = (
+        view(k) for k in (CABLE, ENERGY, GENERATION, DESTINATION, OUT_OF_SERVICE))
+    slots = range(1, config.horizon + 1)
+    evses = [range(fac.evse_count) for fac in config.facilities]
+    return (
+        [[[cable(f, m, t) for t in slots] for m in ms] for f, ms in enumerate(evses)],
+        [[[energy(f, m, t) for t in slots] for m in ms] for f, ms in enumerate(evses)],
+        [[generation(f, t) for t in slots] for f in range(len(evses))],
+        [idle(t) for t in slots],
+        [[destination(d, t) for t in slots] for d in range(len(config.regions))],
+    )
+
+
+def reference_utility_breakdown(schedule, state, loads):
     """Every payment integrated afresh from the ledger, family by family."""
-    config, ledger, bounds, psi_ = state.config, state.ledger, state.bounds, state.psi
+    config, bounds, psi_ = state.config, state.bounds, state.psi
+    y_c, y_e, y_g, y_o, y_d = loads
     d, tp = schedule.dest_region, schedule.t_plus
     pay_dest = pricing.destination_payment(
-        ledger.y_d[d][tp - 1], ledger.y_d[d][tp - 1] + 1,
+        y_d[d][tp - 1], y_d[d][tp - 1] + 1,
         config.regions[d].vehicle_limit[tp - 1], bounds, psi_)
     pay_oos = 0.0
     for t in schedule.out_of_service_slots:
-        y = ledger.y_o[t - 1]
+        y = y_o[t - 1]
         pay_oos += pricing.out_of_service_payment(
             y, y + 1, config.out_of_service_cap[t - 1],
             config.out_of_service_penalty[t - 1], bounds, psi_)
@@ -45,14 +75,14 @@ def reference_utility_breakdown(schedule, state):
         f, m = schedule.facility_id, schedule.evse_index
         fac = config.facilities[f]
         for t in schedule.cable_slots:
-            y = ledger.y_c[f][m][t - 1]
+            y = y_c[f][m][t - 1]
             pay_cable += pricing.cable_payment(y, y + 1, fac.cables_per_evse,
                                                bounds, psi_)
         for t, e in schedule.energy_slots:
-            ye = ledger.y_e[f][m][t - 1]
+            ye = y_e[f][m][t - 1]
             pay_energy += pricing.energy_payment(ye, ye + e, fac.evse_energy_limit,
                                                  bounds, psi_)
-            yg = ledger.y_g[f][t - 1]
+            yg = y_g[f][t - 1]
             pay_gen += pricing.generation_payment(
                 yg, yg + e, fac.solar[t - 1], fac.grid_limit[t - 1],
                 fac.grid_price[t - 1], bounds, psi_)
@@ -60,6 +90,78 @@ def reference_utility_breakdown(schedule, state):
                                cable=pay_cable, energy=pay_energy,
                                generation=pay_gen)
     return schedule.value - breakdown.total, breakdown
+
+
+def reference_dual_increment(schedule, u, state, loads):
+    """Every conjugate's move priced afresh, family by family."""
+    config, bounds, psi_ = state.config, state.bounds, state.psi
+    y_c, y_e, y_g, y_o, y_d = loads
+    total = u
+
+    d, tp = schedule.dest_region, schedule.t_plus
+    omega = config.regions[d].vehicle_limit[tp - 1]
+    y = y_d[d][tp - 1]
+    total += (economics.conj_destination(pricing.price_destination(y + 1, omega, bounds, psi_), omega)
+              - economics.conj_destination(pricing.price_destination(y, omega, bounds, psi_), omega))
+
+    for t in schedule.out_of_service_slots:
+        cap = config.out_of_service_cap[t - 1]
+        phi = config.out_of_service_penalty[t - 1]
+        y = y_o[t - 1]
+        total += (economics.conj_out_of_service(
+                      pricing.price_out_of_service(y + 1, cap, phi, bounds, psi_), phi, cap)
+                  - economics.conj_out_of_service(
+                      pricing.price_out_of_service(y, cap, phi, bounds, psi_), phi, cap))
+
+    if schedule.charging:
+        f = schedule.facility_id
+        m = schedule.evse_index
+        fac = config.facilities[f]
+        for t in schedule.cable_slots:
+            y = y_c[f][m][t - 1]
+            total += (economics.conj_cable(
+                          pricing.price_cable(y + 1, fac.cables_per_evse, bounds, psi_),
+                          fac.cables_per_evse)
+                      - economics.conj_cable(
+                          pricing.price_cable(y, fac.cables_per_evse, bounds, psi_),
+                          fac.cables_per_evse))
+        for t, e in schedule.energy_slots:
+            ye = y_e[f][m][t - 1]
+            total += (economics.conj_energy(
+                          pricing.price_energy(ye + e, fac.evse_energy_limit, bounds, psi_),
+                          fac.evse_energy_limit)
+                      - economics.conj_energy(
+                          pricing.price_energy(ye, fac.evse_energy_limit, bounds, psi_),
+                          fac.evse_energy_limit))
+            delta, mu, pi = fac.solar[t - 1], fac.grid_limit[t - 1], fac.grid_price[t - 1]
+            yg = y_g[f][t - 1]
+            total += (economics.conj_generation(
+                          pricing.price_generation(yg + e, delta, mu, pi, bounds, psi_),
+                          delta, mu, pi)
+                      - economics.conj_generation(
+                          pricing.price_generation(yg, delta, mu, pi, bounds, psi_),
+                          delta, mu, pi))
+    return total
+
+
+def reference_primal_increment(schedule, state, loads):
+    """Generation costs first, then out-of-service penalties."""
+    config = state.config
+    _, _, y_g, y_o, _ = loads
+    delta = schedule.value
+    if schedule.charging:
+        fac = config.facilities[schedule.facility_id]
+        for t, e in schedule.energy_slots:
+            y0 = y_g[schedule.facility_id][t - 1]
+            args = (fac.solar[t - 1], fac.grid_limit[t - 1], fac.grid_price[t - 1])
+            delta -= (economics.generation_cost(y0 + e, *args)
+                      - economics.generation_cost(y0, *args))
+    for t in schedule.out_of_service_slots:
+        args = (config.out_of_service_penalty[t - 1], config.out_of_service_cap[t - 1])
+        y0 = y_o[t - 1]
+        delta -= (economics.out_of_service_cost(y0 + 1, *args)
+                  - economics.out_of_service_cost(y0, *args))
+    return delta
 
 
 def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
@@ -177,14 +279,26 @@ def test_memo_and_build_match_the_references(name):
                                         state.bounds, state.psi, state.policy)
         assert candidates == reference_feasible_schedules(
             session, config, state.ledger, state.bounds, state.psi, state.policy)
+        loads = _loads(config, state.ledger)
+        dual_steps = {}
         for schedule in candidates:
-            assert (utility_breakdown(schedule, state)
-                    == reference_utility_breakdown(schedule, state))
+            u, breakdown = utility_breakdown(schedule, state)
+            assert (u, breakdown) == reference_utility_breakdown(schedule, state, loads)
+            # increments are taken of schedules that fit, as every committed
+            # one does
+            if state.ledger.fits(schedule, config):
+                dual_steps[schedule] = reference_dual_increment(schedule, u, state, loads)
+                assert _dual_increment(schedule, u, state) == dual_steps[schedule]
+                assert (economics.primal_increment(state.ledger, schedule, config)
+                        == reference_primal_increment(schedule, state, loads))
         priced += len(candidates)
+        dual_before = state.dual_trajectory[-1]
         # dispatch prices the same candidates again, now from the memo
         decision = dispatch(session, state)
         if not decision.is_depot:
             committed += 1
             assert state.payments == {}
+            assert (state.dual_trajectory[-1]
+                    == dual_before + dual_steps[decision.schedule])
     assert committed > len(sessions) // 2
     assert priced > 10 * len(sessions)

@@ -8,10 +8,11 @@ import dataclasses
 import pytest
 
 from evdispatch import pricing
-from evdispatch.domain import ResourceLedger, Session, schedule_violations
+from evdispatch.domain import (
+    ResourceLedger, Session, plan_value, schedule_violations,
+)
 from evdispatch.schedules import (
-    DEFAULT_POLICY, GenerationPolicy, feasible_schedules, schedule_value,
-    validate_policy,
+    DEFAULT_POLICY, GenerationPolicy, feasible_schedules, validate_policy,
 )
 
 from conftest import build_mini_config
@@ -38,7 +39,9 @@ def test_mini_candidate_set_by_hand(mini_config, mini_session, mini_charge):
     assert {s.dest_region for s in rebalances} == {0, 1}
     for s in out:
         assert schedule_violations(s, mini_config, mini_session) == []
-        assert s.value == pytest.approx(schedule_value(s, mini_config))
+        assert s.value == pytest.approx(plan_value(
+            mini_config, s.final_soc * mini_config.battery_capacity,
+            s.dest_region, s.hops_total))
 
 
 def test_full_battery_yields_only_rebalances(mini_config):
@@ -81,7 +84,9 @@ def test_candidates_are_feasible_and_priced_consistently(tiny_instance):
         for s in _candidates(config, session):
             assert schedule_violations(s, config, session) == []
             assert ledger.fits(s, config)
-            assert s.value == pytest.approx(schedule_value(s, config))
+            assert s.value == pytest.approx(plan_value(
+                config, s.final_soc * config.battery_capacity, s.dest_region,
+                s.hops_total))
 
 
 def test_generation_is_deterministic(mini_config, mini_session):
