@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
+from .constants import MONEY_ATOL
 from .domain import (
     DispatchDecision, ResourceLedger, RunReport, ScenarioConfig, Schedule,
     Session, UNREACHABLE, hops, instance_hash, plan_value, validate,
 )
 from .dispatcher import peak_utilization
 from .economics import primal_increment
-from .pricing import psi as compute_psi
+from .pricing import GENERATION, psi as compute_psi
 
 
 def _dest_order(config: ScenarioConfig, anchor: int) -> List[Tuple[int, int]]:
@@ -89,12 +90,20 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
     # full rate first, the remainder in the last slot
     amounts = [rate] * (k - 1) + [target - (k - 1) * rate]
     dests = _dest_order(config, fac.region_id)
+    # the facility's generation cells, which every EVSE shares
+    generated = ledger.loads[GENERATION]
+    generation = config.cells.shapes[GENERATION]
+    row = fac.id * T - 1
 
     for wait in range(patience + 1):
         start = t_arr + wait
         done = start + k - 1
         if done > T:
             break
+        if any(generated[row + t] + e > generation[row + t].cap + MONEY_ATOL
+               for t, e in zip(range(start, done + 1), amounts)):
+            # no EVSE or destination makes these slots fit
+            continue
         for m in range(fac.evse_count):
             for h2, dest in dests:
                 t_plus = done + h2

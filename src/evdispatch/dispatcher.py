@@ -31,13 +31,11 @@ from .schedules import (
 class DispatcherState:
     """Mutable state of one online run.
 
-    ``payments`` memoises the payment terms of ``utility_breakdown`` by
-    what a payment is a function of: the cell's shape (its family and
-    arguments, shared by equal cells), the load read from the ledger and
-    the amount. One entry thus serves every cell of that shape and load,
-    such as every destination arrival of a day with one Omega. ``dispatch``
-    empties the memo when it commits, so that it holds the payments of one
-    ledger state at a time.
+    ``snapshot`` holds the payments of the current ledger state while one
+    ``dispatch`` call prices its candidates (see ``_Snapshot``). It is set
+    when the call starts and dropped before the winner is committed or the
+    vehicle goes to the depot, so no payment outlives the ledger state it
+    was read from; it is None between calls.
     """
 
     config: ScenarioConfig
@@ -52,8 +50,8 @@ class DispatcherState:
     utilities: List[float] = field(default_factory=list)
     last_t: int = 1
     captured: Optional[Dict[int, List[Schedule]]] = None
-    payments: Dict[tuple, float] = field(default_factory=dict, init=False,
-                                         repr=False, compare=False)
+    snapshot: Optional["_Snapshot"] = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     @classmethod
     def fresh(cls, config: ScenarioConfig, policy: GenerationPolicy = DEFAULT_POLICY,
@@ -73,10 +71,84 @@ class DispatcherState:
             bad = pricing.validate_bounds(bounds, config)
             if bad:
                 raise ValueError("invalid bounds: " + "; ".join(bad))
+            short = pricing.barrier_problems(bounds, config, policy.charge_targets,
+                                             policy.charge_rate)
+            if short:
+                raise ValueError("bounds cannot hold the price barrier: "
+                                 + "; ".join(short))
         return cls(config=config, policy=policy, bounds=bounds, psi=psi_,
                    alphas=pricing.alphas(bounds, psi_, config),
                    ledger=ResourceLedger.zero(config),
                    captured={} if capture_candidates else None)
+
+
+class _Snapshot:
+    """The payments of one ledger state, for one session's candidates.
+
+    A payment is a function of the cell's shape (its family and arguments,
+    shared by equal cells), the load read from the ledger and the amount,
+    so ``pay`` keeps one per such key: one entry serves every destination
+    arrival of a day with one Omega. Every out-of-service run of a session
+    starts at its t_minus, and every cable run at a facility at the
+    vehicle's arrival slot there, so ``run`` keeps the +1 payments of
+    consecutive cells as running sums from their first cell; ``draw``
+    keeps the energy and generation payments of each set of energy slots
+    an EVSE is offered, which the candidates for every destination share.
+    Every sum is added left to right from 0.0, slot by slot, as a walk over
+    the schedule's demands adds it, so a utility read from the snapshot is
+    bit-identical to one walked afresh.
+    """
+
+    __slots__ = ("cells", "loads", "bounds", "psi", "_paid", "_runs", "_drawn")
+
+    def __init__(self, state: DispatcherState) -> None:
+        self.cells = state.config.cells
+        self.loads = state.ledger.loads
+        self.bounds = state.bounds
+        self.psi = state.psi
+        self._paid: Dict[tuple, float] = {}
+        self._runs: Dict[Tuple[int, int], List[float]] = {}
+        self._drawn: Dict[tuple, Tuple[float, float]] = {}
+
+    def pay(self, k: int, i: int, amount: float) -> float:
+        """Payment for ``amount`` more units of cell i of family k."""
+        shape = self.cells.shapes[k][i]
+        y = self.loads[k][i]
+        key = (shape, y, amount)
+        paid = self._paid.get(key)
+        if paid is None:
+            # looked up on the module at call time, so a wrapper there sees it
+            paid = self._paid[key] = getattr(pricing, shape.family.name + "_payment")(
+                y, y + amount, *shape.args, self.bounds, self.psi)
+        return paid
+
+    def run(self, k: int, first: int, n: int) -> float:
+        """Summed payments for one more unit of each of the n cells of
+        family k from cell ``first`` on."""
+        sums = self._runs.get((k, first))
+        if sums is None:
+            sums = self._runs[k, first] = []
+        done = len(sums)
+        if done < n:
+            total = sums[-1] if done else 0.0
+            for i in range(first + done, first + n):
+                total += self.pay(k, i, 1)
+                sums.append(total)
+        return sums[n - 1]
+
+    def draw(self, f: int, m: int, slots: Tuple[Tuple[int, float], ...]) -> Tuple[float, float]:
+        """Summed energy and generation payments for drawing each (slot,
+        kWh) of ``slots`` at EVSE m of facility f."""
+        key = (f, m, slots)
+        paid = self._drawn.get(key)
+        if paid is None:
+            cells = self.cells
+            energy = generation = 0.0
+            for t, e in slots:
+                energy += self.pay(ENERGY, cells.evse_cell(f, m, t), e)
+                generation += self.pay(GENERATION, cells.facility_cell(f, t), e)
+            paid = self._drawn[key] = (energy, generation)
+        return paid
 
 
 def utility_breakdown(schedule: Schedule,
@@ -85,25 +157,27 @@ def utility_breakdown(schedule: Schedule,
 
     Schedules touching a saturated slot are priced, not rejected; the
     integral payment runs past capacity, so their utility is nonpositive.
-    Each payment comes from ``state.payments`` when a cell of the same
-    shape was already priced at the same load and amount; the terms are
-    added in the same order either way, so the result does not depend on
-    the memo.
+    Within ``dispatch`` the payments come from the call's snapshot; outside
+    it a fresh snapshot prices the live ledger. Either way each family's
+    terms are added in the order of ``Cells.demands``: energy and
+    generation slot by slot, cable and out-of-service slots from the first.
     """
-    loads, memo = state.ledger.loads, state.payments
-    paid = [0.0] * len(loads)
-    for k, i, amount, shape in state.config.cells.demands(schedule):
-        y = loads[k][i]
-        key = (shape, y, amount)
-        pay = memo.get(key)
-        if pay is None:
-            # looked up on the module at call time, so a wrapper there sees it
-            pay = memo[key] = getattr(pricing, shape.family.name + "_payment")(
-                y, y + amount, *shape.args, state.bounds, state.psi)
-        paid[k] += pay
+    snap = state.snapshot or _Snapshot(state)
+    cells = snap.cells
+    energy = generation = cable = 0.0
+    f = schedule.facility_id
+    if f is not None:
+        m = schedule.evse_index
+        energy, generation = snap.draw(f, m, schedule.energy_slots)
+        # cable slots run contiguously from the arrival slot
+        slots = schedule.cable_slots
+        if slots:
+            cable = snap.run(CABLE, cells.evse_cell(f, m, slots[0]), len(slots))
+    t0, t1 = schedule.t_minus, schedule.t_plus
     breakdown = PriceBreakdown(
-        destination=paid[DESTINATION], out_of_service=paid[OUT_OF_SERVICE],
-        cable=paid[CABLE], energy=paid[ENERGY], generation=paid[GENERATION])
+        destination=snap.pay(DESTINATION, schedule.dest_region * cells.horizon + t1 - 1, 1),
+        out_of_service=snap.run(OUT_OF_SERVICE, t0 - 1, t1 - t0 + 1),
+        cable=cable, energy=energy, generation=generation)
     return schedule.value - breakdown.total, breakdown
 
 
@@ -138,11 +212,15 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
 
     best = None
     best_key = None
-    for idx, schedule in enumerate(candidates):
-        u, breakdown = utility_breakdown(schedule, state)
-        key = (u, -schedule.t_plus, -idx)
-        if best_key is None or key > best_key:
-            best, best_key = (schedule, u, breakdown), key
+    state.snapshot = _Snapshot(state)
+    try:
+        for idx, schedule in enumerate(candidates):
+            u, breakdown = utility_breakdown(schedule, state)
+            key = (u, -schedule.t_plus, -idx)
+            if best_key is None or key > best_key:
+                best, best_key = (schedule, u, breakdown), key
+    finally:
+        state.snapshot = None
 
     if best is None or best[1] <= 0.0:
         decision = DispatchDecision(session_id=session.id, schedule=None,
@@ -161,7 +239,6 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
     d_primal = economics.primal_increment(state.ledger, schedule, state.config)
     d_dual = _dual_increment(schedule, u, state)
     state.ledger.apply(schedule, sign=1)
-    state.payments.clear()
 
     decision = DispatchDecision(session_id=session.id, schedule=schedule,
                                 utility=u, breakdown=breakdown)

@@ -18,8 +18,12 @@ Payments are exact integrals of the price curves, which is what makes the
 per-session primal/dual inequality and weak duality hold to machine
 precision instead of only up to a discretization gap. A payment that runs
 so far past capacity that it leaves the float range is infinite. Shapes
-keep their segments for the last bounds they were priced with; the
-callers reuse prices and payments while the ledger stays put.
+keep their segments for the last bounds they were priced with. Prices and
+payments are not cached here: the callers keep them for one ledger state
+at a time, the candidate build per ``feasible_schedules`` call and the
+dispatcher per ``dispatch`` call, where cable and out-of-service payments
+are running sums from a session's shared first slot, added in the order
+a slot-by-slot walk adds them, so that every float is the walk's own.
 """
 
 from __future__ import annotations
@@ -491,26 +495,60 @@ def _min_slot_energy(config: ScenarioConfig, targets: Sequence[float],
     return best
 
 
+def _best_value(config: ScenarioConfig) -> float:
+    """The most a schedule can be worth: the best pickup on a full battery."""
+    v_dest_max = max((r.pickup_value for r in config.regions), default=0.0)
+    return v_dest_max + config.soc_value_slope * config.battery_capacity
+
+
+def value_densities(config: ScenarioConfig,
+                    charge_targets: Optional[Sequence[float]] = None,
+                    charge_rate: Optional[float] = None) -> List[float]:
+    """Per family, in table order, the most value one schedule can offer
+    per unit of the resource: the best schedule value over the smallest
+    positive use of the resource by one schedule (one cable-slot, one
+    vehicle, or the smallest positive per-slot energy). A nearly full cell
+    priced at a U of at least this outbids every schedule; below it, the
+    price barrier can fail and a positive-utility schedule overfill."""
+    targets = tuple(charge_targets) if charge_targets else default_charge_targets(config)
+    e_min = _min_slot_energy(config, targets, charge_rate) if config.facilities else 1.0
+    least = {CABLE: 1, ENERGY: e_min, GENERATION: e_min, DESTINATION: 1,
+             OUT_OF_SERVICE: 1}
+    u_best = _best_value(config)
+    return [u_best / least[k] for k in range(len(FAMILIES))]
+
+
+def barrier_problems(bounds: PriceBounds, config: ScenarioConfig,
+                     charge_targets: Optional[Sequence[float]] = None,
+                     charge_rate: Optional[float] = None) -> List[str]:
+    """Families whose U is below ``value_densities``; [] if none."""
+    out = []
+    for family, density in zip(FAMILIES, value_densities(config, charge_targets,
+                                                         charge_rate)):
+        high = family.limits(bounds)[1]
+        if high < density:
+            out.append(f"{family.name}: U_{family.bound}={high} is below the "
+                       f"largest value density {density}")
+    return out
+
+
 def estimate_bounds(config: ScenarioConfig,
                     charge_targets: Optional[Sequence[float]] = None,
                     charge_rate: Optional[float] = None) -> PriceBounds:
     """Conservative (L, U) pairs computed from the config alone.
 
-    U's divide the best possible schedule value by the minimal usage of
-    the family's resource (one cable-slot, one vehicle, or the smallest
-    positive per-slot energy); L's divide the smallest positive pickup
-    value by Psi times the largest per-schedule usage. L's of families
-    with a cost offset are then clamped just above the largest offset
-    (grid price, penalty), and every U re-clamped above its L.
+    U's are the ``value_densities``: the best possible schedule value
+    over the minimal usage of the family's resource; L's divide the
+    smallest positive pickup value by Psi times the largest per-schedule
+    usage. L's of families with a cost offset are then clamped just above
+    the largest offset (grid price, penalty), and every U re-clamped
+    above its L.
 
     Raises ValueError when the config admits no positive-value schedule.
     """
     psi_ = psi(config)
-    T = config.horizon
-    cap = config.battery_capacity
 
-    v_dest_max = max((r.pickup_value for r in config.regions), default=0.0)
-    u_best = v_dest_max + config.soc_value_slope * cap
+    u_best = _best_value(config)
     if u_best <= 0:
         raise ValueError("config admits no positive-value schedule; "
                          "bounds would collapse to zero")
@@ -524,16 +562,14 @@ def estimate_bounds(config: ScenarioConfig,
         raise ValueError("no positive pickup value and no charging value; "
                          "price lower bounds would be zero")
 
-    targets = tuple(charge_targets) if charge_targets else default_charge_targets(config)
-    e_min = _min_slot_energy(config, targets, charge_rate) if config.facilities else 1.0
-
-    # the largest and the smallest use of each family's resource by one schedule
-    usage = {CABLE: (T, 1), ENERGY: (cap, e_min), GENERATION: (cap, e_min),
-             DESTINATION: (1, 1), OUT_OF_SERVICE: (T, 1)}
+    T = config.horizon
+    # the largest use of each family's resource by one schedule
+    most = {CABLE: T, ENERGY: config.battery_capacity,
+            GENERATION: config.battery_capacity, DESTINATION: 1, OUT_OF_SERVICE: T}
+    densities = value_densities(config, charge_targets, charge_rate)
     limits = []
     for k, shapes in enumerate(config.cells.shapes):
-        most, least = usage[k]
-        low, high = v_min / (psi_ * most), u_best / least
+        low, high = v_min / (psi_ * most[k]), densities[k]
         top = max((shape.offset for shape in shapes), default=0.0)
         if top > 0:
             low = max(low, top * (1.0 + 1e-6))

@@ -178,9 +178,13 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
     # ---- build charging tuples, best value first, until the cap ----
     # Popping the heap yields the tuples in sorted order, and the build
     # stops at the cap, so the tuples it never reaches are never sorted.
+    # A window runs from the facility arrival slot t_arr, fixed per
+    # facility, to its end slot, so the EVSE and the slot ranking depend
+    # on (facility, window end) only, and the chosen slots on k as well.
     heapq.heapify(tuples)
     prices = _PostedPrices(ledger, bounds, psi_)
-    evse_for = {}  # (facility, window end) -> EVSE; the window starts at t_arr
+    windows = {}  # (facility, window end) -> (EVSE, slots cheapest first)
+    plans = {}  # (facility, window end, k) -> (EVSE, chosen slots, dearest)
     seen = set()
     built_charges = 0
     while tuples and built_charges < policy.max_candidates_total:
@@ -192,18 +196,23 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
             if built_charges >= policy.max_candidates_total:
                 break
             hi = min(T - h2, t_arr + k - 1 + w)
-            window = range(t_arr, hi + 1)
-            if len(window) < k:
+            if hi - t_arr + 1 < k:
                 continue
-            evse = evse_for.get((fid, hi))
-            if evse is None:
-                evse = evse_for[fid, hi] = _pick_evse(fid, fac, window, prices)
-            chosen = _pick_slots(fid, evse, fac, window, k, prices)
-            energy_slots = _assign_energy(chosen, target, rate, fid, evse, fac, prices)
+            plan = plans.get((fid, hi, k))
+            if plan is None:
+                window = windows.get((fid, hi))
+                if window is None:
+                    window = windows[fid, hi] = _rank_window(fid, fac, t_arr, hi, prices)
+                evse, ranked = window
+                chosen = sorted(ranked[:k])
+                plan = plans[fid, hi, k] = (evse, chosen,
+                                            _dearest(chosen, fid, evse, prices))
+            evse, chosen, dearest = plan
+            energy_slots = _assign_energy(chosen, dearest, target, rate)
             last = chosen[-1]
             t_plus = last + h2
             final = (energy0 - h1 * e_hop + target - h2 * e_hop) / cap
-            key = (fid, evse, tuple(energy_slots), dest, t_plus)
+            key = (fid, evse, energy_slots, dest, t_plus)
             if key in seen:
                 continue
             seen.add(key)
@@ -212,7 +221,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
                 session_id=session.id, t_minus=t0, facility_id=fid,
                 evse_index=evse, t_arrival=t_arr,
                 cable_slots=tuple(range(t_arr, last + 1)),
-                energy_slots=tuple(energy_slots), dest_region=dest,
+                energy_slots=energy_slots, dest_region=dest,
                 t_plus=t_plus, hops_total=h1 + h2, final_soc=final, value=-neg_v))
     out.sort(key=_candidate_key)
     return out
@@ -229,18 +238,22 @@ def _candidate_key(s: Schedule):
 class _PostedPrices:
     """Posted cable and charging prices against one ledger snapshot.
 
-    The ledger does not move while a session's candidates are built, so
-    each (facility, EVSE, slot) price is looked up once and reused by every
-    candidate that asks for it, and each price is computed once per cell
-    shape and load. A cell loaded beyond capacity keeps its ceiling price:
-    these prices only rank slots.
+    The ledger does not move while a session's candidates are built, and
+    every window at a facility starts at the vehicle's arrival slot there.
+    So each EVSE's cable prices are kept as running sums from that slot,
+    extended only as far as the longest window asked for: entry j is the
+    sum over the first j + 1 slots, added left to right, which is exactly
+    the float a walk over that window adds up. Each charging price is
+    looked up once per (facility, EVSE, slot), and each price is computed
+    once per cell shape and load. A cell loaded beyond capacity keeps its
+    ceiling price: these prices only rank slots.
     """
 
     def __init__(self, ledger: ResourceLedger, bounds: PriceBounds, psi_: int):
         self.ledger = ledger
         self.bounds = bounds
         self.psi = psi_
-        self._cable = {}
+        self._cable_sums = {}  # (facility, first slot) -> running sums per EVSE
         self._charge = {}
         self._at = {}  # (shape, load) -> price
 
@@ -252,12 +265,26 @@ class _PostedPrices:
             p = self._at[shape, y] = shape.price(y, self.bounds, self.psi)
         return p
 
-    def cable(self, fid: int, m: int, t: int) -> float:
-        key = (fid, m, t)
-        p = self._cable.get(key)
-        if p is None:
-            p = self._cable[key] = self._posted(CABLE, self.ledger.cells.evse_cell(fid, m, t))
-        return p
+    def cable_sums(self, fid: int, evse_count: int, start: int,
+                   end: int) -> List[List[float]]:
+        """Per EVSE, running sums of the posted cable price over the slots
+        from ``start``, at least through ``end``."""
+        rows = self._cable_sums.get((fid, start))
+        if rows is None:
+            rows = self._cable_sums[fid, start] = [[] for _ in range(evse_count)]
+        n = end - start + 1
+        done = len(rows[0])
+        if done < n:
+            first = self.ledger.cells.evse_cell(fid, 0, start)
+            horizon = self.ledger.cells.horizon
+            posted = self._posted
+            for sums in rows:
+                total = sums[-1] if done else 0.0
+                for i in range(first + done, first + n):
+                    total += posted(CABLE, i)
+                    sums.append(total)
+                first += horizon
+        return rows
 
     def charge(self, fid: int, m: int, t: int) -> float:
         """Energy plus generation price per kWh; energy alone at a slot
@@ -274,44 +301,44 @@ class _PostedPrices:
         return p
 
 
-def _pick_evse(fid: int, fac, window: Sequence[int], prices: _PostedPrices) -> int:
-    """EVSE with the cheapest summed posted cable price over the window."""
+def _rank_window(fid: int, fac, start: int, end: int,
+                 prices: _PostedPrices) -> Tuple[int, List[int]]:
+    """The window's EVSE, the one with the cheapest summed posted cable
+    price over slots start..end, and the window's slots ranked by its
+    posted energy plus generation price, ties to the earlier slot. A slot
+    without generation capacity ranks as infinitely dear."""
     best_m, best_cost = 0, math.inf
-    for m in range(fac.evse_count):
-        cost = 0.0
-        for t in window:
-            cost += prices.cable(fid, m, t)
+    for m, sums in enumerate(prices.cable_sums(fid, fac.evse_count, start, end)):
+        cost = sums[end - start]
         if cost < best_cost - 1e-15:
             best_m, best_cost = m, cost
-    return best_m
-
-
-def _pick_slots(fid: int, m: int, fac, window: Sequence[int], k: int,
-                prices: _PostedPrices) -> List[int]:
-    """k slots with the cheapest posted energy plus generation price,
-    ties to the earlier slot, returned in chronological order. A slot
-    without generation capacity is priced infinite."""
     priced = []
-    for t in window:
+    for t in range(start, end + 1):
         if fac.solar[t - 1] + fac.grid_limit[t - 1] > 0:
-            priced.append((prices.charge(fid, m, t), t))
+            priced.append((prices.charge(fid, best_m, t), t))
         else:
             priced.append((math.inf, t))
     priced.sort()
-    chosen = sorted(t for _, t in priced[:k])
-    return chosen
+    return best_m, [t for _, t in priced]
 
 
-def _assign_energy(chosen: Sequence[int], target: float, rate: float, fid: int,
-                   m: int, fac, prices: _PostedPrices) -> List[Tuple[int, float]]:
-    """Full rate on the cheaper slots, the remainder on the dearest one."""
-    k = len(chosen)
-    rem = target - (k - 1) * rate
-    if k == 1:
-        return [(chosen[0], min(target, rate))]
+def _dearest(chosen: Sequence[int], fid: int, m: int,
+             prices: _PostedPrices) -> int:
+    """The chosen slot with the highest posted charging price, ties to the
+    earlier slot."""
     worst_t, worst_p = chosen[0], -math.inf
     for t in chosen:
         p = prices.charge(fid, m, t)
         if p > worst_p + 1e-15:
             worst_t, worst_p = t, p
-    return [(t, rem if t == worst_t else rate) for t in chosen]
+    return worst_t
+
+
+def _assign_energy(chosen: Sequence[int], dearest: int, target: float,
+                   rate: float) -> Tuple[Tuple[int, float], ...]:
+    """Full rate on the chosen slots, the remainder on the dearest one."""
+    k = len(chosen)
+    if k == 1:
+        return ((chosen[0], min(target, rate)),)
+    rem = target - (k - 1) * rate
+    return tuple((t, rem if t == dearest else rate) for t in chosen)

@@ -10,7 +10,7 @@ from evdispatch.domain import (
 )
 from evdispatch.economics import primal_objective
 from evdispatch.harness import generate_scenario
-from evdispatch.pricing import DESTINATION, cell_index
+from evdispatch.pricing import DESTINATION, GENERATION, cell_index
 
 from conftest import build_mini_config
 
@@ -71,6 +71,25 @@ def test_patience_waits_out_a_busy_slot(mini_config, mini_session):
     blocked = threshold_dispatch(mini_session, mini_config, ledger,
                                  threshold=0.75, patience=0)
     assert blocked is None
+
+
+def test_start_blocked_by_generation_is_skipped(mini_config, mini_session,
+                                                monkeypatch):
+    # slot 2's generation is spent, so no EVSE or destination can start there
+    ledger = ResourceLedger.zero(mini_config)
+    ledger.loads[GENERATION][cell_index(mini_config, GENERATION, 0, 2)] = 10.0
+    checked = []
+    fits = ResourceLedger.fits
+
+    def counted(self, schedule, config):
+        checked.append(schedule)
+        return fits(self, schedule, config)
+    monkeypatch.setattr(ResourceLedger, "fits", counted)
+    s = threshold_dispatch(mini_session, mini_config, ledger, threshold=0.75)
+    assert s is not None
+    assert s.energy_slots == ((3, 6.0),) and s.cable_slots == (2, 3)
+    # the first plan checked is the one taken: none started in slot 2
+    assert checked == [s]
 
 
 @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75])

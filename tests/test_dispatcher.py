@@ -16,6 +16,7 @@ from evdispatch.dispatcher import (
 from evdispatch.domain import (
     CapacityError, ResourceLedger, Session, recompute_ledger,
 )
+from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.pricing import DESTINATION, PriceBounds, cell_index
 from evdispatch.schedules import GenerationPolicy, feasible_schedules
 
@@ -32,6 +33,29 @@ def test_fresh_rejects_invalid_bounds(mini_config, mini_bounds):
     bad = dataclasses.replace(mini_bounds, U_c=1e-9)
     with pytest.raises(ValueError, match="invalid bounds"):
         DispatcherState.fresh(mini_config, bounds=bad)
+
+
+def test_fresh_rejects_bounds_below_the_value_density():
+    # the congested day: 10 arrivals per slot, one facility of 2 EVSEs,
+    # Omega = 3 and I = 25
+    params = dataclasses.replace(PRESETS["desk"], arrival_rate=10.0,
+                                 facility_count=1, evse_per_facility=2,
+                                 vehicle_limit=3, out_of_service_cap=25)
+    config, sessions = generate_scenario(1, params)
+    bounds = dataclasses.replace(pricing.estimate_bounds(config), U_o=10.0)
+    assert pricing.validate_bounds(bounds, config) == []
+    assert pricing.value_densities(config)[pricing.OUT_OF_SERVICE] > 10.0
+    with pytest.raises(ValueError, match="cannot hold the price barrier: "
+                                         "out_of_service: U_o=10.0"):
+        DispatcherState.fresh(config, bounds=bounds)
+    with pytest.raises(ValueError, match="price barrier"):
+        run_online(sessions, config, bounds=bounds)
+
+    # without the check, the run dies mid-way on a capacity breach
+    state = dataclasses.replace(DispatcherState.fresh(config), bounds=bounds)
+    with pytest.raises(CapacityError, match="session 111 "):
+        for session in sessions:
+            dispatch(session, state)
 
 
 def test_fresh_rejects_invalid_policy(mini_config):

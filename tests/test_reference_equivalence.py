@@ -1,14 +1,19 @@
-"""The table-driven walks and the heap-driven candidate build against
-plain reference implementations.
+"""The table-driven walks, the per-session payment snapshot and the
+heap-driven candidate build against plain reference implementations.
 
-``utility_breakdown`` walks a schedule's demands on the config's cells
-and looks payments up in ``DispatcherState.payments``; ``_dual_increment``
-and ``primal_increment`` walk the same demands; ``feasible_schedules`` picks
-each EVSE once per window and stops ordering charging tuples at the
-candidate cap. Each must give exactly what the family-by-family versions
-below give: the same floats, compared with ``==``, and the same schedules
-in the same order, on every session of runs whose ledger changes between
-sessions. Summation order is where a generic walk could move a bit.
+``utility_breakdown`` reads payments from the snapshot that ``dispatch``
+takes of the ledger: running sums of the cable and out-of-service
+payments from their first slot, and per-cell lookups of the rest.
+``_dual_increment`` and ``primal_increment`` walk a schedule's demands on
+the config's cells; ``feasible_schedules`` sums cable prices as running
+sums from the arrival slot, ranks each window's slots once and stops
+ordering charging tuples at the candidate cap. Each must give exactly what
+the family-by-family versions below give: the same floats, compared with
+``==``, and the same schedules in the same order, on every session of
+runs whose ledger changes between sessions. Summation order is where a
+generic walk or a running sum could move a bit. The references, the
+slot-by-slot EVSE and slot pickers included, live here so that reworking
+the package cannot also rewrite its oracle.
 """
 
 from __future__ import annotations
@@ -18,29 +23,30 @@ import math
 
 import pytest
 
-from evdispatch import economics, pricing
+from evdispatch import dispatcher, economics, pricing
 from evdispatch.constants import MONEY_ATOL
 from evdispatch.dispatcher import (
     DispatcherState, _dual_increment, dispatch, utility_breakdown,
 )
 from evdispatch.domain import PriceBreakdown, Schedule, UNREACHABLE, hops
 from evdispatch.harness import PRESETS, generate_scenario
-from evdispatch.schedules import (
-    _PostedPrices, _assign_energy, _candidate_key, _pick_evse, _pick_slots,
-    _targets, feasible_schedules,
-)
+from evdispatch.schedules import _candidate_key, _targets, feasible_schedules
 from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE,
 )
 
 
-def _loads(config, ledger):
+def _coordinates(config):
+    """Each family's cell coordinates, in ledger order."""
+    return [[where for where, _ in family.cells(config)] for family in FAMILIES]
+
+
+def _loads(config, ledger, coordinates):
     """Family-by-family views of the flat ledger, indexed as the
     references read them: cable and energy [f][m][t], generation [f][t],
     out of service [t] and destination [d][t], with t 0-based."""
     def view(family):
-        loads = dict(zip((where for where, _ in FAMILIES[family].cells(config)),
-                         ledger.loads[family]))
+        loads = dict(zip(coordinates[family], ledger.loads[family]))
         return lambda *cell: loads[cell]
 
     cable, energy, generation, destination, idle = (
@@ -164,6 +170,86 @@ def reference_primal_increment(schedule, state, loads):
     return delta
 
 
+class ReferencePostedPrices:
+    """Posted cable and charging prices, each (facility, EVSE, slot) looked
+    up once per session and each price computed once per shape and load."""
+
+    def __init__(self, ledger, bounds, psi_):
+        self.ledger = ledger
+        self.bounds = bounds
+        self.psi = psi_
+        self._cable = {}
+        self._charge = {}
+        self._at = {}
+
+    def _posted(self, k, i):
+        shape = self.ledger.cells.shapes[k][i]
+        y = min(self.ledger.loads[k][i], shape.cap)
+        p = self._at.get((shape, y))
+        if p is None:
+            p = self._at[shape, y] = shape.price(y, self.bounds, self.psi)
+        return p
+
+    def cable(self, fid, m, t):
+        key = (fid, m, t)
+        p = self._cable.get(key)
+        if p is None:
+            p = self._cable[key] = self._posted(CABLE, self.ledger.cells.evse_cell(fid, m, t))
+        return p
+
+    def charge(self, fid, m, t):
+        key = (fid, m, t)
+        p = self._charge.get(key)
+        if p is None:
+            cells = self.ledger.cells
+            p = self._posted(ENERGY, cells.evse_cell(fid, m, t))
+            g = cells.facility_cell(fid, t)
+            if cells.shapes[GENERATION][g].cap > 0:
+                p += self._posted(GENERATION, g)
+            self._charge[key] = p
+        return p
+
+
+def reference_pick_evse(fid, fac, window, prices):
+    """The EVSE whose cable prices, summed slot by slot over the window,
+    are cheapest; ties to the lower index."""
+    best_m, best_cost = 0, math.inf
+    for m in range(fac.evse_count):
+        cost = 0.0
+        for t in window:
+            cost += prices.cable(fid, m, t)
+        if cost < best_cost - 1e-15:
+            best_m, best_cost = m, cost
+    return best_m
+
+
+def reference_pick_slots(fid, m, fac, window, k, prices):
+    """The k cheapest slots by charging price, ties to the earlier slot, in
+    chronological order; a slot without generation is priced infinite."""
+    priced = []
+    for t in window:
+        if fac.solar[t - 1] + fac.grid_limit[t - 1] > 0:
+            priced.append((prices.charge(fid, m, t), t))
+        else:
+            priced.append((math.inf, t))
+    priced.sort()
+    return sorted(t for _, t in priced[:k])
+
+
+def reference_assign_energy(chosen, target, rate, fid, m, fac, prices):
+    """Full rate on the cheaper slots, the remainder on the dearest one."""
+    k = len(chosen)
+    rem = target - (k - 1) * rate
+    if k == 1:
+        return [(chosen[0], min(target, rate))]
+    worst_t, worst_p = chosen[0], -math.inf
+    for t in chosen:
+        p = prices.charge(fid, m, t)
+        if p > worst_p + 1e-15:
+            worst_t, worst_p = t, p
+    return [(t, rem if t == worst_t else rate) for t in chosen]
+
+
 def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
     """Enumerate every tuple with a hop lookup each, sort them all, and
     pick the EVSE afresh for every window."""
@@ -217,7 +303,7 @@ def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
                 tuples.append((v, fid, target, dest, h1, h2, k))
     tuples.sort(key=lambda tup: (-tup[0], tup[1], tup[2], tup[3]))
 
-    prices = _PostedPrices(ledger, bounds, psi_)
+    prices = ReferencePostedPrices(ledger, bounds, psi_)
     out, seen, built = [], set(), 0
     for v, fid, target, dest, h1, h2, k in tuples:
         if fid < 0:
@@ -236,10 +322,10 @@ def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
             window = list(range(t_arr, min(T - h2, t_arr + k - 1 + w) + 1))
             if len(window) < k:
                 continue
-            evse = _pick_evse(fid, fac, window, prices)
-            chosen = _pick_slots(fid, evse, fac, window, k, prices)
-            energy_slots = tuple(_assign_energy(chosen, target, rate, fid, evse,
-                                                fac, prices))
+            evse = reference_pick_evse(fid, fac, window, prices)
+            chosen = reference_pick_slots(fid, evse, fac, window, k, prices)
+            energy_slots = tuple(reference_assign_energy(chosen, target, rate, fid,
+                                                         evse, fac, prices))
             key = (fid, evse, energy_slots, dest, chosen[-1] + h2)
             if key in seen:
                 continue
@@ -266,24 +352,37 @@ RUNS = {
                                 facility_count=1, evse_per_facility=2,
                                 vehicle_limit=3, out_of_service_cap=25,
                                 max_sessions=400),
+    # 8 facilities of 10 EVSEs, most of them empty: ties among EVSEs
+    "full": dataclasses.replace(PRESETS["full"], max_sessions=150),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_memo_and_build_match_the_references(name):
+def test_memo_and_build_match_the_references(name, monkeypatch):
     config, sessions = generate_scenario(3, RUNS[name])
     state = DispatcherState.fresh(config)
+    # every utility dispatch computes, read from its snapshot
+    inside = []
+
+    def recorded(schedule, state_):
+        out = utility_breakdown(schedule, state_)
+        inside.append((schedule, out))
+        return out
+    monkeypatch.setattr(dispatcher, "utility_breakdown", recorded)
+
+    coordinates = _coordinates(config)
     priced = committed = 0
     for session in sessions:
         candidates = feasible_schedules(session, config, state.ledger,
                                         state.bounds, state.psi, state.policy)
         assert candidates == reference_feasible_schedules(
             session, config, state.ledger, state.bounds, state.psi, state.policy)
-        loads = _loads(config, state.ledger)
+        loads = _loads(config, state.ledger, coordinates)
+        expected = [reference_utility_breakdown(s, state, loads) for s in candidates]
         dual_steps = {}
-        for schedule in candidates:
-            u, breakdown = utility_breakdown(schedule, state)
-            assert (u, breakdown) == reference_utility_breakdown(schedule, state, loads)
+        for schedule, (u, breakdown) in zip(candidates, expected):
+            # outside dispatch, the live ledger
+            assert utility_breakdown(schedule, state) == (u, breakdown)
             # increments are taken of schedules that fit, as every committed
             # one does
             if state.ledger.fits(schedule, config):
@@ -293,12 +392,46 @@ def test_memo_and_build_match_the_references(name):
                         == reference_primal_increment(schedule, state, loads))
         priced += len(candidates)
         dual_before = state.dual_trajectory[-1]
-        # dispatch prices the same candidates again, now from the memo
+        inside.clear()
         decision = dispatch(session, state)
+        assert [s for s, _ in inside] == candidates
+        assert [out for _, out in inside] == expected
         if not decision.is_depot:
             committed += 1
-            assert state.payments == {}
             assert (state.dual_trajectory[-1]
                     == dual_before + dual_steps[decision.schedule])
     assert committed > len(sessions) // 2
     assert priced > 10 * len(sessions)
+
+
+def test_no_running_sum_outlives_its_dispatch(monkeypatch):
+    """Each dispatch call prices its candidates from nothing: it integrates
+    as many payments as the same call on a twin state that shares only the
+    ledger's loads and has never priced anything, and it leaves no snapshot
+    behind, whether the vehicle is committed or sent to the depot."""
+    config, sessions = generate_scenario(3, RUNS["rush"])
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+    for family in FAMILIES:
+        name = family.name + "_payment"
+        monkeypatch.setattr(pricing, name, counted(getattr(pricing, name)))
+
+    state = DispatcherState.fresh(config)
+    outcomes = set()
+    for session in sessions:
+        twin = DispatcherState.fresh(config)
+        twin.ledger.loads = [list(loads) for loads in state.ledger.loads]
+        twin.last_t = state.last_t
+        before = calls[0]
+        dispatch(session, twin)
+        fresh_calls, before = calls[0] - before, calls[0]
+        decision = dispatch(session, state)
+        assert calls[0] - before == fresh_calls
+        assert state.snapshot is None and twin.snapshot is None
+        outcomes.add(decision.is_depot)
+    assert outcomes == {True, False}
