@@ -23,17 +23,13 @@ from .economics import primal_increment
 from .pricing import GENERATION, psi as compute_psi
 
 
-def _dest_order(config: ScenarioConfig, anchor: int) -> List[Tuple[int, int]]:
+def _dest_order(config: ScenarioConfig, anchor: int) -> Tuple[Tuple[int, int], ...]:
     """(hops, dest) pairs reachable from anchor, best pickup value first,
-    ties to the closer then lower-id region."""
-    order = []
-    for dest, region in enumerate(config.regions):
-        h2 = hops(anchor, dest, config)
-        if h2 is UNREACHABLE:
-            continue
-        order.append((-region.pickup_value, h2, dest))
-    order.sort()
-    return [(h2, dest) for _, h2, dest in order]
+    ties to the closer then lower-id region; ranked once per config
+    (``Destinations.by_pickup``)."""
+    if not 0 <= anchor < len(config.regions):
+        raise ValueError(f"unknown region {anchor}")
+    return config.destinations[anchor].by_pickup
 
 
 def _rebalance(session: Session, config: ScenarioConfig,

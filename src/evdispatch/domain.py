@@ -191,6 +191,13 @@ class ScenarioConfig:
         from .pricing import Cells
         return Cells(self)
 
+    @cached_property
+    def destinations(self) -> Tuple["Destinations", ...]:
+        """Per anchor region, the reachable destinations ranked once
+        (:class:`Destinations`), built once per config object like
+        ``hop_table``."""
+        return _destinations(self)
+
 
 @dataclass(frozen=True)
 class Session:
@@ -596,6 +603,91 @@ def hops(origin: int, dest: int, config: ScenarioConfig):
         raise ValueError(f"unknown region pair ({origin}, {dest})")
     d = config.hop_table[origin][dest]
     return UNREACHABLE if d < 0 else d
+
+
+def hop_row(origin: int, config: ScenarioConfig) -> Tuple[int, ...]:
+    """Hop counts from one region to every region, -1 for an unreachable
+    one: the origin's row of ``config.hop_table``, range-checked once."""
+    if not 0 <= origin < len(config.regions):
+        raise ValueError(f"unknown region {origin}")
+    return config.hop_table[origin]
+
+
+@dataclass(frozen=True)
+class Destinations:
+    """The regions reachable from one anchor region, ranked for the plan
+    builders; ``config.destinations[anchor]``.
+
+    A group is the destinations at one hop count from the anchor that
+    share one pickup value, bit for bit: ``(hops, dests)`` with ``dests``
+    ascending. A plan's value depends on its destination only through the
+    pickup value and the hop count, so for a fixed rest of the plan every
+    destination of a group scores the same float, and a group passes or
+    fails the energy, horizon and radius filters as a whole.
+
+    Attributes
+    ----------
+    by_pickup:
+        ``(hops, dest)`` pairs, best pickup value first, ties to the
+        closer then the lower-id region.
+    rings:
+        One ``(hops, dest)`` pair per hop count, ascending: the lowest-id
+        region with the best pickup value at that distance. At a fixed
+        final energy and hop count ``plan_value`` is monotone in the
+        pickup value, so no other region of the ring scores higher.
+    batches:
+        Every group, in descending order of its key
+        ``pickup - (soc_value_slope * per_hop_energy +
+        per_hop_value_penalty) * hops``, cut wherever consecutive keys
+        differ by more than the slack below. Given the facility, its hop
+        count and the charge target, a plan's value is a constant plus
+        the key of its destination group, up to rounding. The slack is 64
+        ulps of a bound on the magnitude of every term that enters that
+        value or the key, which is more than twice their combined
+        rounding error; so every plan of one batch has a strictly higher
+        value, as a float, than every plan of a later batch, whatever the
+        magnitudes of the config. A fixed slack fails once pickup values
+        are large: their ulp outgrows it.
+    """
+
+    by_pickup: Tuple[Tuple[int, int], ...]
+    rings: Tuple[Tuple[int, int], ...]
+    batches: Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]
+
+
+def _destinations(config: ScenarioConfig) -> Tuple[Destinations, ...]:
+    pickup = [r.pickup_value for r in config.regions]
+    # 0.0 and -0.0 are equal but can give values of either sign
+    sign = [math.copysign(1.0, p) for p in pickup]
+    diameter = max(map(max, config.hop_table), default=0)
+    s, e, q = (config.soc_value_slope, config.per_hop_energy,
+               config.per_hop_value_penalty)
+    per_hop = s * e + q
+    # stored energy stays within the battery, up to the money tolerance,
+    # and a plan travels at most two diameters
+    slack = 64 * math.ulp(abs(s) * (abs(config.battery_capacity) + 1.0 + abs(e) * diameter)
+                          + max(map(abs, pickup), default=0.0) + abs(q) * 2 * diameter)
+    out = []
+    for row in config.hop_table:
+        ranked = sorted((-pickup[dest], h, dest) for dest, h in enumerate(row) if h >= 0)
+        groups = {}
+        rings = {}
+        for neg_p, h, dest in ranked:
+            groups.setdefault((h, neg_p, sign[dest]), []).append(dest)
+            rings.setdefault(h, dest)
+        batches = []
+        previous = None
+        for neg_key, h, _, dests in sorted((neg_p + per_hop * h, h, neg_p, tuple(dests))
+                                           for (h, neg_p, _), dests in groups.items()):
+            if previous is None or neg_key - previous > slack:
+                batch = []
+                batches.append(batch)
+            batch.append((h, dests))
+            previous = neg_key
+        out.append(Destinations(by_pickup=tuple((h, dest) for _, h, dest in ranked),
+                                rings=tuple(sorted(rings.items())),
+                                batches=tuple(map(tuple, batches))))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,15 @@ class GeneratorParams:
 
 
 #: Ready-made parameter sets: a fast desk scale, a minimal scale suited
-#: to exhaustive offline search, and the full evaluation scale.
+#: to exhaustive offline search, the full evaluation scale, and a
+#: congested desk day.
 PRESETS: Dict[str, GeneratorParams] = {
     "desk": GeneratorParams(),
+    # desk with 10 arrivals per slot meeting one facility of 2 EVSEs,
+    # Omega = 3 arrivals per region-slot and I = 25 vehicles out of service
+    "rush": GeneratorParams(
+        arrival_rate=10.0, facility_count=1, evse_per_facility=2,
+        vehicle_limit=3, out_of_service_cap=25),
     "tiny": GeneratorParams(
         horizon=12, grid_rows=2, grid_cols=2, facility_count=1,
         evse_per_facility=1, cables_per_evse=2, evse_energy_limit=10.0,

@@ -5,7 +5,10 @@ minus the out-of-service penalty, and the penalty itself decomposes per
 session over its service window. Dropping the (nonnegative) generation
 cost and giving every session its best conceivable plan independently of
 capacity therefore yields a true upper bound on any feasible assignment,
-online or offline, priced or threshold-driven.
+online or offline, priced or threshold-driven. For a given final energy
+and hop count a plan is worth most at the best pickup of its hop ring, so
+the bound reads one destination per ring (``Destinations.rings``) and
+gets the same float as a walk over every destination.
 
 The exact solver is a depth-first search over explicit per-session
 candidate sets (typically captured from an online run) and is only
@@ -21,8 +24,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from . import pricing
 from .constants import MONEY_ATOL
 from .domain import (
-    ScenarioConfig, Schedule, Session, ResourceLedger, UNREACHABLE, hops,
-    plan_value,
+    ResourceLedger, ScenarioConfig, Schedule, Session, hop_row, plan_value,
 )
 from .economics import primal_increment
 
@@ -50,18 +52,33 @@ def session_upper_bound(session: Session, config: ScenarioConfig,
                         ) -> float:
     """Best conceivable welfare contribution of one session.
 
-    Enumerates every reachable (facility, charge target, destination)
-    triple plus pure rebalances, charges energy nothing, and assumes the
+    Covers every reachable (facility, charge target, destination) triple
+    plus pure rebalances, charges energy nothing, and assumes the
     shortest possible service window, so every actual plan any solver in
     this package can pick is dominated. Charge targets cover the policy
     multiples and a charge-to-full amount per facility. Explicit
     candidate schedules, when given, join the maximization as-is.
     """
+    return _session_bound(session, config, _phi_prefix(config),
+                          _bound_targets(config, charge_targets), candidates)
+
+
+def _bound_targets(config: ScenarioConfig,
+                   charge_targets: Optional[Sequence[float]]) -> Tuple[float, ...]:
+    return (tuple(sorted(charge_targets)) if charge_targets is not None
+            else pricing.default_charge_targets(config))
+
+
+def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float],
+                   targets: Tuple[float, ...], candidates: Sequence[Schedule]) -> float:
+    """session_upper_bound with the penalty prefix sums and the charge
+    targets built by the caller, once per session stream. Net of the
+    service window's penalty, a plan's value is still monotone in the
+    pickup value, so each hop ring is read at its best destination."""
     T = config.horizon
     t0 = session.t_minus
     if not (1 <= t0 <= T):
         raise ValueError(f"session {session.id} starts outside the horizon")
-    prefix = _phi_prefix(config)
     best = 0.0
     for s in candidates:
         best = max(best, _net_value(s, prefix))
@@ -71,13 +88,12 @@ def session_upper_bound(session: Session, config: ScenarioConfig,
     cap = config.battery_capacity
     e_hop = config.per_hop_energy
     energy0 = session.soc * cap
-    targets = (tuple(sorted(charge_targets)) if charge_targets is not None
-               else pricing.default_charge_targets(config))
+    destinations = config.destinations
+    origin_hops = hop_row(session.origin_region, config)
 
-    for dest in range(len(config.regions)):
-        h2 = hops(session.origin_region, dest, config)
-        if h2 is UNREACHABLE or t0 + h2 > T:
-            continue
+    for h2, dest in destinations[session.origin_region].rings:
+        if t0 + h2 > T:
+            break
         final = energy0 - h2 * e_hop
         if final < -MONEY_ATOL:
             continue
@@ -85,8 +101,8 @@ def session_upper_bound(session: Session, config: ScenarioConfig,
         best = max(best, net)
 
     for fac in config.facilities:
-        h1 = hops(session.origin_region, fac.region_id, config)
-        if h1 is UNREACHABLE or t0 + h1 > T:
+        h1 = origin_hops[fac.region_id]
+        if h1 < 0 or t0 + h1 > T:
             continue
         arrival_energy = energy0 - h1 * e_hop
         if arrival_energy < -MONEY_ATOL:
@@ -98,15 +114,15 @@ def session_upper_bound(session: Session, config: ScenarioConfig,
             fac_targets.append(headroom)
         t_arr = t0 + h1
         rate = fac.evse_energy_limit
+        rings = destinations[fac.region_id].rings
         for target in fac_targets:
             k = max(1, math.ceil(target / rate - 1e-12))
             t_done = t_arr + k - 1
             if t_done > T:
                 continue
-            for dest in range(len(config.regions)):
-                h2 = hops(fac.region_id, dest, config)
-                if h2 is UNREACHABLE or t_done + h2 > T:
-                    continue
+            for h2, dest in rings:
+                if t_done + h2 > T:
+                    break
                 final = arrival_energy + target - h2 * e_hop
                 if final < -MONEY_ATOL:
                     continue
@@ -121,10 +137,12 @@ def upper_bound(sessions: Sequence[Session], config: ScenarioConfig,
                 candidate_sets: Optional[Mapping[int, Sequence[Schedule]]] = None,
                 ) -> float:
     """Capacity-free welfare upper bound for a whole session stream."""
+    prefix = _phi_prefix(config)
+    targets = _bound_targets(config, charge_targets)
     total = 0.0
     for session in sessions:
         extra = candidate_sets.get(session.id, ()) if candidate_sets else ()
-        total += session_upper_bound(session, config, charge_targets, extra)
+        total += _session_bound(session, config, prefix, targets, extra)
     return total
 
 

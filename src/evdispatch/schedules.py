@@ -7,6 +7,15 @@ value, and only builds the top candidates into full schedules. Charging
 slots inside a tuple's dwell window are placed greedily on the cheapest
 posted marginal energy price, so the candidate set adapts to current load
 without exhaustive search.
+
+Charging tuples are never all enumerated either. Each facility's
+destinations are ranked once per config (``ScenarioConfig.destinations``)
+into batches of groups that share a hop count and a pickup value, so that
+every plan of a batch outranks every plan of a later one. Each (facility,
+target) pair streams its batches into one heap, one batch at a time and
+each group's destinations one at a time, and the build stops at the cap:
+the order is exactly that of sorting every tuple, and only the tuples
+near the top are ever valued.
 """
 
 from __future__ import annotations
@@ -19,8 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import pricing
 from .constants import MONEY_ATOL
 from .domain import (
-    ResourceLedger, ScenarioConfig, Schedule, Session, UNREACHABLE, hops,
-    plan_value,
+    ResourceLedger, ScenarioConfig, Schedule, Session, hop_row, plan_value,
 )
 from .pricing import CABLE, ENERGY, GENERATION, PriceBounds
 
@@ -113,12 +121,13 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
     energy0 = session.soc * cap
     t0 = session.t_minus
     radius = policy.dest_hop_radius
+    # the origin's hop row, read once; -1 marks an unreachable region
+    origin_hops = hop_row(session.origin_region, config)
 
     # ---- every reachable pure rebalance ----
     out: List[Schedule] = []
-    for dest in range(len(config.regions)):
-        h2 = hops(session.origin_region, dest, config)
-        if h2 is UNREACHABLE:
+    for dest, h2 in enumerate(origin_hops):
+        if h2 < 0:
             continue
         if radius is not None and h2 > radius:
             continue
@@ -134,12 +143,11 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
                             energy_slots=(), dest_region=dest, t_plus=t_plus,
                             hops_total=h2, final_soc=final / cap, value=v))
 
-    # ---- enumerate analytic charging tuples ----
-    # (-v, f, target, dest, h1, h2, k); the first four fields are unique
+    # ---- one stream of charging tuples per (facility, target) ----
     facs = []
     for fac in config.facilities:
-        h1 = hops(session.origin_region, fac.region_id, config)
-        if h1 is UNREACHABLE:
+        h1 = origin_hops[fac.region_id]
+        if h1 < 0:
             continue
         if energy0 - h1 * e_hop < -MONEY_ATOL:
             continue
@@ -149,6 +157,16 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
     facs.sort()
     facs = facs[:policy.max_candidate_facilities]
 
+    # A stream walks the facility's destination batches
+    # (``Destinations.batches``) best first. The heap holds
+    # (-v, f, target, dest, group, position, stream, carrier); the first
+    # four fields are unique, so the rest are never compared, and the pop
+    # order is that of sorting every tuple by (-v, f, target, dest). Every
+    # plan of a batch outranks every plan of the stream's later batches,
+    # so a batch is pushed only when an entry of the batch before it, its
+    # carrier, pops. The destinations of a group share the head's value
+    # bit for bit and follow it in ascending order, each pushed when the
+    # one before it pops.
     tuples = []
     targets = _targets(config, policy)
     for h1, fid in facs:
@@ -157,38 +175,37 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
         headroom = cap - arrival_energy
         t_arr = t0 + h1
         rate = pricing.effective_charge_rate(fac, policy.charge_rate)
-        # the facility's hop row, read once; -1 marks an unreachable region
-        onward = [(dest, h2) for dest, h2 in enumerate(config.hop_table[fac.region_id])
-                  if h2 >= 0 and (radius is None or h2 <= radius)]
+        batches = config.destinations[fac.region_id].batches
         for target in targets:
             if target > headroom + MONEY_ATOL:
                 break
             k = math.ceil(target / rate - 1e-12)
             if t_arr + k - 1 > T:
                 continue
-            for dest, h2 in onward:
-                final = arrival_energy + target - h2 * e_hop
-                if final < -MONEY_ATOL:
-                    continue
-                if t_arr + k - 1 + h2 > T:
-                    continue
-                v = plan_value(config, final, dest, h1 + h2)
-                tuples.append((-v, fid, target, dest, h1, h2, k))
+            reach = T - (t_arr + k - 1)
+            if radius is not None:
+                reach = min(reach, radius)
+            _push_batch(_Stream(fid, target, h1, k, arrival_energy + target, reach,
+                                batches), tuples, config)
 
     # ---- build charging tuples, best value first, until the cap ----
-    # Popping the heap yields the tuples in sorted order, and the build
-    # stops at the cap, so the tuples it never reaches are never sorted.
     # A window runs from the facility arrival slot t_arr, fixed per
     # facility, to its end slot, so the EVSE and the slot ranking depend
     # on (facility, window end) only, and the chosen slots on k as well.
-    heapq.heapify(tuples)
     prices = _PostedPrices(ledger, bounds, psi_)
     windows = {}  # (facility, window end) -> (EVSE, slots cheapest first)
     plans = {}  # (facility, window end, k) -> (EVSE, chosen slots, dearest)
     seen = set()
     built_charges = 0
     while tuples and built_charges < policy.max_candidates_total:
-        neg_v, fid, target, dest, h1, h2, k = heapq.heappop(tuples)
+        neg_v, fid, target, dest, group, i, stream, carrier = heapq.heappop(tuples)
+        h2, dests = group
+        if i + 1 < len(dests):
+            heapq.heappush(tuples, (neg_v, fid, target, dests[i + 1], group, i + 1,
+                                    stream, False))
+        if carrier:
+            _push_batch(stream, tuples, config)
+        h1, k = stream.h1, stream.k
         fac = config.facilities[fid]
         t_arr = t0 + h1
         rate = pricing.effective_charge_rate(fac, policy.charge_rate)
@@ -225,6 +242,43 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
                 t_plus=t_plus, hops_total=h1 + h2, final_soc=final, value=-neg_v))
     out.sort(key=_candidate_key)
     return out
+
+
+@dataclass(slots=True)
+class _Stream:
+    """The charging tuples of one (facility, charge target), walked batch
+    by batch. ``stored`` is the energy on leaving the facility, ``reach``
+    the farthest hop count the horizon and the radius allow, and ``next``
+    the batch to push next."""
+
+    fid: int
+    target: float
+    h1: int
+    k: int
+    stored: float
+    reach: int
+    batches: tuple
+    next: int = 0
+
+
+def _push_batch(stream: _Stream, heap: list, config: ScenarioConfig) -> None:
+    """Push the group heads of the stream's next batch that has a group
+    passing the filters, the first of them as the batch's carrier."""
+    e_hop = config.per_hop_energy
+    carrier = True
+    while carrier and stream.next < len(stream.batches):
+        for group in stream.batches[stream.next]:
+            h2, dests = group
+            if h2 > stream.reach:
+                continue
+            final = stream.stored - h2 * e_hop
+            if final < -MONEY_ATOL:
+                continue
+            v = plan_value(config, final, dests[0], stream.h1 + h2)
+            heapq.heappush(heap, (-v, stream.fid, stream.target, dests[0], group, 0,
+                                  stream, carrier))
+            carrier = False
+        stream.next += 1
 
 
 def _candidate_key(s: Schedule):

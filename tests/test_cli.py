@@ -88,6 +88,16 @@ def test_missing_files_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_run_rush_preset(tmp_path, capsys):
+    out = tmp_path / "rush"
+    assert main(["run", "--preset", "rush", "--seed", "1", "--out", str(out)]) == 0
+    report = read_report(str(out / "online-report.json"))
+    # congested: about 900 sessions meet two EVSEs, and many go to the depot
+    assert len(report.decisions) > 500
+    assert 0 < report.accepted < len(report.decisions)
+    assert "online: welfare=" in capsys.readouterr().out
+
+
 def test_run_baseline(tmp_path):
     out = tmp_path / "base"
     assert main(["run-baseline", "--seed", "3", "--preset", "tiny",

@@ -36,12 +36,7 @@ def test_fresh_rejects_invalid_bounds(mini_config, mini_bounds):
 
 
 def test_fresh_rejects_bounds_below_the_value_density():
-    # the congested day: 10 arrivals per slot, one facility of 2 EVSEs,
-    # Omega = 3 and I = 25
-    params = dataclasses.replace(PRESETS["desk"], arrival_rate=10.0,
-                                 facility_count=1, evse_per_facility=2,
-                                 vehicle_limit=3, out_of_service_cap=25)
-    config, sessions = generate_scenario(1, params)
+    config, sessions = generate_scenario(1, PRESETS["rush"])
     bounds = dataclasses.replace(pricing.estimate_bounds(config), U_o=10.0)
     assert pricing.validate_bounds(bounds, config) == []
     assert pricing.value_densities(config)[pricing.OUT_OF_SERVICE] > 10.0

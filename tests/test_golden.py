@@ -62,9 +62,7 @@ def test_verify_output_is_byte_identical(capsys):
 
 # the congested run of test_reference_equivalence.py: one facility of two
 # EVSEs, Omega = 3 and I = 25; the out-of-service cap reaches 100 %
-RUSH = dataclasses.replace(PRESETS["desk"], arrival_rate=10.0, facility_count=1,
-                           evse_per_facility=2, vehicle_limit=3,
-                           out_of_service_cap=25, max_sessions=400)
+RUSH = dataclasses.replace(PRESETS["rush"], max_sessions=400)
 
 
 def test_congested_reports_are_byte_identical(tmp_path):

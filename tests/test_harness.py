@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -13,7 +14,7 @@ from evdispatch.baselines import run_threshold
 from evdispatch.dispatcher import run_online
 from evdispatch.domain import instance_hash, validate
 from evdispatch.harness import (
-    ComparisonTable, ExperimentSpec, GeneratorParams, compare,
+    PRESETS, ComparisonTable, ExperimentSpec, GeneratorParams, compare,
     generate_scenario, ingest_traces, read_config, read_report,
     read_sessions, run_experiment, validate_params, write_comparison,
     write_config, write_decisions_csv, write_report, write_sessions,
@@ -31,7 +32,7 @@ def test_generation_is_deterministic():
             != instance_hash(other_config, other_sessions))
 
 
-@pytest.mark.parametrize("preset", ["tiny", "desk", "full"])
+@pytest.mark.parametrize("preset", ["tiny", "desk", "full", "rush"])
 def test_presets_generate_valid_instances(preset):
     config, sessions = generate_scenario(0, preset)
     assert validate(config) == []
@@ -40,6 +41,12 @@ def test_presets_generate_valid_instances(preset):
     assert all(sessions[i].t_minus <= sessions[i + 1].t_minus
                for i in range(len(sessions) - 1))
     assert len(instance_hash(config, sessions)) == 64
+
+
+def test_rush_is_a_congested_desk():
+    assert PRESETS["rush"] == dataclasses.replace(
+        PRESETS["desk"], arrival_rate=10.0, facility_count=1, evse_per_facility=2,
+        vehicle_limit=3, out_of_service_cap=25)
 
 
 def test_generator_rejects_bad_input():

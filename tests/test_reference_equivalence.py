@@ -1,5 +1,6 @@
-"""The table-driven walks, the per-session payment snapshot and the
-heap-driven candidate build against plain reference implementations.
+"""The table-driven walks, the per-session payment snapshot, the
+heap-driven candidate build and the per-config destination ranking
+against plain reference implementations.
 
 ``utility_breakdown`` reads payments from the snapshot that ``dispatch``
 takes of the ledger: running sums of the cable and out-of-service
@@ -7,13 +8,16 @@ payments from their first slot, and per-cell lookups of the rest.
 ``_dual_increment`` and ``primal_increment`` walk a schedule's demands on
 the config's cells; ``feasible_schedules`` sums cable prices as running
 sums from the arrival slot, ranks each window's slots once and stops
-ordering charging tuples at the candidate cap. Each must give exactly what
-the family-by-family versions below give: the same floats, compared with
-``==``, and the same schedules in the same order, on every session of
-runs whose ledger changes between sessions. Summation order is where a
-generic walk or a running sum could move a bit. The references, the
-slot-by-slot EVSE and slot pickers included, live here so that reworking
-the package cannot also rewrite its oracle.
+ordering charging tuples at the candidate cap, and merges them lazily from
+the destination batches ranked once per config; ``session_upper_bound``
+and the threshold baselines read the same ranking. Each must give exactly
+what the family-by-family or destination-by-destination versions below
+give: the same floats, compared with ``==``, and the same schedules in the
+same order, on every session of runs whose ledger changes between
+sessions. Summation order is where a generic walk or a running sum could
+move a bit, and rounding is where a batch cut could reorder two plans.
+The references, the slot-by-slot EVSE and slot pickers included, live
+here so that reworking the package cannot also rewrite its oracle.
 """
 
 from __future__ import annotations
@@ -22,15 +26,21 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from evdispatch import dispatcher, economics, pricing
+from evdispatch import baselines, dispatcher, economics, pricing
 from evdispatch.constants import MONEY_ATOL
 from evdispatch.dispatcher import (
-    DispatcherState, _dual_increment, dispatch, utility_breakdown,
+    DispatcherState, _dual_increment, dispatch, run_online, utility_breakdown,
 )
-from evdispatch.domain import PriceBreakdown, Schedule, UNREACHABLE, hops
+from evdispatch.domain import (
+    PriceBreakdown, ResourceLedger, Schedule, UNREACHABLE, hops,
+)
 from evdispatch.harness import PRESETS, generate_scenario
-from evdispatch.schedules import _candidate_key, _targets, feasible_schedules
+from evdispatch.offline import session_upper_bound, upper_bound
+from evdispatch.schedules import (
+    DEFAULT_POLICY, _candidate_key, _targets, feasible_schedules,
+)
 from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE,
 )
@@ -348,10 +358,7 @@ RUNS = {
     "desk": dataclasses.replace(PRESETS["desk"], max_sessions=120),
     # congested: one facility of 2 EVSEs, Omega = 3 and I = 25, where
     # payments run up the steep end of the curves and past capacity
-    "rush": dataclasses.replace(PRESETS["desk"], arrival_rate=10.0,
-                                facility_count=1, evse_per_facility=2,
-                                vehicle_limit=3, out_of_service_cap=25,
-                                max_sessions=400),
+    "rush": dataclasses.replace(PRESETS["rush"], max_sessions=400),
     # 8 facilities of 10 EVSEs, most of them empty: ties among EVSEs
     "full": dataclasses.replace(PRESETS["full"], max_sessions=150),
 }
@@ -435,3 +442,195 @@ def test_no_running_sum_outlives_its_dispatch(monkeypatch):
         assert state.snapshot is None and twin.snapshot is None
         outcomes.add(decision.is_depot)
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Lazy merging at any magnitude
+# ---------------------------------------------------------------------------
+
+
+#: Fixed bounds and psi, so that a drawn config changes only the plan values.
+DESK_CONFIG = generate_scenario(0, "desk")[0]
+DESK_BOUNDS = pricing.estimate_bounds(DESK_CONFIG)
+DESK_PSI = pricing.psi(DESK_CONFIG)
+
+
+def _assert_enumeration_matches(seed, sessions, policy=DEFAULT_POLICY, **values):
+    """feasible_schedules == reference_feasible_schedules on every session
+    of a desk day whose plan values are redrawn, against a zero ledger."""
+    params = dataclasses.replace(PRESETS["desk"], max_sessions=sessions, **values)
+    config, stream = generate_scenario(seed, params)
+    ledger = ResourceLedger.zero(config)
+    for session in stream:
+        got = feasible_schedules(session, config, ledger, DESK_BOUNDS, DESK_PSI, policy)
+        assert got == reference_feasible_schedules(session, config, ledger, DESK_BOUNDS,
+                                                   DESK_PSI, policy), session
+
+
+def test_enumeration_matches_with_near_equal_large_pickups():
+    """Pickups 3e8 + 0.1, 0.3 and 0.2: group keys 0.2 apart in 3e8 are
+    not exact floats, and a batch cut of 1e-9, below their ulp of 6e-8,
+    splits groups whose plans rounding orders the other way."""
+    for seed in range(3):
+        _assert_enumeration_matches(
+            seed, 80, pickup_values=(3e8 + 0.1, 3e8 + 0.3, 3e8 + 0.2),
+            soc_value_slope=0.1, per_hop_value_penalty=0.1)
+
+
+_large = st.sampled_from([1e8, 3e8, 1e9]).flatmap(
+    lambda base: st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0])
+                          .map(lambda x: base + x), min_size=1, max_size=4))
+_small = st.lists(st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.1, 0.3, 2 / 3])),
+                  min_size=1, max_size=4)
+_rates = st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.1, 1 / 3, 0.7]))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(pickups=st.one_of(_large, _small).filter(lambda p: max(p) > 0),
+       slope=_rates, penalty=_rates,
+       per_hop_energy=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+       radius=st.one_of(st.none(), st.integers(0, 6)),
+       cap=st.sampled_from([4, 24, 200]),
+       seed=st.integers(0, 2))
+@example(pickups=[3e8 + 0.1, 3e8 + 0.3, 3e8 + 0.2], slope=0.1, penalty=0.1,
+         per_hop_energy=1.0, radius=None, cap=24, seed=1)
+def test_enumeration_matches_at_any_magnitude(pickups, slope, penalty, per_hop_energy,
+                                              radius, cap, seed):
+    policy = dataclasses.replace(DEFAULT_POLICY, dest_hop_radius=radius,
+                                 max_candidates_total=cap)
+    _assert_enumeration_matches(
+        seed, 25, policy, pickup_values=tuple(pickups), soc_value_slope=slope,
+        per_hop_value_penalty=penalty, per_hop_energy=per_hop_energy)
+
+
+# ---------------------------------------------------------------------------
+# Upper bound and threshold baselines on the per-config ranking
+# ---------------------------------------------------------------------------
+
+
+def reference_session_upper_bound(session, config, charge_targets=None, candidates=()):
+    """Every (facility, target, destination) triple walked destination by
+    destination, each with a hop lookup."""
+    T = config.horizon
+    t0 = session.t_minus
+    prefix = [0.0]
+    for phi in config.out_of_service_penalty:
+        prefix.append(prefix[-1] + phi)
+    slope, pen = config.soc_value_slope, config.per_hop_value_penalty
+
+    def value(final, dest, h):
+        return slope * final + config.regions[dest].pickup_value - pen * h
+
+    best = 0.0
+    for s in candidates:
+        best = max(best, s.value - (prefix[s.t_plus] - prefix[s.t_minus - 1]))
+    if t0 >= T:
+        return best
+    cap = config.battery_capacity
+    e_hop = config.per_hop_energy
+    energy0 = session.soc * cap
+    targets = (tuple(sorted(charge_targets)) if charge_targets is not None
+               else pricing.default_charge_targets(config))
+    for dest in range(len(config.regions)):
+        h2 = hops(session.origin_region, dest, config)
+        if h2 is UNREACHABLE or t0 + h2 > T:
+            continue
+        final = energy0 - h2 * e_hop
+        if final < -MONEY_ATOL:
+            continue
+        best = max(best, value(final, dest, h2) - (prefix[t0 + h2] - prefix[t0 - 1]))
+    for fac in config.facilities:
+        h1 = hops(session.origin_region, fac.region_id, config)
+        if h1 is UNREACHABLE or t0 + h1 > T:
+            continue
+        arrival_energy = energy0 - h1 * e_hop
+        if arrival_energy < -MONEY_ATOL:
+            continue
+        headroom = cap - arrival_energy
+        fac_targets = [x for x in targets if x <= headroom + MONEY_ATOL]
+        if headroom > MONEY_ATOL and not any(abs(x - headroom) <= MONEY_ATOL
+                                             for x in fac_targets):
+            fac_targets.append(headroom)
+        t_arr = t0 + h1
+        for target in fac_targets:
+            k = max(1, math.ceil(target / fac.evse_energy_limit - 1e-12))
+            t_done = t_arr + k - 1
+            if t_done > T:
+                continue
+            for dest in range(len(config.regions)):
+                h2 = hops(fac.region_id, dest, config)
+                if h2 is UNREACHABLE or t_done + h2 > T:
+                    continue
+                final = arrival_energy + target - h2 * e_hop
+                if final < -MONEY_ATOL:
+                    continue
+                best = max(best, value(final, dest, h1 + h2)
+                           - (prefix[t_done + h2] - prefix[t0 - 1]))
+    return best
+
+
+def reference_dest_order(config, anchor):
+    """(hops, dest) pairs reachable from anchor, sorted afresh by pickup
+    value, then hops, then id."""
+    order = []
+    for dest, region in enumerate(config.regions):
+        h2 = hops(anchor, dest, config)
+        if h2 is UNREACHABLE:
+            continue
+        order.append((-region.pickup_value, h2, dest))
+    order.sort()
+    return [(h2, dest) for _, h2, dest in order]
+
+
+UB_DAYS = [(name, 3, params) for name, params in sorted(RUNS.items())] + [
+    ("tiny", seed, PRESETS["tiny"]) for seed in range(20)]
+
+
+@pytest.mark.parametrize("name, seed, params", UB_DAYS,
+                         ids=[f"{name}-{seed}" for name, seed, _ in UB_DAYS])
+def test_upper_bound_matches_the_reference(name, seed, params):
+    config, sessions = generate_scenario(seed, params)
+    _, captured = run_online(sessions, config, capture_candidates=True)
+    # every other policy multiple: the charge-to-full amount still joins
+    targets = pricing.default_charge_targets(config)[::2]
+    for charge_targets in (None, targets):
+        for sets in (None, captured):
+            want = 0.0
+            for session in sessions:
+                extra = sets.get(session.id, ()) if sets else ()
+                bound = reference_session_upper_bound(session, config, charge_targets,
+                                                      extra)
+                assert session_upper_bound(session, config, charge_targets,
+                                           extra) == bound
+                want += bound
+            assert upper_bound(sessions, config, charge_targets, sets) == want
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_threshold_moves_match_the_reference_order(name, monkeypatch):
+    config, sessions = generate_scenario(3, RUNS[name])
+    anchors = range(len(config.regions))
+    assert ([list(baselines._dest_order(config, r)) for r in anchors]
+            == [reference_dest_order(config, r) for r in anchors])
+
+    def moves(session, ledger):
+        return (baselines._rebalance(session, config, ledger),
+                baselines._charge_then_go(session, config, ledger, patience=4))
+
+    table_order = baselines._dest_order
+    ledger = ResourceLedger.zero(config)
+    found = [0, 0]
+    for session in sessions:
+        if session.t_minus >= config.horizon:
+            continue
+        got = moves(session, ledger)
+        monkeypatch.setattr(baselines, "_dest_order", reference_dest_order)
+        assert got == moves(session, ledger)
+        monkeypatch.setattr(baselines, "_dest_order", table_order)
+        # commit as threshold-50 would, so the ledger fills up
+        schedule = got[0] if session.soc >= 0.5 else got[1]
+        if schedule is not None:
+            ledger.apply(schedule, sign=1)
+        found[0] += got[0] is not None
+        found[1] += got[1] is not None
+    assert min(found) >= 20
