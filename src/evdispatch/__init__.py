@@ -14,17 +14,12 @@ from .domain import (
     CapacityError, DispatchDecision, Facility, PriceBreakdown, Region,
     ResourceLedger, RunReport, ScenarioConfig, Schedule, Session, UNREACHABLE,
     Violation, hops, instance_hash, recompute_ledger, schedule_violations,
-    validate,
+    validate, validate_sessions,
 )
-from .economics import (
-    INFEASIBLE, conj_cable, conj_destination, conj_energy, conj_generation,
-    conj_out_of_service, dual_objective, generation_cost, is_infeasible,
-    out_of_service_cost, primal_increment, primal_objective,
-)
+from .economics import INFEASIBLE, dual_objective, primal_increment, primal_objective
 from .pricing import (
     Alphas, DaprReport, PriceBounds, alphas, dapr_cases, default_charge_targets,
-    estimate_bounds, price_cable, price_destination, price_energy,
-    price_generation, price_out_of_service, psi, validate_bounds, verify_dapr,
+    estimate_bounds, psi, validate_bounds, verify_dapr,
 )
 from .schedules import (
     DEFAULT_POLICY, GenerationPolicy, feasible_schedules, validate_policy,
@@ -45,14 +40,11 @@ __all__ = [
     "PriceBreakdown", "Region", "ResourceLedger", "RunReport",
     "ScenarioConfig", "Schedule", "Session", "UNREACHABLE", "Violation",
     "hops", "instance_hash", "recompute_ledger", "schedule_violations",
-    "validate", "INFEASIBLE", "conj_cable", "conj_destination", "conj_energy",
-    "conj_generation", "conj_out_of_service", "dual_objective",
-    "generation_cost", "is_infeasible", "out_of_service_cost",
+    "validate", "validate_sessions", "INFEASIBLE", "dual_objective",
     "primal_increment", "primal_objective", "Alphas", "DaprReport",
     "PriceBounds", "alphas", "dapr_cases", "default_charge_targets",
-    "estimate_bounds", "price_cable", "price_destination", "price_energy",
-    "price_generation", "price_out_of_service", "psi", "validate_bounds",
-    "verify_dapr", "DEFAULT_POLICY", "GenerationPolicy", "feasible_schedules",
+    "estimate_bounds", "psi", "validate_bounds", "verify_dapr",
+    "DEFAULT_POLICY", "GenerationPolicy", "feasible_schedules",
     "validate_policy", "DispatcherState", "dispatch",
     "run_online", "OfflineResult", "exact_offline",
     "search_space_size", "upper_bound", "run_threshold", "threshold_dispatch",

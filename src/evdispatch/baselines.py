@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 from .constants import MONEY_ATOL
 from .domain import (
     DispatchDecision, ResourceLedger, RunReport, ScenarioConfig, Schedule,
-    Session, UNREACHABLE, hops, instance_hash, plan_value, validate,
+    Session, UNREACHABLE, hops, instance_hash, plan_value, validate, validate_sessions,
 )
 from .dispatcher import peak_utilization
 from .economics import primal_increment
@@ -145,15 +145,14 @@ def run_threshold(sessions: Sequence[Session], config: ScenarioConfig,
     if problems:
         raise ValueError("invalid config: " + "; ".join(str(p) for p in problems[:5]))
 
+    bad = validate_sessions(sessions, config)
+    if bad:
+        raise ValueError("invalid sessions: " + "; ".join(str(v) for v in bad[:5]))
+
     ledger = ResourceLedger.zero(config)
     decisions: List[DispatchDecision] = []
     primal = [0.0]
-    last_t = 1
     for session in sessions:
-        if session.t_minus < last_t:
-            raise ValueError(f"session {session.id} arrives out of order "
-                             f"({session.t_minus} < {last_t})")
-        last_t = session.t_minus
         schedule = threshold_dispatch(session, config, ledger, threshold, patience)
         if schedule is None:
             decisions.append(DispatchDecision(session_id=session.id,

@@ -17,11 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import economics, pricing
 from .domain import (
     CapacityError, DispatchDecision, PriceBreakdown, ResourceLedger, RunReport,
-    ScenarioConfig, Schedule, Session, instance_hash, validate,
+    ScenarioConfig, Schedule, Session, instance_hash, validate, validate_sessions,
 )
-from .pricing import (
-    CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE, Alphas, PriceBounds,
-)
+from .pricing import CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PriceBounds, Snapshot
 from .schedules import (
     DEFAULT_POLICY, GenerationPolicy, feasible_schedules, validate_policy,
 )
@@ -32,10 +30,10 @@ class DispatcherState:
     """Mutable state of one online run.
 
     ``snapshot`` holds the payments of the current ledger state while one
-    ``dispatch`` call prices its candidates (see ``_Snapshot``). It is set
-    when the call starts and dropped before the winner is committed or the
-    vehicle goes to the depot, so no payment outlives the ledger state it
-    was read from; it is None between calls.
+    ``dispatch`` call prices its candidates (a ``pricing.Snapshot``). It is
+    set once the candidates are built and dropped before the winner is
+    committed or the vehicle goes to the depot, so no payment outlives the
+    ledger state it was read from; it is None between calls.
     """
 
     config: ScenarioConfig
@@ -50,8 +48,8 @@ class DispatcherState:
     utilities: List[float] = field(default_factory=list)
     last_t: int = 1
     captured: Optional[Dict[int, List[Schedule]]] = None
-    snapshot: Optional["_Snapshot"] = field(default=None, init=False, repr=False,
-                                            compare=False)
+    snapshot: Optional[Snapshot] = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     @classmethod
     def fresh(cls, config: ScenarioConfig, policy: GenerationPolicy = DEFAULT_POLICY,
@@ -82,75 +80,6 @@ class DispatcherState:
                    captured={} if capture_candidates else None)
 
 
-class _Snapshot:
-    """The payments of one ledger state, for one session's candidates.
-
-    A payment is a function of the cell's shape (its family and arguments,
-    shared by equal cells), the load read from the ledger and the amount,
-    so ``pay`` keeps one per such key: one entry serves every destination
-    arrival of a day with one Omega. Every out-of-service run of a session
-    starts at its t_minus, and every cable run at a facility at the
-    vehicle's arrival slot there, so ``run`` keeps the +1 payments of
-    consecutive cells as running sums from their first cell; ``draw``
-    keeps the energy and generation payments of each set of energy slots
-    an EVSE is offered, which the candidates for every destination share.
-    Every sum is added left to right from 0.0, slot by slot, as a walk over
-    the schedule's demands adds it, so a utility read from the snapshot is
-    bit-identical to one walked afresh.
-    """
-
-    __slots__ = ("cells", "loads", "bounds", "psi", "_paid", "_runs", "_drawn")
-
-    def __init__(self, state: DispatcherState) -> None:
-        self.cells = state.config.cells
-        self.loads = state.ledger.loads
-        self.bounds = state.bounds
-        self.psi = state.psi
-        self._paid: Dict[tuple, float] = {}
-        self._runs: Dict[Tuple[int, int], List[float]] = {}
-        self._drawn: Dict[tuple, Tuple[float, float]] = {}
-
-    def pay(self, k: int, i: int, amount: float) -> float:
-        """Payment for ``amount`` more units of cell i of family k."""
-        shape = self.cells.shapes[k][i]
-        y = self.loads[k][i]
-        key = (shape, y, amount)
-        paid = self._paid.get(key)
-        if paid is None:
-            # looked up on the module at call time, so a wrapper there sees it
-            paid = self._paid[key] = getattr(pricing, shape.family.name + "_payment")(
-                y, y + amount, *shape.args, self.bounds, self.psi)
-        return paid
-
-    def run(self, k: int, first: int, n: int) -> float:
-        """Summed payments for one more unit of each of the n cells of
-        family k from cell ``first`` on."""
-        sums = self._runs.get((k, first))
-        if sums is None:
-            sums = self._runs[k, first] = []
-        done = len(sums)
-        if done < n:
-            total = sums[-1] if done else 0.0
-            for i in range(first + done, first + n):
-                total += self.pay(k, i, 1)
-                sums.append(total)
-        return sums[n - 1]
-
-    def draw(self, f: int, m: int, slots: Tuple[Tuple[int, float], ...]) -> Tuple[float, float]:
-        """Summed energy and generation payments for drawing each (slot,
-        kWh) of ``slots`` at EVSE m of facility f."""
-        key = (f, m, slots)
-        paid = self._drawn.get(key)
-        if paid is None:
-            cells = self.cells
-            energy = generation = 0.0
-            for t, e in slots:
-                energy += self.pay(ENERGY, cells.evse_cell(f, m, t), e)
-                generation += self.pay(GENERATION, cells.facility_cell(f, t), e)
-            paid = self._drawn[key] = (energy, generation)
-        return paid
-
-
 def utility_breakdown(schedule: Schedule,
                       state: DispatcherState) -> Tuple[float, PriceBreakdown]:
     """Utility of a schedule at the current ledger, with per-family payments.
@@ -162,7 +91,7 @@ def utility_breakdown(schedule: Schedule,
     terms are added in the order of ``Cells.demands``: energy and
     generation slot by slot, cable and out-of-service slots from the first.
     """
-    snap = state.snapshot or _Snapshot(state)
+    snap = state.snapshot or Snapshot(state.ledger, state.bounds, state.psi)
     cells = snap.cells
     energy = generation = cable = 0.0
     f = schedule.facility_id
@@ -212,7 +141,7 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
 
     best = None
     best_key = None
-    state.snapshot = _Snapshot(state)
+    state.snapshot = Snapshot(state.ledger, state.bounds, state.psi)
     try:
         for idx, schedule in enumerate(candidates):
             u, breakdown = utility_breakdown(schedule, state)
@@ -268,6 +197,9 @@ def run_online(sessions: Sequence[Session], config: ScenarioConfig,
     """
     state = DispatcherState.fresh(config, policy, bounds,
                                   capture_candidates=capture_candidates)
+    bad = validate_sessions(sessions, config)
+    if bad:
+        raise ValueError("invalid sessions: " + "; ".join(str(v) for v in bad[:5]))
     for session in sessions:
         dispatch(session, state)
 

@@ -564,6 +564,33 @@ def validate(config: ScenarioConfig) -> List[Violation]:
     return out
 
 
+def validate_sessions(sessions: Sequence[Session],
+                      config: ScenarioConfig) -> List[Violation]:
+    """Check a session stream against its config; [] means it can be run.
+    Ids are unique, each state of charge lies in [0, 1], each start slot in
+    1..T and each origin is a known region, and start slots never drop."""
+    out: List[Violation] = []
+    seen = set()
+    last = 1
+    for s in sessions:
+        where = f"session {s.id}"
+        if s.id in seen:
+            out.append(Violation("id", where, "duplicate id"))
+        seen.add(s.id)
+        if not 0.0 <= s.soc <= 1.0:  # also false for NaN
+            out.append(Violation("soc", where, f"{s.soc} outside [0, 1]"))
+        if not 1 <= s.t_minus <= config.horizon:
+            out.append(Violation("t_minus", where,
+                                 f"{s.t_minus} outside 1..{config.horizon}"))
+        elif s.t_minus < last:
+            out.append(Violation("t_minus", where,
+                                 f"arrives out of order ({s.t_minus} < {last})"))
+        last = s.t_minus
+        if not 0 <= s.origin_region < len(config.regions):
+            out.append(Violation("origin_region", where, f"{s.origin_region} unknown"))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Travel model
 # ---------------------------------------------------------------------------

@@ -440,6 +440,10 @@ def _read_trace_csv(path: str, facility_count: int, horizon: int,
             raise ValueError(f"{path}: row {rownum}: {exc}") from None
         if any(math.isnan(x) for x in nums):
             raise ValueError(f"{path}: row {rownum}: NaN {kind} value")
+        for cell, x in zip(row, nums[:-1]):
+            if not x.is_integer():  # false for inf as well
+                raise ValueError(f"{path}: row {rownum}: facility or slot "
+                                 f"{cell.strip()} is not an integer")
         if width == 3:
             fac, slot, value = int(nums[0]), int(nums[1]), nums[2]
             targets = [fac]

@@ -11,19 +11,18 @@ fraction of capacity allocated, from L/(2*Psi) above the offset when empty
 to U when full; below delta the generation price climbs from L_g/(2*Psi)
 to pi instead. Price, payment, conjugate and primal cost are written once,
 on the shape's exponential segments, which ``verify_dapr`` also checks;
-the per-family functions (``price_cable``, ``cable_payment``, ...) are
-entry points into them.
+callers reach a cell's shape through ``cell_shape`` or ``config.cells``.
+Every payment is made through its family's function (``cable_payment``,
+...), looked up by name at call time, so that a wrapper there sees it.
 
 Payments are exact integrals of the price curves, which is what makes the
 per-session primal/dual inequality and weak duality hold to machine
 precision instead of only up to a discretization gap. A payment that runs
 so far past capacity that it leaves the float range is infinite. Shapes
-keep their segments for the last bounds they were priced with. Prices and
-payments are not cached here: the callers keep them for one ledger state
-at a time, the candidate build per ``feasible_schedules`` call and the
-dispatcher per ``dispatch`` call, where cable and out-of-service payments
-are running sums from a session's shared first slot, added in the order
-a slot-by-slot walk adds them, so that every float is the walk's own.
+keep their segments for the last bounds they were priced with; a
+``Snapshot`` keeps the prices and payments of one ledger state, which the
+candidate build takes per ``feasible_schedules`` call and the dispatcher
+per ``dispatch`` call.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import (
 )
 
 from .constants import MONEY_ATOL
-from .domain import ScenarioConfig
+from .domain import ResourceLedger, ScenarioConfig
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ class Family:
 
     ``cells`` lists a config's cells of the family in ledger order, as
     (coordinates ending in the 1-based slot, arguments); the arguments are
-    the scalars the family's public functions take after the load, and
+    the scalars the family's payment function takes after the loads, and
     ``shape`` maps them to (capacity, offset, split). ``conj`` is the
     conjugate's closed form in them and ``params`` their names in
     ``verify_dapr``. The prices use PriceBounds L_<bound> and U_<bound>;
@@ -390,7 +389,7 @@ def cell_index(config: ScenarioConfig, family: int, *coords: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-family entry points
+# Interned shapes, per-family payments and ledger snapshots
 # ---------------------------------------------------------------------------
 
 
@@ -399,33 +398,6 @@ def cell_shape(family: int, *args: float) -> Shape:
     """The shape of a cell of ``family`` with these arguments, interned so
     that repeated calls for one cell reuse its curve."""
     return Shape(family, *args)
-
-
-def price_cable(y: float, cables: int, bounds: PriceBounds, psi_: int) -> float:
-    """Posted price of one cable-slot at load y of C."""
-    return cell_shape(CABLE, cables).price(y, bounds, psi_)
-
-
-def price_energy(y: float, energy_limit: float, bounds: PriceBounds, psi_: int) -> float:
-    """Posted price per kWh of EVSE energy at load y of E."""
-    return cell_shape(ENERGY, energy_limit).price(y, bounds, psi_)
-
-
-def price_generation(y: float, delta: float, mu: float, pi: float,
-                     bounds: PriceBounds, psi_: int) -> float:
-    """Posted price per kWh of facility generation at load y of delta+mu."""
-    return cell_shape(GENERATION, delta, mu, pi).price(y, bounds, psi_)
-
-
-def price_destination(y: float, omega: float, bounds: PriceBounds, psi_: int) -> float:
-    """Posted price of one arrival at load y of Omega."""
-    return cell_shape(DESTINATION, omega).price(y, bounds, psi_)
-
-
-def price_out_of_service(y: float, cap: float, phi: float,
-                         bounds: PriceBounds, psi_: int) -> float:
-    """Posted price of one out-of-service vehicle-slot at load y of I."""
-    return cell_shape(OUT_OF_SERVICE, cap, phi).price(y, bounds, psi_)
 
 
 def cable_payment(y0: float, y1: float, cables: int, bounds: PriceBounds,
@@ -451,6 +423,104 @@ def destination_payment(y0: float, y1: float, omega: float, bounds: PriceBounds,
 def out_of_service_payment(y0: float, y1: float, cap: float, phi: float,
                            bounds: PriceBounds, psi_: int) -> float:
     return cell_shape(OUT_OF_SERVICE, cap, phi).payment(y0, y1, bounds, psi_)
+
+
+class Snapshot:
+    """Posted prices and payments against one ledger state.
+
+    The ledger does not move while one session is handled: its candidates
+    are built and priced against the loads it had on arrival. A price is a
+    function of the cell's shape (its family and arguments, shared by equal
+    cells) and its load, and a payment of those and the amount, so each is
+    kept once per such key: one entry serves every destination arrival of
+    a day with one Omega. Every cable window at a facility starts at the
+    vehicle's arrival slot there, and every out-of-service run at its
+    t_minus, so ``run`` keeps sums over consecutive cells as running sums
+    from their first cell, extended only as far as asked. Every sum is
+    added left to right from 0.0, cell by cell, as a walk over the cells
+    adds it, so each float is bit-identical to the walk's own.
+    """
+
+    __slots__ = ("cells", "loads", "bounds", "psi", "_prices", "_paid", "_runs",
+                 "_charges", "_drawn")
+
+    def __init__(self, ledger: ResourceLedger, bounds: PriceBounds, psi_: int) -> None:
+        self.cells = ledger.cells
+        self.loads = ledger.loads
+        self.bounds = bounds
+        self.psi = psi_
+        self._prices: Dict[tuple, float] = {}
+        self._paid: Dict[tuple, float] = {}
+        self._runs: Dict[tuple, List[float]] = {}
+        self._charges: Dict[tuple, float] = {}
+        self._drawn: Dict[tuple, Tuple[float, float]] = {}
+
+    def price(self, k: int, i: int) -> float:
+        """Posted price of cell i of family k. A cell loaded beyond capacity
+        keeps its ceiling price: posted prices only rank slots."""
+        shape = self.cells.shapes[k][i]
+        y = min(self.loads[k][i], shape.cap)
+        p = self._prices.get((shape, y))
+        if p is None:
+            p = self._prices[shape, y] = shape.price(y, self.bounds, self.psi)
+        return p
+
+    def pay(self, k: int, i: int, amount: float = 1) -> float:
+        """Payment for ``amount`` more units of cell i of family k."""
+        shape = self.cells.shapes[k][i]
+        y = self.loads[k][i]
+        key = (shape, y, amount)
+        paid = self._paid.get(key)
+        if paid is None:
+            # looked up on the module at call time, so a wrapper there sees it
+            paid = self._paid[key] = globals()[shape.family.name + "_payment"](
+                y, y + amount, *shape.args, self.bounds, self.psi)
+        return paid
+
+    def run(self, k: int, first: int, n: int, posted: bool = False) -> float:
+        """Summed payments for one more unit of each of the n cells of
+        family k from cell ``first`` on; their posted prices if ``posted``."""
+        key = (posted, k, first)
+        sums = self._runs.get(key)
+        if sums is None:
+            sums = self._runs[key] = []
+        done = len(sums)
+        if done < n:
+            term = self.price if posted else self.pay
+            total = sums[-1] if done else 0.0
+            for i in range(first + done, first + n):
+                total += term(k, i)
+                sums.append(total)
+        return sums[n - 1]
+
+    def charge(self, f: int, m: int, t: int) -> float:
+        """Energy plus generation price per kWh at EVSE m of facility f in
+        slot t; energy alone at a slot without generation capacity."""
+        key = (f, m, t)
+        p = self._charges.get(key)
+        if p is None:
+            cells = self.cells
+            p = self.price(ENERGY, cells.evse_cell(f, m, t))
+            g = cells.facility_cell(f, t)
+            if cells.shapes[GENERATION][g].cap > 0:
+                p += self.price(GENERATION, g)
+            self._charges[key] = p
+        return p
+
+    def draw(self, f: int, m: int, slots: Tuple[Tuple[int, float], ...]) -> Tuple[float, float]:
+        """Summed energy and generation payments for drawing each (slot,
+        kWh) of ``slots`` at EVSE m of facility f, kept per set of slots,
+        which the candidates for every destination share."""
+        key = (f, m, slots)
+        paid = self._drawn.get(key)
+        if paid is None:
+            cells = self.cells
+            energy = generation = 0.0
+            for t, e in slots:
+                energy += self.pay(ENERGY, cells.evse_cell(f, m, t), e)
+                generation += self.pay(GENERATION, cells.facility_cell(f, t), e)
+            paid = self._drawn[key] = (energy, generation)
+        return paid
 
 
 # ---------------------------------------------------------------------------

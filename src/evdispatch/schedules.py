@@ -30,7 +30,7 @@ from .constants import MONEY_ATOL
 from .domain import (
     ResourceLedger, ScenarioConfig, Schedule, Session, hop_row, plan_value,
 )
-from .pricing import CABLE, ENERGY, GENERATION, PriceBounds
+from .pricing import CABLE, PriceBounds, Snapshot
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
     # A window runs from the facility arrival slot t_arr, fixed per
     # facility, to its end slot, so the EVSE and the slot ranking depend
     # on (facility, window end) only, and the chosen slots on k as well.
-    prices = _PostedPrices(ledger, bounds, psi_)
+    prices = Snapshot(ledger, bounds, psi_)
     windows = {}  # (facility, window end) -> (EVSE, slots cheapest first)
     plans = {}  # (facility, window end, k) -> (EVSE, chosen slots, dearest)
     seen = set()
@@ -289,81 +289,16 @@ def _candidate_key(s: Schedule):
             s.energy_slots, s.dest_region, s.t_plus)
 
 
-class _PostedPrices:
-    """Posted cable and charging prices against one ledger snapshot.
-
-    The ledger does not move while a session's candidates are built, and
-    every window at a facility starts at the vehicle's arrival slot there.
-    So each EVSE's cable prices are kept as running sums from that slot,
-    extended only as far as the longest window asked for: entry j is the
-    sum over the first j + 1 slots, added left to right, which is exactly
-    the float a walk over that window adds up. Each charging price is
-    looked up once per (facility, EVSE, slot), and each price is computed
-    once per cell shape and load. A cell loaded beyond capacity keeps its
-    ceiling price: these prices only rank slots.
-    """
-
-    def __init__(self, ledger: ResourceLedger, bounds: PriceBounds, psi_: int):
-        self.ledger = ledger
-        self.bounds = bounds
-        self.psi = psi_
-        self._cable_sums = {}  # (facility, first slot) -> running sums per EVSE
-        self._charge = {}
-        self._at = {}  # (shape, load) -> price
-
-    def _posted(self, k: int, i: int) -> float:
-        shape = self.ledger.cells.shapes[k][i]
-        y = min(self.ledger.loads[k][i], shape.cap)
-        p = self._at.get((shape, y))
-        if p is None:
-            p = self._at[shape, y] = shape.price(y, self.bounds, self.psi)
-        return p
-
-    def cable_sums(self, fid: int, evse_count: int, start: int,
-                   end: int) -> List[List[float]]:
-        """Per EVSE, running sums of the posted cable price over the slots
-        from ``start``, at least through ``end``."""
-        rows = self._cable_sums.get((fid, start))
-        if rows is None:
-            rows = self._cable_sums[fid, start] = [[] for _ in range(evse_count)]
-        n = end - start + 1
-        done = len(rows[0])
-        if done < n:
-            first = self.ledger.cells.evse_cell(fid, 0, start)
-            horizon = self.ledger.cells.horizon
-            posted = self._posted
-            for sums in rows:
-                total = sums[-1] if done else 0.0
-                for i in range(first + done, first + n):
-                    total += posted(CABLE, i)
-                    sums.append(total)
-                first += horizon
-        return rows
-
-    def charge(self, fid: int, m: int, t: int) -> float:
-        """Energy plus generation price per kWh; energy alone at a slot
-        without generation capacity (callers decide what that means)."""
-        key = (fid, m, t)
-        p = self._charge.get(key)
-        if p is None:
-            cells = self.ledger.cells
-            p = self._posted(ENERGY, cells.evse_cell(fid, m, t))
-            g = cells.facility_cell(fid, t)
-            if cells.shapes[GENERATION][g].cap > 0:
-                p += self._posted(GENERATION, g)
-            self._charge[key] = p
-        return p
-
-
 def _rank_window(fid: int, fac, start: int, end: int,
-                 prices: _PostedPrices) -> Tuple[int, List[int]]:
+                 prices: Snapshot) -> Tuple[int, List[int]]:
     """The window's EVSE, the one with the cheapest summed posted cable
     price over slots start..end, and the window's slots ranked by its
     posted energy plus generation price, ties to the earlier slot. A slot
     without generation capacity ranks as infinitely dear."""
     best_m, best_cost = 0, math.inf
-    for m, sums in enumerate(prices.cable_sums(fid, fac.evse_count, start, end)):
-        cost = sums[end - start]
+    first, n = prices.cells.evse_cell(fid, 0, start), end - start + 1
+    for m in range(fac.evse_count):
+        cost = prices.run(CABLE, first + m * prices.cells.horizon, n, posted=True)
         if cost < best_cost - 1e-15:
             best_m, best_cost = m, cost
     priced = []
@@ -377,7 +312,7 @@ def _rank_window(fid: int, fac, start: int, end: int,
 
 
 def _dearest(chosen: Sequence[int], fid: int, m: int,
-             prices: _PostedPrices) -> int:
+             prices: Snapshot) -> int:
     """The chosen slot with the highest posted charging price, ties to the
     earlier slot."""
     worst_t, worst_p = chosen[0], -math.inf

@@ -3,6 +3,9 @@ instance whose round numbers keep expected values computable by hand."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from evdispatch import harness, pricing
@@ -38,6 +41,28 @@ def build_mini_config(**overrides) -> ScenarioConfig:
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def broken_sessions():
+    """The tiny seed-0 day, and its session stream broken in one way per
+    name: (the field a validator must name, the broken stream)."""
+    config, sessions = harness.generate_scenario(0, "tiny")
+    first, rest, last = sessions[0], sessions[1:], sessions[-1]
+    late = replace(last, id=last.id + 1)
+    return config, {
+        "soc above one": ("soc", (replace(first, soc=1.5),) + rest),
+        "soc below zero": ("soc", (replace(first, soc=-0.25),) + rest),
+        "soc nan": ("soc", (replace(first, soc=math.nan),) + rest),
+        "t_minus zero": ("t_minus", (replace(first, t_minus=0),) + rest),
+        "t_minus past the horizon": (
+            "t_minus", sessions + (replace(late, t_minus=config.horizon + 1),)),
+        "t_minus decreasing": (
+            "t_minus", sessions + (replace(late, t_minus=first.t_minus),)),
+        "unknown origin": (
+            "origin_region", (replace(first, origin_region=len(config.regions)),) + rest),
+        "duplicate id": ("id", sessions[:2] + (replace(sessions[2], id=sessions[1].id),)
+                         + sessions[3:]),
+    }
 
 
 @pytest.fixture

@@ -91,15 +91,16 @@ def test_criterion_2_boundary_identities(capfd):
                              L_d=L_d, U_d=L_d * lift, L_o=L_o,
                              U_o=L_o * lift)
 
+        shape = pricing.cell_shape
         checks = [
-            (pricing.price_cable(C, C, bounds, psi_), bounds.U_c),
-            (pricing.price_energy(E, E, bounds, psi_), bounds.U_e),
-            (pricing.price_destination(omega, omega, bounds, psi_),
+            (shape(pricing.CABLE, C).price(C, bounds, psi_), bounds.U_c),
+            (shape(pricing.ENERGY, E).price(E, bounds, psi_), bounds.U_e),
+            (shape(pricing.DESTINATION, omega).price(omega, bounds, psi_),
              bounds.U_d),
-            (pricing.price_out_of_service(I, I, phi, bounds, psi_),
+            (shape(pricing.OUT_OF_SERVICE, I, phi).price(I, bounds, psi_),
              bounds.U_o),
-            (pricing.price_generation(delta * (1.0 - 1e-12), delta, mu, pi,
-                                      bounds, psi_), pi),
+            (shape(pricing.GENERATION, delta, mu, pi).price(delta * (1.0 - 1e-12),
+                                                           bounds, psi_), pi),
         ]
         for got, want in checks:
             worst = max(worst, abs(got - want) / want)

@@ -88,6 +88,25 @@ def test_missing_files_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [["run"], ["run-baseline", "--threshold", "50"]])
+def test_run_on_invalid_sessions_exits_one_and_writes_nothing(tmp_path, capsys, command):
+    inst = tmp_path / "inst"
+    main(["generate", "--seed", "0", "--preset", "tiny", "--out", str(inst)])
+    lines = (inst / "sessions-seed0.csv").read_text().splitlines()
+    first = lines[1].split(",")
+    lines[1] = ",".join(first[:3] + ["1.5"])  # a battery at 150 %
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main(command + ["--config", str(inst / "config-seed0.json"),
+                           "--sessions", str(bad), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "invalid sessions: soc at session 0: 1.5 outside [0, 1]" in err
+    assert not out.exists()
+
+
 def test_run_rush_preset(tmp_path, capsys):
     out = tmp_path / "rush"
     assert main(["run", "--preset", "rush", "--seed", "1", "--out", str(out)]) == 0

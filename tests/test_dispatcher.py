@@ -8,7 +8,8 @@ import math
 
 import pytest
 
-from evdispatch import economics, pricing
+from evdispatch import baselines, dispatcher, economics, pricing
+from evdispatch.baselines import run_threshold
 from evdispatch.dispatcher import (
     DispatcherState, dispatch, peak_utilization, run_online,
     utility_breakdown,
@@ -20,7 +21,7 @@ from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.pricing import DESTINATION, PriceBounds, cell_index
 from evdispatch.schedules import GenerationPolicy, feasible_schedules
 
-from conftest import build_mini_config
+from conftest import broken_sessions, build_mini_config
 
 
 def test_fresh_rejects_invalid_config():
@@ -103,6 +104,25 @@ def test_out_of_order_arrivals_are_rejected(mini_config):
     dispatch(Session(id=0, t_minus=3, origin_region=1, soc=0.5), state)
     with pytest.raises(ValueError, match="arrives out of order"):
         dispatch(Session(id=1, t_minus=2, origin_region=1, soc=0.5), state)
+
+
+@pytest.mark.parametrize("defect", sorted(broken_sessions()[1]))
+def test_runs_reject_invalid_sessions_before_the_first(defect, monkeypatch):
+    """Without the check, soc=1.5 committed plans that overfill the battery,
+    soc=nan gave nan welfare online and killed the threshold run, and a
+    start past the horizon stopped online mid-run while the threshold run
+    sent it to the depot."""
+    config, streams = broken_sessions()
+    _, sessions = streams[defect]
+    calls = []
+    monkeypatch.setattr(dispatcher, "dispatch", lambda *args: calls.append(args))
+    monkeypatch.setattr(baselines, "threshold_dispatch", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="invalid sessions: "):
+        run_online(sessions, config)
+    for threshold in (0.25, 0.5, 0.75):
+        with pytest.raises(ValueError, match="invalid sessions: "):
+            run_threshold(sessions, config, threshold)
+    assert calls == []
 
 
 def test_candidate_with_infinite_payment_is_never_chosen(mini_config,

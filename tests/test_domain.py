@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 from evdispatch.domain import (
     CapacityError, Facility, Region, ResourceLedger, ScenarioConfig, Schedule,
     Session, UNREACHABLE, config_to_dict, hops, instance_hash,
-    recompute_ledger, schedule_violations, validate,
+    recompute_ledger, schedule_violations, validate, validate_sessions,
 )
 from evdispatch.harness import generate_scenario
 from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE, cell_index,
 )
 
-from conftest import build_mini_config
+from conftest import broken_sessions, build_mini_config
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,19 @@ def test_validate_catches_bad_horizon(mini_config):
     bad = dataclasses.replace(mini_config, horizon=0)
     out = validate(bad)
     assert len(out) == 1 and out[0].field == "horizon"
+
+
+def test_validate_sessions_accepts_generated_streams(tiny_instance, desk_instance):
+    for config, sessions in (tiny_instance, desk_instance, generate_scenario(0, "tiny")):
+        assert validate_sessions(sessions, config) == []
+
+
+@pytest.mark.parametrize("defect", sorted(broken_sessions()[1]))
+def test_validate_sessions_names_each_defect(defect):
+    config, streams = broken_sessions()
+    field, sessions = streams[defect]
+    found = validate_sessions(sessions, config)
+    assert [v.field for v in found] == [field], found
 
 
 # ---------------------------------------------------------------------------

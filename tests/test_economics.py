@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 from evdispatch import pricing
 from evdispatch.domain import DispatchDecision, ResourceLedger
 from evdispatch.economics import (
-    INFEASIBLE, conj_cable, conj_destination, conj_energy, conj_generation,
-    conj_out_of_service, dual_objective, generation_cost, is_infeasible,
-    out_of_service_cost, primal_increment, primal_objective,
+    INFEASIBLE, dual_objective, primal_increment, primal_objective,
+)
+from evdispatch.pricing import (
+    CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE, InfeasibleType, cell_shape,
 )
 
 
@@ -29,27 +30,29 @@ from evdispatch.economics import (
 
 
 def test_generation_cost_branches():
-    assert generation_cost(3.0, delta=5.0, mu=4.0, pi=0.3) == 0.0
-    assert generation_cost(5.0, delta=5.0, mu=4.0, pi=0.3) == 0.0
-    assert generation_cost(7.0, delta=5.0, mu=4.0, pi=0.3) == pytest.approx(0.6)
-    assert generation_cost(9.0, delta=5.0, mu=4.0, pi=0.3) == pytest.approx(1.2)
-    assert is_infeasible(generation_cost(9.1, delta=5.0, mu=4.0, pi=0.3))
+    generation = cell_shape(GENERATION, 5.0, 4.0, 0.3)  # delta, mu, pi
+    assert generation.cost(3.0) == 0.0
+    assert generation.cost(5.0) == 0.0
+    assert generation.cost(7.0) == pytest.approx(0.6)
+    assert generation.cost(9.0) == pytest.approx(1.2)
+    assert generation.cost(9.1) is INFEASIBLE
     with pytest.raises(ValueError):
-        generation_cost(-1.0, delta=5.0, mu=4.0, pi=0.3)
+        generation.cost(-1.0)
 
 
 def test_out_of_service_cost_branches():
-    assert out_of_service_cost(3.0, phi=0.4, cap=4.0) == pytest.approx(1.2)
-    assert out_of_service_cost(0.0, phi=0.4, cap=4.0) == 0.0
-    assert is_infeasible(out_of_service_cost(4.5, phi=0.4, cap=4.0))
+    out_of_service = cell_shape(OUT_OF_SERVICE, 4.0, 0.4)  # cap, phi
+    assert out_of_service.cost(3.0) == pytest.approx(1.2)
+    assert out_of_service.cost(0.0) == 0.0
+    assert out_of_service.cost(4.5) is INFEASIBLE
     with pytest.raises(ValueError):
-        out_of_service_cost(-0.1, phi=0.4, cap=4.0)
+        out_of_service.cost(-0.1)
 
 
 def test_infeasible_is_a_singleton():
     assert INFEASIBLE is type(INFEASIBLE)()
     assert repr(INFEASIBLE) == "Infeasible"
-    assert is_infeasible(INFEASIBLE) and not is_infeasible(0.0)
+    assert isinstance(INFEASIBLE, InfeasibleType) and not isinstance(0.0, InfeasibleType)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +66,7 @@ def _legendre(cost, p, cap, breakpoints=()):
     best = -math.inf
     for y in ys:
         c = cost(float(y))
-        if is_infeasible(c):
+        if c is INFEASIBLE:
             continue
         best = max(best, p * float(y) - c)
     return best
@@ -71,29 +74,29 @@ def _legendre(cost, p, cap, breakpoints=()):
 
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.2, 1.7, 40.0])
 def test_indicator_conjugates_match_oracle(p):
-    assert conj_cable(p, cables=3) == pytest.approx(
+    assert cell_shape(CABLE, 3).conj(p) == pytest.approx(
         _legendre(lambda y: 0.0, p, 3.0), abs=1e-9)
-    assert conj_energy(p, energy_limit=12.5) == pytest.approx(
+    assert cell_shape(ENERGY, 12.5).conj(p) == pytest.approx(
         _legendre(lambda y: 0.0, p, 12.5), abs=1e-9)
-    assert conj_destination(p, omega=7) == pytest.approx(
+    assert cell_shape(DESTINATION, 7).conj(p) == pytest.approx(
         _legendre(lambda y: 0.0, p, 7.0), abs=1e-9)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.300001, 2.0, 16.0])
 def test_generation_conjugate_matches_oracle(p):
     delta, mu, pi = 5.0, 4.0, 0.3
-    got = conj_generation(p, delta, mu, pi)
-    want = _legendre(lambda y: generation_cost(y, delta, mu, pi), p,
-                     delta + mu, breakpoints=(delta, delta + mu))
+    generation = cell_shape(GENERATION, delta, mu, pi)
+    got = generation.conj(p)
+    want = _legendre(generation.cost, p, delta + mu, breakpoints=(delta, delta + mu))
     assert got == pytest.approx(want, abs=1e-9)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.2, 0.4, 0.400001, 3.0, 15.0])
 def test_out_of_service_conjugate_matches_oracle(p):
     phi, cap = 0.4, 4.0
-    got = conj_out_of_service(p, phi, cap)
-    want = _legendre(lambda y: out_of_service_cost(y, phi, cap), p, cap,
-                     breakpoints=(cap,))
+    out_of_service = cell_shape(OUT_OF_SERVICE, cap, phi)
+    got = out_of_service.conj(p)
+    want = _legendre(out_of_service.cost, p, cap, breakpoints=(cap,))
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -102,27 +105,29 @@ def test_out_of_service_conjugate_matches_oracle(p):
        delta=st.floats(0.0, 5.0), mu=st.floats(0.1, 4.0),
        pi=st.floats(0.01, 2.0))
 def test_fenchel_young_inequality(p, y, delta, mu, pi):
-    cost = generation_cost(min(y, delta + mu), delta, mu, pi)
-    assert not is_infeasible(cost)
-    assert p * min(y, delta + mu) <= cost + conj_generation(p, delta, mu, pi) + 1e-9
+    generation = cell_shape(GENERATION, delta, mu, pi)
+    cost = generation.cost(min(y, delta + mu))
+    assert cost is not INFEASIBLE
+    assert p * min(y, delta + mu) <= cost + generation.conj(p) + 1e-9
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=st.floats(0.0, 50.0), y=st.floats(0.0, 4.0),
        phi=st.floats(0.0, 2.0))
 def test_fenchel_young_out_of_service(p, y, phi):
-    cost = out_of_service_cost(y, phi, cap=4.0)
-    assert p * y <= cost + conj_out_of_service(p, phi, cap=4.0) + 1e-9
+    out_of_service = cell_shape(OUT_OF_SERVICE, 4.0, phi)
+    cost = out_of_service.cost(y)
+    assert p * y <= cost + out_of_service.conj(p) + 1e-9
 
 
 def test_conjugates_reject_negative_prices():
-    for fn in (lambda: conj_cable(-0.1, 2),
-               lambda: conj_energy(-0.1, 5.0),
-               lambda: conj_generation(-0.1, 1.0, 1.0, 0.5),
-               lambda: conj_destination(-0.1, 3),
-               lambda: conj_out_of_service(-0.1, 0.4, 4.0)):
+    for shape in (cell_shape(CABLE, 2),
+                  cell_shape(ENERGY, 5.0),
+                  cell_shape(GENERATION, 1.0, 1.0, 0.5),
+                  cell_shape(DESTINATION, 3),
+                  cell_shape(OUT_OF_SERVICE, 4.0, 0.4)):
         with pytest.raises(ValueError):
-            fn()
+            shape.conj(-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +159,7 @@ def test_primal_objective_infeasible_when_over_cap(mini_config, mini_rebalance):
         ledger.apply(mini_rebalance, sign=1)
         decisions.append(DispatchDecision(session_id=i, schedule=mini_rebalance,
                                           utility=1.0))
-    assert is_infeasible(primal_objective(decisions, ledger, mini_config))
+    assert primal_objective(decisions, ledger, mini_config) is INFEASIBLE
 
 
 def test_primal_increment_matches_objective_delta(mini_config, mini_rebalance,

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -180,6 +181,22 @@ def test_ingest_rejects_malformed_rows(tmp_path, row, message):
     base = "".join(f"{t},0.3\n" for t in range(1, T + 1))
     with pytest.raises(ValueError, match=message):
         ingest_traces(_write(tmp_path, "p.csv", base + row), None, config)
+
+
+@pytest.mark.parametrize("columns", [2, 3])
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "1.5", "0.5"])
+def test_ingest_requires_integral_facilities_and_slots(tmp_path, columns, cell):
+    """inf used to raise OverflowError, and 1.5 was read as slot 1."""
+    config, _ = generate_scenario(0, "tiny")
+    T = config.horizon
+    if columns == 2:
+        rows = [f"{cell},0.3"] + [f"{t},0.3" for t in range(2, T + 1)]
+    else:
+        rows = [f"{cell},1,0.3"] + [f"0,{t},0.3" for t in range(2, T + 1)]
+    path = _write(tmp_path, "p.csv", "\n".join(rows) + "\n")
+    message = f"{path}: row 1: facility or slot {cell} is not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ingest_traces(path, None, config)
 
 
 def test_ingest_rejects_unknown_facilities(tmp_path):

@@ -19,10 +19,9 @@ from evdispatch import pricing
 from evdispatch.domain import Facility, Region
 from evdispatch.harness import generate_scenario
 from evdispatch.pricing import (
-    Alphas, PriceBounds, alphas, dapr_cases, default_charge_targets,
-    effective_charge_rate, estimate_bounds, price_cable, price_destination,
-    price_energy, price_generation, price_out_of_service, psi, validate_bounds,
-    verify_dapr,
+    CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE, Alphas, PriceBounds,
+    alphas, cell_shape, dapr_cases, default_charge_targets, effective_charge_rate,
+    estimate_bounds, psi, validate_bounds, verify_dapr,
 )
 
 from conftest import build_mini_config
@@ -53,57 +52,61 @@ def test_psi_counts_resources(mini_config, tiny_instance):
 
 def test_price_anchors_and_ceilings():
     two_psi = 2 * PSI
-    assert price_cable(0.0, 4, BOUNDS, PSI) == pytest.approx(BOUNDS.L_c / two_psi)
-    assert price_cable(4.0, 4, BOUNDS, PSI) == pytest.approx(BOUNDS.U_c, rel=1e-12)
-    assert price_energy(0.0, 12.0, BOUNDS, PSI) == pytest.approx(BOUNDS.L_e / two_psi)
-    assert price_energy(12.0, 12.0, BOUNDS, PSI) == pytest.approx(BOUNDS.U_e, rel=1e-12)
-    assert price_destination(5.0, 5, BOUNDS, PSI) == pytest.approx(BOUNDS.U_d, rel=1e-12)
+    cable, energy = cell_shape(CABLE, 4), cell_shape(ENERGY, 12.0)
+    assert cable.price(0.0, BOUNDS, PSI) == pytest.approx(BOUNDS.L_c / two_psi)
+    assert cable.price(4.0, BOUNDS, PSI) == pytest.approx(BOUNDS.U_c, rel=1e-12)
+    assert energy.price(0.0, BOUNDS, PSI) == pytest.approx(BOUNDS.L_e / two_psi)
+    assert energy.price(12.0, BOUNDS, PSI) == pytest.approx(BOUNDS.U_e, rel=1e-12)
+    assert cell_shape(DESTINATION, 5).price(5.0, BOUNDS, PSI) == pytest.approx(
+        BOUNDS.U_d, rel=1e-12)
     phi = 0.7
-    assert price_out_of_service(0.0, 8.0, phi, BOUNDS, PSI) == pytest.approx(
+    out_of_service = cell_shape(OUT_OF_SERVICE, 8.0, phi)
+    assert out_of_service.price(0.0, BOUNDS, PSI) == pytest.approx(
         phi + (BOUNDS.L_o - phi) / two_psi)
-    assert price_out_of_service(8.0, 8.0, phi, BOUNDS, PSI) == pytest.approx(
+    assert out_of_service.price(8.0, BOUNDS, PSI) == pytest.approx(
         BOUNDS.U_o, rel=1e-12)
 
 
 def test_generation_price_branches():
     delta, mu, pi = 6.0, 10.0, 0.3
+    generation = cell_shape(GENERATION, delta, mu, pi)
     two_psi = 2 * PSI
     # first branch: anchored at L_g/(2 psi), reaching pi at y = delta
-    assert price_generation(0.0, delta, mu, pi, BOUNDS, PSI) == pytest.approx(
-        BOUNDS.L_g / two_psi)
+    assert generation.price(0.0, BOUNDS, PSI) == pytest.approx(BOUNDS.L_g / two_psi)
     just_below = delta * (1 - 1e-12)
-    assert price_generation(just_below, delta, mu, pi, BOUNDS, PSI) == pytest.approx(
-        pi, rel=1e-9)
+    assert generation.price(just_below, BOUNDS, PSI) == pytest.approx(pi, rel=1e-9)
     # second branch: jumps above pi, reaching U_g at the combined cap
-    at_delta = price_generation(delta, delta, mu, pi, BOUNDS, PSI)
+    at_delta = generation.price(delta, BOUNDS, PSI)
     b2 = two_psi * (BOUNDS.U_g - pi) / (BOUNDS.L_g - pi)
     assert at_delta == pytest.approx(
         pi + (BOUNDS.L_g - pi) / two_psi * b2 ** (delta / (delta + mu)))
     assert at_delta > pi
-    assert price_generation(delta + mu, delta, mu, pi, BOUNDS, PSI) == pytest.approx(
+    assert generation.price(delta + mu, BOUNDS, PSI) == pytest.approx(
         BOUNDS.U_g, rel=1e-12)
     # without solar the second branch starts at zero load
-    assert price_generation(0.0, 0.0, mu, pi, BOUNDS, PSI) == pytest.approx(
+    assert cell_shape(GENERATION, 0.0, mu, pi).price(0.0, BOUNDS, PSI) == pytest.approx(
         pi + (BOUNDS.L_g - pi) / two_psi)
 
 
 def test_prices_monotone_in_load():
     ys = np.linspace(0.0, 4.0, 200)
-    ps = [price_cable(float(y), 4, BOUNDS, PSI) for y in ys]
+    ps = [cell_shape(CABLE, 4).price(float(y), BOUNDS, PSI) for y in ys]
     assert all(b > a for a, b in zip(ps, ps[1:]))
     ys = np.linspace(0.0, 16.0, 400)
-    ps = [price_generation(float(y), 6.0, 10.0, 0.3, BOUNDS, PSI) for y in ys]
+    generation = cell_shape(GENERATION, 6.0, 10.0, 0.3)
+    ps = [generation.price(float(y), BOUNDS, PSI) for y in ys]
     assert all(b > a for a, b in zip(ps, ps[1:]))
 
 
 def test_prices_reject_out_of_range():
+    cable, closed = cell_shape(CABLE, 4), cell_shape(DESTINATION, 0)
     with pytest.raises(ValueError):
-        price_cable(-0.5, 4, BOUNDS, PSI)
+        cable.price(-0.5, BOUNDS, PSI)
     with pytest.raises(ValueError):
-        price_cable(4.1, 4, BOUNDS, PSI)
+        cable.price(4.1, BOUNDS, PSI)
     with pytest.raises(ValueError):
-        price_destination(0.5, 0, BOUNDS, PSI)
-    assert price_destination(0.0, 0, BOUNDS, PSI) == BOUNDS.U_d
+        closed.price(0.5, BOUNDS, PSI)
+    assert closed.price(0.0, BOUNDS, PSI) == BOUNDS.U_d
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +118,7 @@ def test_prices_reject_out_of_range():
 def test_cable_payment_is_price_integral(y0, y1):
     got = pricing.cable_payment(y0, y1, 4, BOUNDS, PSI)
     want, err = integrate.quad(
-        lambda y: price_cable(y, 4, BOUNDS, PSI), y0, y1)
+        lambda y: cell_shape(CABLE, 4).price(y, BOUNDS, PSI), y0, y1)
     assert got == pytest.approx(want, abs=max(1e-10, 10 * err))
 
 
@@ -123,17 +126,17 @@ def test_cable_payment_is_price_integral(y0, y1):
 def test_energy_and_service_payments_are_integrals(y0, y1):
     got = pricing.energy_payment(y0, y1, 12.0, BOUNDS, PSI)
     want, err = integrate.quad(
-        lambda y: price_energy(y, 12.0, BOUNDS, PSI), y0, y1)
+        lambda y: cell_shape(ENERGY, 12.0).price(y, BOUNDS, PSI), y0, y1)
     assert got == pytest.approx(want, abs=max(1e-10, 10 * err))
 
     got = pricing.out_of_service_payment(y0, y1, 12.0, 0.7, BOUNDS, PSI)
     want, err = integrate.quad(
-        lambda y: price_out_of_service(y, 12.0, 0.7, BOUNDS, PSI), y0, y1)
+        lambda y: cell_shape(OUT_OF_SERVICE, 12.0, 0.7).price(y, BOUNDS, PSI), y0, y1)
     assert got == pytest.approx(want, abs=max(1e-10, 10 * err))
 
     got = pricing.destination_payment(y0, y1, 12, BOUNDS, PSI)
     want, err = integrate.quad(
-        lambda y: price_destination(y, 12, BOUNDS, PSI), y0, y1)
+        lambda y: cell_shape(DESTINATION, 12).price(y, BOUNDS, PSI), y0, y1)
     assert got == pytest.approx(want, abs=max(1e-10, 10 * err))
 
 
@@ -142,7 +145,7 @@ def test_generation_payment_within_one_branch(y0, y1):
     delta, mu, pi = 6.0, 10.0, 0.3
     got = pricing.generation_payment(y0, y1, delta, mu, pi, BOUNDS, PSI)
     want, err = integrate.quad(
-        lambda y: price_generation(y, delta, mu, pi, BOUNDS, PSI), y0, y1)
+        lambda y: cell_shape(GENERATION, delta, mu, pi).price(y, BOUNDS, PSI), y0, y1)
     assert got == pytest.approx(want, abs=max(1e-10, 10 * err))
 
 
@@ -150,12 +153,12 @@ def test_generation_payment_adds_boundary_surcharge_once():
     """Crossing the solar boundary pays the conjugate jump: (delta+mu)
     times the price step from pi up to the second branch at delta."""
     delta, mu, pi = 6.0, 10.0, 0.3
-    p_delta = price_generation(delta, delta, mu, pi, BOUNDS, PSI)
+    generation = cell_shape(GENERATION, delta, mu, pi)
+    p_delta = generation.price(delta, BOUNDS, PSI)
     jump = (delta + mu) * (p_delta - pi)
     y0, y1 = 4.0, 9.0
     integral, err = integrate.quad(
-        lambda y: price_generation(y, delta, mu, pi, BOUNDS, PSI), y0, y1,
-        points=[delta])
+        lambda y: generation.price(y, BOUNDS, PSI), y0, y1, points=[delta])
     got = pricing.generation_payment(y0, y1, delta, mu, pi, BOUNDS, PSI)
     assert got == pytest.approx(integral + jump, abs=max(1e-10, 10 * err))
     # splitting at the boundary charges the jump exactly once

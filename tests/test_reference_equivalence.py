@@ -42,7 +42,7 @@ from evdispatch.schedules import (
     DEFAULT_POLICY, _candidate_key, _targets, feasible_schedules,
 )
 from evdispatch.pricing import (
-    CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE,
+    CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, cell_shape,
 )
 
 
@@ -115,48 +115,37 @@ def reference_dual_increment(schedule, u, state, loads):
     total = u
 
     d, tp = schedule.dest_region, schedule.t_plus
-    omega = config.regions[d].vehicle_limit[tp - 1]
+    dest = cell_shape(DESTINATION, config.regions[d].vehicle_limit[tp - 1])
     y = y_d[d][tp - 1]
-    total += (economics.conj_destination(pricing.price_destination(y + 1, omega, bounds, psi_), omega)
-              - economics.conj_destination(pricing.price_destination(y, omega, bounds, psi_), omega))
+    total += (dest.conj(dest.price(y + 1, bounds, psi_))
+              - dest.conj(dest.price(y, bounds, psi_)))
 
     for t in schedule.out_of_service_slots:
-        cap = config.out_of_service_cap[t - 1]
-        phi = config.out_of_service_penalty[t - 1]
+        idle = cell_shape(OUT_OF_SERVICE, config.out_of_service_cap[t - 1],
+                          config.out_of_service_penalty[t - 1])
         y = y_o[t - 1]
-        total += (economics.conj_out_of_service(
-                      pricing.price_out_of_service(y + 1, cap, phi, bounds, psi_), phi, cap)
-                  - economics.conj_out_of_service(
-                      pricing.price_out_of_service(y, cap, phi, bounds, psi_), phi, cap))
+        total += (idle.conj(idle.price(y + 1, bounds, psi_))
+                  - idle.conj(idle.price(y, bounds, psi_)))
 
     if schedule.charging:
         f = schedule.facility_id
         m = schedule.evse_index
         fac = config.facilities[f]
+        cable = cell_shape(CABLE, fac.cables_per_evse)
+        energy = cell_shape(ENERGY, fac.evse_energy_limit)
         for t in schedule.cable_slots:
             y = y_c[f][m][t - 1]
-            total += (economics.conj_cable(
-                          pricing.price_cable(y + 1, fac.cables_per_evse, bounds, psi_),
-                          fac.cables_per_evse)
-                      - economics.conj_cable(
-                          pricing.price_cable(y, fac.cables_per_evse, bounds, psi_),
-                          fac.cables_per_evse))
+            total += (cable.conj(cable.price(y + 1, bounds, psi_))
+                      - cable.conj(cable.price(y, bounds, psi_)))
         for t, e in schedule.energy_slots:
             ye = y_e[f][m][t - 1]
-            total += (economics.conj_energy(
-                          pricing.price_energy(ye + e, fac.evse_energy_limit, bounds, psi_),
-                          fac.evse_energy_limit)
-                      - economics.conj_energy(
-                          pricing.price_energy(ye, fac.evse_energy_limit, bounds, psi_),
-                          fac.evse_energy_limit))
-            delta, mu, pi = fac.solar[t - 1], fac.grid_limit[t - 1], fac.grid_price[t - 1]
+            total += (energy.conj(energy.price(ye + e, bounds, psi_))
+                      - energy.conj(energy.price(ye, bounds, psi_)))
+            generation = cell_shape(GENERATION, fac.solar[t - 1], fac.grid_limit[t - 1],
+                                    fac.grid_price[t - 1])
             yg = y_g[f][t - 1]
-            total += (economics.conj_generation(
-                          pricing.price_generation(yg + e, delta, mu, pi, bounds, psi_),
-                          delta, mu, pi)
-                      - economics.conj_generation(
-                          pricing.price_generation(yg, delta, mu, pi, bounds, psi_),
-                          delta, mu, pi))
+            total += (generation.conj(generation.price(yg + e, bounds, psi_))
+                      - generation.conj(generation.price(yg, bounds, psi_)))
     return total
 
 
@@ -169,14 +158,14 @@ def reference_primal_increment(schedule, state, loads):
         fac = config.facilities[schedule.facility_id]
         for t, e in schedule.energy_slots:
             y0 = y_g[schedule.facility_id][t - 1]
-            args = (fac.solar[t - 1], fac.grid_limit[t - 1], fac.grid_price[t - 1])
-            delta -= (economics.generation_cost(y0 + e, *args)
-                      - economics.generation_cost(y0, *args))
+            generation = cell_shape(GENERATION, fac.solar[t - 1], fac.grid_limit[t - 1],
+                                    fac.grid_price[t - 1])
+            delta -= generation.cost(y0 + e) - generation.cost(y0)
     for t in schedule.out_of_service_slots:
-        args = (config.out_of_service_penalty[t - 1], config.out_of_service_cap[t - 1])
+        idle = cell_shape(OUT_OF_SERVICE, config.out_of_service_cap[t - 1],
+                          config.out_of_service_penalty[t - 1])
         y0 = y_o[t - 1]
-        delta -= (economics.out_of_service_cost(y0 + 1, *args)
-                  - economics.out_of_service_cost(y0, *args))
+        delta -= idle.cost(y0 + 1) - idle.cost(y0)
     return delta
 
 
@@ -442,6 +431,35 @@ def test_no_running_sum_outlives_its_dispatch(monkeypatch):
         assert state.snapshot is None and twin.snapshot is None
         outcomes.add(decision.is_depot)
     assert outcomes == {True, False}
+
+
+def test_every_payment_goes_through_its_family_function(monkeypatch):
+    """A wrapper installed on ``pricing.<family>_payment`` sees every
+    payment of a run, of every family: no payment is made on a shape
+    directly. A benchmark tracer counts payments by those five names."""
+    config, sessions = generate_scenario(3, RUNS["rush"])
+    calls = dict.fromkeys(pricing.NAMES, 0)
+    on_shapes = [0]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    for name in pricing.NAMES:
+        function = name + "_payment"
+        monkeypatch.setattr(pricing, function, counted(name, getattr(pricing, function)))
+    shape_payment = pricing.Shape.payment
+
+    def payment(self, *args):
+        on_shapes[0] += 1
+        return shape_payment(self, *args)
+    monkeypatch.setattr(pricing.Shape, "payment", payment)
+
+    report = run_online(sessions, config)
+    assert 0 < report.accepted < len(sessions)
+    assert all(calls.values()), calls
+    assert sum(calls.values()) == on_shapes[0]
 
 
 # ---------------------------------------------------------------------------
