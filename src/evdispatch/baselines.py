@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 from .constants import MONEY_ATOL
 from .domain import (
     DispatchDecision, ResourceLedger, RunReport, ScenarioConfig, Schedule,
-    Session, UNREACHABLE, hops, instance_hash, plan_value, validate, validate_sessions,
+    Session, UNREACHABLE, check_sessions, hops, instance_hash, plan_value, validate,
 )
 from .dispatcher import peak_utilization
 from .economics import primal_increment
@@ -145,9 +145,7 @@ def run_threshold(sessions: Sequence[Session], config: ScenarioConfig,
     if problems:
         raise ValueError("invalid config: " + "; ".join(str(p) for p in problems[:5]))
 
-    bad = validate_sessions(sessions, config)
-    if bad:
-        raise ValueError("invalid sessions: " + "; ".join(str(v) for v in bad[:5]))
+    check_sessions(sessions, config)
 
     ledger = ResourceLedger.zero(config)
     decisions: List[DispatchDecision] = []

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import economics, pricing
 from .domain import (
     CapacityError, DispatchDecision, PriceBreakdown, ResourceLedger, RunReport,
-    ScenarioConfig, Schedule, Session, instance_hash, validate, validate_sessions,
+    ScenarioConfig, Schedule, Session, check_sessions, instance_hash, validate,
 )
 from .pricing import CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PriceBounds, Snapshot
 from .schedules import (
@@ -27,14 +27,9 @@ from .schedules import (
 
 @dataclass
 class DispatcherState:
-    """Mutable state of one online run.
-
-    ``snapshot`` holds the payments of the current ledger state while one
-    ``dispatch`` call prices its candidates (a ``pricing.Snapshot``). It is
-    set once the candidates are built and dropped before the winner is
-    committed or the vehicle goes to the depot, so no payment outlives the
-    ledger state it was read from; it is None between calls.
-    """
+    """Mutable state of one online run. It keeps no prices: each
+    ``dispatch`` call reads the ledger through a ``pricing.Snapshot`` of
+    its own, so no payment outlives the ledger state it was read from."""
 
     config: ScenarioConfig
     policy: GenerationPolicy
@@ -45,11 +40,8 @@ class DispatcherState:
     decisions: List[DispatchDecision] = field(default_factory=list)
     primal_trajectory: List[float] = field(default_factory=lambda: [0.0])
     dual_trajectory: List[float] = field(default_factory=lambda: [0.0])
-    utilities: List[float] = field(default_factory=list)
     last_t: int = 1
     captured: Optional[Dict[int, List[Schedule]]] = None
-    snapshot: Optional[Snapshot] = field(default=None, init=False, repr=False,
-                                         compare=False)
 
     @classmethod
     def fresh(cls, config: ScenarioConfig, policy: GenerationPolicy = DEFAULT_POLICY,
@@ -81,31 +73,30 @@ class DispatcherState:
 
 
 def utility_breakdown(schedule: Schedule,
-                      state: DispatcherState) -> Tuple[float, PriceBreakdown]:
-    """Utility of a schedule at the current ledger, with per-family payments.
+                      prices: Snapshot) -> Tuple[float, PriceBreakdown]:
+    """Utility of a schedule at the ledger state ``prices`` was taken of,
+    with per-family payments.
 
     Schedules touching a saturated slot are priced, not rejected; the
     integral payment runs past capacity, so their utility is nonpositive.
-    Within ``dispatch`` the payments come from the call's snapshot; outside
-    it a fresh snapshot prices the live ledger. Either way each family's
-    terms are added in the order of ``Cells.demands``: energy and
-    generation slot by slot, cable and out-of-service slots from the first.
+    Each family's terms are added in the order of ``Cells.demands``: energy
+    and generation slot by slot, cable and out-of-service slots from the
+    first.
     """
-    snap = state.snapshot or Snapshot(state.ledger, state.bounds, state.psi)
-    cells = snap.cells
+    cells = prices.cells
     energy = generation = cable = 0.0
     f = schedule.facility_id
     if f is not None:
         m = schedule.evse_index
-        energy, generation = snap.draw(f, m, schedule.energy_slots)
+        energy, generation = prices.draw(f, m, schedule.energy_slots)
         # cable slots run contiguously from the arrival slot
         slots = schedule.cable_slots
         if slots:
-            cable = snap.run(CABLE, cells.evse_cell(f, m, slots[0]), len(slots))
+            cable = prices.run(CABLE, cells.evse_cell(f, m, slots[0]), len(slots))
     t0, t1 = schedule.t_minus, schedule.t_plus
     breakdown = PriceBreakdown(
-        destination=snap.pay(DESTINATION, schedule.dest_region * cells.horizon + t1 - 1, 1),
-        out_of_service=snap.run(OUT_OF_SERVICE, t0 - 1, t1 - t0 + 1),
+        destination=prices.pay(DESTINATION, schedule.dest_region * cells.horizon + t1 - 1, 1),
+        out_of_service=prices.run(OUT_OF_SERVICE, t0 - 1, t1 - t0 + 1),
         cable=cable, energy=energy, generation=generation)
     return schedule.value - breakdown.total, breakdown
 
@@ -126,55 +117,47 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
     """Process one session: argmax utility over candidates, or depot.
 
     Ties on utility go to the earlier destination arrival, then the lower
-    candidate index. Raises on out-of-order arrivals and, should the price
-    barrier ever fail, on a capacity breach.
+    candidate index. The candidates are built and priced from one snapshot
+    of the ledger, taken on arrival. Raises on out-of-order arrivals and,
+    should the price barrier ever fail, on a capacity breach.
     """
     if session.t_minus < state.last_t:
         raise ValueError(f"session {session.id} arrives out of order "
                          f"({session.t_minus} < {state.last_t})")
     state.last_t = session.t_minus
 
-    candidates = feasible_schedules(session, state.config, state.ledger,
-                                    state.bounds, state.psi, state.policy)
+    prices = Snapshot(state.ledger, state.bounds, state.psi)
+    candidates = feasible_schedules(session, state.config, prices, state.policy)
     if state.captured is not None:
         state.captured[session.id] = list(candidates)
 
     best = None
     best_key = None
-    state.snapshot = Snapshot(state.ledger, state.bounds, state.psi)
-    try:
-        for idx, schedule in enumerate(candidates):
-            u, breakdown = utility_breakdown(schedule, state)
-            key = (u, -schedule.t_plus, -idx)
-            if best_key is None or key > best_key:
-                best, best_key = (schedule, u, breakdown), key
-    finally:
-        state.snapshot = None
+    for idx, schedule in enumerate(candidates):
+        u, breakdown = utility_breakdown(schedule, prices)
+        key = (u, -schedule.t_plus, -idx)
+        if best_key is None or key > best_key:
+            best, best_key = (schedule, u, breakdown), key
 
+    # a trajectory never holds -0.0, so adding 0.0 for the depot keeps it
+    d_primal = d_dual = 0.0
     if best is None or best[1] <= 0.0:
         decision = DispatchDecision(session_id=session.id, schedule=None,
                                     utility=0.0)
-        state.decisions.append(decision)
-        state.primal_trajectory.append(state.primal_trajectory[-1])
-        state.dual_trajectory.append(state.dual_trajectory[-1])
-        state.utilities.append(0.0)
-        return decision
-
-    schedule, u, breakdown = best
-    if not state.ledger.fits(schedule, state.config):
-        raise CapacityError(
-            f"price barrier failed: positive-utility schedule for session "
-            f"{session.id} breaches capacity")
-    d_primal = economics.primal_increment(state.ledger, schedule, state.config)
-    d_dual = _dual_increment(schedule, u, state)
-    state.ledger.apply(schedule, sign=1)
-
-    decision = DispatchDecision(session_id=session.id, schedule=schedule,
-                                utility=u, breakdown=breakdown)
+    else:
+        schedule, u, breakdown = best
+        if not state.ledger.fits(schedule, state.config):
+            raise CapacityError(
+                f"price barrier failed: positive-utility schedule for session "
+                f"{session.id} breaches capacity")
+        d_primal = economics.primal_increment(state.ledger, schedule, state.config)
+        d_dual = _dual_increment(schedule, u, state)
+        state.ledger.apply(schedule, sign=1)
+        decision = DispatchDecision(session_id=session.id, schedule=schedule,
+                                    utility=u, breakdown=breakdown)
     state.decisions.append(decision)
     state.primal_trajectory.append(state.primal_trajectory[-1] + d_primal)
     state.dual_trajectory.append(state.dual_trajectory[-1] + d_dual)
-    state.utilities.append(u)
     return decision
 
 
@@ -197,9 +180,7 @@ def run_online(sessions: Sequence[Session], config: ScenarioConfig,
     """
     state = DispatcherState.fresh(config, policy, bounds,
                                   capture_candidates=capture_candidates)
-    bad = validate_sessions(sessions, config)
-    if bad:
-        raise ValueError("invalid sessions: " + "; ".join(str(v) for v in bad[:5]))
+    check_sessions(sessions, config)
     for session in sessions:
         dispatch(session, state)
 

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Tuple, List, Sequence, TYPE_CHECKING
 
@@ -458,8 +458,17 @@ class Violation:
         return f"{self.field} at {self.where}: {self.message}"
 
 
+def _unless_finite(x: float, bound: str = "", label: str = "") -> str:
+    """The message for a number failing its range check: ``label``, the
+    number and ``bound``, or that it is not finite when it is infinite or
+    NaN, whatever its range."""
+    return f"{label}{x} {bound}" if math.isfinite(x) else f"{x} is not finite"
+
+
 def validate(config: ScenarioConfig) -> List[Violation]:
-    """Check every static invariant; an empty list means a valid instance."""
+    """Check every static invariant; an empty list means a valid instance.
+    Every number must also be finite: an infinite or NaN one is named as
+    such in place of its range (see ``_unless_finite``)."""
     out: List[Violation] = []
     T = config.horizon
     if T < 1:
@@ -470,16 +479,17 @@ def validate(config: ScenarioConfig) -> List[Violation]:
     for i, r in enumerate(config.regions):
         if r.id != i:
             out.append(Violation("region.id", f"position {i}", f"id {r.id} != position"))
-        if r.pickup_value < 0:
-            out.append(Violation("pickup_value", f"region {i}", f"{r.pickup_value} < 0"))
+        if not math.isfinite(r.pickup_value) or r.pickup_value < 0:
+            out.append(Violation("pickup_value", f"region {i}",
+                                 _unless_finite(r.pickup_value, "< 0")))
         if len(r.vehicle_limit) != T:
             out.append(Violation("vehicle_limit", f"region {i}",
                                  f"trace length {len(r.vehicle_limit)} != T={T}"))
         else:
             for t, om in enumerate(r.vehicle_limit):
-                if om < 0:
+                if not math.isfinite(om) or om < 0:
                     out.append(Violation("vehicle_limit", f"region {i} slot {t + 1}",
-                                         f"Omega={om} < 0"))
+                                         _unless_finite(om, "< 0", "Omega=")))
         if r.facility_id is not None:
             if not (0 <= r.facility_id < len(config.facilities)):
                 out.append(Violation("facility_id", f"region {i}", f"{r.facility_id} unknown"))
@@ -496,55 +506,59 @@ def validate(config: ScenarioConfig) -> List[Violation]:
             out.append(Violation("evse_count", f"facility {i}", f"M={f.evse_count} < 1"))
         if f.cables_per_evse < 1:
             out.append(Violation("cables_per_evse", f"facility {i}", f"C={f.cables_per_evse} < 1"))
-        if f.evse_energy_limit <= 0:
+        if not math.isfinite(f.evse_energy_limit) or f.evse_energy_limit <= 0:
             out.append(Violation("evse_energy_limit", f"facility {i}",
-                                 f"E={f.evse_energy_limit} <= 0"))
+                                 _unless_finite(f.evse_energy_limit, "<= 0", "E=")))
+        if not math.isfinite(f.solar_cap):
+            out.append(Violation("solar_cap", f"facility {i}", _unless_finite(f.solar_cap)))
         for name, trace in (("solar", f.solar), ("grid_price", f.grid_price),
                             ("grid_limit", f.grid_limit)):
             if len(trace) != T:
                 out.append(Violation(name, f"facility {i}",
                                      f"trace length {len(trace)} != T={T}"))
         for t, v in enumerate(f.solar[:T]):
-            if not (0 <= v <= f.solar_cap + MONEY_ATOL):
-                out.append(Violation("solar", f"facility {i} slot {t + 1}",
-                                     f"delta={v} outside [0, {f.solar_cap}]"))
+            if not math.isfinite(v) or not 0 <= v <= f.solar_cap + MONEY_ATOL:
+                out.append(Violation("solar", f"facility {i} slot {t + 1}", _unless_finite(
+                    v, f"outside [0, {f.solar_cap}]", "delta=")))
         for t, v in enumerate(f.grid_price[:T]):
-            if v <= 0:
-                out.append(Violation("grid_price", f"facility {i} slot {t + 1}", f"pi={v} <= 0"))
+            if not math.isfinite(v) or v <= 0:
+                out.append(Violation("grid_price", f"facility {i} slot {t + 1}",
+                                     _unless_finite(v, "<= 0", "pi=")))
         for t, v in enumerate(f.grid_limit[:T]):
-            if v < 0:
-                out.append(Violation("grid_limit", f"facility {i} slot {t + 1}", f"mu={v} < 0"))
+            if not math.isfinite(v) or v < 0:
+                out.append(Violation("grid_limit", f"facility {i} slot {t + 1}",
+                                     _unless_finite(v, "< 0", "mu=")))
 
     if len(config.out_of_service_cap) != T:
         out.append(Violation("out_of_service_cap", "config", "trace length != T"))
     else:
         for t, v in enumerate(config.out_of_service_cap):
-            if v < 1:
-                out.append(Violation("out_of_service_cap", f"slot {t + 1}", f"I={v} < 1"))
+            if not math.isfinite(v) or v < 1:
+                out.append(Violation("out_of_service_cap", f"slot {t + 1}",
+                                     _unless_finite(v, "< 1", "I=")))
     if len(config.out_of_service_penalty) != T:
         out.append(Violation("out_of_service_penalty", "config", "trace length != T"))
     else:
         for t, v in enumerate(config.out_of_service_penalty):
-            if v < 0:
-                out.append(Violation("out_of_service_penalty", f"slot {t + 1}", f"phi={v} < 0"))
+            if not math.isfinite(v) or v < 0:
+                out.append(Violation("out_of_service_penalty", f"slot {t + 1}",
+                                     _unless_finite(v, "< 0", "phi=")))
 
-    if config.battery_capacity <= 0:
+    if not math.isfinite(config.battery_capacity) or config.battery_capacity <= 0:
         out.append(Violation("battery_capacity", "config",
-                             f"{config.battery_capacity} <= 0"))
+                             _unless_finite(config.battery_capacity, "<= 0")))
     inc = config.charge_increment
-    if inc <= 0:
-        out.append(Violation("charge_increment", "config", f"{inc} <= 0"))
-    elif config.battery_capacity > 0:
+    if not math.isfinite(inc) or inc <= 0:
+        out.append(Violation("charge_increment", "config", _unless_finite(inc, "<= 0")))
+    elif math.isfinite(config.battery_capacity) and config.battery_capacity > 0:
         k = round(config.battery_capacity / inc)
         if k < 1 or abs(k * inc - config.battery_capacity) > MONEY_ATOL:
             out.append(Violation("charge_increment", "config",
                                  f"{inc} does not divide capacity {config.battery_capacity}"))
-    if config.per_hop_energy < 0:
-        out.append(Violation("per_hop_energy", "config", "< 0"))
-    if config.per_hop_value_penalty < 0:
-        out.append(Violation("per_hop_value_penalty", "config", "< 0"))
-    if config.soc_value_slope < 0:
-        out.append(Violation("soc_value_slope", "config", "< 0"))
+    for name in ("per_hop_energy", "per_hop_value_penalty", "soc_value_slope"):
+        v = getattr(config, name)
+        if not math.isfinite(v) or v < 0:
+            out.append(Violation(name, "config", _unless_finite(v, "< 0")))
 
     for a, b in config.edges:
         if not (0 <= a < n and 0 <= b < n):
@@ -589,6 +603,14 @@ def validate_sessions(sessions: Sequence[Session],
         if not 0 <= s.origin_region < len(config.regions):
             out.append(Violation("origin_region", where, f"{s.origin_region} unknown"))
     return out
+
+
+def check_sessions(sessions: Sequence[Session], config: ScenarioConfig) -> None:
+    """Raise ``ValueError("invalid sessions: …")`` if validate_sessions
+    finds a problem; every solver calls it before its first session."""
+    bad = validate_sessions(sessions, config)
+    if bad:
+        raise ValueError("invalid sessions: " + "; ".join(str(v) for v in bad[:5]))
 
 
 # ---------------------------------------------------------------------------

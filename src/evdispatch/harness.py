@@ -444,6 +444,8 @@ def _read_trace_csv(path: str, facility_count: int, horizon: int,
             if not x.is_integer():  # false for inf as well
                 raise ValueError(f"{path}: row {rownum}: facility or slot "
                                  f"{cell.strip()} is not an integer")
+        if math.isinf(nums[-1]):
+            raise ValueError(f"{path}: row {rownum}: infinite {kind} value")
         if width == 3:
             fac, slot, value = int(nums[0]), int(nums[1]), nums[2]
             targets = [fac]

@@ -24,7 +24,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from . import pricing
 from .constants import MONEY_ATOL
 from .domain import (
-    ResourceLedger, ScenarioConfig, Schedule, Session, hop_row, plan_value,
+    ResourceLedger, ScenarioConfig, Schedule, Session, check_sessions, hop_row,
+    plan_value,
 )
 from .economics import primal_increment
 
@@ -60,13 +61,8 @@ def session_upper_bound(session: Session, config: ScenarioConfig,
     candidate schedules, when given, join the maximization as-is.
     """
     return _session_bound(session, config, _phi_prefix(config),
-                          _bound_targets(config, charge_targets), candidates)
-
-
-def _bound_targets(config: ScenarioConfig,
-                   charge_targets: Optional[Sequence[float]]) -> Tuple[float, ...]:
-    return (tuple(sorted(charge_targets)) if charge_targets is not None
-            else pricing.default_charge_targets(config))
+                          pricing.sorted_charge_targets(config, charge_targets),
+                          candidates)
 
 
 def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float],
@@ -136,9 +132,13 @@ def upper_bound(sessions: Sequence[Session], config: ScenarioConfig,
                 charge_targets: Optional[Sequence[float]] = None,
                 candidate_sets: Optional[Mapping[int, Sequence[Schedule]]] = None,
                 ) -> float:
-    """Capacity-free welfare upper bound for a whole session stream."""
+    """Capacity-free welfare upper bound for a whole session stream.
+
+    Raises ValueError on a stream that ``validate_sessions`` rejects.
+    """
+    check_sessions(sessions, config)
     prefix = _phi_prefix(config)
-    targets = _bound_targets(config, charge_targets)
+    targets = pricing.sorted_charge_targets(config, charge_targets)
     total = 0.0
     for session in sessions:
         extra = candidate_sets.get(session.id, ()) if candidate_sets else ()
@@ -185,8 +185,10 @@ def exact_offline(sessions: Sequence[Session], config: ScenarioConfig,
     own service-window penalty are dropped (they can never help a maximum),
     and subtrees are cut with per-session bound suffix sums.
 
-    Raises ValueError when the raw search space exceeds ``space_limit``.
+    Raises ValueError on a stream that ``validate_sessions`` rejects and
+    when the raw search space exceeds ``space_limit``.
     """
+    check_sessions(sessions, config)
     size = search_space_size(sessions, candidate_sets)
     if size > space_limit:
         raise ValueError(

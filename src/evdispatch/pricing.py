@@ -20,9 +20,9 @@ per-session primal/dual inequality and weak duality hold to machine
 precision instead of only up to a discretization gap. A payment that runs
 so far past capacity that it leaves the float range is infinite. Shapes
 keep their segments for the last bounds they were priced with; a
-``Snapshot`` keeps the prices and payments of one ledger state, which the
-candidate build takes per ``feasible_schedules`` call and the dispatcher
-per ``dispatch`` call.
+``Snapshot`` keeps the prices and payments of one ledger state: each
+``dispatch`` call takes one and hands it to both the candidate build and
+the pricing of the candidates.
 """
 
 from __future__ import annotations
@@ -532,6 +532,15 @@ def default_charge_targets(config: ScenarioConfig) -> Tuple[float, ...]:
     """Every multiple of charge_increment up to the battery capacity."""
     k = round(config.battery_capacity / config.charge_increment)
     return tuple(config.charge_increment * i for i in range(1, k + 1))
+
+
+def sorted_charge_targets(config: ScenarioConfig,
+                          charge_targets: Optional[Sequence[float]]) -> Tuple[float, ...]:
+    """The given charge targets in ascending order; None means every
+    default multiple."""
+    if charge_targets is not None:
+        return tuple(sorted(charge_targets))
+    return default_charge_targets(config)
 
 
 def effective_charge_rate(fac, charge_rate: Optional[float] = None) -> float:

@@ -16,6 +16,9 @@ target) pair streams its batches into one heap, one batch at a time and
 each group's destinations one at a time, and the build stops at the cap:
 the order is exactly that of sorting every tuple, and only the tuples
 near the top are ever valued.
+
+The builder reads posted prices from the ``pricing.Snapshot`` its caller
+took of the ledger; ``dispatch`` prices the candidates from the same one.
 """
 
 from __future__ import annotations
@@ -27,20 +30,23 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import pricing
 from .constants import MONEY_ATOL
-from .domain import (
-    ResourceLedger, ScenarioConfig, Schedule, Session, hop_row, plan_value,
-)
-from .pricing import CABLE, PriceBounds, Snapshot
+from .domain import ScenarioConfig, Schedule, Session, hop_row, plan_value
+from .pricing import CABLE, Snapshot
+
+#: How many nearest facilities a session considers.
+MAX_CANDIDATE_FACILITIES = 8
+#: Latest charging start, in slots after facility arrival. Offset w widens
+#: the dwell window to k + w slots, within which the k charging slots are
+#: chosen greedily by posted price.
+MAX_START_OFFSET = 4
 
 
 @dataclass(frozen=True)
 class GenerationPolicy:
-    """Knobs bounding the candidate enumeration.
+    """The caller's knobs on the candidate enumeration.
 
     Attributes
     ----------
-    max_candidate_facilities:
-        How many nearest facilities to consider per session.
     charge_targets:
         Allowed charge amounts in kWh, multiples of charge_increment;
         None means every multiple up to the battery capacity.
@@ -48,25 +54,15 @@ class GenerationPolicy:
         Per-vehicle kWh drawn per charging slot; None means each
         facility's fair share, its EVSE energy budget divided by the
         cables that can draw from it at once.
-    max_start_offset:
-        Latest allowed charging start, in slots after facility arrival.
-        Offset w widens the dwell window to k + w slots, within which the
-        k charging slots are chosen greedily by posted price.
     max_candidates_total:
         Hard cap on charging candidates per session. Pure rebalances are
         always all included; they are the cheap fallback moves and cost
         nothing to build.
-    dest_hop_radius:
-        Maximum hops from the route anchor to a destination; None means
-        the whole graph.
     """
 
-    max_candidate_facilities: int = 8
     charge_targets: Optional[Tuple[float, ...]] = None
     charge_rate: Optional[float] = None
-    max_start_offset: int = 4
     max_candidates_total: int = 24
-    dest_hop_radius: Optional[int] = None
 
 
 DEFAULT_POLICY = GenerationPolicy()
@@ -74,14 +70,8 @@ DEFAULT_POLICY = GenerationPolicy()
 
 def validate_policy(policy: GenerationPolicy, config: ScenarioConfig) -> List[str]:
     out = []
-    if policy.max_candidate_facilities < 1:
-        out.append("max_candidate_facilities must be >= 1")
     if policy.max_candidates_total < 1:
         out.append("max_candidates_total must be >= 1")
-    if policy.max_start_offset < 0:
-        out.append("max_start_offset must be >= 0")
-    if policy.dest_hop_radius is not None and policy.dest_hop_radius < 0:
-        out.append("dest_hop_radius must be >= 0 when set")
     if policy.charge_rate is not None and policy.charge_rate <= 0:
         out.append("charge_rate must be positive when set")
     if policy.charge_targets is not None:
@@ -93,16 +83,10 @@ def validate_policy(policy: GenerationPolicy, config: ScenarioConfig) -> List[st
     return out
 
 
-def _targets(config: ScenarioConfig, policy: GenerationPolicy) -> Tuple[float, ...]:
-    if policy.charge_targets is not None:
-        return tuple(sorted(policy.charge_targets))
-    return pricing.default_charge_targets(config)
-
-
-def feasible_schedules(session: Session, config: ScenarioConfig,
-                       ledger: ResourceLedger, bounds: PriceBounds, psi_: int,
+def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapshot,
                        policy: GenerationPolicy = DEFAULT_POLICY) -> List[Schedule]:
-    """Candidate schedules for a session against the current ledger.
+    """Candidate schedules for a session against the ledger state that
+    ``prices`` was taken of.
 
     Deterministic in its inputs. Sessions arriving in the final slot get
     no candidates: there is no slot left to complete any move. Every
@@ -120,7 +104,6 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
     e_hop = config.per_hop_energy
     energy0 = session.soc * cap
     t0 = session.t_minus
-    radius = policy.dest_hop_radius
     # the origin's hop row, read once; -1 marks an unreachable region
     origin_hops = hop_row(session.origin_region, config)
 
@@ -128,8 +111,6 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
     out: List[Schedule] = []
     for dest, h2 in enumerate(origin_hops):
         if h2 < 0:
-            continue
-        if radius is not None and h2 > radius:
             continue
         if energy0 - h2 * e_hop < -MONEY_ATOL:
             continue
@@ -155,7 +136,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
             continue
         facs.append((h1, fac.id))
     facs.sort()
-    facs = facs[:policy.max_candidate_facilities]
+    facs = facs[:MAX_CANDIDATE_FACILITIES]
 
     # A stream walks the facility's destination batches
     # (``Destinations.batches``) best first. The heap holds
@@ -168,7 +149,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
     # bit for bit and follow it in ascending order, each pushed when the
     # one before it pops.
     tuples = []
-    targets = _targets(config, policy)
+    targets = pricing.sorted_charge_targets(config, policy.charge_targets)
     for h1, fid in facs:
         fac = config.facilities[fid]
         arrival_energy = energy0 - h1 * e_hop
@@ -182,17 +163,13 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
             k = math.ceil(target / rate - 1e-12)
             if t_arr + k - 1 > T:
                 continue
-            reach = T - (t_arr + k - 1)
-            if radius is not None:
-                reach = min(reach, radius)
-            _push_batch(_Stream(fid, target, h1, k, arrival_energy + target, reach,
-                                batches), tuples, config)
+            _push_batch(_Stream(fid, target, h1, k, arrival_energy + target,
+                                T - (t_arr + k - 1), batches), tuples, config)
 
     # ---- build charging tuples, best value first, until the cap ----
     # A window runs from the facility arrival slot t_arr, fixed per
     # facility, to its end slot, so the EVSE and the slot ranking depend
     # on (facility, window end) only, and the chosen slots on k as well.
-    prices = Snapshot(ledger, bounds, psi_)
     windows = {}  # (facility, window end) -> (EVSE, slots cheapest first)
     plans = {}  # (facility, window end, k) -> (EVSE, chosen slots, dearest)
     seen = set()
@@ -209,7 +186,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
         fac = config.facilities[fid]
         t_arr = t0 + h1
         rate = pricing.effective_charge_rate(fac, policy.charge_rate)
-        for w in range(policy.max_start_offset + 1):
+        for w in range(MAX_START_OFFSET + 1):
             if built_charges >= policy.max_candidates_total:
                 break
             hi = min(T - h2, t_arr + k - 1 + w)
@@ -248,7 +225,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig,
 class _Stream:
     """The charging tuples of one (facility, charge target), walked batch
     by batch. ``stored`` is the energy on leaving the facility, ``reach``
-    the farthest hop count the horizon and the radius allow, and ``next``
+    the farthest hop count the horizon allows, and ``next``
     the batch to push next."""
 
     fid: int

@@ -65,6 +65,43 @@ def broken_sessions():
     }
 
 
+def broken_configs():
+    """The tiny seed-0 day with one number of its config made infinite or
+    NaN per name: (the field a validator must name, the broken config).
+    The first six each passed ``validate`` and then broke the online run:
+    an IndexError, a capacity breach, a math domain error or NaN welfare."""
+    config, _ = harness.generate_scenario(0, "tiny")
+    fac, region = config.facilities[0], config.regions[0]
+
+    def facility(**changes):
+        return replace(config, facilities=(replace(fac, **changes),) + config.facilities[1:])
+
+    def first(trace, x):
+        return (x,) + tuple(trace[1:])
+
+    return {
+        "evse_energy_limit inf": ("evse_energy_limit", facility(evse_energy_limit=math.inf)),
+        "pickup_value inf": ("pickup_value", replace(
+            config, regions=(replace(region, pickup_value=math.inf),) + config.regions[1:])),
+        "per_hop_energy nan": ("per_hop_energy", replace(config, per_hop_energy=math.nan)),
+        "grid_price nan": ("grid_price", facility(grid_price=first(fac.grid_price, math.nan))),
+        "out_of_service_penalty nan": ("out_of_service_penalty", replace(
+            config, out_of_service_penalty=first(config.out_of_service_penalty, math.nan))),
+        "per_hop_value_penalty inf": ("per_hop_value_penalty",
+                                      replace(config, per_hop_value_penalty=math.inf)),
+        "vehicle_limit inf": ("vehicle_limit", replace(config, regions=(replace(
+            region, vehicle_limit=first(region.vehicle_limit, math.inf)),) + config.regions[1:])),
+        "solar_cap inf": ("solar_cap", facility(solar_cap=math.inf)),
+        "solar nan": ("solar", facility(solar=first(fac.solar, math.nan))),
+        "grid_limit inf": ("grid_limit", facility(grid_limit=first(fac.grid_limit, math.inf))),
+        "out_of_service_cap inf": ("out_of_service_cap", replace(
+            config, out_of_service_cap=first(config.out_of_service_cap, math.inf))),
+        "battery_capacity inf": ("battery_capacity", replace(config, battery_capacity=math.inf)),
+        "charge_increment nan": ("charge_increment", replace(config, charge_increment=math.nan)),
+        "soc_value_slope -inf": ("soc_value_slope", replace(config, soc_value_slope=-math.inf)),
+    }
+
+
 @pytest.fixture
 def mini_config() -> ScenarioConfig:
     return build_mini_config()

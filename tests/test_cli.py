@@ -7,7 +7,9 @@ import json
 import pytest
 
 from evdispatch.cli import main
-from evdispatch.harness import read_report
+from evdispatch.harness import read_report, write_config
+
+from conftest import broken_configs
 
 
 def test_generate_writes_both_files(tmp_path, capsys):
@@ -88,7 +90,8 @@ def test_missing_files_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", [["run"], ["run-baseline", "--threshold", "50"]])
+@pytest.mark.parametrize("command", [["run"], ["run-baseline", "--threshold", "50"],
+                                     ["offline-ub"]])
 def test_run_on_invalid_sessions_exits_one_and_writes_nothing(tmp_path, capsys, command):
     inst = tmp_path / "inst"
     main(["generate", "--seed", "0", "--preset", "tiny", "--out", str(inst)])
@@ -104,6 +107,26 @@ def test_run_on_invalid_sessions_exits_one_and_writes_nothing(tmp_path, capsys, 
     assert code == 1
     err = capsys.readouterr().err
     assert "invalid sessions: soc at session 0: 1.5 outside [0, 1]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("defect", ["evse_energy_limit inf", "per_hop_value_penalty inf"])
+def test_run_on_a_non_finite_config_exits_one_and_writes_nothing(tmp_path, capsys, defect):
+    """The JSON file spells the number Infinity. The first config used to
+    die with an IndexError traceback; the second exited 0, wrote its
+    artifacts and printed welfare=nan."""
+    inst = tmp_path / "inst"
+    main(["generate", "--seed", "0", "--preset", "tiny", "--out", str(inst)])
+    field, config = broken_configs()[defect]
+    bad = tmp_path / "bad.json"
+    write_config(config, str(bad))
+    assert f'"{field}": Infinity' in bad.read_text()
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(bad), "--sessions",
+                 str(inst / "sessions-seed0.csv"), "--out", str(out)])
+    assert code == 1
+    assert f"invalid config: {field} at " in capsys.readouterr().err
     assert not out.exists()
 
 

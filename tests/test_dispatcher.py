@@ -18,10 +18,15 @@ from evdispatch.domain import (
     CapacityError, ResourceLedger, Session, recompute_ledger,
 )
 from evdispatch.harness import PRESETS, generate_scenario
-from evdispatch.pricing import DESTINATION, PriceBounds, cell_index
+from evdispatch.pricing import DESTINATION, PriceBounds, Snapshot, cell_index
 from evdispatch.schedules import GenerationPolicy, feasible_schedules
 
-from conftest import broken_sessions, build_mini_config
+from conftest import broken_configs, broken_sessions, build_mini_config
+
+
+def _prices(state):
+    """A snapshot of the state's live ledger, as ``dispatch`` takes one."""
+    return Snapshot(state.ledger, state.bounds, state.psi)
 
 
 def test_fresh_rejects_invalid_config():
@@ -65,21 +70,21 @@ def test_utility_is_value_minus_payments(mini_config, mini_session,
                                          mini_charge, mini_rebalance):
     state = DispatcherState.fresh(mini_config)
     for schedule in (mini_charge, mini_rebalance):
-        u, breakdown = utility_breakdown(schedule, state)
+        u, breakdown = utility_breakdown(schedule, _prices(state))
         assert u == pytest.approx(schedule.value - breakdown.total)
         assert breakdown.total > 0
     # prices are nondecreasing in load, so utility can only fall
-    before = utility_breakdown(mini_charge, state)[0]
+    before = utility_breakdown(mini_charge, _prices(state))[0]
     state.ledger.apply(mini_charge, sign=1)
-    after = utility_breakdown(mini_charge, state)[0]
+    after = utility_breakdown(mini_charge, _prices(state))[0]
     assert after < before
 
 
 def test_dispatch_picks_the_utility_argmax(mini_config, mini_session):
     probe = DispatcherState.fresh(mini_config)
-    candidates = feasible_schedules(mini_session, mini_config, probe.ledger,
-                                    probe.bounds, probe.psi, probe.policy)
-    utilities = [utility_breakdown(s, probe)[0] for s in candidates]
+    prices = _prices(probe)
+    candidates = feasible_schedules(mini_session, mini_config, prices, probe.policy)
+    utilities = [utility_breakdown(s, prices)[0] for s in candidates]
 
     state = DispatcherState.fresh(mini_config)
     decision = dispatch(mini_session, state)
@@ -125,6 +130,25 @@ def test_runs_reject_invalid_sessions_before_the_first(defect, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("defect", sorted(broken_configs()))
+def test_runs_reject_non_finite_configs_before_the_first(defect, monkeypatch):
+    """Without the check, an infinite EVSE energy limit raised IndexError
+    mid-run, an infinite pickup value or a NaN hop energy breached
+    capacity, a NaN grid price or penalty raised a math domain error, and
+    an infinite hop penalty gave NaN welfare."""
+    field, config = broken_configs()[defect]
+    _, sessions = generate_scenario(0, "tiny")
+    calls = []
+    monkeypatch.setattr(dispatcher, "dispatch", lambda *args: calls.append(args))
+    monkeypatch.setattr(baselines, "threshold_dispatch", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"invalid config: {field} at "):
+        run_online(sessions, config)
+    for threshold in (0.25, 0.5, 0.75):
+        with pytest.raises(ValueError, match=f"invalid config: {field} at "):
+            run_threshold(sessions, config, threshold)
+    assert calls == []
+
+
 def test_candidate_with_infinite_payment_is_never_chosen(mini_config,
                                                        mini_session):
     # 0.01 kWh of grid and no solar: charging 5 kWh overflows the payment
@@ -132,9 +156,9 @@ def test_candidate_with_infinite_payment_is_never_chosen(mini_config,
                               grid_limit=(0.01,) * mini_config.horizon)
     config = dataclasses.replace(mini_config, facilities=(fac,))
     state = DispatcherState.fresh(config)
-    candidates = feasible_schedules(mini_session, config, state.ledger,
-                                    state.bounds, state.psi, state.policy)
-    priced = [utility_breakdown(s, state) for s in candidates]
+    prices = _prices(state)
+    candidates = feasible_schedules(mini_session, config, prices, state.policy)
+    priced = [utility_breakdown(s, prices) for s in candidates]
     infinite = [s for s, (u, b) in zip(candidates, priced)
                 if b.generation == math.inf]
     assert infinite and all(u == -math.inf for u, b in priced
@@ -170,12 +194,11 @@ def test_replay_matches_decisions(tiny_instance):
     state = DispatcherState.fresh(config)
     for k, session in enumerate(sessions):
         candidates = captured[session.id]
-        assert candidates == feasible_schedules(
-            session, config, state.ledger, state.bounds, state.psi,
-            state.policy)
+        prices = _prices(state)
+        assert candidates == feasible_schedules(session, config, prices, state.policy)
         best_key, best = None, None
         for idx, s in enumerate(candidates):
-            u = utility_breakdown(s, state)[0]
+            u = utility_breakdown(s, prices)[0]
             key = (u, -s.t_plus, -idx)
             if best_key is None or key > best_key:
                 best_key, best = key, s
@@ -216,7 +239,7 @@ def test_trajectories_tie_out_to_the_objectives(tiny_instance):
     # the stored dual curve is shifted to start at zero
     base = economics.dual_objective([], ResourceLedger.zero(config), config,
                                     state.bounds, state.psi)
-    full = economics.dual_objective(state.utilities, ledger, config,
+    full = economics.dual_objective([d.utility for d in state.decisions], ledger, config,
                                     state.bounds, state.psi)
     assert state.dual_trajectory[-1] == pytest.approx(full - base, abs=1e-8)
     # weak duality in unshifted terms

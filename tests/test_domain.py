@@ -23,7 +23,7 @@ from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE, cell_index,
 )
 
-from conftest import broken_sessions, build_mini_config
+from conftest import broken_configs, broken_sessions, build_mini_config
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,17 @@ def test_validate_catches_bad_horizon(mini_config):
     bad = dataclasses.replace(mini_config, horizon=0)
     out = validate(bad)
     assert len(out) == 1 and out[0].field == "horizon"
+
+
+@pytest.mark.parametrize("defect", sorted(broken_configs()))
+def test_validate_names_each_non_finite_number(defect):
+    """Each one is named once, and no range check of it adds a second
+    violation or raises: an infinite battery made the divisibility check
+    raise OverflowError."""
+    field, config = broken_configs()[defect]
+    found = validate(config)
+    assert [(v.field, v.message.endswith("is not finite")) for v in found] == [
+        (field, True)], found
 
 
 def test_validate_sessions_accepts_generated_streams(tiny_instance, desk_instance):

@@ -172,6 +172,8 @@ def test_ingest_solar_respects_the_cap(tmp_path):
     ("5\n", "expected 2 or 3 columns"),
     ("5,abc\n", "row 13: could not convert"),
     ("5,nan\n", "NaN price"),
+    ("5,inf\n", "row 13: infinite price value"),
+    ("5,-inf\n", "row 13: infinite price value"),
     ("99,0.5\n", "slot 99 outside"),
     ("1,0.5\n", "duplicate entry"),
 ])

@@ -19,6 +19,8 @@ from evdispatch.offline import (
 )
 from evdispatch.schedules import GenerationPolicy
 
+from conftest import broken_sessions
+
 
 def test_session_upper_bound_by_hand(mini_config, mini_session):
     # the bound charges at the full 10 kWh EVSE rate, so charge-to-headroom
@@ -128,6 +130,22 @@ def test_exact_welfare_ignores_candidate_order():
     a = exact_offline(sessions, config, captured)
     b = exact_offline(sessions, config, shuffled)
     assert a.welfare == pytest.approx(b.welfare, abs=1e-9)
+
+
+@pytest.mark.parametrize("defect", sorted(broken_sessions()[1]))
+def test_bounds_reject_invalid_sessions(defect):
+    """On the tiny seed-0 day the bound is 124.6 and the exact optimum
+    106.375. Unchecked, a soc of 1.5 made the bound 129.15 and a NaN soc
+    104.7 (the session dropped out), and the duplicate id made the exact
+    search return 106.625."""
+    config, streams = broken_sessions()
+    _, sessions = streams[defect]
+    _, captured = run_online(generate_scenario(0, "tiny")[1], config,
+                             capture_candidates=True)
+    with pytest.raises(ValueError, match="invalid sessions: "):
+        upper_bound(sessions, config)
+    with pytest.raises(ValueError, match="invalid sessions: "):
+        exact_offline(sessions, config, captured)
 
 
 def test_exact_refuses_oversized_spaces():

@@ -1,10 +1,29 @@
-"""The package's public surface."""
+"""The package's public surface, the hooks a benchmark tracer patches, and
+the imports of every module."""
 
 from __future__ import annotations
 
+import ast
+import pathlib
 from collections import Counter
 
+import pytest
+
 import evdispatch
+from evdispatch import baselines, dispatcher, economics, offline, pricing
+from evdispatch.domain import ResourceLedger
+from evdispatch.harness import generate_scenario
+from evdispatch.schedules import GenerationPolicy
+
+#: (owner, name) of every attribute that a tracer replaces with a counting
+#: wrapper for a run, each looked up on its owner at call time.
+HOOKS = [(dispatcher.DispatcherState, "fresh"),
+         (dispatcher, "feasible_schedules"), (dispatcher, "utility_breakdown"),
+         (dispatcher, "dispatch"), (ResourceLedger, "fits")]
+HOOKS += [(module, "primal_increment") for module in (economics, offline, baselines)]
+HOOKS += [(pricing, family.name + "_payment") for family in pricing.FAMILIES]
+
+SOURCES = sorted(pathlib.Path(evdispatch.__file__).parent.glob("*.py"))
 
 
 def test_every_export_resolves_and_appears_once():
@@ -12,3 +31,73 @@ def test_every_export_resolves_and_appears_once():
     names = evdispatch.__all__
     assert [n for n, count in Counter(names).items() if count > 1] == []
     assert [n for n in names if not hasattr(evdispatch, n)] == []
+
+
+def test_every_hook_sees_calls(monkeypatch):
+    """Each hook exists, ``fresh`` stays a classmethod, and a counting
+    wrapper on each sees calls during an online run, the three threshold
+    runs and the exact search of a tiny day."""
+    assert [(o.__name__, n) for o, n in HOOKS if not hasattr(o, n)] == []
+    fresh = dispatcher.DispatcherState.__dict__["fresh"]
+    assert isinstance(fresh, classmethod)
+
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for owner, name in HOOKS:
+        key = f"{owner.__name__}.{name}"
+        if name == "fresh":
+            monkeypatch.setattr(owner, name, classmethod(counted(key, fresh.__func__)))
+        else:
+            monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+
+    config, sessions = generate_scenario(0, "tiny")
+    _, captured = evdispatch.run_online(sessions, config,
+                                        GenerationPolicy(max_candidates_total=4),
+                                        capture_candidates=True)
+    for threshold in (0.25, 0.5, 0.75):
+        evdispatch.run_threshold(sessions, config, threshold)
+    evdispatch.exact_offline(sessions, config, captured)
+    assert [f"{o.__name__}.{n}" for o, n in HOOKS
+            if not calls[f"{o.__name__}.{n}"]] == [], calls
+
+
+def _imported(tree: ast.Module):
+    """(line, name) of every name a module binds by import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _used(tree: ast.Module):
+    """Every name a module reads, including those inside string
+    annotations such as ``"Cells"``."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield from (n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = set(_used(tree))
+    assert [(line, name) for line, name in _imported(tree) if name not in used] == []

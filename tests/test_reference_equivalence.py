@@ -3,8 +3,9 @@ heap-driven candidate build and the per-config destination ranking
 against plain reference implementations.
 
 ``utility_breakdown`` reads payments from the snapshot that ``dispatch``
-takes of the ledger: running sums of the cable and out-of-service
-payments from their first slot, and per-cell lookups of the rest.
+takes of the ledger and also hands to the candidate build: running sums
+of the cable and out-of-service payments from their first slot, and
+per-cell lookups of the rest.
 ``_dual_increment`` and ``primal_increment`` walk a schedule's demands on
 the config's cells; ``feasible_schedules`` sums cable prices as running
 sums from the arrival slot, ranks each window's slots once and stops
@@ -39,10 +40,12 @@ from evdispatch.domain import (
 from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.offline import session_upper_bound, upper_bound
 from evdispatch.schedules import (
-    DEFAULT_POLICY, _candidate_key, _targets, feasible_schedules,
+    DEFAULT_POLICY, MAX_CANDIDATE_FACILITIES, MAX_START_OFFSET, _candidate_key,
+    feasible_schedules,
 )
 from evdispatch.pricing import (
-    CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, cell_shape,
+    CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, Snapshot,
+    cell_shape, sorted_charge_targets,
 )
 
 
@@ -261,12 +264,11 @@ def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
     slope = config.soc_value_slope
     energy0 = session.soc * cap
     t0 = session.t_minus
-    radius = policy.dest_hop_radius
 
     tuples = []
     for dest in range(len(config.regions)):
         h2 = hops(session.origin_region, dest, config)
-        if h2 is UNREACHABLE or (radius is not None and h2 > radius):
+        if h2 is UNREACHABLE:
             continue
         if energy0 - h2 * e_hop < -MONEY_ATOL or t0 + h2 > T:
             continue
@@ -279,13 +281,13 @@ def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
         if h1 is UNREACHABLE or energy0 - h1 * e_hop < -MONEY_ATOL or t0 + h1 > T:
             continue
         facs.append((h1, fac.id))
-    facs = sorted(facs)[:policy.max_candidate_facilities]
+    facs = sorted(facs)[:MAX_CANDIDATE_FACILITIES]
     for h1, fid in facs:
         fac = config.facilities[fid]
         arrival_energy = energy0 - h1 * e_hop
         t_arr = t0 + h1
         rate = pricing.effective_charge_rate(fac, policy.charge_rate)
-        for target in _targets(config, policy):
+        for target in sorted_charge_targets(config, policy.charge_targets):
             if target > cap - arrival_energy + MONEY_ATOL:
                 break
             k = math.ceil(target / rate - 1e-12)
@@ -293,7 +295,7 @@ def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
                 continue
             for dest in range(len(config.regions)):
                 h2 = hops(fac.region_id, dest, config)
-                if h2 is UNREACHABLE or (radius is not None and h2 > radius):
+                if h2 is UNREACHABLE:
                     continue
                 final = arrival_energy + target - h2 * e_hop
                 if final < -MONEY_ATOL or t_arr + k - 1 + h2 > T:
@@ -315,7 +317,7 @@ def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
         fac = config.facilities[fid]
         t_arr = t0 + h1
         rate = pricing.effective_charge_rate(fac, policy.charge_rate)
-        for w in range(policy.max_start_offset + 1):
+        for w in range(MAX_START_OFFSET + 1):
             if built >= policy.max_candidates_total:
                 break
             window = list(range(t_arr, min(T - h2, t_arr + k - 1 + w) + 1))
@@ -360,8 +362,8 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
     # every utility dispatch computes, read from its snapshot
     inside = []
 
-    def recorded(schedule, state_):
-        out = utility_breakdown(schedule, state_)
+    def recorded(schedule, prices):
+        out = utility_breakdown(schedule, prices)
         inside.append((schedule, out))
         return out
     monkeypatch.setattr(dispatcher, "utility_breakdown", recorded)
@@ -369,16 +371,16 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
     coordinates = _coordinates(config)
     priced = committed = 0
     for session in sessions:
-        candidates = feasible_schedules(session, config, state.ledger,
-                                        state.bounds, state.psi, state.policy)
+        live = Snapshot(state.ledger, state.bounds, state.psi)
+        candidates = feasible_schedules(session, config, live, state.policy)
         assert candidates == reference_feasible_schedules(
             session, config, state.ledger, state.bounds, state.psi, state.policy)
         loads = _loads(config, state.ledger, coordinates)
         expected = [reference_utility_breakdown(s, state, loads) for s in candidates]
         dual_steps = {}
         for schedule, (u, breakdown) in zip(candidates, expected):
-            # outside dispatch, the live ledger
-            assert utility_breakdown(schedule, state) == (u, breakdown)
+            # outside dispatch, a snapshot of the live ledger
+            assert utility_breakdown(schedule, live) == (u, breakdown)
             # increments are taken of schedules that fit, as every committed
             # one does
             if state.ledger.fits(schedule, config):
@@ -428,7 +430,8 @@ def test_no_running_sum_outlives_its_dispatch(monkeypatch):
         fresh_calls, before = calls[0] - before, calls[0]
         decision = dispatch(session, state)
         assert calls[0] - before == fresh_calls
-        assert state.snapshot is None and twin.snapshot is None
+        assert not any(isinstance(v, Snapshot)
+                       for v in (*vars(state).values(), *vars(twin).values()))
         outcomes.add(decision.is_depot)
     assert outcomes == {True, False}
 
@@ -480,7 +483,8 @@ def _assert_enumeration_matches(seed, sessions, policy=DEFAULT_POLICY, **values)
     config, stream = generate_scenario(seed, params)
     ledger = ResourceLedger.zero(config)
     for session in stream:
-        got = feasible_schedules(session, config, ledger, DESK_BOUNDS, DESK_PSI, policy)
+        got = feasible_schedules(session, config, Snapshot(ledger, DESK_BOUNDS, DESK_PSI),
+                                 policy)
         assert got == reference_feasible_schedules(session, config, ledger, DESK_BOUNDS,
                                                    DESK_PSI, policy), session
 
@@ -507,15 +511,13 @@ _rates = st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.1, 1 / 3, 0.7]))
 @given(pickups=st.one_of(_large, _small).filter(lambda p: max(p) > 0),
        slope=_rates, penalty=_rates,
        per_hop_energy=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
-       radius=st.one_of(st.none(), st.integers(0, 6)),
        cap=st.sampled_from([4, 24, 200]),
        seed=st.integers(0, 2))
 @example(pickups=[3e8 + 0.1, 3e8 + 0.3, 3e8 + 0.2], slope=0.1, penalty=0.1,
-         per_hop_energy=1.0, radius=None, cap=24, seed=1)
+         per_hop_energy=1.0, cap=24, seed=1)
 def test_enumeration_matches_at_any_magnitude(pickups, slope, penalty, per_hop_energy,
-                                              radius, cap, seed):
-    policy = dataclasses.replace(DEFAULT_POLICY, dest_hop_radius=radius,
-                                 max_candidates_total=cap)
+                                              cap, seed):
+    policy = dataclasses.replace(DEFAULT_POLICY, max_candidates_total=cap)
     _assert_enumeration_matches(
         seed, 25, policy, pickup_values=tuple(pickups), soc_value_slope=slope,
         per_hop_value_penalty=penalty, per_hop_energy=per_hop_energy)

@@ -24,7 +24,8 @@ def _candidates(config, session, policy=DEFAULT_POLICY, ledger=None):
     psi_ = pricing.psi(config)
     if ledger is None:
         ledger = ResourceLedger.zero(config)
-    return feasible_schedules(session, config, ledger, bounds, psi_, policy)
+    return feasible_schedules(session, config, pricing.Snapshot(ledger, bounds, psi_),
+                              policy)
 
 
 def test_mini_candidate_set_by_hand(mini_config, mini_session, mini_charge):
@@ -144,23 +145,12 @@ def test_remainder_lands_on_the_dearest_slot():
         assert dict(s.energy_slots)[3] == pytest.approx(2.5)
 
 
-def test_dest_hop_radius_limits_destinations(mini_config, mini_session):
-    policy = GenerationPolicy(dest_hop_radius=0)
-    out = _candidates(mini_config, mini_session, policy)
-    for s in out:
-        if s.charging:
-            assert s.dest_region == 0  # the facility's own region
-        else:
-            assert s.dest_region == 1  # the session's origin
-
-
 def test_policy_validation(mini_config):
     assert validate_policy(DEFAULT_POLICY, mini_config) == []
-    bad = GenerationPolicy(max_candidate_facilities=0, max_candidates_total=0,
-                           max_start_offset=-1, dest_hop_radius=-2,
-                           charge_rate=-1.0, charge_targets=(3.0,))
+    bad = GenerationPolicy(max_candidates_total=0, charge_rate=-1.0,
+                           charge_targets=(3.0,))
     problems = validate_policy(bad, mini_config)
-    assert len(problems) == 6
+    assert len(problems) == 3
 
 
 def test_low_battery_cannot_reach_far_destinations(mini_config):
