@@ -3,7 +3,7 @@
 A threshold policy never looks at prices. A vehicle above the state of
 charge threshold takes the most valuable reachable pickup immediately;
 a vehicle below it drives to the nearest facility, charges to full at the
-maximum rate in back-to-back slots (waiting a bounded number of slots
+maximum rate in back-to-back slots (waiting up to ``PATIENCE`` slots
 when the facility is busy), and only then takes a pickup. Capacity is
 respected by construction, value is whatever falls out.
 """
@@ -16,11 +16,15 @@ from typing import List, Optional, Sequence, Tuple
 from .constants import MONEY_ATOL
 from .domain import (
     DispatchDecision, ResourceLedger, RunReport, ScenarioConfig, Schedule,
-    Session, UNREACHABLE, check_sessions, hops, instance_hash, plan_value, validate,
+    Session, UNREACHABLE, check_config, check_sessions, hops, instance_hash, plan_value,
 )
 from .dispatcher import peak_utilization
 from .economics import primal_increment
 from .pricing import GENERATION, psi as compute_psi
+
+#: How many slots past its facility arrival a charging vehicle may wait
+#: for a start that fits; read at call time.
+PATIENCE = 4
 
 
 def _dest_order(config: ScenarioConfig, anchor: int) -> Tuple[Tuple[int, int], ...]:
@@ -54,10 +58,10 @@ def _rebalance(session: Session, config: ScenarioConfig,
 
 
 def _charge_then_go(session: Session, config: ScenarioConfig,
-                    ledger: ResourceLedger, patience: int) -> Optional[Schedule]:
+                    ledger: ResourceLedger) -> Optional[Schedule]:
     """Charge to full at the nearest facility, then the best pickup.
 
-    Tries start delays of 0..patience slots and EVSEs in index order;
+    Tries start delays of 0..PATIENCE slots and EVSEs in index order;
     gives up (depot) when nothing fits.
     """
     T = config.horizon
@@ -91,7 +95,7 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
     generation = config.cells.shapes[GENERATION]
     row = fac.id * T - 1
 
-    for wait in range(patience + 1):
+    for wait in range(PATIENCE + 1):
         start = t_arr + wait
         done = start + k - 1
         if done > T:
@@ -120,18 +124,17 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
 
 
 def threshold_dispatch(session: Session, config: ScenarioConfig,
-                       ledger: ResourceLedger, threshold: float,
-                       patience: int = 4) -> Optional[Schedule]:
+                       ledger: ResourceLedger, threshold: float) -> Optional[Schedule]:
     """One session under the threshold policy; None means depot."""
     if session.t_minus >= config.horizon:
         return None
     if session.soc >= threshold:
         return _rebalance(session, config, ledger)
-    return _charge_then_go(session, config, ledger, patience)
+    return _charge_then_go(session, config, ledger)
 
 
 def run_threshold(sessions: Sequence[Session], config: ScenarioConfig,
-                  threshold: float = 0.5, patience: int = 4) -> RunReport:
+                  threshold: float = 0.5) -> RunReport:
     """Run a threshold baseline over an ordered session stream.
 
     The recorded utility of a decision is the raw schedule value; the
@@ -139,19 +142,14 @@ def run_threshold(sessions: Sequence[Session], config: ScenarioConfig,
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold {threshold} outside (0, 1)")
-    if patience < 0:
-        raise ValueError("patience must be >= 0")
-    problems = validate(config)
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(str(p) for p in problems[:5]))
-
+    check_config(config)
     check_sessions(sessions, config)
 
     ledger = ResourceLedger.zero(config)
     decisions: List[DispatchDecision] = []
     primal = [0.0]
     for session in sessions:
-        schedule = threshold_dispatch(session, config, ledger, threshold, patience)
+        schedule = threshold_dispatch(session, config, ledger, threshold)
         if schedule is None:
             decisions.append(DispatchDecision(session_id=session.id,
                                               schedule=None, utility=0.0))

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import economics, pricing
 from .domain import (
     CapacityError, DispatchDecision, PriceBreakdown, ResourceLedger, RunReport,
-    ScenarioConfig, Schedule, Session, check_sessions, instance_hash, validate,
+    ScenarioConfig, Schedule, Session, check_config, check_sessions, instance_hash,
 )
 from .pricing import CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PriceBounds, Snapshot
 from .schedules import (
@@ -45,27 +45,13 @@ class DispatcherState:
 
     @classmethod
     def fresh(cls, config: ScenarioConfig, policy: GenerationPolicy = DEFAULT_POLICY,
-              bounds: Optional[PriceBounds] = None,
               capture_candidates: bool = False) -> "DispatcherState":
-        problems = validate(config)
-        if problems:
-            raise ValueError("invalid config: " + "; ".join(str(p) for p in problems[:5]))
-        bad_policy = validate_policy(policy, config)
+        check_config(config)
+        bad_policy = validate_policy(policy)
         if bad_policy:
             raise ValueError("invalid policy: " + "; ".join(bad_policy))
         psi_ = pricing.psi(config)
-        if bounds is None:
-            bounds = pricing.estimate_bounds(config, policy.charge_targets,
-                                             policy.charge_rate)
-        else:
-            bad = pricing.validate_bounds(bounds, config)
-            if bad:
-                raise ValueError("invalid bounds: " + "; ".join(bad))
-            short = pricing.barrier_problems(bounds, config, policy.charge_targets,
-                                             policy.charge_rate)
-            if short:
-                raise ValueError("bounds cannot hold the price barrier: "
-                                 + "; ".join(short))
+        bounds = pricing.estimate_bounds(config)
         return cls(config=config, policy=policy, bounds=bounds, psi=psi_,
                    alphas=pricing.alphas(bounds, psi_, config),
                    ledger=ResourceLedger.zero(config),
@@ -169,7 +155,6 @@ def peak_utilization(ledger: ResourceLedger, config: ScenarioConfig) -> Dict[str
 
 def run_online(sessions: Sequence[Session], config: ScenarioConfig,
                policy: GenerationPolicy = DEFAULT_POLICY,
-               bounds: Optional[PriceBounds] = None,
                capture_candidates: bool = False,
                ) -> Union[RunReport, Tuple[RunReport, Dict[int, List[Schedule]]]]:
     """Run the full online heuristic over an ordered session stream.
@@ -178,7 +163,7 @@ def run_online(sessions: Sequence[Session], config: ScenarioConfig,
     each session was priced against, for offline comparison on the same
     action space.
     """
-    state = DispatcherState.fresh(config, policy, bounds,
+    state = DispatcherState.fresh(config, policy,
                                   capture_candidates=capture_candidates)
     check_sessions(sessions, config)
     for session in sessions:

@@ -578,6 +578,14 @@ def validate(config: ScenarioConfig) -> List[Violation]:
     return out
 
 
+def check_config(config: ScenarioConfig) -> None:
+    """Raise ``ValueError("invalid config: …")`` if validate finds a
+    problem; every solver calls it before it reads the config."""
+    problems = validate(config)
+    if problems:
+        raise ValueError("invalid config: " + "; ".join(str(p) for p in problems[:5]))
+
+
 def validate_sessions(sessions: Sequence[Session],
                       config: ScenarioConfig) -> List[Violation]:
     """Check a session stream against its config; [] means it can be run.

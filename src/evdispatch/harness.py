@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -610,8 +611,9 @@ def write_comparison(table: ComparisonTable, csv_path: str,
 class ExperimentSpec:
     """A batch of runs: one instance source, several algorithms, N seeds.
 
-    ``algorithms`` entries: "online", "threshold-25", "threshold-50",
-    "threshold-75". Repetition r uses seed + r when generating.
+    ``algorithms`` entries: "online" or "threshold-N" with N an integer
+    in 1..99, the threshold in percent ("threshold-25", ...). Repetition
+    r uses seed + r when generating.
     """
 
     out_dir: str
@@ -635,8 +637,9 @@ class ExperimentSpec:
         if file_source and self.repetitions != 1:
             out.append("file-based instances support exactly 1 repetition")
         for a in self.algorithms:
-            if a != "online" and not a.startswith("threshold-"):
-                out.append(f"unknown algorithm {a!r}")
+            if a != "online" and not re.fullmatch(r"threshold-[1-9][0-9]?", a):
+                out.append(f"unknown algorithm {a!r}: need online or threshold-N, "
+                           "N an integer in 1..99")
         return out
 
 

@@ -8,7 +8,9 @@ capacity therefore yields a true upper bound on any feasible assignment,
 online or offline, priced or threshold-driven. For a given final energy
 and hop count a plan is worth most at the best pickup of its hop ring, so
 the bound reads one destination per ring (``Destinations.rings``) and
-gets the same float as a walk over every destination.
+gets the same float as a walk over every destination. ``upper_bound`` is
+the one entry point; the bound of a single session is that of a
+one-session stream.
 
 The exact solver is a depth-first search over explicit per-session
 candidate sets (typically captured from an online run) and is only
@@ -24,8 +26,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from . import pricing
 from .constants import MONEY_ATOL
 from .domain import (
-    ResourceLedger, ScenarioConfig, Schedule, Session, check_sessions, hop_row,
-    plan_value,
+    ResourceLedger, ScenarioConfig, Schedule, Session, check_config, check_sessions,
+    hop_row, plan_value,
 )
 from .economics import primal_increment
 
@@ -47,34 +49,22 @@ def _net_value(schedule: Schedule, prefix: List[float]) -> float:
     return schedule.value - _span_penalty(prefix, schedule.t_minus, schedule.t_plus)
 
 
-def session_upper_bound(session: Session, config: ScenarioConfig,
-                        charge_targets: Optional[Sequence[float]] = None,
-                        candidates: Sequence[Schedule] = (),
-                        ) -> float:
-    """Best conceivable welfare contribution of one session.
+def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float],
+                   targets: Tuple[float, ...], candidates: Sequence[Schedule]) -> float:
+    """Best conceivable welfare contribution of one session, from the
+    penalty prefix sums and the charge targets that ``upper_bound`` builds
+    once per session stream.
 
     Covers every reachable (facility, charge target, destination) triple
     plus pure rebalances, charges energy nothing, and assumes the
     shortest possible service window, so every actual plan any solver in
-    this package can pick is dominated. Charge targets cover the policy
-    multiples and a charge-to-full amount per facility. Explicit
-    candidate schedules, when given, join the maximization as-is.
-    """
-    return _session_bound(session, config, _phi_prefix(config),
-                          pricing.sorted_charge_targets(config, charge_targets),
-                          candidates)
-
-
-def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float],
-                   targets: Tuple[float, ...], candidates: Sequence[Schedule]) -> float:
-    """session_upper_bound with the penalty prefix sums and the charge
-    targets built by the caller, once per session stream. Net of the
-    service window's penalty, a plan's value is still monotone in the
-    pickup value, so each hop ring is read at its best destination."""
+    this package can pick is dominated. Charge targets cover the default
+    multiples and a charge-to-full amount per facility. Explicit candidate
+    schedules join the maximization as-is. Net of the service window's
+    penalty, a plan's value is still monotone in the pickup value, so
+    each hop ring is read at its best destination."""
     T = config.horizon
     t0 = session.t_minus
-    if not (1 <= t0 <= T):
-        raise ValueError(f"session {session.id} starts outside the horizon")
     best = 0.0
     for s in candidates:
         best = max(best, _net_value(s, prefix))
@@ -129,16 +119,20 @@ def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float]
 
 
 def upper_bound(sessions: Sequence[Session], config: ScenarioConfig,
-                charge_targets: Optional[Sequence[float]] = None,
                 candidate_sets: Optional[Mapping[int, Sequence[Schedule]]] = None,
                 ) -> float:
-    """Capacity-free welfare upper bound for a whole session stream.
+    """Capacity-free welfare upper bound for a session stream: the sum of
+    each session's best conceivable contribution, at least 0.0 each, so
+    a one-session stream gives that session's bound. The candidate sets,
+    when given, join each session's maximization as-is.
 
-    Raises ValueError on a stream that ``validate_sessions`` rejects.
+    Raises ValueError on a config that ``validate`` or a stream that
+    ``validate_sessions`` rejects.
     """
+    check_config(config)
     check_sessions(sessions, config)
     prefix = _phi_prefix(config)
-    targets = pricing.sorted_charge_targets(config, charge_targets)
+    targets = pricing.default_charge_targets(config)
     total = 0.0
     for session in sessions:
         extra = candidate_sets.get(session.id, ()) if candidate_sets else ()
@@ -185,9 +179,11 @@ def exact_offline(sessions: Sequence[Session], config: ScenarioConfig,
     own service-window penalty are dropped (they can never help a maximum),
     and subtrees are cut with per-session bound suffix sums.
 
-    Raises ValueError on a stream that ``validate_sessions`` rejects and
-    when the raw search space exceeds ``space_limit``.
+    Raises ValueError on a config that ``validate`` or a stream that
+    ``validate_sessions`` rejects, and when the raw search space exceeds
+    ``space_limit``.
     """
+    check_config(config)
     check_sessions(sessions, config)
     size = search_space_size(sessions, candidate_sets)
     if size > space_limit:

@@ -32,8 +32,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
-    Tuple,
+    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
 )
 
 from .constants import MONEY_ATOL
@@ -534,37 +533,22 @@ def default_charge_targets(config: ScenarioConfig) -> Tuple[float, ...]:
     return tuple(config.charge_increment * i for i in range(1, k + 1))
 
 
-def sorted_charge_targets(config: ScenarioConfig,
-                          charge_targets: Optional[Sequence[float]]) -> Tuple[float, ...]:
-    """The given charge targets in ascending order; None means every
-    default multiple."""
-    if charge_targets is not None:
-        return tuple(sorted(charge_targets))
-    return default_charge_targets(config)
+def effective_charge_rate(fac) -> float:
+    """Per-vehicle kWh drawn per charging slot at one facility: the fair
+    share of the EVSE energy budget across its cables, so a fully
+    subscribed EVSE stays within its limit."""
+    return fac.evse_energy_limit / fac.cables_per_evse
 
 
-def effective_charge_rate(fac, charge_rate: Optional[float] = None) -> float:
-    """Per-vehicle kWh drawn per charging slot at one facility.
-
-    Defaults to the fair share of the EVSE energy budget across its
-    cables, so a fully subscribed EVSE stays within its limit.
-    """
-    if charge_rate is None:
-        return fac.evse_energy_limit / fac.cables_per_evse
-    return min(charge_rate, fac.evse_energy_limit)
-
-
-def _min_slot_energy(config: ScenarioConfig, targets: Sequence[float],
-                     charge_rate: Optional[float] = None) -> float:
+def _min_slot_energy(config: ScenarioConfig) -> float:
     """Smallest positive per-slot energy any schedule can draw: the full
     rate or the final remainder slot of some (facility, target) pair."""
+    targets = default_charge_targets(config)
     best = math.inf
     for fac in config.facilities:
-        rate = effective_charge_rate(fac, charge_rate)
+        rate = effective_charge_rate(fac)
         best = min(best, rate)
         for target in targets:
-            if target <= 0 or target > config.battery_capacity + MONEY_ATOL:
-                continue
             k = math.ceil(target / rate - 1e-12)
             rem = target - (k - 1) * rate
             if rem > MONEY_ATOL:
@@ -580,40 +564,21 @@ def _best_value(config: ScenarioConfig) -> float:
     return v_dest_max + config.soc_value_slope * config.battery_capacity
 
 
-def value_densities(config: ScenarioConfig,
-                    charge_targets: Optional[Sequence[float]] = None,
-                    charge_rate: Optional[float] = None) -> List[float]:
+def value_densities(config: ScenarioConfig) -> List[float]:
     """Per family, in table order, the most value one schedule can offer
     per unit of the resource: the best schedule value over the smallest
     positive use of the resource by one schedule (one cable-slot, one
     vehicle, or the smallest positive per-slot energy). A nearly full cell
     priced at a U of at least this outbids every schedule; below it, the
     price barrier can fail and a positive-utility schedule overfill."""
-    targets = tuple(charge_targets) if charge_targets else default_charge_targets(config)
-    e_min = _min_slot_energy(config, targets, charge_rate) if config.facilities else 1.0
+    e_min = _min_slot_energy(config) if config.facilities else 1.0
     least = {CABLE: 1, ENERGY: e_min, GENERATION: e_min, DESTINATION: 1,
              OUT_OF_SERVICE: 1}
     u_best = _best_value(config)
     return [u_best / least[k] for k in range(len(FAMILIES))]
 
 
-def barrier_problems(bounds: PriceBounds, config: ScenarioConfig,
-                     charge_targets: Optional[Sequence[float]] = None,
-                     charge_rate: Optional[float] = None) -> List[str]:
-    """Families whose U is below ``value_densities``; [] if none."""
-    out = []
-    for family, density in zip(FAMILIES, value_densities(config, charge_targets,
-                                                         charge_rate)):
-        high = family.limits(bounds)[1]
-        if high < density:
-            out.append(f"{family.name}: U_{family.bound}={high} is below the "
-                       f"largest value density {density}")
-    return out
-
-
-def estimate_bounds(config: ScenarioConfig,
-                    charge_targets: Optional[Sequence[float]] = None,
-                    charge_rate: Optional[float] = None) -> PriceBounds:
+def estimate_bounds(config: ScenarioConfig) -> PriceBounds:
     """Conservative (L, U) pairs computed from the config alone.
 
     U's are the ``value_densities``: the best possible schedule value
@@ -645,7 +610,7 @@ def estimate_bounds(config: ScenarioConfig,
     # the largest use of each family's resource by one schedule
     most = {CABLE: T, ENERGY: config.battery_capacity,
             GENERATION: config.battery_capacity, DESTINATION: 1, OUT_OF_SERVICE: T}
-    densities = value_densities(config, charge_targets, charge_rate)
+    densities = value_densities(config)
     limits = []
     for k, shapes in enumerate(config.cells.shapes):
         low, high = v_min / (psi_ * most[k]), densities[k]

@@ -3,7 +3,10 @@
 The dispatcher never enumerates every conceivable plan. For each session
 it considers a bounded family of tuples (facility, charge target,
 destination, start offset) plus pure rebalances, ranks them by analytic
-value, and only builds the top candidates into full schedules. Charging
+value, and only builds the top candidates into full schedules. A charge
+target is any multiple of the config's charge increment up to the
+battery's headroom, drawn at the facility's fair-share rate; the only
+knob a caller sets is the cap on charging candidates. Charging
 slots inside a tuple's dwell window are placed greedily on the cheapest
 posted marginal energy price, so the candidate set adapts to current load
 without exhaustive search.
@@ -25,8 +28,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import pricing
 from .constants import MONEY_ATOL
@@ -43,44 +47,32 @@ MAX_START_OFFSET = 4
 
 @dataclass(frozen=True)
 class GenerationPolicy:
-    """The caller's knobs on the candidate enumeration.
+    """The caller's one knob on the candidate enumeration.
+
+    Every plan charges to a multiple of charge_increment
+    (``pricing.default_charge_targets``) at its facility's fair-share rate
+    (``pricing.effective_charge_rate``); neither is a setting.
 
     Attributes
     ----------
-    charge_targets:
-        Allowed charge amounts in kWh, multiples of charge_increment;
-        None means every multiple up to the battery capacity.
-    charge_rate:
-        Per-vehicle kWh drawn per charging slot; None means each
-        facility's fair share, its EVSE energy budget divided by the
-        cables that can draw from it at once.
     max_candidates_total:
-        Hard cap on charging candidates per session. Pure rebalances are
-        always all included; they are the cheap fallback moves and cost
-        nothing to build.
+        Hard cap on charging candidates per session, an integer >= 1.
+        Pure rebalances are always all included; they are the cheap
+        fallback moves and cost nothing to build.
     """
 
-    charge_targets: Optional[Tuple[float, ...]] = None
-    charge_rate: Optional[float] = None
     max_candidates_total: int = 24
 
 
 DEFAULT_POLICY = GenerationPolicy()
 
 
-def validate_policy(policy: GenerationPolicy, config: ScenarioConfig) -> List[str]:
-    out = []
-    if policy.max_candidates_total < 1:
-        out.append("max_candidates_total must be >= 1")
-    if policy.charge_rate is not None and policy.charge_rate <= 0:
-        out.append("charge_rate must be positive when set")
-    if policy.charge_targets is not None:
-        inc = config.charge_increment
-        for target in policy.charge_targets:
-            k = round(target / inc)
-            if k < 1 or abs(k * inc - target) > MONEY_ATOL:
-                out.append(f"charge target {target} is not a positive multiple of {inc}")
-    return out
+def validate_policy(policy: GenerationPolicy) -> List[str]:
+    """Problems of a policy; [] if it can be run."""
+    n = policy.max_candidates_total
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        return [f"max_candidates_total must be an integer >= 1, got {n!r}"]
+    return []
 
 
 def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapshot,
@@ -149,13 +141,13 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     # bit for bit and follow it in ascending order, each pushed when the
     # one before it pops.
     tuples = []
-    targets = pricing.sorted_charge_targets(config, policy.charge_targets)
+    targets = pricing.default_charge_targets(config)
     for h1, fid in facs:
         fac = config.facilities[fid]
         arrival_energy = energy0 - h1 * e_hop
         headroom = cap - arrival_energy
         t_arr = t0 + h1
-        rate = pricing.effective_charge_rate(fac, policy.charge_rate)
+        rate = pricing.effective_charge_rate(fac)
         batches = config.destinations[fac.region_id].batches
         for target in targets:
             if target > headroom + MONEY_ATOL:
@@ -185,7 +177,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
         h1, k = stream.h1, stream.k
         fac = config.facilities[fid]
         t_arr = t0 + h1
-        rate = pricing.effective_charge_rate(fac, policy.charge_rate)
+        rate = pricing.effective_charge_rate(fac)
         for w in range(MAX_START_OFFSET + 1):
             if built_charges >= policy.max_candidates_total:
                 break

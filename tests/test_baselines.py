@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from evdispatch import baselines
 from evdispatch.baselines import run_threshold, threshold_dispatch
 from evdispatch.domain import (
     ResourceLedger, Schedule, Session, recompute_ledger, schedule_violations,
@@ -56,7 +57,7 @@ def test_remainder_charges_last():
     assert schedule_violations(s, config, session) == []
 
 
-def test_patience_waits_out_a_busy_slot(mini_config, mini_session):
+def test_patience_waits_out_a_busy_slot(mini_config, mini_session, monkeypatch):
     ledger = ResourceLedger.zero(mini_config)
     hog = Schedule(session_id=9, t_minus=1, facility_id=0, evse_index=0,
                    t_arrival=2, cable_slots=(2,), energy_slots=((2, 10.0),),
@@ -68,8 +69,8 @@ def test_patience_waits_out_a_busy_slot(mini_config, mini_session):
     assert s.energy_slots == ((3, 6.0),)
     assert s.cable_slots == (2, 3)
 
-    blocked = threshold_dispatch(mini_session, mini_config, ledger,
-                                 threshold=0.75, patience=0)
+    monkeypatch.setattr(baselines, "PATIENCE", 0)
+    blocked = threshold_dispatch(mini_session, mini_config, ledger, threshold=0.75)
     assert blocked is None
 
 
@@ -127,8 +128,6 @@ def test_argument_validation(mini_config, tiny_instance):
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError, match="outside"):
             run_threshold(sessions, config, bad)
-    with pytest.raises(ValueError, match="patience"):
-        run_threshold(sessions, config, 0.5, patience=-1)
     with pytest.raises(ValueError, match="invalid config"):
         run_threshold([], build_mini_config(horizon=0), 0.5)
     shuffled = [sessions[-1]] + list(sessions[:-1])

@@ -35,24 +35,16 @@ def test_fresh_rejects_invalid_config():
         DispatcherState.fresh(config)
 
 
-def test_fresh_rejects_invalid_bounds(mini_config, mini_bounds):
-    bad = dataclasses.replace(mini_bounds, U_c=1e-9)
-    with pytest.raises(ValueError, match="invalid bounds"):
-        DispatcherState.fresh(mini_config, bounds=bad)
-
-
-def test_fresh_rejects_bounds_below_the_value_density():
+def test_bounds_below_the_value_density_breach_capacity():
     config, sessions = generate_scenario(1, PRESETS["rush"])
-    bounds = dataclasses.replace(pricing.estimate_bounds(config), U_o=10.0)
+    estimated = pricing.estimate_bounds(config)
+    for family, density in zip(pricing.FAMILIES, pricing.value_densities(config)):
+        assert family.limits(estimated)[1] >= density
+    bounds = dataclasses.replace(estimated, U_o=10.0)
     assert pricing.validate_bounds(bounds, config) == []
     assert pricing.value_densities(config)[pricing.OUT_OF_SERVICE] > 10.0
-    with pytest.raises(ValueError, match="cannot hold the price barrier: "
-                                         "out_of_service: U_o=10.0"):
-        DispatcherState.fresh(config, bounds=bounds)
-    with pytest.raises(ValueError, match="price barrier"):
-        run_online(sessions, config, bounds=bounds)
 
-    # without the check, the run dies mid-way on a capacity breach
+    # below the density the barrier fails, and the run dies mid-way
     state = dataclasses.replace(DispatcherState.fresh(config), bounds=bounds)
     with pytest.raises(CapacityError, match="session 111 "):
         for session in sessions:
@@ -60,10 +52,9 @@ def test_fresh_rejects_bounds_below_the_value_density():
 
 
 def test_fresh_rejects_invalid_policy(mini_config):
-    for policy in (GenerationPolicy(max_candidates_total=-3),
-                   GenerationPolicy(charge_targets=(3.3,))):
-        with pytest.raises(ValueError, match="invalid policy"):
-            DispatcherState.fresh(mini_config, policy)
+    for n in (-3, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="invalid policy: max_candidates_total"):
+            DispatcherState.fresh(mini_config, GenerationPolicy(max_candidates_total=n))
 
 
 def test_utility_is_value_minus_payments(mini_config, mini_session,

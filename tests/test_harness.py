@@ -294,6 +294,18 @@ def test_experiment_spec_validation(tmp_path):
     with pytest.raises(ValueError, match="invalid experiment spec"):
         run_experiment(bad)
 
+    # a threshold other than 1..99 percent used to pass: the run then wrote
+    # the online artifacts before it died on the threshold
+    out = tmp_path / "runs"
+    for algorithm in ("threshold-abc", "threshold-0", "threshold-100", "threshold-",
+                      "threshold-50.5", "threshold--5"):
+        spec = ExperimentSpec(out_dir=str(out), seed=1, preset="tiny",
+                              algorithms=("online", algorithm))
+        assert [p for p in spec.problems() if algorithm in p] != []
+        with pytest.raises(ValueError, match="invalid experiment spec: unknown algorithm"):
+            run_experiment(spec)
+        assert not out.exists()
+
 
 def test_run_experiment_writes_reports(tmp_path):
     spec = ExperimentSpec(out_dir=str(tmp_path / "runs"), seed=1,

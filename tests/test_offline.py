@@ -15,48 +15,44 @@ from evdispatch.domain import (
 from evdispatch.economics import primal_objective
 from evdispatch.harness import generate_scenario
 from evdispatch.offline import (
-    exact_offline, search_space_size, session_upper_bound, upper_bound,
+    exact_offline, search_space_size, upper_bound,
 )
 from evdispatch.schedules import GenerationPolicy
 
-from conftest import broken_sessions
+from conftest import broken_configs, broken_sessions
 
 
 def test_session_upper_bound_by_hand(mini_config, mini_session):
     # the bound charges at the full 10 kWh EVSE rate, so charge-to-headroom
     # (6 kWh) fits one slot: 0.5*9 + 10 - 2*0.5 - 3*0.4 = 12.3; the pure
     # stay nets 0.5*5 + 10 - 0.4 = 12.1 and charge-to-5 nets 11.8
-    assert session_upper_bound(mini_session, mini_config) == pytest.approx(12.3)
+    assert upper_bound([mini_session], mini_config) == pytest.approx(12.3)
 
 
 def test_session_upper_bound_absorbs_explicit_candidates(mini_config,
                                                          mini_session,
                                                          mini_charge):
-    base = session_upper_bound(mini_session, mini_config)
-    same = session_upper_bound(mini_session, mini_config,
-                               candidates=[mini_charge])
+    base = upper_bound([mini_session], mini_config)
+    same = upper_bound([mini_session], mini_config, {mini_session.id: [mini_charge]})
     assert same == pytest.approx(base)  # 13.0 - 1.2 = 11.8 < 12.1
 
     rich = dataclasses.replace(mini_charge, value=100.0)
-    boosted = session_upper_bound(mini_session, mini_config,
-                                  candidates=[rich])
+    boosted = upper_bound([mini_session], mini_config, {mini_session.id: [rich]})
     assert boosted == pytest.approx(100.0 - 1.2)
 
 
 def test_session_upper_bound_horizon_edges(mini_config):
     last = Session(id=0, t_minus=6, origin_region=1, soc=0.5)
-    assert session_upper_bound(last, mini_config) == 0.0
-    with pytest.raises(ValueError, match="outside the horizon"):
-        session_upper_bound(Session(id=0, t_minus=7, origin_region=1,
-                                    soc=0.5), mini_config)
+    assert upper_bound([last], mini_config) == 0.0
+    with pytest.raises(ValueError, match="t_minus at session 0: 7 outside 1..6"):
+        upper_bound([Session(id=0, t_minus=7, origin_region=1, soc=0.5)], mini_config)
 
 
 def test_upper_bound_sums_over_sessions(mini_config, mini_session):
     other = Session(id=1, t_minus=2, origin_region=0, soc=0.9)
     both = upper_bound([mini_session, other], mini_config)
     assert both == pytest.approx(
-        session_upper_bound(mini_session, mini_config)
-        + session_upper_bound(other, mini_config))
+        upper_bound([mini_session], mini_config) + upper_bound([other], mini_config))
     assert upper_bound([], mini_config) == 0.0
 
 
@@ -67,7 +63,7 @@ def test_bound_chain_ub_exact_online(seed):
     report, captured = run_online(sessions, config, policy,
                                   capture_candidates=True)
     result = exact_offline(sessions, config, captured)
-    ub = upper_bound(sessions, config, policy.charge_targets, captured)
+    ub = upper_bound(sessions, config, captured)
     assert result.welfare >= report.welfare - 1e-9
     assert ub >= result.welfare - 1e-9
 
@@ -145,6 +141,24 @@ def test_bounds_reject_invalid_sessions(defect):
     with pytest.raises(ValueError, match="invalid sessions: "):
         upper_bound(sessions, config)
     with pytest.raises(ValueError, match="invalid sessions: "):
+        exact_offline(sessions, config, captured)
+
+
+@pytest.mark.parametrize("defect", sorted(broken_configs()))
+def test_bounds_reject_invalid_configs(defect):
+    """On the tiny seed-0 day the bound is 124.6 and the exact optimum
+    106.375. Unchecked, the bound was 0.0 for a NaN hop energy or an
+    infinite negative soc slope, infinite for an infinite pickup value,
+    and an infinite battery or a NaN charge increment raised an unnamed
+    error; the exact optimum was 0.0 for a NaN penalty."""
+    field, config = broken_configs()[defect]
+    good, sessions = generate_scenario(0, "tiny")
+    _, captured = run_online(sessions, good, capture_candidates=True)
+    assert upper_bound(sessions, good) == pytest.approx(124.6)
+    assert exact_offline(sessions, good, captured).welfare == pytest.approx(106.375)
+    with pytest.raises(ValueError, match=f"invalid config: {field} at "):
+        upper_bound(sessions, config)
+    with pytest.raises(ValueError, match=f"invalid config: {field} at "):
         exact_offline(sessions, config, captured)
 
 

@@ -101,3 +101,33 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = set(_used(tree))
     assert [(line, name) for line, name in _imported(tree) if name not in used] == []
+
+
+def _unread_parameters(tree: ast.Module):
+    """(line, function, parameter) of every parameter that its function or
+    lambda never reads, nested functions and lambdas included. The
+    ``self`` or ``cls`` of a method is exempt: a protocol such as
+    ``__repr__`` fixes it."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args
+        params = params[1:] if id(node) in methods else params
+        params += args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        for param in params:
+            if param.arg not in read:
+                yield node.lineno, name, param.arg
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    """A parameter that nothing reads is an option half removed."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert list(_unread_parameters(tree)) == []

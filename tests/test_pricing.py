@@ -238,14 +238,6 @@ def test_estimate_bounds_example_quarter_battery_increments():
     assert b.U_e == pytest.approx(25.0 / 2.5)
 
 
-def test_estimate_bounds_honors_charge_rate_argument(mini_config):
-    b = estimate_bounds(mini_config, charge_rate=10.0)
-    # one 10 kWh slot fills the battery; smallest draw is the 5 kWh target
-    assert b.U_e == pytest.approx(15.0 / 5.0)
-    b2 = estimate_bounds(mini_config, charge_targets=(10.0,), charge_rate=10.0)
-    assert b2.U_e == pytest.approx(15.0 / 10.0)
-
-
 def test_estimate_bounds_rejects_valueless_config(mini_config):
     worthless = build_mini_config(
         regions=(
@@ -261,8 +253,6 @@ def test_estimate_bounds_rejects_valueless_config(mini_config):
 def test_effective_charge_rate_defaults_to_fair_share(mini_config):
     fac = mini_config.facilities[0]
     assert effective_charge_rate(fac) == pytest.approx(10.0 / 2)
-    assert effective_charge_rate(fac, 3.0) == pytest.approx(3.0)
-    assert effective_charge_rate(fac, 99.0) == pytest.approx(10.0)
 
 
 def test_default_charge_targets(mini_config):

@@ -10,8 +10,8 @@ per-cell lookups of the rest.
 the config's cells; ``feasible_schedules`` sums cable prices as running
 sums from the arrival slot, ranks each window's slots once and stops
 ordering charging tuples at the candidate cap, and merges them lazily from
-the destination batches ranked once per config; ``session_upper_bound``
-and the threshold baselines read the same ranking. Each must give exactly
+the destination batches ranked once per config; ``upper_bound`` and the
+threshold baselines read the same ranking. Each must give exactly
 what the family-by-family or destination-by-destination versions below
 give: the same floats, compared with ``==``, and the same schedules in the
 same order, on every session of runs whose ledger changes between
@@ -38,14 +38,14 @@ from evdispatch.domain import (
     PriceBreakdown, ResourceLedger, Schedule, UNREACHABLE, hops,
 )
 from evdispatch.harness import PRESETS, generate_scenario
-from evdispatch.offline import session_upper_bound, upper_bound
+from evdispatch.offline import upper_bound
 from evdispatch.schedules import (
     DEFAULT_POLICY, MAX_CANDIDATE_FACILITIES, MAX_START_OFFSET, _candidate_key,
     feasible_schedules,
 )
 from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, Snapshot,
-    cell_shape, sorted_charge_targets,
+    cell_shape,
 )
 
 
@@ -286,8 +286,8 @@ def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
         fac = config.facilities[fid]
         arrival_energy = energy0 - h1 * e_hop
         t_arr = t0 + h1
-        rate = pricing.effective_charge_rate(fac, policy.charge_rate)
-        for target in sorted_charge_targets(config, policy.charge_targets):
+        rate = pricing.effective_charge_rate(fac)
+        for target in pricing.default_charge_targets(config):
             if target > cap - arrival_energy + MONEY_ATOL:
                 break
             k = math.ceil(target / rate - 1e-12)
@@ -316,7 +316,7 @@ def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
             continue
         fac = config.facilities[fid]
         t_arr = t0 + h1
-        rate = pricing.effective_charge_rate(fac, policy.charge_rate)
+        rate = pricing.effective_charge_rate(fac)
         for w in range(MAX_START_OFFSET + 1):
             if built >= policy.max_candidates_total:
                 break
@@ -528,7 +528,7 @@ def test_enumeration_matches_at_any_magnitude(pickups, slope, penalty, per_hop_e
 # ---------------------------------------------------------------------------
 
 
-def reference_session_upper_bound(session, config, charge_targets=None, candidates=()):
+def reference_session_upper_bound(session, config, candidates=()):
     """Every (facility, target, destination) triple walked destination by
     destination, each with a hop lookup."""
     T = config.horizon
@@ -549,8 +549,7 @@ def reference_session_upper_bound(session, config, charge_targets=None, candidat
     cap = config.battery_capacity
     e_hop = config.per_hop_energy
     energy0 = session.soc * cap
-    targets = (tuple(sorted(charge_targets)) if charge_targets is not None
-               else pricing.default_charge_targets(config))
+    targets = pricing.default_charge_targets(config)
     for dest in range(len(config.regions)):
         h2 = hops(session.origin_region, dest, config)
         if h2 is UNREACHABLE or t0 + h2 > T:
@@ -611,19 +610,14 @@ UB_DAYS = [(name, 3, params) for name, params in sorted(RUNS.items())] + [
 def test_upper_bound_matches_the_reference(name, seed, params):
     config, sessions = generate_scenario(seed, params)
     _, captured = run_online(sessions, config, capture_candidates=True)
-    # every other policy multiple: the charge-to-full amount still joins
-    targets = pricing.default_charge_targets(config)[::2]
-    for charge_targets in (None, targets):
-        for sets in (None, captured):
-            want = 0.0
-            for session in sessions:
-                extra = sets.get(session.id, ()) if sets else ()
-                bound = reference_session_upper_bound(session, config, charge_targets,
-                                                      extra)
-                assert session_upper_bound(session, config, charge_targets,
-                                           extra) == bound
-                want += bound
-            assert upper_bound(sessions, config, charge_targets, sets) == want
+    for sets in (None, captured):
+        want = 0.0
+        for session in sessions:
+            extra = sets.get(session.id, ()) if sets else ()
+            bound = reference_session_upper_bound(session, config, extra)
+            assert upper_bound([session], config, sets) == bound
+            want += bound
+        assert upper_bound(sessions, config, sets) == want
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -635,7 +629,7 @@ def test_threshold_moves_match_the_reference_order(name, monkeypatch):
 
     def moves(session, ledger):
         return (baselines._rebalance(session, config, ledger),
-                baselines._charge_then_go(session, config, ledger, patience=4))
+                baselines._charge_then_go(session, config, ledger))
 
     table_order = baselines._dest_order
     ledger = ResourceLedger.zero(config)
