@@ -12,9 +12,9 @@ verification harness checks the pricing machinery numerically.
 from .constants import MONEY_ATOL
 from .domain import (
     CapacityError, DispatchDecision, Facility, PriceBreakdown, Region,
-    ResourceLedger, RunReport, ScenarioConfig, Schedule, Session, UNREACHABLE,
-    Violation, hops, instance_hash, recompute_ledger, schedule_violations,
-    validate, validate_sessions,
+    ResourceLedger, RunReport, ScenarioConfig, Schedule, Session, Violation,
+    instance_hash, recompute_ledger, schedule_violations, validate,
+    validate_sessions,
 )
 from .economics import INFEASIBLE, dual_objective, primal_increment, primal_objective
 from .pricing import (
@@ -38,8 +38,8 @@ __version__ = "0.1.0"
 __all__ = [
     "MONEY_ATOL", "CapacityError", "DispatchDecision", "Facility",
     "PriceBreakdown", "Region", "ResourceLedger", "RunReport",
-    "ScenarioConfig", "Schedule", "Session", "UNREACHABLE", "Violation",
-    "hops", "instance_hash", "recompute_ledger", "schedule_violations",
+    "ScenarioConfig", "Schedule", "Session", "Violation",
+    "instance_hash", "recompute_ledger", "schedule_violations",
     "validate", "validate_sessions", "INFEASIBLE", "dual_objective",
     "primal_increment", "primal_objective", "Alphas", "DaprReport",
     "PriceBounds", "alphas", "dapr_cases", "default_charge_targets",

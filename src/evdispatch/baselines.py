@@ -10,17 +10,16 @@ respected by construction, value is whatever falls out.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 from .constants import MONEY_ATOL
 from .domain import (
     DispatchDecision, ResourceLedger, RunReport, ScenarioConfig, Schedule,
-    Session, UNREACHABLE, check_config, check_sessions, hops, instance_hash, plan_value,
+    Session, check_config, check_sessions, facility_legs, instance_hash, plan_value,
 )
 from .dispatcher import peak_utilization
 from .economics import primal_increment
-from .pricing import GENERATION, psi as compute_psi
+from .pricing import GENERATION, charge_slots, psi as compute_psi
 
 #: How many slots past its facility arrival a charging vehicle may wait
 #: for a start that fits; read at call time.
@@ -45,7 +44,7 @@ def _rebalance(session: Session, config: ScenarioConfig,
     for h2, dest in _dest_order(config, session.origin_region):
         t_plus = session.t_minus + h2
         final = energy0 - h2 * config.per_hop_energy
-        if t_plus > T or final < 0:
+        if t_plus > T or final < -MONEY_ATOL:
             continue
         s = Schedule(session_id=session.id, t_minus=session.t_minus,
                      facility_id=None, evse_index=None, t_arrival=None,
@@ -69,26 +68,17 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
     e_hop = config.per_hop_energy
     energy0 = session.soc * cap
 
-    nearest = None
-    for fac in config.facilities:
-        h1 = hops(session.origin_region, fac.region_id, config)
-        if h1 is UNREACHABLE:
-            continue
-        if energy0 - h1 * e_hop < 0 or session.t_minus + h1 > T:
-            continue
-        if nearest is None or h1 < nearest[0]:
-            nearest = (h1, fac)
-    if nearest is None:
+    legs = facility_legs(session.origin_region, energy0, session.t_minus, config)
+    if not legs:
         return None
-    h1, fac = nearest
+    h1, fac = legs[0]
 
     t_arr = session.t_minus + h1
     arrival_energy = energy0 - h1 * e_hop
-    target = cap - arrival_energy
     rate = fac.evse_energy_limit
-    k = max(1, math.ceil(target / rate - 1e-12))
+    k, last = charge_slots(cap - arrival_energy, rate)
     # full rate first, the remainder in the last slot
-    amounts = [rate] * (k - 1) + [target - (k - 1) * rate]
+    amounts = [rate] * (k - 1) + [last]
     dests = _dest_order(config, fac.region_id)
     # the facility's generation cells, which every EVSE shares
     generated = ledger.loads[GENERATION]
@@ -108,7 +98,7 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
             for h2, dest in dests:
                 t_plus = done + h2
                 final = cap - h2 * e_hop
-                if t_plus > T or final < 0:
+                if t_plus > T or final < -MONEY_ATOL:
                     continue
                 s = Schedule(
                     session_id=session.id, t_minus=session.t_minus,

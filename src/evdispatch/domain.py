@@ -5,6 +5,14 @@ Time is discrete. Slots are 1-based in all data: a slot index t runs over
 Regions and facilities are identified by their position in the config
 lists, so ``config.regions[r].id == r`` always holds for a valid instance.
 
+Travel is counted in hops of the undirected region graph: one hop takes
+one slot and ``per_hop_energy`` of battery. ``config.hop_table`` holds
+every shortest hop count, -1 for a region with no path, and callers read
+it by row through ``hop_row``, which range-checks the origin. Every plan
+builder reaches its facilities through ``facility_legs``, under one
+battery floor: a vehicle may arrive with as little as ``-MONEY_ATOL``
+stored.
+
 Every type in this module is immutable value data except ResourceLedger,
 which is the single mutable accumulator shared by the online dispatcher,
 the baselines, and the offline solvers. It keeps one flat load list per
@@ -27,32 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .pricing import Alphas, Cells, PriceBounds
 
 from .constants import MONEY_ATOL
-
-
-# ---------------------------------------------------------------------------
-# Sentinels
-# ---------------------------------------------------------------------------
-
-
-class _UnreachableType:
-    """Explicit result for a region pair with no connecting path."""
-
-    _instance: Optional["_UnreachableType"] = None
-
-    def __new__(cls) -> "_UnreachableType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Unreachable"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Singleton returned by :func:`hops` for disconnected pairs.
-UNREACHABLE = _UnreachableType()
 
 
 # ---------------------------------------------------------------------------
@@ -649,25 +631,29 @@ def _hop_table(config: ScenarioConfig) -> Tuple[Tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def hops(origin: int, dest: int, config: ScenarioConfig):
-    """Shortest-path hop count between two regions.
-
-    Returns 0 when origin equals dest and the UNREACHABLE sentinel when no
-    path exists. Symmetric in its arguments.
-    """
-    n = len(config.regions)
-    if not (0 <= origin < n and 0 <= dest < n):
-        raise ValueError(f"unknown region pair ({origin}, {dest})")
-    d = config.hop_table[origin][dest]
-    return UNREACHABLE if d < 0 else d
-
-
 def hop_row(origin: int, config: ScenarioConfig) -> Tuple[int, ...]:
     """Hop counts from one region to every region, -1 for an unreachable
     one: the origin's row of ``config.hop_table``, range-checked once."""
     if not 0 <= origin < len(config.regions):
         raise ValueError(f"unknown region {origin}")
     return config.hop_table[origin]
+
+
+def facility_legs(origin: int, energy: float, t0: int,
+                  config: ScenarioConfig) -> List[Tuple[int, Facility]]:
+    """``(hops, facility)`` for every facility that a vehicle leaving
+    ``origin`` in slot ``t0`` with ``energy`` kWh stored reaches within
+    the horizon and with a battery of at least ``-MONEY_ATOL``; nearest
+    first, ties to the lower id."""
+    row = hop_row(origin, config)
+    legs = []
+    for fac in config.facilities:
+        h1 = row[fac.region_id]
+        if (h1 >= 0 and t0 + h1 <= config.horizon
+                and energy - h1 * config.per_hop_energy >= -MONEY_ATOL):
+            legs.append((h1, fac))
+    legs.sort(key=lambda leg: leg[0])
+    return legs
 
 
 @dataclass(frozen=True)
@@ -824,12 +810,13 @@ def schedule_violations(schedule: Schedule, config: ScenarioConfig,
             out.append("session id mismatch")
         if session.t_minus != schedule.t_minus:
             out.append("t_minus does not match session")
-        # replay the stored-energy trajectory hop by hop
+        # replay the stored-energy trajectory hop by hop; -1 hops is no path
         energy = session.soc * cap
+        anchor, h1 = session.origin_region, 0
         if schedule.charging:
-            h1 = hops(session.origin_region, config.facilities[schedule.facility_id].region_id,
-                      config)
-            if h1 is UNREACHABLE:
+            anchor = config.facilities[schedule.facility_id].region_id
+            h1 = hop_row(session.origin_region, config)[anchor]
+            if h1 < 0:
                 out.append("facility unreachable")
             else:
                 energy -= h1 * config.per_hop_energy
@@ -838,15 +825,10 @@ def schedule_violations(schedule: Schedule, config: ScenarioConfig,
                 energy += schedule.energy_total
                 if energy > cap + MONEY_ATOL:
                     out.append("battery above capacity after charging")
-                h2 = hops(config.facilities[schedule.facility_id].region_id,
-                          schedule.dest_region, config)
-                if h2 is UNREACHABLE:
-                    out.append("destination unreachable")
-                else:
-                    energy -= h2 * config.per_hop_energy
-        else:
-            h2 = hops(session.origin_region, schedule.dest_region, config)
-            if h2 is UNREACHABLE:
+        if h1 >= 0:
+            # hop counts are symmetric; the destination's row range-checks it
+            h2 = hop_row(schedule.dest_region, config)[anchor]
+            if h2 < 0:
                 out.append("destination unreachable")
             else:
                 energy -= h2 * config.per_hop_energy

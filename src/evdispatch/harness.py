@@ -577,8 +577,7 @@ def compare(reports: Sequence[RunReport], ub: float,
                            ratio_guarantee_met=met)
 
 
-def write_comparison(table: ComparisonTable, csv_path: str,
-                     plot_json_path: Optional[str] = None) -> None:
+def write_comparison(table: ComparisonTable, csv_path: str, plot_json_path: str) -> None:
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "welfare", "accepted",
@@ -588,18 +587,17 @@ def write_comparison(table: ComparisonTable, csv_path: str,
                 row.algorithm, repr(row.welfare), row.accepted,
                 "" if row.ratio_to_ub is None else repr(row.ratio_to_ub),
                 "" if row.ratio_to_opt is None else repr(row.ratio_to_opt)])
-    if plot_json_path is not None:
-        _dump_json({
-            "instance_hash": table.instance_hash,
-            "upper_bound": table.upper_bound,
-            "opt": table.opt,
-            "alpha": table.alpha,
-            "ratio_guarantee_met": table.ratio_guarantee_met,
-            "series": [
-                {"algorithm": row.algorithm, "welfare": row.welfare,
-                 "ratio_to_ub": row.ratio_to_ub}
-                for row in table.rows],
-        }, plot_json_path)
+    _dump_json({
+        "instance_hash": table.instance_hash,
+        "upper_bound": table.upper_bound,
+        "opt": table.opt,
+        "alpha": table.alpha,
+        "ratio_guarantee_met": table.ratio_guarantee_met,
+        "series": [
+            {"algorithm": row.algorithm, "welfare": row.welfare,
+             "ratio_to_ub": row.ratio_to_ub}
+            for row in table.rows],
+    }, plot_json_path)
 
 
 # ---------------------------------------------------------------------------

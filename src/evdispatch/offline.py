@@ -19,7 +19,6 @@ intended for small instances; it refuses search spaces past a hard limit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -27,7 +26,7 @@ from . import pricing
 from .constants import MONEY_ATOL
 from .domain import (
     ResourceLedger, ScenarioConfig, Schedule, Session, check_config, check_sessions,
-    hop_row, plan_value,
+    facility_legs, plan_value,
 )
 from .economics import primal_increment
 
@@ -75,7 +74,6 @@ def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float]
     e_hop = config.per_hop_energy
     energy0 = session.soc * cap
     destinations = config.destinations
-    origin_hops = hop_row(session.origin_region, config)
 
     for h2, dest in destinations[session.origin_region].rings:
         if t0 + h2 > T:
@@ -86,13 +84,8 @@ def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float]
         net = plan_value(config, final, dest, h2) - _span_penalty(prefix, t0, t0 + h2)
         best = max(best, net)
 
-    for fac in config.facilities:
-        h1 = origin_hops[fac.region_id]
-        if h1 < 0 or t0 + h1 > T:
-            continue
+    for h1, fac in facility_legs(session.origin_region, energy0, t0, config):
         arrival_energy = energy0 - h1 * e_hop
-        if arrival_energy < -MONEY_ATOL:
-            continue
         headroom = cap - arrival_energy
         fac_targets = [x for x in targets if x <= headroom + MONEY_ATOL]
         if headroom > MONEY_ATOL and not any(abs(x - headroom) <= MONEY_ATOL
@@ -102,7 +95,7 @@ def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float]
         rate = fac.evse_energy_limit
         rings = destinations[fac.region_id].rings
         for target in fac_targets:
-            k = max(1, math.ceil(target / rate - 1e-12))
+            k, _ = pricing.charge_slots(target, rate)
             t_done = t_arr + k - 1
             if t_done > T:
                 continue

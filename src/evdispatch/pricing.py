@@ -382,11 +382,6 @@ class Cells:
         yield DESTINATION, i, 1, shapes[DESTINATION][i]
 
 
-def cell_index(config: ScenarioConfig, family: int, *coords: int) -> int:
-    """Ledger index of the cell of ``family`` at these coordinates."""
-    return [where for where, _ in FAMILIES[family].cells(config)].index(coords)
-
-
 # ---------------------------------------------------------------------------
 # Interned shapes, per-family payments and ledger snapshots
 # ---------------------------------------------------------------------------
@@ -540,6 +535,14 @@ def effective_charge_rate(fac) -> float:
     return fac.evse_energy_limit / fac.cables_per_evse
 
 
+def charge_slots(target: float, rate: float) -> Tuple[int, float]:
+    """``(k, last)``: the slots it takes to charge ``target`` kWh at
+    ``rate`` per slot, at least one, and the energy of the last of them;
+    every other slot draws the full rate."""
+    k = max(1, math.ceil(target / rate - 1e-12))
+    return k, target - (k - 1) * rate
+
+
 def _min_slot_energy(config: ScenarioConfig) -> float:
     """Smallest positive per-slot energy any schedule can draw: the full
     rate or the final remainder slot of some (facility, target) pair."""
@@ -549,8 +552,7 @@ def _min_slot_energy(config: ScenarioConfig) -> float:
         rate = effective_charge_rate(fac)
         best = min(best, rate)
         for target in targets:
-            k = math.ceil(target / rate - 1e-12)
-            rem = target - (k - 1) * rate
+            _, rem = charge_slots(target, rate)
             if rem > MONEY_ATOL:
                 best = min(best, rem)
     if not math.isfinite(best):

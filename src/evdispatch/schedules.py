@@ -34,8 +34,8 @@ from typing import List, Sequence, Tuple
 
 from . import pricing
 from .constants import MONEY_ATOL
-from .domain import ScenarioConfig, Schedule, Session, hop_row, plan_value
-from .pricing import CABLE, Snapshot
+from .domain import ScenarioConfig, Schedule, Session, facility_legs, hop_row, plan_value
+from .pricing import CABLE, Snapshot, charge_slots
 
 #: How many nearest facilities a session considers.
 MAX_CANDIDATE_FACILITIES = 8
@@ -117,19 +117,6 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
                             hops_total=h2, final_soc=final / cap, value=v))
 
     # ---- one stream of charging tuples per (facility, target) ----
-    facs = []
-    for fac in config.facilities:
-        h1 = origin_hops[fac.region_id]
-        if h1 < 0:
-            continue
-        if energy0 - h1 * e_hop < -MONEY_ATOL:
-            continue
-        if t0 + h1 > T:
-            continue
-        facs.append((h1, fac.id))
-    facs.sort()
-    facs = facs[:MAX_CANDIDATE_FACILITIES]
-
     # A stream walks the facility's destination batches
     # (``Destinations.batches``) best first. The heap holds
     # (-v, f, target, dest, group, position, stream, carrier); the first
@@ -142,8 +129,8 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     # one before it pops.
     tuples = []
     targets = pricing.default_charge_targets(config)
-    for h1, fid in facs:
-        fac = config.facilities[fid]
+    legs = facility_legs(session.origin_region, energy0, t0, config)
+    for h1, fac in legs[:MAX_CANDIDATE_FACILITIES]:
         arrival_energy = energy0 - h1 * e_hop
         headroom = cap - arrival_energy
         t_arr = t0 + h1
@@ -152,10 +139,10 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
         for target in targets:
             if target > headroom + MONEY_ATOL:
                 break
-            k = math.ceil(target / rate - 1e-12)
+            k, last = charge_slots(target, rate)
             if t_arr + k - 1 > T:
                 continue
-            _push_batch(_Stream(fid, target, h1, k, arrival_energy + target,
+            _push_batch(_Stream(fac.id, target, h1, k, last, arrival_energy + target,
                                 T - (t_arr + k - 1), batches), tuples, config)
 
     # ---- build charging tuples, best value first, until the cap ----
@@ -194,9 +181,9 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
                 plan = plans[fid, hi, k] = (evse, chosen,
                                             _dearest(chosen, fid, evse, prices))
             evse, chosen, dearest = plan
-            energy_slots = _assign_energy(chosen, dearest, target, rate)
-            last = chosen[-1]
-            t_plus = last + h2
+            energy_slots = _assign_energy(chosen, dearest, stream.last, rate)
+            done = chosen[-1]
+            t_plus = done + h2
             final = (energy0 - h1 * e_hop + target - h2 * e_hop) / cap
             key = (fid, evse, energy_slots, dest, t_plus)
             if key in seen:
@@ -206,7 +193,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
             out.append(Schedule(
                 session_id=session.id, t_minus=t0, facility_id=fid,
                 evse_index=evse, t_arrival=t_arr,
-                cable_slots=tuple(range(t_arr, last + 1)),
+                cable_slots=tuple(range(t_arr, done + 1)),
                 energy_slots=energy_slots, dest_region=dest,
                 t_plus=t_plus, hops_total=h1 + h2, final_soc=final, value=-neg_v))
     out.sort(key=_candidate_key)
@@ -216,14 +203,16 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
 @dataclass(slots=True)
 class _Stream:
     """The charging tuples of one (facility, charge target), walked batch
-    by batch. ``stored`` is the energy on leaving the facility, ``reach``
-    the farthest hop count the horizon allows, and ``next``
-    the batch to push next."""
+    by batch. ``k`` and ``last`` are the charging slots and the energy of
+    the last of them (``pricing.charge_slots``), ``stored`` is the energy
+    on leaving the facility, ``reach`` the farthest hop count the horizon
+    allows, and ``next`` the batch to push next."""
 
     fid: int
     target: float
     h1: int
     k: int
+    last: float
     stored: float
     reach: int
     batches: tuple
@@ -292,11 +281,8 @@ def _dearest(chosen: Sequence[int], fid: int, m: int,
     return worst_t
 
 
-def _assign_energy(chosen: Sequence[int], dearest: int, target: float,
+def _assign_energy(chosen: Sequence[int], dearest: int, last: float,
                    rate: float) -> Tuple[Tuple[int, float], ...]:
-    """Full rate on the chosen slots, the remainder on the dearest one."""
-    k = len(chosen)
-    if k == 1:
-        return ((chosen[0], min(target, rate)),)
-    rem = target - (k - 1) * rate
-    return tuple((t, rem if t == dearest else rate) for t in chosen)
+    """Full rate on the chosen slots, the last slot's energy on the
+    dearest one."""
+    return tuple((t, last if t == dearest else rate) for t in chosen)

@@ -43,6 +43,11 @@ def build_mini_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def cell_index(config: ScenarioConfig, family: int, *coords: int) -> int:
+    """Ledger index of the cell of ``family`` at these coordinates."""
+    return [where for where, _ in pricing.FAMILIES[family].cells(config)].index(coords)
+
+
 def broken_sessions():
     """The tiny seed-0 day, and its session stream broken in one way per
     name: (the field a validator must name, the broken stream)."""

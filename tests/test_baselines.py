@@ -11,9 +11,9 @@ from evdispatch.domain import (
 )
 from evdispatch.economics import primal_objective
 from evdispatch.harness import generate_scenario
-from evdispatch.pricing import DESTINATION, GENERATION, cell_index
+from evdispatch.pricing import DESTINATION, GENERATION
 
-from conftest import build_mini_config
+from conftest import build_mini_config, cell_index
 
 
 def test_above_threshold_takes_the_best_pickup(mini_config, mini_session):

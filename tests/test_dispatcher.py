@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evdispatch import baselines, dispatcher, economics, pricing
 from evdispatch.baselines import run_threshold
@@ -18,10 +20,11 @@ from evdispatch.domain import (
     CapacityError, ResourceLedger, Session, recompute_ledger,
 )
 from evdispatch.harness import PRESETS, generate_scenario
-from evdispatch.pricing import DESTINATION, PriceBounds, Snapshot, cell_index
+from evdispatch.offline import upper_bound
+from evdispatch.pricing import DESTINATION, PriceBounds, Snapshot
 from evdispatch.schedules import GenerationPolicy, feasible_schedules
 
-from conftest import broken_configs, broken_sessions, build_mini_config
+from conftest import broken_configs, broken_sessions, build_mini_config, cell_index
 
 
 def _prices(state):
@@ -138,6 +141,43 @@ def test_runs_reject_non_finite_configs_before_the_first(defect, monkeypatch):
         with pytest.raises(ValueError, match=f"invalid config: {field} at "):
             run_threshold(sessions, config, threshold)
     assert calls == []
+
+
+def _magnitude(low: int, high: int):
+    """Floats spread evenly in log scale over 10**low..10**high."""
+    return st.floats(low, high).map(lambda x: 10.0 ** x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(energy_limit=_magnitude(-6, 15), cables=st.integers(1, 8),
+       battery=_magnitude(-2, 4), increments=st.integers(1, 6),
+       per_hop_energy=st.one_of(st.just(0.0), _magnitude(-3, 3)),
+       grid_limit=st.one_of(st.just(0.0), _magnitude(-3, 6)), seed=st.integers(0, 9))
+@example(energy_limit=1e13, cables=2, battery=15.0, increments=3, per_hop_energy=1.0,
+         grid_limit=10.0, seed=0)
+def test_runs_at_any_magnitude_refuse_at_load_or_keep_capacity(
+        energy_limit, cables, battery, increments, per_hop_energy, grid_limit, seed):
+    """A tiny day whose magnitudes are drawn wide either is refused with a
+    named ValueError before its first session, or runs online, under
+    threshold-50 and through ``upper_bound`` with no capacity breach. With
+    an EVSE energy limit of 1e13 a charge target took 0 slots, and online
+    died with IndexError."""
+    params = dataclasses.replace(
+        PRESETS["tiny"], evse_energy_limit=energy_limit, cables_per_evse=cables,
+        battery_capacity=battery, charge_increment=battery / increments,
+        per_hop_energy=per_hop_energy, grid_limit=grid_limit)
+    config, sessions = generate_scenario(seed, params)
+    reports = []
+    with mock.patch.object(dispatcher, "dispatch", wraps=dispatcher.dispatch) as dispatched:
+        try:
+            reports.append(run_online(sessions, config))
+        except ValueError as refusal:
+            assert str(refusal).startswith("estimated bounds are unusable: ")
+            assert dispatched.call_count == 0
+    reports.append(run_threshold(sessions, config, 0.5))
+    for report in reports:
+        assert recompute_ledger(report.decisions, config).violations(config) == []
+    assert upper_bound(sessions, config) >= 0.0
 
 
 def test_candidate_with_infinite_payment_is_never_chosen(mini_config,

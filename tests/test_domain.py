@@ -15,15 +15,13 @@ from hypothesis import strategies as st
 
 from evdispatch.domain import (
     CapacityError, Facility, Region, ResourceLedger, ScenarioConfig, Schedule,
-    Session, UNREACHABLE, config_to_dict, hops, instance_hash,
-    recompute_ledger, schedule_violations, validate, validate_sessions,
+    Session, config_to_dict, hop_row, instance_hash, recompute_ledger,
+    schedule_violations, validate, validate_sessions,
 )
 from evdispatch.harness import generate_scenario
-from evdispatch.pricing import (
-    CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE, cell_index,
-)
+from evdispatch.pricing import CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE
 
-from conftest import broken_configs, broken_sessions, build_mini_config
+from conftest import broken_configs, broken_sessions, build_mini_config, cell_index
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +43,9 @@ def test_hops_matches_networkx_on_desk_grid(desk_instance):
     for a in range(n):
         for b in range(n):
             expected = oracle[a].get(b)
-            got = hops(a, b, config)
+            got = hop_row(a, config)[b]
             if expected is None:
-                assert got is UNREACHABLE
+                assert got == -1
             else:
                 assert got == expected
 
@@ -64,12 +62,12 @@ def test_hops_unreachable_sentinel():
         edges=((0, 1), (2, 3)),
     )
     assert validate(config) == []
-    assert hops(0, 2, config) is UNREACHABLE
-    assert hops(2, 3, config) == 1
-    assert not UNREACHABLE
-    assert repr(UNREACHABLE) == "Unreachable"
-    with pytest.raises(ValueError):
-        hops(0, 99, config)
+    assert hop_row(0, config)[2] == -1
+    assert hop_row(2, config)[3] == 1
+    assert config.hop_table[0] == hop_row(0, config) == (0, 1, -1, -1)
+    for unknown in (99, -1):
+        with pytest.raises(ValueError, match="unknown region"):
+            hop_row(unknown, config)
 
 
 def _three_region_config(edges):
@@ -88,13 +86,13 @@ def test_hop_table_belongs_to_its_config_object():
     # configs built and dropped in turn often share one id(); each must
     # still get its own distances
     for edges, expected in [(chain, 2), (shortcut, 1), (chain, 2),
-                            (((0, 1),), UNREACHABLE), (shortcut, 1)]:
-        assert hops(0, 2, dataclasses.replace(config, edges=edges)) == expected
+                            (((0, 1),), -1), (shortcut, 1)]:
+        assert hop_row(0, dataclasses.replace(config, edges=edges))[2] == expected
 
-    assert hops(0, 2, config) == 2
+    assert config.hop_table[0][2] == 2
     replaced = dataclasses.replace(config, edges=shortcut)
-    assert hops(0, 2, replaced) == 1
-    assert hops(0, 2, config) == 2
+    assert replaced.hop_table[0][2] == 1
+    assert config.hop_table[0][2] == 2
 
     # the cached table is not a field: equality, hashing and export ignore it
     restored = dataclasses.replace(replaced, edges=chain)
@@ -123,15 +121,16 @@ def test_hops_is_a_metric(config, data):
     a = data.draw(st.integers(0, n - 1))
     b = data.draw(st.integers(0, n - 1))
     c = data.draw(st.integers(0, n - 1))
-    assert hops(a, a, config) == 0
-    ab, ba = hops(a, b, config), hops(b, a, config)
-    assert ab == ba or (ab is UNREACHABLE and ba is UNREACHABLE)
-    ac, cb = hops(a, c, config), hops(c, b, config)
-    if ac is not UNREACHABLE and cb is not UNREACHABLE:
-        assert ab is not UNREACHABLE and ab <= ac + cb
+    table = config.hop_table
+    assert table[a][a] == 0
+    ab, ba = table[a][b], table[b][a]
+    assert ab == ba
+    ac, cb = table[a][c], table[c][b]
+    if ac >= 0 and cb >= 0:
+        assert 0 <= ab <= ac + cb
     oracle = _nx_oracle(config)
     expected = oracle[a].get(b)
-    assert (ab is UNREACHABLE) == (expected is None)
+    assert (ab == -1) == (expected is None)
     if expected is not None:
         assert ab == expected
 

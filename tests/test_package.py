@@ -131,3 +131,27 @@ def test_no_unused_parameters(path):
     """A parameter that nothing reads is an option half removed."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert list(_unread_parameters(tree)) == []
+
+
+def _referenced(node: ast.AST):
+    """Every name that a node reads: bare, as an attribute, or imported."""
+    yield from _used(node)
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_every_private_helper_has_a_caller():
+    """A module-level ``_name`` function or class that nothing in the
+    package reads outside its own definition is a helper left behind by a
+    half-finished removal."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    statements = [node for tree in trees for node in tree.body]
+    helpers = [node for node in statements
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    reads = {id(node): set(_referenced(node)) for node in statements}
+    assert [h.name for h in helpers
+            if not any(h.name in reads[id(node)] for node in statements if node is not h)] == []

@@ -35,7 +35,7 @@ from evdispatch.dispatcher import (
     DispatcherState, _dual_increment, dispatch, run_online, utility_breakdown,
 )
 from evdispatch.domain import (
-    PriceBreakdown, ResourceLedger, Schedule, UNREACHABLE, hops,
+    PriceBreakdown, ResourceLedger, Schedule, hop_row,
 )
 from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.offline import upper_bound
@@ -267,8 +267,8 @@ def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
 
     tuples = []
     for dest in range(len(config.regions)):
-        h2 = hops(session.origin_region, dest, config)
-        if h2 is UNREACHABLE:
+        h2 = hop_row(session.origin_region, config)[dest]
+        if h2 < 0:
             continue
         if energy0 - h2 * e_hop < -MONEY_ATOL or t0 + h2 > T:
             continue
@@ -277,8 +277,8 @@ def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
         tuples.append((v, -1, 0.0, dest, 0, h2, 0))
     facs = []
     for fac in config.facilities:
-        h1 = hops(session.origin_region, fac.region_id, config)
-        if h1 is UNREACHABLE or energy0 - h1 * e_hop < -MONEY_ATOL or t0 + h1 > T:
+        h1 = hop_row(session.origin_region, config)[fac.region_id]
+        if h1 < 0 or energy0 - h1 * e_hop < -MONEY_ATOL or t0 + h1 > T:
             continue
         facs.append((h1, fac.id))
     facs = sorted(facs)[:MAX_CANDIDATE_FACILITIES]
@@ -294,8 +294,8 @@ def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
             if t_arr + k - 1 > T:
                 continue
             for dest in range(len(config.regions)):
-                h2 = hops(fac.region_id, dest, config)
-                if h2 is UNREACHABLE:
+                h2 = hop_row(fac.region_id, config)[dest]
+                if h2 < 0:
                     continue
                 final = arrival_energy + target - h2 * e_hop
                 if final < -MONEY_ATOL or t_arr + k - 1 + h2 > T:
@@ -551,16 +551,16 @@ def reference_session_upper_bound(session, config, candidates=()):
     energy0 = session.soc * cap
     targets = pricing.default_charge_targets(config)
     for dest in range(len(config.regions)):
-        h2 = hops(session.origin_region, dest, config)
-        if h2 is UNREACHABLE or t0 + h2 > T:
+        h2 = hop_row(session.origin_region, config)[dest]
+        if h2 < 0 or t0 + h2 > T:
             continue
         final = energy0 - h2 * e_hop
         if final < -MONEY_ATOL:
             continue
         best = max(best, value(final, dest, h2) - (prefix[t0 + h2] - prefix[t0 - 1]))
     for fac in config.facilities:
-        h1 = hops(session.origin_region, fac.region_id, config)
-        if h1 is UNREACHABLE or t0 + h1 > T:
+        h1 = hop_row(session.origin_region, config)[fac.region_id]
+        if h1 < 0 or t0 + h1 > T:
             continue
         arrival_energy = energy0 - h1 * e_hop
         if arrival_energy < -MONEY_ATOL:
@@ -577,8 +577,8 @@ def reference_session_upper_bound(session, config, candidates=()):
             if t_done > T:
                 continue
             for dest in range(len(config.regions)):
-                h2 = hops(fac.region_id, dest, config)
-                if h2 is UNREACHABLE or t_done + h2 > T:
+                h2 = hop_row(fac.region_id, config)[dest]
+                if h2 < 0 or t_done + h2 > T:
                     continue
                 final = arrival_energy + target - h2 * e_hop
                 if final < -MONEY_ATOL:
@@ -593,8 +593,8 @@ def reference_dest_order(config, anchor):
     value, then hops, then id."""
     order = []
     for dest, region in enumerate(config.regions):
-        h2 = hops(anchor, dest, config)
-        if h2 is UNREACHABLE:
+        h2 = hop_row(anchor, config)[dest]
+        if h2 < 0:
             continue
         order.append((-region.pickup_value, h2, dest))
     order.sort()
