@@ -20,6 +20,7 @@ from .domain import (
 from .dispatcher import peak_utilization
 from .economics import primal_increment
 from .pricing import GENERATION, charge_slots, psi as compute_psi
+from .schedules import pure_rebalance
 
 #: How many slots past its facility arrival a charging vehicle may wait
 #: for a start that fits; read at call time.
@@ -38,20 +39,9 @@ def _dest_order(config: ScenarioConfig, anchor: int) -> Tuple[Tuple[int, int], .
 def _rebalance(session: Session, config: ScenarioConfig,
                ledger: ResourceLedger) -> Optional[Schedule]:
     """Most valuable reachable pickup with a free arrival slot, if any."""
-    T = config.horizon
-    cap = config.battery_capacity
-    energy0 = session.soc * cap
     for h2, dest in _dest_order(config, session.origin_region):
-        t_plus = session.t_minus + h2
-        final = energy0 - h2 * config.per_hop_energy
-        if t_plus > T or final < -MONEY_ATOL:
-            continue
-        s = Schedule(session_id=session.id, t_minus=session.t_minus,
-                     facility_id=None, evse_index=None, t_arrival=None,
-                     cable_slots=(), energy_slots=(), dest_region=dest,
-                     t_plus=t_plus, hops_total=h2, final_soc=final / cap,
-                     value=plan_value(config, final, dest, h2))
-        if ledger.fits(s, config):
+        s = pure_rebalance(session, config, h2, dest)
+        if s is not None and ledger.fits(s, config):
             return s
     return None
 

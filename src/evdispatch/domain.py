@@ -770,15 +770,21 @@ def schedule_violations(schedule: Schedule, config: ScenarioConfig,
         out.append(f"t_minus {schedule.t_minus} outside 1..{T}")
     if not (schedule.t_minus <= schedule.t_plus <= T):
         out.append(f"t_plus {schedule.t_plus} outside t_minus..{T}")
-    if not (0 <= schedule.dest_region < len(config.regions)):
+    known_dest = schedule.dest_region in range(len(config.regions))
+    if not known_dest:
         out.append(f"unknown destination {schedule.dest_region}")
     if not (-MONEY_ATOL <= schedule.final_soc * cap <= cap + MONEY_ATOL):
         out.append(f"final stored energy {schedule.final_soc * cap} outside [0, {cap}]")
 
+    # an unknown facility skips the checks that read it
+    fac = None
     if schedule.charging:
-        fac = config.facilities[schedule.facility_id]
-        if not (0 <= schedule.evse_index < fac.evse_count):
-            out.append(f"unknown EVSE {schedule.evse_index}")
+        if schedule.facility_id in range(len(config.facilities)):
+            fac = config.facilities[schedule.facility_id]
+            if schedule.evse_index not in range(fac.evse_count):
+                out.append(f"unknown EVSE {schedule.evse_index}")
+        else:
+            out.append(f"unknown facility {schedule.facility_id}")
         if schedule.t_arrival is None:
             out.append("charging schedule without arrival slot")
         else:
@@ -788,7 +794,7 @@ def schedule_violations(schedule: Schedule, config: ScenarioConfig,
             if not (schedule.t_minus <= lo and hi <= schedule.t_plus):
                 out.append("cable held outside the out-of-service window")
         cable_set = set(schedule.cable_slots)
-        limit = fac.evse_energy_limit
+        limit = math.inf if fac is None else fac.evse_energy_limit
         for t, e in schedule.energy_slots:
             if t not in cable_set:
                 out.append(f"energy in slot {t} without a cable")
@@ -810,23 +816,29 @@ def schedule_violations(schedule: Schedule, config: ScenarioConfig,
             out.append("session id mismatch")
         if session.t_minus != schedule.t_minus:
             out.append("t_minus does not match session")
-        # replay the stored-energy trajectory hop by hop; -1 hops is no path
+        # replay the stored-energy trajectory hop by hop, up to the first
+        # leg without a path (-1 hops) or with an unknown end
         energy = session.soc * cap
-        anchor, h1 = session.origin_region, 0
-        if schedule.charging:
-            anchor = config.facilities[schedule.facility_id].region_id
-            h1 = hop_row(session.origin_region, config)[anchor]
-            if h1 < 0:
-                out.append("facility unreachable")
-            else:
-                energy -= h1 * config.per_hop_energy
-                if energy < -MONEY_ATOL:
-                    out.append("battery below 0 en route to facility")
-                energy += schedule.energy_total
-                if energy > cap + MONEY_ATOL:
-                    out.append("battery above capacity after charging")
-        if h1 >= 0:
-            # hop counts are symmetric; the destination's row range-checks it
+        origin = session.origin_region
+        anchor = origin if origin in range(len(config.regions)) else None
+        if anchor is None:
+            out.append(f"unknown origin {origin}")
+        elif schedule.charging:
+            anchor = None
+            if fac is not None:
+                h1 = hop_row(origin, config)[fac.region_id]
+                if h1 < 0:
+                    out.append("facility unreachable")
+                else:
+                    anchor = fac.region_id
+                    energy -= h1 * config.per_hop_energy
+                    if energy < -MONEY_ATOL:
+                        out.append("battery below 0 en route to facility")
+                    energy += schedule.energy_total
+                    if energy > cap + MONEY_ATOL:
+                        out.append("battery above capacity after charging")
+        if anchor is not None and known_dest:
+            # hop counts are symmetric
             h2 = hop_row(schedule.dest_region, config)[anchor]
             if h2 < 0:
                 out.append("destination unreachable")

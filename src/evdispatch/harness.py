@@ -226,34 +226,42 @@ def generate_scenario(seed: int, params: Union[str, GeneratorParams] = "desk",
 # ---------------------------------------------------------------------------
 
 
+def _integer(x) -> int:
+    """The value of an integer field; a number with a fraction is refused,
+    not truncated."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def config_from_dict(d: Mapping) -> ScenarioConfig:
     """Inverse of config_to_dict."""
     return ScenarioConfig(
-        horizon=int(d["horizon"]),
+        horizon=_integer(d["horizon"]),
         regions=tuple(
-            Region(id=int(r["id"]), pickup_value=float(r["pickup_value"]),
-                   vehicle_limit=tuple(int(x) for x in r["vehicle_limit"]),
-                   facility_id=None if r["facility_id"] is None else int(r["facility_id"]))
+            Region(id=_integer(r["id"]), pickup_value=float(r["pickup_value"]),
+                   vehicle_limit=tuple(_integer(x) for x in r["vehicle_limit"]),
+                   facility_id=None if r["facility_id"] is None else _integer(r["facility_id"]))
             for r in d["regions"]),
-        edges=tuple((int(a), int(b)) for a, b in d["edges"]),
+        edges=tuple((_integer(a), _integer(b)) for a, b in d["edges"]),
         facilities=tuple(
-            Facility(id=int(f["id"]), region_id=int(f["region_id"]),
-                     evse_count=int(f["evse_count"]),
-                     cables_per_evse=int(f["cables_per_evse"]),
+            Facility(id=_integer(f["id"]), region_id=_integer(f["region_id"]),
+                     evse_count=_integer(f["evse_count"]),
+                     cables_per_evse=_integer(f["cables_per_evse"]),
                      evse_energy_limit=float(f["evse_energy_limit"]),
                      solar=tuple(float(x) for x in f["solar"]),
                      solar_cap=float(f["solar_cap"]),
                      grid_price=tuple(float(x) for x in f["grid_price"]),
                      grid_limit=tuple(float(x) for x in f["grid_limit"]))
             for f in d["facilities"]),
-        out_of_service_cap=tuple(int(x) for x in d["out_of_service_cap"]),
+        out_of_service_cap=tuple(_integer(x) for x in d["out_of_service_cap"]),
         out_of_service_penalty=tuple(float(x) for x in d["out_of_service_penalty"]),
         battery_capacity=float(d["battery_capacity"]),
         charge_increment=float(d["charge_increment"]),
         per_hop_energy=float(d["per_hop_energy"]),
         per_hop_value_penalty=float(d["per_hop_value_penalty"]),
         soc_value_slope=float(d["soc_value_slope"]),
-        rng_seed=int(d.get("rng_seed", 0)))
+        rng_seed=_integer(d.get("rng_seed", 0)))
 
 
 def _dump_json(payload, path: str) -> None:
@@ -266,9 +274,20 @@ def write_config(config: ScenarioConfig, path: str) -> None:
     _dump_json(config_to_dict(config), path)
 
 
-def read_config(path: str) -> ScenarioConfig:
+def _read_json(path: str, from_dict):
+    """``from_dict`` of a JSON file; a malformed file raises a ValueError
+    that names it."""
     with open(path, "r", encoding="utf-8") as fh:
-        config = config_from_dict(json.load(fh))
+        try:
+            return from_dict(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def read_config(path: str) -> ScenarioConfig:
+    config = _read_json(path, config_from_dict)
     problems = validate(config)
     if problems:
         raise ValueError(f"{path}: invalid config: "
@@ -337,14 +356,14 @@ def write_report(report: RunReport, path: str) -> None:
 
 def schedule_from_dict(d: Mapping) -> Schedule:
     return Schedule(
-        session_id=int(d["session_id"]), t_minus=int(d["t_minus"]),
-        facility_id=None if d["facility_id"] is None else int(d["facility_id"]),
-        evse_index=None if d["evse_index"] is None else int(d["evse_index"]),
-        t_arrival=None if d["t_arrival"] is None else int(d["t_arrival"]),
-        cable_slots=tuple(int(t) for t in d["cable_slots"]),
-        energy_slots=tuple((int(t), float(e)) for t, e in d["energy_slots"]),
-        dest_region=int(d["dest_region"]), t_plus=int(d["t_plus"]),
-        hops_total=int(d["hops_total"]), final_soc=float(d["final_soc"]),
+        session_id=_integer(d["session_id"]), t_minus=_integer(d["t_minus"]),
+        facility_id=None if d["facility_id"] is None else _integer(d["facility_id"]),
+        evse_index=None if d["evse_index"] is None else _integer(d["evse_index"]),
+        t_arrival=None if d["t_arrival"] is None else _integer(d["t_arrival"]),
+        cable_slots=tuple(_integer(t) for t in d["cable_slots"]),
+        energy_slots=tuple((_integer(t), float(e)) for t, e in d["energy_slots"]),
+        dest_region=_integer(d["dest_region"]), t_plus=_integer(d["t_plus"]),
+        hops_total=_integer(d["hops_total"]), final_soc=float(d["final_soc"]),
         value=float(d["value"]))
 
 
@@ -357,13 +376,13 @@ def report_from_dict(d: Mapping) -> RunReport:
     return RunReport(
         algorithm=d["algorithm"],
         instance_hash=d["instance_hash"],
-        psi=int(d["psi"]),
+        psi=_integer(d["psi"]),
         bounds=None if d["bounds"] is None else PriceBounds(**d["bounds"]),
         alphas=None if alphas_d is None else Alphas(
             *(alphas_d[f"a{k}"] for k in range(1, 6))),
         decisions=tuple(
             DispatchDecision(
-                session_id=int(x["session_id"]), utility=float(x["utility"]),
+                session_id=_integer(x["session_id"]), utility=float(x["utility"]),
                 schedule=(None if x["schedule"] is None
                           else schedule_from_dict(x["schedule"])),
                 breakdown=PriceBreakdown(**x["breakdown"]))
@@ -376,8 +395,7 @@ def report_from_dict(d: Mapping) -> RunReport:
 
 
 def read_report(path: str) -> RunReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
+    return _read_json(path, report_from_dict)
 
 
 def write_decisions_csv(report: RunReport, path: str) -> None:

@@ -19,6 +19,8 @@ intended for small instances; it refuses search spaces past a hard limit.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -33,10 +35,7 @@ from .economics import primal_increment
 
 def _phi_prefix(config: ScenarioConfig) -> List[float]:
     """prefix[t] = sum of the out-of-service penalty over slots 1..t."""
-    prefix = [0.0]
-    for phi in config.out_of_service_penalty:
-        prefix.append(prefix[-1] + phi)
-    return prefix
+    return list(itertools.accumulate(config.out_of_service_penalty, initial=0.0))
 
 
 def _span_penalty(prefix: List[float], lo: int, hi: int) -> float:
@@ -155,10 +154,7 @@ class OfflineResult:
 def search_space_size(sessions: Sequence[Session],
                       candidate_sets: Mapping[int, Sequence[Schedule]]) -> int:
     """Product over sessions of (candidate count + 1)."""
-    size = 1
-    for session in sessions:
-        size *= len(candidate_sets.get(session.id, ())) + 1
-    return size
+    return math.prod(len(candidate_sets.get(session.id, ())) + 1 for session in sessions)
 
 
 def exact_offline(sessions: Sequence[Session], config: ScenarioConfig,

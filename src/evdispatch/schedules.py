@@ -15,10 +15,10 @@ Charging tuples are never all enumerated either. Each facility's
 destinations are ranked once per config (``ScenarioConfig.destinations``)
 into batches of groups that share a hop count and a pickup value, so that
 every plan of a batch outranks every plan of a later one. Each (facility,
-target) pair streams its batches into one heap, one batch at a time and
-each group's destinations one at a time, and the build stops at the cap:
-the order is exactly that of sorting every tuple, and only the tuples
-near the top are ever valued.
+target) pair is a stream that values and sorts one batch at a time, the
+streams are merged with ``heapq.merge``, and the build stops at the cap:
+the order is exactly that of sorting every tuple, and only the batches
+that the cap reaches are ever valued.
 
 The builder reads posted prices from the ``pricing.Snapshot`` its caller
 took of the ledger; ``dispatch`` prices the candidates from the same one.
@@ -30,7 +30,7 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import pricing
 from .constants import MONEY_ATOL
@@ -102,32 +102,16 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     # ---- every reachable pure rebalance ----
     out: List[Schedule] = []
     for dest, h2 in enumerate(origin_hops):
-        if h2 < 0:
-            continue
-        if energy0 - h2 * e_hop < -MONEY_ATOL:
-            continue
-        t_plus = t0 + h2
-        if t_plus > T:
-            continue
-        final = energy0 - h2 * e_hop
-        v = plan_value(config, final, dest, h2)
-        out.append(Schedule(session_id=session.id, t_minus=t0, facility_id=None,
-                            evse_index=None, t_arrival=None, cable_slots=(),
-                            energy_slots=(), dest_region=dest, t_plus=t_plus,
-                            hops_total=h2, final_soc=final / cap, value=v))
+        if h2 >= 0:
+            s = pure_rebalance(session, config, h2, dest)
+            if s is not None:
+                out.append(s)
 
     # ---- one stream of charging tuples per (facility, target) ----
-    # A stream walks the facility's destination batches
-    # (``Destinations.batches``) best first. The heap holds
-    # (-v, f, target, dest, group, position, stream, carrier); the first
-    # four fields are unique, so the rest are never compared, and the pop
-    # order is that of sorting every tuple by (-v, f, target, dest). Every
-    # plan of a batch outranks every plan of the stream's later batches,
-    # so a batch is pushed only when an entry of the batch before it, its
-    # carrier, pops. The destinations of a group share the head's value
-    # bit for bit and follow it in ascending order, each pushed when the
-    # one before it pops.
-    tuples = []
+    # Each stream yields (-v, f, target, dest, h1, h2, k, last) in
+    # ascending order. The first four fields are unique, so the merge
+    # order is that of sorting every tuple by (-v, f, target, dest).
+    streams = []
     targets = pricing.default_charge_targets(config)
     legs = facility_legs(session.origin_region, energy0, t0, config)
     for h1, fac in legs[:MAX_CANDIDATE_FACILITIES]:
@@ -135,15 +119,14 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
         headroom = cap - arrival_energy
         t_arr = t0 + h1
         rate = pricing.effective_charge_rate(fac)
-        batches = config.destinations[fac.region_id].batches
         for target in targets:
             if target > headroom + MONEY_ATOL:
                 break
             k, last = charge_slots(target, rate)
             if t_arr + k - 1 > T:
                 continue
-            _push_batch(_Stream(fac.id, target, h1, k, last, arrival_energy + target,
-                                T - (t_arr + k - 1), batches), tuples, config)
+            streams.append(_stream(config, fac, target, h1, k, last,
+                                   arrival_energy + target, T - (t_arr + k - 1)))
 
     # ---- build charging tuples, best value first, until the cap ----
     # A window runs from the facility arrival slot t_arr, fixed per
@@ -153,15 +136,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     plans = {}  # (facility, window end, k) -> (EVSE, chosen slots, dearest)
     seen = set()
     built_charges = 0
-    while tuples and built_charges < policy.max_candidates_total:
-        neg_v, fid, target, dest, group, i, stream, carrier = heapq.heappop(tuples)
-        h2, dests = group
-        if i + 1 < len(dests):
-            heapq.heappush(tuples, (neg_v, fid, target, dests[i + 1], group, i + 1,
-                                    stream, False))
-        if carrier:
-            _push_batch(stream, tuples, config)
-        h1, k = stream.h1, stream.k
+    for neg_v, fid, target, dest, h1, h2, k, last in heapq.merge(*streams):
         fac = config.facilities[fid]
         t_arr = t0 + h1
         rate = pricing.effective_charge_rate(fac)
@@ -181,7 +156,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
                 plan = plans[fid, hi, k] = (evse, chosen,
                                             _dearest(chosen, fid, evse, prices))
             evse, chosen, dearest = plan
-            energy_slots = _assign_energy(chosen, dearest, stream.last, rate)
+            energy_slots = _assign_energy(chosen, dearest, last, rate)
             done = chosen[-1]
             t_plus = done + h2
             final = (energy0 - h1 * e_hop + target - h2 * e_hop) / cap
@@ -196,47 +171,47 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
                 cable_slots=tuple(range(t_arr, done + 1)),
                 energy_slots=energy_slots, dest_region=dest,
                 t_plus=t_plus, hops_total=h1 + h2, final_soc=final, value=-neg_v))
+        if built_charges >= policy.max_candidates_total:
+            break
     out.sort(key=_candidate_key)
     return out
 
 
-@dataclass(slots=True)
-class _Stream:
-    """The charging tuples of one (facility, charge target), walked batch
-    by batch. ``k`` and ``last`` are the charging slots and the energy of
-    the last of them (``pricing.charge_slots``), ``stored`` is the energy
-    on leaving the facility, ``reach`` the farthest hop count the horizon
-    allows, and ``next`` the batch to push next."""
-
-    fid: int
-    target: float
-    h1: int
-    k: int
-    last: float
-    stored: float
-    reach: int
-    batches: tuple
-    next: int = 0
+def pure_rebalance(session: Session, config: ScenarioConfig, h2: int,
+                   dest: int) -> Optional[Schedule]:
+    """The session's drive straight to ``dest``, ``h2`` hops away; None
+    when it ends past the horizon or below the battery floor."""
+    cap = config.battery_capacity
+    t_plus = session.t_minus + h2
+    final = session.soc * cap - h2 * config.per_hop_energy
+    if t_plus > config.horizon or final < -MONEY_ATOL:
+        return None
+    return Schedule(session_id=session.id, t_minus=session.t_minus, facility_id=None,
+                    evse_index=None, t_arrival=None, cable_slots=(), energy_slots=(),
+                    dest_region=dest, t_plus=t_plus, hops_total=h2, final_soc=final / cap,
+                    value=plan_value(config, final, dest, h2))
 
 
-def _push_batch(stream: _Stream, heap: list, config: ScenarioConfig) -> None:
-    """Push the group heads of the stream's next batch that has a group
-    passing the filters, the first of them as the batch's carrier."""
+def _stream(config: ScenarioConfig, fac, target: float, h1: int, k: int, last: float,
+            stored: float, reach: int) -> Iterator[tuple]:
+    """The charging tuples of one (facility, charge target), best first:
+    the facility's destination batches in turn, each valued and sorted
+    only when the one before it is used up. ``k`` and ``last`` are the
+    charging slots and the energy of the last of them
+    (``pricing.charge_slots``), ``stored`` the energy on leaving the
+    facility, and ``reach`` the farthest hop count the horizon allows.
+    The destinations of a group share its value bit for bit."""
     e_hop = config.per_hop_energy
-    carrier = True
-    while carrier and stream.next < len(stream.batches):
-        for group in stream.batches[stream.next]:
-            h2, dests = group
-            if h2 > stream.reach:
+    for batch in config.destinations[fac.region_id].batches:
+        tuples = []
+        for h2, dests in batch:
+            final = stored - h2 * e_hop
+            if h2 > reach or final < -MONEY_ATOL:
                 continue
-            final = stream.stored - h2 * e_hop
-            if final < -MONEY_ATOL:
-                continue
-            v = plan_value(config, final, dests[0], stream.h1 + h2)
-            heapq.heappush(heap, (-v, stream.fid, stream.target, dests[0], group, 0,
-                                  stream, carrier))
-            carrier = False
-        stream.next += 1
+            v = plan_value(config, final, dests[0], h1 + h2)
+            tuples.extend((-v, fac.id, target, dest, h1, h2, k, last) for dest in dests)
+        tuples.sort()
+        yield from tuples
 
 
 def _candidate_key(s: Schedule):

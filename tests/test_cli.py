@@ -225,3 +225,42 @@ def test_compare_end_to_end(tmp_path, capsys):
     # an explicit --ub skips loading the instance entirely
     assert main(["compare", "--reports", str(out / "online-report.json"),
                  "--ub", "1000.0", "--out", str(cmp_dir)]) == 0
+
+
+@pytest.mark.parametrize("defect", ["no horizon", "regions 5", "horizon 12.7"])
+def test_run_on_a_malformed_config_exits_one_and_writes_nothing(tmp_path, capsys, defect):
+    """A missing field used to exit through a KeyError traceback, a
+    scalar in place of a list through a TypeError one, and a fractional
+    horizon was truncated to 12 and run."""
+    inst = tmp_path / "inst"
+    main(["generate", "--seed", "0", "--preset", "tiny", "--out", str(inst)])
+    payload = json.loads((inst / "config-seed0.json").read_text())
+    if defect == "no horizon":
+        del payload["horizon"]
+    elif defect == "regions 5":
+        payload["regions"] = 5
+    else:
+        payload["horizon"] = 12.7
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(bad), "--sessions",
+                 str(inst / "sessions-seed0.csv"), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [{"algorithm": "online"}, [], {"psi": 6.5}])
+def test_compare_on_a_malformed_report_exits_one_and_writes_nothing(tmp_path, capsys,
+                                                                    payload):
+    """A report without its fields used to exit through a KeyError
+    traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "cmp"
+    code = main(["compare", "--reports", str(bad), "--ub", "1.0", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not out.exists()

@@ -285,7 +285,7 @@ def test_hand_schedules_are_clean(mini_config, mini_session, mini_rebalance,
 
 
 def test_schedule_violations_catch_tampering(mini_config, mini_session,
-                                             mini_charge):
+                                             mini_charge, mini_rebalance):
     wrong_soc = dataclasses.replace(mini_charge, final_soc=0.9)
     assert any("final_soc" in v for v in
                schedule_violations(wrong_soc, mini_config, mini_session))
@@ -310,6 +310,22 @@ def test_schedule_violations_catch_tampering(mini_config, mini_session,
     id_mismatch = dataclasses.replace(mini_charge, session_id=7)
     assert any("session id" in v for v in
                schedule_violations(id_mismatch, mini_config, mini_session))
+
+    # a bad index is listed, never raised or wrapped around
+    for fields, problem in [({"facility_id": 3}, "unknown facility 3"),
+                            ({"facility_id": -1}, "unknown facility -1"),
+                            ({"evse_index": None}, "unknown EVSE None"),
+                            ({"evse_index": -1}, "unknown EVSE -1"),
+                            ({"dest_region": 7}, "unknown destination 7"),
+                            ({"dest_region": -1}, "unknown destination -1")]:
+        bad = dataclasses.replace(mini_charge, **fields)
+        for session in (None, mini_session):
+            assert problem in schedule_violations(bad, mini_config, session)
+    for origin in (7, -1):
+        lost = dataclasses.replace(mini_session, origin_region=origin)
+        for plan in (mini_charge, mini_rebalance):
+            assert (f"unknown origin {origin}"
+                    in schedule_violations(plan, mini_config, lost))
 
 
 def test_schedule_violations_allow_two_rates_only(mini_config):

@@ -1,6 +1,6 @@
 """The table-driven walks, the per-session payment snapshot, the
-heap-driven candidate build and the per-config destination ranking
-against plain reference implementations.
+candidate build that merges its sorted streams and the per-config
+destination ranking against plain reference implementations.
 
 ``utility_breakdown`` reads payments from the snapshot that ``dispatch``
 takes of the ledger and also hands to the candidate build: running sums

@@ -8,10 +8,11 @@ import math
 
 import pytest
 
-from evdispatch import pricing
+from evdispatch import pricing, run_online, schedules
 from evdispatch.domain import (
     ResourceLedger, Session, plan_value, schedule_violations,
 )
+from evdispatch.harness import generate_scenario
 from evdispatch.schedules import (
     DEFAULT_POLICY, GenerationPolicy, feasible_schedules, validate_policy,
 )
@@ -163,3 +164,20 @@ def test_low_battery_cannot_reach_far_destinations(mini_config):
     out = _candidates(mini_config, session)
     # 0 kWh cannot cover the hop to region 0, charged or not
     assert all(s.dest_region == 1 and not s.charging for s in out)
+
+
+def test_the_build_values_only_what_the_cap_reaches(monkeypatch):
+    """Equal candidate lists do not show lost laziness: a build that
+    values every destination group of every (facility, target) stream
+    gives the same plans. The bound, 8,113, is the count of a build that
+    valued a stream's next batch as soon as the first plan of the batch
+    before it was taken; the merged streams wait for its last."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return plan_value(*args)
+    monkeypatch.setattr(schedules, "plan_value", counted)
+    config, sessions = generate_scenario(0, "desk")
+    run_online(sessions, config)
+    assert 0 < calls[0] <= 8113
