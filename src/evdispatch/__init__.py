@@ -28,9 +28,9 @@ from .dispatcher import DispatcherState, dispatch, run_online
 from .offline import OfflineResult, exact_offline, search_space_size, upper_bound
 from .baselines import run_threshold, threshold_dispatch
 from .harness import (
-    ComparisonTable, ExperimentSpec, GeneratorParams, PRESETS, compare,
-    generate_scenario, ingest_traces, read_config, read_report, read_sessions,
-    run_experiment, write_config, write_report, write_sessions,
+    ComparisonTable, GeneratorParams, PRESETS, compare, generate_scenario,
+    ingest_traces, read_config, read_report, read_sessions, write_config,
+    write_report, write_sessions,
 )
 
 __version__ = "0.1.0"
@@ -48,8 +48,8 @@ __all__ = [
     "validate_policy", "DispatcherState", "dispatch",
     "run_online", "OfflineResult", "exact_offline",
     "search_space_size", "upper_bound", "run_threshold", "threshold_dispatch",
-    "ComparisonTable", "ExperimentSpec", "GeneratorParams", "PRESETS",
+    "ComparisonTable", "GeneratorParams", "PRESETS",
     "compare", "generate_scenario", "ingest_traces", "read_config",
-    "read_report", "read_sessions", "run_experiment", "write_config",
+    "read_report", "read_sessions", "write_config",
     "write_report", "write_sessions", "__version__",
 ]

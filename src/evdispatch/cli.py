@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 from . import harness, offline, pricing
 from .baselines import run_threshold
 from .dispatcher import run_online
-from .domain import ScenarioConfig, Session, instance_hash, validate
+from .domain import ScenarioConfig, Session, instance_hash
 from .schedules import DEFAULT_POLICY, GenerationPolicy
 
 
@@ -142,11 +142,6 @@ def _cmd_offline_exact(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _load_config(args)
-    problems = validate(config)
-    if problems:
-        for p in problems:
-            print(f"invalid config: {p}")
-        return 1
     psi_ = pricing.psi(config)
     bounds = pricing.estimate_bounds(config)
     alphas = pricing.alphas(bounds, psi_, config)

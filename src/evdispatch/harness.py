@@ -15,9 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-import re
-from dataclasses import asdict, dataclass, replace
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .constants import MONEY_ATOL
 from .domain import (
     Facility, Region, RunReport, ScenarioConfig, Schedule, Session,
-    config_to_dict, validate,
+    check_config, config_to_dict,
 )
 
 
@@ -97,7 +96,19 @@ PRESETS: Dict[str, GeneratorParams] = {
 
 
 def validate_params(params: GeneratorParams) -> List[str]:
+    """Problems of the knobs themselves, [] when the generator can run
+    them: every count must be an integer and every number finite. The
+    config they generate is then checked by ``validate``, which owns its
+    ranges."""
     out = []
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if field.type in ("int", "Optional[int]"):  # annotations are strings here
+            if value is not None and not isinstance(value, numbers.Integral):
+                out.append(f"{field.name} must be an integer, not {value!r}")
+        elif not all(math.isfinite(x) for x in (value if isinstance(value, tuple)
+                                                 else (value,))):
+            out.append(f"{field.name} must be finite")
     if params.horizon < 1:
         out.append("horizon must be >= 1")
     if params.grid_rows < 1 or params.grid_cols < 1:
@@ -111,6 +122,8 @@ def validate_params(params: GeneratorParams) -> List[str]:
         out.append("pickup_values must be nonempty and nonnegative")
     if max(params.pickup_values, default=0.0) <= 0:
         out.append("at least one pickup value must be positive")
+    if not params.soc_choices:
+        out.append("soc_choices must be nonempty")
     if not all(0.0 <= s <= 1.0 for s in params.soc_choices):
         out.append("soc_choices must lie in [0, 1]")
     if params.offpeak_price <= 0 or params.peak_price <= 0:
@@ -142,7 +155,9 @@ def generate_scenario(seed: int, params: Union[str, GeneratorParams] = "desk",
     """Deterministic synthetic instance from one seed.
 
     Same seed and params give the identical config and session stream,
-    bit for bit.
+    bit for bit. Raises ``ValueError("invalid generator params: …")``
+    naming each field that ``validate_params`` rejects, or that
+    ``validate`` rejects in the config the params generate.
     """
     if isinstance(params, str):
         try:
@@ -202,10 +217,10 @@ def generate_scenario(seed: int, params: Union[str, GeneratorParams] = "desk",
         per_hop_value_penalty=params.per_hop_value_penalty,
         soc_value_slope=params.soc_value_slope,
         rng_seed=seed)
-    bad = validate(config)
-    if bad:
-        raise RuntimeError("generator produced an invalid config: "
-                           + "; ".join(str(v) for v in bad[:3]))
+    try:
+        check_config(config)
+    except ValueError as exc:
+        raise ValueError(f"invalid generator params: {exc}") from None
 
     sessions: List[Session] = []
     sid = 0
@@ -287,12 +302,11 @@ def _read_json(path: str, from_dict):
 
 
 def read_config(path: str) -> ScenarioConfig:
-    config = _read_json(path, config_from_dict)
-    problems = validate(config)
-    if problems:
-        raise ValueError(f"{path}: invalid config: "
-                         + "; ".join(str(p) for p in problems[:5]))
-    return config
+    def checked(d: Mapping) -> ScenarioConfig:
+        config = config_from_dict(d)
+        check_config(config)
+        return config
+    return _read_json(path, checked)
 
 
 def write_sessions(sessions: Sequence[Session], path: str) -> None:
@@ -616,75 +630,3 @@ def write_comparison(table: ComparisonTable, csv_path: str, plot_json_path: str)
              "ratio_to_ub": row.ratio_to_ub}
             for row in table.rows],
     }, plot_json_path)
-
-
-# ---------------------------------------------------------------------------
-# Experiment orchestration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A batch of runs: one instance source, several algorithms, N seeds.
-
-    ``algorithms`` entries: "online" or "threshold-N" with N an integer
-    in 1..99, the threshold in percent ("threshold-25", ...). Repetition
-    r uses seed + r when generating.
-    """
-
-    out_dir: str
-    seed: Optional[int] = None
-    preset: str = "desk"
-    config_path: Optional[str] = None
-    sessions_path: Optional[str] = None
-    algorithms: Tuple[str, ...] = ("online",)
-    repetitions: int = 1
-
-    def problems(self) -> List[str]:
-        out = []
-        if self.repetitions < 1:
-            out.append("repetitions must be >= 1")
-        file_source = self.config_path is not None and self.sessions_path is not None
-        if self.seed is None and not file_source:
-            out.append("need either a seed or config+sessions paths")
-        for path in (self.config_path, self.sessions_path):
-            if path is not None and not os.path.exists(path):
-                out.append(f"missing file {path}")
-        if file_source and self.repetitions != 1:
-            out.append("file-based instances support exactly 1 repetition")
-        for a in self.algorithms:
-            if a != "online" and not re.fullmatch(r"threshold-[1-9][0-9]?", a):
-                out.append(f"unknown algorithm {a!r}: need online or threshold-N, "
-                           "N an integer in 1..99")
-        return out
-
-
-def run_experiment(spec: ExperimentSpec) -> List[str]:
-    """Execute the spec; returns the paths written (reports then CSVs)."""
-    from .baselines import run_threshold
-    from .dispatcher import run_online
-
-    problems = spec.problems()
-    if problems:
-        raise ValueError("invalid experiment spec: " + "; ".join(problems))
-    os.makedirs(spec.out_dir, exist_ok=True)
-    written: List[str] = []
-    for rep in range(spec.repetitions):
-        if spec.config_path is not None and spec.sessions_path is not None:
-            config = read_config(spec.config_path)
-            sessions = read_sessions(spec.sessions_path)
-            stem = os.path.splitext(os.path.basename(spec.config_path))[0]
-        else:
-            config, sessions = generate_scenario(spec.seed + rep, spec.preset)
-            stem = f"seed{spec.seed + rep}"
-        for algorithm in spec.algorithms:
-            if algorithm == "online":
-                report = run_online(sessions, config)
-            else:
-                pct = int(algorithm.split("-", 1)[1])
-                report = run_threshold(sessions, config, threshold=pct / 100.0)
-            base = os.path.join(spec.out_dir, f"{stem}-{algorithm}")
-            write_report(report, base + "-report.json")
-            write_decisions_csv(report, base + "-decisions.csv")
-            written.extend([base + "-report.json", base + "-decisions.csv"])
-    return written

@@ -10,7 +10,8 @@ and hop count a plan is worth most at the best pickup of its hop ring, so
 the bound reads one destination per ring (``Destinations.rings``) and
 gets the same float as a walk over every destination. ``upper_bound`` is
 the one entry point; the bound of a single session is that of a
-one-session stream.
+one-session stream. It needs no candidate sets: it already dominates
+every plan a builder in this package makes.
 
 The exact solver is a depth-first search over explicit per-session
 candidate sets (typically captured from an online run) and is only
@@ -48,7 +49,7 @@ def _net_value(schedule: Schedule, prefix: List[float]) -> float:
 
 
 def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float],
-                   targets: Tuple[float, ...], candidates: Sequence[Schedule]) -> float:
+                   targets: Tuple[float, ...]) -> float:
     """Best conceivable welfare contribution of one session, from the
     penalty prefix sums and the charge targets that ``upper_bound`` builds
     once per session stream.
@@ -56,23 +57,21 @@ def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float]
     Covers every reachable (facility, charge target, destination) triple
     plus pure rebalances, charges energy nothing, and assumes the
     shortest possible service window, so every actual plan any solver in
-    this package can pick is dominated. Charge targets cover the default
-    multiples and a charge-to-full amount per facility. Explicit candidate
-    schedules join the maximization as-is. Net of the service window's
+    this package can pick is dominated, the candidates of an online run
+    included. Charge targets cover the default multiples and a
+    charge-to-full amount per facility. Net of the service window's
     penalty, a plan's value is still monotone in the pickup value, so
     each hop ring is read at its best destination."""
     T = config.horizon
     t0 = session.t_minus
-    best = 0.0
-    for s in candidates:
-        best = max(best, _net_value(s, prefix))
     if t0 >= T:
-        return best
+        return 0.0
 
     cap = config.battery_capacity
     e_hop = config.per_hop_energy
     energy0 = session.soc * cap
     destinations = config.destinations
+    best = 0.0
 
     for h2, dest in destinations[session.origin_region].rings:
         if t0 + h2 > T:
@@ -110,13 +109,10 @@ def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float]
     return best
 
 
-def upper_bound(sessions: Sequence[Session], config: ScenarioConfig,
-                candidate_sets: Optional[Mapping[int, Sequence[Schedule]]] = None,
-                ) -> float:
+def upper_bound(sessions: Sequence[Session], config: ScenarioConfig) -> float:
     """Capacity-free welfare upper bound for a session stream: the sum of
     each session's best conceivable contribution, at least 0.0 each, so
-    a one-session stream gives that session's bound. The candidate sets,
-    when given, join each session's maximization as-is.
+    a one-session stream gives that session's bound.
 
     Raises ValueError on a config that ``validate`` or a stream that
     ``validate_sessions`` rejects.
@@ -127,8 +123,7 @@ def upper_bound(sessions: Sequence[Session], config: ScenarioConfig,
     targets = pricing.default_charge_targets(config)
     total = 0.0
     for session in sessions:
-        extra = candidate_sets.get(session.id, ()) if candidate_sets else ()
-        total += _session_bound(session, config, prefix, targets, extra)
+        total += _session_bound(session, config, prefix, targets)
     return total
 
 

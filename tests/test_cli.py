@@ -114,7 +114,8 @@ def test_run_on_invalid_sessions_exits_one_and_writes_nothing(tmp_path, capsys, 
 def test_run_on_a_non_finite_config_exits_one_and_writes_nothing(tmp_path, capsys, defect):
     """The JSON file spells the number Infinity. The first config used to
     die with an IndexError traceback; the second exited 0, wrote its
-    artifacts and printed welfare=nan."""
+    artifacts and printed welfare=nan. ``verify`` refuses the file the
+    same way, when it loads it, before it prints anything."""
     inst = tmp_path / "inst"
     main(["generate", "--seed", "0", "--preset", "tiny", "--out", str(inst)])
     field, config = broken_configs()[defect]
@@ -128,6 +129,10 @@ def test_run_on_a_non_finite_config_exits_one_and_writes_nothing(tmp_path, capsy
     assert code == 1
     assert f"invalid config: {field} at " in capsys.readouterr().err
     assert not out.exists()
+    assert main(["verify", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: invalid config: {field} at ")
+    assert captured.out == ""
 
 
 def test_run_rush_preset(tmp_path, capsys):

@@ -15,9 +15,9 @@ from evdispatch.baselines import run_threshold
 from evdispatch.dispatcher import run_online
 from evdispatch.domain import instance_hash, validate
 from evdispatch.harness import (
-    PRESETS, ComparisonTable, ExperimentSpec, GeneratorParams, compare,
+    PRESETS, ComparisonTable, GeneratorParams, compare,
     generate_scenario, ingest_traces, read_config, read_report,
-    read_sessions, run_experiment, validate_params, write_comparison,
+    read_sessions, validate_params, write_comparison,
     write_config, write_decisions_csv, write_report, write_sessions,
 )
 from evdispatch.offline import exact_offline, upper_bound
@@ -57,6 +57,43 @@ def test_generator_rejects_bad_input():
     assert len(validate_params(bad)) >= 2
     with pytest.raises(ValueError, match="invalid generator params"):
         generate_scenario(0, bad)
+
+
+#: (a knob set on the tiny preset, the name its error must carry). A NaN
+#: or an infinity, a fractional count and an empty choice are the knobs'
+#: own problems; the rest are those of the config the knobs generate.
+#: Each used to raise a RuntimeError, a TypeError or a numpy ValueError
+#: that named no parameter, or ran without any error.
+BAD_PARAMS = [
+    ({"offpeak_price": math.nan}, "offpeak_price"),
+    ({"peak_price": math.inf}, "peak_price"),
+    ({"solar_peak": math.nan}, "solar_peak"),
+    ({"solar_peak": -1.0}, "solar"),
+    ({"grid_limit": -1.0}, "grid_limit"),
+    ({"grid_limit": math.nan}, "grid_limit"),
+    ({"battery_capacity": math.nan}, "battery_capacity"),
+    ({"vehicle_limit": -1}, "vehicle_limit"),
+    ({"evse_energy_limit": 0.0}, "evse_energy_limit"),
+    ({"evse_per_facility": 0}, "evse_count"),
+    ({"pickup_values": (15.0, math.nan)}, "pickup_values"),
+    ({"pickup_values": (math.inf,)}, "pickup_values"),
+    ({"charge_increment": 4.0}, "charge_increment"),
+    ({"horizon": 2.5}, "horizon"),
+    ({"arrival_rate": math.nan}, "arrival_rate"),
+    ({"arrival_rate": math.inf}, "arrival_rate"),
+    ({"soc_choices": ()}, "soc_choices"),
+    ({"max_sessions": 2.5}, "max_sessions"),
+    ({"peak_hours": (math.nan, 3.0)}, "peak_hours"),
+]
+
+
+@pytest.mark.parametrize("changes, name", BAD_PARAMS,
+                         ids=[" ".join(f"{k}={v}" for k, v in c.items()) for c, _ in BAD_PARAMS])
+def test_generator_names_each_bad_param(changes, name):
+    params = dataclasses.replace(PRESETS["tiny"], **changes)
+    with pytest.raises(ValueError, match="^invalid generator params: ") as info:
+        generate_scenario(0, params)
+    assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
 
 
 def test_tiny_caps_session_count():
@@ -225,7 +262,7 @@ def test_ingest_rejects_gaps_and_bad_prices(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Comparison and experiments
+# Comparison
 # ---------------------------------------------------------------------------
 
 
@@ -233,7 +270,7 @@ def _tiny_runs(seed=3):
     config, sessions = generate_scenario(seed, "tiny")
     online, captured = run_online(sessions, config, capture_candidates=True)
     threshold = run_threshold(sessions, config, 0.5)
-    ub = upper_bound(sessions, config, candidate_sets=captured)
+    ub = upper_bound(sessions, config)
     opt = exact_offline(sessions, config, captured).welfare
     return config, sessions, online, threshold, ub, opt
 
@@ -279,45 +316,3 @@ def test_write_comparison_outputs(tmp_path):
     assert payload["upper_bound"] == ub
     assert payload["ratio_guarantee_met"] is True
     assert len(payload["series"]) == 2
-
-
-def test_experiment_spec_validation(tmp_path):
-    assert ExperimentSpec(out_dir=str(tmp_path), seed=1).problems() == []
-    bad = ExperimentSpec(out_dir=str(tmp_path), repetitions=0,
-                         algorithms=("online", "greedy"),
-                         config_path=str(tmp_path / "nope.json"))
-    problems = bad.problems()
-    assert any("repetitions" in p for p in problems)
-    assert any("seed" in p for p in problems)
-    assert any("missing file" in p for p in problems)
-    assert any("greedy" in p for p in problems)
-    with pytest.raises(ValueError, match="invalid experiment spec"):
-        run_experiment(bad)
-
-    # a threshold other than 1..99 percent used to pass: the run then wrote
-    # the online artifacts before it died on the threshold
-    out = tmp_path / "runs"
-    for algorithm in ("threshold-abc", "threshold-0", "threshold-100", "threshold-",
-                      "threshold-50.5", "threshold--5"):
-        spec = ExperimentSpec(out_dir=str(out), seed=1, preset="tiny",
-                              algorithms=("online", algorithm))
-        assert [p for p in spec.problems() if algorithm in p] != []
-        with pytest.raises(ValueError, match="invalid experiment spec: unknown algorithm"):
-            run_experiment(spec)
-        assert not out.exists()
-
-
-def test_run_experiment_writes_reports(tmp_path):
-    spec = ExperimentSpec(out_dir=str(tmp_path / "runs"), seed=1,
-                          preset="tiny",
-                          algorithms=("online", "threshold-50"),
-                          repetitions=2)
-    written = run_experiment(spec)
-    assert len(written) == 8
-    reports = [p for p in written if p.endswith("-report.json")]
-    seen = {(read_report(p).algorithm,
-             read_report(p).instance_hash) for p in reports}
-    assert len(seen) == 4  # 2 algorithms x 2 seeds
-    report = read_report(str(tmp_path / "runs" / "seed1-online-report.json"))
-    assert report.algorithm == "online"
-    assert math.isfinite(report.welfare)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -29,18 +28,6 @@ def test_session_upper_bound_by_hand(mini_config, mini_session):
     assert upper_bound([mini_session], mini_config) == pytest.approx(12.3)
 
 
-def test_session_upper_bound_absorbs_explicit_candidates(mini_config,
-                                                         mini_session,
-                                                         mini_charge):
-    base = upper_bound([mini_session], mini_config)
-    same = upper_bound([mini_session], mini_config, {mini_session.id: [mini_charge]})
-    assert same == pytest.approx(base)  # 13.0 - 1.2 = 11.8 < 12.1
-
-    rich = dataclasses.replace(mini_charge, value=100.0)
-    boosted = upper_bound([mini_session], mini_config, {mini_session.id: [rich]})
-    assert boosted == pytest.approx(100.0 - 1.2)
-
-
 def test_session_upper_bound_horizon_edges(mini_config):
     last = Session(id=0, t_minus=6, origin_region=1, soc=0.5)
     assert upper_bound([last], mini_config) == 0.0
@@ -63,7 +50,7 @@ def test_bound_chain_ub_exact_online(seed):
     report, captured = run_online(sessions, config, policy,
                                   capture_candidates=True)
     result = exact_offline(sessions, config, captured)
-    ub = upper_bound(sessions, config, captured)
+    ub = upper_bound(sessions, config)
     assert result.welfare >= report.welfare - 1e-9
     assert ub >= result.welfare - 1e-9
 

@@ -27,10 +27,13 @@ SOURCES = sorted(pathlib.Path(evdispatch.__file__).parent.glob("*.py"))
 
 
 def test_every_export_resolves_and_appears_once():
-    """A function deleted from a module must leave no dangling export."""
+    """A function deleted from a module must leave no dangling export, and
+    the package imports exactly the names it exports."""
     names = evdispatch.__all__
     assert [n for n, count in Counter(names).items() if count > 1] == []
     assert [n for n in names if not hasattr(evdispatch, n)] == []
+    init = ast.parse(pathlib.Path(evdispatch.__file__).read_text(encoding="utf-8"))
+    assert {name for _, name in _imported(init)} == set(names) - {"__version__"}
 
 
 def test_every_hook_sees_calls(monkeypatch):
