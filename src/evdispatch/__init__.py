@@ -9,9 +9,8 @@ search, and threshold baselines provide the reference points, and a
 verification harness checks the pricing machinery numerically.
 """
 
-from .constants import MONEY_ATOL
 from .domain import (
-    CapacityError, DispatchDecision, Facility, PriceBreakdown, Region,
+    MONEY_ATOL, CapacityError, DispatchDecision, Facility, PriceBreakdown, Region,
     ResourceLedger, RunReport, ScenarioConfig, Schedule, Session, Violation,
     instance_hash, recompute_ledger, schedule_violations, validate,
     validate_sessions,

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .constants import MONEY_ATOL
 from .domain import (
-    DispatchDecision, ResourceLedger, RunReport, ScenarioConfig, Schedule,
+    MONEY_ATOL, DispatchDecision, ResourceLedger, RunReport, ScenarioConfig, Schedule,
     Session, check_config, check_sessions, facility_legs, instance_hash, plan_value,
 )
 from .dispatcher import peak_utilization

@@ -29,12 +29,16 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple, List, Sequence, TYPE_CHECKING
+from typing import Callable, Optional, Tuple, List, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pricing import Alphas, Cells, PriceBounds
 
-from .constants import MONEY_ATOL
+
+#: Absolute tolerance for money comparisons, in dollars. Money is plain
+#: floats; every comparison of money amounts in the package uses this one
+#: tolerance, so tests, invariant checks and the CLI agree on "equal".
+MONEY_ATOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +400,13 @@ class ResourceLedger:
         out: List[Violation] = []
         cells = config.cells
         for loads, shapes in zip(self.loads, cells.shapes):
+            coords = None  # the family's cell coordinates, listed at its first breach
             for i, (y, shape) in enumerate(zip(loads, shapes)):
                 if y > shape.cap + MONEY_ATOL:
                     family = shape.family
-                    where, _ = family.cells(config)[i]
-                    out.append(Violation("y_" + family.bound, family.where.format(*where),
+                    if coords is None:
+                        coords = [where for where, _ in family.cells(config)]
+                    out.append(Violation("y_" + family.bound, family.where.format(*coords[i]),
                                          f"{y} > {family.symbol}={shape.cap}"))
         T = config.horizon
         energy, generated = self.loads[ENERGY], self.loads[GENERATION]
@@ -447,6 +453,37 @@ def _unless_finite(x: float, bound: str = "", label: str = "") -> str:
     return f"{label}{x} {bound}" if math.isfinite(x) else f"{x} is not finite"
 
 
+def _nonnegative(x: float) -> bool:
+    return x >= 0
+
+
+def _positive(x: float) -> bool:
+    return x > 0
+
+
+def _check_number(out: List[Violation], name: str, where: str, x: float,
+                  ok: Optional[Callable[[float], bool]] = None, bound: str = "",
+                  label: str = "", slot: int = 0) -> None:
+    """Name ``x`` once unless it is finite and within its range ``ok``, if
+    any; ``bound`` says what the range refuses, in ``_unless_finite``'s
+    message. A trace entry is named at its ``slot`` of ``where``."""
+    if not (math.isfinite(x) and (ok is None or ok(x))):
+        if slot:
+            where = f"{where} slot {slot}".lstrip()
+        out.append(Violation(name, where, _unless_finite(x, bound, label)))
+
+
+def _check_trace(out: List[Violation], name: str, owner: str, trace: Sequence[float],
+                 T: int, ok: Callable[[float], bool], bound: str, label: str) -> None:
+    """Name a per-slot trace whose length is not T, then check each of its
+    first T entries with ``_check_number``. ``owner`` is the region or
+    facility it belongs to, "" for a fleet-wide trace."""
+    if len(trace) != T:
+        out.append(Violation(name, owner or "config", f"trace length {len(trace)} != T={T}"))
+    for t, x in enumerate(trace[:T], 1):
+        _check_number(out, name, owner, x, ok, bound, label, t)
+
+
 def validate(config: ScenarioConfig) -> List[Violation]:
     """Check every static invariant; an empty list means a valid instance.
     Every number must also be finite: an infinite or NaN one is named as
@@ -459,88 +496,54 @@ def validate(config: ScenarioConfig) -> List[Violation]:
 
     n = len(config.regions)
     for i, r in enumerate(config.regions):
+        where = f"region {i}"
         if r.id != i:
             out.append(Violation("region.id", f"position {i}", f"id {r.id} != position"))
-        if not math.isfinite(r.pickup_value) or r.pickup_value < 0:
-            out.append(Violation("pickup_value", f"region {i}",
-                                 _unless_finite(r.pickup_value, "< 0")))
-        if len(r.vehicle_limit) != T:
-            out.append(Violation("vehicle_limit", f"region {i}",
-                                 f"trace length {len(r.vehicle_limit)} != T={T}"))
-        else:
-            for t, om in enumerate(r.vehicle_limit):
-                if not math.isfinite(om) or om < 0:
-                    out.append(Violation("vehicle_limit", f"region {i} slot {t + 1}",
-                                         _unless_finite(om, "< 0", "Omega=")))
+        _check_number(out, "pickup_value", where, r.pickup_value, _nonnegative, "< 0")
+        _check_trace(out, "vehicle_limit", where, r.vehicle_limit, T, _nonnegative, "< 0",
+                     "Omega=")
         if r.facility_id is not None:
             if not (0 <= r.facility_id < len(config.facilities)):
-                out.append(Violation("facility_id", f"region {i}", f"{r.facility_id} unknown"))
+                out.append(Violation("facility_id", where, f"{r.facility_id} unknown"))
             elif config.facilities[r.facility_id].region_id != i:
-                out.append(Violation("facility_id", f"region {i}",
+                out.append(Violation("facility_id", where,
                                      "facility does not point back at region"))
 
     for i, f in enumerate(config.facilities):
+        where = f"facility {i}"
         if f.id != i:
             out.append(Violation("facility.id", f"position {i}", f"id {f.id} != position"))
         if not (0 <= f.region_id < n):
-            out.append(Violation("region_id", f"facility {i}", f"{f.region_id} unknown"))
+            out.append(Violation("region_id", where, f"{f.region_id} unknown"))
         if f.evse_count < 1:
-            out.append(Violation("evse_count", f"facility {i}", f"M={f.evse_count} < 1"))
+            out.append(Violation("evse_count", where, f"M={f.evse_count} < 1"))
         if f.cables_per_evse < 1:
-            out.append(Violation("cables_per_evse", f"facility {i}", f"C={f.cables_per_evse} < 1"))
-        if not math.isfinite(f.evse_energy_limit) or f.evse_energy_limit <= 0:
-            out.append(Violation("evse_energy_limit", f"facility {i}",
-                                 _unless_finite(f.evse_energy_limit, "<= 0", "E=")))
-        if not math.isfinite(f.solar_cap):
-            out.append(Violation("solar_cap", f"facility {i}", _unless_finite(f.solar_cap)))
-        for name, trace in (("solar", f.solar), ("grid_price", f.grid_price),
-                            ("grid_limit", f.grid_limit)):
-            if len(trace) != T:
-                out.append(Violation(name, f"facility {i}",
-                                     f"trace length {len(trace)} != T={T}"))
-        for t, v in enumerate(f.solar[:T]):
-            if not math.isfinite(v) or not 0 <= v <= f.solar_cap + MONEY_ATOL:
-                out.append(Violation("solar", f"facility {i} slot {t + 1}", _unless_finite(
-                    v, f"outside [0, {f.solar_cap}]", "delta=")))
-        for t, v in enumerate(f.grid_price[:T]):
-            if not math.isfinite(v) or v <= 0:
-                out.append(Violation("grid_price", f"facility {i} slot {t + 1}",
-                                     _unless_finite(v, "<= 0", "pi=")))
-        for t, v in enumerate(f.grid_limit[:T]):
-            if not math.isfinite(v) or v < 0:
-                out.append(Violation("grid_limit", f"facility {i} slot {t + 1}",
-                                     _unless_finite(v, "< 0", "mu=")))
+            out.append(Violation("cables_per_evse", where, f"C={f.cables_per_evse} < 1"))
+        _check_number(out, "evse_energy_limit", where, f.evse_energy_limit, _positive,
+                      "<= 0", "E=")
+        _check_number(out, "solar_cap", where, f.solar_cap)
+        _check_trace(out, "solar", where, f.solar, T,
+                     lambda x: 0 <= x <= f.solar_cap + MONEY_ATOL,
+                     f"outside [0, {f.solar_cap}]", "delta=")
+        _check_trace(out, "grid_price", where, f.grid_price, T, _positive, "<= 0", "pi=")
+        _check_trace(out, "grid_limit", where, f.grid_limit, T, _nonnegative, "< 0", "mu=")
 
-    if len(config.out_of_service_cap) != T:
-        out.append(Violation("out_of_service_cap", "config", "trace length != T"))
-    else:
-        for t, v in enumerate(config.out_of_service_cap):
-            if not math.isfinite(v) or v < 1:
-                out.append(Violation("out_of_service_cap", f"slot {t + 1}",
-                                     _unless_finite(v, "< 1", "I=")))
-    if len(config.out_of_service_penalty) != T:
-        out.append(Violation("out_of_service_penalty", "config", "trace length != T"))
-    else:
-        for t, v in enumerate(config.out_of_service_penalty):
-            if not math.isfinite(v) or v < 0:
-                out.append(Violation("out_of_service_penalty", f"slot {t + 1}",
-                                     _unless_finite(v, "< 0", "phi=")))
+    _check_trace(out, "out_of_service_cap", "", config.out_of_service_cap, T,
+                 lambda x: x >= 1, "< 1", "I=")
+    _check_trace(out, "out_of_service_penalty", "", config.out_of_service_penalty, T,
+                 _nonnegative, "< 0", "phi=")
 
-    if not math.isfinite(config.battery_capacity) or config.battery_capacity <= 0:
-        out.append(Violation("battery_capacity", "config",
-                             _unless_finite(config.battery_capacity, "<= 0")))
-    inc = config.charge_increment
-    if not math.isfinite(inc) or inc <= 0:
-        out.append(Violation("charge_increment", "config", _unless_finite(inc, "<= 0")))
-    elif math.isfinite(config.battery_capacity) and config.battery_capacity > 0:
-        k = round(config.battery_capacity / inc)
-        if k < 1 or abs(k * inc - config.battery_capacity) > MONEY_ATOL:
+    cap, inc = config.battery_capacity, config.charge_increment
+    checked = len(out)
+    _check_number(out, "battery_capacity", "config", cap, _positive, "<= 0")
+    _check_number(out, "charge_increment", "config", inc, _positive, "<= 0")
+    if len(out) == checked:  # both finite and positive
+        k = round(cap / inc)
+        if k < 1 or abs(k * inc - cap) > MONEY_ATOL:
             out.append(Violation("charge_increment", "config",
-                                 f"{inc} does not divide capacity {config.battery_capacity}"))
+                                 f"{inc} does not divide capacity {cap}"))
     for name in ("per_hop_energy", "per_hop_value_penalty", "soc_value_slope"):
-        v = getattr(config, name)
-        if not math.isfinite(v) or v < 0:
-            out.append(Violation(name, "config", _unless_finite(v, "< 0")))
+        _check_number(out, name, "config", getattr(config, name), _nonnegative, "< 0")
 
     for a, b in config.edges:
         if not (0 <= a < n and 0 <= b < n):

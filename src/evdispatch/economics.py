@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
-from .constants import MONEY_ATOL
-from .domain import DispatchDecision, ResourceLedger, ScenarioConfig
+from .domain import MONEY_ATOL, DispatchDecision, ResourceLedger, ScenarioConfig
 from .pricing import COSTED, INFEASIBLE, InfeasibleType, PriceBounds
 
 

@@ -21,10 +21,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .constants import MONEY_ATOL
 from .domain import (
-    Facility, Region, RunReport, ScenarioConfig, Schedule, Session,
-    check_config, config_to_dict,
+    MONEY_ATOL, Facility, Region, RunReport, ScenarioConfig, Schedule, Session,
+    check_config, config_to_dict, validate,
 )
 
 
@@ -128,6 +127,9 @@ def validate_params(params: GeneratorParams) -> List[str]:
         out.append("soc_choices must lie in [0, 1]")
     if params.offpeak_price <= 0 or params.peak_price <= 0:
         out.append("prices must be positive")
+    # a window across midnight is refused, not wrapped
+    if len(params.peak_hours) != 2 or params.peak_hours[0] > params.peak_hours[1]:
+        out.append("peak_hours must be (start, end) with start <= end")
     if params.max_sessions is not None and params.max_sessions < 0:
         out.append("max_sessions must be >= 0 when set")
     return out
@@ -509,31 +511,22 @@ def ingest_traces(price_csv: Optional[str], solar_csv: Optional[str],
 
     Each file holds either (slot, value) rows applied to every facility
     or (facility, slot, value) rows, one entry per facility and slot.
-    Prices must be positive, solar within [0, solar_cap]; all errors
-    carry the offending row number.
+    A malformed row is refused with its row number; the traces read are
+    then checked by ``validate`` (prices positive, solar within [0,
+    solar_cap]), and its first violation of them is refused under the
+    file's path.
     """
-    F = len(config.facilities)
-    T = config.horizon
-    facilities = list(config.facilities)
-
-    if price_csv is not None:
-        traces = _read_trace_csv(price_csv, F, T, "price")
-        for f in range(F):
-            for t, v in enumerate(traces[f]):
-                if v <= 0:
-                    raise ValueError(f"{price_csv}: facility {f} slot {t + 1}: "
-                                     f"price {v} must be positive")
-            facilities[f] = replace(facilities[f], grid_price=tuple(traces[f]))
-    if solar_csv is not None:
-        traces = _read_trace_csv(solar_csv, F, T, "solar")
-        for f in range(F):
-            cap = facilities[f].solar_cap
-            for t, v in enumerate(traces[f]):
-                if v < 0 or v > cap + MONEY_ATOL:
-                    raise ValueError(f"{solar_csv}: facility {f} slot {t + 1}: "
-                                     f"solar {v} outside [0, {cap}]")
-            facilities[f] = replace(facilities[f], solar=tuple(traces[f]))
-    return replace(config, facilities=tuple(facilities))
+    for path, name, kind in ((price_csv, "grid_price", "price"), (solar_csv, "solar", "solar")):
+        if path is None:
+            continue
+        traces = _read_trace_csv(path, len(config.facilities), config.horizon, kind)
+        config = replace(config, facilities=tuple(
+            replace(fac, **{name: tuple(trace)})
+            for fac, trace in zip(config.facilities, traces)))
+        bad = [v for v in validate(config) if v.field == name]
+        if bad:
+            raise ValueError(f"{path}: {bad[0]}")
+    return config
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from . import pricing
-from .constants import MONEY_ATOL
 from .domain import (
-    ResourceLedger, ScenarioConfig, Schedule, Session, check_config, check_sessions,
-    facility_legs, plan_value,
+    MONEY_ATOL, ResourceLedger, ScenarioConfig, Schedule, Session, check_config,
+    check_sessions, facility_legs, plan_value,
 )
 from .economics import primal_increment
 

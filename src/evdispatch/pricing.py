@@ -35,8 +35,7 @@ from typing import (
     Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
 )
 
-from .constants import MONEY_ATOL
-from .domain import ResourceLedger, ScenarioConfig
+from .domain import MONEY_ATOL, ResourceLedger, ScenarioConfig
 
 
 # ---------------------------------------------------------------------------
@@ -74,21 +73,25 @@ class PriceBounds:
 
 
 def validate_bounds(bounds: PriceBounds, config: ScenarioConfig) -> List[str]:
-    """Invariant check for a bounds object against a config; [] if clean."""
+    """Invariant check for a bounds object against a config; [] if clean.
+    Per family, from its cell shapes: 0 < L <= U, L above every cost offset
+    (grid price, penalty), and L below 2*Psi times the offset of every cell
+    with a solar split, where the solar segment's base 2*Psi*offset/L must
+    exceed 1."""
     out = []
-    for family in FAMILIES:
+    two_psi = 2 * psi(config)
+    for family, shapes in zip(FAMILIES, config.cells.shapes):
         lo, hi = family.limits(bounds)
+        name = f"{family.name}: L_{family.bound}={lo}"
         if not (0 < lo <= hi):
             out.append(f"{family.name}: need 0 < L <= U, got ({lo}, {hi})")
-    pi_max = max((p for f in config.facilities for p in f.grid_price), default=0.0)
-    pi_min = min((p for f in config.facilities for p in f.grid_price), default=None)
-    if config.facilities and bounds.L_g <= pi_max:
-        out.append(f"generation: L_g={bounds.L_g} must exceed max grid price {pi_max}")
-    if pi_min is not None and bounds.L_g >= 2 * psi(config) * pi_min:
-        out.append("generation: L_g too large for the first-branch exponent base")
-    phi_max = max(config.out_of_service_penalty, default=0.0)
-    if phi_max > 0 and bounds.L_o <= phi_max:
-        out.append(f"out_of_service: L_o={bounds.L_o} must exceed max penalty {phi_max}")
+        top = max((shape.offset for shape in shapes), default=0.0)
+        if top > 0 and lo <= top:
+            out.append(f"{name} must exceed the largest cost offset {top}")
+        solar = [shape.offset for shape in shapes if shape.split > 0]
+        if solar and lo >= two_psi * min(solar):
+            out.append(f"{name} must stay below 2*Psi*offset={two_psi * min(solar)} "
+                       "at a cell with solar")
     return out
 
 

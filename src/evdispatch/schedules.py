@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import pricing
-from .constants import MONEY_ATOL
-from .domain import ScenarioConfig, Schedule, Session, facility_legs, hop_row, plan_value
+from .domain import (
+    MONEY_ATOL, ScenarioConfig, Schedule, Session, facility_legs, hop_row, plan_value,
+)
 from .pricing import CABLE, Snapshot, charge_slots
 
 #: How many nearest facilities a session considers.

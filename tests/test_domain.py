@@ -187,6 +187,47 @@ def test_validate_catches_bad_horizon(mini_config):
     assert len(out) == 1 and out[0].field == "horizon"
 
 
+def _traces(config):
+    """(owner, name, trace) for every tuple field of length T on the config,
+    its regions and its facilities; owner is None for the config itself,
+    else (group, index)."""
+    owners = [(None, config)] + [((group, i), item) for group in ("regions", "facilities")
+                                  for i, item in enumerate(getattr(config, group))]
+    return [(owner, f.name, getattr(obj, f.name))
+            for owner, obj in owners for f in dataclasses.fields(obj)
+            if isinstance(getattr(obj, f.name), tuple)
+            and len(getattr(obj, f.name)) == config.horizon]
+
+
+def _with_trace(config, owner, name, trace):
+    """The config with the trace ``name`` of ``owner`` replaced."""
+    if owner is None:
+        return dataclasses.replace(config, **{name: trace})
+    group, i = owner
+    items = list(getattr(config, group))
+    items[i] = dataclasses.replace(items[i], **{name: trace})
+    return dataclasses.replace(config, **{group: tuple(items)})
+
+
+def test_every_trace_is_checked():
+    """A trace one entry short is named once by its length; with a bad
+    first slot as well, both problems are named. The region and fleet
+    traces used to skip their slots once their length was wrong."""
+    config, _ = generate_scenario(0, "desk")
+    traces = _traces(config)
+    assert {name for _, name, _ in traces} >= {
+        "vehicle_limit", "solar", "grid_price", "grid_limit", "out_of_service_cap",
+        "out_of_service_penalty"}
+    for owner, name, trace in traces:
+        short = validate(_with_trace(config, owner, name, trace[:-1]))
+        assert [(v.field, v.message) for v in short] == [
+            (name, "trace length 95 != T=96")], (owner, name, short)
+        both = validate(_with_trace(config, owner, name, (-1,) + trace[1:-1]))
+        assert [v.field for v in both] == [name, name], (owner, name, both)
+        assert both[0].message == "trace length 95 != T=96", (owner, name, both)
+        assert both[1].where.endswith("slot 1") and "-1" in both[1].message, (owner, name, both)
+
+
 @pytest.mark.parametrize("defect", sorted(broken_configs()))
 def test_validate_names_each_non_finite_number(defect):
     """Each one is named once, and no range check of it adds a second
@@ -258,6 +299,33 @@ def test_ledger_detects_generation_overflow(mini_config, mini_charge):
     assert not ledger.fits(mini_charge, config)
     ledger.apply(mini_charge, sign=1)
     assert any(v.field == "y_g" for v in ledger.violations(config))
+
+
+def test_ledger_names_every_overfilled_cell():
+    """Every cell of a desk day one unit over capacity: one breach per cell,
+    labelled by its own coordinates, then one generation-balance line per
+    facility-slot, since no slot's generation (at most solar cap + grid
+    limit + 1) equals the 3 * 21 kWh its EVSEs draw. Each breach used to
+    list its family's cells again, which took a minute on a full day."""
+    config, _ = generate_scenario(0, "desk")
+    ledger = ResourceLedger.zero(config)
+    ledger.loads = [[shape.cap + 1 for shape in shapes] for shapes in config.cells.shapes]
+    found = ledger.violations(config)
+    T, cells = config.horizon, sum(map(len, config.cells.shapes))
+    assert len(found) == cells + len(config.facilities) * T
+    balance = found[cells:]
+    assert {v.message for v in balance} == {"generation does not match summed EVSE energy"}
+    breaches = {}
+    for v in found[:cells]:
+        breaches.setdefault(v.field, []).append(v)
+    assert {field: (str(vs[0]), vs[-1].where) for field, vs in breaches.items()} == {
+        "y_c": ("y_c at facility 0 evse 0 slot 1: 5 > C=4", "facility 1 evse 2 slot 96"),
+        "y_e": ("y_e at facility 0 evse 0 slot 1: 21.0 > E=20.0", "facility 1 evse 2 slot 96"),
+        "y_g": ("y_g at facility 0 slot 1: 13.0 > delta+mu=12.0", "facility 1 slot 96"),
+        "y_d": ("y_d at region 0 slot 1: 41 > Omega=40", "region 15 slot 96"),
+        "y_o": ("y_o at slot 1: 81 > I=80", "slot 96"),
+    }
+    assert (balance[0].where, balance[-1].where) == ("facility 0 slot 1", "facility 1 slot 96")
 
 
 def test_recompute_ledger_strict_raises_on_breach(mini_config, mini_charge):

@@ -60,8 +60,9 @@ def test_generator_rejects_bad_input():
 
 
 #: (a knob set on the tiny preset, the name its error must carry). A NaN
-#: or an infinity, a fractional count and an empty choice are the knobs'
-#: own problems; the rest are those of the config the knobs generate.
+#: or an infinity, a fractional count, an empty choice and a peak window
+#: that is not (start, end) are the knobs' own problems; the rest are
+#: those of the config the knobs generate.
 #: Each used to raise a RuntimeError, a TypeError or a numpy ValueError
 #: that named no parameter, or ran without any error.
 BAD_PARAMS = [
@@ -84,6 +85,8 @@ BAD_PARAMS = [
     ({"soc_choices": ()}, "soc_choices"),
     ({"max_sessions": 2.5}, "max_sessions"),
     ({"peak_hours": (math.nan, 3.0)}, "peak_hours"),
+    ({"peak_hours": (3.0,)}, "peak_hours"),
+    ({"peak_hours": (20.0, 3.0)}, "peak_hours"),
 ]
 
 
@@ -201,8 +204,10 @@ def test_ingest_solar_respects_the_cap(tmp_path):
     assert out.facilities[0].solar == (cap / 2,) * T
 
     bad = f"1,{cap * 2}\n" + "".join(f"{t},0\n" for t in range(2, T + 1))
-    with pytest.raises(ValueError, match=r"slot 1: solar .* outside"):
-        ingest_traces(None, _write(tmp_path, "s2.csv", bad), config)
+    path = _write(tmp_path, "s2.csv", bad)
+    message = f"{path}: solar at facility 0 slot 1: delta={cap * 2} outside [0, {cap}]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ingest_traces(None, path, config)
 
 
 @pytest.mark.parametrize("row,message", [
@@ -254,8 +259,10 @@ def test_ingest_rejects_gaps_and_bad_prices(tmp_path):
     with pytest.raises(ValueError, match=f"expected {T} rows"):
         ingest_traces(_write(tmp_path, "p.csv", gappy), None, config)
     zeroed = "1,0.0\n" + "".join(f"{t},0.3\n" for t in range(2, T + 1))
-    with pytest.raises(ValueError, match="must be positive"):
-        ingest_traces(_write(tmp_path, "p2.csv", zeroed), None, config)
+    path = _write(tmp_path, "p2.csv", zeroed)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: grid_price at facility 0 slot 1: pi=0.0 <= 0")):
+        ingest_traces(path, None, config)
     mixed = "0,1,0.3\n" + "".join(f"{t},0.3\n" for t in range(2, T + 1))
     with pytest.raises(ValueError, match="mixed column counts"):
         ingest_traces(_write(tmp_path, "p3.csv", mixed), None, config)

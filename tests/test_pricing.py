@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from evdispatch import pricing
-from evdispatch.domain import Facility, Region
+from evdispatch import pricing, run_online
+from evdispatch.domain import Facility, Region, recompute_ledger
 from evdispatch.harness import generate_scenario
 from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE, Alphas, PriceBounds,
@@ -263,15 +263,45 @@ def test_validate_bounds_failure_modes(mini_config):
     bad = dataclasses.replace(estimate_bounds(mini_config), U_c=0.001)
     assert any("cable" in p for p in validate_bounds(bad, mini_config))
     bad = dataclasses.replace(estimate_bounds(mini_config), L_g=0.1)
-    assert any("must exceed max grid price" in p
-               for p in validate_bounds(bad, mini_config))
+    assert "generation: L_g=0.1 must exceed the largest cost offset 0.2" in validate_bounds(
+        bad, mini_config)
     bad = dataclasses.replace(estimate_bounds(mini_config), L_o=0.2)
-    assert any("must exceed max penalty" in p
-               for p in validate_bounds(bad, mini_config))
-    bad = dataclasses.replace(estimate_bounds(mini_config),
-                              L_g=2.41, U_g=5.0)
-    assert any("first-branch exponent" in p
-               for p in validate_bounds(bad, mini_config))
+    assert "out_of_service: L_o=0.2 must exceed the largest cost offset 0.4" in validate_bounds(
+        bad, mini_config)
+    # 2*Psi*pi = 12 * 0.2: only a cell with solar has a solar segment whose
+    # base 2*Psi*pi/L_g must exceed 1, and mini_config has none
+    bad = dataclasses.replace(estimate_bounds(mini_config), L_g=2.41, U_g=5.0)
+    assert validate_bounds(bad, mini_config) == []
+    fac = dataclasses.replace(mini_config.facilities[0], solar=(1.0,) + (0.0,) * 5,
+                              solar_cap=1.0)
+    sunny = dataclasses.replace(mini_config, facilities=(fac,))
+    assert [p for p in validate_bounds(bad, sunny) if p.startswith("generation")] == [
+        f"generation: L_g=2.41 must stay below 2*Psi*offset={12 * 0.2} at a cell with solar"]
+
+
+def test_bounds_accept_cheap_grid_before_sunrise():
+    """Grid price 0.005 before 05:00, where no facility has solar: L_g must
+    clear the 0.45 peak price, which is above 2*Psi*0.005 = 0.31, so the
+    solar-segment rule applied to every slot used to refuse the day."""
+    config, sessions = generate_scenario(0, "desk")
+    cheap = tuple(dataclasses.replace(fac, grid_price=(0.005,) * 20 + fac.grid_price[20:])
+                  for fac in config.facilities)
+    config = dataclasses.replace(config, facilities=cheap)
+    assert all(fac.solar[t] == 0 for fac in config.facilities for t in range(20))
+    b = estimate_bounds(config)
+    assert (b.L_g, b.U_g) == (pytest.approx(0.45 * (1 + 1e-6)), 16.0)
+    report = run_online(sessions, config)
+    recompute_ledger(report.decisions, config, strict=True)
+    assert report.dual_trajectory[-1] >= report.welfare > 0
+    psi_ = psi(config)
+    a = alphas(b, psi_, config)
+    fails_at_half = set()
+    for family, params in dapr_cases(config, b, psi_):
+        alpha = _family_alpha(a, family)
+        assert verify_dapr(family, params, alpha, 2000).passed, (family, params)
+        if not verify_dapr(family, params, alpha / 2, 2000).passed:
+            fails_at_half.add(family)
+    assert fails_at_half == set(pricing.NAMES)
 
 
 # ---------------------------------------------------------------------------

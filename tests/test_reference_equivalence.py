@@ -29,8 +29,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evdispatch import baselines, dispatcher, economics, pricing
-from evdispatch.constants import MONEY_ATOL
+from evdispatch import MONEY_ATOL, baselines, dispatcher, economics, pricing
 from evdispatch.dispatcher import (
     DispatcherState, _dual_increment, dispatch, run_online, utility_breakdown,
 )
