@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 from . import harness, offline, pricing
 from .baselines import run_threshold
 from .dispatcher import run_online
-from .domain import ScenarioConfig, Session, instance_hash
+from .domain import ScenarioConfig, Session, as_plain, instance_hash
 from .schedules import DEFAULT_POLICY, GenerationPolicy
 
 
@@ -130,8 +130,7 @@ def _cmd_offline_exact(args) -> int:
         "welfare": result.welfare,
         "search_space": result.search_space,
         "nodes_explored": result.nodes_explored,
-        "assignment": [None if s is None else harness.schedule_to_dict(s)
-                       for s in result.assignment],
+        "assignment": [as_plain(s) for s in result.assignment],
     }
     _emit(payload, args.out, "exact-report.json")
     if args.out is not None:
@@ -146,8 +145,7 @@ def _cmd_verify(args) -> int:
     bounds = pricing.estimate_bounds(config)
     alphas = pricing.alphas(bounds, psi_, config)
     print(f"psi={psi_} alpha={alphas.alpha:.6f} "
-          + " ".join(f"{k}={v:.4f}" for k, v in alphas.as_dict().items()
-                     if k != "alpha"))
+          + " ".join(f"{k}={v:.4f}" for k, v in as_plain(alphas).items()))
     per_family = dict(zip(pricing.NAMES, astuple(alphas)))
     ok = True
     for family, params in pricing.dapr_cases(config, bounds, psi_):
@@ -173,7 +171,7 @@ def _cmd_compare(args) -> int:
         if instance_hash(config, sessions) != reports[0].instance_hash:
             raise SystemExit("error: supplied instance does not match the reports")
         ub = offline.upper_bound(sessions, config)
-    table = harness.compare(reports, ub, opt=args.opt, alpha=args.alpha)
+    table = harness.compare(reports, ub, opt=args.opt)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "comparison.csv")
@@ -248,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ub", type=float,
                    help="precomputed upper bound (default: recompute)")
     p.add_argument("--opt", type=float, help="exact offline optimum, if known")
-    p.add_argument("--alpha", type=float,
-                   help="competitive ratio override for the opt check")
     _add_instance_flags(p)
     p.add_argument("--out", help="output directory (default: current)")
     p.set_defaults(func=_cmd_compare)

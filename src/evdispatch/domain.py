@@ -27,8 +27,8 @@ import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache, cached_property
 from typing import Callable, Optional, Tuple, List, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -166,7 +166,7 @@ class ScenarioConfig:
         Built once per config object and kept in the instance dict, so
         lookups never hash the config; ``dataclasses.replace`` yields a
         new object with its own table. Not a field: equality, hashing
-        and ``asdict`` ignore it.
+        and ``as_plain`` ignore it.
         """
         return _hop_table(self)
 
@@ -859,39 +859,28 @@ def schedule_violations(schedule: Schedule, config: ScenarioConfig,
 # ---------------------------------------------------------------------------
 
 
-def config_to_dict(config: ScenarioConfig) -> dict:
-    """Plain-dict form of a config, suitable for canonical JSON."""
-    return {
-        "horizon": config.horizon,
-        "regions": [
-            {"id": r.id, "pickup_value": r.pickup_value,
-             "vehicle_limit": list(r.vehicle_limit), "facility_id": r.facility_id}
-            for r in config.regions
-        ],
-        "edges": [list(e) for e in config.edges],
-        "facilities": [
-            {"id": f.id, "region_id": f.region_id, "evse_count": f.evse_count,
-             "cables_per_evse": f.cables_per_evse,
-             "evse_energy_limit": f.evse_energy_limit,
-             "solar": list(f.solar), "solar_cap": f.solar_cap,
-             "grid_price": list(f.grid_price), "grid_limit": list(f.grid_limit)}
-            for f in config.facilities
-        ],
-        "out_of_service_cap": list(config.out_of_service_cap),
-        "out_of_service_penalty": list(config.out_of_service_penalty),
-        "battery_capacity": config.battery_capacity,
-        "charge_increment": config.charge_increment,
-        "per_hop_energy": config.per_hop_energy,
-        "per_hop_value_penalty": config.per_hop_value_penalty,
-        "soc_value_slope": config.soc_value_slope,
-        "rng_seed": config.rng_seed,
-    }
+@cache
+def _field_names(cls) -> Optional[Tuple[str, ...]]:
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
+def as_plain(obj):
+    """A dataclass as a dict of its fields, recursing into nested
+    dataclasses and into tuples whose first item is one; every other
+    value is kept as it is (``json`` writes tuples as lists). Unlike
+    ``dataclasses.asdict`` it copies no leaf."""
+    names = _field_names(type(obj))
+    if names is not None:
+        return {name: as_plain(getattr(obj, name)) for name in names}
+    if isinstance(obj, tuple) and obj and _field_names(type(obj[0])) is not None:
+        return [as_plain(x) for x in obj]
+    return obj
 
 
 def instance_hash(config: ScenarioConfig, sessions: Sequence[Session]) -> str:
     """Stable sha256 over the canonical JSON of (config, session stream)."""
     payload = {
-        "config": config_to_dict(config),
+        "config": as_plain(config),
         "sessions": [[s.id, s.t_minus, s.origin_region, s.soc] for s in sessions],
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

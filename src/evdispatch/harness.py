@@ -7,24 +7,31 @@ session streams and run reports, and the comparison table that lines up
 algorithms against the offline bounds.
 
 All randomness flows from one seeded generator, and every artifact is
-written with canonical key order, so equal seeds give equal bytes.
+written with canonical key order, so equal seeds give equal bytes. Every
+JSON artifact is a dataclass written as its fields (``domain.as_plain``)
+and read back by its type hints (``from_plain``).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_args,
+    get_origin, get_type_hints,
+)
 
 import numpy as np
 
 from .domain import (
-    MONEY_ATOL, Facility, Region, RunReport, ScenarioConfig, Schedule, Session,
-    check_config, config_to_dict, validate,
+    MONEY_ATOL, Facility, Region, RunReport, ScenarioConfig, Session, as_plain,
+    check_config, validate,
 )
+from .pricing import Alphas, PriceBounds
 
 
 # ---------------------------------------------------------------------------
@@ -251,34 +258,54 @@ def _integer(x) -> int:
     return int(x)
 
 
-def config_from_dict(d: Mapping) -> ScenarioConfig:
-    """Inverse of config_to_dict."""
-    return ScenarioConfig(
-        horizon=_integer(d["horizon"]),
-        regions=tuple(
-            Region(id=_integer(r["id"]), pickup_value=float(r["pickup_value"]),
-                   vehicle_limit=tuple(_integer(x) for x in r["vehicle_limit"]),
-                   facility_id=None if r["facility_id"] is None else _integer(r["facility_id"]))
-            for r in d["regions"]),
-        edges=tuple((_integer(a), _integer(b)) for a, b in d["edges"]),
-        facilities=tuple(
-            Facility(id=_integer(f["id"]), region_id=_integer(f["region_id"]),
-                     evse_count=_integer(f["evse_count"]),
-                     cables_per_evse=_integer(f["cables_per_evse"]),
-                     evse_energy_limit=float(f["evse_energy_limit"]),
-                     solar=tuple(float(x) for x in f["solar"]),
-                     solar_cap=float(f["solar_cap"]),
-                     grid_price=tuple(float(x) for x in f["grid_price"]),
-                     grid_limit=tuple(float(x) for x in f["grid_limit"]))
-            for f in d["facilities"]),
-        out_of_service_cap=tuple(_integer(x) for x in d["out_of_service_cap"]),
-        out_of_service_penalty=tuple(float(x) for x in d["out_of_service_penalty"]),
-        battery_capacity=float(d["battery_capacity"]),
-        charge_increment=float(d["charge_increment"]),
-        per_hop_energy=float(d["per_hop_energy"]),
-        per_hop_value_penalty=float(d["per_hop_value_penalty"]),
-        soc_value_slope=float(d["soc_value_slope"]),
-        rng_seed=_integer(d.get("rng_seed", 0)))
+def from_plain(cls, data):
+    """Inverse of ``as_plain``: ``data``, as ``json`` parsed it, read as
+    type ``cls`` by its type hints.
+
+    A dataclass is read from a dict by field name: unknown keys are
+    ignored and a field with a default may be omitted. A tuple is read
+    item by item, and a fixed-length one is length-checked. ``Optional``
+    accepts null, ``int`` goes through ``_integer`` and any other type
+    through its constructor. A missing field raises ``KeyError``, a
+    malformed value ``TypeError`` or ``ValueError``.
+    """
+    return _reader(cls)(data)
+
+
+@functools.cache
+def _reader(tp) -> Callable:
+    """The reader of one type, built once from its type hints."""
+    if is_dataclass(tp):
+        # domain imports these two names only for type checking
+        hints = get_type_hints(tp, localns={"Alphas": Alphas, "PriceBounds": PriceBounds})
+        spec = [(f.name, _reader(hints[f.name]), f.default is MISSING)
+                for f in fields(tp)]
+
+        def read_dataclass(data):
+            kwargs = {}
+            for name, read, required in spec:
+                if name in data:
+                    kwargs[name] = read(data[name])
+                elif required:
+                    raise KeyError(name)
+            return tp(**kwargs)
+        return read_dataclass
+    args = get_args(tp)
+    if get_origin(tp) is Union:  # Optional[X]
+        (inner,) = [_reader(a) for a in args if a is not type(None)]
+        return lambda x: None if x is None else inner(x)
+    if get_origin(tp) is tuple:
+        if args[-1] is Ellipsis:
+            item = _reader(args[0])
+            return lambda xs: tuple(map(item, xs))
+        items = [_reader(a) for a in args]
+
+        def read_fixed(xs):
+            if len(xs) != len(items):
+                raise ValueError(f"expected {len(items)} items, got {list(xs)!r}")
+            return tuple([read(x) for read, x in zip(items, xs)])
+        return read_fixed
+    return _integer if tp is int else tp
 
 
 def _dump_json(payload, path: str) -> None:
@@ -288,7 +315,7 @@ def _dump_json(payload, path: str) -> None:
 
 
 def write_config(config: ScenarioConfig, path: str) -> None:
-    _dump_json(config_to_dict(config), path)
+    _dump_json(as_plain(config), path)
 
 
 def _read_json(path: str, from_dict):
@@ -305,7 +332,7 @@ def _read_json(path: str, from_dict):
 
 def read_config(path: str) -> ScenarioConfig:
     def checked(d: Mapping) -> ScenarioConfig:
-        config = config_from_dict(d)
+        config = from_plain(ScenarioConfig, d)
         check_config(config)
         return config
     return _read_json(path, checked)
@@ -333,85 +360,22 @@ def read_sessions(path: str) -> Tuple[Session, ...]:
     return tuple(sessions)
 
 
-def schedule_to_dict(s: Schedule) -> dict:
-    return {
-        "session_id": s.session_id, "t_minus": s.t_minus,
-        "facility_id": s.facility_id, "evse_index": s.evse_index,
-        "t_arrival": s.t_arrival, "cable_slots": list(s.cable_slots),
-        "energy_slots": [[t, e] for t, e in s.energy_slots],
-        "dest_region": s.dest_region, "t_plus": s.t_plus,
-        "hops_total": s.hops_total, "final_soc": s.final_soc,
-        "value": s.value,
-    }
-
-
 def report_to_dict(report: RunReport) -> dict:
-    return {
-        "algorithm": report.algorithm,
-        "instance_hash": report.instance_hash,
-        "psi": report.psi,
-        "bounds": None if report.bounds is None else asdict(report.bounds),
-        "alphas": None if report.alphas is None else report.alphas.as_dict(),
-        "welfare": report.welfare,
-        "accepted": report.accepted,
-        "primal_trajectory": list(report.primal_trajectory),
-        "dual_trajectory": (None if report.dual_trajectory is None
-                            else list(report.dual_trajectory)),
-        "peak_utilization": dict(report.peak_utilization),
-        "decisions": [
-            {"session_id": d.session_id, "utility": d.utility,
-             "schedule": None if d.schedule is None else schedule_to_dict(d.schedule),
-             "breakdown": asdict(d.breakdown)}
-            for d in report.decisions],
-    }
+    """``as_plain`` of a report plus two derived keys that reading
+    ignores: ``accepted`` and ``alphas.alpha``."""
+    out = as_plain(report)
+    out["accepted"] = report.accepted
+    if report.alphas is not None:
+        out["alphas"]["alpha"] = report.alphas.alpha
+    return out
 
 
 def write_report(report: RunReport, path: str) -> None:
     _dump_json(report_to_dict(report), path)
 
 
-def schedule_from_dict(d: Mapping) -> Schedule:
-    return Schedule(
-        session_id=_integer(d["session_id"]), t_minus=_integer(d["t_minus"]),
-        facility_id=None if d["facility_id"] is None else _integer(d["facility_id"]),
-        evse_index=None if d["evse_index"] is None else _integer(d["evse_index"]),
-        t_arrival=None if d["t_arrival"] is None else _integer(d["t_arrival"]),
-        cable_slots=tuple(_integer(t) for t in d["cable_slots"]),
-        energy_slots=tuple((_integer(t), float(e)) for t, e in d["energy_slots"]),
-        dest_region=_integer(d["dest_region"]), t_plus=_integer(d["t_plus"]),
-        hops_total=_integer(d["hops_total"]), final_soc=float(d["final_soc"]),
-        value=float(d["value"]))
-
-
-def report_from_dict(d: Mapping) -> RunReport:
-    """Inverse of report_to_dict."""
-    from .domain import DispatchDecision, PriceBreakdown
-    from .pricing import Alphas, PriceBounds
-
-    alphas_d = d["alphas"]
-    return RunReport(
-        algorithm=d["algorithm"],
-        instance_hash=d["instance_hash"],
-        psi=_integer(d["psi"]),
-        bounds=None if d["bounds"] is None else PriceBounds(**d["bounds"]),
-        alphas=None if alphas_d is None else Alphas(
-            *(alphas_d[f"a{k}"] for k in range(1, 6))),
-        decisions=tuple(
-            DispatchDecision(
-                session_id=_integer(x["session_id"]), utility=float(x["utility"]),
-                schedule=(None if x["schedule"] is None
-                          else schedule_from_dict(x["schedule"])),
-                breakdown=PriceBreakdown(**x["breakdown"]))
-            for x in d["decisions"]),
-        primal_trajectory=tuple(float(x) for x in d["primal_trajectory"]),
-        dual_trajectory=(None if d["dual_trajectory"] is None
-                         else tuple(float(x) for x in d["dual_trajectory"])),
-        welfare=float(d["welfare"]),
-        peak_utilization=dict(d["peak_utilization"]))
-
-
 def read_report(path: str) -> RunReport:
-    return _read_json(path, report_from_dict)
+    return _read_json(path, lambda d: from_plain(RunReport, d))
 
 
 def write_decisions_csv(report: RunReport, path: str) -> None:
@@ -556,14 +520,13 @@ class ComparisonTable:
 
 
 def compare(reports: Sequence[RunReport], ub: float,
-            opt: Optional[float] = None,
-            alpha: Optional[float] = None) -> ComparisonTable:
+            opt: Optional[float] = None) -> ComparisonTable:
     """Line up runs of one instance against the upper bound.
 
     Refuses mixed instances and treats any welfare above the upper bound
     as a hard contradiction. When an exact optimum is supplied, checks
-    alpha * (online welfare) >= opt; alpha defaults to the online run's
-    own worst-family value.
+    alpha * (online welfare) >= opt with the first online run's own
+    worst-family alpha.
     """
     if not reports:
         raise ValueError("no reports to compare")
@@ -579,11 +542,8 @@ def compare(reports: Sequence[RunReport], ub: float,
     if opt is not None and opt > ub + MONEY_ATOL:
         raise ValueError(f"upper bound violated: optimum {opt} exceeds {ub}")
 
-    if alpha is None:
-        for r in reports:
-            if r.algorithm == "online" and r.alphas is not None:
-                alpha = r.alphas.alpha
-                break
+    online = next((r for r in reports if r.algorithm == "online"), None)
+    alpha = None if online is None or online.alphas is None else online.alphas.alpha
 
     rows = tuple(
         ComparisonRow(
@@ -594,9 +554,7 @@ def compare(reports: Sequence[RunReport], ub: float,
 
     met: Optional[bool] = None
     if opt is not None and alpha is not None:
-        online = [r for r in reports if r.algorithm == "online"]
-        if online:
-            met = alpha * online[0].welfare >= opt - MONEY_ATOL
+        met = alpha * online.welfare >= opt - MONEY_ATOL
     return ComparisonTable(instance_hash=reports[0].instance_hash, rows=rows,
                            upper_bound=ub, opt=opt, alpha=alpha,
                            ratio_guarantee_met=met)

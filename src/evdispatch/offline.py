@@ -28,7 +28,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from . import pricing
 from .domain import (
     MONEY_ATOL, ResourceLedger, ScenarioConfig, Schedule, Session, check_config,
-    check_sessions, facility_legs, plan_value,
+    check_sessions, facility_legs, plan_value, schedule_violations,
 )
 from .economics import primal_increment
 
@@ -163,8 +163,9 @@ def exact_offline(sessions: Sequence[Session], config: ScenarioConfig,
     and subtrees are cut with per-session bound suffix sums.
 
     Raises ValueError on a config that ``validate`` or a stream that
-    ``validate_sessions`` rejects, and when the raw search space exceeds
-    ``space_limit``.
+    ``validate_sessions`` rejects, when the raw search space exceeds
+    ``space_limit``, and on a candidate that ``schedule_violations``
+    rejects for its session.
     """
     check_config(config)
     check_sessions(sessions, config)
@@ -173,6 +174,12 @@ def exact_offline(sessions: Sequence[Session], config: ScenarioConfig,
         raise ValueError(
             f"refusing exact search: {size} assignments exceeds the limit "
             f"of {space_limit}; capture fewer candidates or fewer sessions")
+    for session in sessions:
+        for s in candidate_sets.get(session.id, ()):
+            problems = schedule_violations(s, config, session)
+            if problems:
+                raise ValueError(f"invalid candidates: session {session.id}: "
+                                 + "; ".join(problems))
 
     prefix = _phi_prefix(config)
     n = len(sessions)

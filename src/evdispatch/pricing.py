@@ -35,7 +35,7 @@ from typing import (
     Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
 )
 
-from .domain import MONEY_ATOL, ResourceLedger, ScenarioConfig
+from .domain import MONEY_ATOL, ResourceLedger, ScenarioConfig, as_plain
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +650,6 @@ class Alphas:
     def alpha(self) -> float:
         return max(self.a1, self.a2, self.a3, self.a4, self.a5)
 
-    def as_dict(self) -> Dict[str, float]:
-        return {"a1": self.a1, "a2": self.a2, "a3": self.a3, "a4": self.a4,
-                "a5": self.a5, "alpha": self.alpha}
-
 
 def alphas(bounds: PriceBounds, psi_: int, config: ScenarioConfig) -> Alphas:
     """Per-family ratios ln(2 Psi (U - offset)/(L - offset)), maximized
@@ -666,7 +662,7 @@ def alphas(bounds: PriceBounds, psi_: int, config: ScenarioConfig) -> Alphas:
         ratios.append(max(math.log(two_psi * (high - off) / (low - off))
                           for off in offsets))
     out = Alphas(*ratios)
-    for name, val in out.as_dict().items():
+    for name, val in as_plain(out).items():
         if val < 1.0:
             raise ValueError(f"ratio component {name}={val} below 1; bounds too tight")
     return out

@@ -269,3 +269,41 @@ def test_compare_on_a_malformed_report_exits_one_and_writes_nothing(tmp_path, ca
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, defect", [
+    ("config", "vehicle_limit 2.5"), ("config", "edge (0,)"),
+    ("report", "t_plus + 0.5"), ("report", "energy slot of three")])
+def test_nested_malformed_fields_exit_one_and_write_nothing(tmp_path, capsys, kind,
+                                                            defect):
+    """Fields inside lists and nested objects are read by the same rule as
+    top-level ones: an integer with a fraction or a pair of the wrong
+    length is refused under the file's name."""
+    inst = tmp_path / "inst"
+    main(["generate", "--seed", "0", "--preset", "tiny", "--out", str(inst)])
+    main(["run", "--seed", "0", "--preset", "tiny", "--out", str(inst)])
+    name = "config-seed0.json" if kind == "config" else "online-report.json"
+    payload = json.loads((inst / name).read_text())
+    if kind == "report":
+        plan = next(d["schedule"] for d in payload["decisions"]
+                    if d["schedule"] is not None and d["schedule"]["energy_slots"])
+    if defect == "vehicle_limit 2.5":
+        payload["regions"][0]["vehicle_limit"][0] = 2.5
+    elif defect == "edge (0,)":
+        payload["edges"][0] = [0]
+    elif defect == "t_plus + 0.5":
+        plan["t_plus"] += 0.5
+    else:
+        plan["energy_slots"][0].append(1.0)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    if kind == "config":
+        argv = ["run", "--config", str(bad), "--sessions",
+                str(inst / "sessions-seed0.csv"), "--out", str(out)]
+    else:
+        argv = ["compare", "--reports", str(bad), "--ub", "1000.0", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not out.exists()

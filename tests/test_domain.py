@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from evdispatch.domain import (
     CapacityError, Facility, Region, ResourceLedger, ScenarioConfig, Schedule,
-    Session, config_to_dict, hop_row, instance_hash, recompute_ledger,
+    Session, as_plain, hop_row, instance_hash, recompute_ledger,
     schedule_violations, validate, validate_sessions,
 )
 from evdispatch.harness import generate_scenario
@@ -451,5 +451,5 @@ def test_instance_hash_is_stable_and_sensitive(tiny_instance):
 
 def test_config_to_dict_round_trips_through_generator(tiny_instance):
     config, _ = tiny_instance
-    from evdispatch.harness import config_from_dict
-    assert config_from_dict(config_to_dict(config)) == config
+    from evdispatch.harness import from_plain
+    assert from_plain(ScenarioConfig, as_plain(config)) == config

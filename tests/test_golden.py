@@ -17,7 +17,7 @@ import pytest
 from evdispatch import cli
 from evdispatch.baselines import run_threshold
 from evdispatch.dispatcher import run_online
-from evdispatch.harness import PRESETS, generate_scenario, write_report
+from evdispatch.harness import PRESETS, generate_scenario, read_report, write_report
 
 
 def _sha256(path) -> str:
@@ -65,14 +65,18 @@ def test_verify_output_is_byte_identical(capsys):
 RUSH = dataclasses.replace(PRESETS["rush"], max_sessions=400)
 
 
-def test_congested_reports_are_byte_identical(tmp_path):
+@pytest.fixture(scope="module")
+def congested_reports():
     config, sessions = generate_scenario(3, RUSH)
-    reports = {
+    return {
         "online": run_online(sessions, config),
         "threshold-50": run_threshold(sessions, config, 0.5),
     }
+
+
+def test_congested_reports_are_byte_identical(congested_reports, tmp_path):
     got = {}
-    for name, report in reports.items():
+    for name, report in congested_reports.items():
         write_report(report, str(tmp_path / name))
         got[name] = _sha256(tmp_path / name)
     assert got == {
@@ -80,3 +84,10 @@ def test_congested_reports_are_byte_identical(tmp_path):
         "threshold-50":
             "061f3fbc99baaae6384cde687b2631586849a8d908b4151cd342387e3ba777e5",
     }
+
+
+def test_congested_reports_round_trip(congested_reports, tmp_path):
+    for name, report in congested_reports.items():
+        path = str(tmp_path / name)
+        write_report(report, path)
+        assert read_report(path) == report, name

@@ -13,7 +13,7 @@ import pytest
 from evdispatch import harness
 from evdispatch.baselines import run_threshold
 from evdispatch.dispatcher import run_online
-from evdispatch.domain import instance_hash, validate
+from evdispatch.domain import as_plain, instance_hash, validate
 from evdispatch.harness import (
     PRESETS, ComparisonTable, GeneratorParams, compare,
     generate_scenario, ingest_traces, read_config, read_report,
@@ -104,20 +104,32 @@ def test_tiny_caps_session_count():
     assert len(sessions) <= 6
 
 
-def test_config_and_sessions_round_trip(tmp_path, desk_instance):
-    config, sessions = desk_instance
+def test_config_and_sessions_round_trip(tmp_path):
     cpath = str(tmp_path / "config.json")
     spath = str(tmp_path / "sessions.csv")
-    write_config(config, cpath)
-    write_sessions(sessions, spath)
-    assert read_config(cpath) == config
-    assert read_sessions(spath) == sessions
+    for preset in PRESETS:
+        config, sessions = generate_scenario(1, preset)
+        write_config(config, cpath)
+        write_sessions(sessions, spath)
+        assert read_config(cpath) == config, preset
+        assert read_sessions(spath) == sessions, preset
+
+
+def test_config_fields_with_defaults_may_be_omitted(tmp_path):
+    config, _ = generate_scenario(1, "tiny")
+    payload = as_plain(config)
+    del payload["rng_seed"]
+    del payload["regions"][-1]["facility_id"]  # None: no facility there
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert config.regions[-1].facility_id is None
+    assert read_config(str(path)) == dataclasses.replace(config, rng_seed=0)
 
 
 def test_read_config_rejects_invalid(tmp_path):
     path = tmp_path / "bad.json"
     config, _ = generate_scenario(0, "tiny")
-    payload = harness.config_to_dict(config)
+    payload = as_plain(config)
     payload["horizon"] = 0
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="invalid config"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -156,3 +157,26 @@ def test_exact_refuses_oversized_spaces():
     assert size > 4
     with pytest.raises(ValueError, match="refusing exact search"):
         exact_offline(sessions, config, captured, space_limit=4)
+
+
+@pytest.mark.parametrize("preset, change, message", [
+    ("tiny", {"facility_id": 5}, "unknown facility 5"),
+    ("tiny", {"evse_index": 3}, "unknown EVSE 3"),
+    ("tiny", {"dest_region": 99}, "unknown destination 99"),
+    ("tiny", {"t_plus": 99}, "t_plus 99 outside"),
+    ("tiny", {"energy_slots": ((99, 1.0),)}, "energy in slot 99 without a cable"),
+    ("desk", {"evse_index": 3}, "unknown EVSE 3"),
+], ids=["facility 5", "EVSE 3", "destination 99", "t_plus 99", "energy slot 99",
+        "desk EVSE 3"])
+def test_exact_rejects_invalid_candidates(preset, change, message):
+    """Unchecked, each tiny defect died mid-search with an unnamed
+    IndexError, and the desk plan at facility 0 loaded ledger row 3,
+    which is facility 1's EVSE 0."""
+    config, sessions = generate_scenario(0, preset)
+    _, captured = run_online(sessions, config, capture_candidates=True)
+    session, plan = next((s, c) for s in sessions for c in captured.get(s.id, ())
+                         if c.facility_id == 0)
+    bad = dataclasses.replace(plan, **change)
+    with pytest.raises(ValueError, match=f"invalid candidates: session {session.id}: "
+                                         f".*{message}"):
+        exact_offline([session], config, {session.id: [bad]})
