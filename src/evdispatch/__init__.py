@@ -28,7 +28,7 @@ from .offline import OfflineResult, exact_offline, search_space_size, upper_boun
 from .baselines import run_threshold, threshold_dispatch
 from .harness import (
     ComparisonTable, GeneratorParams, PRESETS, compare, generate_scenario,
-    ingest_traces, read_config, read_report, read_sessions, write_config,
+    read_config, read_report, read_sessions, write_config,
     write_report, write_sessions,
 )
 
@@ -48,7 +48,7 @@ __all__ = [
     "run_online", "OfflineResult", "exact_offline",
     "search_space_size", "upper_bound", "run_threshold", "threshold_dispatch",
     "ComparisonTable", "GeneratorParams", "PRESETS",
-    "compare", "generate_scenario", "ingest_traces", "read_config",
+    "compare", "generate_scenario", "read_config",
     "read_report", "read_sessions", "write_config",
     "write_report", "write_sessions", "__version__",
 ]

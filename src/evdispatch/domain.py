@@ -29,7 +29,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
-from typing import Callable, Optional, Tuple, List, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, Optional, Tuple, List, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pricing import Alphas, Cells, PriceBounds
@@ -342,7 +342,7 @@ class RunReport:
     primal_trajectory: Tuple[float, ...]
     dual_trajectory: Optional[Tuple[float, ...]]
     welfare: float
-    peak_utilization: dict
+    peak_utilization: Dict[str, float]
 
     @property
     def accepted(self) -> int:

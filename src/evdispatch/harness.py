@@ -1,4 +1,4 @@
-"""Scenario generation, file IO, trace ingestion, and run comparison.
+"""Scenario generation, file IO, and run comparison.
 
 Everything here is plumbing around the core library: deterministic
 synthetic instances (grid-graph regions, diurnal solar, two-tier
@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import (
     Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_args,
     get_origin, get_type_hints,
@@ -29,7 +29,7 @@ import numpy as np
 
 from .domain import (
     MONEY_ATOL, Facility, Region, RunReport, ScenarioConfig, Session, as_plain,
-    check_config, validate,
+    check_config,
 )
 from .pricing import Alphas, PriceBounds
 
@@ -263,7 +263,8 @@ def from_plain(cls, data):
     type ``cls`` by its type hints.
 
     A dataclass is read from a dict by field name: unknown keys are
-    ignored and a field with a default may be omitted. A tuple is read
+    ignored and a field with a default may be omitted. A ``Dict`` is read
+    key by key and value by value from a JSON object. A tuple is read
     item by item, and a fixed-length one is length-checked. ``Optional``
     accepts null, ``int`` goes through ``_integer`` and any other type
     through its constructor. A missing field raises ``KeyError``, a
@@ -291,6 +292,14 @@ def _reader(tp) -> Callable:
             return tp(**kwargs)
         return read_dataclass
     args = get_args(tp)
+    if get_origin(tp) is dict:
+        key, value = [_reader(a) for a in args]
+
+        def read_dict(data):
+            if not isinstance(data, dict):
+                raise TypeError(f"expected an object, not {type(data).__name__}")
+            return {key(k): value(v) for k, v in data.items()}
+        return read_dict
     if get_origin(tp) is Union:  # Optional[X]
         (inner,) = [_reader(a) for a in args if a is not type(None)]
         return lambda x: None if x is None else inner(x)
@@ -402,98 +411,6 @@ def write_decisions_csv(report: RunReport, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# CSV trace ingestion
-# ---------------------------------------------------------------------------
-
-
-def _read_trace_csv(path: str, facility_count: int, horizon: int,
-                    kind: str) -> List[List[Optional[float]]]:
-    """Parse a (slot, value) or (facility, slot, value) CSV into per-
-    facility traces, with row-numbered errors for every malformed cell."""
-    per_fac: List[List[Optional[float]]] = [[None] * horizon
-                                            for _ in range(facility_count)]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    start = 0
-    if rows:
-        try:
-            [float(x) for x in rows[0]]
-        except ValueError:
-            start = 1  # header row
-    width = None
-    for i in range(start, len(rows)):
-        row = [c for c in rows[i]]
-        rownum = i + 1
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) not in (2, 3):
-            raise ValueError(f"{path}: row {rownum}: expected 2 or 3 columns, "
-                             f"got {len(row)}")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(f"{path}: row {rownum}: mixed column counts")
-        try:
-            nums = [float(c) for c in row]
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {rownum}: {exc}") from None
-        if any(math.isnan(x) for x in nums):
-            raise ValueError(f"{path}: row {rownum}: NaN {kind} value")
-        for cell, x in zip(row, nums[:-1]):
-            if not x.is_integer():  # false for inf as well
-                raise ValueError(f"{path}: row {rownum}: facility or slot "
-                                 f"{cell.strip()} is not an integer")
-        if math.isinf(nums[-1]):
-            raise ValueError(f"{path}: row {rownum}: infinite {kind} value")
-        if width == 3:
-            fac, slot, value = int(nums[0]), int(nums[1]), nums[2]
-            targets = [fac]
-        else:
-            slot, value = int(nums[0]), nums[1]
-            targets = list(range(facility_count))
-            fac = None
-        if not (1 <= slot <= horizon):
-            raise ValueError(f"{path}: row {rownum}: slot {slot} outside 1..{horizon}")
-        for f in targets:
-            if not (0 <= f < facility_count):
-                raise ValueError(f"{path}: row {rownum}: unknown facility {f}")
-            if per_fac[f][slot - 1] is not None:
-                raise ValueError(f"{path}: row {rownum}: duplicate entry for "
-                                 f"facility {f} slot {slot}")
-            per_fac[f][slot - 1] = value
-    for f in range(facility_count):
-        have = sum(1 for x in per_fac[f] if x is not None)
-        if have != horizon:
-            raise ValueError(f"{path}: facility {f}: expected {horizon} rows, "
-                             f"got {have}")
-    return per_fac
-
-
-def ingest_traces(price_csv: Optional[str], solar_csv: Optional[str],
-                  config: ScenarioConfig) -> ScenarioConfig:
-    """Replace grid-price and solar traces from CSV files.
-
-    Each file holds either (slot, value) rows applied to every facility
-    or (facility, slot, value) rows, one entry per facility and slot.
-    A malformed row is refused with its row number; the traces read are
-    then checked by ``validate`` (prices positive, solar within [0,
-    solar_cap]), and its first violation of them is refused under the
-    file's path.
-    """
-    for path, name, kind in ((price_csv, "grid_price", "price"), (solar_csv, "solar", "solar")):
-        if path is None:
-            continue
-        traces = _read_trace_csv(path, len(config.facilities), config.horizon, kind)
-        config = replace(config, facilities=tuple(
-            replace(fac, **{name: tuple(trace)})
-            for fac, trace in zip(config.facilities, traces)))
-        bad = [v for v in validate(config) if v.field == name]
-        if bad:
-            raise ValueError(f"{path}: {bad[0]}")
-    return config
-
-
-# ---------------------------------------------------------------------------
 # Comparison
 # ---------------------------------------------------------------------------
 
@@ -523,13 +440,16 @@ def compare(reports: Sequence[RunReport], ub: float,
             opt: Optional[float] = None) -> ComparisonTable:
     """Line up runs of one instance against the upper bound.
 
-    Refuses mixed instances and treats any welfare above the upper bound
-    as a hard contradiction. When an exact optimum is supplied, checks
-    alpha * (online welfare) >= opt with the first online run's own
-    worst-family alpha.
+    Refuses a non-finite ``ub`` or ``opt`` and mixed instances, and
+    treats any welfare above the upper bound as a hard contradiction.
+    When an exact optimum is supplied, checks alpha * (online welfare)
+    >= opt with the first online run's own worst-family alpha.
     """
     if not reports:
         raise ValueError("no reports to compare")
+    for name, bound in (("ub", ub), ("opt", opt)):
+        if bound is not None and not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, not {bound!r}")
     hashes = {r.instance_hash for r in reports}
     if len(hashes) != 1:
         raise ValueError(f"reports mix {len(hashes)} different instances; "

@@ -711,7 +711,7 @@ def verify_dapr(family: str, params: Mapping[str, float], alpha: float,
         raise ValueError(f"unknown family {family!r}")
     if grid_points < 100:
         raise ValueError("grid_points must be at least 100")
-    if alpha <= 0:
+    if not alpha > 0:  # NaN included
         raise ValueError("alpha must be positive")
 
     k = NAMES.index(family)

@@ -205,6 +205,33 @@ def test_verify_family_filter(capsys):
     assert lines and all("family=cable" in l for l in lines)
 
 
+def test_verify_refuses_a_nan_alpha_scale(capsys):
+    """NaN used to pass every case with worst_margin=inf and exit 0."""
+    assert main(["verify", "--seed", "0", "--preset", "tiny",
+                 "--alpha-scale", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: alpha must be positive")
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("flag", ["--ub", "--opt"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_compare_refuses_a_non_finite_bound(tmp_path, capsys, flag, value):
+    """``--ub nan`` used to exit 0 and write NaN, which is not JSON, into
+    plot-data.json; ``--ub -inf`` and ``--opt inf`` were refused only as
+    a violated upper bound."""
+    runs = tmp_path / "runs"
+    main(["run", "--seed", "0", "--preset", "tiny", "--out", str(runs)])
+    capsys.readouterr()
+    bounds = {"--ub": "1000.0", "--opt": "10.0", flag: value}
+    out = tmp_path / "cmp"
+    code = main(["compare", "--reports", str(runs / "online-report.json"),
+                 *(f"{k}={v}" for k, v in bounds.items()), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must be finite")
+    assert not out.exists()
+
+
 def test_compare_end_to_end(tmp_path, capsys):
     out = tmp_path / "runs"
     main(["run", "--seed", "3", "--preset", "tiny", "--out", str(out)])
@@ -273,12 +300,14 @@ def test_compare_on_a_malformed_report_exits_one_and_writes_nothing(tmp_path, ca
 
 @pytest.mark.parametrize("kind, defect", [
     ("config", "vehicle_limit 2.5"), ("config", "edge (0,)"),
-    ("report", "t_plus + 0.5"), ("report", "energy slot of three")])
+    ("report", "t_plus + 0.5"), ("report", "energy slot of three"),
+    ("report", "peak_utilization lots"), ("report", "peak_utilization []")])
 def test_nested_malformed_fields_exit_one_and_write_nothing(tmp_path, capsys, kind,
                                                             defect):
     """Fields inside lists and nested objects are read by the same rule as
-    top-level ones: an integer with a fraction or a pair of the wrong
-    length is refused under the file's name."""
+    top-level ones: an integer with a fraction, a pair of the wrong length
+    or a utilization that is not a number in an object is refused under
+    the file's name. The last two used to read back unchecked."""
     inst = tmp_path / "inst"
     main(["generate", "--seed", "0", "--preset", "tiny", "--out", str(inst)])
     main(["run", "--seed", "0", "--preset", "tiny", "--out", str(inst)])
@@ -293,8 +322,12 @@ def test_nested_malformed_fields_exit_one_and_write_nothing(tmp_path, capsys, ki
         payload["edges"][0] = [0]
     elif defect == "t_plus + 0.5":
         plan["t_plus"] += 0.5
-    else:
+    elif defect == "energy slot of three":
         plan["energy_slots"][0].append(1.0)
+    elif defect == "peak_utilization lots":
+        payload["peak_utilization"]["cable"] = "lots"
+    else:
+        payload["peak_utilization"] = []
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Generator determinism, file round-trips, trace ingestion, comparison."""
+"""Generator determinism, file round-trips, comparison."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from evdispatch.dispatcher import run_online
 from evdispatch.domain import as_plain, instance_hash, validate
 from evdispatch.harness import (
     PRESETS, ComparisonTable, GeneratorParams, compare,
-    generate_scenario, ingest_traces, read_config, read_report,
+    generate_scenario, read_config, read_report,
     read_sessions, validate_params, write_comparison,
     write_config, write_decisions_csv, write_report, write_sessions,
 )
@@ -134,6 +134,17 @@ def test_read_config_rejects_invalid(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="invalid config"):
         read_config(str(path))
+    # a real price or solar trace enters as config JSON: a bad slot is named
+    fac = config.facilities[0]
+    for name, x, message in [
+            ("solar", fac.solar_cap + 1, f"delta={fac.solar_cap + 1} outside [0, {fac.solar_cap}]"),
+            ("grid_price", 0.0, "pi=0.0 <= 0")]:
+        trace = getattr(fac, name)
+        bad = dataclasses.replace(fac, **{name: trace[:2] + (x,) + trace[3:]})
+        write_config(dataclasses.replace(config, facilities=(bad,)), str(path))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: invalid config: {name} at facility 0 slot 3: {message}")):
+            read_config(str(path))
 
 
 def test_read_sessions_reports_the_row(tmp_path):
@@ -167,117 +178,6 @@ def test_decisions_csv_shape(tmp_path, tiny_instance):
         else:
             assert row["action"] in ("charge", "rebalance")
             assert float(row["value"]) == decision.schedule.value
-
-
-# ---------------------------------------------------------------------------
-# Trace ingestion
-# ---------------------------------------------------------------------------
-
-
-def _write(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
-
-
-def test_ingest_two_column_applies_everywhere(tmp_path):
-    config, _ = generate_scenario(0, "desk")
-    T = config.horizon
-    lines = "slot,price\n" + "".join(f"{t},{0.01 * t}\n"
-                                     for t in range(1, T + 1))
-    out = ingest_traces(_write(tmp_path, "p.csv", lines), None, config)
-    for fac in out.facilities:
-        assert fac.grid_price == tuple(0.01 * t for t in range(1, T + 1))
-    # untouched fields survive
-    assert out.horizon == config.horizon
-    assert [f.solar for f in out.facilities] == [f.solar for f in
-                                                 config.facilities]
-
-
-def test_ingest_three_column_is_per_facility(tmp_path):
-    config, _ = generate_scenario(0, "desk")
-    T = config.horizon
-    lines = []
-    for f in range(len(config.facilities)):
-        for t in range(1, T + 1):
-            lines.append(f"{f},{t},{0.1 + 0.01 * f}\n")
-    out = ingest_traces(_write(tmp_path, "p.csv", "".join(lines)), None,
-                        config)
-    assert out.facilities[0].grid_price == (0.1,) * T
-    assert out.facilities[1].grid_price == (0.11,) * T
-
-
-def test_ingest_solar_respects_the_cap(tmp_path):
-    config, _ = generate_scenario(0, "desk")
-    T = config.horizon
-    cap = config.facilities[0].solar_cap
-    good = "".join(f"{t},{cap / 2}\n" for t in range(1, T + 1))
-    out = ingest_traces(None, _write(tmp_path, "s.csv", good), config)
-    assert out.facilities[0].solar == (cap / 2,) * T
-
-    bad = f"1,{cap * 2}\n" + "".join(f"{t},0\n" for t in range(2, T + 1))
-    path = _write(tmp_path, "s2.csv", bad)
-    message = f"{path}: solar at facility 0 slot 1: delta={cap * 2} outside [0, {cap}]"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        ingest_traces(None, path, config)
-
-
-@pytest.mark.parametrize("row,message", [
-    ("5\n", "expected 2 or 3 columns"),
-    ("5,abc\n", "row 13: could not convert"),
-    ("5,nan\n", "NaN price"),
-    ("5,inf\n", "row 13: infinite price value"),
-    ("5,-inf\n", "row 13: infinite price value"),
-    ("99,0.5\n", "slot 99 outside"),
-    ("1,0.5\n", "duplicate entry"),
-])
-def test_ingest_rejects_malformed_rows(tmp_path, row, message):
-    config, _ = generate_scenario(0, "tiny")
-    T = config.horizon
-    base = "".join(f"{t},0.3\n" for t in range(1, T + 1))
-    with pytest.raises(ValueError, match=message):
-        ingest_traces(_write(tmp_path, "p.csv", base + row), None, config)
-
-
-@pytest.mark.parametrize("columns", [2, 3])
-@pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "1.5", "0.5"])
-def test_ingest_requires_integral_facilities_and_slots(tmp_path, columns, cell):
-    """inf used to raise OverflowError, and 1.5 was read as slot 1."""
-    config, _ = generate_scenario(0, "tiny")
-    T = config.horizon
-    if columns == 2:
-        rows = [f"{cell},0.3"] + [f"{t},0.3" for t in range(2, T + 1)]
-    else:
-        rows = [f"{cell},1,0.3"] + [f"0,{t},0.3" for t in range(2, T + 1)]
-    path = _write(tmp_path, "p.csv", "\n".join(rows) + "\n")
-    message = f"{path}: row 1: facility or slot {cell} is not an integer"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        ingest_traces(path, None, config)
-
-
-def test_ingest_rejects_unknown_facilities(tmp_path):
-    config, _ = generate_scenario(0, "tiny")
-    T = config.horizon
-    base = "".join(f"0,{t},0.3\n" for t in range(1, T + 1))
-    with pytest.raises(ValueError, match="unknown facility 7"):
-        ingest_traces(_write(tmp_path, "p.csv", base + "7,1,0.5\n"), None,
-                      config)
-
-
-def test_ingest_rejects_gaps_and_bad_prices(tmp_path):
-    config, _ = generate_scenario(0, "tiny")
-    T = config.horizon
-    gappy = "".join(f"{t},0.3\n" for t in range(1, T))
-    with pytest.raises(ValueError, match=f"expected {T} rows"):
-        ingest_traces(_write(tmp_path, "p.csv", gappy), None, config)
-    zeroed = "1,0.0\n" + "".join(f"{t},0.3\n" for t in range(2, T + 1))
-    path = _write(tmp_path, "p2.csv", zeroed)
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: grid_price at facility 0 slot 1: pi=0.0 <= 0")):
-        ingest_traces(path, None, config)
-    mixed = "0,1,0.3\n" + "".join(f"{t},0.3\n" for t in range(2, T + 1))
-    with pytest.raises(ValueError, match="mixed column counts"):
-        ingest_traces(_write(tmp_path, "p3.csv", mixed), None, config)
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,9 @@ def test_dapr_rejects_bad_arguments():
         verify_dapr("cable", params, 10.0, 50)
     with pytest.raises(ValueError, match="positive"):
         verify_dapr("cable", params, 0.0, 1000)
+    # NaN passed ``alpha <= 0``, and then no margin compared below inf
+    with pytest.raises(ValueError, match="positive"):
+        verify_dapr("cable", params, math.nan, 1000)
 
 
 def test_dapr_margin_scales_with_alpha():
