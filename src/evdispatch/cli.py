@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands mirror the library: generate an instance, run the online
-dispatcher or a threshold baseline on it, compute offline bounds, verify
-the pricing machinery on a grid, and compare finished reports. Instances
-come either from files (--config/--sessions) or from a seed, and every
-artifact is written with canonical formatting so repeated runs of the
-same seed are byte-identical.
+dispatcher or a threshold baseline on it, compute offline bounds, check
+the allocation-payment inequality of every price curve, and compare
+finished reports. Instances come either from files (--config/--sessions)
+or from a seed, and every artifact is written with canonical formatting
+so repeated runs of the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _cmd_verify(args) -> int:
         if args.family is not None and family != args.family:
             continue
         alpha = per_family[family] * args.alpha_scale
-        rep = pricing.verify_dapr(family, params, alpha, args.grid_points)
+        rep = pricing.verify_dapr(family, params, alpha)
         status = "PASS" if rep.passed else "FAIL"
         ok = ok and rep.passed
         print(f"{status} family={family} alpha={alpha:.6f} "
@@ -229,12 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_offline_exact)
 
     p = sub.add_parser("verify",
-                       help="check the pricing inequality on dense grids")
+                       help="check the allocation-payment inequality of every price curve")
     p.add_argument("--config", help="instance config JSON")
     p.add_argument("--seed", type=int, help="generate the config from this seed")
     p.add_argument("--preset", default="desk", choices=sorted(harness.PRESETS),
                    help="generator preset used with --seed (default: desk)")
-    p.add_argument("--grid-points", type=int, default=10_000)
     p.add_argument("--family", choices=pricing.NAMES)
     p.add_argument("--alpha-scale", type=float, default=1.0,
                    help="scale every alpha before checking (sanity tests)")

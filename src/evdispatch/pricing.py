@@ -10,8 +10,10 @@ and a solar split (delta, else 0). Its price grows exponentially in the
 fraction of capacity allocated, from L/(2*Psi) above the offset when empty
 to U when full; below delta the generation price climbs from L_g/(2*Psi)
 to pi instead. Price, payment, conjugate and primal cost are written once,
-on the shape's exponential segments, which ``verify_dapr`` also checks;
-callers reach a cell's shape through ``cell_shape`` or ``config.cells``.
+on the shape's exponential segments, which ``verify_dapr`` also checks:
+exactly, segment by segment, since the allocation-payment margin keeps its
+sign on a segment and its grid needs reading only at the two ends.
+Callers reach a cell's shape through ``cell_shape`` or ``config.cells``.
 Every payment is made through its family's function (``cable_payment``,
 ...), looked up by name at call time, so that a wrapper there sees it.
 
@@ -74,24 +76,30 @@ class PriceBounds:
 
 def validate_bounds(bounds: PriceBounds, config: ScenarioConfig) -> List[str]:
     """Invariant check for a bounds object against a config; [] if clean.
-    Per family, from its cell shapes: 0 < L <= U, L above every cost offset
-    (grid price, penalty), and L below 2*Psi times the offset of every cell
-    with a solar split, where the solar segment's base 2*Psi*offset/L must
+    Per family, ``_curve_problems`` of its cell shapes."""
+    two_psi = 2 * psi(config)
+    return [problem for family, shapes in zip(FAMILIES, config.cells.shapes)
+            for problem in _curve_problems(family, *family.limits(bounds), shapes, two_psi)]
+
+
+def _curve_problems(family: Family, lo: float, hi: float, shapes: List[Shape],
+                    two_psi: float) -> List[str]:
+    """The rules a family's (L, U) = (lo, hi) must meet for the price curves
+    of ``shapes`` to exist: 0 < L <= U, L above every cost offset (grid
+    price, penalty), and L below 2*Psi times the offset of every shape with
+    a solar split, where the solar segment's base 2*Psi*offset/L must
     exceed 1."""
     out = []
-    two_psi = 2 * psi(config)
-    for family, shapes in zip(FAMILIES, config.cells.shapes):
-        lo, hi = family.limits(bounds)
-        name = f"{family.name}: L_{family.bound}={lo}"
-        if not (0 < lo <= hi):
-            out.append(f"{family.name}: need 0 < L <= U, got ({lo}, {hi})")
-        top = max((shape.offset for shape in shapes), default=0.0)
-        if top > 0 and lo <= top:
-            out.append(f"{name} must exceed the largest cost offset {top}")
-        solar = [shape.offset for shape in shapes if shape.split > 0]
-        if solar and lo >= two_psi * min(solar):
-            out.append(f"{name} must stay below 2*Psi*offset={two_psi * min(solar)} "
-                       "at a cell with solar")
+    name = f"{family.name}: L_{family.bound}={lo}"
+    if not (0 < lo <= hi):
+        out.append(f"{family.name}: need 0 < L <= U, got ({lo}, {hi})")
+    top = max((shape.offset for shape in shapes), default=0.0)
+    if top > 0 and lo <= top:
+        out.append(f"{name} must exceed the largest cost offset {top}")
+    solar = [shape.offset for shape in shapes if shape.split > 0]
+    if solar and lo >= two_psi * min(solar):
+        out.append(f"{name} must stay below 2*Psi*offset={two_psi * min(solar)} "
+                   "at a cell with solar")
     return out
 
 
@@ -675,17 +683,22 @@ def alphas(bounds: PriceBounds, psi_: int, config: ScenarioConfig) -> Alphas:
 
 @dataclass(frozen=True)
 class DaprReport:
-    """Result of one allocation-payment grid check.
+    """Result of one allocation-payment check.
 
-    The verifier walks a uniform allocation grid and checks, per
-    increment, that the margin
+    On a uniform allocation grid, the verifier checks that the margin of
+    each increment
 
         (p(y) - f'(y)) * dy - (1/alpha) * f*'(p(y)) * p'(y) * dy
 
     is nonnegative: the price the allocator collects above marginal cost
     must cover the dual objective's growth at rate 1/alpha. Derivatives
     are analytic, so the margin vanishes identically at the family's own
-    ratio and goes strictly negative when alpha is undersized.
+    ratio and goes strictly negative when alpha is undersized. The check
+    is exact per segment: there the margin's sign is fixed, so its least
+    value on the grid sits at one of the segment's two end points, and
+    those are the only points evaluated. ``grid_points`` counts the grid,
+    and ``worst_margin`` and ``worst_y`` are its least margin and where it
+    falls.
     """
 
     family: str
@@ -698,14 +711,18 @@ class DaprReport:
 
 
 def verify_dapr(family: str, params: Mapping[str, float], alpha: float,
-                grid_points: int) -> DaprReport:
-    """Grid-check the allocation-payment inequality for one resource.
+                grid_points: int = 10_000) -> DaprReport:
+    """Check the allocation-payment inequality for one resource.
 
     ``params`` carries the family's scalars: capacity, L, U, psi, plus pi
     (generation: with delta and mu) or phi (out_of_service). The grid runs
     over the segments of the price curve, split at the solar boundary so
     that no increment straddles the branch switch; on each, f' is the
-    segment's offset and f*' its upper end.
+    segment's offset and f*' its upper end, and the margin is read at the
+    segment's first and last grid points. Parameters that give no price
+    curve (a missing or non-finite one, a capacity that is not positive,
+    a psi that is not a whole number of at least 1, or an (L, U) that
+    ``validate_bounds`` would refuse) raise a ValueError naming them.
     """
     if family not in NAMES:
         raise ValueError(f"unknown family {family!r}")
@@ -715,10 +732,26 @@ def verify_dapr(family: str, params: Mapping[str, float], alpha: float,
         raise ValueError("alpha must be positive")
 
     k = NAMES.index(family)
-    shape = Shape(k, *(float(params[name]) for name in FAMILIES[k].params))
-    segments = [seg for seg in shape.segments(float(params["L"]), float(params["U"]),
-                                              int(params["psi"]))
-                if seg.hi > seg.lo]
+    names = FAMILIES[k].params + ("L", "U", "psi")
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError(f"{family}: missing parameter {', '.join(missing)}")
+    values = {name: float(params[name]) for name in names}
+    problems = [f"{family}: {name}={value} must be finite"
+                for name, value in values.items() if not math.isfinite(value)]
+    shape = Shape(k, *(values[name] for name in FAMILIES[k].params))
+    if shape.cap <= 0:
+        problems.append(f"{family}: capacity {FAMILIES[k].symbol}={shape.cap} "
+                        "must be positive")
+    if values["psi"] < 1 or values["psi"] % 1:
+        problems.append(f"{family}: psi={values['psi']} must be a whole number of at least 1")
+    low, high = values["L"], values["U"]
+    if not problems:
+        psi_ = int(values["psi"])
+        problems = _curve_problems(FAMILIES[k], low, high, [shape], 2 * psi_)
+    if problems:
+        raise ValueError("; ".join(problems))
+    segments = [seg for seg in shape.segments(low, high, psi_) if seg.hi > seg.lo]
 
     total_len = sum(seg.hi - seg.lo for seg in segments)
     worst_margin = math.inf
@@ -728,16 +761,19 @@ def verify_dapr(family: str, params: Mapping[str, float], alpha: float,
         n = max(1, round(grid_points * (hi - lo) / total_len))
         dy = (hi - lo) / n
         z = math.log(b)
-        for i in range(n):
+        # The margin is dy * growth * (1 - hi*z/(cap*alpha)): growth rises
+        # with y and the bracket is fixed on the segment, so the least
+        # margin of the n grid points is at the first or the last.
+        for i in (0, n - 1):
             y = lo + i * dy
             growth = a * b ** (y / cap)
             p = growth + offset
             pprime = growth * z / cap
             margin = (p - offset) * dy - (hi * pprime * dy) / alpha
-            checked += 1
             if margin < worst_margin:
                 worst_margin = margin
                 worst_y = y
+        checked += n
     return DaprReport(family=family, alpha=alpha, grid_points=checked,
                       passed=worst_margin >= -MONEY_ATOL,
                       worst_margin=worst_margin, worst_y=worst_y,

@@ -181,8 +181,7 @@ def test_offline_exact_respects_the_space_limit(capsys):
 
 
 def test_verify_passes_at_full_alpha(capsys):
-    assert main(["verify", "--seed", "1", "--preset", "tiny",
-                 "--grid-points", "2000"]) == 0
+    assert main(["verify", "--seed", "1", "--preset", "tiny"]) == 0
     out = capsys.readouterr().out
     assert "verification passed" in out
     assert "FAIL" not in out
@@ -191,7 +190,7 @@ def test_verify_passes_at_full_alpha(capsys):
 
 def test_verify_fails_at_half_alpha(capsys):
     assert main(["verify", "--seed", "1", "--preset", "tiny",
-                 "--grid-points", "2000", "--alpha-scale", "0.5"]) == 1
+                 "--alpha-scale", "0.5"]) == 1
     out = capsys.readouterr().out
     assert "verification FAILED" in out
     assert "FAIL family=" in out
@@ -199,7 +198,7 @@ def test_verify_fails_at_half_alpha(capsys):
 
 def test_verify_family_filter(capsys):
     assert main(["verify", "--seed", "1", "--preset", "tiny",
-                 "--grid-points", "2000", "--family", "cable"]) == 0
+                 "--family", "cable"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines()
              if l.startswith(("PASS", "FAIL"))]
     assert lines and all("family=cable" in l for l in lines)

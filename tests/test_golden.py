@@ -54,10 +54,13 @@ def test_cli_artifacts_are_byte_identical(argv, digests, tmp_path, capsys):
 
 
 def test_verify_output_is_byte_identical(capsys):
+    # pinned when the verifier began reading each segment's grid at its two
+    # ends: the worst margins of cases that hold with equality are rounding
+    # noise, and moved; every PASS/FAIL stayed
     assert cli.main(["verify", "--seed", "0", "--preset", "desk"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "a6d02d85c77c3719ba48e1a0629955842e019a635c28a79a3081210fe80c696c")
+        "3a4fbeee1d9c43e4b7232ab73fa488cafbf80c12fe5f856beaec008e7f522180")
 
 
 # the congested run of test_reference_equivalence.py: one facility of two

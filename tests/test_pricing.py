@@ -391,6 +391,36 @@ def test_dapr_rejects_bad_arguments():
     # NaN passed ``alpha <= 0``, and then no margin compared below inf
     with pytest.raises(ValueError, match="positive"):
         verify_dapr("cable", params, math.nan, 1000)
+    # parameters that give no price curve: each passed with worst_margin=inf
+    # and no segment, or died in a ZeroDivisionError, a math domain error or
+    # a bare KeyError
+    generation = {"delta": 6.0, "mu": 10.0, "pi": 0.3, "L": 0.5, "U": 6.0, "psi": 9}
+    out_of_service = {"capacity": 20.0, "phi": 0.4, "L": 0.9, "U": 18.0, "psi": 9}
+    rows = [
+        ("cable", dict(params, capacity=0.0), "capacity C=0.0 must be positive"),
+        ("cable", dict(params, capacity=-4.0), "capacity C=-4.0 must be positive"),
+        ("cable", dict(params, capacity=math.nan), "capacity=nan must be finite"),
+        ("cable", dict(params, L=0.0), r"need 0 < L <= U, got \(0.0, 20.0\)"),
+        ("cable", dict(params, L=30.0), r"need 0 < L <= U, got \(30.0, 20.0\)"),
+        ("cable", dict(params, U=math.inf), "U=inf must be finite"),
+        ("cable", dict(params, psi=0), "psi=0.0 must be a whole number of at least 1"),
+        # a fractional psi was truncated, and 9.7 checked the curve of 9
+        ("cable", dict(params, psi=9.7), "psi=9.7 must be a whole number"),
+        ("generation", dict(generation, delta=0.0, L=0.3),
+         "L_g=0.3 must exceed the largest cost offset 0.3"),
+        ("generation", dict(generation, L=0.2),
+         "L_g=0.2 must exceed the largest cost offset 0.3"),
+        ("generation", dict(generation, L=5.5),
+         r"L_g=5.5 must stay below 2\*Psi\*offset="),
+        ("generation", dict(generation, pi=math.nan), "pi=nan must be finite"),
+        ("out_of_service", dict(out_of_service, L=0.3),
+         "L_o=0.3 must exceed the largest cost offset 0.4"),
+        ("cable", {k: v for k, v in params.items() if k != "psi"},
+         "missing parameter psi"),
+    ]
+    for family, bad, message in rows:
+        with pytest.raises(ValueError, match=message):
+            verify_dapr(family, bad, 10.0, 1000)
 
 
 def test_dapr_margin_scales_with_alpha():

@@ -1,6 +1,7 @@
 """The table-driven walks, the per-session payment snapshot, the
-candidate build that merges its sorted streams and the per-config
-destination ranking against plain reference implementations.
+candidate build that merges its sorted streams, the per-config
+destination ranking and the verifier that reads each segment's grid at
+its two ends against plain reference implementations.
 
 ``utility_breakdown`` reads payments from the snapshot that ``dispatch``
 takes of the ledger and also hands to the candidate build: running sums
@@ -650,3 +651,89 @@ def test_threshold_moves_match_the_reference_order(name, monkeypatch):
         found[0] += got[0] is not None
         found[1] += got[1] is not None
     assert min(found) >= 20
+
+
+def reference_verify_dapr(family, params, alpha, grid_points):
+    """The allocation-payment margin at every grid point, one float at a
+    time, as ``verify_dapr`` checked it before it read each segment's grid
+    at its two ends."""
+    k = pricing.NAMES.index(family)
+    shape = pricing.Shape(k, *(float(params[name]) for name in FAMILIES[k].params))
+    segments = [seg for seg in shape.segments(float(params["L"]), float(params["U"]),
+                                              int(params["psi"]))
+                if seg.hi > seg.lo]
+
+    total_len = sum(seg.hi - seg.lo for seg in segments)
+    worst_margin = math.inf
+    worst_y = 0.0
+    checked = 0
+    for lo, hi, cap, a, b, offset in segments:
+        n = max(1, round(grid_points * (hi - lo) / total_len))
+        dy = (hi - lo) / n
+        z = math.log(b)
+        for i in range(n):
+            y = lo + i * dy
+            growth = a * b ** (y / cap)
+            p = growth + offset
+            pprime = growth * z / cap
+            margin = (p - offset) * dy - (hi * pprime * dy) / alpha
+            checked += 1
+            if margin < worst_margin:
+                worst_margin = margin
+                worst_y = y
+    return pricing.DaprReport(family=family, alpha=alpha, grid_points=checked,
+                              passed=worst_margin >= -MONEY_ATOL,
+                              worst_margin=worst_margin, worst_y=worst_y,
+                              segments=len(segments))
+
+
+# a cable curve of its own, and the ratio hi*ln(b)/cap of its one segment
+CABLE_PARAMS = {"capacity": 4.0, "L": 0.05, "U": 20.0, "psi": 9}
+CABLE_RATIO = math.log(2 * 9 * 20.0 / 0.05)
+
+
+def _dapr_cases():
+    for preset in ("tiny", "desk", "full", "rush"):
+        config, _ = generate_scenario(0, preset)
+        psi_ = pricing.psi(config)
+        bounds = pricing.estimate_bounds(config)
+        ratios = dict(zip(pricing.NAMES, dataclasses.astuple(
+            pricing.alphas(bounds, psi_, config))))
+        for family, params in pricing.dapr_cases(config, bounds, psi_):
+            yield family, params, ratios[family]
+    yield "cable", CABLE_PARAMS, CABLE_RATIO
+
+
+def test_verifier_matches_the_grid_walk():
+    """Same verdict, grid and segment count on every case of one seed of
+    each preset, at alpha and alpha/2, and the same least margin where it
+    is more than rounding noise: at a family's own alpha the inequality is
+    an identity, and the walk's least margin is whichever point rounded
+    lowest."""
+    checked = set()
+    for family, params, ratio in _dapr_cases():
+        for alpha in (ratio, ratio / 2):
+            got = pricing.verify_dapr(family, params, alpha, 2000)
+            ref = reference_verify_dapr(family, params, alpha, 2000)
+            case = (family, params, alpha)
+            assert (got.passed, got.grid_points, got.segments) == (
+                ref.passed, ref.grid_points, ref.segments), case
+            if abs(ref.worst_margin) > 1e-12:
+                assert got.worst_margin == ref.worst_margin, case
+            else:
+                assert abs(got.worst_margin - ref.worst_margin) <= 1e-15, case
+            checked.add((family, got.passed))
+    assert checked == {(name, ok) for name in pricing.NAMES for ok in (True, False)}
+
+
+def test_verifier_finds_the_end_the_sign_points_to():
+    """Just below the segment's own ratio every margin is negative and the
+    least is at the last grid point; just above, every margin is positive
+    and the least is at the first."""
+    n = 2000
+    last = 0.0 + (n - 1) * (4.0 / n)
+    for verify in (pricing.verify_dapr, reference_verify_dapr):
+        below = verify("cable", CABLE_PARAMS, CABLE_RATIO * (1 - 1e-9), n)
+        above = verify("cable", CABLE_PARAMS, CABLE_RATIO * (1 + 1e-9), n)
+        assert below.worst_margin < 0 < above.worst_margin
+        assert (below.worst_y, above.worst_y) == (last, 0.0)
