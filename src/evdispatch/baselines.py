@@ -5,7 +5,8 @@ charge threshold takes the most valuable reachable pickup immediately;
 a vehicle below it drives to the nearest facility, charges to full at the
 maximum rate in back-to-back slots (waiting up to ``PATIENCE`` slots
 when the facility is busy), and only then takes a pickup. Capacity is
-respected by construction, value is whatever falls out.
+respected by construction, value is whatever falls out. Both moves are
+made by ``schedules.make_plan``, as online's plans are.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .domain import (
     MONEY_ATOL, DispatchDecision, ResourceLedger, RunReport, ScenarioConfig, Schedule,
-    Session, check_config, check_sessions, facility_legs, instance_hash, plan_value,
+    Session, check_config, check_sessions, facility_legs, instance_hash,
 )
 from .dispatcher import peak_utilization
 from .economics import primal_increment
 from .pricing import GENERATION, charge_slots, psi as compute_psi
-from .schedules import pure_rebalance
+from .schedules import make_plan
 
 #: How many slots past its facility arrival a charging vehicle may wait
 #: for a start that fits; read at call time.
@@ -39,7 +40,8 @@ def _rebalance(session: Session, config: ScenarioConfig,
                ledger: ResourceLedger) -> Optional[Schedule]:
     """Most valuable reachable pickup with a free arrival slot, if any."""
     for h2, dest in _dest_order(config, session.origin_region):
-        s = pure_rebalance(session, config, h2, dest)
+        s = make_plan(session, config, dest, h2, session.soc * config.battery_capacity,
+                      session.t_minus)
         if s is not None and ledger.fits(s, config):
             return s
     return None
@@ -54,7 +56,6 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
     """
     T = config.horizon
     cap = config.battery_capacity
-    e_hop = config.per_hop_energy
     energy0 = session.soc * cap
 
     legs = facility_legs(session.origin_region, energy0, session.t_minus, config)
@@ -62,8 +63,7 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
         return None
     h1, fac = legs[0]
 
-    t_arr = session.t_minus + h1
-    arrival_energy = energy0 - h1 * e_hop
+    arrival_energy = energy0 - h1 * config.per_hop_energy
     rate = fac.evse_energy_limit
     k, last = charge_slots(cap - arrival_energy, rate)
     # full rate first, the remainder in the last slot
@@ -75,29 +75,20 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
     row = fac.id * T - 1
 
     for wait in range(PATIENCE + 1):
-        start = t_arr + wait
+        start = session.t_minus + h1 + wait
         done = start + k - 1
         if done > T:
             break
+        energy_slots = tuple(zip(range(start, done + 1), amounts))
         if any(generated[row + t] + e > generation[row + t].cap + MONEY_ATOL
-               for t, e in zip(range(start, done + 1), amounts)):
+               for t, e in energy_slots):
             # no EVSE or destination makes these slots fit
             continue
         for m in range(fac.evse_count):
             for h2, dest in dests:
-                t_plus = done + h2
-                final = cap - h2 * e_hop
-                if t_plus > T or final < -MONEY_ATOL:
-                    continue
-                s = Schedule(
-                    session_id=session.id, t_minus=session.t_minus,
-                    facility_id=fac.id, evse_index=m, t_arrival=t_arr,
-                    cable_slots=tuple(range(t_arr, done + 1)),
-                    energy_slots=tuple(zip(range(start, done + 1), amounts)),
-                    dest_region=dest, t_plus=t_plus, hops_total=h1 + h2,
-                    final_soc=final / cap,
-                    value=plan_value(config, final, dest, h1 + h2))
-                if ledger.fits(s, config):
+                s = make_plan(session, config, dest, h2, cap, done,
+                              (fac.id, m, h1, energy_slots))
+                if s is not None and ledger.fits(s, config):
                     return s
     return None
 

@@ -22,6 +22,9 @@ that the cap reaches are ever valued.
 
 The builder reads posted prices from the ``pricing.Snapshot`` its caller
 took of the ledger; ``dispatch`` prices the candidates from the same one.
+
+Every plan, here and in ``baselines``, is made by ``make_plan``, which
+works out a plan's arrival slot, cable window, final charge and value.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     out: List[Schedule] = []
     for dest, h2 in enumerate(origin_hops):
         if h2 >= 0:
-            s = pure_rebalance(session, config, h2, dest)
+            s = make_plan(session, config, dest, h2, energy0, t0)
             if s is not None:
                 out.append(s)
 
@@ -144,9 +147,8 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
         for w in range(MAX_START_OFFSET + 1):
             if built_charges >= policy.max_candidates_total:
                 break
+            # _stream kept h2 <= T - (t_arr + k - 1): the window holds k slots
             hi = min(T - h2, t_arr + k - 1 + w)
-            if hi - t_arr + 1 < k:
-                continue
             plan = plans.get((fid, hi, k))
             if plan is None:
                 window = windows.get((fid, hi))
@@ -157,40 +159,49 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
                 plan = plans[fid, hi, k] = (evse, chosen,
                                             _dearest(chosen, fid, evse, prices))
             evse, chosen, dearest = plan
-            energy_slots = _assign_energy(chosen, dearest, last, rate)
-            done = chosen[-1]
-            t_plus = done + h2
-            final = (energy0 - h1 * e_hop + target - h2 * e_hop) / cap
-            key = (fid, evse, energy_slots, dest, t_plus)
+            # full rate on the chosen slots, the last slot's energy on the dearest
+            energy_slots = tuple((t, last if t == dearest else rate) for t in chosen)
+            # the energy slots fix the last charging slot, and dest fixes h2
+            key = (fid, evse, energy_slots, dest)
             if key in seen:
                 continue
             seen.add(key)
             built_charges += 1
-            out.append(Schedule(
-                session_id=session.id, t_minus=t0, facility_id=fid,
-                evse_index=evse, t_arrival=t_arr,
-                cable_slots=tuple(range(t_arr, done + 1)),
-                energy_slots=energy_slots, dest_region=dest,
-                t_plus=t_plus, hops_total=h1 + h2, final_soc=final, value=-neg_v))
+            out.append(make_plan(session, config, dest, h2,
+                                 energy0 - h1 * e_hop + target, chosen[-1],
+                                 (fid, evse, h1, energy_slots), value=-neg_v))
         if built_charges >= policy.max_candidates_total:
             break
     out.sort(key=_candidate_key)
     return out
 
 
-def pure_rebalance(session: Session, config: ScenarioConfig, h2: int,
-                   dest: int) -> Optional[Schedule]:
-    """The session's drive straight to ``dest``, ``h2`` hops away; None
-    when it ends past the horizon or below the battery floor."""
-    cap = config.battery_capacity
-    t_plus = session.t_minus + h2
-    final = session.soc * cap - h2 * config.per_hop_energy
+def make_plan(session: Session, config: ScenarioConfig, dest: int, h2: int,
+              stored: float, t_leave: int, charge: Optional[tuple] = None,
+              value: Optional[float] = None) -> Optional[Schedule]:
+    """The session's plan that leaves slot ``t_leave`` with ``stored`` kWh
+    for ``dest``, ``h2`` hops on; None past the horizon or the battery
+    floor. ``charge`` is None for a pure rebalance from the origin, else
+    ``(facility, EVSE, h1, energy_slots)``, holding the cable from arrival
+    through ``t_leave``, the last charging slot. ``value`` defaults to
+    ``plan_value``."""
+    t_plus = t_leave + h2
+    final = stored - h2 * config.per_hop_energy
     if t_plus > config.horizon or final < -MONEY_ATOL:
         return None
-    return Schedule(session_id=session.id, t_minus=session.t_minus, facility_id=None,
-                    evse_index=None, t_arrival=None, cable_slots=(), energy_slots=(),
-                    dest_region=dest, t_plus=t_plus, hops_total=h2, final_soc=final / cap,
-                    value=plan_value(config, final, dest, h2))
+    fid = evse = t_arr = None
+    h1, cable, energy_slots = 0, (), ()
+    if charge is not None:
+        fid, evse, h1, energy_slots = charge
+        t_arr = session.t_minus + h1
+        cable = tuple(range(t_arr, t_leave + 1))
+    if value is None:
+        value = plan_value(config, final, dest, h1 + h2)
+    return Schedule(session_id=session.id, t_minus=session.t_minus, facility_id=fid,
+                    evse_index=evse, t_arrival=t_arr, cable_slots=cable,
+                    energy_slots=energy_slots, dest_region=dest, t_plus=t_plus,
+                    hops_total=h1 + h2, final_soc=final / config.battery_capacity,
+                    value=value)
 
 
 def _stream(config: ScenarioConfig, fac, target: float, h1: int, k: int, last: float,
@@ -255,10 +266,3 @@ def _dearest(chosen: Sequence[int], fid: int, m: int,
         if p > worst_p + 1e-15:
             worst_t, worst_p = t, p
     return worst_t
-
-
-def _assign_energy(chosen: Sequence[int], dearest: int, last: float,
-                   rate: float) -> Tuple[Tuple[int, float], ...]:
-    """Full rate on the chosen slots, the last slot's energy on the
-    dearest one."""
-    return tuple((t, last if t == dearest else rate) for t in chosen)

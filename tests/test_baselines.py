@@ -94,11 +94,15 @@ def test_start_blocked_by_generation_is_skipped(mini_config, mini_session,
 
 
 @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75])
-@pytest.mark.parametrize("preset,seed", [("tiny", 3), ("desk", 1)])
+@pytest.mark.parametrize("preset,seed", [("tiny", 3), ("desk", 1), ("full", 3)])
 def test_threshold_runs_respect_capacity(preset, seed, threshold):
     config, sessions = generate_scenario(seed, preset)
     report = run_threshold(sessions, config, threshold)
     assert report.algorithm == f"threshold-{int(threshold * 100)}"
+    if preset == "full" and threshold > 0.25:
+        # the charge-to-full path runs at scale: 332 and 642 of 993 plans
+        assert sum(d.schedule is not None and d.schedule.charging
+                   for d in report.decisions) > 100
     ledger = recompute_ledger(report.decisions, config)
     assert ledger.violations(config) == []
     by_id = {s.id: s for s in sessions}

@@ -158,3 +158,26 @@ def test_every_private_helper_has_a_caller():
     reads = {id(node): set(_referenced(node)) for node in statements}
     assert [h.name for h in helpers
             if not any(h.name in reads[id(node)] for node in statements if node is not h)] == []
+
+
+def _schedule_builders(node: ast.AST, where: str = "<module>"):
+    """The innermost function around each ``Schedule(...)`` call under
+    node, or ``<module>`` for a call outside every function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _schedule_builders(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "Schedule":
+                yield where
+        yield from _schedule_builders(child, where)
+
+
+def test_one_function_makes_every_plan():
+    """Every plan builder (online, threshold) makes its plans through
+    ``schedules.make_plan``, so the arrival slot, cable window, final charge
+    and value of a plan are worked out in one place."""
+    builders = {(path.name, name) for path in SOURCES
+                for name in _schedule_builders(ast.parse(path.read_text(encoding="utf-8")))}
+    assert builders == {("schedules.py", "make_plan")}
