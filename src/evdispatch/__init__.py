@@ -21,7 +21,8 @@ from .pricing import (
     estimate_bounds, psi, validate_bounds, verify_dapr,
 )
 from .schedules import (
-    DEFAULT_POLICY, GenerationPolicy, feasible_schedules, validate_policy,
+    DEFAULT_POLICY, GenerationPolicy, feasible_schedules, ranked, rebalances,
+    validate_policy,
 )
 from .dispatcher import DispatcherState, dispatch, run_online
 from .offline import OfflineResult, exact_offline, search_space_size, upper_bound
@@ -43,8 +44,8 @@ __all__ = [
     "primal_increment", "primal_objective", "Alphas", "DaprReport",
     "PriceBounds", "alphas", "dapr_cases", "default_charge_targets",
     "estimate_bounds", "psi", "validate_bounds", "verify_dapr",
-    "DEFAULT_POLICY", "GenerationPolicy", "feasible_schedules",
-    "validate_policy", "DispatcherState", "dispatch",
+    "DEFAULT_POLICY", "GenerationPolicy", "feasible_schedules", "ranked",
+    "rebalances", "validate_policy", "DispatcherState", "dispatch",
     "run_online", "OfflineResult", "exact_offline",
     "search_space_size", "upper_bound", "run_threshold", "threshold_dispatch",
     "ComparisonTable", "GeneratorParams", "PRESETS",

@@ -1,9 +1,10 @@
 """The online engine: evaluate utilities, pick the argmax, update state.
 
 Sessions are consumed strictly in arrival order. For each one the engine
-prices every candidate schedule against the current ledger, accepts the
-best candidate iff its utility is strictly positive, and otherwise sends
-the vehicle to the depot. Payments are exact integrals of the price
+reads the candidate schedules best value first and prices them against
+the current ledger until no candidate left can win, accepts the best
+candidate iff its utility is strictly positive, and otherwise sends the
+vehicle to the depot. Payments are exact integrals of the price
 curves, so a schedule that would overfill any resource meets prices above
 the family's U bound and can never win; a hard capacity check backs that
 barrier anyway.
@@ -21,7 +22,8 @@ from .domain import (
 )
 from .pricing import CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PriceBounds, Snapshot
 from .schedules import (
-    DEFAULT_POLICY, GenerationPolicy, feasible_schedules, validate_policy,
+    DEFAULT_POLICY, GenerationPolicy, feasible_schedules, ranked, rebalances,
+    validate_policy,
 )
 
 
@@ -104,7 +106,10 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
 
     Ties on utility go to the earlier destination arrival, then the lower
     candidate index. The candidates are built and priced from one snapshot
-    of the ledger, taken on arrival. Raises on out-of-order arrivals and,
+    of the ledger, taken on arrival, in descending order of value. Every
+    payment is >= 0, so no utility exceeds its value: pricing stops at the
+    first candidate whose value is below the best utility so far, as none
+    from there on can win or tie. Raises on out-of-order arrivals and,
     should the price barrier ever fail, on a capacity breach.
     """
     if session.t_minus < state.last_t:
@@ -113,13 +118,16 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
     state.last_t = session.t_minus
 
     prices = Snapshot(state.ledger, state.bounds, state.psi)
-    candidates = feasible_schedules(session, state.config, prices, state.policy)
+    candidates = ranked(rebalances(session, state.config),
+                        feasible_schedules(session, state.config, prices, state.policy))
     if state.captured is not None:
-        state.captured[session.id] = list(candidates)
+        candidates = state.captured[session.id] = list(candidates)
 
     best = None
     best_key = None
     for idx, schedule in enumerate(candidates):
+        if best_key is not None and schedule.value < best_key[0]:
+            break
         u, breakdown = utility_breakdown(schedule, prices)
         key = (u, -schedule.t_plus, -idx)
         if best_key is None or key > best_key:
@@ -159,9 +167,9 @@ def run_online(sessions: Sequence[Session], config: ScenarioConfig,
                ) -> Union[RunReport, Tuple[RunReport, Dict[int, List[Schedule]]]]:
     """Run the full online heuristic over an ordered session stream.
 
-    With capture_candidates=True also returns the exact candidate sets
-    each session was priced against, for offline comparison on the same
-    action space.
+    With capture_candidates=True also returns each session's whole
+    candidate set, the ones left unpriced included, for offline comparison
+    on the same action space.
     """
     state = DispatcherState.fresh(config, policy,
                                   capture_candidates=capture_candidates)

@@ -3,7 +3,7 @@
 The dispatcher never enumerates every conceivable plan. For each session
 it considers a bounded family of tuples (facility, charge target,
 destination, start offset) plus pure rebalances, ranks them by analytic
-value, and only builds the top candidates into full schedules. A charge
+value, and only builds the candidates it reads into full schedules. A charge
 target is any multiple of the config's charge increment up to the
 battery's headroom, drawn at the facility's fair-share rate; the only
 knob a caller sets is the cap on charging candidates. Charging
@@ -20,8 +20,16 @@ streams are merged with ``heapq.merge``, and the build stops at the cap:
 the order is exactly that of sorting every tuple, and only the batches
 that the cap reaches are ever valued.
 
-The builder reads posted prices from the ``pricing.Snapshot`` its caller
-took of the ledger; ``dispatch`` prices the candidates from the same one.
+The pure rebalances are one more such stream, from the origin with no
+facility (``rebalances``), and a rebalance is made only when it is read.
+``ranked`` merges it with the charging plans into the order of sorting
+every candidate by ``_candidate_key``. ``dispatch`` reads that order only
+as far as a candidate can still win. Rebalances are most of a session's
+candidates and are rarely chosen, so most of them are never built.
+
+The charging build reads posted prices from the ``pricing.Snapshot`` its
+caller took of the ledger; ``dispatch`` prices the candidates from the
+same one.
 
 Every plan, here and in ``baselines``, is made by ``make_plan``, which
 works out a plan's arrival slot, cable window, final charge and value.
@@ -33,11 +41,12 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import pricing
 from .domain import (
-    MONEY_ATOL, ScenarioConfig, Schedule, Session, facility_legs, hop_row, plan_value,
+    MONEY_ATOL, ScenarioConfig, Schedule, Session, facility_legs, plan_value,
 )
 from .pricing import CABLE, Snapshot, charge_slots
 
@@ -61,8 +70,10 @@ class GenerationPolicy:
     ----------
     max_candidates_total:
         Hard cap on charging candidates per session, an integer >= 1.
-        Pure rebalances are always all included; they are the cheap
-        fallback moves and cost nothing to build.
+        Pure rebalances are never capped: they are the fallback moves.
+        They are not free to build: making and sorting all of them took
+        about a seventh of a ``full`` session's dispatch, so
+        ``rebalances`` makes each one only when it is read.
     """
 
     max_candidates_total: int = 24
@@ -81,14 +92,15 @@ def validate_policy(policy: GenerationPolicy) -> List[str]:
 
 def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapshot,
                        policy: GenerationPolicy = DEFAULT_POLICY) -> List[Schedule]:
-    """Candidate schedules for a session against the ledger state that
+    """Charging candidates for a session against the ledger state that
     ``prices`` was taken of.
 
     Deterministic in its inputs. Sessions arriving in the final slot get
-    no candidates: there is no slot left to complete any move. Every
-    reachable pure rebalance is included; charging plans are capped at
-    max_candidates_total, best analytic value first. The combined list is
-    sorted by descending value with a canonical tie-break.
+    no candidates: there is no slot left to complete any move. Charging
+    plans are capped at max_candidates_total, best analytic value first,
+    and sorted by descending value with a canonical tie-break
+    (``_candidate_key``). The pure rebalances come from ``rebalances``;
+    ``ranked`` merges the two into the session's whole candidate list.
     """
     T = config.horizon
     if not (1 <= session.t_minus <= T):
@@ -100,16 +112,6 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     e_hop = config.per_hop_energy
     energy0 = session.soc * cap
     t0 = session.t_minus
-    # the origin's hop row, read once; -1 marks an unreachable region
-    origin_hops = hop_row(session.origin_region, config)
-
-    # ---- every reachable pure rebalance ----
-    out: List[Schedule] = []
-    for dest, h2 in enumerate(origin_hops):
-        if h2 >= 0:
-            s = make_plan(session, config, dest, h2, energy0, t0)
-            if s is not None:
-                out.append(s)
 
     # ---- one stream of charging tuples per (facility, target) ----
     # Each stream yields (-v, f, target, dest, h1, h2, k, last) in
@@ -129,8 +131,9 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
             k, last = charge_slots(target, rate)
             if t_arr + k - 1 > T:
                 continue
-            streams.append(_stream(config, fac, target, h1, k, last,
-                                   arrival_energy + target, T - (t_arr + k - 1)))
+            streams.append(chain.from_iterable(_batches(
+                config, fac.region_id, fac.id, target, h1, k, last,
+                arrival_energy + target, T - (t_arr + k - 1))))
 
     # ---- build charging tuples, best value first, until the cap ----
     # A window runs from the facility arrival slot t_arr, fixed per
@@ -139,6 +142,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     windows = {}  # (facility, window end) -> (EVSE, slots cheapest first)
     plans = {}  # (facility, window end, k) -> (EVSE, chosen slots, dearest)
     seen = set()
+    out: List[Schedule] = []
     built_charges = 0
     for neg_v, fid, target, dest, h1, h2, k, last in heapq.merge(*streams):
         fac = config.facilities[fid]
@@ -147,7 +151,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
         for w in range(MAX_START_OFFSET + 1):
             if built_charges >= policy.max_candidates_total:
                 break
-            # _stream kept h2 <= T - (t_arr + k - 1): the window holds k slots
+            # _batches kept h2 <= T - (t_arr + k - 1): the window holds k slots
             hi = min(T - h2, t_arr + k - 1 + w)
             plan = plans.get((fid, hi, k))
             if plan is None:
@@ -174,6 +178,37 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
             break
     out.sort(key=_candidate_key)
     return out
+
+
+def rebalances(session: Session, config: ScenarioConfig) -> Iterator[Schedule]:
+    """The session's pure rebalances, sorted by ``_candidate_key``: the
+    origin's destination batches in turn, each valued and sorted only when
+    the one before it is used up, and each plan made only when it is read.
+    Nothing for a session in the final slot, as in ``feasible_schedules``."""
+    T, t0 = config.horizon, session.t_minus
+    if t0 >= T:
+        return
+    energy0 = session.soc * config.battery_capacity
+    # the batches with no facility (-1), no charge and no hop before the origin
+    for batch in _batches(config, session.origin_region, -1, 0.0, 0, 0, 0.0, energy0, T - t0):
+        for neg_v, _, _, dest, _, h2, _, _ in batch:
+            yield make_plan(session, config, dest, h2, energy0, t0, value=-neg_v)
+
+
+def ranked(rebalances: Iterable[Schedule], charges: Iterable[Schedule]) -> Iterator[Schedule]:
+    """Pure rebalances and charging plans, each sorted by ``_candidate_key``,
+    merged into that order. At equal values a rebalance sorts first, its
+    facility being -1, so only values are compared."""
+    charges = iter(charges)
+    charge = next(charges, None)
+    for plan in rebalances:
+        while charge is not None and charge.value > plan.value:
+            yield charge
+            charge = next(charges, None)
+        yield plan
+    if charge is not None:
+        yield charge
+        yield from charges
 
 
 def make_plan(session: Session, config: ScenarioConfig, dest: int, h2: int,
@@ -204,26 +239,27 @@ def make_plan(session: Session, config: ScenarioConfig, dest: int, h2: int,
                     value=value)
 
 
-def _stream(config: ScenarioConfig, fac, target: float, h1: int, k: int, last: float,
-            stored: float, reach: int) -> Iterator[tuple]:
-    """The charging tuples of one (facility, charge target), best first:
-    the facility's destination batches in turn, each valued and sorted
-    only when the one before it is used up. ``k`` and ``last`` are the
+def _batches(config: ScenarioConfig, region: int, fid: int, target: float, h1: int,
+             k: int, last: float, stored: float, reach: int) -> Iterator[List[tuple]]:
+    """The tuples ``(-v, fid, target, dest, h1, h2, k, last)`` of one
+    (facility, charge target), batch by batch, best first: each of the
+    destination batches of the facility's ``region`` is valued and sorted
+    only when the one before it has been taken. ``k`` and ``last`` are the
     charging slots and the energy of the last of them
-    (``pricing.charge_slots``), ``stored`` the energy on leaving the
-    facility, and ``reach`` the farthest hop count the horizon allows.
+    (``pricing.charge_slots``), ``stored`` the energy on leaving
+    ``region``, and ``reach`` the farthest hop count the horizon allows.
     The destinations of a group share its value bit for bit."""
     e_hop = config.per_hop_energy
-    for batch in config.destinations[fac.region_id].batches:
+    for batch in config.destinations[region].batches:
         tuples = []
         for h2, dests in batch:
             final = stored - h2 * e_hop
             if h2 > reach or final < -MONEY_ATOL:
                 continue
             v = plan_value(config, final, dests[0], h1 + h2)
-            tuples.extend((-v, fac.id, target, dest, h1, h2, k, last) for dest in dests)
+            tuples.extend((-v, fid, target, dest, h1, h2, k, last) for dest in dests)
         tuples.sort()
-        yield from tuples
+        yield tuples
 
 
 def _candidate_key(s: Schedule):
@@ -237,15 +273,24 @@ def _candidate_key(s: Schedule):
 def _rank_window(fid: int, fac, start: int, end: int,
                  prices: Snapshot) -> Tuple[int, List[int]]:
     """The window's EVSE, the one with the cheapest summed posted cable
-    price over slots start..end, and the window's slots ranked by its
-    posted energy plus generation price, ties to the earlier slot. A slot
-    without generation capacity ranks as infinitely dear."""
+    price over slots start..end, ties to the lower index, and the window's
+    slots ranked by its posted energy plus generation price, ties to the
+    earlier slot. A slot without generation capacity ranks as infinitely
+    dear.
+
+    The facility's EVSEs share one cable shape and posted prices rise with
+    load, so an EVSE with no cable load over the window sums the lowest
+    prices, and no later EVSE can beat it: the scan stops there."""
     best_m, best_cost = 0, math.inf
     first, n = prices.cells.evse_cell(fid, 0, start), end - start + 1
+    loads = prices.loads[CABLE]
     for m in range(fac.evse_count):
-        cost = prices.run(CABLE, first + m * prices.cells.horizon, n, posted=True)
+        cell = first + m * prices.cells.horizon
+        cost = prices.run(CABLE, cell, n, posted=True)
         if cost < best_cost - 1e-15:
             best_m, best_cost = m, cost
+        if m + 1 < fac.evse_count and not any(loads[cell:cell + n]):
+            break
     priced = []
     for t in range(start, end + 1):
         if fac.solar[t - 1] + fac.grid_limit[t - 1] > 0:

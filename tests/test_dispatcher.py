@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evdispatch import baselines, dispatcher, economics, pricing
+from evdispatch import baselines, dispatcher, economics, pricing, schedules
 from evdispatch.baselines import run_threshold
 from evdispatch.dispatcher import (
     DispatcherState, dispatch, peak_utilization, run_online,
@@ -22,7 +22,7 @@ from evdispatch.domain import (
 from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.offline import upper_bound
 from evdispatch.pricing import DESTINATION, PriceBounds, Snapshot
-from evdispatch.schedules import GenerationPolicy, feasible_schedules
+from evdispatch.schedules import GenerationPolicy, feasible_schedules, ranked, rebalances
 
 from conftest import broken_configs, broken_sessions, build_mini_config, cell_index
 
@@ -30,6 +30,12 @@ from conftest import broken_configs, broken_sessions, build_mini_config, cell_in
 def _prices(state):
     """A snapshot of the state's live ledger, as ``dispatch`` takes one."""
     return Snapshot(state.ledger, state.bounds, state.psi)
+
+
+def _candidates(session, config, prices, policy):
+    """Every candidate of a session, in the order ``dispatch`` reads them."""
+    return list(ranked(rebalances(session, config),
+                       feasible_schedules(session, config, prices, policy)))
 
 
 def test_fresh_rejects_invalid_config():
@@ -77,7 +83,7 @@ def test_utility_is_value_minus_payments(mini_config, mini_session,
 def test_dispatch_picks_the_utility_argmax(mini_config, mini_session):
     probe = DispatcherState.fresh(mini_config)
     prices = _prices(probe)
-    candidates = feasible_schedules(mini_session, mini_config, prices, probe.policy)
+    candidates = _candidates(mini_session, mini_config, prices, probe.policy)
     utilities = [utility_breakdown(s, prices)[0] for s in candidates]
 
     state = DispatcherState.fresh(mini_config)
@@ -226,7 +232,11 @@ def test_replay_matches_decisions(tiny_instance):
     for k, session in enumerate(sessions):
         candidates = captured[session.id]
         prices = _prices(state)
-        assert candidates == feasible_schedules(session, config, prices, state.policy)
+        assert candidates == _candidates(session, config, prices, state.policy)
+        # the early stop in dispatch rests on this order
+        values = [s.value for s in candidates]
+        assert values == sorted(values, reverse=True)
+        # the argmax over every candidate, none skipped
         best_key, best = None, None
         for idx, s in enumerate(candidates):
             u = utility_breakdown(s, prices)[0]
@@ -240,6 +250,38 @@ def test_replay_matches_decisions(tiny_instance):
             assert decision.schedule == best
             assert decision.utility == pytest.approx(best_key[0])
             state.ledger.apply(best, sign=1)
+
+
+def test_a_full_day_prices_and_builds_under_half_its_candidates():
+    """Guards the early stop and the lazy rebalances: on a short ``full``
+    day ``dispatch`` prices fewer than half of the candidates it could
+    read, and makes fewer than half of the pure rebalances."""
+    config, sessions = generate_scenario(0, dataclasses.replace(PRESETS["full"],
+                                                                max_sessions=150))
+    state = DispatcherState.fresh(config)
+    counts = {"candidates": 0, "rebalances": 0, "priced": 0, "made": 0}
+    make_plan = schedules.make_plan
+
+    def priced(schedule, prices):
+        counts["priced"] += 1
+        return utility_breakdown(schedule, prices)
+
+    def made(*args, **kwargs):
+        plan = make_plan(*args, **kwargs)
+        if plan is not None and not plan.charging:
+            counts["made"] += 1
+        return plan
+    for session in sessions:
+        candidates = _candidates(session, config, _prices(state), state.policy)
+        counts["candidates"] += len(candidates)
+        counts["rebalances"] += sum(not s.charging for s in candidates)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dispatcher, "utility_breakdown", priced)
+            patch.setattr(schedules, "make_plan", made)
+            dispatch(session, state)
+    assert counts["rebalances"] > 20 * len(sessions)
+    assert 0 < counts["priced"] < counts["candidates"] / 2, counts
+    assert 0 < counts["made"] < counts["rebalances"] / 2, counts
 
 
 @pytest.mark.parametrize("seed", range(6))

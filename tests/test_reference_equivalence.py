@@ -9,9 +9,11 @@ of the cable and out-of-service payments from their first slot, and
 per-cell lookups of the rest.
 ``_dual_increment`` and ``primal_increment`` walk a schedule's demands on
 the config's cells; ``feasible_schedules`` sums cable prices as running
-sums from the arrival slot, ranks each window's slots once and stops
-ordering charging tuples at the candidate cap, and merges them lazily from
-the destination batches ranked once per config; ``upper_bound`` and the
+sums from the arrival slot, stops its EVSE scan at the first empty EVSE,
+ranks each window's slots once and stops ordering charging tuples at the
+candidate cap, and merges them lazily from the destination batches ranked
+once per config; ``rebalances`` values the origin's batches lazily too,
+and ``ranked`` merges the two by value alone; ``upper_bound`` and the
 threshold baselines read the same ranking. Each must give exactly
 what the family-by-family or destination-by-destination versions below
 give: the same floats, compared with ``==``, and the same schedules in the
@@ -41,7 +43,7 @@ from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.offline import upper_bound
 from evdispatch.schedules import (
     DEFAULT_POLICY, MAX_CANDIDATE_FACILITIES, MAX_START_OFFSET, _candidate_key,
-    feasible_schedules,
+    feasible_schedules, ranked, rebalances,
 )
 from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, Snapshot,
@@ -372,7 +374,8 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
     priced = committed = 0
     for session in sessions:
         live = Snapshot(state.ledger, state.bounds, state.psi)
-        candidates = feasible_schedules(session, config, live, state.policy)
+        candidates = list(ranked(rebalances(session, config),
+                                 feasible_schedules(session, config, live, state.policy)))
         assert candidates == reference_feasible_schedules(
             session, config, state.ledger, state.bounds, state.psi, state.policy)
         loads = _loads(config, state.ledger, coordinates)
@@ -388,12 +391,28 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
                 assert _dual_increment(schedule, u, state) == dual_steps[schedule]
                 assert (economics.primal_increment(state.ledger, schedule, config)
                         == reference_primal_increment(schedule, state, loads))
-        priced += len(candidates)
         dual_before = state.dual_trajectory[-1]
         inside.clear()
         decision = dispatch(session, state)
-        assert [s for s, _ in inside] == candidates
-        assert [out for _, out in inside] == expected
+        # dispatch prices a prefix of the ranked candidates, stopping only
+        # at one whose value is below the best utility so far
+        n = len(inside)
+        assert [s for s, _ in inside] == candidates[:n]
+        assert [out for _, out in inside] == expected[:n]
+        assert (n > 0) == (len(candidates) > 0)
+        if n < len(candidates):
+            assert candidates[n].value < max(u for u, _ in expected[:n])
+        priced += n
+        # and decides as the argmax over every candidate would
+        best_key, best = None, None
+        for idx, (schedule, (u, breakdown)) in enumerate(zip(candidates, expected)):
+            key = (u, -schedule.t_plus, -idx)
+            if best_key is None or key > best_key:
+                best_key, best = key, (schedule, u, breakdown)
+        if best_key is None or best_key[0] <= 0.0:
+            assert decision.is_depot
+        else:
+            assert (decision.schedule, decision.utility, decision.breakdown) == best
         if not decision.is_depot:
             committed += 1
             assert (state.dual_trajectory[-1]
@@ -483,8 +502,9 @@ def _assert_enumeration_matches(seed, sessions, policy=DEFAULT_POLICY, **values)
     config, stream = generate_scenario(seed, params)
     ledger = ResourceLedger.zero(config)
     for session in stream:
-        got = feasible_schedules(session, config, Snapshot(ledger, DESK_BOUNDS, DESK_PSI),
-                                 policy)
+        got = list(ranked(rebalances(session, config),
+                          feasible_schedules(session, config,
+                                             Snapshot(ledger, DESK_BOUNDS, DESK_PSI), policy)))
         assert got == reference_feasible_schedules(session, config, ledger, DESK_BOUNDS,
                                                    DESK_PSI, policy), session
 

@@ -14,19 +14,23 @@ from evdispatch.domain import (
 )
 from evdispatch.harness import generate_scenario
 from evdispatch.schedules import (
-    DEFAULT_POLICY, GenerationPolicy, feasible_schedules, validate_policy,
+    DEFAULT_POLICY, GenerationPolicy, _candidate_key, feasible_schedules, ranked,
+    rebalances, validate_policy,
 )
 
 from conftest import build_mini_config
 
 
 def _candidates(config, session, policy=DEFAULT_POLICY, ledger=None):
+    """Every candidate of a session, in the order ``dispatch`` reads them."""
     bounds = pricing.estimate_bounds(config)
     psi_ = pricing.psi(config)
     if ledger is None:
         ledger = ResourceLedger.zero(config)
-    return feasible_schedules(session, config, pricing.Snapshot(ledger, bounds, psi_),
-                              policy)
+    charges = feasible_schedules(session, config, pricing.Snapshot(ledger, bounds, psi_),
+                                 policy)
+    assert all(s.charging for s in charges)
+    return list(ranked(rebalances(session, config), charges))
 
 
 def test_mini_candidate_set_by_hand(mini_config, mini_session, mini_charge):
@@ -181,3 +185,62 @@ def test_the_build_values_only_what_the_cap_reaches(monkeypatch):
     config, sessions = generate_scenario(0, "desk")
     run_online(sessions, config)
     assert 0 < calls[0] <= 8113
+
+
+def test_ranked_puts_a_rebalance_first_at_equal_value(mini_rebalance, mini_charge):
+    """The value-only merge gives the order of sorting every candidate by
+    ``_candidate_key``, also where a rebalance and a charging plan have
+    bit-equal values: the rebalance's facility, -1, sorts first."""
+    stay, away = mini_rebalance, dataclasses.replace(mini_rebalance, dest_region=0)
+    for rebalance_values in ((12.5, 12.5), (13.0, 4.0), (4.0, 1.5), (0.0, -0.0)):
+        for charge_values in ((13.0, 12.5, 12.5), (12.5, 4.0, 1.5), (-0.0, 0.0, -1.0)):
+            plans = [dataclasses.replace(s, value=v)
+                     for s, v in zip((stay, away), rebalance_values)]
+            charges = [dataclasses.replace(mini_charge, value=v, evse_index=m)
+                       for m, v in enumerate(charge_values)]
+            plans.sort(key=_candidate_key)
+            charges.sort(key=_candidate_key)
+            merged = list(ranked(iter(plans), charges))
+            assert merged == sorted(plans + charges, key=_candidate_key)
+    # on mini_config: the stay and a charge to the same value, bit for bit
+    config = build_mini_config()
+    session = Session(id=0, t_minus=1, origin_region=1, soc=0.5)
+    candidates = _candidates(config, session)
+    assert candidates == sorted(candidates, key=_candidate_key)
+    stay_plan = next(s for s in candidates if not s.charging and s.dest_region == 1)
+    tied = dataclasses.replace(candidates[0], value=stay_plan.value)
+    charges = sorted([s for s in candidates if s.charging] + [tied], key=_candidate_key)
+    merged = list(ranked(rebalances(session, config), charges))
+    assert merged == sorted(merged, key=_candidate_key)
+    assert merged.index(stay_plan) == merged.index(tied) - 1
+
+
+def test_an_empty_window_reads_one_evse(monkeypatch):
+    """``_rank_window`` stops its EVSE scan at the first EVSE with no cable
+    load over the window: on an empty ``full`` ledger it sums one EVSE's
+    posted cable prices, not all ten, and it skips a loaded EVSE."""
+    config, _ = generate_scenario(0, "full")
+    fid, fac = 0, config.facilities[0]
+    assert fac.evse_count > 2
+    ledger = ResourceLedger.zero(config)
+    bounds, psi_ = pricing.estimate_bounds(config), pricing.psi(config)
+    reads = []
+    run = pricing.Snapshot.run
+
+    def counted(self, k, first, n, posted=False):
+        if posted:
+            reads.append(first)
+        return run(self, k, first, n, posted)
+    monkeypatch.setattr(pricing.Snapshot, "run", counted)
+
+    start, end = 10, 14
+    prices = pricing.Snapshot(ledger, bounds, psi_)
+    assert schedules._rank_window(fid, fac, start, end, prices)[0] == 0
+    assert len(reads) == 1
+
+    # a cable taken on EVSE 0 inside the window: EVSE 1 is empty and wins
+    ledger.loads[pricing.CABLE][ledger.cells.evse_cell(fid, 0, 12)] = 1.0
+    reads.clear()
+    prices = pricing.Snapshot(ledger, bounds, psi_)
+    assert schedules._rank_window(fid, fac, start, end, prices)[0] == 1
+    assert len(reads) == 2
