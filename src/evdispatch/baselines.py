@@ -19,7 +19,7 @@ from .domain import (
 )
 from .dispatcher import peak_utilization
 from .economics import primal_increment
-from .pricing import GENERATION, charge_slots, psi as compute_psi
+from .pricing import CABLE, ENERGY, GENERATION, charge_slots, psi as compute_psi
 from .schedules import make_plan
 
 #: How many slots past its facility arrival a charging vehicle may wait
@@ -52,7 +52,12 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
     """Charge to full at the nearest facility, then the best pickup.
 
     Tries start delays of 0..PATIENCE slots and EVSEs in index order;
-    gives up (depot) when nothing fits.
+    gives up (depot) when nothing fits. An EVSE's energy and cable cells
+    do not depend on the destination, and the destination's arrival and
+    out-of-service cells not on the EVSE, so the first (EVSE, destination)
+    pair that fits pairs the first EVSE whose own cells fit with the first
+    destination that fits: each delay picks that EVSE once, then walks the
+    destinations with ``ResourceLedger.fits``.
     """
     T = config.horizon
     cap = config.battery_capacity
@@ -69,27 +74,42 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
     # full rate first, the remainder in the last slot
     amounts = [rate] * (k - 1) + [last]
     dests = _dest_order(config, fac.region_id)
-    # the facility's generation cells, which every EVSE shares
-    generated = ledger.loads[GENERATION]
-    generation = config.cells.shapes[GENERATION]
-    row = fac.id * T - 1
+    t_arr = session.t_minus + h1
+    cells = config.cells
+    # a row's cell of slot t is row + t; every EVSE shares the facility's
+    # generation row
+    generation_row = cells.facility_cell(fac.id, 0)
+
+    def overfull(family: int, row: int, demands) -> bool:
+        """Whether any (slot, amount) of ``demands`` breaches its cell of
+        the row, as ``ResourceLedger.fits`` checks it."""
+        loads, shapes = ledger.loads[family], cells.shapes[family]
+        return any(loads[row + t] + e > shapes[row + t].cap + MONEY_ATOL
+                   for t, e in demands)
 
     for wait in range(PATIENCE + 1):
-        start = session.t_minus + h1 + wait
+        start = t_arr + wait
         done = start + k - 1
         if done > T:
             break
         energy_slots = tuple(zip(range(start, done + 1), amounts))
-        if any(generated[row + t] + e > generation[row + t].cap + MONEY_ATOL
-               for t, e in energy_slots):
+        if overfull(GENERATION, generation_row, energy_slots):
             # no EVSE or destination makes these slots fit
             continue
+        cable = [(t, 1) for t in range(t_arr, done + 1)]
         for m in range(fac.evse_count):
-            for h2, dest in dests:
-                s = make_plan(session, config, dest, h2, cap, done,
-                              (fac.id, m, h1, energy_slots))
-                if s is not None and ledger.fits(s, config):
-                    return s
+            evse_row = cells.evse_cell(fac.id, m, 0)
+            if not (overfull(ENERGY, evse_row, energy_slots)
+                    or overfull(CABLE, evse_row, cable)):
+                break
+        else:
+            # every EVSE is full in these slots, whatever the destination
+            continue
+        for h2, dest in dests:
+            s = make_plan(session, config, dest, h2, cap, done,
+                          (fac.id, m, h1, energy_slots))
+            if s is not None and ledger.fits(s, config):
+                return s
     return None
 
 

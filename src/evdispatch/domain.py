@@ -677,10 +677,15 @@ class Destinations:
         ``(hops, dest)`` pairs, best pickup value first, ties to the
         closer then the lower-id region.
     rings:
-        One ``(hops, dest)`` pair per hop count, ascending: the lowest-id
-        region with the best pickup value at that distance. At a fixed
+        One ``(hops, dest, ahead)`` triple per hop count, ascending:
+        ``dest`` is the lowest-id region with the best pickup value at that
+        distance, ``ahead`` a region with the best pickup value at that
+        distance or farther, the nearest such ring's ``dest``. At a fixed
         final energy and hop count ``plan_value`` is monotone in the
-        pickup value, so no other region of the ring scores higher.
+        pickup value, so no other region of the ring scores higher, and
+        ``ahead`` read at this ring's final energy and hop count scores
+        at least as high as any region of a farther ring
+        (``offline._session_bound`` stops there).
     batches:
         Every group, in descending order of its key
         ``pickup - (soc_value_slope * per_hop_energy +
@@ -697,7 +702,7 @@ class Destinations:
     """
 
     by_pickup: Tuple[Tuple[int, int], ...]
-    rings: Tuple[Tuple[int, int], ...]
+    rings: Tuple[Tuple[int, int, int], ...]
     batches: Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]
 
 
@@ -730,8 +735,14 @@ def _destinations(config: ScenarioConfig) -> Tuple[Destinations, ...]:
                 batches.append(batch)
             batch.append((h, dests))
             previous = neg_key
+        farthest_first = []
+        ahead = None
+        for h, dest in sorted(rings.items(), reverse=True):
+            if ahead is None or pickup[dest] >= pickup[ahead]:
+                ahead = dest
+            farthest_first.append((h, dest, ahead))
         out.append(Destinations(by_pickup=tuple((h, dest) for _, h, dest in ranked),
-                                rings=tuple(sorted(rings.items())),
+                                rings=tuple(reversed(farthest_first)),
                                 batches=tuple(map(tuple, batches))))
     return tuple(out)
 

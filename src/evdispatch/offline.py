@@ -7,8 +7,10 @@ cost and giving every session its best conceivable plan independently of
 capacity therefore yields a true upper bound on any feasible assignment,
 online or offline, priced or threshold-driven. For a given final energy
 and hop count a plan is worth most at the best pickup of its hop ring, so
-the bound reads one destination per ring (``Destinations.rings``) and
-gets the same float as a walk over every destination. ``upper_bound`` is
+the bound reads one destination per ring (``Destinations.rings``). Each
+walk over the rings stops at the first ring where the best pickup of that
+ring or any farther one cannot beat the running maximum, so the bound is
+the same float as a walk over every destination. ``upper_bound`` is
 the one entry point; the bound of a single session is that of a
 one-session stream. It needs no candidate sets: it already dominates
 every plan a builder in this package makes.
@@ -47,6 +49,37 @@ def _net_value(schedule: Schedule, prefix: List[float]) -> float:
     return schedule.value - _span_penalty(prefix, schedule.t_minus, schedule.t_plus)
 
 
+def _best_ring(config: ScenarioConfig, prefix: List[float],
+               rings: Sequence[Tuple[int, int, int]], best: float,
+               stored: float, h1: int, t0: int, t_leave: int) -> float:
+    """The larger of ``best`` and the best net over ``rings``
+    (``Destinations.rings``) of the plans that leave slot ``t_leave``
+    with ``stored`` kWh, ``h1`` hops into a session that starts at ``t0``.
+
+    Every term of a ring's net falls as its hop count grows: the final
+    energy, the hop penalty and the service window, as floats too, since
+    rounding is monotone. So the net at one ring's final energy, hops and
+    window, read at the best pickup of that ring or any farther one
+    (``ahead``), bounds every net from that ring on; the walk stops at the
+    first ring where that bound cannot beat ``best``, or that lies past the
+    horizon or the battery floor, as every farther ring does too."""
+    T = config.horizon
+    e_hop = config.per_hop_energy
+    for h2, dest, ahead in rings:
+        t_plus = t_leave + h2
+        final = stored - h2 * e_hop
+        if t_plus > T or final < -MONEY_ATOL:
+            break
+        span = _span_penalty(prefix, t0, t_plus)
+        net = plan_value(config, final, ahead, h1 + h2) - span
+        if net <= best:
+            break
+        if ahead != dest:
+            net = plan_value(config, final, dest, h1 + h2) - span
+        best = max(best, net)
+    return best
+
+
 def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float],
                    targets: Tuple[float, ...]) -> float:
     """Best conceivable welfare contribution of one session, from the
@@ -60,29 +93,20 @@ def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float]
     included. Charge targets cover the default multiples and a
     charge-to-full amount per facility. Net of the service window's
     penalty, a plan's value is still monotone in the pickup value, so
-    each hop ring is read at its best destination."""
-    T = config.horizon
+    each hop ring is read at its best destination, and each walk over the
+    rings stops at the first ring that cannot win (``_best_ring``)."""
     t0 = session.t_minus
-    if t0 >= T:
+    if t0 >= config.horizon:
         return 0.0
 
     cap = config.battery_capacity
-    e_hop = config.per_hop_energy
     energy0 = session.soc * cap
     destinations = config.destinations
-    best = 0.0
-
-    for h2, dest in destinations[session.origin_region].rings:
-        if t0 + h2 > T:
-            break
-        final = energy0 - h2 * e_hop
-        if final < -MONEY_ATOL:
-            continue
-        net = plan_value(config, final, dest, h2) - _span_penalty(prefix, t0, t0 + h2)
-        best = max(best, net)
+    best = _best_ring(config, prefix, destinations[session.origin_region].rings, 0.0,
+                      energy0, 0, t0, t0)
 
     for h1, fac in facility_legs(session.origin_region, energy0, t0, config):
-        arrival_energy = energy0 - h1 * e_hop
+        arrival_energy = energy0 - h1 * config.per_hop_energy
         headroom = cap - arrival_energy
         fac_targets = [x for x in targets if x <= headroom + MONEY_ATOL]
         if headroom > MONEY_ATOL and not any(abs(x - headroom) <= MONEY_ATOL
@@ -93,18 +117,8 @@ def _session_bound(session: Session, config: ScenarioConfig, prefix: List[float]
         rings = destinations[fac.region_id].rings
         for target in fac_targets:
             k, _ = pricing.charge_slots(target, rate)
-            t_done = t_arr + k - 1
-            if t_done > T:
-                continue
-            for h2, dest in rings:
-                if t_done + h2 > T:
-                    break
-                final = arrival_energy + target - h2 * e_hop
-                if final < -MONEY_ATOL:
-                    continue
-                net = (plan_value(config, final, dest, h1 + h2)
-                       - _span_penalty(prefix, t0, t_done + h2))
-                best = max(best, net)
+            best = _best_ring(config, prefix, rings, best, arrival_energy + target,
+                              h1, t0, t_arr + k - 1)
     return best
 
 

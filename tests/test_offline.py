@@ -8,9 +8,10 @@ import random
 
 import pytest
 
+from evdispatch import offline
 from evdispatch.dispatcher import run_online
 from evdispatch.domain import (
-    DispatchDecision, Session, recompute_ledger,
+    DispatchDecision, Session, plan_value, recompute_ledger,
 )
 from evdispatch.economics import primal_objective
 from evdispatch.harness import generate_scenario
@@ -42,6 +43,22 @@ def test_upper_bound_sums_over_sessions(mini_config, mini_session):
     assert both == pytest.approx(
         upper_bound([mini_session], mini_config) + upper_bound([other], mini_config))
     assert upper_bound([], mini_config) == 0.0
+
+
+def test_upper_bound_values_only_the_rings_that_can_win(monkeypatch):
+    """Equal floats do not show a lost cut: a bound that values every hop
+    ring of every (facility, target) and of the pure rebalance gives the
+    same number with 340,259 ``plan_value`` calls on this day; stopping at
+    the first ring that cannot win takes about 34,000."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return plan_value(*args)
+    monkeypatch.setattr(offline, "plan_value", counted)
+    config, sessions = generate_scenario(0, "full")
+    upper_bound(sessions, config)
+    assert 0 < calls[0] < 40_000
 
 
 @pytest.mark.parametrize("seed", range(4))

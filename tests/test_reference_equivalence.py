@@ -14,7 +14,9 @@ ranks each window's slots once and stops ordering charging tuples at the
 candidate cap, and merges them lazily from the destination batches ranked
 once per config; ``rebalances`` values the origin's batches lazily too,
 and ``ranked`` merges the two by value alone; ``upper_bound`` and the
-threshold baselines read the same ranking. Each must give exactly
+threshold baselines read the same ranking. ``upper_bound`` stops each walk
+over the hop rings at the first ring that cannot win, and the threshold
+charging move picks its EVSE once per start delay. Each must give exactly
 what the family-by-family or destination-by-destination versions below
 give: the same floats, compared with ``==``, and the same schedules in the
 same order, on every session of runs whose ledger changes between
@@ -37,13 +39,13 @@ from evdispatch.dispatcher import (
     DispatcherState, _dual_increment, dispatch, run_online, utility_breakdown,
 )
 from evdispatch.domain import (
-    PriceBreakdown, ResourceLedger, Schedule, hop_row,
+    PriceBreakdown, ResourceLedger, Schedule, facility_legs, hop_row,
 )
 from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.offline import upper_bound
 from evdispatch.schedules import (
     DEFAULT_POLICY, MAX_CANDIDATE_FACILITIES, MAX_START_OFFSET, _candidate_key,
-    feasible_schedules, ranked, rebalances,
+    feasible_schedules, make_plan, ranked, rebalances,
 )
 from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, Snapshot,
@@ -643,6 +645,37 @@ def test_upper_bound_matches_the_reference(name, seed, params):
         assert upper_bound(sessions, config) == want
 
 
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(pickups=st.one_of(_large, _small).filter(lambda p: max(p) > 0),
+       slope=_rates, penalty=_rates,
+       per_hop_energy=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+       free_service=st.booleans(),
+       seed=st.integers(0, 2))
+@example(pickups=[3e8 + 0.1, 3e8 + 0.3, 3e8 + 0.2], slope=0.1, penalty=0.1,
+         per_hop_energy=1.0, free_service=False, seed=1)
+@example(pickups=[3e8, 3e8 + 1 / 3, 3e8 + 0.2], slope=0.0, penalty=0.0,
+         per_hop_energy=0.0, free_service=True, seed=0)
+@example(pickups=[15.0, 10.0, 5.0], slope=0.0, penalty=0.0, per_hop_energy=0.0,
+         free_service=False, seed=2)
+def test_upper_bound_matches_at_any_magnitude(pickups, slope, penalty, per_hop_energy,
+                                              free_service, seed):
+    """The walk over the hop rings stops where the best pickup of the
+    rings left cannot beat the running maximum. A slope, hop penalty,
+    hop energy or out-of-service penalty of 0 makes rings tie, where the
+    stop's ``<=`` decides; pickups near 3e8 make rounding decide."""
+    params = dataclasses.replace(PRESETS["desk"], max_sessions=25,
+                                 pickup_values=tuple(pickups), soc_value_slope=slope,
+                                 per_hop_value_penalty=penalty,
+                                 per_hop_energy=per_hop_energy)
+    config, sessions = generate_scenario(seed, params)
+    if free_service:
+        config = dataclasses.replace(config,
+                                     out_of_service_penalty=(0.0,) * config.horizon)
+    for session in sessions:
+        assert (upper_bound([session], config)
+                == reference_session_upper_bound(session, config)), session
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_threshold_moves_match_the_reference_order(name, monkeypatch):
     config, sessions = generate_scenario(3, RUNS[name])
@@ -671,6 +704,78 @@ def test_threshold_moves_match_the_reference_order(name, monkeypatch):
         found[0] += got[0] is not None
         found[1] += got[1] is not None
     assert min(found) >= 20
+
+
+def reference_charge_then_go(session, config, ledger):
+    """Every (EVSE, destination) pair of each start delay, EVSEs in index
+    order, each checked whole with ``ResourceLedger.fits``."""
+    T = config.horizon
+    cap = config.battery_capacity
+    energy0 = session.soc * cap
+
+    legs = facility_legs(session.origin_region, energy0, session.t_minus, config)
+    if not legs:
+        return None
+    h1, fac = legs[0]
+
+    arrival_energy = energy0 - h1 * config.per_hop_energy
+    rate = fac.evse_energy_limit
+    k, last = pricing.charge_slots(cap - arrival_energy, rate)
+    # full rate first, the remainder in the last slot
+    amounts = [rate] * (k - 1) + [last]
+    dests = reference_dest_order(config, fac.region_id)
+    # the facility's generation cells, which every EVSE shares
+    generated = ledger.loads[GENERATION]
+    generation = config.cells.shapes[GENERATION]
+    row = fac.id * T - 1
+
+    for wait in range(baselines.PATIENCE + 1):
+        start = session.t_minus + h1 + wait
+        done = start + k - 1
+        if done > T:
+            break
+        energy_slots = tuple(zip(range(start, done + 1), amounts))
+        if any(generated[row + t] + e > generation[row + t].cap + MONEY_ATOL
+               for t, e in energy_slots):
+            # no EVSE or destination makes these slots fit
+            continue
+        for m in range(fac.evse_count):
+            for h2, dest in dests:
+                s = make_plan(session, config, dest, h2, cap, done,
+                              (fac.id, m, h1, energy_slots))
+                if s is not None and ledger.fits(s, config):
+                    return s
+    return None
+
+
+CHARGE_DAYS = {**RUNS, "full-day": PRESETS["full"]}
+
+
+@pytest.mark.parametrize("name", sorted(CHARGE_DAYS))
+def test_charge_then_go_matches_the_evse_by_destination_walk(name):
+    """The threshold charging move picks the first EVSE whose own cells
+    fit once per start delay, then walks the destinations: the same plan
+    as the walk over every (EVSE, destination) pair, on every session of
+    a day whose ledger fills as threshold-75's does. On desk and ``rush``
+    the facility's generation binds before any EVSE's cells, so only EVSE
+    0 is ever taken; on the ``full`` days later EVSEs are, where the EVSE
+    pick skips a full one."""
+    config, sessions = generate_scenario(3, CHARGE_DAYS[name])
+    ledger = ResourceLedger.zero(config)
+    evses = []
+    for session in sessions:
+        if session.t_minus >= config.horizon:
+            continue
+        got = baselines._charge_then_go(session, config, ledger)
+        assert got == reference_charge_then_go(session, config, ledger), session
+        if got is not None:
+            evses.append(got.evse_index)
+        schedule = got if session.soc < 0.75 else baselines._rebalance(session, config,
+                                                                        ledger)
+        if schedule is not None:
+            ledger.apply(schedule, sign=1)
+    assert len(evses) >= 20
+    assert (max(evses) > 0) == name.startswith("full")
 
 
 def reference_verify_dapr(family, params, alpha, grid_points):
