@@ -12,6 +12,7 @@ barrier anyway.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -20,7 +21,9 @@ from .domain import (
     CapacityError, DispatchDecision, PriceBreakdown, ResourceLedger, RunReport,
     ScenarioConfig, Schedule, Session, check_config, check_sessions, instance_hash,
 )
-from .pricing import CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PriceBounds, Snapshot
+from .pricing import (
+    CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PriceBounds, PriceTable, Snapshot,
+)
 from .schedules import (
     DEFAULT_POLICY, GenerationPolicy, feasible_schedules, ranked, rebalances,
     validate_policy,
@@ -29,9 +32,16 @@ from .schedules import (
 
 @dataclass
 class DispatcherState:
-    """Mutable state of one online run. It keeps no prices: each
-    ``dispatch`` call reads the ledger through a ``pricing.Snapshot`` of
-    its own, so no payment outlives the ledger state it was read from."""
+    """Mutable state of one online run.
+
+    Its ``table`` keeps every posted price and payment of the run. An
+    entry is a function of its key (shape, load, amount) and the run's
+    bounds and Psi alone, so it holds whatever the ledger state. The table
+    is made from ``bounds`` and ``psi`` on construction, so a copy made by
+    ``dataclasses.replace`` with other bounds starts an empty table of its
+    own. Each ``dispatch`` call reads the ledger through a
+    ``pricing.Snapshot`` of its own, so no sum over the loads outlives the
+    ledger state it was read from."""
 
     config: ScenarioConfig
     policy: GenerationPolicy
@@ -44,6 +54,10 @@ class DispatcherState:
     dual_trajectory: List[float] = field(default_factory=lambda: [0.0])
     last_t: int = 1
     captured: Optional[Dict[int, List[Schedule]]] = None
+    table: PriceTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.table = PriceTable(self.bounds, self.psi)
 
     @classmethod
     def fresh(cls, config: ScenarioConfig, policy: GenerationPolicy = DEFAULT_POLICY,
@@ -60,10 +74,17 @@ class DispatcherState:
                    captured={} if capture_candidates else None)
 
 
-def utility_breakdown(schedule: Schedule,
-                      prices: Snapshot) -> Tuple[float, PriceBreakdown]:
+def utility_breakdown(schedule: Schedule, prices: Snapshot, best: float = -math.inf,
+                      ) -> Optional[Tuple[float, PriceBreakdown]]:
     """Utility of a schedule at the ledger state ``prices`` was taken of,
-    with per-family payments.
+    with per-family payments; None if it is below ``best`` for certain.
+
+    The destination and out-of-service payments come first. Every payment
+    is >= 0 and ``PriceBreakdown.total`` adds those two first, so by
+    monotone rounding the utility is at most value - (destination + out of
+    service). When that is strictly below ``best``, the plan can neither
+    beat nor tie a plan of utility ``best``, and its cable, energy and
+    generation payments are not made.
 
     Schedules touching a saturated slot are priced, not rejected; the
     integral payment runs past capacity, so their utility is nonpositive.
@@ -72,6 +93,11 @@ def utility_breakdown(schedule: Schedule,
     first.
     """
     cells = prices.cells
+    t0, t1 = schedule.t_minus, schedule.t_plus
+    destination = prices.pay(DESTINATION, schedule.dest_region * cells.horizon + t1 - 1, 1)
+    out_of_service = prices.run(OUT_OF_SERVICE, t0 - 1, t1 - t0 + 1)
+    if schedule.value - (destination + out_of_service) < best:
+        return None
     energy = generation = cable = 0.0
     f = schedule.facility_id
     if f is not None:
@@ -81,11 +107,8 @@ def utility_breakdown(schedule: Schedule,
         slots = schedule.cable_slots
         if slots:
             cable = prices.run(CABLE, cells.evse_cell(f, m, slots[0]), len(slots))
-    t0, t1 = schedule.t_minus, schedule.t_plus
-    breakdown = PriceBreakdown(
-        destination=prices.pay(DESTINATION, schedule.dest_region * cells.horizon + t1 - 1, 1),
-        out_of_service=prices.run(OUT_OF_SERVICE, t0 - 1, t1 - t0 + 1),
-        cable=cable, energy=energy, generation=generation)
+    breakdown = PriceBreakdown(destination=destination, out_of_service=out_of_service,
+                               cable=cable, energy=energy, generation=generation)
     return schedule.value - breakdown.total, breakdown
 
 
@@ -106,18 +129,21 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
 
     Ties on utility go to the earlier destination arrival, then the lower
     candidate index. The candidates are built and priced from one snapshot
-    of the ledger, taken on arrival, in descending order of value. Every
-    payment is >= 0, so no utility exceeds its value: pricing stops at the
-    first candidate whose value is below the best utility so far, as none
-    from there on can win or tie. Raises on out-of-order arrivals and,
-    should the price barrier ever fail, on a capacity breach.
+    of the ledger, taken on arrival through the run's price table, in
+    descending order of value. Every payment is >= 0, so no utility exceeds
+    its value: pricing stops at the first candidate whose value is below
+    the best utility so far, as none from there on can win or tie, and
+    ``utility_breakdown`` skips the rest of any plan that its destination
+    and out-of-service payments already put below it. Raises on
+    out-of-order arrivals and, should the price barrier ever fail, on a
+    capacity breach.
     """
     if session.t_minus < state.last_t:
         raise ValueError(f"session {session.id} arrives out of order "
                          f"({session.t_minus} < {state.last_t})")
     state.last_t = session.t_minus
 
-    prices = Snapshot(state.ledger, state.bounds, state.psi)
+    prices = Snapshot(state.ledger, state.table)
     candidates = ranked(rebalances(session, state.config),
                         feasible_schedules(session, state.config, prices, state.policy))
     if state.captured is not None:
@@ -125,13 +151,17 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
 
     best = None
     best_key = None
+    bar = -math.inf  # the best utility so far
     for idx, schedule in enumerate(candidates):
-        if best_key is not None and schedule.value < best_key[0]:
+        if schedule.value < bar:
             break
-        u, breakdown = utility_breakdown(schedule, prices)
+        priced = utility_breakdown(schedule, prices, bar)
+        if priced is None:
+            continue
+        u, breakdown = priced
         key = (u, -schedule.t_plus, -idx)
         if best_key is None or key > best_key:
-            best, best_key = (schedule, u, breakdown), key
+            best, best_key, bar = (schedule, u, breakdown), key, u
 
     # a trajectory never holds -0.0, so adding 0.0 for the depot keeps it
     d_primal = d_dual = 0.0

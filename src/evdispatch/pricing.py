@@ -21,10 +21,14 @@ Payments are exact integrals of the price curves, which is what makes the
 per-session primal/dual inequality and weak duality hold to machine
 precision instead of only up to a discretization gap. A payment that runs
 so far past capacity that it leaves the float range is infinite. Shapes
-keep their segments for the last bounds they were priced with; a
-``Snapshot`` keeps the prices and payments of one ledger state: each
-``dispatch`` call takes one and hands it to both the candidate build and
-the pricing of the candidates.
+keep their segments for the last bounds they were priced with. A
+``PriceTable`` keeps the posted prices and payments of one run: each is a
+function of its key (shape, load, and amount) and the run's bounds and
+Psi alone, so an entry holds for every ledger state of the run. A
+``Snapshot`` reads one ledger state through a table and keeps the sums
+over consecutive cells that only that state gives: each ``dispatch`` call
+takes one and hands it to both the candidate build and the pricing of the
+candidates.
 """
 
 from __future__ import annotations
@@ -394,7 +398,7 @@ class Cells:
 
 
 # ---------------------------------------------------------------------------
-# Interned shapes, per-family payments and ledger snapshots
+# Interned shapes, per-family payments, price tables and ledger snapshots
 # ---------------------------------------------------------------------------
 
 
@@ -430,32 +434,66 @@ def out_of_service_payment(y0: float, y1: float, cap: float, phi: float,
     return cell_shape(OUT_OF_SERVICE, cap, phi).payment(y0, y1, bounds, psi_)
 
 
-class Snapshot:
-    """Posted prices and payments against one ledger state.
+class PriceTable:
+    """Posted prices and payments of one run, at its bounds and Psi.
 
-    The ledger does not move while one session is handled: its candidates
-    are built and priced against the loads it had on arrival. A price is a
-    function of the cell's shape (its family and arguments, shared by equal
-    cells) and its load, and a payment of those and the amount, so each is
-    kept once per such key: one entry serves every destination arrival of
-    a day with one Omega. Every cable window at a facility starts at the
-    vehicle's arrival slot there, and every out-of-service run at its
-    t_minus, so ``run`` keeps sums over consecutive cells as running sums
-    from their first cell, extended only as far as asked. Every sum is
-    added left to right from 0.0, cell by cell, as a walk over the cells
-    adds it, so each float is bit-identical to the walk's own.
+    A price is a function of the cell's shape (its family and arguments,
+    shared by equal cells) and its load, and a payment of those and the
+    amount. Neither depends on which session asks or on any other cell, so
+    each is computed once per such key and kept for the whole run: one
+    entry serves every destination arrival of a day with one Omega, and
+    every session that finds a cell at the same load. The table holds its
+    own bounds, so no entry can be read at other bounds.
     """
 
-    __slots__ = ("cells", "loads", "bounds", "psi", "_prices", "_paid", "_runs",
-                 "_charges", "_drawn")
+    __slots__ = ("bounds", "psi", "prices", "paid")
 
-    def __init__(self, ledger: ResourceLedger, bounds: PriceBounds, psi_: int) -> None:
-        self.cells = ledger.cells
-        self.loads = ledger.loads
+    def __init__(self, bounds: PriceBounds, psi_: int) -> None:
         self.bounds = bounds
         self.psi = psi_
-        self._prices: Dict[tuple, float] = {}
-        self._paid: Dict[tuple, float] = {}
+        self.prices: Dict[tuple, float] = {}
+        self.paid: Dict[tuple, float] = {}
+
+    def price(self, shape: Shape, y: float) -> float:
+        """Posted price of a cell of ``shape`` at load y."""
+        p = self.prices.get((shape, y))
+        if p is None:
+            p = self.prices[shape, y] = shape.price(y, self.bounds, self.psi)
+        return p
+
+    def pay(self, shape: Shape, y: float, amount: float) -> float:
+        """Payment for ``amount`` more units of a cell of ``shape`` at load y."""
+        key = (shape, y, amount)
+        paid = self.paid.get(key)
+        if paid is None:
+            # looked up on the module at call time, so a wrapper there sees it
+            paid = self.paid[key] = globals()[shape.family.name + "_payment"](
+                y, y + amount, *shape.args, self.bounds, self.psi)
+        return paid
+
+
+class Snapshot:
+    """Sums of posted prices and payments against one ledger state.
+
+    The ledger does not move while one session is handled: its candidates
+    are built and priced against the loads it had on arrival. Each price
+    and payment is read through the run's ``PriceTable``. Every cable
+    window at a facility starts at the vehicle's arrival slot there, and
+    every out-of-service run at its t_minus, so ``run`` keeps sums over
+    consecutive cells as running sums from their first cell, extended only
+    as far as asked. Those sums, and the per-slot charges and per-window
+    draws, read the loads of this one state, so they live no longer than
+    the snapshot. Every sum is added left to right from 0.0, cell by cell,
+    as a walk over the cells adds it, so each float is bit-identical to the
+    walk's own.
+    """
+
+    __slots__ = ("cells", "loads", "table", "_runs", "_charges", "_drawn")
+
+    def __init__(self, ledger: ResourceLedger, table: PriceTable) -> None:
+        self.cells = ledger.cells
+        self.loads = ledger.loads
+        self.table = table
         self._runs: Dict[tuple, List[float]] = {}
         self._charges: Dict[tuple, float] = {}
         self._drawn: Dict[tuple, Tuple[float, float]] = {}
@@ -464,23 +502,11 @@ class Snapshot:
         """Posted price of cell i of family k. A cell loaded beyond capacity
         keeps its ceiling price: posted prices only rank slots."""
         shape = self.cells.shapes[k][i]
-        y = min(self.loads[k][i], shape.cap)
-        p = self._prices.get((shape, y))
-        if p is None:
-            p = self._prices[shape, y] = shape.price(y, self.bounds, self.psi)
-        return p
+        return self.table.price(shape, min(self.loads[k][i], shape.cap))
 
     def pay(self, k: int, i: int, amount: float = 1) -> float:
         """Payment for ``amount`` more units of cell i of family k."""
-        shape = self.cells.shapes[k][i]
-        y = self.loads[k][i]
-        key = (shape, y, amount)
-        paid = self._paid.get(key)
-        if paid is None:
-            # looked up on the module at call time, so a wrapper there sees it
-            paid = self._paid[key] = globals()[shape.family.name + "_payment"](
-                y, y + amount, *shape.args, self.bounds, self.psi)
-        return paid
+        return self.table.pay(self.cells.shapes[k][i], self.loads[k][i], amount)
 
     def run(self, k: int, first: int, n: int, posted: bool = False) -> float:
         """Summed payments for one more unit of each of the n cells of

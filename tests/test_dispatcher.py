@@ -29,7 +29,7 @@ from conftest import broken_configs, broken_sessions, build_mini_config, cell_in
 
 def _prices(state):
     """A snapshot of the state's live ledger, as ``dispatch`` takes one."""
-    return Snapshot(state.ledger, state.bounds, state.psi)
+    return Snapshot(state.ledger, state.table)
 
 
 def _candidates(session, config, prices, policy):
@@ -223,6 +223,38 @@ def test_capacity_backstop_fires_without_the_barrier(mini_config,
         dispatch(mini_session, state)
 
 
+def test_replaced_bounds_get_a_price_table_of_their_own():
+    """``dataclasses.replace`` with other bounds gives a state whose price
+    table is new, empty and built on the other bounds, and a run on it
+    keeps only prices and payments at those bounds: never an entry of the
+    state it was copied from."""
+    config, sessions = generate_scenario(0, dataclasses.replace(PRESETS["desk"],
+                                                                max_sessions=60))
+    state = DispatcherState.fresh(config)
+    for session in sessions[:30]:
+        dispatch(session, state)
+    assert state.table.prices and state.table.paid
+    other = dataclasses.replace(state.bounds, **{
+        name: 2 * getattr(state.bounds, name) for name in
+        ("U_c", "U_e", "U_g", "U_d", "U_o")})
+
+    moved = dataclasses.replace(state, bounds=other)
+    table = moved.table
+    assert table is not state.table
+    assert (table.bounds, table.psi) == (other, state.psi)
+    assert table.prices == table.paid == {}
+    for session in sessions[30:]:
+        dispatch(session, moved)
+    assert table.prices and table.paid
+    for (shape, y), p in table.prices.items():
+        assert p == shape.price(y, other, moved.psi)
+    moved_payments = 0
+    for (shape, y, amount), paid in table.paid.items():
+        assert paid == shape.payment(y, y + amount, other, moved.psi)
+        moved_payments += paid != shape.payment(y, y + amount, state.bounds, state.psi)
+    assert moved_payments > 0
+
+
 def test_replay_matches_decisions(tiny_instance):
     config, sessions = tiny_instance
     report, captured = run_online(sessions, config, capture_candidates=True)
@@ -262,9 +294,9 @@ def test_a_full_day_prices_and_builds_under_half_its_candidates():
     counts = {"candidates": 0, "rebalances": 0, "priced": 0, "made": 0}
     make_plan = schedules.make_plan
 
-    def priced(schedule, prices):
+    def priced(*args):
         counts["priced"] += 1
-        return utility_breakdown(schedule, prices)
+        return utility_breakdown(*args)
 
     def made(*args, **kwargs):
         plan = make_plan(*args, **kwargs)

@@ -1,12 +1,15 @@
-"""The table-driven walks, the per-session payment snapshot, the
-candidate build that merges its sorted streams, the per-config
+"""The table-driven walks, the run's price table and the per-session
+payment snapshot, the candidate build that merges its sorted streams, the per-config
 destination ranking and the verifier that reads each segment's grid at
 its two ends against plain reference implementations.
 
 ``utility_breakdown`` reads payments from the snapshot that ``dispatch``
 takes of the ledger and also hands to the candidate build: running sums
 of the cable and out-of-service payments from their first slot, and
-per-cell lookups of the rest.
+per-cell lookups of the rest in the price table kept for the whole run.
+It skips the cable, energy and generation payments of a plan that its
+destination and out-of-service payments already put below the best
+utility so far.
 ``_dual_increment`` and ``primal_increment`` walk a schedule's demands on
 the config's cells; ``feasible_schedules`` sums cable prices as running
 sums from the arrival slot, stops its EVSE scan at the first empty EVSE,
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -48,8 +52,8 @@ from evdispatch.schedules import (
     feasible_schedules, make_plan, ranked, rebalances,
 )
 from evdispatch.pricing import (
-    CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, Snapshot,
-    cell_shape,
+    CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, PriceTable,
+    Snapshot, cell_shape,
 )
 
 
@@ -363,19 +367,20 @@ RUNS = {
 def test_memo_and_build_match_the_references(name, monkeypatch):
     config, sessions = generate_scenario(3, RUNS[name])
     state = DispatcherState.fresh(config)
-    # every utility dispatch computes, read from its snapshot
+    # every utility dispatch asks for, read from its snapshot, with the best
+    # utility so far that it passed
     inside = []
 
-    def recorded(schedule, prices):
-        out = utility_breakdown(schedule, prices)
-        inside.append((schedule, out))
+    def recorded(schedule, prices, best):
+        out = utility_breakdown(schedule, prices, best)
+        inside.append((schedule, best, out))
         return out
     monkeypatch.setattr(dispatcher, "utility_breakdown", recorded)
 
     coordinates = _coordinates(config)
-    priced = committed = 0
+    priced = skipped = committed = 0
     for session in sessions:
-        live = Snapshot(state.ledger, state.bounds, state.psi)
+        live = Snapshot(state.ledger, PriceTable(state.bounds, state.psi))
         candidates = list(ranked(rebalances(session, config),
                                  feasible_schedules(session, config, live, state.policy)))
         assert candidates == reference_feasible_schedules(
@@ -396,15 +401,26 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
         dual_before = state.dual_trajectory[-1]
         inside.clear()
         decision = dispatch(session, state)
-        # dispatch prices a prefix of the ranked candidates, stopping only
-        # at one whose value is below the best utility so far
+        # dispatch reads a prefix of the ranked candidates, stopping only at
+        # one whose value is below the best utility so far. It prices each in
+        # full but for those whose value less their destination and
+        # out-of-service payments is already below that best
         n = len(inside)
-        assert [s for s, _ in inside] == candidates[:n]
-        assert [out for _, out in inside] == expected[:n]
+        assert [s for s, _, _ in inside] == candidates[:n]
         assert (n > 0) == (len(candidates) > 0)
+        bar = -math.inf
+        for (schedule, best, out), (u, breakdown) in zip(inside, expected):
+            assert best == bar
+            if out is None:
+                skipped += 1
+                assert (schedule.value - (breakdown.destination + breakdown.out_of_service)
+                        < bar)
+            else:
+                assert out == (u, breakdown)
+                priced += 1
+                bar = max(bar, u)
         if n < len(candidates):
-            assert candidates[n].value < max(u for u, _ in expected[:n])
-        priced += n
+            assert candidates[n].value < bar
         # and decides as the argmax over every candidate would
         best_key, best = None, None
         for idx, (schedule, (u, breakdown)) in enumerate(zip(candidates, expected)):
@@ -421,13 +437,16 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
                     == dual_before + dual_steps[decision.schedule])
     assert committed > len(sessions) // 2
     assert priced > 10 * len(sessions)
+    assert skipped > 0
 
 
 def test_no_running_sum_outlives_its_dispatch(monkeypatch):
-    """Each dispatch call prices its candidates from nothing: it integrates
-    as many payments as the same call on a twin state that shares only the
-    ledger's loads and has never priced anything, and it leaves no snapshot
-    behind, whether the vehicle is committed or sent to the depot."""
+    """Only the run's price table outlives a dispatch call: every snapshot
+    the call takes, and with it every running sum, is gone when it returns,
+    whether the vehicle is committed or sent to the depot. Each kept price
+    and payment is the one a fresh curve gives at its key, so a twin state
+    that shares the ledger's loads but has an empty table reaches the same
+    decision and breakdown, making at least as many payments."""
     config, sessions = generate_scenario(3, RUNS["rush"])
     calls = [0]
 
@@ -440,21 +459,82 @@ def test_no_running_sum_outlives_its_dispatch(monkeypatch):
         name = family.name + "_payment"
         monkeypatch.setattr(pricing, name, counted(getattr(pricing, name)))
 
+    taken = []
+
+    class Tracked(Snapshot):
+        # a subclass without slots takes weak references
+        def __init__(self, *args):
+            super().__init__(*args)
+            taken.append(weakref.ref(self))
+    monkeypatch.setattr(dispatcher, "Snapshot", Tracked)
+
     state = DispatcherState.fresh(config)
     outcomes = set()
+    warm = cold = 0
     for session in sessions:
         twin = DispatcherState.fresh(config)
         twin.ledger.loads = [list(loads) for loads in state.ledger.loads]
         twin.last_t = state.last_t
         before = calls[0]
-        dispatch(session, twin)
+        expected = dispatch(session, twin)
         fresh_calls, before = calls[0] - before, calls[0]
         decision = dispatch(session, state)
-        assert calls[0] - before == fresh_calls
-        assert not any(isinstance(v, Snapshot)
-                       for v in (*vars(state).values(), *vars(twin).values()))
+        assert calls[0] - before <= fresh_calls
+        warm, cold = warm + calls[0] - before, cold + fresh_calls
+        assert decision == expected
+        assert len(taken) == 2 and all(ref() is None for ref in taken)
+        taken.clear()
         outcomes.add(decision.is_depot)
     assert outcomes == {True, False}
+    assert warm < cold / 2
+
+    bounds, psi_ = state.bounds, state.psi
+    for (shape, y), p in state.table.prices.items():
+        assert p == shape.price(y, bounds, psi_)
+    for (shape, y, amount), paid in state.table.paid.items():
+        function = getattr(pricing, shape.family.name + "_payment")
+        assert paid == function(y, y + amount, *shape.args, bounds, psi_)
+
+
+def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):
+    """The skip in ``utility_breakdown`` is strict: a charging plan whose
+    value less its destination and out-of-service payments equals the best
+    utility so far is priced in full, and one a float below it is not."""
+    config, sessions = generate_scenario(0, RUNS["desk"])
+    session = sessions[0]
+    state = DispatcherState.fresh(config)
+    loads = _loads(config, state.ledger, _coordinates(config))
+    candidates = reference_feasible_schedules(session, config, state.ledger, state.bounds,
+                                              state.psi, state.policy)
+    first = candidates[0]
+    plan = next(s for s in candidates if s.charging)
+    bar = reference_utility_breakdown(first, state, loads)[0]
+    head = reference_utility_breakdown(plan, state, loads)[1]
+    head = head.destination + head.out_of_service
+    # a value that the subtraction takes back to the bar exactly
+    value = next(v for v in (bar + head, math.nextafter(bar + head, -math.inf),
+                             math.nextafter(bar + head, math.inf)) if v - head == bar)
+
+    inside = []
+
+    def recorded(schedule, prices, best):
+        out = utility_breakdown(schedule, prices, best)
+        inside.append((schedule, best, out))
+        return out
+    monkeypatch.setattr(dispatcher, "utility_breakdown", recorded)
+    for trial_value, at in ((value, True), (math.nextafter(value, -math.inf), False)):
+        trial = dataclasses.replace(plan, value=trial_value)
+        assert (trial.value - head == bar) == at and trial.value >= bar
+        monkeypatch.setattr(dispatcher, "ranked", lambda *streams: iter([first, trial]))
+        inside.clear()
+        dispatch(session, DispatcherState.fresh(config))
+        assert [(s, best) for s, best, _ in inside] == [(first, -math.inf), (trial, bar)]
+        if at:
+            u, breakdown = inside[1][2]
+            assert breakdown.energy > 0 and breakdown.cable > 0
+            assert (u, breakdown) == reference_utility_breakdown(trial, state, loads)
+        else:
+            assert inside[1][2] is None
 
 
 def test_every_payment_goes_through_its_family_function(monkeypatch):
@@ -506,7 +586,7 @@ def _assert_enumeration_matches(seed, sessions, policy=DEFAULT_POLICY, **values)
     for session in stream:
         got = list(ranked(rebalances(session, config),
                           feasible_schedules(session, config,
-                                             Snapshot(ledger, DESK_BOUNDS, DESK_PSI), policy)))
+                                             Snapshot(ledger, PriceTable(DESK_BOUNDS, DESK_PSI)), policy)))
         assert got == reference_feasible_schedules(session, config, ledger, DESK_BOUNDS,
                                                    DESK_PSI, policy), session
 
