@@ -42,7 +42,7 @@ def _rebalance(session: Session, config: ScenarioConfig,
     for h2, dest in _dest_order(config, session.origin_region):
         s = make_plan(session, config, dest, h2, session.soc * config.battery_capacity,
                       session.t_minus)
-        if s is not None and ledger.fits(s, config):
+        if s is not None and ledger.fits(s):
             return s
     return None
 
@@ -108,7 +108,7 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
         for h2, dest in dests:
             s = make_plan(session, config, dest, h2, cap, done,
                           (fac.id, m, h1, energy_slots))
-            if s is not None and ledger.fits(s, config):
+            if s is not None and ledger.fits(s):
                 return s
     return None
 
@@ -145,7 +145,7 @@ def run_threshold(sessions: Sequence[Session], config: ScenarioConfig,
                                               schedule=None, utility=0.0))
             primal.append(primal[-1])
             continue
-        gain = primal_increment(ledger, schedule, config)
+        gain = primal_increment(ledger, schedule)
         ledger.apply(schedule, sign=1)
         decisions.append(DispatchDecision(session_id=session.id,
                                           schedule=schedule,

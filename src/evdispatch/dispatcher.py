@@ -22,7 +22,7 @@ from .domain import (
     ScenarioConfig, Schedule, Session, check_config, check_sessions, instance_hash,
 )
 from .pricing import (
-    CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PriceBounds, PriceTable, Snapshot,
+    CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PriceTable, Snapshot,
 )
 from .schedules import (
     DEFAULT_POLICY, GenerationPolicy, feasible_schedules, ranked, rebalances,
@@ -34,19 +34,19 @@ from .schedules import (
 class DispatcherState:
     """Mutable state of one online run.
 
-    Its ``table`` keeps every posted price and payment of the run. An
-    entry is a function of its key (shape, load, amount) and the run's
-    bounds and Psi alone, so it holds whatever the ledger state. The table
-    is made from ``bounds`` and ``psi`` on construction, so a copy made by
-    ``dataclasses.replace`` with other bounds starts an empty table of its
-    own. Each ``dispatch`` call reads the ledger through a
-    ``pricing.Snapshot`` of its own, so no sum over the loads outlives the
-    ledger state it was read from."""
+    Its ``table`` holds the run's bounds and Psi, and keeps every posted
+    price and payment of the run. An entry is a function of its key
+    (shape, load, amount) and those alone, so it holds whatever the ledger
+    state. Every price of the run, payments and dual increments alike, is
+    read through the table; a copy made by ``dataclasses.replace`` with a
+    ``PriceTable`` of other bounds prices everything at those. Each
+    ``dispatch`` call reads the ledger through a ``pricing.Snapshot`` of
+    its own, so no sum over the loads outlives the ledger state it was
+    read from."""
 
     config: ScenarioConfig
     policy: GenerationPolicy
-    bounds: PriceBounds
-    psi: int
+    table: PriceTable
     alphas: Alphas
     ledger: ResourceLedger
     decisions: List[DispatchDecision] = field(default_factory=list)
@@ -54,10 +54,6 @@ class DispatcherState:
     dual_trajectory: List[float] = field(default_factory=lambda: [0.0])
     last_t: int = 1
     captured: Optional[Dict[int, List[Schedule]]] = None
-    table: PriceTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.table = PriceTable(self.bounds, self.psi)
 
     @classmethod
     def fresh(cls, config: ScenarioConfig, policy: GenerationPolicy = DEFAULT_POLICY,
@@ -68,7 +64,7 @@ class DispatcherState:
             raise ValueError("invalid policy: " + "; ".join(bad_policy))
         psi_ = pricing.psi(config)
         bounds = pricing.estimate_bounds(config)
-        return cls(config=config, policy=policy, bounds=bounds, psi=psi_,
+        return cls(config=config, policy=policy, table=PriceTable(bounds, psi_),
                    alphas=pricing.alphas(bounds, psi_, config),
                    ledger=ResourceLedger.zero(config),
                    captured={} if capture_candidates else None)
@@ -113,14 +109,14 @@ def utility_breakdown(schedule: Schedule, prices: Snapshot, best: float = -math.
 
 
 def _dual_increment(schedule: Schedule, u: float, state: DispatcherState) -> float:
-    """Exact dual objective change: u plus every touched conjugate's move."""
-    bounds, psi_ = state.bounds, state.psi
+    """Exact dual objective change: u plus every touched conjugate's move,
+    each price read through the run's table."""
+    price = state.table.price
     total = u
     for k, i, amount, shape in sorted(state.config.cells.demands(schedule),
                                       key=lambda demand: pricing.DUAL_RANK[demand[0]]):
         y = state.ledger.loads[k][i]
-        total += (shape.conj(shape.price(y + amount, bounds, psi_))
-                  - shape.conj(shape.price(y, bounds, psi_)))
+        total += shape.conj(price(shape, y + amount)) - shape.conj(price(shape, y))
     return total
 
 
@@ -170,11 +166,11 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
                                     utility=0.0)
     else:
         schedule, u, breakdown = best
-        if not state.ledger.fits(schedule, state.config):
+        if not state.ledger.fits(schedule):
             raise CapacityError(
                 f"price barrier failed: positive-utility schedule for session "
                 f"{session.id} breaches capacity")
-        d_primal = economics.primal_increment(state.ledger, schedule, state.config)
+        d_primal = economics.primal_increment(state.ledger, schedule)
         d_dual = _dual_increment(schedule, u, state)
         state.ledger.apply(schedule, sign=1)
         decision = DispatchDecision(session_id=session.id, schedule=schedule,
@@ -210,8 +206,8 @@ def run_online(sessions: Sequence[Session], config: ScenarioConfig,
     report = RunReport(
         algorithm="online",
         instance_hash=instance_hash(config, sessions),
-        psi=state.psi,
-        bounds=state.bounds,
+        psi=state.table.psi,
+        bounds=state.table.bounds,
         alphas=state.alphas,
         decisions=tuple(state.decisions),
         primal_trajectory=tuple(state.primal_trajectory),

@@ -385,10 +385,10 @@ class ResourceLedger:
         for k, i, amount, _ in self.cells.demands(schedule):
             loads[k][i] += sign * amount
 
-    def fits(self, schedule: Schedule, config: ScenarioConfig) -> bool:
+    def fits(self, schedule: Schedule) -> bool:
         """True when applying the schedule breaches no capacity."""
         loads = self.loads
-        for k, i, amount, shape in config.cells.demands(schedule):
+        for k, i, amount, shape in self.cells.demands(schedule):
             if loads[k][i] + amount > shape.cap + MONEY_ATOL:
                 return False
         return True

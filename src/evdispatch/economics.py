@@ -39,11 +39,11 @@ def primal_objective(decisions: Sequence[DispatchDecision], ledger: ResourceLedg
     return total
 
 
-def primal_increment(ledger: ResourceLedger, schedule, config: ScenarioConfig) -> float:
+def primal_increment(ledger: ResourceLedger, schedule) -> float:
     """Change in primal_objective from accepting one schedule against the
     given pre-decision ledger. Reads the ledger without mutating it."""
     delta = schedule.value
-    for k, i, amount, shape in config.cells.demands(schedule):
+    for k, i, amount, shape in ledger.cells.demands(schedule):
         if k not in COSTED:
             continue
         y0 = ledger.loads[k][i]

@@ -231,9 +231,9 @@ def exact_offline(sessions: Sequence[Session], config: ScenarioConfig,
             best_assignment[:] = current
             return
         for _, schedule in options[j]:
-            if not ledger.fits(schedule, config):
+            if not ledger.fits(schedule):
                 continue
-            gain = primal_increment(ledger, schedule, config)
+            gain = primal_increment(ledger, schedule)
             ledger.apply(schedule, sign=1)
             current[j] = schedule
             search(j + 1, acc + gain)

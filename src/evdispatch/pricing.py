@@ -20,15 +20,14 @@ Every payment is made through its family's function (``cable_payment``,
 Payments are exact integrals of the price curves, which is what makes the
 per-session primal/dual inequality and weak duality hold to machine
 precision instead of only up to a discretization gap. A payment that runs
-so far past capacity that it leaves the float range is infinite. Shapes
-keep their segments for the last bounds they were priced with. A
-``PriceTable`` keeps the posted prices and payments of one run: each is a
-function of its key (shape, load, and amount) and the run's bounds and
-Psi alone, so an entry holds for every ledger state of the run. A
-``Snapshot`` reads one ledger state through a table and keeps the sums
-over consecutive cells that only that state gives: each ``dispatch`` call
-takes one and hands it to both the candidate build and the pricing of the
-candidates.
+so far past capacity that it leaves the float range is infinite. A
+``PriceTable`` is the one holder of a run's bounds and Psi, and keeps the
+run's posted prices and payments: each is a function of its key (shape,
+load, and amount) and those alone, so an entry holds for every ledger
+state of the run. A ``Snapshot`` reads one ledger state through a table
+and keeps the sums over consecutive cells that only that state gives:
+each ``dispatch`` call takes one and hands it to both the candidate build
+and the pricing of the candidates.
 """
 
 from __future__ import annotations
@@ -244,24 +243,17 @@ DUAL_RANK = {DESTINATION: 0, OUT_OF_SERVICE: 1, CABLE: 2, ENERGY: 3, GENERATION:
 
 class Shape:
     """A cell's family, arguments, and the capacity, offset and solar split
-    they give. Cells with equal arguments share one shape."""
+    they give: value data, set once. Cells with equal arguments share one
+    shape across every run in the process, so a shape keeps nothing of a
+    run: L, U and Psi are arguments of each call, and a run passes those
+    of its ``PriceTable``."""
 
-    __slots__ = ("family", "args", "cap", "offset", "split", "_curve")
+    __slots__ = ("family", "args", "cap", "offset", "split")
 
     def __init__(self, family: int, *args: float) -> None:
         self.family = FAMILIES[family]
         self.args = args
         self.cap, self.offset, self.split = self.family.shape(*args)
-        self._curve = None
-
-    def curve(self, bounds: PriceBounds, psi_: int) -> List[Segment]:
-        """``segments`` at the family's bounds, kept for the last bounds
-        object and Psi asked for."""
-        hit = self._curve
-        if hit is None or hit[0] is not bounds or hit[1] != psi_:
-            hit = self._curve = (bounds, psi_,
-                                 self.segments(*self.family.limits(bounds), psi_))
-        return hit[2]
 
     def segments(self, low: float, high: float, psi_: int) -> List[Segment]:
         """The price curve for (L, U) = (low, high). Below a solar split it
@@ -287,7 +279,8 @@ class Shape:
             raise ValueError(f"{name}: allocation {y} beyond capacity {self.cap}")
         if self.cap == 0:
             return self.family.limits(bounds)[1]
-        return self.curve(bounds, psi_)[0 if y < self.split else -1].price(y)
+        segments = self.segments(*self.family.limits(bounds), psi_)
+        return segments[0 if y < self.split else -1].price(y)
 
     def payment(self, y0: float, y1: float, bounds: PriceBounds, psi_: int) -> float:
         """Exact integral of the price from y0 to y1.
@@ -302,7 +295,7 @@ class Shape:
             return 0.0
         if self.cap <= 0:
             return math.inf
-        segments = self.curve(bounds, psi_)
+        segments = self.segments(*self.family.limits(bounds), psi_)
         grid, split = segments[-1], self.split
         if y0 >= split:
             return grid.integral(y0, y1)
@@ -405,7 +398,7 @@ class Cells:
 @functools.lru_cache(maxsize=1024)
 def cell_shape(family: int, *args: float) -> Shape:
     """The shape of a cell of ``family`` with these arguments, interned so
-    that repeated calls for one cell reuse its curve."""
+    that equal cells share one key in a ``PriceTable``."""
     return Shape(family, *args)
 
 
@@ -442,8 +435,10 @@ class PriceTable:
     amount. Neither depends on which session asks or on any other cell, so
     each is computed once per such key and kept for the whole run: one
     entry serves every destination arrival of a day with one Omega, and
-    every session that finds a cell at the same load. The table holds its
-    own bounds, so no entry can be read at other bounds.
+    every session that finds a cell at the same load. The table is the
+    only holder of the run's bounds and Psi: every price of a run, its
+    dual increments' included, is read through it, so no entry can be read
+    at other bounds.
     """
 
     __slots__ = ("bounds", "psi", "prices", "paid")

@@ -84,9 +84,9 @@ def test_start_blocked_by_generation_is_skipped(mini_config, mini_session,
     checked = []
     fits = ResourceLedger.fits
 
-    def counted(self, schedule, config):
+    def counted(self, schedule):
         checked.append(schedule)
-        return fits(self, schedule, config)
+        return fits(self, schedule)
     monkeypatch.setattr(ResourceLedger, "fits", counted)
     s = threshold_dispatch(mini_session, mini_config, ledger, threshold=0.75)
     assert s is not None
@@ -109,9 +109,9 @@ def test_evse_pick_skips_a_full_cable_and_a_full_energy_cell(mini_config, mini_s
     checked = []
     fits = ResourceLedger.fits
 
-    def counted(self, schedule, config):
+    def counted(self, schedule):
         checked.append(schedule)
-        return fits(self, schedule, config)
+        return fits(self, schedule)
     monkeypatch.setattr(ResourceLedger, "fits", counted)
     s = threshold_dispatch(mini_session, config, ledger, threshold=0.75)
     assert s is not None and s.evse_index == 2
@@ -127,9 +127,9 @@ def test_charging_checks_each_evse_once_per_start(monkeypatch):
     calls = [0]
     fits = ResourceLedger.fits
 
-    def counted(self, schedule, config):
+    def counted(self, schedule):
         calls[0] += 1
-        return fits(self, schedule, config)
+        return fits(self, schedule)
     monkeypatch.setattr(ResourceLedger, "fits", counted)
     config, sessions = generate_scenario(1, "full")
     for threshold in (0.25, 0.5, 0.75):

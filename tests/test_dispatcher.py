@@ -21,7 +21,7 @@ from evdispatch.domain import (
 )
 from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.offline import upper_bound
-from evdispatch.pricing import DESTINATION, PriceBounds, Snapshot
+from evdispatch.pricing import DESTINATION, PriceBounds, PriceTable, Snapshot
 from evdispatch.schedules import GenerationPolicy, feasible_schedules, ranked, rebalances
 
 from conftest import broken_configs, broken_sessions, build_mini_config, cell_index
@@ -54,7 +54,8 @@ def test_bounds_below_the_value_density_breach_capacity():
     assert pricing.value_densities(config)[pricing.OUT_OF_SERVICE] > 10.0
 
     # below the density the barrier fails, and the run dies mid-way
-    state = dataclasses.replace(DispatcherState.fresh(config), bounds=bounds)
+    state = DispatcherState.fresh(config)
+    state = dataclasses.replace(state, table=PriceTable(bounds, state.table.psi))
     with pytest.raises(CapacityError, match="session 111 "):
         for session in sessions:
             dispatch(session, state)
@@ -213,7 +214,7 @@ def test_capacity_backstop_fires_without_the_barrier(mini_config,
     flat = PriceBounds(L_c=1e-9, U_c=1e-8, L_e=1e-9, U_e=1e-8, L_g=1e-9,
                        U_g=1e-8, L_d=1e-9, U_d=1e-8, L_o=1e-9, U_o=1e-8)
     state = DispatcherState.fresh(mini_config)
-    state = dataclasses.replace(state, bounds=flat)
+    state = dataclasses.replace(state, table=PriceTable(flat, state.table.psi))
     for d in range(len(mini_config.regions)):
         for t in range(mini_config.horizon):
             cell = cell_index(mini_config, DESTINATION, d, t + 1)
@@ -224,34 +225,35 @@ def test_capacity_backstop_fires_without_the_barrier(mini_config,
 
 
 def test_replaced_bounds_get_a_price_table_of_their_own():
-    """``dataclasses.replace`` with other bounds gives a state whose price
-    table is new, empty and built on the other bounds, and a run on it
-    keeps only prices and payments at those bounds: never an entry of the
-    state it was copied from."""
+    """``dataclasses.replace`` with a table of other bounds gives a state
+    whose price table is new, empty and built on the other bounds, and a
+    run on it keeps only prices and payments at those bounds: never an
+    entry of the state it was copied from."""
     config, sessions = generate_scenario(0, dataclasses.replace(PRESETS["desk"],
                                                                 max_sessions=60))
     state = DispatcherState.fresh(config)
     for session in sessions[:30]:
         dispatch(session, state)
-    assert state.table.prices and state.table.paid
-    other = dataclasses.replace(state.bounds, **{
-        name: 2 * getattr(state.bounds, name) for name in
+    old = state.table
+    assert old.prices and old.paid
+    other = dataclasses.replace(old.bounds, **{
+        name: 2 * getattr(old.bounds, name) for name in
         ("U_c", "U_e", "U_g", "U_d", "U_o")})
 
-    moved = dataclasses.replace(state, bounds=other)
+    moved = dataclasses.replace(state, table=PriceTable(other, old.psi))
     table = moved.table
-    assert table is not state.table
-    assert (table.bounds, table.psi) == (other, state.psi)
+    assert table is not old and state.table is old
+    assert (table.bounds, table.psi) == (other, old.psi)
     assert table.prices == table.paid == {}
     for session in sessions[30:]:
         dispatch(session, moved)
     assert table.prices and table.paid
     for (shape, y), p in table.prices.items():
-        assert p == shape.price(y, other, moved.psi)
+        assert p == shape.price(y, other, old.psi)
     moved_payments = 0
     for (shape, y, amount), paid in table.paid.items():
-        assert paid == shape.payment(y, y + amount, other, moved.psi)
-        moved_payments += paid != shape.payment(y, y + amount, state.bounds, state.psi)
+        assert paid == shape.payment(y, y + amount, other, old.psi)
+        moved_payments += paid != shape.payment(y, y + amount, old.bounds, old.psi)
     assert moved_payments > 0
 
 
@@ -343,9 +345,9 @@ def test_trajectories_tie_out_to_the_objectives(tiny_instance):
 
     # the stored dual curve is shifted to start at zero
     base = economics.dual_objective([], ResourceLedger.zero(config), config,
-                                    state.bounds, state.psi)
+                                    state.table.bounds, state.table.psi)
     full = economics.dual_objective([d.utility for d in state.decisions], ledger, config,
-                                    state.bounds, state.psi)
+                                    state.table.bounds, state.table.psi)
     assert state.dual_trajectory[-1] == pytest.approx(full - base, abs=1e-8)
     # weak duality in unshifted terms
     assert full >= welfare - 1e-9

@@ -259,7 +259,7 @@ def test_validate_sessions_names_each_defect(defect):
 
 def test_ledger_apply_and_violations(mini_config, mini_charge):
     ledger = ResourceLedger.zero(mini_config)
-    assert ledger.fits(mini_charge, mini_config)
+    assert ledger.fits(mini_charge)
     ledger.apply(mini_charge, sign=1)
 
     def load(family, *cell):
@@ -279,10 +279,10 @@ def test_ledger_apply_and_violations(mini_config, mini_charge):
 def test_ledger_detects_cable_overflow(mini_config, mini_charge):
     ledger = ResourceLedger.zero(mini_config)
     for _ in range(2):
-        assert ledger.fits(mini_charge, mini_config)
+        assert ledger.fits(mini_charge)
         ledger.apply(mini_charge, sign=1)
     # both cables of the single EVSE are now taken in slot 2
-    assert not ledger.fits(mini_charge, mini_config)
+    assert not ledger.fits(mini_charge)
     ledger.apply(mini_charge, sign=1)
     fields = {v.field for v in ledger.violations(mini_config)}
     assert "y_c" in fields
@@ -296,7 +296,7 @@ def test_ledger_detects_generation_overflow(mini_config, mini_charge):
     config = dataclasses.replace(mini_config, facilities=(fac,))
     ledger = ResourceLedger.zero(config)
     ledger.apply(mini_charge, sign=1)
-    assert not ledger.fits(mini_charge, config)
+    assert not ledger.fits(mini_charge)
     ledger.apply(mini_charge, sign=1)
     assert any(v.field == "y_g" for v in ledger.violations(config))
 

@@ -168,7 +168,7 @@ def test_primal_increment_matches_objective_delta(mini_config, mini_rebalance,
     decisions = []
     for i, schedule in enumerate((mini_rebalance, mini_charge, mini_charge)):
         before = primal_objective(decisions, ledger, mini_config)
-        inc = primal_increment(ledger, schedule, mini_config)
+        inc = primal_increment(ledger, schedule)
         ledger.apply(schedule, sign=1)
         decisions.append(DispatchDecision(session_id=i, schedule=schedule,
                                           utility=1.0))
@@ -181,7 +181,7 @@ def test_primal_increment_rejects_infeasible_step(mini_config, mini_rebalance):
     for _ in range(4):
         ledger.apply(mini_rebalance, sign=1)
     with pytest.raises(ValueError):
-        primal_increment(ledger, mini_rebalance, mini_config)
+        primal_increment(ledger, mini_rebalance)
 
 
 def test_dual_objective_base_value_closed_form(mini_config, mini_bounds):

@@ -85,7 +85,7 @@ def _loads(config, ledger, coordinates):
 
 def reference_utility_breakdown(schedule, state, loads):
     """Every payment integrated afresh from the ledger, family by family."""
-    config, bounds, psi_ = state.config, state.bounds, state.psi
+    config, bounds, psi_ = state.config, state.table.bounds, state.table.psi
     y_c, y_e, y_g, y_o, y_d = loads
     d, tp = schedule.dest_region, schedule.t_plus
     pay_dest = pricing.destination_payment(
@@ -121,7 +121,7 @@ def reference_utility_breakdown(schedule, state, loads):
 
 def reference_dual_increment(schedule, u, state, loads):
     """Every conjugate's move priced afresh, family by family."""
-    config, bounds, psi_ = state.config, state.bounds, state.psi
+    config, bounds, psi_ = state.config, state.table.bounds, state.table.psi
     y_c, y_e, y_g, y_o, y_d = loads
     total = u
 
@@ -380,11 +380,11 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
     coordinates = _coordinates(config)
     priced = skipped = committed = 0
     for session in sessions:
-        live = Snapshot(state.ledger, PriceTable(state.bounds, state.psi))
+        live = Snapshot(state.ledger, PriceTable(state.table.bounds, state.table.psi))
         candidates = list(ranked(rebalances(session, config),
                                  feasible_schedules(session, config, live, state.policy)))
         assert candidates == reference_feasible_schedules(
-            session, config, state.ledger, state.bounds, state.psi, state.policy)
+            session, config, state.ledger, state.table.bounds, state.table.psi, state.policy)
         loads = _loads(config, state.ledger, coordinates)
         expected = [reference_utility_breakdown(s, state, loads) for s in candidates]
         dual_steps = {}
@@ -393,10 +393,10 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
             assert utility_breakdown(schedule, live) == (u, breakdown)
             # increments are taken of schedules that fit, as every committed
             # one does
-            if state.ledger.fits(schedule, config):
+            if state.ledger.fits(schedule):
                 dual_steps[schedule] = reference_dual_increment(schedule, u, state, loads)
                 assert _dual_increment(schedule, u, state) == dual_steps[schedule]
-                assert (economics.primal_increment(state.ledger, schedule, config)
+                assert (economics.primal_increment(state.ledger, schedule)
                         == reference_primal_increment(schedule, state, loads))
         dual_before = state.dual_trajectory[-1]
         inside.clear()
@@ -488,7 +488,7 @@ def test_no_running_sum_outlives_its_dispatch(monkeypatch):
     assert outcomes == {True, False}
     assert warm < cold / 2
 
-    bounds, psi_ = state.bounds, state.psi
+    bounds, psi_ = state.table.bounds, state.table.psi
     for (shape, y), p in state.table.prices.items():
         assert p == shape.price(y, bounds, psi_)
     for (shape, y, amount), paid in state.table.paid.items():
@@ -504,8 +504,9 @@ def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):
     session = sessions[0]
     state = DispatcherState.fresh(config)
     loads = _loads(config, state.ledger, _coordinates(config))
-    candidates = reference_feasible_schedules(session, config, state.ledger, state.bounds,
-                                              state.psi, state.policy)
+    candidates = reference_feasible_schedules(session, config, state.ledger,
+                                              state.table.bounds, state.table.psi,
+                                              state.policy)
     first = candidates[0]
     plan = next(s for s in candidates if s.charging)
     bar = reference_utility_breakdown(first, state, loads)[0]
@@ -535,6 +536,42 @@ def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):
             assert (u, breakdown) == reference_utility_breakdown(trial, state, loads)
         else:
             assert inside[1][2] is None
+
+
+def test_a_switched_table_prices_payments_and_dual_increments_alike(monkeypatch):
+    """A run's bounds and Psi live in its price table alone: after the
+    table is switched for one of other bounds mid-run, every committed
+    breakdown and dual increment is the reference's at the new bounds, and
+    some increments are not the ones the old bounds give."""
+    config, sessions = generate_scenario(0, RUNS["desk"])
+    coordinates = _coordinates(config)
+    state = DispatcherState.fresh(config)
+    half = len(sessions) // 2
+    for session in sessions[:half]:
+        dispatch(session, state)
+    old = state.table
+    other = dataclasses.replace(old.bounds, **{
+        name: 2 * getattr(old.bounds, name) for name in
+        ("U_c", "U_e", "U_g", "U_d", "U_o")})
+    state.table = PriceTable(other, old.psi)
+    at_old = dataclasses.replace(state, table=old)
+
+    committed = []
+
+    def recorded(schedule, u, state_):
+        loads = _loads(config, state_.ledger, coordinates)
+        out = _dual_increment(schedule, u, state_)
+        assert out == reference_dual_increment(schedule, u, state_, loads)
+        committed.append(out != reference_dual_increment(schedule, u, at_old, loads))
+        return out
+    monkeypatch.setattr(dispatcher, "_dual_increment", recorded)
+    for session in sessions[half:]:
+        loads = _loads(config, state.ledger, coordinates)
+        decision = dispatch(session, state)
+        if not decision.is_depot:
+            assert ((decision.utility, decision.breakdown)
+                    == reference_utility_breakdown(decision.schedule, state, loads))
+    assert len(committed) > 10 and any(committed)
 
 
 def test_every_payment_goes_through_its_family_function(monkeypatch):
@@ -823,7 +860,7 @@ def reference_charge_then_go(session, config, ledger):
             for h2, dest in dests:
                 s = make_plan(session, config, dest, h2, cap, done,
                               (fac.id, m, h1, energy_slots))
-                if s is not None and ledger.fits(s, config):
+                if s is not None and ledger.fits(s):
                     return s
     return None
 

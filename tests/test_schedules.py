@@ -87,7 +87,7 @@ def test_candidates_are_feasible_and_priced_consistently(tiny_instance):
     for session in sessions:
         for s in _candidates(config, session):
             assert schedule_violations(s, config, session) == []
-            assert ledger.fits(s, config)
+            assert ledger.fits(s)
             assert s.value == pytest.approx(plan_value(
                 config, s.final_soc * config.battery_capacity, s.dest_region,
                 s.hops_total))
