@@ -115,7 +115,9 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
 
 def threshold_dispatch(session: Session, config: ScenarioConfig,
                        ledger: ResourceLedger, threshold: float) -> Optional[Schedule]:
-    """One session under the threshold policy; None means depot."""
+    """One session under the threshold policy; None means depot. Raises
+    on a session that ``validate_sessions`` rejects."""
+    check_sessions((session,), config)
     if session.t_minus >= config.horizon:
         return None
     if session.soc >= threshold:
@@ -146,7 +148,7 @@ def run_threshold(sessions: Sequence[Session], config: ScenarioConfig,
             primal.append(primal[-1])
             continue
         gain = primal_increment(ledger, schedule)
-        ledger.apply(schedule, sign=1)
+        ledger.apply(schedule)
         decisions.append(DispatchDecision(session_id=session.id,
                                           schedule=schedule,
                                           utility=schedule.value))

@@ -130,10 +130,11 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
     its value: pricing stops at the first candidate whose value is below
     the best utility so far, as none from there on can win or tie, and
     ``utility_breakdown`` skips the rest of any plan that its destination
-    and out-of-service payments already put below it. Raises on
-    out-of-order arrivals and, should the price barrier ever fail, on a
-    capacity breach.
+    and out-of-service payments already put below it. Raises on a session
+    that ``validate_sessions`` rejects, on out-of-order arrivals and,
+    should the price barrier ever fail, on a capacity breach.
     """
+    check_sessions((session,), state.config)
     if session.t_minus < state.last_t:
         raise ValueError(f"session {session.id} arrives out of order "
                          f"({session.t_minus} < {state.last_t})")
@@ -172,7 +173,7 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
                 f"{session.id} breaches capacity")
         d_primal = economics.primal_increment(state.ledger, schedule)
         d_dual = _dual_increment(schedule, u, state)
-        state.ledger.apply(schedule, sign=1)
+        state.ledger.apply(schedule)
         decision = DispatchDecision(session_id=session.id, schedule=schedule,
                                     utility=u, breakdown=breakdown)
     state.decisions.append(decision)

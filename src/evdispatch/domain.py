@@ -379,11 +379,16 @@ class ResourceLedger:
         cells = config.cells
         return cls(cells, [[0] * len(shapes) for shapes in cells.shapes])
 
-    def apply(self, schedule: Schedule, sign: int = 1) -> None:
-        """Add (sign=+1) or remove (sign=-1) one schedule's demands."""
-        loads = self.loads
+    def apply(self, schedule: Schedule) -> List[float]:
+        """Add one schedule's demands and return the loads they overwrote,
+        in ``cells.demands`` order: written back, those undo it exactly,
+        where subtracting the demands can leave float residue."""
+        loads, overwritten = self.loads, []
         for k, i, amount, _ in self.cells.demands(schedule):
-            loads[k][i] += sign * amount
+            y = loads[k][i]
+            overwritten.append(y)
+            loads[k][i] = y + amount
+        return overwritten
 
     def fits(self, schedule: Schedule) -> bool:
         """True when applying the schedule breaches no capacity."""
@@ -422,11 +427,6 @@ class ResourceLedger:
         vs = self.violations(config)
         if vs:
             raise CapacityError("; ".join(str(v) for v in vs[:5]))
-
-    def equals(self, other: "ResourceLedger") -> bool:
-        return all(len(mine) == len(theirs)
-                   and all(abs(a - b) <= MONEY_ATOL for a, b in zip(mine, theirs))
-                   for mine, theirs in zip(self.loads, other.loads))
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +763,7 @@ def recompute_ledger(decisions: Sequence[DispatchDecision], config: ScenarioConf
     ledger = ResourceLedger.zero(config)
     for decision in decisions:
         if decision.schedule is not None:
-            ledger.apply(decision.schedule, sign=1)
+            ledger.apply(decision.schedule)
     if strict:
         ledger.assert_capacity(config)
     return ledger

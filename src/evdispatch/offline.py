@@ -18,6 +18,9 @@ every plan a builder in this package makes.
 The exact solver is a depth-first search over explicit per-session
 candidate sets (typically captured from an online run) and is only
 intended for small instances; it refuses search spaces past a hard limit.
+Its own ledger reads each option's demands, walked once (``_Walked``),
+and it undoes a branch by writing back the loads that ``apply``
+overwrote, never by subtracting, so no float residue is left behind.
 """
 
 from __future__ import annotations
@@ -145,6 +148,14 @@ def upper_bound(sessions: Sequence[Session], config: ScenarioConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Walked(dict):
+    """Each option's demands, walked once and keyed by the option's id:
+    the ``cells`` of one search's own ledger, which outlives no option."""
+
+    def demands(self, schedule: Schedule) -> tuple:
+        return self[id(schedule)]
+
+
 @dataclass(frozen=True)
 class OfflineResult:
     """Optimal assignment over the given candidate sets.
@@ -198,24 +209,25 @@ def exact_offline(sessions: Sequence[Session], config: ScenarioConfig,
     prefix = _phi_prefix(config)
     n = len(sessions)
 
-    # per session: positive-net candidates in descending net order
+    # per session: positive-net candidates in descending net order, equal
+    # nets in candidate order (the sort is stable); a plan that cannot beat
+    # its own window penalty never helps
     options: List[List[Tuple[float, Schedule]]] = []
     for session in sessions:
-        netted = []
-        for idx, s in enumerate(candidate_sets.get(session.id, ())):
-            net = _net_value(s, prefix)
-            # a plan that cannot beat its own window penalty never helps
-            if net > 0.0:
-                netted.append((-net, idx, s))
-        netted.sort(key=lambda item: (item[0], item[1]))
-        options.append([(-neg, s) for neg, _, s in netted])
+        netted = ((_net_value(s, prefix), s) for s in candidate_sets.get(session.id, ()))
+        options.append(sorted((o for o in netted if o[0] > 0.0),
+                              key=lambda o: o[0], reverse=True))
 
     suffix = [0.0] * (n + 1)
     for j in range(n - 1, -1, -1):
         best_here = options[j][0][0] if options[j] else 0.0
         suffix[j] = suffix[j + 1] + best_here
 
+    # each option is checked and applied at many nodes: walk its demands once
     ledger = ResourceLedger.zero(config)
+    ledger.cells = _Walked((id(s), tuple(config.cells.demands(s)))
+                           for opts in options for _, s in opts)
+    loads = ledger.loads
     current: List[Optional[Schedule]] = [None] * n
     best_assignment: List[Optional[Schedule]] = [None] * n
     best_welfare = 0.0
@@ -234,17 +246,16 @@ def exact_offline(sessions: Sequence[Session], config: ScenarioConfig,
             if not ledger.fits(schedule):
                 continue
             gain = primal_increment(ledger, schedule)
-            ledger.apply(schedule, sign=1)
+            overwritten = ledger.apply(schedule)
             current[j] = schedule
             search(j + 1, acc + gain)
             current[j] = None
-            ledger.apply(schedule, sign=-1)
+            for (k, i, _, _), y in zip(ledger.cells.demands(schedule), overwritten):
+                loads[k][i] = y
         # depot branch
         search(j + 1, acc)
 
-    # each option is checked and applied at many nodes: walk its demands once
-    with config.cells.keep(s for opts in options for _, s in opts):
-        search(0, 0.0)
+    search(0, 0.0)
     return OfflineResult(welfare=best_welfare,
                          assignment=tuple(best_assignment),
                          nodes_explored=nodes,

@@ -34,11 +34,8 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
-)
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .domain import MONEY_ATOL, ResourceLedger, ScenarioConfig, as_plain
 
@@ -330,22 +327,27 @@ class Cells:
     ``shapes[k][i]`` is the shape of cell i of family k, in the order that
     ``FAMILIES[k].cells`` lists the config's cells: slot fastest, so the
     cell of slot t in row r is r * T + t - 1, a row being a facility, a
-    region, or a (facility, EVSE) pair counted across facilities.
+    region, or a (facility, EVSE) pair counted across facilities. The
+    table is a function of its config alone: its rows are tuples, and
+    nothing writes to it once built, so every solver and every run of the
+    config shares it.
     """
+
+    __slots__ = ("horizon", "evse_row", "shapes", "idle")
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.horizon = config.horizon
-        self.evse_row = []  # first (facility, EVSE) row of each facility
+        evse_row = []  # first (facility, EVSE) row of each facility
         rows = 0
         for fac in config.facilities:
-            self.evse_row.append(rows)
+            evse_row.append(rows)
             rows += fac.evse_count
-        self.shapes = [[cell_shape(k, *args) for _, args in family.cells(config)]
-                       for k, family in enumerate(FAMILIES)]
+        self.evse_row = tuple(evse_row)
+        self.shapes = tuple(tuple(cell_shape(k, *args) for _, args in family.cells(config))
+                            for k, family in enumerate(FAMILIES))
         # one vehicle out of service per slot, sliced by every schedule
         self.idle = tuple((OUT_OF_SERVICE, i, 1, shape)
                           for i, shape in enumerate(self.shapes[OUT_OF_SERVICE]))
-        self._kept: Dict[int, tuple] = {}
 
     def evse_cell(self, f: int, m: int, t: int) -> int:
         return (self.evse_row[f] + m) * self.horizon + t - 1
@@ -353,28 +355,11 @@ class Cells:
     def facility_cell(self, f: int, t: int) -> int:
         return f * self.horizon + t - 1
 
-    def demands(self, schedule) -> Iterable[Tuple[int, int, float, Shape]]:
+    def demands(self, schedule) -> Iterator[Tuple[int, int, float, Shape]]:
         """Every unit the schedule takes, as (family, cell, amount, shape):
         each energy slot's EVSE energy and generation in turn, each cable
         slot, each out-of-service slot, then the destination arrival. The
         scarcest cells come first, where a capacity check stops soonest."""
-        kept = self._kept.get(id(schedule))
-        if kept is not None and kept[0] is schedule:
-            return kept[1]
-        return self._walk(schedule)
-
-    @contextmanager
-    def keep(self, schedules: Iterable) -> Iterator[None]:
-        """Walk each schedule's demands once and reuse them inside the block,
-        for schedules that are checked and applied many times over. Entries
-        hold their schedules, so no kept id can be reused meanwhile."""
-        self._kept = {id(s): (s, tuple(self._walk(s))) for s in schedules}
-        try:
-            yield
-        finally:
-            self._kept = {}
-
-    def _walk(self, schedule) -> Iterator[Tuple[int, int, float, Shape]]:
         T, shapes = self.horizon, self.shapes
         f = schedule.facility_id
         if f is not None:

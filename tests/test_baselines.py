@@ -65,7 +65,7 @@ def test_patience_waits_out_a_busy_slot(mini_config, mini_session, monkeypatch):
                    t_arrival=2, cable_slots=(2,), energy_slots=((2, 10.0),),
                    dest_region=0, t_plus=3, hops_total=0, final_soc=1.0,
                    value=0.0)
-    ledger.apply(hog, sign=1)
+    ledger.apply(hog)
     s = threshold_dispatch(mini_session, mini_config, ledger, threshold=0.75)
     assert s is not None
     assert s.energy_slots == ((3, 6.0),)

@@ -17,10 +17,11 @@ from evdispatch.dispatcher import (
     utility_breakdown,
 )
 from evdispatch.domain import (
-    CapacityError, ResourceLedger, Session, recompute_ledger,
+    MONEY_ATOL, CapacityError, DispatchDecision, ResourceLedger, Session, recompute_ledger,
+    validate_sessions,
 )
 from evdispatch.harness import PRESETS, generate_scenario
-from evdispatch.offline import upper_bound
+from evdispatch.offline import exact_offline, upper_bound
 from evdispatch.pricing import DESTINATION, PriceBounds, PriceTable, Snapshot
 from evdispatch.schedules import GenerationPolicy, feasible_schedules, ranked, rebalances
 
@@ -76,7 +77,7 @@ def test_utility_is_value_minus_payments(mini_config, mini_session,
         assert breakdown.total > 0
     # prices are nondecreasing in load, so utility can only fall
     before = utility_breakdown(mini_charge, _prices(state))[0]
-    state.ledger.apply(mini_charge, sign=1)
+    state.ledger.apply(mini_charge)
     after = utility_breakdown(mini_charge, _prices(state))[0]
     assert after < before
 
@@ -131,6 +132,32 @@ def test_runs_reject_invalid_sessions_before_the_first(defect, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("defect", ["soc above one", "soc below zero", "soc nan", "t_minus zero",
+                                    "t_minus past the horizon", "unknown origin"])
+def test_per_session_entry_points_reject_an_invalid_session(defect):
+    """Without the check, ``dispatch`` committed a plan that arrives with
+    24.5 kWh in a 15 kWh battery at soc 1.7 and a plan worth NaN at soc
+    NaN, and ``threshold_dispatch`` loaded out-of-service slots through
+    negative indices at t_minus -3 and sent a start past the horizon to
+    the depot without a word."""
+    config, streams = broken_sessions()
+    field, stream = streams[defect]
+    session, = (s for s in stream if validate_sessions((s,), config))
+    match = f"invalid sessions: {field} at session {session.id}: "
+    state = DispatcherState.fresh(config)
+    with pytest.raises(ValueError, match=match):
+        dispatch(session, state)
+    assert state.last_t == DispatcherState.fresh(config).last_t
+    assert state.decisions == []
+    assert state.primal_trajectory == state.dual_trajectory == [0.0]
+    ledger = ResourceLedger.zero(config)
+    for threshold in (0.25, 0.5, 0.75):
+        with pytest.raises(ValueError, match=match):
+            baselines.threshold_dispatch(session, config, ledger, threshold)
+    zero = ResourceLedger.zero(config).loads
+    assert state.ledger.loads == ledger.loads == zero
+
+
 @pytest.mark.parametrize("defect", sorted(broken_configs()))
 def test_runs_reject_non_finite_configs_before_the_first(defect, monkeypatch):
     """Without the check, an infinite EVSE energy limit raised IndexError
@@ -165,10 +192,13 @@ def _magnitude(low: int, high: int):
 def test_runs_at_any_magnitude_refuse_at_load_or_keep_capacity(
         energy_limit, cables, battery, increments, per_hop_energy, grid_limit, seed):
     """A tiny day whose magnitudes are drawn wide either is refused with a
-    named ValueError before its first session, or runs online, under
-    threshold-50 and through ``upper_bound`` with no capacity breach. With
-    an EVSE energy limit of 1e13 a charge target took 0 slots, and online
-    died with IndexError."""
+    named ValueError before its first session, or runs online, under all
+    three thresholds and through ``upper_bound`` with no capacity breach,
+    and ``exact_offline`` over the candidates of a capturing online run
+    finds a feasible assignment between that run and the bound. With an
+    EVSE energy limit of 1e13 a charge target took 0 slots, and online
+    died with IndexError; an exact search that undid its branches by
+    subtraction died on two draws with a negative generation load."""
     params = dataclasses.replace(
         PRESETS["tiny"], evse_energy_limit=energy_limit, cables_per_evse=cables,
         battery_capacity=battery, charge_increment=battery / increments,
@@ -178,13 +208,26 @@ def test_runs_at_any_magnitude_refuse_at_load_or_keep_capacity(
     with mock.patch.object(dispatcher, "dispatch", wraps=dispatcher.dispatch) as dispatched:
         try:
             reports.append(run_online(sessions, config))
+            captured_run, captured = run_online(
+                sessions, config, GenerationPolicy(max_candidates_total=4),
+                capture_candidates=True)
         except ValueError as refusal:
             assert str(refusal).startswith("estimated bounds are unusable: ")
             assert dispatched.call_count == 0
-    reports.append(run_threshold(sessions, config, 0.5))
-    for report in reports:
-        assert recompute_ledger(report.decisions, config).violations(config) == []
-    assert upper_bound(sessions, config) >= 0.0
+            captured = None
+    reports += [run_threshold(sessions, config, t) for t in (0.25, 0.5, 0.75)]
+    bound = upper_bound(sessions, config)
+    assert bound >= 0.0
+    runs = [report.decisions for report in reports]
+    if captured is not None:
+        exact = exact_offline(sessions, config, captured)
+        runs.append(captured_run.decisions)
+        runs.append([DispatchDecision(session_id=s.id, schedule=a, utility=0.0)
+                     for s, a in zip(sessions, exact.assignment)])
+        for lower, upper in ((captured_run.welfare, exact.welfare), (exact.welfare, bound)):
+            assert lower <= upper + MONEY_ATOL + 1e-9 * abs(upper)
+    for decisions in runs:
+        assert recompute_ledger(decisions, config).violations(config) == []
 
 
 def test_candidate_with_infinite_payment_is_never_chosen(mini_config,
@@ -283,7 +326,7 @@ def test_replay_matches_decisions(tiny_instance):
         else:
             assert decision.schedule == best
             assert decision.utility == pytest.approx(best_key[0])
-            state.ledger.apply(best, sign=1)
+            state.ledger.apply(best)
 
 
 def test_a_full_day_prices_and_builds_under_half_its_candidates():
@@ -338,7 +381,7 @@ def test_trajectories_tie_out_to_the_objectives(tiny_instance):
         dispatch(session, state)
 
     ledger = recompute_ledger(state.decisions, config)
-    assert ledger.equals(state.ledger)
+    assert ledger.loads == state.ledger.loads
 
     welfare = economics.primal_objective(state.decisions, ledger, config)
     assert state.primal_trajectory[-1] == pytest.approx(welfare, abs=1e-9)

@@ -260,7 +260,7 @@ def test_validate_sessions_names_each_defect(defect):
 def test_ledger_apply_and_violations(mini_config, mini_charge):
     ledger = ResourceLedger.zero(mini_config)
     assert ledger.fits(mini_charge)
-    ledger.apply(mini_charge, sign=1)
+    ledger.apply(mini_charge)
 
     def load(family, *cell):
         return ledger.loads[family][cell_index(mini_config, family, *cell)]
@@ -272,18 +272,26 @@ def test_ledger_apply_and_violations(mini_config, mini_charge):
     assert load(OUT_OF_SERVICE, 4) == 0
     assert load(DESTINATION, 1, 3) == 1
     assert ledger.violations(mini_config) == []
-    ledger.apply(mini_charge, sign=-1)
-    assert ledger.equals(ResourceLedger.zero(mini_config))
+    # a second apply returns the loads it overwrote, and writing those
+    # back restores the ledger exactly
+    demands = list(mini_config.cells.demands(mini_charge))
+    before = [list(row) for row in ledger.loads]
+    overwritten = ledger.apply(mini_charge)
+    assert overwritten == [before[k][i] for k, i, _, _ in demands]
+    assert ledger.loads != before
+    for (k, i, _, _), y in zip(demands, overwritten):
+        ledger.loads[k][i] = y
+    assert ledger.loads == before
 
 
 def test_ledger_detects_cable_overflow(mini_config, mini_charge):
     ledger = ResourceLedger.zero(mini_config)
     for _ in range(2):
         assert ledger.fits(mini_charge)
-        ledger.apply(mini_charge, sign=1)
+        ledger.apply(mini_charge)
     # both cables of the single EVSE are now taken in slot 2
     assert not ledger.fits(mini_charge)
-    ledger.apply(mini_charge, sign=1)
+    ledger.apply(mini_charge)
     fields = {v.field for v in ledger.violations(mini_config)}
     assert "y_c" in fields
     with pytest.raises(CapacityError):
@@ -295,9 +303,9 @@ def test_ledger_detects_generation_overflow(mini_config, mini_charge):
     fac = dataclasses.replace(mini_config.facilities[0], grid_limit=(8.0,) * 6)
     config = dataclasses.replace(mini_config, facilities=(fac,))
     ledger = ResourceLedger.zero(config)
-    ledger.apply(mini_charge, sign=1)
+    ledger.apply(mini_charge)
     assert not ledger.fits(mini_charge)
-    ledger.apply(mini_charge, sign=1)
+    ledger.apply(mini_charge)
     assert any(v.field == "y_g" for v in ledger.violations(config))
 
 

@@ -138,14 +138,14 @@ def test_conjugates_reject_negative_prices():
 def test_primal_objective_hand_example(mini_config, mini_rebalance, mini_charge):
     # charge plan: value 13, grid energy 5 kWh at 0.2, three noisy slots
     ledger = ResourceLedger.zero(mini_config)
-    ledger.apply(mini_charge, sign=1)
+    ledger.apply(mini_charge)
     decisions = [DispatchDecision(session_id=0, schedule=mini_charge, utility=1.0)]
     welfare = primal_objective(decisions, ledger, mini_config)
     assert welfare == pytest.approx(13.0 - 0.2 * 5.0 - 0.4 * 3)
 
     # pure rebalance: value 12.5, one out-of-service slot, no energy
     ledger2 = ResourceLedger.zero(mini_config)
-    ledger2.apply(mini_rebalance, sign=1)
+    ledger2.apply(mini_rebalance)
     decisions2 = [DispatchDecision(session_id=0, schedule=mini_rebalance,
                                    utility=1.0)]
     assert primal_objective(decisions2, ledger2, mini_config) == pytest.approx(
@@ -156,7 +156,7 @@ def test_primal_objective_infeasible_when_over_cap(mini_config, mini_rebalance):
     ledger = ResourceLedger.zero(mini_config)
     decisions = []
     for i in range(5):  # out_of_service_cap is 4
-        ledger.apply(mini_rebalance, sign=1)
+        ledger.apply(mini_rebalance)
         decisions.append(DispatchDecision(session_id=i, schedule=mini_rebalance,
                                           utility=1.0))
     assert primal_objective(decisions, ledger, mini_config) is INFEASIBLE
@@ -169,7 +169,7 @@ def test_primal_increment_matches_objective_delta(mini_config, mini_rebalance,
     for i, schedule in enumerate((mini_rebalance, mini_charge, mini_charge)):
         before = primal_objective(decisions, ledger, mini_config)
         inc = primal_increment(ledger, schedule)
-        ledger.apply(schedule, sign=1)
+        ledger.apply(schedule)
         decisions.append(DispatchDecision(session_id=i, schedule=schedule,
                                           utility=1.0))
         after = primal_objective(decisions, ledger, mini_config)
@@ -179,7 +179,7 @@ def test_primal_increment_matches_objective_delta(mini_config, mini_rebalance,
 def test_primal_increment_rejects_infeasible_step(mini_config, mini_rebalance):
     ledger = ResourceLedger.zero(mini_config)
     for _ in range(4):
-        ledger.apply(mini_rebalance, sign=1)
+        ledger.apply(mini_rebalance)
     with pytest.raises(ValueError):
         primal_increment(ledger, mini_rebalance)
 

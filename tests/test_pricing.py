@@ -8,21 +8,26 @@ jump at the solar boundary.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from evdispatch import pricing, run_online
+from evdispatch.baselines import run_threshold
 from evdispatch.domain import Facility, Region, as_plain, recompute_ledger
 from evdispatch.harness import generate_scenario
+from evdispatch.offline import exact_offline, upper_bound
 from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE, Alphas, PriceBounds,
     alphas, cell_shape, dapr_cases, default_charge_targets, effective_charge_rate,
     estimate_bounds, psi, validate_bounds, verify_dapr,
 )
+from evdispatch.schedules import GenerationPolicy
 
 from conftest import build_mini_config
 
@@ -43,6 +48,74 @@ def test_psi_counts_resources(mini_config, tiny_instance):
     assert psi(tiny_instance[0]) == 2 * 1 + 4 + 1 + 1
     full, _ = generate_scenario(0, "full")
     assert psi(full) == 2 * 80 + 46 + 8 + 1 == 215
+
+
+def _written_attributes(target: ast.AST):
+    """Each attribute that assigning to ``target`` writes, directly or
+    through a subscript of it."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _written_attributes(element)
+        return
+    while isinstance(target, (ast.Subscript, ast.Starred)):
+        target = target.value
+    if isinstance(target, ast.Attribute):
+        yield target.attr
+
+
+def _attribute_writes(node: ast.AST, where: str = ""):
+    """(qualified function or class name, attribute) of every attribute
+    assignment, deletion, augmented assignment or ``setattr`` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _attribute_writes(child, f"{where}.{child.name}".lstrip("."))
+            continue
+        targets = []
+        if isinstance(child, (ast.Assign, ast.Delete)):
+            targets = child.targets
+        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+            targets = [child.target]
+        elif (isinstance(child, ast.Call) and getattr(child.func, "id", None) in
+              ("setattr", "delattr") and isinstance(child.args[1], ast.Constant)):
+            yield where, child.args[1].value
+        for target in targets:
+            for attr in _written_attributes(target):
+                yield where, attr
+        yield from _attribute_writes(child, where)
+
+
+def test_a_configs_resource_table_is_read_only():
+    """``config.cells`` is shared by every solver and every run of its
+    config, so it holds only immutable values, nothing in the package
+    writes to it once built, and no run leaves it changed. The exact
+    search once kept its memo of walked demands there."""
+    slots = ("horizon", "evse_row", "shapes", "idle")
+    assert pricing.Cells.__slots__ == slots
+    config, sessions = generate_scenario(0, "tiny")
+    cells = config.cells
+    assert not hasattr(cells, "__dict__")
+    assert isinstance(cells.horizon, int)
+    for name in slots[1:]:
+        assert isinstance(getattr(cells, name), tuple), name
+    assert all(isinstance(row, tuple) for row in cells.shapes)
+
+    sources = pathlib.Path(pricing.__file__).parent.glob("*.py")
+    writers = {(path.name, where) for path in sources
+               for where, attr in _attribute_writes(ast.parse(path.read_text(encoding="utf-8")))
+               if attr in slots or where.startswith("Cells.")}
+    assert writers == {("pricing.py", "Cells.__init__")}
+
+    before = {name: getattr(cells, name) for name in slots}
+    rows = list(cells.shapes)
+    _, captured = run_online(sessions, config, GenerationPolicy(max_candidates_total=3),
+                             capture_candidates=True)
+    for threshold in (0.25, 0.5, 0.75):
+        run_threshold(sessions, config, threshold)
+    upper_bound(sessions, config)
+    exact_offline(sessions, config, captured)
+    assert config.cells is cells
+    assert all(getattr(cells, name) is before[name] for name in slots)
+    assert all(row is old for row, old in zip(cells.shapes, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -817,7 +817,7 @@ def test_threshold_moves_match_the_reference_order(name, monkeypatch):
         # commit as threshold-50 would, so the ledger fills up
         schedule = got[0] if session.soc >= 0.5 else got[1]
         if schedule is not None:
-            ledger.apply(schedule, sign=1)
+            ledger.apply(schedule)
         found[0] += got[0] is not None
         found[1] += got[1] is not None
     assert min(found) >= 20
@@ -890,7 +890,7 @@ def test_charge_then_go_matches_the_evse_by_destination_walk(name):
         schedule = got if session.soc < 0.75 else baselines._rebalance(session, config,
                                                                         ledger)
         if schedule is not None:
-            ledger.apply(schedule, sign=1)
+            ledger.apply(schedule)
     assert len(evses) >= 20
     assert (max(evses) > 0) == name.startswith("full")
 

@@ -109,7 +109,7 @@ def test_greedy_placement_avoids_expensive_slots(mini_config, mini_session):
     ledger = ResourceLedger.zero(mini_config)
     loaded = dataclasses.replace(
         empty[0], energy_slots=((2, 9.0),), cable_slots=(2,))
-    ledger.apply(loaded, sign=1)
+    ledger.apply(loaded)
     out = _candidates(mini_config, mini_session, ledger=ledger)
     slots_used = {t for s in out if s.charging for t, _ in s.energy_slots}
     assert 3 in slots_used
@@ -143,7 +143,7 @@ def test_remainder_lands_on_the_dearest_slot():
     ledger = ResourceLedger.zero(config)
     mid = dataclasses.replace(out[0], energy_slots=((3, 8.0),),
                               cable_slots=(3,))
-    ledger.apply(mid, sign=1)
+    ledger.apply(mid)
     out2 = [s for s in plans(ledger) if any(t == 3 for t, _ in s.energy_slots)]
     assert out2, "no candidate spans the loaded slot"
     for s in out2:
