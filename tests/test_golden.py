@@ -41,6 +41,18 @@ CLI_RUNS = [
         "upper-bound.json":
             "69be349ad1f61a144d80f588ca3ff2af982596d94466d8cb026b1ff7d93874f0",
     }),
+    # the exhaustive search and a full day: the exact assignment and every
+    # candidate order that the build's merge produces on many facilities
+    (["offline-exact", "--seed", "0", "--preset", "tiny", "--max-candidates", "4"], {
+        "exact-report.json":
+            "ed12bddfcb6e1d0866839560f323f2e5a84cfa0319b27eccea7cb560d30c955a",
+    }),
+    (["run", "--seed", "0", "--preset", "full"], {
+        "online-report.json":
+            "f5bfa44ebff47ae45c2aeddd0c97dda999405bde84454598a53e532c2861327c",
+        "online-decisions.csv":
+            "00c4299a2f6c0fc5defc766d84fc1fb87b5104b3c451776681eb55bc9392d833",
+    }),
 ]
 
 
