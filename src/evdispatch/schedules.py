@@ -15,17 +15,20 @@ Charging tuples are never all enumerated either. Each facility's
 destinations are ranked once per config (``ScenarioConfig.destinations``)
 into batches of groups that share a hop count and a pickup value, so that
 every plan of a batch outranks every plan of a later one. Each (facility,
-target) pair is a stream that values and sorts one batch at a time, the
-streams are merged with ``heapq.merge``, and the build stops at the cap:
-the order is exactly that of sorting every tuple, and only the batches
-that the cap reaches are ever valued.
+target) pair is a stream of tuples ``(-v, facility, target, dest, h2)``
+that values and sorts one batch at a time (``_batches``); the rest of a
+stream is fixed and kept once, keyed by (facility, target). The build
+stops at the cap: the order is exactly that of sorting every tuple, and
+only the batches that the cap reaches are ever valued.
 
 The pure rebalances are one more such stream, from the origin with no
 facility (``rebalances``), and a rebalance is made only when it is read.
-``ranked`` merges it with the charging plans into the order of sorting
-every candidate by ``_candidate_key``. ``dispatch`` reads that order only
-as far as a candidate can still win. Rebalances are most of a session's
-candidates and are rarely chosen, so most of them are never built.
+``heapq.merge`` is the one merge rule: it merges the charging streams by
+their tuples and, in ``ranked``, the rebalances with the charging plans by
+value, into the order of sorting every candidate by ``_candidate_key``.
+``dispatch`` reads that order only as far as a candidate can still win.
+Rebalances are most of a session's candidates and are rarely chosen, so
+most of them are never built.
 
 The charging build reads posted prices from the ``pricing.Snapshot`` its
 caller took of the ledger; ``dispatch`` prices the candidates from the
@@ -114,10 +117,11 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     t0 = session.t_minus
 
     # ---- one stream of charging tuples per (facility, target) ----
-    # Each stream yields (-v, f, target, dest, h1, h2, k, last) in
-    # ascending order. The first four fields are unique, so the merge
-    # order is that of sorting every tuple by (-v, f, target, dest).
+    # Each stream yields (-v, fid, target, dest, h2) in ascending order.
+    # The first four fields are unique across the streams, so the merge
+    # never compares h2 and its order is that of sorting every tuple.
     streams = []
+    fixed = {}  # (fid, target) -> (fac, h1, t_arr, rate, k, last, stored)
     targets = pricing.default_charge_targets(config)
     legs = facility_legs(session.origin_region, energy0, t0, config)
     for h1, fac in legs[:MAX_CANDIDATE_FACILITIES]:
@@ -131,9 +135,10 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
             k, last = charge_slots(target, rate)
             if t_arr + k - 1 > T:
                 continue
+            stored = arrival_energy + target
+            fixed[fac.id, target] = (fac, h1, t_arr, rate, k, last, stored)
             streams.append(chain.from_iterable(_batches(
-                config, fac.region_id, fac.id, target, h1, k, last,
-                arrival_energy + target, T - (t_arr + k - 1))))
+                config, fac.region_id, h1, stored, T - (t_arr + k - 1), (fac.id, target))))
 
     # ---- build charging tuples, best value first, until the cap ----
     # A window runs from the facility arrival slot t_arr, fixed per
@@ -144,10 +149,8 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     seen = set()
     out: List[Schedule] = []
     built_charges = 0
-    for neg_v, fid, target, dest, h1, h2, k, last in heapq.merge(*streams):
-        fac = config.facilities[fid]
-        t_arr = t0 + h1
-        rate = pricing.effective_charge_rate(fac)
+    for neg_v, fid, target, dest, h2 in heapq.merge(*streams):
+        fac, h1, t_arr, rate, k, last, stored = fixed[fid, target]
         for w in range(MAX_START_OFFSET + 1):
             if built_charges >= policy.max_candidates_total:
                 break
@@ -171,8 +174,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
                 continue
             seen.add(key)
             built_charges += 1
-            out.append(make_plan(session, config, dest, h2,
-                                 energy0 - h1 * e_hop + target, chosen[-1],
+            out.append(make_plan(session, config, dest, h2, stored, chosen[-1],
                                  (fid, evse, h1, energy_slots), value=-neg_v))
         if built_charges >= policy.max_candidates_total:
             break
@@ -189,26 +191,19 @@ def rebalances(session: Session, config: ScenarioConfig) -> Iterator[Schedule]:
     if t0 >= T:
         return
     energy0 = session.soc * config.battery_capacity
-    # the batches with no facility (-1), no charge and no hop before the origin
-    for batch in _batches(config, session.origin_region, -1, 0.0, 0, 0, 0.0, energy0, T - t0):
-        for neg_v, _, _, dest, _, h2, _, _ in batch:
+    # the batches with no hop before the origin and no charge
+    for batch in _batches(config, session.origin_region, 0, energy0, T - t0, ()):
+        for neg_v, dest, h2 in batch:
             yield make_plan(session, config, dest, h2, energy0, t0, value=-neg_v)
 
 
 def ranked(rebalances: Iterable[Schedule], charges: Iterable[Schedule]) -> Iterator[Schedule]:
     """Pure rebalances and charging plans, each sorted by ``_candidate_key``,
-    merged into that order. At equal values a rebalance sorts first, its
-    facility being -1, so only values are compared."""
-    charges = iter(charges)
-    charge = next(charges, None)
-    for plan in rebalances:
-        while charge is not None and charge.value > plan.value:
-            yield charge
-            charge = next(charges, None)
-        yield plan
-    if charge is not None:
-        yield charge
-        yield from charges
+    merged into that order by ``heapq.merge`` on value alone. The merge is
+    stable, so at equal values the rebalance comes first, as its facility,
+    -1, sorts it; and it reads one plan ahead in each input, so a
+    rebalance is still made only when it is read."""
+    return heapq.merge(rebalances, charges, key=lambda plan: -plan.value)
 
 
 def make_plan(session: Session, config: ScenarioConfig, dest: int, h2: int,
@@ -239,16 +234,16 @@ def make_plan(session: Session, config: ScenarioConfig, dest: int, h2: int,
                     value=value)
 
 
-def _batches(config: ScenarioConfig, region: int, fid: int, target: float, h1: int,
-             k: int, last: float, stored: float, reach: int) -> Iterator[List[tuple]]:
-    """The tuples ``(-v, fid, target, dest, h1, h2, k, last)`` of one
-    (facility, charge target), batch by batch, best first: each of the
-    destination batches of the facility's ``region`` is valued and sorted
-    only when the one before it has been taken. ``k`` and ``last`` are the
-    charging slots and the energy of the last of them
-    (``pricing.charge_slots``), ``stored`` the energy on leaving
-    ``region``, and ``reach`` the farthest hop count the horizon allows.
-    The destinations of a group share its value bit for bit."""
+def _batches(config: ScenarioConfig, region: int, h1: int, stored: float, reach: int,
+             head: tuple) -> Iterator[List[tuple]]:
+    """The tuples ``(-v, *head, dest, h2)`` of one stream, batch by batch,
+    best first: each of the destination batches of ``region`` is valued
+    and sorted only when the one before it has been taken. ``h1`` is the
+    hop count before ``region``, ``stored`` the energy on leaving it, and
+    ``reach`` the farthest hop count the horizon allows. ``head`` is what
+    tells the stream apart in a merge: ``(facility, target)`` for a
+    charging stream, ``()`` for the rebalances. The destinations of a
+    group share its value bit for bit."""
     e_hop = config.per_hop_energy
     for batch in config.destinations[region].batches:
         tuples = []
@@ -257,7 +252,7 @@ def _batches(config: ScenarioConfig, region: int, fid: int, target: float, h1: i
             if h2 > reach or final < -MONEY_ATOL:
                 continue
             v = plan_value(config, final, dests[0], h1 + h2)
-            tuples.extend((-v, fid, target, dest, h1, h2, k, last) for dest in dests)
+            tuples.extend((-v, *head, dest, h2) for dest in dests)
         tuples.sort()
         yield tuples
 
