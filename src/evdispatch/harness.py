@@ -440,8 +440,8 @@ def compare(reports: Sequence[RunReport], ub: float,
             opt: Optional[float] = None) -> ComparisonTable:
     """Line up runs of one instance against the upper bound.
 
-    Refuses a non-finite ``ub`` or ``opt`` and mixed instances, and
-    treats any welfare above the upper bound as a hard contradiction.
+    Refuses a non-finite ``ub``, ``opt`` or welfare and mixed instances,
+    and treats any welfare above the upper bound as a hard contradiction.
     When an exact optimum is supplied, checks alpha * (online welfare)
     >= opt with the first online run's own worst-family alpha.
     """
@@ -455,6 +455,8 @@ def compare(reports: Sequence[RunReport], ub: float,
         raise ValueError(f"reports mix {len(hashes)} different instances; "
                          "compare requires a single instance")
     for r in reports:
+        if not math.isfinite(r.welfare):
+            raise ValueError(f"{r.algorithm} welfare must be finite, not {r.welfare!r}")
         if r.welfare > ub + MONEY_ATOL:
             raise ValueError(
                 f"upper bound violated: {r.algorithm} welfare {r.welfare} "

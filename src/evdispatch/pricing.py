@@ -734,8 +734,8 @@ def verify_dapr(family: str, params: Mapping[str, float], alpha: float,
         raise ValueError(f"unknown family {family!r}")
     if grid_points < 100:
         raise ValueError("grid_points must be at least 100")
-    if not alpha > 0:  # NaN included
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # NaN included
+        raise ValueError("alpha must be positive and finite")
 
     k = NAMES.index(family)
     names = FAMILIES[k].params + ("L", "U", "psi")

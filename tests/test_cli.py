@@ -213,21 +213,40 @@ def test_verify_refuses_a_nan_alpha_scale(capsys):
     assert "PASS" not in captured.out
 
 
-@pytest.mark.parametrize("flag", ["--ub", "--opt"])
+def test_verify_refuses_an_infinite_alpha_scale(capsys):
+    """At an infinite alpha every curve passed, and the run exited 0."""
+    assert main(["verify", "--seed", "0", "--preset", "tiny",
+                 "--alpha-scale", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: alpha must be positive")
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("flag", ["--ub", "--opt", "welfare"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_compare_refuses_a_non_finite_bound(tmp_path, capsys, flag, value):
     """``--ub nan`` used to exit 0 and write NaN, which is not JSON, into
     plot-data.json; ``--ub -inf`` and ``--opt inf`` were refused only as
-    a violated upper bound."""
+    a violated upper bound. A report read back with a NaN or -inf welfare
+    printed ``welfare=nan ratio=nan`` and exited 0."""
     runs = tmp_path / "runs"
     main(["run", "--seed", "0", "--preset", "tiny", "--out", str(runs)])
     capsys.readouterr()
-    bounds = {"--ub": "1000.0", "--opt": "10.0", flag: value}
+    report = runs / "online-report.json"
+    bounds = {"--ub": "1000.0", "--opt": "10.0"}
+    if flag == "welfare":
+        data = json.loads(report.read_text())
+        data["welfare"] = float(value)
+        report.write_text(json.dumps(data))
+        error = "online welfare must be finite"
+    else:
+        bounds[flag] = value
+        error = f"{flag[2:]} must be finite"
     out = tmp_path / "cmp"
-    code = main(["compare", "--reports", str(runs / "online-report.json"),
+    code = main(["compare", "--reports", str(report),
                  *(f"{k}={v}" for k, v in bounds.items()), "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must be finite")
+    assert capsys.readouterr().err.startswith(f"error: {error}")
     assert not out.exists()
 
 

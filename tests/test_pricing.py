@@ -464,6 +464,9 @@ def test_dapr_rejects_bad_arguments():
     # NaN passed ``alpha <= 0``, and then no margin compared below inf
     with pytest.raises(ValueError, match="positive"):
         verify_dapr("cable", params, math.nan, 1000)
+    # at an infinite alpha every margin passed
+    with pytest.raises(ValueError, match="positive and finite"):
+        verify_dapr("cable", params, math.inf, 1000)
     # parameters that give no price curve: each passed with worst_margin=inf
     # and no segment, or died in a ZeroDivisionError, a math domain error or
     # a bare KeyError
