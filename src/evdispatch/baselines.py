@@ -71,10 +71,13 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
     arrival_energy = energy0 - h1 * config.per_hop_energy
     rate = fac.evse_energy_limit
     k, last = charge_slots(cap - arrival_energy, rate)
+    t_arr = session.t_minus + h1
+    if t_arr + k - 1 > T:
+        # no start delay ends by the horizon; k may be far larger than T
+        return None
     # full rate first, the remainder in the last slot
     amounts = [rate] * (k - 1) + [last]
     dests = _dest_order(config, fac.region_id)
-    t_arr = session.t_minus + h1
     cells = config.cells
     # a row's cell of slot t is row + t; every EVSE shares the facility's
     # generation row
@@ -113,10 +116,17 @@ def _charge_then_go(session: Session, config: ScenarioConfig,
     return None
 
 
+def _check_threshold(threshold: float) -> None:
+    if not (0.0 < threshold < 1.0):  # NaN included
+        raise ValueError(f"threshold {threshold} outside (0, 1)")
+
+
 def threshold_dispatch(session: Session, config: ScenarioConfig,
                        ledger: ResourceLedger, threshold: float) -> Optional[Schedule]:
     """One session under the threshold policy; None means depot. Raises
-    on a session that ``validate_sessions`` rejects."""
+    on a threshold outside (0, 1) and on a session that
+    ``validate_sessions`` rejects."""
+    _check_threshold(threshold)
     check_sessions((session,), config)
     if session.t_minus >= config.horizon:
         return None
@@ -132,8 +142,7 @@ def run_threshold(sessions: Sequence[Session], config: ScenarioConfig,
     The recorded utility of a decision is the raw schedule value; the
     baseline has no prices and no dual trajectory.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold {threshold} outside (0, 1)")
+    _check_threshold(threshold)
     check_config(config)
     check_sessions(sessions, config)
 

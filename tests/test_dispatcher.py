@@ -158,6 +158,22 @@ def test_per_session_entry_points_reject_an_invalid_session(defect):
     assert state.ledger.loads == ledger.loads == zero
 
 
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 5.0, math.nan, -1.0])
+def test_threshold_dispatch_rejects_a_threshold_outside_the_unit_interval(threshold):
+    """``run_threshold`` refused these thresholds but the per-session entry
+    point took them: on tiny seed 0, 5.0 and NaN sent the first vehicle to
+    charge and -1.0 sent it to a pickup."""
+    config, sessions = generate_scenario(0, "tiny")
+    ledger = ResourceLedger.zero(config)
+    with pytest.raises(ValueError, match=r"threshold .* outside \(0, 1\)"):
+        baselines.threshold_dispatch(sessions[0], config, ledger, threshold)
+    assert ledger.loads == ResourceLedger.zero(config).loads
+    # the whole run still refuses before its first session, also on none
+    for stream in (sessions, ()):
+        with pytest.raises(ValueError, match=r"threshold .* outside \(0, 1\)"):
+            run_threshold(stream, config, threshold)
+
+
 @pytest.mark.parametrize("defect", sorted(broken_configs()))
 def test_runs_reject_non_finite_configs_before_the_first(defect, monkeypatch):
     """Without the check, an infinite EVSE energy limit raised IndexError
@@ -186,19 +202,27 @@ def _magnitude(low: int, high: int):
 @given(energy_limit=_magnitude(-6, 15), cables=st.integers(1, 8),
        battery=_magnitude(-2, 4), increments=st.integers(1, 6),
        per_hop_energy=st.one_of(st.just(0.0), _magnitude(-3, 3)),
-       grid_limit=st.one_of(st.just(0.0), _magnitude(-3, 6)), seed=st.integers(0, 9))
+       grid_limit=st.one_of(st.just(0.0), _magnitude(-3, 6)), seed=st.integers(0, 9),
+       max_candidates=st.integers(1, 24))
 @example(energy_limit=1e13, cables=2, battery=15.0, increments=3, per_hop_energy=1.0,
-         grid_limit=10.0, seed=0)
+         grid_limit=10.0, seed=0, max_candidates=24)
+@example(energy_limit=1e-6, cables=1, battery=1000.0, increments=1, per_hop_energy=0.0,
+         grid_limit=0.0, seed=0, max_candidates=1)
 def test_runs_at_any_magnitude_refuse_at_load_or_keep_capacity(
-        energy_limit, cables, battery, increments, per_hop_energy, grid_limit, seed):
+        energy_limit, cables, battery, increments, per_hop_energy, grid_limit, seed,
+        max_candidates):
     """A tiny day whose magnitudes are drawn wide either is refused with a
     named ValueError before its first session, or runs online, under all
     three thresholds and through ``upper_bound`` with no capacity breach,
     and ``exact_offline`` over the candidates of a capturing online run
-    finds a feasible assignment between that run and the bound. With an
+    finds a feasible assignment between that run and the bound. Each
+    online run's final dual, unshifted, covers its welfare. With an
     EVSE energy limit of 1e13 a charge target took 0 slots, and online
     died with IndexError; an exact search that undid its branches by
-    subtraction died on two draws with a negative generation load."""
+    subtraction died on two draws with a negative generation load; and at
+    a limit of 1e-6 in a 1000 kWh battery the threshold charging move
+    listed a billion slot amounts before it saw that they end past the
+    horizon, and died with MemoryError."""
     params = dataclasses.replace(
         PRESETS["tiny"], evse_energy_limit=energy_limit, cables_per_evse=cables,
         battery_capacity=battery, charge_increment=battery / increments,
@@ -207,7 +231,8 @@ def test_runs_at_any_magnitude_refuse_at_load_or_keep_capacity(
     reports = []
     with mock.patch.object(dispatcher, "dispatch", wraps=dispatcher.dispatch) as dispatched:
         try:
-            reports.append(run_online(sessions, config))
+            reports.append(run_online(
+                sessions, config, GenerationPolicy(max_candidates_total=max_candidates)))
             captured_run, captured = run_online(
                 sessions, config, GenerationPolicy(max_candidates_total=4),
                 capture_candidates=True)
@@ -226,6 +251,11 @@ def test_runs_at_any_magnitude_refuse_at_load_or_keep_capacity(
                      for s, a in zip(sessions, exact.assignment)])
         for lower, upper in ((captured_run.welfare, exact.welfare), (exact.welfare, bound)):
             assert lower <= upper + MONEY_ATOL + 1e-9 * abs(upper)
+        zero = ResourceLedger.zero(config)
+        for run in (reports[0], captured_run):
+            base = economics.dual_objective([], zero, config, run.bounds, run.psi)
+            gap = run.dual_trajectory[-1] + base - run.welfare
+            assert gap >= -(MONEY_ATOL + 1e-9 * abs(run.welfare))
     for decisions in runs:
         assert recompute_ledger(decisions, config).violations(config) == []
 
