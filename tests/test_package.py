@@ -181,3 +181,12 @@ def test_one_function_makes_every_plan():
     builders = {(path.name, name) for path in SOURCES
                 for name in _schedule_builders(ast.parse(path.read_text(encoding="utf-8")))}
     assert builders == {("schedules.py", "make_plan")}
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    """The README's first ``python`` block once ran the exact search on a
+    desk day, which it refuses: its search space has 516 digits."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(readme), "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 4
