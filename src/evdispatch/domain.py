@@ -36,8 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 #: Absolute tolerance for money comparisons, in dollars. Money is plain
-#: floats; every comparison of money amounts in the package uses this one
-#: tolerance, so tests, invariant checks and the CLI agree on "equal".
+#: floats; capacity and bound checks, tests, invariant checks and the CLI
+#: use this one tolerance, so they agree on "equal". Three comparisons
+#: keep tighter margins of their own, which pinned artifacts depend on:
+#: ``exact_offline`` prunes at 1e-12, and ``schedules._rank_window`` and
+#: ``_dearest`` compare posted prices at 1e-15.
 MONEY_ATOL = 1e-9
 
 
