@@ -71,12 +71,9 @@ def _emit(payload: dict, out_dir: Optional[str], filename: str) -> None:
 
 
 def _write_run(report, out_dir: Optional[str], stem: str) -> None:
+    _emit(harness.report_to_dict(report), out_dir, f"{stem}-report.json")
     if out_dir is None:
-        json.dump(harness.report_to_dict(report), sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
         return
-    os.makedirs(out_dir, exist_ok=True)
-    harness.write_report(report, os.path.join(out_dir, f"{stem}-report.json"))
     harness.write_decisions_csv(report, os.path.join(out_dir, f"{stem}-decisions.csv"))
     print(f"{stem}: welfare={report.welfare:.6f} accepted={report.accepted}/"
           f"{len(report.decisions)} instance={report.instance_hash[:12]}")

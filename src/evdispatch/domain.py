@@ -39,8 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: floats; capacity and bound checks, tests, invariant checks and the CLI
 #: use this one tolerance, so they agree on "equal". Three comparisons
 #: keep tighter margins of their own, which pinned artifacts depend on:
-#: ``exact_offline`` prunes at 1e-12, and ``schedules._rank_window`` and
-#: ``_dearest`` compare posted prices at 1e-15.
+#: ``exact_offline`` prunes at 1e-12, and ``schedules._pick`` compares
+#: posted cable and charging prices at 1e-15.
 MONEY_ATOL = 1e-9
 
 
@@ -793,8 +793,9 @@ def schedule_violations(schedule: Schedule, config: ScenarioConfig,
     if not (-MONEY_ATOL <= schedule.final_soc * cap <= cap + MONEY_ATOL):
         out.append(f"final stored energy {schedule.final_soc * cap} outside [0, {cap}]")
 
-    # an unknown facility skips the checks that read it
-    fac = None
+    # an unknown facility skips the checks that read it; the last leg
+    # leaves at t_leave, None for a charging plan without an arrival slot
+    fac, t_leave = None, schedule.t_minus
     if schedule.charging:
         if schedule.facility_id in range(len(config.facilities)):
             fac = config.facilities[schedule.facility_id]
@@ -804,11 +805,12 @@ def schedule_violations(schedule: Schedule, config: ScenarioConfig,
             out.append(f"unknown facility {schedule.facility_id}")
         if schedule.t_arrival is None:
             out.append("charging schedule without arrival slot")
+            t_leave = None
         else:
-            lo, hi = schedule.t_arrival, max(schedule.cable_slots or (schedule.t_arrival,))
-            if tuple(schedule.cable_slots) != tuple(range(lo, hi + 1)):
+            lo, t_leave = schedule.t_arrival, max(schedule.cable_slots or (schedule.t_arrival,))
+            if tuple(schedule.cable_slots) != tuple(range(lo, t_leave + 1)):
                 out.append("cable slots not contiguous from arrival")
-            if not (schedule.t_minus <= lo and hi <= schedule.t_plus):
+            if not (schedule.t_minus <= lo and t_leave <= schedule.t_plus):
                 out.append("cable held outside the out-of-service window")
         cable_set = set(schedule.cable_slots)
         limit = math.inf if fac is None else fac.evse_energy_limit
@@ -833,11 +835,14 @@ def schedule_violations(schedule: Schedule, config: ScenarioConfig,
             out.append("session id mismatch")
         if session.t_minus != schedule.t_minus:
             out.append("t_minus does not match session")
-        # replay the stored-energy trajectory hop by hop, up to the first
-        # leg without a path (-1 hops) or with an unknown end
+        # replay the stored energy and the clock hop by hop, up to the
+        # first leg without a path (-1 hops) or with an unknown end; a
+        # plan whose legs all replay must also carry their hop count and
+        # its plan value
         energy = session.soc * cap
         origin = session.origin_region
         anchor = origin if origin in range(len(config.regions)) else None
+        h1 = 0
         if anchor is None:
             out.append(f"unknown origin {origin}")
         elif schedule.charging:
@@ -848,6 +853,9 @@ def schedule_violations(schedule: Schedule, config: ScenarioConfig,
                     out.append("facility unreachable")
                 else:
                     anchor = fac.region_id
+                    t_arr = schedule.t_minus + h1
+                    if schedule.t_arrival not in (None, t_arr):
+                        out.append(f"t_arrival {schedule.t_arrival} != t_minus + h1 = {t_arr}")
                     energy -= h1 * config.per_hop_energy
                     if energy < -MONEY_ATOL:
                         out.append("battery below 0 en route to facility")
@@ -861,6 +869,13 @@ def schedule_violations(schedule: Schedule, config: ScenarioConfig,
                 out.append("destination unreachable")
             else:
                 energy -= h2 * config.per_hop_energy
+                if t_leave is not None and schedule.t_plus != t_leave + h2:
+                    out.append(f"t_plus {schedule.t_plus} != t_leave + h2 = {t_leave + h2}")
+                if schedule.hops_total != h1 + h2:
+                    out.append(f"hops_total {schedule.hops_total} != h1 + h2 = {h1 + h2}")
+                v = plan_value(config, schedule.final_soc * cap, schedule.dest_region, h1 + h2)
+                if not abs(schedule.value - v) <= MONEY_ATOL + 1e-9 * abs(v):
+                    out.append(f"value {schedule.value} != plan value {v}")
         if energy < -MONEY_ATOL:
             out.append("battery below 0 on arrival")
         if abs(energy - schedule.final_soc * cap) > 1e-6:

@@ -117,8 +117,9 @@ def validate_params(params: GeneratorParams) -> List[str]:
             out.append(f"{field.name} must be finite")
     if params.horizon < 1:
         out.append("horizon must be >= 1")
-    if params.grid_rows < 1 or params.grid_cols < 1:
-        out.append("grid dimensions must be >= 1")
+    for name in ("grid_rows", "grid_cols"):
+        if getattr(params, name) < 1:
+            out.append(f"{name} must be >= 1")
     n = params.grid_rows * params.grid_cols
     if not (1 <= params.facility_count <= n):
         out.append(f"facility_count must be in 1..{n}")
@@ -132,8 +133,9 @@ def validate_params(params: GeneratorParams) -> List[str]:
         out.append("soc_choices must be nonempty")
     if not all(0.0 <= s <= 1.0 for s in params.soc_choices):
         out.append("soc_choices must lie in [0, 1]")
-    if params.offpeak_price <= 0 or params.peak_price <= 0:
-        out.append("prices must be positive")
+    for name in ("offpeak_price", "peak_price"):
+        if getattr(params, name) <= 0:
+            out.append(f"{name} must be positive")
     # a window across midnight is refused, not wrapped
     if len(params.peak_hours) != 2 or params.peak_hours[0] > params.peak_hours[1]:
         out.append("peak_hours must be (start, end) with start <= end")

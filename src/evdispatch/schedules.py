@@ -45,7 +45,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from . import pricing
 from .domain import (
@@ -141,42 +141,34 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
                 config, fac.region_id, h1, stored, T - (t_arr + k - 1), (fac.id, target))))
 
     # ---- build charging tuples, best value first, until the cap ----
-    # A window runs from the facility arrival slot t_arr, fixed per
-    # facility, to its end slot, so the EVSE and the slot ranking depend
-    # on (facility, window end) only, and the chosen slots on k as well.
-    windows = {}  # (facility, window end) -> (EVSE, slots cheapest first)
-    plans = {}  # (facility, window end, k) -> (EVSE, chosen slots, dearest)
+    # A window runs from the facility arrival slot t_arr to its end slot,
+    # so a pick depends on (facility, window end, k) only. Each start
+    # offset widens the window by one slot, up to slot T - h2; _batches
+    # kept h2 <= T - (t_arr + k - 1), so the shortest window holds k slots.
+    picks = {}  # (facility, window end, k) -> (EVSE, chosen slots, dearest)
     seen = set()
     out: List[Schedule] = []
-    built_charges = 0
     for neg_v, fid, target, dest, h2 in heapq.merge(*streams):
         fac, h1, t_arr, rate, k, last, stored = fixed[fid, target]
-        for w in range(MAX_START_OFFSET + 1):
-            if built_charges >= policy.max_candidates_total:
+        lo = t_arr + k - 1
+        for hi in range(lo, min(T - h2, lo + MAX_START_OFFSET) + 1):
+            if len(out) >= policy.max_candidates_total:
                 break
-            # _batches kept h2 <= T - (t_arr + k - 1): the window holds k slots
-            hi = min(T - h2, t_arr + k - 1 + w)
-            plan = plans.get((fid, hi, k))
-            if plan is None:
-                window = windows.get((fid, hi))
-                if window is None:
-                    window = windows[fid, hi] = _rank_window(fid, fac, t_arr, hi, prices)
-                evse, ranked = window
-                chosen = sorted(ranked[:k])
-                plan = plans[fid, hi, k] = (evse, chosen,
-                                            _dearest(chosen, fid, evse, prices))
-            evse, chosen, dearest = plan
+            pick = picks.get((fid, hi, k))
+            if pick is None:
+                pick = picks[fid, hi, k] = _pick(fid, fac, t_arr, hi, k, prices)
+            evse, chosen, dearest = pick
             # full rate on the chosen slots, the last slot's energy on the dearest
             energy_slots = tuple((t, last if t == dearest else rate) for t in chosen)
-            # the energy slots fix the last charging slot, and dest fixes h2
+            # the energy slots fix the last charging slot, and dest fixes h2;
+            # a plan recurs when the cheapest EVSE flips and flips back
             key = (fid, evse, energy_slots, dest)
             if key in seen:
                 continue
             seen.add(key)
-            built_charges += 1
             out.append(make_plan(session, config, dest, h2, stored, chosen[-1],
                                  (fid, evse, h1, energy_slots), value=-neg_v))
-        if built_charges >= policy.max_candidates_total:
+        if len(out) >= policy.max_candidates_total:
             break
     out.sort(key=_candidate_key)
     return out
@@ -265,17 +257,20 @@ def _candidate_key(s: Schedule):
             s.energy_slots, s.dest_region, s.t_plus)
 
 
-def _rank_window(fid: int, fac, start: int, end: int,
-                 prices: Snapshot) -> Tuple[int, List[int]]:
-    """The window's EVSE, the one with the cheapest summed posted cable
-    price over slots start..end, ties to the lower index, and the window's
-    slots ranked by its posted energy plus generation price, ties to the
-    earlier slot. A slot without generation capacity ranks as infinitely
-    dear.
+def _pick(fid: int, fac, start: int, end: int, k: int,
+          prices: Snapshot) -> Tuple[int, List[int], int]:
+    """The EVSE, charging slots and dearest slot of a k-slot charge in
+    the window of slots start..end.
 
-    The facility's EVSEs share one cable shape and posted prices rise with
-    load, so an EVSE with no cable load over the window sums the lowest
-    prices, and no later EVSE can beat it: the scan stops there."""
+    The EVSE is the one with the cheapest summed posted cable price over
+    the window, ties to the lower index. The facility's EVSEs share one
+    cable shape and posted prices rise with load, so an EVSE with no
+    cable load over the window sums the lowest prices, and no later EVSE
+    can beat it: the scan stops there. The chosen slots, in slot order,
+    are the k with the cheapest posted energy plus generation price on
+    that EVSE, ties to the earlier slot; a slot without generation
+    capacity ranks as infinitely dear. The dearest is the chosen slot
+    with the highest posted charging price, ties to the earlier slot."""
     best_m, best_cost = 0, math.inf
     first, n = prices.cells.evse_cell(fid, 0, start), end - start + 1
     loads = prices.loads[CABLE]
@@ -293,16 +288,10 @@ def _rank_window(fid: int, fac, start: int, end: int,
         else:
             priced.append((math.inf, t))
     priced.sort()
-    return best_m, [t for _, t in priced]
-
-
-def _dearest(chosen: Sequence[int], fid: int, m: int,
-             prices: Snapshot) -> int:
-    """The chosen slot with the highest posted charging price, ties to the
-    earlier slot."""
-    worst_t, worst_p = chosen[0], -math.inf
+    chosen = sorted(t for _, t in priced[:k])
+    dearest, worst = chosen[0], -math.inf
     for t in chosen:
-        p = prices.charge(fid, m, t)
-        if p > worst_p + 1e-15:
-            worst_t, worst_p = t, p
-    return worst_t
+        p = prices.charge(fid, best_m, t)
+        if p > worst + 1e-15:
+            dearest, worst = t, p
+    return best_m, chosen, dearest

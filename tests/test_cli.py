@@ -71,6 +71,21 @@ def test_run_streams_json_without_out(capsys):
     assert payload["welfare"] > 0
 
 
+@pytest.mark.parametrize("command, filename", [
+    (["run"], "online-report.json"),
+    (["run-baseline", "--threshold", "50"], "threshold-50-report.json"),
+    (["offline-ub"], "upper-bound.json"),
+    (["offline-exact", "--max-candidates", "4"], "exact-report.json"),
+], ids=["run", "run-baseline", "offline-ub", "offline-exact"])
+def test_json_commands_print_without_out_what_they_write_with_it(tmp_path, capsys,
+                                                                 command, filename):
+    args = [*command, "--seed", "3", "--preset", "tiny"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    assert printed == (tmp_path / filename).read_text()
+
+
 def test_instance_flag_conflicts(tmp_path):
     with pytest.raises(SystemExit, match="not both"):
         main(["run", "--seed", "1", "--config", "x.json",
@@ -81,6 +96,8 @@ def test_instance_flag_conflicts(tmp_path):
         main(["run", "--config", "x.json"])
     with pytest.raises(SystemExit, match="not both"):
         main(["verify", "--seed", "1", "--config", "x.json"])
+    with pytest.raises(SystemExit, match="need --seed or --config$"):
+        main(["verify"])
 
 
 def test_missing_files_exit_one(tmp_path, capsys):
@@ -275,6 +292,14 @@ def test_compare_end_to_end(tmp_path, capsys):
     # an explicit --ub skips loading the instance entirely
     assert main(["compare", "--reports", str(out / "online-report.json"),
                  "--ub", "1000.0", "--out", str(cmp_dir)]) == 0
+
+    # a known optimum adds the check of the ratio guarantee
+    online = read_report(str(out / "online-report.json"))
+    capsys.readouterr()
+    for opt, met in [(online.welfare, "yes"), (1e6, "NO")]:
+        assert main(["compare", "--reports", str(out / "online-report.json"),
+                     "--ub", "1e6", "--opt", repr(opt), "--out", str(cmp_dir)]) == 0
+        assert capsys.readouterr().out.endswith(f"alpha * online >= opt: {met}\n")
 
 
 @pytest.mark.parametrize("defect", ["no horizon", "regions 5", "horizon 12.7"])

@@ -187,6 +187,42 @@ def test_validate_catches_bad_horizon(mini_config):
     assert len(out) == 1 and out[0].field == "horizon"
 
 
+def _with_first(config, group, **changes):
+    """The config with the first item of ``group`` changed."""
+    items = getattr(config, group)
+    return dataclasses.replace(
+        config, **{group: (dataclasses.replace(items[0], **changes),) + items[1:]})
+
+
+BAD_INDEXES = {
+    "region id 5 at position 0": (
+        lambda c: _with_first(c, "regions", id=5), "region.id", "id 5 != position"),
+    "region facility 3": (
+        lambda c: _with_first(c, "regions", facility_id=3), "facility_id", "3 unknown"),
+    "facility id 2 at position 0": (
+        lambda c: _with_first(c, "facilities", id=2), "facility.id", "id 2 != position"),
+    "facility region 5": (
+        lambda c: _with_first(c, "facilities", region_id=5), "region_id", "5 unknown"),
+    "cables_per_evse 0": (
+        lambda c: _with_first(c, "facilities", cables_per_evse=0), "cables_per_evse",
+        "C=0 < 1"),
+    "edge to region 7": (
+        lambda c: dataclasses.replace(c, edges=c.edges + ((1, 7),)), "edges",
+        "unknown region id"),
+    "self loop": (
+        lambda c: dataclasses.replace(c, edges=c.edges + ((1, 1),)), "edges", "self loop"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_INDEXES))
+def test_validate_names_each_bad_index(mini_config, defect):
+    """Each bad id, index or count is named, never raised or wrapped
+    around."""
+    change, field, message = BAD_INDEXES[defect]
+    found = validate(change(mini_config))
+    assert (field, message) in [(v.field, v.message) for v in found], found
+
+
 def _traces(config):
     """(owner, name, trace) for every tuple field of length T on the config,
     its regions and its facilities; owner is None for the config itself,
@@ -387,6 +423,24 @@ def test_schedule_violations_catch_tampering(mini_config, mini_session,
     assert any("session id" in v for v in
                schedule_violations(id_mismatch, mini_config, mini_session))
 
+    # the clock, the hop count and the value are replayed as well: each
+    # forged field is named, and every other check still passes
+    for plan, fields, problem in [
+            (mini_charge, {"t_arrival": 3, "cable_slots": (3,), "energy_slots": ((3, 5.0),),
+                           "t_plus": 4}, "t_arrival 3 != t_minus + h1 = 2"),
+            (mini_charge, {"t_plus": 2}, "t_plus 2 != t_leave + h2 = 3"),
+            (mini_rebalance, {"t_plus": 2}, "t_plus 2 != t_leave + h2 = 1"),
+            (mini_charge, {"hops_total": 0}, "hops_total 0 != h1 + h2 = 2"),
+            (mini_rebalance, {"hops_total": 1}, "hops_total 1 != h1 + h2 = 0"),
+            (mini_charge, {"value": 1013.0}, "value 1013.0 != plan value 13.0"),
+            (mini_rebalance, {"value": float("nan")}, "value nan != plan value 12.5")]:
+        forged = dataclasses.replace(plan, **fields)
+        assert schedule_violations(forged, mini_config, mini_session) == [problem]
+    # a hop count cut to zero with its value raised to match is still caught
+    short = dataclasses.replace(mini_charge, hops_total=0, value=14.0)
+    assert schedule_violations(short, mini_config, mini_session) == [
+        "hops_total 0 != h1 + h2 = 2", "value 14.0 != plan value 13.0"]
+
     # a bad index is listed, never raised or wrapped around
     for fields, problem in [({"facility_id": 3}, "unknown facility 3"),
                             ({"facility_id": -1}, "unknown facility -1"),
@@ -403,6 +457,30 @@ def test_schedule_violations_catch_tampering(mini_config, mini_session,
             assert (f"unknown origin {origin}"
                     in schedule_violations(plan, mini_config, lost))
 
+    # a bad slot or energy is listed with or without the session
+    for fields, problem in [({"t_minus": 0}, "t_minus 0 outside 1..6"),
+                            ({"final_soc": 1.5}, "final stored energy 15.0 outside [0, 10.0]"),
+                            ({"t_arrival": None}, "charging schedule without arrival slot"),
+                            ({"cable_slots": (2, 3, 4)},
+                             "cable held outside the out-of-service window")]:
+        bad = dataclasses.replace(mini_charge, **fields)
+        for session in (None, mini_session):
+            assert problem in schedule_violations(bad, mini_config, session)
+    later = dataclasses.replace(mini_charge, t_minus=2)
+    assert "t_minus does not match session" in schedule_violations(
+        later, mini_config, mini_session)
+    # with no edges the facility and region 0 are out of reach of region 1
+    islands = build_mini_config(edges=())
+    assert "facility unreachable" in schedule_violations(
+        mini_charge, islands, mini_session)
+    away = dataclasses.replace(mini_rebalance, dest_region=0, t_plus=2, hops_total=1,
+                               final_soc=0.4, value=1.5)
+    assert "destination unreachable" in schedule_violations(away, islands, mini_session)
+    empty = dataclasses.replace(mini_session, soc=0.0)
+    stranded = dataclasses.replace(away, final_soc=-0.1, value=-1.0)
+    assert "battery below 0 on arrival" in schedule_violations(
+        stranded, mini_config, empty)
+
 
 def test_schedule_violations_allow_two_rates_only(mini_config):
     # 5 + 5 + 2.5 toward a 12.5 target reads as rate 5 plus one remainder
@@ -412,7 +490,7 @@ def test_schedule_violations_allow_two_rates_only(mini_config):
                  t_arrival=2, cable_slots=(2, 3, 4),
                  energy_slots=((2, 5.0), (3, 5.0), (4, 2.5)),
                  dest_region=1, t_plus=5, hops_total=2,
-                 final_soc=(1.5 - 1.0 + 12.5 - 1.0) / 15.0, value=0.0)
+                 final_soc=(1.5 - 1.0 + 12.5 - 1.0) / 15.0, value=15.0)
     out = schedule_violations(s, config, session)
     assert out == []
 

@@ -87,6 +87,14 @@ BAD_PARAMS = [
     ({"peak_hours": (math.nan, 3.0)}, "peak_hours"),
     ({"peak_hours": (3.0,)}, "peak_hours"),
     ({"peak_hours": (20.0, 3.0)}, "peak_hours"),
+    ({"grid_rows": 0}, "grid_rows"),
+    ({"grid_cols": 0}, "grid_cols"),
+    ({"offpeak_price": 0.0}, "offpeak_price"),
+    ({"peak_price": -1.0}, "peak_price"),
+    ({"horizon": 0}, "horizon"),
+    ({"facility_count": 9}, "facility_count"),
+    ({"soc_choices": (1.5,)}, "soc_choices"),
+    ({"max_sessions": -1}, "max_sessions"),
 ]
 
 

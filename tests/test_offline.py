@@ -206,3 +206,26 @@ def test_exact_rejects_invalid_candidates(preset, change, message):
     with pytest.raises(ValueError, match=f"invalid candidates: session {session.id}: "
                                          f".*{message}"):
         exact_offline([session], config, {session.id: [bad]})
+
+
+def test_exact_refuses_forged_candidates():
+    """Values raised by 1000 once passed the candidate check, and the
+    search returned a welfare of 1106.375 against an upper bound of 124.6.
+    A plan that leaves one slot earlier than its last leg allows, or that
+    drops its hops with its value raised to match, is refused as well."""
+    config, sessions = generate_scenario(0, "tiny")
+    _, captured = run_online(sessions, config, GenerationPolicy(max_candidates_total=4),
+                             capture_candidates=True)
+    assert exact_offline(sessions, config, captured).welfare <= upper_bound(sessions, config)
+    session = sessions[0]
+    charge = next(c for c in captured[session.id] if c.charging)
+    penalty = config.per_hop_value_penalty * charge.hops_total
+    for forged, problem in [
+            ([dataclasses.replace(c, value=c.value + 1000) for c in captured[session.id]],
+             "value"),
+            ([dataclasses.replace(charge, t_plus=charge.t_plus - 1)], "t_plus"),
+            ([dataclasses.replace(charge, hops_total=0, value=charge.value + penalty)],
+             "hops_total")]:
+        with pytest.raises(ValueError, match=f"invalid candidates: session {session.id}: "
+                                             f".*{problem} "):
+            exact_offline(sessions, config, {**captured, session.id: forged})

@@ -4,7 +4,10 @@ the imports of every module."""
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -181,6 +184,33 @@ def test_one_function_makes_every_plan():
     builders = {(path.name, name) for path in SOURCES
                 for name in _schedule_builders(ast.parse(path.read_text(encoding="utf-8")))}
     assert builders == {("schedules.py", "make_plan")}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """A tiny day runs online, the thresholds, the upper bound and the
+    exact search with every test-only package blocked from import."""
+    script = """
+import sys
+for name in ("scipy", "networkx", "hypothesis", "pytest"):
+    sys.modules[name] = None
+from evdispatch import exact_offline, run_online, run_threshold, upper_bound
+from evdispatch.harness import generate_scenario
+from evdispatch.schedules import GenerationPolicy
+config, sessions = generate_scenario(0, "tiny")
+report, captured = run_online(sessions, config, GenerationPolicy(max_candidates_total=4),
+                              capture_candidates=True)
+threshold = run_threshold(sessions, config, 0.5)
+ub = upper_bound(sessions, config)
+opt = exact_offline(sessions, config, captured).welfare
+assert threshold.welfare <= ub and report.welfare <= opt <= ub
+print(sorted(m for m in ("scipy", "networkx", "hypothesis", "pytest") if sys.modules[m]))
+"""
+    src = str(pathlib.Path(evdispatch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_readme_quick_start_runs_as_written(capsys):

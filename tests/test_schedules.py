@@ -214,7 +214,7 @@ def test_ranked_puts_a_rebalance_first_at_equal_value(mini_rebalance, mini_charg
 
 
 def test_an_empty_window_reads_one_evse(monkeypatch):
-    """``_rank_window`` stops its EVSE scan at the first EVSE with no cable
+    """``_pick`` stops its EVSE scan at the first EVSE with no cable
     load over the window: on an empty ``full`` ledger it sums one EVSE's
     posted cable prices, not all ten, and it skips a loaded EVSE."""
     config, _ = generate_scenario(0, "full")
@@ -233,12 +233,12 @@ def test_an_empty_window_reads_one_evse(monkeypatch):
 
     start, end = 10, 14
     prices = pricing.Snapshot(ledger, pricing.PriceTable(bounds, psi_))
-    assert schedules._rank_window(fid, fac, start, end, prices)[0] == 0
+    assert schedules._pick(fid, fac, start, end, 1, prices)[0] == 0
     assert len(reads) == 1
 
     # a cable taken on EVSE 0 inside the window: EVSE 1 is empty and wins
     ledger.loads[pricing.CABLE][ledger.cells.evse_cell(fid, 0, 12)] = 1.0
     reads.clear()
     prices = pricing.Snapshot(ledger, pricing.PriceTable(bounds, psi_))
-    assert schedules._rank_window(fid, fac, start, end, prices)[0] == 1
+    assert schedules._pick(fid, fac, start, end, 1, prices)[0] == 1
     assert len(reads) == 2
