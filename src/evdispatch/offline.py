@@ -21,6 +21,13 @@ intended for small instances; it refuses search spaces past a hard limit.
 Its own ledger reads each option's demands, walked once (``_Walked``),
 and it undoes a branch by writing back the loads that ``apply``
 overwrote, never by subtracting, so no float residue is left behind.
+It cuts a subtree when the welfare so far plus each remaining session's
+best gain at the empty ledger cannot beat the best leaf. Generation cost
+is convex in load (free solar, then the grid price) and the
+out-of-service cost is linear, so a plan's ``primal_increment`` is
+largest at the empty ledger, and a plan that does not fit the empty
+ledger fits none: the bound is admissible, and tighter than one that
+leaves the generation cost out.
 """
 
 from __future__ import annotations
@@ -185,7 +192,12 @@ def exact_offline(sessions: Sequence[Session], config: ScenarioConfig,
     subject to the shared capacities; the search maximizes total welfare
     exactly. Branch-and-bound: candidates whose value cannot beat their
     own service-window penalty are dropped (they can never help a maximum),
-    and subtrees are cut with per-session bound suffix sums.
+    and subtrees are cut with suffix sums of each session's best gain at
+    the empty ledger, or 0 for the depot, which no later ledger raises.
+    Options are tried in descending net value, ties in candidate order;
+    that order fixes which optimum is recorded. A leaf must beat the best
+    by more than 1e-12, a slack that also absorbs the last-bit rounding of
+    ``cost(y0 + a) - cost(y0)`` at a loaded cell.
 
     Raises ValueError on a config that ``validate`` or a stream that
     ``validate_sessions`` rejects, when the raw search space exceeds
@@ -218,16 +230,19 @@ def exact_offline(sessions: Sequence[Session], config: ScenarioConfig,
         options.append(sorted((o for o in netted if o[0] > 0.0),
                               key=lambda o: o[0], reverse=True))
 
-    suffix = [0.0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        best_here = options[j][0][0] if options[j] else 0.0
-        suffix[j] = suffix[j + 1] + best_here
-
     # each option is checked and applied at many nodes: walk its demands once
     ledger = ResourceLedger.zero(config)
     ledger.cells = _Walked((id(s), tuple(config.cells.demands(s)))
                            for opts in options for _, s in opts)
     loads = ledger.loads
+
+    # a session's best gain at the empty ledger, or the depot's 0, bounds
+    # its gain at every ledger the search reaches
+    suffix = [0.0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        gains = [primal_increment(ledger, s) for _, s in options[j] if ledger.fits(s)]
+        suffix[j] = suffix[j + 1] + max(gains + [0.0])
+
     current: List[Optional[Schedule]] = [None] * n
     best_assignment: List[Optional[Schedule]] = [None] * n
     best_welfare = 0.0

@@ -285,12 +285,14 @@ class Shape:
         An increment that first reaches the solar split also pays a
         one-time surcharge equal to the conjugate's jump there; without it
         the dual objective would jump while the payment stays infinitesimal.
+        An increment larger than the cell's whole capacity fits no ledger,
+        so it pays infinity, as any increment into a zero-capacity cell does.
         """
         if y1 < y0:
             raise ValueError("payment requires y1 >= y0")
         if y1 == y0:
             return 0.0
-        if self.cap <= 0:
+        if self.cap <= 0 or y1 - y0 > self.cap + MONEY_ATOL:
             return math.inf
         segments = self.segments(*self.family.limits(bounds), psi_)
         grid, split = segments[-1], self.split

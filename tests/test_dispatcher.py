@@ -18,7 +18,7 @@ from evdispatch.dispatcher import (
 )
 from evdispatch.domain import (
     MONEY_ATOL, CapacityError, DispatchDecision, ResourceLedger, Session, recompute_ledger,
-    validate_sessions,
+    validate, validate_sessions,
 )
 from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.offline import exact_offline, upper_bound
@@ -208,6 +208,8 @@ def _magnitude(low: int, high: int):
          grid_limit=10.0, seed=0, max_candidates=24)
 @example(energy_limit=1e-6, cables=1, battery=1000.0, increments=1, per_hop_energy=0.0,
          grid_limit=0.0, seed=0, max_candidates=1)
+@example(energy_limit=10.0, cables=2, battery=15.0, increments=3, per_hop_energy=1.0,
+         grid_limit=4.99, seed=1, max_candidates=24)
 def test_runs_at_any_magnitude_refuse_at_load_or_keep_capacity(
         energy_limit, cables, battery, increments, per_hop_energy, grid_limit, seed,
         max_candidates):
@@ -222,7 +224,9 @@ def test_runs_at_any_magnitude_refuse_at_load_or_keep_capacity(
     subtraction died on two draws with a negative generation load; and at
     a limit of 1e-6 in a 1000 kWh battery the threshold charging move
     listed a billion slot amounts before it saw that they end past the
-    horizon, and died with MemoryError."""
+    horizon, and died with MemoryError. With a grid limit of 4.99 kWh
+    against a 5 kWh charge, a plan that fits no ledger paid only for its
+    overfill, won, and online died with ``CapacityError``."""
     params = dataclasses.replace(
         PRESETS["tiny"], evse_energy_limit=energy_limit, cables_per_evse=cables,
         battery_capacity=battery, charge_increment=battery / increments,
@@ -295,6 +299,38 @@ def test_capacity_backstop_fires_without_the_barrier(mini_config,
                 mini_config.regions[d].vehicle_limit[t])
     with pytest.raises(CapacityError, match="price barrier failed"):
         dispatch(mini_session, state)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 4, 5, 6, 7])
+def test_a_grid_thinner_than_one_charge_keeps_capacity(seed):
+    """A tiny day whose grid limit is just below the 5 kWh that one slot of
+    charging draws. The price curve extended past capacity charged such a
+    plan only for its overfill, so it won, and these seeds died with
+    ``CapacityError``. A plan larger than a whole cell now pays infinity."""
+    config, sessions = generate_scenario(
+        seed, dataclasses.replace(PRESETS["tiny"], grid_limit=4.99))
+    report = run_online(sessions, config)
+    assert recompute_ledger(report.decisions, config).violations(config) == []
+
+
+def test_a_thin_solar_slot_in_a_valid_config_keeps_capacity():
+    """Tiny seed 7 with one hand-edited slot: facility 0 holds 4.5 kWh at
+    slot 5 (4 of solar, 0.5 of grid) against a 5 kWh charge. ``validate``
+    accepts the config. A charging plan there paid 52.8 for generation
+    against a value of 99.5, won session 1 with utility 31.25, and the run
+    died with ``CapacityError``."""
+    config, sessions = generate_scenario(7, "tiny")
+    fac = config.facilities[0]
+    fac = dataclasses.replace(
+        fac, solar=fac.solar[:4] + (4.0,) + fac.solar[5:], solar_cap=4.0,
+        grid_limit=fac.grid_limit[:4] + (0.5,) + fac.grid_limit[5:])
+    regions = list(config.regions)
+    regions[2] = dataclasses.replace(regions[2], pickup_value=100.0)
+    config = dataclasses.replace(config, facilities=(fac,), regions=tuple(regions),
+                                 soc_value_slope=0.0)
+    assert validate(config) == []
+    report = run_online(sessions, config)
+    assert recompute_ledger(report.decisions, config).violations(config) == []
 
 
 def test_replaced_bounds_get_a_price_table_of_their_own():

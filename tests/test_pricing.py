@@ -19,7 +19,7 @@ from scipy import integrate
 
 from evdispatch import pricing, run_online
 from evdispatch.baselines import run_threshold
-from evdispatch.domain import Facility, Region, as_plain, recompute_ledger
+from evdispatch.domain import MONEY_ATOL, Facility, Region, as_plain, recompute_ledger
 from evdispatch.harness import generate_scenario
 from evdispatch.offline import exact_offline, upper_bound
 from evdispatch.pricing import (
@@ -272,6 +272,20 @@ def test_overfill_beyond_the_float_range_prices_at_infinity(mini_config):
     # right up to the boundary
     assert math.isfinite(pricing.generation_payment(0, 0.01, 0.01, 0, 0.2,
                                                     bounds, psi_))
+
+
+def test_an_increment_past_a_whole_thin_cell_pays_infinity():
+    """5 kWh into a generation cell that holds less fits no ledger, so it
+    pays infinity even from an empty cell. The cell's whole capacity stays
+    finite, and so does an overfill caused by load."""
+    for delta, mu in ((0.0, 4.99), (4.0, 0.5), (4.99, 0.0)):
+        assert pricing.generation_payment(0, 5.0, delta, mu, 0.2, BOUNDS, PSI) == math.inf
+        assert math.isfinite(pricing.generation_payment(0, delta + mu, delta, mu, 0.2,
+                                                        BOUNDS, PSI))
+        assert math.isfinite(pricing.generation_payment(4.0, 6.0, delta, mu, 0.2,
+                                                        BOUNDS, PSI))
+    assert math.isfinite(pricing.energy_payment(0, 4.99 + MONEY_ATOL / 2, 4.99,
+                                                BOUNDS, PSI))
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,10 @@ from evdispatch.domain import (
     PriceBreakdown, ResourceLedger, Schedule, facility_legs, hop_row,
 )
 from evdispatch.harness import PRESETS, generate_scenario
-from evdispatch.offline import upper_bound
+from evdispatch.offline import exact_offline, upper_bound
 from evdispatch.schedules import (
-    DEFAULT_POLICY, MAX_CANDIDATE_FACILITIES, MAX_START_OFFSET, _candidate_key,
-    feasible_schedules, make_plan, ranked, rebalances,
+    DEFAULT_POLICY, MAX_CANDIDATE_FACILITIES, MAX_START_OFFSET, GenerationPolicy,
+    _candidate_key, feasible_schedules, make_plan, ranked, rebalances,
 )
 from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, PriceTable,
@@ -979,3 +979,94 @@ def test_verifier_finds_the_end_the_sign_points_to():
         above = verify("cable", CABLE_PARAMS, CABLE_RATIO * (1 + 1e-9), n)
         assert below.worst_margin < 0 < above.worst_margin
         assert (below.worst_y, above.worst_y) == (last, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Exact search against the net-value bound
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceWalked(dict):
+    def demands(self, schedule):
+        return self[id(schedule)]
+
+
+def reference_exact_offline(sessions, config, candidate_sets):
+    """The depth-first search whose suffix bound sums each session's best
+    value minus window penalty. It leaves out the generation cost of a
+    plan and charges its window at an empty ledger."""
+    prefix = [0.0]
+    for phi in config.out_of_service_penalty:
+        prefix.append(prefix[-1] + phi)
+    n = len(sessions)
+
+    options = []
+    for session in sessions:
+        netted = ((s.value - (prefix[s.t_plus] - prefix[s.t_minus - 1]), s)
+                  for s in candidate_sets.get(session.id, ()))
+        options.append(sorted((o for o in netted if o[0] > 0.0),
+                              key=lambda o: o[0], reverse=True))
+
+    suffix = [0.0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        best_here = options[j][0][0] if options[j] else 0.0
+        suffix[j] = suffix[j + 1] + best_here
+
+    ledger = ResourceLedger.zero(config)
+    ledger.cells = _ReferenceWalked((id(s), tuple(config.cells.demands(s)))
+                                    for opts in options for _, s in opts)
+    loads = ledger.loads
+    current = [None] * n
+    best_assignment = [None] * n
+    best_welfare = 0.0
+    nodes = 0
+
+    def search(j, acc):
+        nonlocal best_welfare, nodes
+        nodes += 1
+        if acc + suffix[j] <= best_welfare + 1e-12:
+            return
+        if j == n:
+            best_welfare = acc
+            best_assignment[:] = current
+            return
+        for _, schedule in options[j]:
+            if not ledger.fits(schedule):
+                continue
+            gain = economics.primal_increment(ledger, schedule)
+            overwritten = ledger.apply(schedule)
+            current[j] = schedule
+            search(j + 1, acc + gain)
+            current[j] = None
+            for (k, i, _, _), y in zip(ledger.cells.demands(schedule), overwritten):
+                loads[k][i] = y
+        search(j + 1, acc)
+
+    search(0, 0.0)
+    return best_welfare, tuple(best_assignment), nodes
+
+
+#: the benchmark's tiny-exact day: 7 sessions, 4 charging candidates each
+EXACT_DAY = dataclasses.replace(PRESETS["tiny"], arrival_rate=1.0, max_sessions=7)
+
+
+def test_exact_search_bound_at_the_empty_ledger_keeps_the_optimum():
+    """The bound at each session's best empty-ledger gain records the same
+    optimum as the bound at its best net value, the same float and the
+    same plans in the same order, in at most as many nodes. Any admissible
+    bound keeps the optimum's value; keeping the same plans also needs
+    the bound to cut no subtree whose leaf beats the best so far by more
+    than the search's slack."""
+    policy = GenerationPolicy(max_candidates_total=4)
+    fewer = 0
+    for seed in range(48):
+        config, sessions = generate_scenario(seed, EXACT_DAY)
+        _, captured = run_online(sessions, config, policy, capture_candidates=True)
+        got = exact_offline(sessions, config, captured, space_limit=10 ** 12)
+        welfare, assignment, nodes = reference_exact_offline(sessions, config, captured)
+        assert got.welfare == welfare, seed
+        assert len(got.assignment) == len(assignment) == len(sessions)
+        assert all(a is b for a, b in zip(got.assignment, assignment)), seed
+        assert got.nodes_explored <= nodes, seed
+        fewer += got.nodes_explored < nodes
+    assert fewer > 0
