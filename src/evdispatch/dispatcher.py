@@ -22,7 +22,7 @@ from .domain import (
     ScenarioConfig, Schedule, Session, check_config, check_sessions, instance_hash,
 )
 from .pricing import (
-    CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PriceTable, Snapshot,
+    CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PostedPrices, PriceTable, Snapshot,
 )
 from .schedules import (
     DEFAULT_POLICY, GenerationPolicy, feasible_schedules, ranked, rebalances,
@@ -42,7 +42,12 @@ class DispatcherState:
     ``PriceTable`` of other bounds prices everything at those. Each
     ``dispatch`` call reads the ledger through a ``pricing.Snapshot`` of
     its own, so no sum over the loads outlives the ledger state it was
-    read from."""
+    read from. The one piece of ledger-derived state that outlives a
+    ``dispatch`` is ``posted``, every cell's posted price
+    (``pricing.PostedPrices``): the commit updates it, and ``dispatch``
+    builds it afresh when there is none or it belongs to another table or
+    to replaced loads. A caller that writes the ledger's loads in place
+    between two ``dispatch`` calls sets it to None."""
 
     config: ScenarioConfig
     policy: GenerationPolicy
@@ -54,6 +59,7 @@ class DispatcherState:
     dual_trajectory: List[float] = field(default_factory=lambda: [0.0])
     last_t: int = 1
     captured: Optional[Dict[int, List[Schedule]]] = None
+    posted: Optional[PostedPrices] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, config: ScenarioConfig, policy: GenerationPolicy = DEFAULT_POLICY,
@@ -140,7 +146,10 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
                          f"({session.t_minus} < {state.last_t})")
     state.last_t = session.t_minus
 
-    prices = Snapshot(state.ledger, state.table)
+    posted = state.posted
+    if posted is None or not posted.fits(state.ledger, state.table):
+        posted = state.posted = PostedPrices(state.ledger, state.table)
+    prices = Snapshot(state.ledger, state.table, posted)
     candidates = ranked(rebalances(session, state.config),
                         feasible_schedules(session, state.config, prices, state.policy))
     if state.captured is not None:
@@ -174,6 +183,7 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
         d_primal = economics.primal_increment(state.ledger, schedule)
         d_dual = _dual_increment(schedule, u, state)
         state.ledger.apply(schedule)
+        posted.update(schedule)
         decision = DispatchDecision(session_id=session.id, schedule=schedule,
                                     utility=u, breakdown=breakdown)
     state.decisions.append(decision)

@@ -216,7 +216,7 @@ class Session:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Schedule:
     """One feasible charging/pickup plan for a session.
 
@@ -267,6 +267,26 @@ class Schedule:
     final_soc: float
     value: float
 
+    def __init__(self, session_id: int, t_minus: int, facility_id: Optional[int],
+                 evse_index: Optional[int], t_arrival: Optional[int],
+                 cable_slots: Tuple[int, ...], energy_slots: Tuple[Tuple[int, float], ...],
+                 dest_region: int, t_plus: int, hops_total: int, final_soc: float,
+                 value: float) -> None:
+        # the frozen dataclass's own __init__ goes through object.__setattr__
+        # by name; each slot's descriptor sets its field directly
+        _set_session_id(self, session_id)
+        _set_t_minus(self, t_minus)
+        _set_facility_id(self, facility_id)
+        _set_evse_index(self, evse_index)
+        _set_t_arrival(self, t_arrival)
+        _set_cable_slots(self, cable_slots)
+        _set_energy_slots(self, energy_slots)
+        _set_dest_region(self, dest_region)
+        _set_t_plus(self, t_plus)
+        _set_hops_total(self, hops_total)
+        _set_final_soc(self, final_soc)
+        _set_value(self, value)
+
     @property
     def charging(self) -> bool:
         return self.facility_id is not None
@@ -279,6 +299,21 @@ class Schedule:
     @property
     def energy_total(self) -> float:
         return sum(e for _, e in self.energy_slots)
+
+
+# The setters of Schedule's slots, bound once for its __init__.
+_set_session_id = Schedule.session_id.__set__
+_set_t_minus = Schedule.t_minus.__set__
+_set_facility_id = Schedule.facility_id.__set__
+_set_evse_index = Schedule.evse_index.__set__
+_set_t_arrival = Schedule.t_arrival.__set__
+_set_cable_slots = Schedule.cable_slots.__set__
+_set_energy_slots = Schedule.energy_slots.__set__
+_set_dest_region = Schedule.dest_region.__set__
+_set_t_plus = Schedule.t_plus.__set__
+_set_hops_total = Schedule.hops_total.__set__
+_set_final_soc = Schedule.final_soc.__set__
+_set_value = Schedule.value.__set__
 
 
 def plan_value(config: "ScenarioConfig", final_energy: float, dest: int,

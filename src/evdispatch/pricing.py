@@ -24,10 +24,12 @@ so far past capacity that it leaves the float range is infinite. A
 ``PriceTable`` is the one holder of a run's bounds and Psi, and keeps the
 run's posted prices and payments: each is a function of its key (shape,
 load, and amount) and those alone, so an entry holds for every ledger
-state of the run. A ``Snapshot`` reads one ledger state through a table
-and keeps the sums over consecutive cells that only that state gives:
-each ``dispatch`` call takes one and hands it to both the candidate build
-and the pricing of the candidates.
+state of the run. A ``PostedPrices`` holder keeps every cell's posted
+price at a ledger's loads, and the online run keeps one for the whole
+run, updated by each commit. A ``Snapshot`` reads one ledger state
+through a table and such a holder, and keeps the sums over consecutive
+cells that only that state gives: each ``dispatch`` call takes one and
+hands it to both the candidate build and the pricing of the candidates.
 """
 
 from __future__ import annotations
@@ -454,71 +456,130 @@ class PriceTable:
         return paid
 
 
+class PostedPrices:
+    """Every cell's posted price at one ledger's loads, read through one
+    price table.
+
+    ``prices[k][i]`` is ``table.price(shape, min(load, cap))`` of cell i
+    of family k: a cell loaded beyond capacity keeps its ceiling price, as
+    posted prices only rank slots. ``charges[i]``, laid out as the
+    (facility, EVSE, slot) cells, is the energy plus generation price per
+    kWh there, the energy price alone in a slot without generation
+    capacity. Unlike a ``Snapshot``'s sums, these outlive a session: an
+    online run keeps one holder and, after each commit, ``update`` re-posts
+    the cells the committed plan moved. Each entry comes from the same
+    ``table.price`` call that a fresh holder makes, so it is bit-identical
+    to it. A holder belongs to its table and to its ledger's load lists;
+    a holder of another table, or of replaced loads, is rebuilt, never
+    read.
+    """
+
+    __slots__ = ("table", "loads", "cells", "prices", "charges", "_evse_rows")
+
+    def __init__(self, ledger: ResourceLedger, table: PriceTable) -> None:
+        self.table = table
+        self.loads = ledger.loads
+        cells = self.cells = ledger.cells
+        price = table.price
+        self.prices = [[price(shape, min(y, shape.cap)) for y, shape in zip(loads, shapes)]
+                       for loads, shapes in zip(ledger.loads, cells.shapes)]
+        T = cells.horizon
+        ends = cells.evse_row[1:] + (len(cells.shapes[CABLE]) // T,)
+        #: the (facility, EVSE) rows of each facility
+        self._evse_rows = [range(first, end) for first, end in zip(cells.evse_row, ends)]
+        self.charges = [0.0] * len(self.prices[ENERGY])
+        for f in range(len(self._evse_rows)):
+            for t in range(1, T + 1):
+                self._post_charges(f, t)
+
+    def fits(self, ledger: ResourceLedger, table: PriceTable) -> bool:
+        """Whether this holder posts the prices of ``ledger`` through ``table``."""
+        return self.table is table and self.loads is ledger.loads
+
+    def update(self, schedule) -> None:
+        """Re-post every cell that applying ``schedule`` moved: each of its
+        demand cells, and the charging price of every EVSE of its facility
+        in each of its energy slots, as generation is per facility."""
+        loads, prices, price = self.loads, self.prices, self.table.price
+        for k, i, _, shape in self.cells.demands(schedule):
+            prices[k][i] = price(shape, min(loads[k][i], shape.cap))
+        f = schedule.facility_id
+        if f is not None:
+            for t, _ in schedule.energy_slots:
+                self._post_charges(f, t)
+
+    def _post_charges(self, f: int, t: int) -> None:
+        """Post the charging price of every EVSE of facility f in slot t."""
+        cells, energy = self.cells, self.prices[ENERGY]
+        g = cells.facility_cell(f, t)
+        generation = (self.prices[GENERATION][g] if cells.shapes[GENERATION][g].cap > 0
+                      else None)
+        T, t0, charges = cells.horizon, t - 1, self.charges
+        for row in self._evse_rows[f]:
+            i = row * T + t0
+            charges[i] = energy[i] if generation is None else energy[i] + generation
+
+
 class Snapshot:
     """Sums of posted prices and payments against one ledger state.
 
     The ledger does not move while one session is handled: its candidates
-    are built and priced against the loads it had on arrival. Each price
-    and payment is read through the run's ``PriceTable``. Every cable
-    window at a facility starts at the vehicle's arrival slot there, and
-    every out-of-service run at its t_minus, so ``run`` keeps sums over
+    are built and priced against the loads it had on arrival. Each payment
+    is read through the run's ``PriceTable``, and each posted price from a
+    ``PostedPrices`` holder of the ledger: the caller's, or one of its own.
+    That holder is the one piece of ledger-derived state that outlives a
+    ``dispatch`` call; the commit updates it. Every cable window at a
+    facility starts at the vehicle's arrival slot there, and every
+    out-of-service run at its t_minus, so ``run`` keeps sums over
     consecutive cells as running sums from their first cell, extended only
-    as far as asked. Those sums, and the per-slot charges and per-window
-    draws, read the loads of this one state, so they live no longer than
-    the snapshot. Every sum is added left to right from 0.0, cell by cell,
-    as a walk over the cells adds it, so each float is bit-identical to the
-    walk's own.
+    as far as asked. Those sums, and the per-window draws, read the loads
+    of this one state, so they live no longer than the snapshot. Every sum
+    is added left to right from 0.0, cell by cell, as a walk over the cells
+    adds it, so each float is bit-identical to the walk's own.
     """
 
-    __slots__ = ("cells", "loads", "table", "_runs", "_charges", "_drawn")
+    __slots__ = ("cells", "loads", "table", "posted", "_runs", "_drawn")
 
-    def __init__(self, ledger: ResourceLedger, table: PriceTable) -> None:
+    def __init__(self, ledger: ResourceLedger, table: PriceTable,
+                 posted: Optional[PostedPrices] = None) -> None:
+        if posted is None:
+            posted = PostedPrices(ledger, table)
+        elif not posted.fits(ledger, table):
+            raise ValueError("posted prices of another ledger or price table")
         self.cells = ledger.cells
         self.loads = ledger.loads
         self.table = table
+        self.posted = posted
         self._runs: Dict[tuple, List[float]] = {}
-        self._charges: Dict[tuple, float] = {}
         self._drawn: Dict[tuple, Tuple[float, float]] = {}
-
-    def price(self, k: int, i: int) -> float:
-        """Posted price of cell i of family k. A cell loaded beyond capacity
-        keeps its ceiling price: posted prices only rank slots."""
-        shape = self.cells.shapes[k][i]
-        return self.table.price(shape, min(self.loads[k][i], shape.cap))
 
     def pay(self, k: int, i: int, amount: float = 1) -> float:
         """Payment for ``amount`` more units of cell i of family k."""
         return self.table.pay(self.cells.shapes[k][i], self.loads[k][i], amount)
 
     def run(self, k: int, first: int, n: int, posted: bool = False) -> float:
-        """Summed payments for one more unit of each of the n cells of
+        """Summed payments for one more unit of each of the n >= 1 cells of
         family k from cell ``first`` on; their posted prices if ``posted``."""
+        if n < 1:
+            raise ValueError(f"a run needs n >= 1 cells, got n={n}")
         key = (posted, k, first)
         sums = self._runs.get(key)
         if sums is None:
             sums = self._runs[key] = []
         done = len(sums)
         if done < n:
-            term = self.price if posted else self.pay
             total = sums[-1] if done else 0.0
-            for i in range(first + done, first + n):
-                total += term(k, i)
-                sums.append(total)
+            if posted:
+                row = self.posted.prices[k]
+                for i in range(first + done, first + n):
+                    total += row[i]
+                    sums.append(total)
+            else:
+                pay = self.pay
+                for i in range(first + done, first + n):
+                    total += pay(k, i)
+                    sums.append(total)
         return sums[n - 1]
-
-    def charge(self, f: int, m: int, t: int) -> float:
-        """Energy plus generation price per kWh at EVSE m of facility f in
-        slot t; energy alone at a slot without generation capacity."""
-        key = (f, m, t)
-        p = self._charges.get(key)
-        if p is None:
-            cells = self.cells
-            p = self.price(ENERGY, cells.evse_cell(f, m, t))
-            g = cells.facility_cell(f, t)
-            if cells.shapes[GENERATION][g].cap > 0:
-                p += self.price(GENERATION, g)
-            self._charges[key] = p
-        return p
 
     def draw(self, f: int, m: int, slots: Tuple[Tuple[int, float], ...]) -> Tuple[float, float]:
         """Summed energy and generation payments for drawing each (slot,

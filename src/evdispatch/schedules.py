@@ -30,9 +30,19 @@ value, into the order of sorting every candidate by ``_candidate_key``.
 Rebalances are most of a session's candidates and are rarely chosen, so
 most of them are never built.
 
+A charging tuple's windows all start at its facility arrival slot and end
+up to ``MAX_START_OFFSET`` slots apart, at most at ``T - h2``. Each
+(facility, target) stream keeps one list of its distinct windows (end,
+EVSE, energy slots, last charging slot), in ascending end, first
+occurrence only, and extends it only as far as the current tuple's last
+window end; the tuple makes one plan from each entry up to that end. The
+EVSE and slots of a window are picked once per (facility, window end,
+slot count) and shared by the targets with that slot count.
+
 The charging build reads posted prices from the ``pricing.Snapshot`` its
-caller took of the ledger; ``dispatch`` prices the candidates from the
-same one.
+caller took of the ledger, whose ``pricing.PostedPrices`` holder keeps
+every cell's posted price and charging price; ``dispatch`` prices the
+candidates from the same snapshot.
 
 Every plan, here and in ``baselines``, is made by ``make_plan``, which
 works out a plan's arrival slot, cable window, final charge and value.
@@ -121,7 +131,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     # The first four fields are unique across the streams, so the merge
     # never compares h2 and its order is that of sorting every tuple.
     streams = []
-    fixed = {}  # (fid, target) -> (fac, h1, t_arr, rate, k, last, stored)
+    fixed = {}  # (fid, target) -> _Stream
     targets = pricing.default_charge_targets(config)
     legs = facility_legs(session.origin_region, energy0, t0, config)
     for h1, fac in legs[:MAX_CANDIDATE_FACILITIES]:
@@ -136,42 +146,72 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
             if t_arr + k - 1 > T:
                 continue
             stored = arrival_energy + target
-            fixed[fac.id, target] = (fac, h1, t_arr, rate, k, last, stored)
+            fixed[fac.id, target] = _Stream(fac, h1, t_arr, rate, k, last, stored)
             streams.append(chain.from_iterable(_batches(
                 config, fac.region_id, h1, stored, T - (t_arr + k - 1), (fac.id, target))))
 
     # ---- build charging tuples, best value first, until the cap ----
     # A window runs from the facility arrival slot t_arr to its end slot,
-    # so a pick depends on (facility, window end, k) only. Each start
-    # offset widens the window by one slot, up to slot T - h2; _batches
-    # kept h2 <= T - (t_arr + k - 1), so the shortest window holds k slots.
+    # so a pick depends on (facility, window end, k) only, and targets of
+    # equal k share it. Each start offset widens the window by one slot, up
+    # to slot T - h2; _batches kept h2 <= T - (t_arr + k - 1), so the
+    # shortest window holds k slots. A plan recurs when the cheapest EVSE
+    # flips and flips back, and only inside one tuple's windows: a stream
+    # yields each destination once, and two targets never draw the same
+    # energy slots. So each stream keeps its distinct windows, first
+    # occurrence only, in ascending end, extended up to the last window
+    # end of the tuple at hand; the tuple makes one plan from each of them
+    # up to that end.
     picks = {}  # (facility, window end, k) -> (EVSE, chosen slots, dearest)
-    seen = set()
     out: List[Schedule] = []
     for neg_v, fid, target, dest, h2 in heapq.merge(*streams):
-        fac, h1, t_arr, rate, k, last, stored = fixed[fid, target]
-        lo = t_arr + k - 1
-        for hi in range(lo, min(T - h2, lo + MAX_START_OFFSET) + 1):
+        stream = fixed[fid, target]
+        top = min(T - h2, stream.lo + MAX_START_OFFSET)
+        stream.extend(top, picks, prices)
+        for end, charge, t_leave in stream.windows:
+            if end > top:
+                break
+            out.append(make_plan(session, config, dest, h2, stream.stored, t_leave,
+                                 charge, value=-neg_v))
             if len(out) >= policy.max_candidates_total:
                 break
-            pick = picks.get((fid, hi, k))
-            if pick is None:
-                pick = picks[fid, hi, k] = _pick(fid, fac, t_arr, hi, k, prices)
-            evse, chosen, dearest = pick
-            # full rate on the chosen slots, the last slot's energy on the dearest
-            energy_slots = tuple((t, last if t == dearest else rate) for t in chosen)
-            # the energy slots fix the last charging slot, and dest fixes h2;
-            # a plan recurs when the cheapest EVSE flips and flips back
-            key = (fid, evse, energy_slots, dest)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(make_plan(session, config, dest, h2, stored, chosen[-1],
-                                 (fid, evse, h1, energy_slots), value=-neg_v))
         if len(out) >= policy.max_candidates_total:
             break
     out.sort(key=_candidate_key)
     return out
+
+
+class _Stream:
+    """One (facility, target) charging stream of a session: what its
+    tuples share, and its distinct windows so far."""
+
+    __slots__ = ("fac", "h1", "t_arr", "rate", "k", "last", "stored", "lo",
+                 "windows", "next_end")
+
+    def __init__(self, fac, h1: int, t_arr: int, rate: float, k: int, last: float,
+                 stored: float) -> None:
+        self.fac, self.h1, self.t_arr, self.rate = fac, h1, t_arr, rate
+        self.k, self.last, self.stored = k, last, stored
+        self.lo = self.next_end = t_arr + k - 1  # the shortest window's end
+        self.windows: List[tuple] = []
+
+    def extend(self, top: int, picks: dict, prices: Snapshot) -> None:
+        """Add the stream's distinct windows that end by slot ``top``, each
+        as (end, the ``make_plan`` charge, last charging slot), in
+        ascending end, first occurrence only. Each window is picked once
+        per (facility, window end, k) in ``picks``."""
+        fid, k, windows = self.fac.id, self.k, self.windows
+        for end in range(self.next_end, top + 1):
+            pick = picks.get((fid, end, k))
+            if pick is None:
+                pick = picks[fid, end, k] = _pick(fid, self.fac, self.t_arr, end, k, prices)
+            evse, chosen, dearest = pick
+            # full rate on the chosen slots, the last slot's energy on the dearest
+            charge = (fid, evse, self.h1,
+                      tuple((t, self.last if t == dearest else self.rate) for t in chosen))
+            if all(charge != window[1] for window in windows):
+                windows.append((end, charge, chosen[-1]))
+        self.next_end = max(self.next_end, top + 1)
 
 
 def rebalances(session: Session, config: ScenarioConfig) -> Iterator[Schedule]:
@@ -281,17 +321,19 @@ def _pick(fid: int, fac, start: int, end: int, k: int,
             best_m, best_cost = m, cost
         if m + 1 < fac.evse_count and not any(loads[cell:cell + n]):
             break
+    charges = prices.posted.charges
+    base = prices.cells.evse_cell(fid, best_m, 0)
     priced = []
     for t in range(start, end + 1):
         if fac.solar[t - 1] + fac.grid_limit[t - 1] > 0:
-            priced.append((prices.charge(fid, best_m, t), t))
+            priced.append((charges[base + t], t))
         else:
             priced.append((math.inf, t))
     priced.sort()
     chosen = sorted(t for _, t in priced[:k])
     dearest, worst = chosen[0], -math.inf
     for t in chosen:
-        p = prices.charge(fid, best_m, t)
+        p = charges[base + t]
         if p > worst + 1e-15:
             dearest, worst = t, p
     return best_m, chosen, dearest

@@ -518,6 +518,45 @@ def test_battery_trajectory_is_replayed(mini_config):
     assert any("below 0" in v for v in out)
 
 
+def test_a_schedule_is_immutable_value_data(mini_charge, mini_rebalance, tiny_instance,
+                                           tmp_path):
+    """A plan is a slotted frozen dataclass with its own ``__init__``: it
+    keeps no ``__dict__``, refuses assignment, reads each field back as
+    given, and compares, hashes, copies and round-trips through a report
+    file as value data."""
+    from evdispatch import run_online
+    from evdispatch.harness import from_plain, read_report, write_report
+
+    assert not hasattr(mini_charge, "__dict__")
+    for name in ("value", "energy_slots", "facility_id"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mini_charge, name, None)
+    # no slot to hold it; Python 3.11's frozen __setattr__ of a slotted
+    # dataclass raises TypeError for a name that is not a field
+    with pytest.raises((AttributeError, TypeError)):
+        mini_charge.extra = 1
+    assert not hasattr(mini_charge, "extra")
+    given = {f.name: object() for f in dataclasses.fields(Schedule)}
+    assert as_plain(Schedule(**given)) == given
+
+    twin = dataclasses.replace(mini_charge)
+    assert twin == mini_charge and twin is not mini_charge
+    assert hash(twin) == hash(mini_charge) and len({twin, mini_charge}) == 1
+    worth_more = dataclasses.replace(mini_charge, value=14.0)
+    assert worth_more != mini_charge and worth_more.value == 14.0
+    assert mini_charge.value == 13.0
+    assert mini_rebalance != mini_charge
+    assert repr(mini_rebalance).startswith("Schedule(session_id=0, t_minus=1, ")
+    assert from_plain(Schedule, as_plain(mini_charge)) == mini_charge
+
+    config, sessions = tiny_instance
+    report = run_online(sessions, config)
+    assert report.accepted > 0
+    path = str(tmp_path / "report.json")
+    write_report(report, path)
+    assert read_report(path) == report
+
+
 # ---------------------------------------------------------------------------
 # Canonical hashing
 # ---------------------------------------------------------------------------

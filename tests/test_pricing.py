@@ -19,7 +19,9 @@ from scipy import integrate
 
 from evdispatch import pricing, run_online
 from evdispatch.baselines import run_threshold
-from evdispatch.domain import MONEY_ATOL, Facility, Region, as_plain, recompute_ledger
+from evdispatch.domain import (
+    MONEY_ATOL, Facility, Region, ResourceLedger, as_plain, recompute_ledger,
+)
 from evdispatch.harness import generate_scenario
 from evdispatch.offline import exact_offline, upper_bound
 from evdispatch.pricing import (
@@ -248,6 +250,24 @@ def test_payments_are_additive_and_guarded():
     assert pricing.cable_payment(1.0, 1.0, 4, BOUNDS, PSI) == 0.0
     with pytest.raises(ValueError):
         pricing.cable_payment(2.0, 1.0, 4, BOUNDS, PSI)
+
+
+def test_a_run_refuses_fewer_than_one_cell():
+    """``Snapshot.run`` sums n >= 1 consecutive cells. With n = 0 it once
+    raised IndexError on a fresh run, and after a 3-cell run it returned
+    that run's sum, with n = -1 the 2-cell sum."""
+    config, _ = generate_scenario(0, "tiny")
+    prices = pricing.Snapshot(ResourceLedger.zero(config),
+                              pricing.PriceTable(estimate_bounds(config), psi(config)))
+    for posted in (False, True):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"n >= 1 cells, got n={n}"):
+                prices.run(OUT_OF_SERVICE, 0, n, posted)
+        three = prices.run(OUT_OF_SERVICE, 0, 3, posted)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"n >= 1 cells, got n={n}"):
+                prices.run(OUT_OF_SERVICE, 0, n, posted)
+        assert prices.run(OUT_OF_SERVICE, 0, 3, posted) == three > 0
 
 
 def test_payment_beyond_capacity_prices_above_ceiling():

@@ -11,10 +11,12 @@ It skips the cable, energy and generation payments of a plan that its
 destination and out-of-service payments already put below the best
 utility so far.
 ``_dual_increment`` and ``primal_increment`` walk a schedule's demands on
-the config's cells; ``feasible_schedules`` sums cable prices as running
-sums from the arrival slot, stops its EVSE scan at the first empty EVSE,
-ranks each window's slots once and stops ordering charging tuples at the
-candidate cap, and merges them lazily from the destination batches ranked
+the config's cells; the run's posted prices are kept for the whole run
+and updated by each commit; ``feasible_schedules`` sums cable prices as
+running sums from the arrival slot, stops its EVSE scan at the first
+empty EVSE, ranks each window's slots once, keeps one list of distinct
+windows per (facility, target) stream and stops ordering charging tuples
+at the candidate cap, and merges them lazily from the destination batches ranked
 once per config; ``rebalances`` values the origin's batches lazily too,
 and ``ranked`` merges the two by value alone; ``upper_bound`` and the
 threshold baselines read the same ranking. ``upper_bound`` stops each walk
@@ -441,9 +443,10 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
 
 
 def test_no_running_sum_outlives_its_dispatch(monkeypatch):
-    """Only the run's price table outlives a dispatch call: every snapshot
-    the call takes, and with it every running sum, is gone when it returns,
-    whether the vehicle is committed or sent to the depot. Each kept price
+    """Only the run's price table and its posted prices outlive a dispatch
+    call: every snapshot the call takes, and with it every running sum, is
+    gone when it returns, whether the vehicle is committed or sent to the
+    depot. Each kept price
     and payment is the one a fresh curve gives at its key, so a twin state
     that shares the ledger's loads but has an empty table reaches the same
     decision and breakdown, making at least as many payments."""
@@ -572,6 +575,83 @@ def test_a_switched_table_prices_payments_and_dual_increments_alike(monkeypatch)
             assert ((decision.utility, decision.breakdown)
                     == reference_utility_breakdown(decision.schedule, state, loads))
     assert len(committed) > 10 and any(committed)
+
+
+def reference_posted(config, ledger, bounds, psi_):
+    """Every cell's posted price, family by family, and every (facility,
+    EVSE, slot)'s charging price, looked up afresh at the ledger's loads."""
+    fresh = ReferencePostedPrices(ledger, bounds, psi_)
+    prices = [[fresh._posted(k, i) for i in range(len(loads))]
+              for k, loads in enumerate(ledger.loads)]
+    charges = [fresh.charge(f, m, t) for f, fac in enumerate(config.facilities)
+               for m in range(fac.evse_count) for t in range(1, config.horizon + 1)]
+    return prices, charges
+
+
+#: Days whose posted prices are checked after every commit: a ``full``
+#: day of 10 EVSEs per facility, where one commit moves the charging price
+#: of every EVSE of its facility, a congested one and a tiny one.
+POSTED_DAYS = {"full": (0, dataclasses.replace(PRESETS["full"], max_sessions=60)),
+               "rush": (1, RUNS["rush"]), "tiny": (0, PRESETS["tiny"])}
+
+
+@pytest.mark.parametrize("name", sorted(POSTED_DAYS))
+def test_posted_prices_follow_every_commit(name):
+    """A run builds its posted-price holder once and each commit updates
+    it: after every ``dispatch`` its lists are the reference's at the
+    ledger's loads, the charging prices of the other EVSEs of the
+    committed facility included."""
+    seed, params = POSTED_DAYS[name]
+    config, sessions = generate_scenario(seed, params)
+    state = DispatcherState.fresh(config)
+    bounds, psi_ = state.table.bounds, state.table.psi
+    holder, committed = None, 0
+    for session in sessions:
+        committed += not dispatch(session, state).is_depot
+        holder = holder or state.posted
+        assert state.posted is holder
+        assert ((holder.prices, holder.charges)
+                == reference_posted(config, state.ledger, bounds, psi_)), session
+    assert committed > len(sessions) // 4
+
+
+def test_a_switched_table_builds_no_plan_from_the_old_prices(monkeypatch):
+    """After ``state.table`` is switched for one of other bounds mid-run,
+    every session's charging candidates are the ones a fresh snapshot of
+    the ledger through the new table gives, and after every ``dispatch``
+    the posted prices are the reference's at the new bounds. Doubling the
+    floors of the cable, energy and generation curves moves the EVSE or
+    slot picks of two sessions of this congested day; doubling every
+    ceiling moves none."""
+    config, sessions = generate_scenario(0, RUNS["rush"])
+    state = DispatcherState.fresh(config)
+    half = len(sessions) // 2
+    for session in sessions[:half]:
+        dispatch(session, state)
+    old = state.table
+    other = dataclasses.replace(old.bounds, **{
+        name: 2 * getattr(old.bounds, name) for name in ("L_c", "L_e", "L_g")})
+    assert pricing.validate_bounds(other, config) == []
+    state.table = PriceTable(other, old.psi)
+
+    built = []
+
+    def recorded(*args):
+        out = feasible_schedules(*args)
+        built.append(out)
+        return out
+    monkeypatch.setattr(dispatcher, "feasible_schedules", recorded)
+    moved = 0
+    for session in sessions[half:]:
+        expected = feasible_schedules(session, config,
+                                      Snapshot(state.ledger, PriceTable(other, old.psi)))
+        moved += expected != feasible_schedules(session, config, Snapshot(state.ledger, old))
+        built.clear()
+        dispatch(session, state)
+        assert built == [expected], session
+        assert ((state.posted.prices, state.posted.charges)
+                == reference_posted(config, state.ledger, other, old.psi))
+    assert moved > 0
 
 
 def test_every_payment_goes_through_its_family_function(monkeypatch):
