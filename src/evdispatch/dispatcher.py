@@ -22,7 +22,7 @@ from .domain import (
     ScenarioConfig, Schedule, Session, check_config, check_sessions, instance_hash,
 )
 from .pricing import (
-    CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PostedPrices, PriceTable, Snapshot,
+    CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PriceTable, Snapshot,
 )
 from .schedules import (
     DEFAULT_POLICY, GenerationPolicy, feasible_schedules, ranked, rebalances,
@@ -39,14 +39,14 @@ class DispatcherState:
     (shape, load, amount) and those alone, so it holds whatever the ledger
     state. Every price of the run, payments and dual increments alike, is
     read through the table; a copy made by ``dataclasses.replace`` with a
-    ``PriceTable`` of other bounds prices everything at those. Each
-    ``dispatch`` call reads the ledger through a ``pricing.Snapshot`` of
-    its own, so no sum over the loads outlives the ledger state it was
-    read from. The one piece of ledger-derived state that outlives a
-    ``dispatch`` is ``posted``, every cell's posted price
-    (``pricing.PostedPrices``): the commit updates it, and ``dispatch``
-    builds it afresh when there is none or it belongs to another table or
-    to replaced loads. A caller that writes the ledger's loads in place
+    ``PriceTable`` of other bounds prices everything at those. The one
+    piece of ledger-derived state that outlives a ``dispatch`` is
+    ``posted``, a ``pricing.Snapshot`` of the ledger through the table:
+    every cell's posted price, and the running sums of payments and posted
+    prices that the run's sessions have read since the last commit. The
+    commit updates it and drops those sums, and ``dispatch`` builds it
+    afresh when there is none or it belongs to another table or to
+    replaced loads. A caller that writes the ledger's loads in place
     between two ``dispatch`` calls sets it to None."""
 
     config: ScenarioConfig
@@ -59,7 +59,7 @@ class DispatcherState:
     dual_trajectory: List[float] = field(default_factory=lambda: [0.0])
     last_t: int = 1
     captured: Optional[Dict[int, List[Schedule]]] = None
-    posted: Optional[PostedPrices] = field(default=None, repr=False, compare=False)
+    posted: Optional[Snapshot] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, config: ScenarioConfig, policy: GenerationPolicy = DEFAULT_POLICY,
@@ -130,9 +130,9 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
     """Process one session: argmax utility over candidates, or depot.
 
     Ties on utility go to the earlier destination arrival, then the lower
-    candidate index. The candidates are built and priced from one snapshot
-    of the ledger, taken on arrival through the run's price table, in
-    descending order of value. Every payment is >= 0, so no utility exceeds
+    candidate index. The candidates are built and priced from the run's
+    snapshot of the ledger (``state.posted``), in descending order of
+    value. Every payment is >= 0, so no utility exceeds
     its value: pricing stops at the first candidate whose value is below
     the best utility so far, as none from there on can win or tie, and
     ``utility_breakdown`` skips the rest of any plan that its destination
@@ -146,10 +146,9 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
                          f"({session.t_minus} < {state.last_t})")
     state.last_t = session.t_minus
 
-    posted = state.posted
-    if posted is None or not posted.fits(state.ledger, state.table):
-        posted = state.posted = PostedPrices(state.ledger, state.table)
-    prices = Snapshot(state.ledger, state.table, posted)
+    prices = state.posted
+    if prices is None or not prices.fits(state.ledger, state.table):
+        prices = state.posted = Snapshot(state.ledger, state.table)
     candidates = ranked(rebalances(session, state.config),
                         feasible_schedules(session, state.config, prices, state.policy))
     if state.captured is not None:
@@ -183,7 +182,7 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
         d_primal = economics.primal_increment(state.ledger, schedule)
         d_dual = _dual_increment(schedule, u, state)
         state.ledger.apply(schedule)
-        posted.update(schedule)
+        prices.update(schedule)
         decision = DispatchDecision(session_id=session.id, schedule=schedule,
                                     utility=u, breakdown=breakdown)
     state.decisions.append(decision)

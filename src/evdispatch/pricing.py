@@ -24,12 +24,11 @@ so far past capacity that it leaves the float range is infinite. A
 ``PriceTable`` is the one holder of a run's bounds and Psi, and keeps the
 run's posted prices and payments: each is a function of its key (shape,
 load, and amount) and those alone, so an entry holds for every ledger
-state of the run. A ``PostedPrices`` holder keeps every cell's posted
-price at a ledger's loads, and the online run keeps one for the whole
-run, updated by each commit. A ``Snapshot`` reads one ledger state
-through a table and such a holder, and keeps the sums over consecutive
-cells that only that state gives: each ``dispatch`` call takes one and
-hands it to both the candidate build and the pricing of the candidates.
+state of the run. A ``Snapshot`` reads a ledger's loads through a table:
+it keeps every cell's posted price and the sums over consecutive cells
+that only those loads give. The online run keeps one for the whole run
+and hands it to both the candidate build and the pricing of the
+candidates; each commit re-posts the cells it moved and drops the sums.
 """
 
 from __future__ import annotations
@@ -456,25 +455,36 @@ class PriceTable:
         return paid
 
 
-class PostedPrices:
-    """Every cell's posted price at one ledger's loads, read through one
-    price table.
+class Snapshot:
+    """Posted prices and sums of posted prices and payments at one ledger's
+    loads, read through one price table.
 
     ``prices[k][i]`` is ``table.price(shape, min(load, cap))`` of cell i
     of family k: a cell loaded beyond capacity keeps its ceiling price, as
     posted prices only rank slots. ``charges[i]``, laid out as the
     (facility, EVSE, slot) cells, is the energy plus generation price per
     kWh there, the energy price alone in a slot without generation
-    capacity. Unlike a ``Snapshot``'s sums, these outlive a session: an
-    online run keeps one holder and, after each commit, ``update`` re-posts
-    the cells the committed plan moved. Each entry comes from the same
-    ``table.price`` call that a fresh holder makes, so it is bit-identical
-    to it. A holder belongs to its table and to its ledger's load lists;
-    a holder of another table, or of replaced loads, is rebuilt, never
-    read.
+    capacity. Each payment is read through the table. Every cable window
+    at a facility starts at the vehicle's arrival slot there, and every
+    out-of-service run at its t_minus, so ``run`` keeps sums over
+    consecutive cells as running sums from their first cell, extended only
+    as far as asked, and ``draw`` keeps the payments of each set of
+    charging slots. Every sum is added left to right from 0.0, cell by
+    cell, as a walk over the cells adds it, so each float is bit-identical
+    to the walk's own.
+
+    An online run keeps one holder for the whole run. The ledger does not
+    move while one session is handled, and a depot decision leaves it as
+    it was, so the sums outlive a ``dispatch`` until the next commit.
+    After a commit, ``update`` re-posts the cells the committed plan moved
+    and drops every sum. Each entry comes from the same ``table.price``
+    call that a fresh holder makes, so it is bit-identical to it. A holder
+    belongs to its table and to its ledger's load lists; a holder of
+    another table, or of replaced loads, is rebuilt, never read.
     """
 
-    __slots__ = ("table", "loads", "cells", "prices", "charges", "_evse_rows")
+    __slots__ = ("table", "loads", "cells", "prices", "charges", "_evse_rows",
+                 "_runs", "_drawn")
 
     def __init__(self, ledger: ResourceLedger, table: PriceTable) -> None:
         self.table = table
@@ -491,6 +501,8 @@ class PostedPrices:
         for f in range(len(self._evse_rows)):
             for t in range(1, T + 1):
                 self._post_charges(f, t)
+        self._runs: Dict[tuple, List[float]] = {}
+        self._drawn: Dict[tuple, Tuple[float, float]] = {}
 
     def fits(self, ledger: ResourceLedger, table: PriceTable) -> bool:
         """Whether this holder posts the prices of ``ledger`` through ``table``."""
@@ -499,7 +511,8 @@ class PostedPrices:
     def update(self, schedule) -> None:
         """Re-post every cell that applying ``schedule`` moved: each of its
         demand cells, and the charging price of every EVSE of its facility
-        in each of its energy slots, as generation is per facility."""
+        in each of its energy slots, as generation is per facility. Then
+        drop every sum, all of which read the loads before the commit."""
         loads, prices, price = self.loads, self.prices, self.table.price
         for k, i, _, shape in self.cells.demands(schedule):
             prices[k][i] = price(shape, min(loads[k][i], shape.cap))
@@ -507,6 +520,8 @@ class PostedPrices:
         if f is not None:
             for t, _ in schedule.energy_slots:
                 self._post_charges(f, t)
+        self._runs.clear()
+        self._drawn.clear()
 
     def _post_charges(self, f: int, t: int) -> None:
         """Post the charging price of every EVSE of facility f in slot t."""
@@ -518,40 +533,6 @@ class PostedPrices:
         for row in self._evse_rows[f]:
             i = row * T + t0
             charges[i] = energy[i] if generation is None else energy[i] + generation
-
-
-class Snapshot:
-    """Sums of posted prices and payments against one ledger state.
-
-    The ledger does not move while one session is handled: its candidates
-    are built and priced against the loads it had on arrival. Each payment
-    is read through the run's ``PriceTable``, and each posted price from a
-    ``PostedPrices`` holder of the ledger: the caller's, or one of its own.
-    That holder is the one piece of ledger-derived state that outlives a
-    ``dispatch`` call; the commit updates it. Every cable window at a
-    facility starts at the vehicle's arrival slot there, and every
-    out-of-service run at its t_minus, so ``run`` keeps sums over
-    consecutive cells as running sums from their first cell, extended only
-    as far as asked. Those sums, and the per-window draws, read the loads
-    of this one state, so they live no longer than the snapshot. Every sum
-    is added left to right from 0.0, cell by cell, as a walk over the cells
-    adds it, so each float is bit-identical to the walk's own.
-    """
-
-    __slots__ = ("cells", "loads", "table", "posted", "_runs", "_drawn")
-
-    def __init__(self, ledger: ResourceLedger, table: PriceTable,
-                 posted: Optional[PostedPrices] = None) -> None:
-        if posted is None:
-            posted = PostedPrices(ledger, table)
-        elif not posted.fits(ledger, table):
-            raise ValueError("posted prices of another ledger or price table")
-        self.cells = ledger.cells
-        self.loads = ledger.loads
-        self.table = table
-        self.posted = posted
-        self._runs: Dict[tuple, List[float]] = {}
-        self._drawn: Dict[tuple, Tuple[float, float]] = {}
 
     def pay(self, k: int, i: int, amount: float = 1) -> float:
         """Payment for ``amount`` more units of cell i of family k."""
@@ -570,7 +551,7 @@ class Snapshot:
         if done < n:
             total = sums[-1] if done else 0.0
             if posted:
-                row = self.posted.prices[k]
+                row = self.prices[k]
                 for i in range(first + done, first + n):
                     total += row[i]
                     sums.append(total)

@@ -39,10 +39,10 @@ window end; the tuple makes one plan from each entry up to that end. The
 EVSE and slots of a window are picked once per (facility, window end,
 slot count) and shared by the targets with that slot count.
 
-The charging build reads posted prices from the ``pricing.Snapshot`` its
-caller took of the ledger, whose ``pricing.PostedPrices`` holder keeps
-every cell's posted price and charging price; ``dispatch`` prices the
-candidates from the same snapshot.
+The charging build reads posted prices and charging prices from the
+caller's ``pricing.Snapshot`` of the ledger, the one the online run keeps
+for the whole run; ``dispatch`` prices the candidates from the same
+snapshot.
 
 Every plan, here and in ``baselines``, is made by ``make_plan``, which
 works out a plan's arrival slot, cable window, final charge and value.
@@ -321,7 +321,7 @@ def _pick(fid: int, fac, start: int, end: int, k: int,
             best_m, best_cost = m, cost
         if m + 1 < fac.evse_count and not any(loads[cell:cell + n]):
             break
-    charges = prices.posted.charges
+    charges = prices.charges
     base = prices.cells.evse_cell(fid, best_m, 0)
     priced = []
     for t in range(start, end + 1):

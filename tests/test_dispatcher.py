@@ -22,14 +22,14 @@ from evdispatch.domain import (
 )
 from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.offline import exact_offline, upper_bound
-from evdispatch.pricing import DESTINATION, PriceBounds, PriceTable, Snapshot
+from evdispatch.pricing import CABLE, DESTINATION, PriceBounds, PriceTable, Snapshot
 from evdispatch.schedules import GenerationPolicy, feasible_schedules, ranked, rebalances
 
 from conftest import broken_configs, broken_sessions, build_mini_config, cell_index
 
 
 def _prices(state):
-    """A snapshot of the state's live ledger, as ``dispatch`` takes one."""
+    """A fresh snapshot of the state's live ledger, as ``dispatch`` builds one."""
     return Snapshot(state.ledger, state.table)
 
 
@@ -364,6 +364,35 @@ def test_replaced_bounds_get_a_price_table_of_their_own():
         assert paid == shape.payment(y, y + amount, other, old.psi)
         moved_payments += paid != shape.payment(y, y + amount, old.bounds, old.psi)
     assert moved_payments > 0
+
+
+def test_a_run_recovers_from_loads_written_in_place():
+    """A caller that writes the ledger's loads in place between two
+    ``dispatch`` calls sets ``state.posted`` to None, as the
+    ``DispatcherState`` docstring asks: the run's snapshot cannot see such
+    a write, and would build other plans from its stale prices, but the
+    next ``dispatch`` takes a new one, and every later decision is the one
+    a fresh state on a copy of the loads reaches."""
+    config, sessions = generate_scenario(0, dataclasses.replace(PRESETS["desk"],
+                                                                max_sessions=40))
+    state = DispatcherState.fresh(config)
+    for session in sessions[:20]:
+        dispatch(session, state)
+    stale = state.posted
+    cables = state.ledger.loads[CABLE]
+    for t in range(1, config.horizon + 1):
+        cables[config.cells.evse_cell(0, 0, t)] = config.facilities[0].cables_per_evse
+    assert stale.fits(state.ledger, state.table)
+    later = sessions[20:]
+    assert (feasible_schedules(later[0], config, stale)
+            != feasible_schedules(later[0], config, _prices(state)))
+    state.posted = None
+    for session in later:
+        twin = DispatcherState.fresh(config)
+        twin.ledger.loads = [list(loads) for loads in state.ledger.loads]
+        twin.last_t = state.last_t
+        assert dispatch(session, state) == dispatch(session, twin), session
+    assert state.posted is not stale
 
 
 def test_replay_matches_decisions(tiny_instance):

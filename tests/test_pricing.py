@@ -29,7 +29,7 @@ from evdispatch.pricing import (
     alphas, cell_shape, dapr_cases, default_charge_targets, effective_charge_rate,
     estimate_bounds, psi, validate_bounds, verify_dapr,
 )
-from evdispatch.schedules import GenerationPolicy
+from evdispatch.schedules import GenerationPolicy, feasible_schedules, rebalances
 
 from conftest import build_mini_config
 
@@ -268,6 +268,44 @@ def test_a_run_refuses_fewer_than_one_cell():
             with pytest.raises(ValueError, match=f"n >= 1 cells, got n={n}"):
                 prices.run(OUT_OF_SERVICE, 0, n, posted)
         assert prices.run(OUT_OF_SERVICE, 0, 3, posted) == three > 0
+
+
+def test_a_commit_reposts_its_cells_and_drops_every_sum(desk_instance):
+    """After ``ledger.apply`` and ``update`` of a charging plan, then of a
+    rebalance, a snapshot reads as a fresh one of the ledger does: every
+    posted and charging price, and every running sum and draw it kept
+    from before the commit, the plan's own among them."""
+    config, sessions = desk_instance
+    ledger = ResourceLedger.zero(config)
+    table = pricing.PriceTable(estimate_bounds(config), psi(config))
+    holder = pricing.Snapshot(ledger, table)
+    charge = next(plan for session in sessions
+                  for plan in feasible_schedules(session, config, holder))
+    rebalance = next(plan for session in sessions for plan in rebalances(session, config))
+    plans = (charge, rebalance)
+
+    def read(prices):
+        out = []
+        for plan in plans:
+            for posted in (False, True):
+                out.append(prices.run(OUT_OF_SERVICE, plan.t_minus - 1,
+                                      plan.t_plus - plan.t_minus + 1, posted))
+                if plan.facility_id is not None:
+                    out.append(prices.run(CABLE, config.cells.evse_cell(
+                        plan.facility_id, plan.evse_index, plan.cable_slots[0]),
+                        len(plan.cable_slots), posted))
+            if plan.facility_id is not None:
+                out.append(prices.draw(plan.facility_id, plan.evse_index, plan.energy_slots))
+        return out
+
+    before = read(holder)
+    for plan in plans:
+        ledger.apply(plan)
+        holder.update(plan)
+        fresh = pricing.Snapshot(ledger, table)
+        assert (holder.prices, holder.charges) == (fresh.prices, fresh.charges)
+        assert read(holder) == read(fresh)
+    assert read(holder) != before
 
 
 def test_payment_beyond_capacity_prices_above_ceiling():

@@ -1,18 +1,19 @@
-"""The table-driven walks, the run's price table and the per-session
-payment snapshot, the candidate build that merges its sorted streams, the per-config
-destination ranking and the verifier that reads each segment's grid at
-its two ends against plain reference implementations.
+"""The table-driven walks, the run's two price holders (its price table
+and its ledger snapshot), the candidate build that merges its sorted
+streams, the per-config destination ranking and the verifier that reads
+each segment's grid at its two ends against plain reference
+implementations.
 
-``utility_breakdown`` reads payments from the snapshot that ``dispatch``
-takes of the ledger and also hands to the candidate build: running sums
-of the cable and out-of-service payments from their first slot, and
-per-cell lookups of the rest in the price table kept for the whole run.
-It skips the cable, energy and generation payments of a plan that its
-destination and out-of-service payments already put below the best
-utility so far.
+``utility_breakdown`` reads payments from the snapshot of the ledger that
+``dispatch`` keeps for the whole run and also hands to the candidate
+build: running sums of the cable and out-of-service payments from their
+first slot, and per-cell lookups of the rest in the price table kept for
+the whole run. It skips the cable, energy and generation payments of a
+plan that its destination and out-of-service payments already put below
+the best utility so far.
 ``_dual_increment`` and ``primal_increment`` walk a schedule's demands on
-the config's cells; the run's posted prices are kept for the whole run
-and updated by each commit; ``feasible_schedules`` sums cable prices as
+the config's cells; the snapshot's posted prices are updated by each
+commit, which drops its sums; ``feasible_schedules`` sums cable prices as
 running sums from the arrival slot, stops its EVSE scan at the first
 empty EVSE, ranks each window's slots once, keeps one list of distinct
 windows per (facility, target) stream and stops ordering charging tuples
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -442,14 +442,17 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
     assert skipped > 0
 
 
-def test_no_running_sum_outlives_its_dispatch(monkeypatch):
-    """Only the run's price table and its posted prices outlive a dispatch
-    call: every snapshot the call takes, and with it every running sum, is
-    gone when it returns, whether the vehicle is committed or sent to the
-    depot. Each kept price
-    and payment is the one a fresh curve gives at its key, so a twin state
-    that shares the ledger's loads but has an empty table reaches the same
-    decision and breakdown, making at least as many payments."""
+def test_no_running_sum_outlives_a_commit(monkeypatch):
+    """Only the run's price table and its snapshot outlive a dispatch
+    call, and every sum the snapshot keeps reads the ledger as it is now:
+    after every ``dispatch``, whether the vehicle is committed or sent to
+    the depot, each kept running sum and each kept draw is the one a fresh
+    snapshot of the ledger gives at its key. A commit drops them all; a
+    depot decision keeps them, and some sessions read sums kept from the
+    depot session before them. Each kept price and payment is the one a
+    fresh curve gives at its key, so a twin state that shares the
+    ledger's loads but has an empty table reaches the same decision and
+    breakdown, making at least as many payments."""
     config, sessions = generate_scenario(3, RUNS["rush"])
     calls = [0]
 
@@ -462,18 +465,26 @@ def test_no_running_sum_outlives_its_dispatch(monkeypatch):
         name = family.name + "_payment"
         monkeypatch.setattr(pricing, name, counted(getattr(pricing, name)))
 
-    taken = []
-
-    class Tracked(Snapshot):
-        # a subclass without slots takes weak references
-        def __init__(self, *args):
-            super().__init__(*args)
-            taken.append(weakref.ref(self))
-    monkeypatch.setattr(dispatcher, "Snapshot", Tracked)
-
+    # whether a dispatch reads a sum that the run's snapshot already held
+    # when the dispatch began: a running sum it returns or extends, or a draw
     state = DispatcherState.fresh(config)
+    kept_runs, kept_draws, reread = set(), set(), [False]
+    run, draw = Snapshot.run, Snapshot.draw
+
+    def tracked_run(self, k, first, n, posted=False):
+        if self is state.posted and (posted, k, first) in kept_runs:
+            reread[0] = True
+        return run(self, k, first, n, posted)
+
+    def tracked_draw(self, f, m, slots):
+        if self is state.posted and (f, m, slots) in kept_draws:
+            reread[0] = True
+        return draw(self, f, m, slots)
+    monkeypatch.setattr(Snapshot, "run", tracked_run)
+    monkeypatch.setattr(Snapshot, "draw", tracked_draw)
+
     outcomes = set()
-    warm = cold = 0
+    warm = cold = rereads = 0
     for session in sessions:
         twin = DispatcherState.fresh(config)
         twin.ledger.loads = [list(loads) for loads in state.ledger.loads]
@@ -481,15 +492,27 @@ def test_no_running_sum_outlives_its_dispatch(monkeypatch):
         before = calls[0]
         expected = dispatch(session, twin)
         fresh_calls, before = calls[0] - before, calls[0]
+        held = state.posted
+        kept_runs = set() if held is None else set(held._runs)
+        kept_draws = set() if held is None else set(held._drawn)
+        reread[0] = False
         decision = dispatch(session, state)
         assert calls[0] - before <= fresh_calls
         warm, cold = warm + calls[0] - before, cold + fresh_calls
         assert decision == expected
-        assert len(taken) == 2 and all(ref() is None for ref in taken)
-        taken.clear()
+        rereads += reread[0]
         outcomes.add(decision.is_depot)
+
+        kept = state.posted
+        fresh = Snapshot(state.ledger, PriceTable(state.table.bounds, state.table.psi))
+        for (posted, k, first), sums in kept._runs.items():
+            fresh.run(k, first, len(sums), posted)
+            assert fresh._runs[posted, k, first] == sums, session
+        for (f, m, slots), paid in kept._drawn.items():
+            assert fresh.draw(f, m, slots) == paid, session
     assert outcomes == {True, False}
     assert warm < cold / 2
+    assert rereads > 0
 
     bounds, psi_ = state.table.bounds, state.table.psi
     for (shape, y), p in state.table.prices.items():
