@@ -11,7 +11,6 @@ so repeated runs of the same seed are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import astuple
@@ -63,8 +62,7 @@ def _policy(args) -> GenerationPolicy:
 
 def _emit(payload: dict, out_dir: Optional[str], filename: str) -> None:
     if out_dir is None:
-        json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        harness._write_json(payload, sys.stdout)
         return
     os.makedirs(out_dir, exist_ok=True)
     harness._dump_json(payload, os.path.join(out_dir, filename))

@@ -22,7 +22,7 @@ from .domain import (
     ScenarioConfig, Schedule, Session, check_config, check_sessions, instance_hash,
 )
 from .pricing import (
-    CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, PriceTable, Snapshot,
+    CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, Snapshot,
 )
 from .schedules import (
     DEFAULT_POLICY, GenerationPolicy, feasible_schedules, ranked, rebalances,
@@ -34,32 +34,32 @@ from .schedules import (
 class DispatcherState:
     """Mutable state of one online run.
 
-    Its ``table`` holds the run's bounds and Psi, and keeps every posted
-    price and payment of the run. An entry is a function of its key
-    (shape, load, amount) and those alone, so it holds whatever the ledger
-    state. Every price of the run, payments and dual increments alike, is
-    read through the table; a copy made by ``dataclasses.replace`` with a
-    ``PriceTable`` of other bounds prices everything at those. The one
-    piece of ledger-derived state that outlives a ``dispatch`` is
-    ``posted``, a ``pricing.Snapshot`` of the ledger through the table:
-    every cell's posted price, and the running sums of payments and posted
-    prices that the run's sessions have read since the last commit. The
-    commit updates it and drops those sums, and ``dispatch`` builds it
-    afresh when there is none or it belongs to another table or to
-    replaced loads. A caller that writes the ledger's loads in place
-    between two ``dispatch`` calls sets it to None."""
+    Its ``posted`` is the run's one price object, a ``pricing.Snapshot``
+    of the ledger that ``fresh`` builds. It holds the run's bounds and
+    Psi, and keeps every price and payment of the run by key (shape,
+    load, amount): an entry is a function of its key and those alone, so
+    it holds whatever the ledger state. Every price of the run, payments
+    and dual increments alike, is read through it; a copy made by
+    ``dataclasses.replace`` with a ``Snapshot`` at other bounds prices
+    everything at those. It also holds every cell's posted price at the
+    ledger's loads, and the running sums of payments and posted prices
+    that the run's sessions have read since the last commit. The commit
+    updates it and drops those sums, and ``dispatch`` rebuilds it at its
+    bounds and Psi, with new memos, when the ledger's load lists were
+    replaced. A caller that writes the ledger's loads in place between two
+    ``dispatch`` calls rebuilds it the same way:
+    ``Snapshot(ledger, posted.bounds, posted.psi)``."""
 
     config: ScenarioConfig
     policy: GenerationPolicy
-    table: PriceTable
     alphas: Alphas
     ledger: ResourceLedger
+    posted: Snapshot = field(repr=False, compare=False)
     decisions: List[DispatchDecision] = field(default_factory=list)
     primal_trajectory: List[float] = field(default_factory=lambda: [0.0])
     dual_trajectory: List[float] = field(default_factory=lambda: [0.0])
     last_t: int = 1
     captured: Optional[Dict[int, List[Schedule]]] = None
-    posted: Optional[Snapshot] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, config: ScenarioConfig, policy: GenerationPolicy = DEFAULT_POLICY,
@@ -70,9 +70,10 @@ class DispatcherState:
             raise ValueError("invalid policy: " + "; ".join(bad_policy))
         psi_ = pricing.psi(config)
         bounds = pricing.estimate_bounds(config)
-        return cls(config=config, policy=policy, table=PriceTable(bounds, psi_),
-                   alphas=pricing.alphas(bounds, psi_, config),
-                   ledger=ResourceLedger.zero(config),
+        ledger = ResourceLedger.zero(config)
+        return cls(config=config, policy=policy,
+                   alphas=pricing.alphas(bounds, psi_, config), ledger=ledger,
+                   posted=Snapshot(ledger, bounds, psi_),
                    captured={} if capture_candidates else None)
 
 
@@ -116,8 +117,8 @@ def utility_breakdown(schedule: Schedule, prices: Snapshot, best: float = -math.
 
 def _dual_increment(schedule: Schedule, u: float, state: DispatcherState) -> float:
     """Exact dual objective change: u plus every touched conjugate's move,
-    each price read through the run's table."""
-    price = state.table.price
+    each price read through the run's snapshot."""
+    price = state.posted.price
     total = u
     for k, i, amount, shape in sorted(state.config.cells.demands(schedule),
                                       key=lambda demand: pricing.DUAL_RANK[demand[0]]):
@@ -147,8 +148,8 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
     state.last_t = session.t_minus
 
     prices = state.posted
-    if prices is None or not prices.fits(state.ledger, state.table):
-        prices = state.posted = Snapshot(state.ledger, state.table)
+    if not prices.fits(state.ledger):
+        prices = state.posted = Snapshot(state.ledger, prices.bounds, prices.psi)
     candidates = ranked(rebalances(session, state.config),
                         feasible_schedules(session, state.config, prices, state.policy))
     if state.captured is not None:
@@ -216,8 +217,8 @@ def run_online(sessions: Sequence[Session], config: ScenarioConfig,
     report = RunReport(
         algorithm="online",
         instance_hash=instance_hash(config, sessions),
-        psi=state.table.psi,
-        bounds=state.table.bounds,
+        psi=state.posted.psi,
+        bounds=state.posted.bounds,
         alphas=state.alphas,
         decisions=tuple(state.decisions),
         primal_trajectory=tuple(state.primal_trajectory),

@@ -319,10 +319,16 @@ def _reader(tp) -> Callable:
     return _integer if tp is int else tp
 
 
+def _write_json(payload, fh) -> None:
+    """Write ``payload`` to the open text stream ``fh`` as every JSON
+    artifact is written: keys sorted, indented, one trailing newline."""
+    json.dump(payload, fh, sort_keys=True, indent=2)
+    fh.write("\n")
+
+
 def _dump_json(payload, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        _write_json(payload, fh)
 
 
 def write_config(config: ScenarioConfig, path: str) -> None:

@@ -21,14 +21,14 @@ Payments are exact integrals of the price curves, which is what makes the
 per-session primal/dual inequality and weak duality hold to machine
 precision instead of only up to a discretization gap. A payment that runs
 so far past capacity that it leaves the float range is infinite. A
-``PriceTable`` is the one holder of a run's bounds and Psi, and keeps the
-run's posted prices and payments: each is a function of its key (shape,
-load, and amount) and those alone, so an entry holds for every ledger
-state of the run. A ``Snapshot`` reads a ledger's loads through a table:
-it keeps every cell's posted price and the sums over consecutive cells
-that only those loads give. The online run keeps one for the whole run
-and hands it to both the candidate build and the pricing of the
-candidates; each commit re-posts the cells it moved and drops the sums.
+``Snapshot`` is an online run's one price object. It holds the run's
+bounds and Psi, and keeps the run's prices and payments by key (shape,
+load, and amount): each is a function of its key alone, so an entry
+holds for every ledger state of the run. It also keeps every cell's
+posted price at one ledger's loads and the sums over consecutive cells
+that only those loads give. The run hands it to both the candidate build
+and the pricing of the candidates; each commit re-posts the cells it
+moved and drops the sums.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ class Shape:
     they give: value data, set once. Cells with equal arguments share one
     shape across every run in the process, so a shape keeps nothing of a
     run: L, U and Psi are arguments of each call, and a run passes those
-    of its ``PriceTable``."""
+    of its ``Snapshot``."""
 
     __slots__ = ("family", "args", "cap", "offset", "split")
 
@@ -379,14 +379,14 @@ class Cells:
 
 
 # ---------------------------------------------------------------------------
-# Interned shapes, per-family payments, price tables and ledger snapshots
+# Interned shapes, per-family payments and ledger snapshots
 # ---------------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=1024)
 def cell_shape(family: int, *args: float) -> Shape:
     """The shape of a cell of ``family`` with these arguments, interned so
-    that equal cells share one key in a ``PriceTable``."""
+    that equal cells share one key in a ``Snapshot``'s memos."""
     return Shape(family, *args)
 
 
@@ -415,82 +415,54 @@ def out_of_service_payment(y0: float, y1: float, cap: float, phi: float,
     return cell_shape(OUT_OF_SERVICE, cap, phi).payment(y0, y1, bounds, psi_)
 
 
-class PriceTable:
-    """Posted prices and payments of one run, at its bounds and Psi.
+class Snapshot:
+    """The posted prices and payments of one online run, at its bounds and
+    Psi, and the sums of them at one ledger's loads.
 
     A price is a function of the cell's shape (its family and arguments,
     shared by equal cells) and its load, and a payment of those and the
     amount. Neither depends on which session asks or on any other cell, so
-    each is computed once per such key and kept for the whole run: one
-    entry serves every destination arrival of a day with one Omega, and
-    every session that finds a cell at the same load. The table is the
-    only holder of the run's bounds and Psi: every price of a run, its
-    dual increments' included, is read through it, so no entry can be read
-    at other bounds.
-    """
+    ``price`` and ``pay`` compute each once per such key and keep it for
+    the whole run: one entry serves every destination arrival of a day
+    with one Omega, and every session that finds a cell at the same load.
+    The snapshot is the only holder of the run's bounds and Psi: every
+    price of a run, its dual increments' included, is read through it, so
+    no entry can be read at other bounds.
 
-    __slots__ = ("bounds", "psi", "prices", "paid")
-
-    def __init__(self, bounds: PriceBounds, psi_: int) -> None:
-        self.bounds = bounds
-        self.psi = psi_
-        self.prices: Dict[tuple, float] = {}
-        self.paid: Dict[tuple, float] = {}
-
-    def price(self, shape: Shape, y: float) -> float:
-        """Posted price of a cell of ``shape`` at load y."""
-        p = self.prices.get((shape, y))
-        if p is None:
-            p = self.prices[shape, y] = shape.price(y, self.bounds, self.psi)
-        return p
-
-    def pay(self, shape: Shape, y: float, amount: float) -> float:
-        """Payment for ``amount`` more units of a cell of ``shape`` at load y."""
-        key = (shape, y, amount)
-        paid = self.paid.get(key)
-        if paid is None:
-            # looked up on the module at call time, so a wrapper there sees it
-            paid = self.paid[key] = globals()[shape.family.name + "_payment"](
-                y, y + amount, *shape.args, self.bounds, self.psi)
-        return paid
-
-
-class Snapshot:
-    """Posted prices and sums of posted prices and payments at one ledger's
-    loads, read through one price table.
-
-    ``prices[k][i]`` is ``table.price(shape, min(load, cap))`` of cell i
-    of family k: a cell loaded beyond capacity keeps its ceiling price, as
+    ``prices[k][i]`` is ``price(shape, min(load, cap))`` of cell i of
+    family k: a cell loaded beyond capacity keeps its ceiling price, as
     posted prices only rank slots. ``charges[i]``, laid out as the
     (facility, EVSE, slot) cells, is the energy plus generation price per
     kWh there, the energy price alone in a slot without generation
-    capacity. Each payment is read through the table. Every cable window
-    at a facility starts at the vehicle's arrival slot there, and every
-    out-of-service run at its t_minus, so ``run`` keeps sums over
-    consecutive cells as running sums from their first cell, extended only
-    as far as asked, and ``draw`` keeps the payments of each set of
-    charging slots. Every sum is added left to right from 0.0, cell by
-    cell, as a walk over the cells adds it, so each float is bit-identical
-    to the walk's own.
+    capacity. Every cable window at a facility starts at the vehicle's
+    arrival slot there, and every out-of-service run at its t_minus, so
+    ``run`` keeps sums over consecutive cells as running sums from their
+    first cell, extended only as far as asked, and ``draw`` keeps the
+    payments of each set of charging slots. Every sum is added left to
+    right from 0.0, cell by cell, as a walk over the cells adds it, so
+    each float is bit-identical to the walk's own.
 
-    An online run keeps one holder for the whole run. The ledger does not
-    move while one session is handled, and a depot decision leaves it as
-    it was, so the sums outlive a ``dispatch`` until the next commit.
+    An online run keeps one snapshot for the whole run. The ledger does
+    not move while one session is handled, and a depot decision leaves it
+    as it was, so the sums outlive a ``dispatch`` until the next commit.
     After a commit, ``update`` re-posts the cells the committed plan moved
-    and drops every sum. Each entry comes from the same ``table.price``
-    call that a fresh holder makes, so it is bit-identical to it. A holder
-    belongs to its table and to its ledger's load lists; a holder of
-    another table, or of replaced loads, is rebuilt, never read.
+    and drops every sum. Each entry comes from the same ``price`` call
+    that a fresh snapshot makes, so it is bit-identical to it. A snapshot
+    belongs to its ledger's load lists; one of replaced loads is rebuilt,
+    never read.
     """
 
-    __slots__ = ("table", "loads", "cells", "prices", "charges", "_evse_rows",
-                 "_runs", "_drawn")
+    __slots__ = ("bounds", "psi", "loads", "cells", "prices", "charges", "_evse_rows",
+                 "_priced", "_paid", "_runs", "_drawn")
 
-    def __init__(self, ledger: ResourceLedger, table: PriceTable) -> None:
-        self.table = table
+    def __init__(self, ledger: ResourceLedger, bounds: PriceBounds, psi_: int) -> None:
+        self.bounds = bounds
+        self.psi = psi_
+        self._priced: Dict[tuple, float] = {}
+        self._paid: Dict[tuple, float] = {}
         self.loads = ledger.loads
         cells = self.cells = ledger.cells
-        price = table.price
+        price = self.price
         self.prices = [[price(shape, min(y, shape.cap)) for y, shape in zip(loads, shapes)]
                        for loads, shapes in zip(ledger.loads, cells.shapes)]
         T = cells.horizon
@@ -504,16 +476,23 @@ class Snapshot:
         self._runs: Dict[tuple, List[float]] = {}
         self._drawn: Dict[tuple, Tuple[float, float]] = {}
 
-    def fits(self, ledger: ResourceLedger, table: PriceTable) -> bool:
-        """Whether this holder posts the prices of ``ledger`` through ``table``."""
-        return self.table is table and self.loads is ledger.loads
+    def fits(self, ledger: ResourceLedger) -> bool:
+        """Whether this snapshot posts the prices of ``ledger``."""
+        return self.loads is ledger.loads
+
+    def price(self, shape: Shape, y: float) -> float:
+        """Posted price of a cell of ``shape`` at load y."""
+        p = self._priced.get((shape, y))
+        if p is None:
+            p = self._priced[shape, y] = shape.price(y, self.bounds, self.psi)
+        return p
 
     def update(self, schedule) -> None:
         """Re-post every cell that applying ``schedule`` moved: each of its
         demand cells, and the charging price of every EVSE of its facility
         in each of its energy slots, as generation is per facility. Then
         drop every sum, all of which read the loads before the commit."""
-        loads, prices, price = self.loads, self.prices, self.table.price
+        loads, prices, price = self.loads, self.prices, self.price
         for k, i, _, shape in self.cells.demands(schedule):
             prices[k][i] = price(shape, min(loads[k][i], shape.cap))
         f = schedule.facility_id
@@ -536,7 +515,14 @@ class Snapshot:
 
     def pay(self, k: int, i: int, amount: float = 1) -> float:
         """Payment for ``amount`` more units of cell i of family k."""
-        return self.table.pay(self.cells.shapes[k][i], self.loads[k][i], amount)
+        shape, y = self.cells.shapes[k][i], self.loads[k][i]
+        key = (shape, y, amount)
+        paid = self._paid.get(key)
+        if paid is None:
+            # looked up on the module at call time, so a wrapper there sees it
+            paid = self._paid[key] = globals()[shape.family.name + "_payment"](
+                y, y + amount, *shape.args, self.bounds, self.psi)
+        return paid
 
     def run(self, k: int, first: int, n: int, posted: bool = False) -> float:
         """Summed payments for one more unit of each of the n >= 1 cells of

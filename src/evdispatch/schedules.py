@@ -35,14 +35,13 @@ up to ``MAX_START_OFFSET`` slots apart, at most at ``T - h2``. Each
 (facility, target) stream keeps one list of its distinct windows (end,
 EVSE, energy slots, last charging slot), in ascending end, first
 occurrence only, and extends it only as far as the current tuple's last
-window end; the tuple makes one plan from each entry up to that end. The
-EVSE and slots of a window are picked once per (facility, window end,
-slot count) and shared by the targets with that slot count.
+window end; the tuple makes one plan from each entry up to that end. A
+stream picks the EVSE and slots of each of its windows once.
 
 The charging build reads posted prices and charging prices from the
-caller's ``pricing.Snapshot`` of the ledger, the one the online run keeps
-for the whole run; ``dispatch`` prices the candidates from the same
-snapshot.
+caller's ``pricing.Snapshot`` of the ledger. An online run keeps one
+snapshot for the whole run, the one object that holds its bounds, Psi
+and prices; ``dispatch`` prices the candidates from the same snapshot.
 
 Every plan, here and in ``baselines``, is made by ``make_plan``, which
 works out a plan's arrival slot, cable window, final charge and value.
@@ -151,23 +150,20 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
                 config, fac.region_id, h1, stored, T - (t_arr + k - 1), (fac.id, target))))
 
     # ---- build charging tuples, best value first, until the cap ----
-    # A window runs from the facility arrival slot t_arr to its end slot,
-    # so a pick depends on (facility, window end, k) only, and targets of
-    # equal k share it. Each start offset widens the window by one slot, up
-    # to slot T - h2; _batches kept h2 <= T - (t_arr + k - 1), so the
-    # shortest window holds k slots. A plan recurs when the cheapest EVSE
-    # flips and flips back, and only inside one tuple's windows: a stream
-    # yields each destination once, and two targets never draw the same
-    # energy slots. So each stream keeps its distinct windows, first
-    # occurrence only, in ascending end, extended up to the last window
-    # end of the tuple at hand; the tuple makes one plan from each of them
-    # up to that end.
-    picks = {}  # (facility, window end, k) -> (EVSE, chosen slots, dearest)
+    # A window runs from the facility arrival slot t_arr to its end slot.
+    # Each start offset widens the window by one slot, up to slot T - h2;
+    # _batches kept h2 <= T - (t_arr + k - 1), so the shortest window
+    # holds k slots. A plan recurs when the cheapest EVSE flips and flips
+    # back, and only inside one tuple's windows: a stream yields each
+    # destination once, and two targets never draw the same energy slots.
+    # So each stream keeps its distinct windows, first occurrence only, in
+    # ascending end, extended up to the last window end of the tuple at
+    # hand; the tuple makes one plan from each of them up to that end.
     out: List[Schedule] = []
     for neg_v, fid, target, dest, h2 in heapq.merge(*streams):
         stream = fixed[fid, target]
         top = min(T - h2, stream.lo + MAX_START_OFFSET)
-        stream.extend(top, picks, prices)
+        stream.extend(top, prices)
         for end, charge, t_leave in stream.windows:
             if end > top:
                 break
@@ -195,17 +191,14 @@ class _Stream:
         self.lo = self.next_end = t_arr + k - 1  # the shortest window's end
         self.windows: List[tuple] = []
 
-    def extend(self, top: int, picks: dict, prices: Snapshot) -> None:
+    def extend(self, top: int, prices: Snapshot) -> None:
         """Add the stream's distinct windows that end by slot ``top``, each
         as (end, the ``make_plan`` charge, last charging slot), in
-        ascending end, first occurrence only. Each window is picked once
-        per (facility, window end, k) in ``picks``."""
+        ascending end, first occurrence only. Each window end is picked
+        once."""
         fid, k, windows = self.fac.id, self.k, self.windows
         for end in range(self.next_end, top + 1):
-            pick = picks.get((fid, end, k))
-            if pick is None:
-                pick = picks[fid, end, k] = _pick(fid, self.fac, self.t_arr, end, k, prices)
-            evse, chosen, dearest = pick
+            evse, chosen, dearest = _pick(fid, self.fac, self.t_arr, end, k, prices)
             # full rate on the chosen slots, the last slot's energy on the dearest
             charge = (fid, evse, self.h1,
                       tuple((t, self.last if t == dearest else self.rate) for t in chosen))

@@ -22,7 +22,7 @@ from evdispatch.domain import (
 )
 from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.offline import exact_offline, upper_bound
-from evdispatch.pricing import CABLE, DESTINATION, PriceBounds, PriceTable, Snapshot
+from evdispatch.pricing import CABLE, DESTINATION, PriceBounds, Snapshot
 from evdispatch.schedules import GenerationPolicy, feasible_schedules, ranked, rebalances
 
 from conftest import broken_configs, broken_sessions, build_mini_config, cell_index
@@ -30,7 +30,7 @@ from conftest import broken_configs, broken_sessions, build_mini_config, cell_in
 
 def _prices(state):
     """A fresh snapshot of the state's live ledger, as ``dispatch`` builds one."""
-    return Snapshot(state.ledger, state.table)
+    return Snapshot(state.ledger, state.posted.bounds, state.posted.psi)
 
 
 def _candidates(session, config, prices, policy):
@@ -56,7 +56,8 @@ def test_bounds_below_the_value_density_breach_capacity():
 
     # below the density the barrier fails, and the run dies mid-way
     state = DispatcherState.fresh(config)
-    state = dataclasses.replace(state, table=PriceTable(bounds, state.table.psi))
+    state = dataclasses.replace(state, posted=Snapshot(state.ledger, bounds,
+                                                       state.posted.psi))
     with pytest.raises(CapacityError, match="session 111 "):
         for session in sessions:
             dispatch(session, state)
@@ -291,12 +292,13 @@ def test_capacity_backstop_fires_without_the_barrier(mini_config,
     flat = PriceBounds(L_c=1e-9, U_c=1e-8, L_e=1e-9, U_e=1e-8, L_g=1e-9,
                        U_g=1e-8, L_d=1e-9, U_d=1e-8, L_o=1e-9, U_o=1e-8)
     state = DispatcherState.fresh(mini_config)
-    state = dataclasses.replace(state, table=PriceTable(flat, state.table.psi))
     for d in range(len(mini_config.regions)):
         for t in range(mini_config.horizon):
             cell = cell_index(mini_config, DESTINATION, d, t + 1)
             state.ledger.loads[DESTINATION][cell] = (
                 mini_config.regions[d].vehicle_limit[t])
+    state = dataclasses.replace(state, posted=Snapshot(state.ledger, flat,
+                                                       state.posted.psi))
     with pytest.raises(CapacityError, match="price barrier failed"):
         dispatch(mini_session, state)
 
@@ -333,34 +335,42 @@ def test_a_thin_solar_slot_in_a_valid_config_keeps_capacity():
     assert recompute_ledger(report.decisions, config).violations(config) == []
 
 
-def test_replaced_bounds_get_a_price_table_of_their_own():
-    """``dataclasses.replace`` with a table of other bounds gives a state
-    whose price table is new, empty and built on the other bounds, and a
-    run on it keeps only prices and payments at those bounds: never an
-    entry of the state it was copied from."""
+def test_a_replaced_snapshot_starts_with_empty_memos_at_its_own_bounds():
+    """``dataclasses.replace`` with a snapshot at other bounds gives a state
+    whose snapshot is new and built on the other bounds: it holds no
+    payment and only the posted prices of the ledger's cells, at those
+    bounds. A run on it keeps only prices and payments at those bounds,
+    never an entry of the state it was copied from, whose snapshot it
+    leaves alone."""
     config, sessions = generate_scenario(0, dataclasses.replace(PRESETS["desk"],
                                                                 max_sessions=60))
     state = DispatcherState.fresh(config)
     for session in sessions[:30]:
         dispatch(session, state)
-    old = state.table
-    assert old.prices and old.paid
+    old = state.posted
+    assert old._priced and old._paid
+    kept = dict(old._priced), dict(old._paid)
     other = dataclasses.replace(old.bounds, **{
         name: 2 * getattr(old.bounds, name) for name in
         ("U_c", "U_e", "U_g", "U_d", "U_o")})
 
-    moved = dataclasses.replace(state, table=PriceTable(other, old.psi))
-    table = moved.table
-    assert table is not old and state.table is old
-    assert (table.bounds, table.psi) == (other, old.psi)
-    assert table.prices == table.paid == {}
+    moved = dataclasses.replace(state, posted=Snapshot(state.ledger, other, old.psi))
+    posted = moved.posted
+    assert posted is not old and state.posted is old
+    assert (posted.bounds, posted.psi) == (other, old.psi)
+    assert posted._paid == {}
+    assert set(posted._priced) == {
+        (shape, min(y, shape.cap)) for loads, shapes in zip(state.ledger.loads,
+                                                            config.cells.shapes)
+        for y, shape in zip(loads, shapes)}
     for session in sessions[30:]:
         dispatch(session, moved)
-    assert table.prices and table.paid
-    for (shape, y), p in table.prices.items():
+    assert moved.posted is posted and posted._paid
+    assert (old._priced, old._paid) == kept
+    for (shape, y), p in posted._priced.items():
         assert p == shape.price(y, other, old.psi)
     moved_payments = 0
-    for (shape, y, amount), paid in table.paid.items():
+    for (shape, y, amount), paid in posted._paid.items():
         assert paid == shape.payment(y, y + amount, other, old.psi)
         moved_payments += paid != shape.payment(y, y + amount, old.bounds, old.psi)
     assert moved_payments > 0
@@ -368,11 +378,11 @@ def test_replaced_bounds_get_a_price_table_of_their_own():
 
 def test_a_run_recovers_from_loads_written_in_place():
     """A caller that writes the ledger's loads in place between two
-    ``dispatch`` calls sets ``state.posted`` to None, as the
-    ``DispatcherState`` docstring asks: the run's snapshot cannot see such
-    a write, and would build other plans from its stale prices, but the
-    next ``dispatch`` takes a new one, and every later decision is the one
-    a fresh state on a copy of the loads reaches."""
+    ``dispatch`` calls rebuilds ``state.posted`` at its bounds and Psi, as
+    the ``DispatcherState`` docstring asks: the run's snapshot cannot see
+    such a write, and would build other plans from its stale prices, but
+    from the rebuilt one every later decision is the one a fresh state on
+    a copy of the loads reaches."""
     config, sessions = generate_scenario(0, dataclasses.replace(PRESETS["desk"],
                                                                 max_sessions=40))
     state = DispatcherState.fresh(config)
@@ -382,17 +392,43 @@ def test_a_run_recovers_from_loads_written_in_place():
     cables = state.ledger.loads[CABLE]
     for t in range(1, config.horizon + 1):
         cables[config.cells.evse_cell(0, 0, t)] = config.facilities[0].cables_per_evse
-    assert stale.fits(state.ledger, state.table)
+    assert stale.fits(state.ledger)
     later = sessions[20:]
     assert (feasible_schedules(later[0], config, stale)
             != feasible_schedules(later[0], config, _prices(state)))
-    state.posted = None
+    state.posted = Snapshot(state.ledger, stale.bounds, stale.psi)
     for session in later:
         twin = DispatcherState.fresh(config)
         twin.ledger.loads = [list(loads) for loads in state.ledger.loads]
         twin.last_t = state.last_t
         assert dispatch(session, state) == dispatch(session, twin), session
     assert state.posted is not stale
+
+
+def test_a_replaced_ledger_gets_a_snapshot_of_its_own():
+    """A ledger swapped in mid-run, on copied loads with facility 0's EVSE
+    0 cables then filled, is not read through the run's snapshot: its loads
+    are other lists, so ``dispatch`` rebuilds the snapshot at the run's
+    bounds and Psi, and every later decision is the one a fresh state on a
+    copy of the loads reaches."""
+    config, sessions = generate_scenario(0, dataclasses.replace(PRESETS["desk"],
+                                                                max_sessions=40))
+    state = DispatcherState.fresh(config)
+    for session in sessions[:20]:
+        dispatch(session, state)
+    old = state.posted
+    state.ledger = ResourceLedger(config.cells, [list(loads) for loads in state.ledger.loads])
+    cables = state.ledger.loads[CABLE]
+    for t in range(1, config.horizon + 1):
+        cables[config.cells.evse_cell(0, 0, t)] = config.facilities[0].cables_per_evse
+    assert not old.fits(state.ledger)
+    for session in sessions[20:]:
+        twin = DispatcherState.fresh(config)
+        twin.ledger.loads = [list(loads) for loads in state.ledger.loads]
+        twin.last_t = state.last_t
+        assert dispatch(session, state) == dispatch(session, twin), session
+        assert state.posted.fits(state.ledger)
+    assert (state.posted.bounds, state.posted.psi) == (old.bounds, old.psi)
 
 
 def test_replay_matches_decisions(tiny_instance):
@@ -483,9 +519,9 @@ def test_trajectories_tie_out_to_the_objectives(tiny_instance):
 
     # the stored dual curve is shifted to start at zero
     base = economics.dual_objective([], ResourceLedger.zero(config), config,
-                                    state.table.bounds, state.table.psi)
+                                    state.posted.bounds, state.posted.psi)
     full = economics.dual_objective([d.utility for d in state.decisions], ledger, config,
-                                    state.table.bounds, state.table.psi)
+                                    state.posted.bounds, state.posted.psi)
     assert state.dual_trajectory[-1] == pytest.approx(full - base, abs=1e-8)
     # weak duality in unshifted terms
     assert full >= welfare - 1e-9

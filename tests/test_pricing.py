@@ -257,8 +257,8 @@ def test_a_run_refuses_fewer_than_one_cell():
     raised IndexError on a fresh run, and after a 3-cell run it returned
     that run's sum, with n = -1 the 2-cell sum."""
     config, _ = generate_scenario(0, "tiny")
-    prices = pricing.Snapshot(ResourceLedger.zero(config),
-                              pricing.PriceTable(estimate_bounds(config), psi(config)))
+    prices = pricing.Snapshot(ResourceLedger.zero(config), estimate_bounds(config),
+                              psi(config))
     for posted in (False, True):
         for n in (0, -1):
             with pytest.raises(ValueError, match=f"n >= 1 cells, got n={n}"):
@@ -277,8 +277,8 @@ def test_a_commit_reposts_its_cells_and_drops_every_sum(desk_instance):
     from before the commit, the plan's own among them."""
     config, sessions = desk_instance
     ledger = ResourceLedger.zero(config)
-    table = pricing.PriceTable(estimate_bounds(config), psi(config))
-    holder = pricing.Snapshot(ledger, table)
+    bounds, psi_ = estimate_bounds(config), psi(config)
+    holder = pricing.Snapshot(ledger, bounds, psi_)
     charge = next(plan for session in sessions
                   for plan in feasible_schedules(session, config, holder))
     rebalance = next(plan for session in sessions for plan in rebalances(session, config))
@@ -302,7 +302,7 @@ def test_a_commit_reposts_its_cells_and_drops_every_sum(desk_instance):
     for plan in plans:
         ledger.apply(plan)
         holder.update(plan)
-        fresh = pricing.Snapshot(ledger, table)
+        fresh = pricing.Snapshot(ledger, bounds, psi_)
         assert (holder.prices, holder.charges) == (fresh.prices, fresh.charges)
         assert read(holder) == read(fresh)
     assert read(holder) != before

@@ -1,16 +1,15 @@
-"""The table-driven walks, the run's two price holders (its price table
-and its ledger snapshot), the candidate build that merges its sorted
-streams, the per-config destination ranking and the verifier that reads
-each segment's grid at its two ends against plain reference
-implementations.
+"""The table-driven walks, the run's one price object (its ledger
+snapshot), the candidate build that merges its sorted streams, the
+per-config destination ranking and the verifier that reads each
+segment's grid at its two ends against plain reference implementations.
 
 ``utility_breakdown`` reads payments from the snapshot of the ledger that
 ``dispatch`` keeps for the whole run and also hands to the candidate
 build: running sums of the cable and out-of-service payments from their
-first slot, and per-cell lookups of the rest in the price table kept for
-the whole run. It skips the cable, energy and generation payments of a
-plan that its destination and out-of-service payments already put below
-the best utility so far.
+first slot, and per-cell lookups of the rest in the snapshot's payments,
+kept by key for the whole run. It skips the cable, energy and generation
+payments of a plan that its destination and out-of-service payments
+already put below the best utility so far.
 ``_dual_increment`` and ``primal_increment`` walk a schedule's demands on
 the config's cells; the snapshot's posted prices are updated by each
 commit, which drops its sums; ``feasible_schedules`` sums cable prices as
@@ -54,8 +53,8 @@ from evdispatch.schedules import (
     _candidate_key, feasible_schedules, make_plan, ranked, rebalances,
 )
 from evdispatch.pricing import (
-    CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, PriceTable,
-    Snapshot, cell_shape,
+    CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, Snapshot,
+    cell_shape,
 )
 
 
@@ -87,7 +86,7 @@ def _loads(config, ledger, coordinates):
 
 def reference_utility_breakdown(schedule, state, loads):
     """Every payment integrated afresh from the ledger, family by family."""
-    config, bounds, psi_ = state.config, state.table.bounds, state.table.psi
+    config, bounds, psi_ = state.config, state.posted.bounds, state.posted.psi
     y_c, y_e, y_g, y_o, y_d = loads
     d, tp = schedule.dest_region, schedule.t_plus
     pay_dest = pricing.destination_payment(
@@ -123,7 +122,7 @@ def reference_utility_breakdown(schedule, state, loads):
 
 def reference_dual_increment(schedule, u, state, loads):
     """Every conjugate's move priced afresh, family by family."""
-    config, bounds, psi_ = state.config, state.table.bounds, state.table.psi
+    config, bounds, psi_ = state.config, state.posted.bounds, state.posted.psi
     y_c, y_e, y_g, y_o, y_d = loads
     total = u
 
@@ -362,6 +361,9 @@ RUNS = {
     "rush": dataclasses.replace(PRESETS["rush"], max_sessions=400),
     # 8 facilities of 10 EVSEs, most of them empty: ties among EVSEs
     "full": dataclasses.replace(PRESETS["full"], max_sessions=150),
+    # a charge increment below the fair-share rate of 5 kWh a slot, so
+    # that two charge targets at one facility share a slot count
+    "shared-k": dataclasses.replace(PRESETS["desk"], charge_increment=2.5, max_sessions=120),
 }
 
 
@@ -382,11 +384,12 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
     coordinates = _coordinates(config)
     priced = skipped = committed = 0
     for session in sessions:
-        live = Snapshot(state.ledger, PriceTable(state.table.bounds, state.table.psi))
+        bounds, psi_ = state.posted.bounds, state.posted.psi
+        live = Snapshot(state.ledger, bounds, psi_)
         candidates = list(ranked(rebalances(session, config),
                                  feasible_schedules(session, config, live, state.policy)))
         assert candidates == reference_feasible_schedules(
-            session, config, state.ledger, state.table.bounds, state.table.psi, state.policy)
+            session, config, state.ledger, bounds, psi_, state.policy)
         loads = _loads(config, state.ledger, coordinates)
         expected = [reference_utility_breakdown(s, state, loads) for s in candidates]
         dual_steps = {}
@@ -443,16 +446,16 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
 
 
 def test_no_running_sum_outlives_a_commit(monkeypatch):
-    """Only the run's price table and its snapshot outlive a dispatch
-    call, and every sum the snapshot keeps reads the ledger as it is now:
-    after every ``dispatch``, whether the vehicle is committed or sent to
-    the depot, each kept running sum and each kept draw is the one a fresh
-    snapshot of the ledger gives at its key. A commit drops them all; a
-    depot decision keeps them, and some sessions read sums kept from the
-    depot session before them. Each kept price and payment is the one a
-    fresh curve gives at its key, so a twin state that shares the
-    ledger's loads but has an empty table reaches the same decision and
-    breakdown, making at least as many payments."""
+    """Only the run's snapshot outlives a dispatch call, and every sum it
+    keeps reads the ledger as it is now: after every ``dispatch``, whether
+    the vehicle is committed or sent to the depot, each kept running sum
+    and each kept draw is the one a fresh snapshot of the ledger gives at
+    its key. A commit drops them all; a depot decision keeps them, and
+    some sessions read sums kept from the depot session before them. Each
+    kept price and payment is the one a fresh curve gives at its key, so a
+    twin state on a copy of the ledger's loads, with a snapshot of its
+    own, reaches the same decision and breakdown, making at least as many
+    payments."""
     config, sessions = generate_scenario(3, RUNS["rush"])
     calls = [0]
 
@@ -492,9 +495,7 @@ def test_no_running_sum_outlives_a_commit(monkeypatch):
         before = calls[0]
         expected = dispatch(session, twin)
         fresh_calls, before = calls[0] - before, calls[0]
-        held = state.posted
-        kept_runs = set() if held is None else set(held._runs)
-        kept_draws = set() if held is None else set(held._drawn)
+        kept_runs, kept_draws = set(state.posted._runs), set(state.posted._drawn)
         reread[0] = False
         decision = dispatch(session, state)
         assert calls[0] - before <= fresh_calls
@@ -504,7 +505,7 @@ def test_no_running_sum_outlives_a_commit(monkeypatch):
         outcomes.add(decision.is_depot)
 
         kept = state.posted
-        fresh = Snapshot(state.ledger, PriceTable(state.table.bounds, state.table.psi))
+        fresh = Snapshot(state.ledger, kept.bounds, kept.psi)
         for (posted, k, first), sums in kept._runs.items():
             fresh.run(k, first, len(sums), posted)
             assert fresh._runs[posted, k, first] == sums, session
@@ -514,10 +515,10 @@ def test_no_running_sum_outlives_a_commit(monkeypatch):
     assert warm < cold / 2
     assert rereads > 0
 
-    bounds, psi_ = state.table.bounds, state.table.psi
-    for (shape, y), p in state.table.prices.items():
+    bounds, psi_ = state.posted.bounds, state.posted.psi
+    for (shape, y), p in state.posted._priced.items():
         assert p == shape.price(y, bounds, psi_)
-    for (shape, y, amount), paid in state.table.paid.items():
+    for (shape, y, amount), paid in state.posted._paid.items():
         function = getattr(pricing, shape.family.name + "_payment")
         assert paid == function(y, y + amount, *shape.args, bounds, psi_)
 
@@ -531,7 +532,7 @@ def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):
     state = DispatcherState.fresh(config)
     loads = _loads(config, state.ledger, _coordinates(config))
     candidates = reference_feasible_schedules(session, config, state.ledger,
-                                              state.table.bounds, state.table.psi,
+                                              state.posted.bounds, state.posted.psi,
                                               state.policy)
     first = candidates[0]
     plan = next(s for s in candidates if s.charging)
@@ -564,9 +565,9 @@ def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):
             assert inside[1][2] is None
 
 
-def test_a_switched_table_prices_payments_and_dual_increments_alike(monkeypatch):
-    """A run's bounds and Psi live in its price table alone: after the
-    table is switched for one of other bounds mid-run, every committed
+def test_a_switched_snapshot_prices_payments_and_dual_increments_alike(monkeypatch):
+    """A run's bounds and Psi live in its snapshot alone: after the
+    snapshot is switched for one at other bounds mid-run, every committed
     breakdown and dual increment is the reference's at the new bounds, and
     some increments are not the ones the old bounds give."""
     config, sessions = generate_scenario(0, RUNS["desk"])
@@ -575,12 +576,12 @@ def test_a_switched_table_prices_payments_and_dual_increments_alike(monkeypatch)
     half = len(sessions) // 2
     for session in sessions[:half]:
         dispatch(session, state)
-    old = state.table
+    old = state.posted
     other = dataclasses.replace(old.bounds, **{
         name: 2 * getattr(old.bounds, name) for name in
         ("U_c", "U_e", "U_g", "U_d", "U_o")})
-    state.table = PriceTable(other, old.psi)
-    at_old = dataclasses.replace(state, table=old)
+    state.posted = Snapshot(state.ledger, other, old.psi)
+    at_old = dataclasses.replace(state, posted=old)
 
     committed = []
 
@@ -620,28 +621,27 @@ POSTED_DAYS = {"full": (0, dataclasses.replace(PRESETS["full"], max_sessions=60)
 
 @pytest.mark.parametrize("name", sorted(POSTED_DAYS))
 def test_posted_prices_follow_every_commit(name):
-    """A run builds its posted-price holder once and each commit updates
-    it: after every ``dispatch`` its lists are the reference's at the
-    ledger's loads, the charging prices of the other EVSEs of the
-    committed facility included."""
+    """A run builds its snapshot once, in ``DispatcherState.fresh``, and
+    each commit updates it: after every ``dispatch`` its lists are the
+    reference's at the ledger's loads, the charging prices of the other
+    EVSEs of the committed facility included."""
     seed, params = POSTED_DAYS[name]
     config, sessions = generate_scenario(seed, params)
     state = DispatcherState.fresh(config)
-    bounds, psi_ = state.table.bounds, state.table.psi
-    holder, committed = None, 0
+    holder, committed = state.posted, 0
+    bounds, psi_ = holder.bounds, holder.psi
     for session in sessions:
         committed += not dispatch(session, state).is_depot
-        holder = holder or state.posted
         assert state.posted is holder
         assert ((holder.prices, holder.charges)
                 == reference_posted(config, state.ledger, bounds, psi_)), session
     assert committed > len(sessions) // 4
 
 
-def test_a_switched_table_builds_no_plan_from_the_old_prices(monkeypatch):
-    """After ``state.table`` is switched for one of other bounds mid-run,
-    every session's charging candidates are the ones a fresh snapshot of
-    the ledger through the new table gives, and after every ``dispatch``
+def test_a_switched_snapshot_builds_no_plan_from_the_old_prices(monkeypatch):
+    """After ``state.posted`` is switched for a snapshot at other bounds
+    mid-run, every session's charging candidates are the ones a fresh
+    snapshot of the ledger at the new bounds gives, and after every ``dispatch``
     the posted prices are the reference's at the new bounds. Doubling the
     floors of the cable, energy and generation curves moves the EVSE or
     slot picks of two sessions of this congested day; doubling every
@@ -651,11 +651,11 @@ def test_a_switched_table_builds_no_plan_from_the_old_prices(monkeypatch):
     half = len(sessions) // 2
     for session in sessions[:half]:
         dispatch(session, state)
-    old = state.table
+    old = state.posted
     other = dataclasses.replace(old.bounds, **{
         name: 2 * getattr(old.bounds, name) for name in ("L_c", "L_e", "L_g")})
     assert pricing.validate_bounds(other, config) == []
-    state.table = PriceTable(other, old.psi)
+    state.posted = Snapshot(state.ledger, other, old.psi)
 
     built = []
 
@@ -666,9 +666,9 @@ def test_a_switched_table_builds_no_plan_from_the_old_prices(monkeypatch):
     monkeypatch.setattr(dispatcher, "feasible_schedules", recorded)
     moved = 0
     for session in sessions[half:]:
-        expected = feasible_schedules(session, config,
-                                      Snapshot(state.ledger, PriceTable(other, old.psi)))
-        moved += expected != feasible_schedules(session, config, Snapshot(state.ledger, old))
+        expected = feasible_schedules(session, config, Snapshot(state.ledger, other, old.psi))
+        moved += expected != feasible_schedules(session, config,
+                                                Snapshot(state.ledger, old.bounds, old.psi))
         built.clear()
         dispatch(session, state)
         assert built == [expected], session
@@ -726,7 +726,7 @@ def _assert_enumeration_matches(seed, sessions, policy=DEFAULT_POLICY, **values)
     for session in stream:
         got = list(ranked(rebalances(session, config),
                           feasible_schedules(session, config,
-                                             Snapshot(ledger, PriceTable(DESK_BOUNDS, DESK_PSI)), policy)))
+                                             Snapshot(ledger, DESK_BOUNDS, DESK_PSI), policy)))
         assert got == reference_feasible_schedules(session, config, ledger, DESK_BOUNDS,
                                                    DESK_PSI, policy), session
 

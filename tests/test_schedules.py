@@ -23,10 +23,10 @@ from conftest import build_mini_config
 
 def _candidates(config, session, policy=DEFAULT_POLICY, ledger=None):
     """Every candidate of a session, in the order ``dispatch`` reads them."""
-    table = pricing.PriceTable(pricing.estimate_bounds(config), pricing.psi(config))
     if ledger is None:
         ledger = ResourceLedger.zero(config)
-    charges = feasible_schedules(session, config, pricing.Snapshot(ledger, table), policy)
+    prices = pricing.Snapshot(ledger, pricing.estimate_bounds(config), pricing.psi(config))
+    charges = feasible_schedules(session, config, prices, policy)
     assert all(s.charging for s in charges)
     return list(ranked(rebalances(session, config), charges))
 
@@ -232,13 +232,13 @@ def test_an_empty_window_reads_one_evse(monkeypatch):
     monkeypatch.setattr(pricing.Snapshot, "run", counted)
 
     start, end = 10, 14
-    prices = pricing.Snapshot(ledger, pricing.PriceTable(bounds, psi_))
+    prices = pricing.Snapshot(ledger, bounds, psi_)
     assert schedules._pick(fid, fac, start, end, 1, prices)[0] == 0
     assert len(reads) == 1
 
     # a cable taken on EVSE 0 inside the window: EVSE 1 is empty and wins
     ledger.loads[pricing.CABLE][ledger.cells.evse_cell(fid, 0, 12)] = 1.0
     reads.clear()
-    prices = pricing.Snapshot(ledger, pricing.PriceTable(bounds, psi_))
+    prices = pricing.Snapshot(ledger, bounds, psi_)
     assert schedules._pick(fid, fac, start, end, 1, prices)[0] == 1
     assert len(reads) == 2
