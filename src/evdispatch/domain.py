@@ -147,6 +147,13 @@ class ScenarioConfig:
         Dollars per kWh of final stored energy in a schedule's value.
     rng_seed:
         Seed recorded by the generator that produced the instance.
+
+    Five cached properties are built once per config object and kept in
+    its instance dict: ``hop_table``, ``cells``, ``destinations``,
+    ``violations`` (what ``validate`` finds, read by ``check_config``)
+    and ``canonical_json`` (read by ``instance_hash``). None is a field:
+    equality, hashing and ``as_plain`` ignore them, and
+    ``dataclasses.replace`` yields a new object that builds its own.
     """
 
     horizon: int
@@ -186,6 +193,18 @@ class ScenarioConfig:
         (:class:`Destinations`), built once per config object like
         ``hop_table``."""
         return _destinations(self)
+
+    @cached_property
+    def violations(self) -> Tuple["Violation", ...]:
+        """``validate(self)``, run once per config object like
+        ``hop_table``, so each solver's ``check_config`` reads it."""
+        return tuple(validate(self))
+
+    @cached_property
+    def canonical_json(self) -> str:
+        """``as_plain(self)`` as compact JSON with sorted keys, dumped once
+        per config object like ``hop_table``; ``instance_hash`` hashes it."""
+        return json.dumps(as_plain(self), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -603,8 +622,9 @@ def validate(config: ScenarioConfig) -> List[Violation]:
 
 def check_config(config: ScenarioConfig) -> None:
     """Raise ``ValueError("invalid config: …")`` if validate finds a
-    problem; every solver calls it before it reads the config."""
-    problems = validate(config)
+    problem; every solver calls it before it reads the config. The
+    problems are the config object's cached ``violations``."""
+    problems = config.violations
     if problems:
         raise ValueError("invalid config: " + "; ".join(str(p) for p in problems[:5]))
 
@@ -942,10 +962,10 @@ def as_plain(obj):
 
 
 def instance_hash(config: ScenarioConfig, sessions: Sequence[Session]) -> str:
-    """Stable sha256 over the canonical JSON of (config, session stream)."""
-    payload = {
-        "config": as_plain(config),
-        "sessions": [[s.id, s.t_minus, s.origin_region, s.soc] for s in sessions],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Stable sha256 over the canonical JSON of (config, session stream):
+    ``{"config":…,"sessions":[…]}``, the config's part spliced in from its
+    cached ``canonical_json``."""
+    stream = json.dumps([[s.id, s.t_minus, s.origin_region, s.soc] for s in sessions],
+                        separators=(",", ":"))
+    blob = f'{{"config":{config.canonical_json},"sessions":{stream}}}'
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -9,7 +9,9 @@ algorithms against the offline bounds.
 All randomness flows from one seeded generator, and every artifact is
 written with canonical key order, so equal seeds give equal bytes. Every
 JSON artifact is a dataclass written as its fields (``domain.as_plain``)
-and read back by its type hints (``from_plain``).
+and read back by its type hints (``from_plain``). ``_write_json`` writes
+each one as a single compact line through json's C encoder, streamed
+member by member.
 """
 
 from __future__ import annotations
@@ -319,11 +321,43 @@ def _reader(tp) -> Callable:
     return _integer if tp is int else tp
 
 
+#: Every artifact's encoder. Without ``indent`` its ``encode`` runs
+#: json's C encoder.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _write_json(payload, fh) -> None:
     """Write ``payload`` to the open text stream ``fh`` as every JSON
-    artifact is written: keys sorted, indented, one trailing newline."""
-    json.dump(payload, fh, sort_keys=True, indent=2)
-    fh.write("\n")
+    artifact is written: compact, keys sorted, one trailing newline; the
+    bytes of ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``
+    and a newline.
+
+    A top-level object, whose keys are strings as every artifact's are, is
+    streamed key by key, and a top-level array, or an array under a
+    top-level key, item by item, so that no artifact is held whole as one
+    string."""
+    write, encode = fh.write, _ENCODER.encode
+    if isinstance(payload, dict):
+        write("{")
+        for i, key in enumerate(sorted(payload)):
+            write(f"{',' if i else ''}{encode(key)}:")
+            _write_items(payload[key], write, encode)
+        write("}")
+    else:
+        _write_items(payload, write, encode)
+    write("\n")
+
+
+def _write_items(value, write, encode) -> None:
+    """``encode(value)`` written through ``write``, a list or tuple one
+    item at a time."""
+    if isinstance(value, (list, tuple)):
+        write("[")
+        for i, item in enumerate(value):
+            write(f"{',' if i else ''}{encode(item)}")
+        write("]")
+    else:
+        write(encode(value))
 
 
 def _dump_json(payload, path: str) -> None:

@@ -138,7 +138,7 @@ def test_run_on_a_non_finite_config_exits_one_and_writes_nothing(tmp_path, capsy
     field, config = broken_configs()[defect]
     bad = tmp_path / "bad.json"
     write_config(config, str(bad))
-    assert f'"{field}": Infinity' in bad.read_text()
+    assert f'"{field}":Infinity' in bad.read_text()
     capsys.readouterr()
     out = tmp_path / "out"
     code = main(["run", "--config", str(bad), "--sessions",

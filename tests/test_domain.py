@@ -13,12 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evdispatch import domain
+from evdispatch.baselines import run_threshold
+from evdispatch.dispatcher import run_online
 from evdispatch.domain import (
     CapacityError, Facility, Region, ResourceLedger, ScenarioConfig, Schedule,
-    Session, as_plain, hop_row, instance_hash, recompute_ledger,
+    Session, as_plain, check_config, hop_row, instance_hash, recompute_ledger,
     schedule_violations, validate, validate_sessions,
 )
-from evdispatch.harness import generate_scenario
+from evdispatch.harness import from_plain, generate_scenario
+from evdispatch.offline import exact_offline, upper_bound
 from evdispatch.pricing import CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE
 
 from conftest import broken_configs, broken_sessions, build_mini_config, cell_index
@@ -574,7 +578,43 @@ def test_instance_hash_is_stable_and_sensitive(tiny_instance):
     assert instance_hash(other, sessions) != h1
 
 
+def test_a_day_validates_its_config_once(monkeypatch):
+    calls = []
+    real = domain.validate
+    monkeypatch.setattr(domain, "validate", lambda config: calls.append(config) or real(config))
+    config, sessions = generate_scenario(0, "tiny")
+    _, captured = run_online(sessions, config, capture_candidates=True)
+    for threshold in (0.25, 0.50, 0.75):
+        run_threshold(sessions, config, threshold)
+    upper_bound(sessions, config)
+    exact_offline(sessions, config, captured)
+    assert len(calls) == 1 and calls[0] is config
+
+
+def test_a_replaced_config_is_validated_anew(tiny_instance):
+    config, sessions = tiny_instance
+    check_config(config)
+    cap = config.out_of_service_cap
+    broken = dataclasses.replace(config, out_of_service_cap=(0,) + cap[1:])
+    with pytest.raises(ValueError, match="invalid config: out_of_service_cap"):
+        check_config(broken)
+    with pytest.raises(ValueError, match="invalid config"):
+        run_online(sessions, broken)
+    check_config(config)
+
+
+def test_cached_validation_and_json_are_not_fields():
+    config, _ = generate_scenario(2, "tiny")
+    fresh = from_plain(ScenarioConfig, as_plain(config))  # neither cache built
+    assert config.violations == () and config.canonical_json
+    assert {"violations", "canonical_json"} <= set(vars(config))
+    assert not {"violations", "canonical_json"} & set(vars(fresh))
+    assert config == fresh and hash(config) == hash(fresh)
+    assert as_plain(config) == as_plain(fresh)
+    assert dataclasses.asdict(config) == dataclasses.asdict(fresh)
+    assert not {"violations", "canonical_json"} & set(as_plain(config))
+
+
 def test_config_to_dict_round_trips_through_generator(tiny_instance):
     config, _ = tiny_instance
-    from evdispatch.harness import from_plain
     assert from_plain(ScenarioConfig, as_plain(config)) == config

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import re
 
 import pytest
 
-from evdispatch import harness
+from evdispatch import cli, harness
 from evdispatch.baselines import run_threshold
 from evdispatch.dispatcher import run_online
 from evdispatch.domain import as_plain, instance_hash, validate
@@ -243,3 +244,68 @@ def test_write_comparison_outputs(tmp_path):
     assert payload["upper_bound"] == ub
     assert payload["ratio_guarantee_met"] is True
     assert len(payload["series"]) == 2
+
+
+def _compact(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_every_json_artifact_is_compact_json(tmp_path, monkeypatch, capsys):
+    """The report, config, bound, exact and plot-data payloads are written
+    as one ``json.dumps`` would write them, compact with sorted keys."""
+    original, written = harness._write_json, {}
+
+    def recording(payload, fh):
+        buffer = io.StringIO()
+        original(payload, buffer)
+        written[fh.name.rsplit("/", 1)[-1]] = payload, buffer.getvalue()
+        fh.write(buffer.getvalue())
+    monkeypatch.setattr(harness, "_write_json", recording)
+    out = str(tmp_path)
+    common = ["--seed", "0", "--preset", "tiny", "--out", out]
+    for argv in (["generate"], ["run"], ["run-baseline", "--threshold", "50"],
+                 ["offline-ub"], ["offline-exact", "--max-candidates", "4"],
+                 ["compare", "--reports", f"{out}/online-report.json",
+                  f"{out}/threshold-50-report.json"]):
+        assert cli.main(argv + common) == 0
+    capsys.readouterr()
+    assert {"config-seed0.json", "online-report.json", "threshold-50-report.json",
+            "upper-bound.json", "exact-report.json", "plot-data.json"} <= set(written)
+    for name, (payload, text) in written.items():
+        assert text == _compact(payload), name
+        assert (tmp_path / name).read_text(encoding="utf-8") == text, name
+        assert text.count("\n") == 1, name
+
+
+def test_the_writer_spells_non_finite_numbers_as_json_does():
+    payload = {"x": math.inf, "xs": [-math.inf, 1.5], "y": [], "z": {"b": 1, "a": None}}
+    fh = io.StringIO()
+    harness._write_json(payload, fh)
+    assert fh.getvalue() == _compact(payload)
+    assert fh.getvalue() == '{"x":Infinity,"xs":[-Infinity,1.5],"y":[],"z":{"a":null,"b":1}}\n'
+    for plain in ([1, {"b": 2, "a": 3}], [], 2.5, "text", {}):
+        fh = io.StringIO()
+        harness._write_json(plain, fh)
+        assert fh.getvalue() == _compact(plain)
+
+
+class _Writes(io.StringIO):
+    """A text stream that records the length of each ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+def test_the_writer_streams_a_full_day_report():
+    config, sessions = generate_scenario(0, "full")
+    payload = harness.report_to_dict(run_online(sessions, config))
+    fh = _Writes()
+    harness._write_json(payload, fh)
+    assert fh.getvalue() == _compact(payload)
+    assert len(fh.getvalue()) > 4 * 64 * 1024
+    assert max(fh.sizes) < 64 * 1024

@@ -1,7 +1,8 @@
 """The table-driven walks, the run's one price object (its ledger
 snapshot), the candidate build that merges its sorted streams, the
-per-config destination ranking and the verifier that reads each
-segment's grid at its two ends against plain reference implementations.
+per-config destination ranking, the verifier that reads each segment's
+grid at its two ends and the instance hash that splices in the config's
+cached JSON against plain reference implementations.
 
 ``utility_breakdown`` reads payments from the snapshot of the ledger that
 ``dispatch`` keeps for the whole run and also hands to the candidate
@@ -34,6 +35,8 @@ here so that reworking the package cannot also rewrite its oracle.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import pytest
@@ -44,9 +47,10 @@ from evdispatch.dispatcher import (
     DispatcherState, _dual_increment, dispatch, run_online, utility_breakdown,
 )
 from evdispatch.domain import (
-    PriceBreakdown, ResourceLedger, Schedule, facility_legs, hop_row,
+    PriceBreakdown, ResourceLedger, Schedule, as_plain, facility_legs, hop_row,
+    instance_hash,
 )
-from evdispatch.harness import PRESETS, generate_scenario
+from evdispatch.harness import PRESETS, generate_scenario, read_config, write_config
 from evdispatch.offline import exact_offline, upper_bound
 from evdispatch.schedules import (
     DEFAULT_POLICY, MAX_CANDIDATE_FACILITIES, MAX_START_OFFSET, GenerationPolicy,
@@ -1173,3 +1177,32 @@ def test_exact_search_bound_at_the_empty_ledger_keeps_the_optimum():
         assert got.nodes_explored <= nodes, seed
         fewer += got.nodes_explored < nodes
     assert fewer > 0
+
+
+# ---------------------------------------------------------------------------
+# Instance hash
+# ---------------------------------------------------------------------------
+
+
+def reference_instance_hash(config, sessions):
+    """sha256 of one ``json.dumps`` of (config, session stream), as
+    ``instance_hash`` computed it before it spliced in the config's cached
+    canonical JSON."""
+    payload = {
+        "config": as_plain(config),
+        "sessions": [[s.id, s.t_minus, s.origin_region, s.soc] for s in sessions],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("preset", ["tiny", "desk", "rush", "full"])
+def test_instance_hash_matches_the_one_dump_reference(preset, tmp_path):
+    for seed in range(5):
+        config, sessions = generate_scenario(seed, preset)
+        assert instance_hash(config, sessions) == reference_instance_hash(config, sessions)
+    path = str(tmp_path / "config.json")
+    write_config(config, path)
+    read_back = read_config(path)
+    assert read_back is not config
+    assert instance_hash(read_back, sessions) == reference_instance_hash(config, sessions)
