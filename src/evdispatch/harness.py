@@ -350,8 +350,10 @@ def _write_json(payload, fh) -> None:
 
 def _write_items(value, write, encode) -> None:
     """``encode(value)`` written through ``write``, a list or tuple one
-    item at a time."""
-    if isinstance(value, (list, tuple)):
+    item at a time. One of plain floats alone, as a report's trajectories
+    are, is encoded in one call, since each call sets up json's C encoder
+    anew."""
+    if isinstance(value, (list, tuple)) and not all(type(x) is float for x in value):
         write("[")
         for i, item in enumerate(value):
             write(f"{',' if i else ''}{encode(item)}")

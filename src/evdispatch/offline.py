@@ -18,8 +18,12 @@ every plan a builder in this package makes.
 The exact solver is a depth-first search over explicit per-session
 candidate sets (typically captured from an online run) and is only
 intended for small instances; it refuses search spaces past a hard limit.
-Its own ledger reads each option's demands, walked once (``_Walked``),
-and it undoes a branch by writing back the loads that ``apply``
+Each option is compiled once, before the search, into its capacity
+checks and its costed cells on the search's own ledger (``_compile``),
+and the search walks those inline: the checks of ``ResourceLedger.fits``
+and the gain of ``primal_increment``, the same floats in the same order,
+with no call per option. A child is checked against the cut before its
+loads are written, and a branch is undone by writing back the loads it
 overwrote, never by subtracting, so no float residue is left behind.
 It cuts a subtree when the welfare so far plus each remaining session's
 best gain at the empty ledger cannot beat the best leaf. Generation cost
@@ -155,12 +159,20 @@ def upper_bound(sessions: Sequence[Session], config: ScenarioConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _Walked(dict):
-    """Each option's demands, walked once and keyed by the option's id:
-    the ``cells`` of one search's own ledger, which outlives no option."""
-
-    def demands(self, schedule: Schedule) -> tuple:
-        return self[id(schedule)]
+def _compile(schedule: Schedule, ledger: ResourceLedger) -> tuple:
+    """One option of the exact search, read on ``ledger``'s load rows as
+    (schedule, value, capacity checks, costed cells). A check is (row,
+    cell, amount, cap + MONEY_ATOL), the limit ``ResourceLedger.fits``
+    tests, in ``cells.demands`` order; a costed cell is (row, cell,
+    amount, split, offset), what ``Shape.cost`` reads, in the order
+    ``primal_increment`` sums them."""
+    loads = ledger.loads
+    demands = tuple(ledger.cells.demands(schedule))
+    checks = tuple((loads[k], i, amount, shape.cap + MONEY_ATOL)
+                   for k, i, amount, shape in demands)
+    costed = tuple((loads[k], i, amount, shape.split, shape.offset)
+                   for k, i, amount, shape in demands if k in pricing.COSTED)
+    return schedule, schedule.value, checks, costed
 
 
 @dataclass(frozen=True)
@@ -230,47 +242,69 @@ def exact_offline(sessions: Sequence[Session], config: ScenarioConfig,
         options.append(sorted((o for o in netted if o[0] > 0.0),
                               key=lambda o: o[0], reverse=True))
 
-    # each option is checked and applied at many nodes: walk its demands once
-    ledger = ResourceLedger.zero(config)
-    ledger.cells = _Walked((id(s), tuple(config.cells.demands(s)))
-                           for opts in options for _, s in opts)
-    loads = ledger.loads
-
     # a session's best gain at the empty ledger, or the depot's 0, bounds
     # its gain at every ledger the search reaches
+    ledger = ResourceLedger.zero(config)
     suffix = [0.0] * (n + 1)
     for j in range(n - 1, -1, -1):
         gains = [primal_increment(ledger, s) for _, s in options[j] if ledger.fits(s)]
         suffix[j] = suffix[j + 1] + max(gains + [0.0])
 
+    # each option is checked, priced and applied at many nodes: compile it
+    # once into its capacity checks and its costed cells on the ledger's
+    # own load rows
+    compiled = [[_compile(s, ledger) for _, s in opts] for opts in options]
+
     current: List[Optional[Schedule]] = [None] * n
     best_assignment: List[Optional[Schedule]] = [None] * n
     best_welfare = 0.0
-    nodes = 0
+    nodes = 1
 
     def search(j: int, acc: float) -> None:
+        """Search below a node at depth j that the cut let through, with
+        welfare ``acc`` so far: each fitting option, then the depot. A
+        child is cut before its loads are written, and counts one node
+        whether it is cut or not."""
         nonlocal best_welfare, nodes
-        nodes += 1
-        if acc + suffix[j] <= best_welfare + 1e-12:
-            return
         if j == n:
             best_welfare = acc
             best_assignment[:] = current
             return
-        for _, schedule in options[j]:
-            if not ledger.fits(schedule):
-                continue
-            gain = primal_increment(ledger, schedule)
-            overwritten = ledger.apply(schedule)
-            current[j] = schedule
-            search(j + 1, acc + gain)
-            current[j] = None
-            for (k, i, _, _), y in zip(ledger.cells.demands(schedule), overwritten):
-                loads[k][i] = y
+        rest = suffix[j + 1]
+        for schedule, value, checks, costed in compiled[j]:
+            for row, i, amount, limit in checks:
+                if row[i] + amount > limit:
+                    break
+            else:
+                # primal_increment, with cost's branches read inline: the
+                # fit above already rules out its INFEASIBLE branch
+                gain = value
+                for row, i, amount, split, offset in costed:
+                    y0 = row[i]
+                    y1 = y0 + amount
+                    gain -= ((offset * (y1 - split) if y1 > split else 0.0)
+                             - (offset * (y0 - split) if y0 > split else 0.0))
+                nodes += 1
+                child = acc + gain
+                if child + rest <= best_welfare + 1e-12:
+                    continue
+                overwritten = []
+                for row, i, amount, _ in checks:
+                    y = row[i]
+                    overwritten.append(y)
+                    row[i] = y + amount
+                current[j] = schedule
+                search(j + 1, child)
+                current[j] = None
+                for (row, i, _, _), y in zip(checks, overwritten):
+                    row[i] = y
         # depot branch
-        search(j + 1, acc)
+        nodes += 1
+        if acc + rest > best_welfare + 1e-12:
+            search(j + 1, acc)
 
-    search(0, 0.0)
+    if suffix[0] > best_welfare + 1e-12:
+        search(0, 0.0)
     return OfflineResult(welfare=best_welfare,
                          assignment=tuple(best_assignment),
                          nodes_explored=nodes,

@@ -11,7 +11,7 @@ import pytest
 from evdispatch import offline
 from evdispatch.dispatcher import run_online
 from evdispatch.domain import (
-    DispatchDecision, Session, plan_value, recompute_ledger,
+    DispatchDecision, ResourceLedger, Schedule, Session, plan_value, recompute_ledger,
 )
 from evdispatch.economics import primal_objective
 from evdispatch.harness import PRESETS, generate_scenario
@@ -20,7 +20,7 @@ from evdispatch.offline import (
 )
 from evdispatch.schedules import GenerationPolicy
 
-from conftest import broken_configs, broken_sessions
+from conftest import broken_configs, broken_sessions, build_mini_config
 
 
 def test_session_upper_bound_by_hand(mini_config, mini_session):
@@ -95,6 +95,62 @@ def test_exact_matches_brute_force():
     assert result.welfare == pytest.approx(best, abs=1e-9)
     assert result.search_space == search_space_size(sessions, captured)
     assert 1 <= result.nodes_explored
+
+
+def _two_charges(second: float):
+    """Two sessions one hop from the facility of the mini config, here with
+    two EVSEs: the first draws 6 kWh on EVSE 0 in slot 2, the second
+    ``second`` kWh on EVSE 1 in the same slot. Both draw on the facility's
+    one generation cell of slot 2, whose capacity is its 10 kWh grid limit."""
+    mini = build_mini_config()
+    config = build_mini_config(
+        facilities=(dataclasses.replace(mini.facilities[0], evse_count=2),))
+    sessions = [Session(id=k, t_minus=1, origin_region=1, soc=0.5) for k in (0, 1)]
+
+    def charge(k, energy):
+        # 5 kWh on board, 1 spent on each hop
+        final = 5.0 - 1.0 + energy - 1.0
+        return Schedule(session_id=k, t_minus=1, facility_id=0, evse_index=k, t_arrival=2,
+                        cable_slots=(2,), energy_slots=((2, energy),), dest_region=1,
+                        t_plus=3, hops_total=2, final_soc=final / config.battery_capacity,
+                        value=plan_value(config, final, 1, 2))
+    return config, sessions, [charge(0, 6.0), charge(1, second)]
+
+
+@pytest.mark.parametrize("second, taken", [
+    (4.0, True), (4.0 + 0.5e-9, True), (4.0 + 2e-9, False),
+], ids=["on the capacity", "within the tolerance", "past the tolerance"])
+def test_compiled_checks_agree_with_fits_at_every_node(second, taken):
+    """A later plan that lands a generation cell on its capacity, or less
+    than MONEY_ATOL past it, is taken; one that lands further past it is
+    refused. At every node of the unpruned tree, each option's compiled
+    capacity checks agree with ``ResourceLedger.fits``."""
+    config, sessions, plans = _two_charges(second)
+    result = exact_offline(sessions, config, {s.id: [p] for s, p in zip(sessions, plans)})
+    assert result.assignment == (plans[0], plans[1] if taken else None)
+
+    ledger = ResourceLedger.zero(config)
+    compiled = [offline._compile(p, ledger) for p in plans]
+    seen = []
+
+    def walk(j):
+        if j == len(plans):
+            return
+        plan, _, checks, _ = compiled[j]
+        fits = all(row[i] + amount <= limit for row, i, amount, limit in checks)
+        assert fits == ledger.fits(plan)
+        seen.append(fits)
+        if fits:
+            overwritten = ledger.apply(plan)
+            walk(j + 1)
+            for (k, i, _, _), y in zip(config.cells.demands(plan), overwritten):
+                ledger.loads[k][i] = y
+        walk(j + 1)
+
+    walk(0)
+    # the first plan at the root, the second after it and after the depot
+    assert seen == [True, taken, True]
+    assert ledger.loads == ResourceLedger.zero(config).loads
 
 
 #: A tiny day that charges in thirds of a kWh, which no sum of floats

@@ -22,7 +22,9 @@ once per config; ``rebalances`` values the origin's batches lazily too,
 and ``ranked`` merges the two by value alone; ``upper_bound`` and the
 threshold baselines read the same ranking. ``upper_bound`` stops each walk
 over the hop rings at the first ring that cannot win, and the threshold
-charging move picks its EVSE once per start delay. Each must give exactly
+charging move picks its EVSE once per start delay. The exact search
+walks each option's compiled cell checks inline and cuts a child before
+writing its loads, where the reference calls the ledger. Each must give exactly
 what the family-by-family or destination-by-destination versions below
 give: the same floats, compared with ``==``, and the same schedules in the
 same order, on every session of runs whose ledger changes between
@@ -1098,10 +1100,14 @@ class _ReferenceWalked(dict):
         return self[id(schedule)]
 
 
-def reference_exact_offline(sessions, config, candidate_sets):
-    """The depth-first search whose suffix bound sums each session's best
-    value minus window penalty. It leaves out the generation cost of a
-    plan and charges its window at an empty ledger."""
+def reference_exact_offline(sessions, config, candidate_sets, bound="net"):
+    """The depth-first search that checks, prices and applies each option
+    through its ledger (``fits``, ``primal_increment`` and ``apply`` on
+    demands walked once), and cuts a child after its loads are written.
+    Its suffix bound sums each session's best value minus window penalty,
+    which leaves out the generation cost of a plan and charges its window
+    at an empty ledger; with ``bound="gain"`` it sums each session's best
+    gain at the empty ledger, as the package's search does."""
     prefix = [0.0]
     for phi in config.out_of_service_penalty:
         prefix.append(prefix[-1] + phi)
@@ -1114,15 +1120,20 @@ def reference_exact_offline(sessions, config, candidate_sets):
         options.append(sorted((o for o in netted if o[0] > 0.0),
                               key=lambda o: o[0], reverse=True))
 
-    suffix = [0.0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        best_here = options[j][0][0] if options[j] else 0.0
-        suffix[j] = suffix[j + 1] + best_here
-
     ledger = ResourceLedger.zero(config)
     ledger.cells = _ReferenceWalked((id(s), tuple(config.cells.demands(s)))
                                     for opts in options for _, s in opts)
     loads = ledger.loads
+
+    suffix = [0.0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        if bound == "gain":
+            gains = [economics.primal_increment(ledger, s) for _, s in options[j]
+                     if ledger.fits(s)]
+            best_here = max(gains + [0.0])
+        else:
+            best_here = options[j][0][0] if options[j] else 0.0
+        suffix[j] = suffix[j + 1] + best_here
     current = [None] * n
     best_assignment = [None] * n
     best_welfare = 0.0
@@ -1177,6 +1188,34 @@ def test_exact_search_bound_at_the_empty_ledger_keeps_the_optimum():
         assert got.nodes_explored <= nodes, seed
         fewer += got.nodes_explored < nodes
     assert fewer > 0
+
+
+def test_compiled_search_matches_the_walk_through_the_ledger():
+    """The search over compiled checks, with each child cut before its
+    loads are written, records what the search through the ledger's
+    calls records: the same welfare float, the same plans, and as many
+    nodes, a cut child counted once either way. The days are the 48
+    seeded days of 7 sessions, days of 8 to 10 sessions, and days whose
+    pickups are worth 1e4 and more: there the slack of 1e-12 is below
+    half an ulp of the welfare, so a plan that ties the best leaf meets
+    the cut with equality."""
+    policy = GenerationPolicy(max_candidates_total=4)
+    days = [(seed, EXACT_DAY) for seed in range(48)]
+    days += [(seed, dataclasses.replace(EXACT_DAY, max_sessions=m))
+             for m in (8, 9, 10) for seed in range(4)]
+    days += [(seed, dataclasses.replace(EXACT_DAY, pickup_values=(3e4, 2e4, 1e4)))
+             for seed in range(8)]
+    for seed, params in days:
+        label = (seed, params.max_sessions, params.pickup_values)
+        config, sessions = generate_scenario(seed, params)
+        _, captured = run_online(sessions, config, policy, capture_candidates=True)
+        got = exact_offline(sessions, config, captured, space_limit=10 ** 12)
+        welfare, assignment, nodes = reference_exact_offline(sessions, config, captured,
+                                                             bound="gain")
+        assert got.welfare == welfare, label
+        assert len(got.assignment) == len(assignment) == len(sessions)
+        assert all(a is b for a, b in zip(got.assignment, assignment)), label
+        assert got.nodes_explored == nodes, label
 
 
 # ---------------------------------------------------------------------------
