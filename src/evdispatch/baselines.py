@@ -173,5 +173,5 @@ def run_threshold(sessions: Sequence[Session], config: ScenarioConfig,
         primal_trajectory=tuple(primal),
         dual_trajectory=None,
         welfare=primal[-1],
-        peak_utilization=peak_utilization(ledger, config),
+        peak_utilization=peak_utilization(ledger),
     )

@@ -30,30 +30,24 @@ from .schedules import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class DispatcherState:
-    """Mutable state of one online run.
+    """Mutable state of one online run, slotted: assigning a field it does
+    not have raises ``AttributeError``.
 
-    Its ``posted`` is the run's one price object, a ``pricing.Snapshot``
-    of the ledger that ``fresh`` builds. It holds the run's bounds and
-    Psi, and keeps every price and payment of the run by key (shape,
-    load, amount): an entry is a function of its key and those alone, so
-    it holds whatever the ledger state. Every price of the run, payments
-    and dual increments alike, is read through it; a copy made by
-    ``dataclasses.replace`` with a ``Snapshot`` at other bounds prices
-    everything at those. It also holds every cell's posted price at the
-    ledger's loads, and the running sums of payments and posted prices
-    that the run's sessions have read since the last commit. The commit
-    updates it and drops those sums, and ``dispatch`` rebuilds it at its
-    bounds and Psi, with new memos, when the ledger's load lists were
-    replaced. A caller that writes the ledger's loads in place between two
-    ``dispatch`` calls rebuilds it the same way:
-    ``Snapshot(ledger, posted.bounds, posted.psi)``."""
+    Its ``posted`` is the one owner of the run's loads and prices, a
+    ``pricing.Snapshot`` that ``fresh`` builds on an empty ledger: it holds
+    the run's only ledger (``posted.ledger``), its bounds and Psi, and
+    every price, payment and running sum the run reads. Dual increments
+    read their prices through it too, and each plan is committed through
+    it, so a copy made by ``dataclasses.replace`` with a ``Snapshot`` at
+    other bounds prices everything at those. A caller that writes the
+    ledger's loads in place between two ``dispatch`` calls builds a new
+    ``Snapshot(posted.ledger, posted.bounds, posted.psi)``."""
 
     config: ScenarioConfig
     policy: GenerationPolicy
     alphas: Alphas
-    ledger: ResourceLedger
     posted: Snapshot = field(repr=False, compare=False)
     decisions: List[DispatchDecision] = field(default_factory=list)
     primal_trajectory: List[float] = field(default_factory=lambda: [0.0])
@@ -70,10 +64,8 @@ class DispatcherState:
             raise ValueError("invalid policy: " + "; ".join(bad_policy))
         psi_ = pricing.psi(config)
         bounds = pricing.estimate_bounds(config)
-        ledger = ResourceLedger.zero(config)
-        return cls(config=config, policy=policy,
-                   alphas=pricing.alphas(bounds, psi_, config), ledger=ledger,
-                   posted=Snapshot(ledger, bounds, psi_),
+        return cls(config=config, policy=policy, alphas=pricing.alphas(bounds, psi_, config),
+                   posted=Snapshot(ResourceLedger.zero(config), bounds, psi_),
                    captured={} if capture_candidates else None)
 
 
@@ -118,11 +110,11 @@ def utility_breakdown(schedule: Schedule, prices: Snapshot, best: float = -math.
 def _dual_increment(schedule: Schedule, u: float, state: DispatcherState) -> float:
     """Exact dual objective change: u plus every touched conjugate's move,
     each price read through the run's snapshot."""
-    price = state.posted.price
+    price, loads = state.posted.price, state.posted.loads
     total = u
     for k, i, amount, shape in sorted(state.config.cells.demands(schedule),
                                       key=lambda demand: pricing.DUAL_RANK[demand[0]]):
-        y = state.ledger.loads[k][i]
+        y = loads[k][i]
         total += shape.conj(price(shape, y + amount)) - shape.conj(price(shape, y))
     return total
 
@@ -132,10 +124,10 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
 
     Ties on utility go to the earlier destination arrival, then the lower
     candidate index. The candidates are built and priced from the run's
-    snapshot of the ledger (``state.posted``), in descending order of
-    value. Every payment is >= 0, so no utility exceeds
-    its value: pricing stops at the first candidate whose value is below
-    the best utility so far, as none from there on can win or tie, and
+    snapshot (``state.posted``), in descending order of value, and the
+    winner is committed through it. Every payment is >= 0, so no utility
+    exceeds its value: pricing stops at the first candidate whose value is
+    below the best utility so far, as none from there on can win or tie, and
     ``utility_breakdown`` skips the rest of any plan that its destination
     and out-of-service payments already put below it. Raises on a session
     that ``validate_sessions`` rejects, on out-of-order arrivals and,
@@ -148,8 +140,6 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
     state.last_t = session.t_minus
 
     prices = state.posted
-    if not prices.fits(state.ledger):
-        prices = state.posted = Snapshot(state.ledger, prices.bounds, prices.psi)
     candidates = ranked(rebalances(session, state.config),
                         feasible_schedules(session, state.config, prices, state.policy))
     if state.captured is not None:
@@ -176,14 +166,13 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
                                     utility=0.0)
     else:
         schedule, u, breakdown = best
-        if not state.ledger.fits(schedule):
+        if not prices.ledger.fits(schedule):
             raise CapacityError(
                 f"price barrier failed: positive-utility schedule for session "
                 f"{session.id} breaches capacity")
-        d_primal = economics.primal_increment(state.ledger, schedule)
+        d_primal = economics.primal_increment(prices.ledger, schedule)
         d_dual = _dual_increment(schedule, u, state)
-        state.ledger.apply(schedule)
-        prices.update(schedule)
+        prices.commit(schedule)
         decision = DispatchDecision(session_id=session.id, schedule=schedule,
                                     utility=u, breakdown=breakdown)
     state.decisions.append(decision)
@@ -192,10 +181,10 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
     return decision
 
 
-def peak_utilization(ledger: ResourceLedger, config: ScenarioConfig) -> Dict[str, float]:
+def peak_utilization(ledger: ResourceLedger) -> Dict[str, float]:
     """Max fraction of capacity reached per resource family."""
     return {name: max((y / s.cap for y, s in zip(loads, shapes) if s.cap > 0), default=0.0)
-            for name, loads, shapes in zip(pricing.NAMES, ledger.loads, config.cells.shapes)}
+            for name, loads, shapes in zip(pricing.NAMES, ledger.loads, ledger.cells.shapes)}
 
 
 def run_online(sessions: Sequence[Session], config: ScenarioConfig,
@@ -224,7 +213,7 @@ def run_online(sessions: Sequence[Session], config: ScenarioConfig,
         primal_trajectory=tuple(state.primal_trajectory),
         dual_trajectory=tuple(state.dual_trajectory),
         welfare=state.primal_trajectory[-1],
-        peak_utilization=peak_utilization(state.ledger, config),
+        peak_utilization=peak_utilization(state.posted.ledger),
     )
     if capture_candidates:
         return report, state.captured

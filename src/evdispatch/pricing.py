@@ -21,13 +21,14 @@ Payments are exact integrals of the price curves, which is what makes the
 per-session primal/dual inequality and weak duality hold to machine
 precision instead of only up to a discretization gap. A payment that runs
 so far past capacity that it leaves the float range is infinite. A
-``Snapshot`` is an online run's one price object. It holds the run's
-bounds and Psi, and keeps the run's prices and payments by key (shape,
-load, and amount): each is a function of its key alone, so an entry
-holds for every ledger state of the run. It also keeps every cell's
-posted price at one ledger's loads and the sums over consecutive cells
-that only those loads give. The run hands it to both the candidate build
-and the pricing of the candidates; each commit re-posts the cells it
+``Snapshot`` is the one owner of an online run's state: its ledger, its
+bounds and Psi, and the run's prices and payments by key (shape, load,
+and amount), each a function of its key alone, so an entry holds for
+every ledger state of the run. At the ledger's loads it posts the cable
+and charging prices that the candidate build reads, and keeps the sums
+over consecutive cells that only those loads give. The run hands it to
+both the candidate build and the pricing of the candidates; its
+``commit`` applies a plan to the ledger, re-posts the cells the plan
 moved and drops the sums.
 """
 
@@ -87,9 +88,10 @@ def _curve_problems(family: Family, lo: float, hi: float, shapes: List[Shape],
                     two_psi: float) -> List[str]:
     """The rules a family's (L, U) = (lo, hi) must meet for the price curves
     of ``shapes`` to exist: 0 < L <= U, L above every cost offset (grid
-    price, penalty), and L below 2*Psi times the offset of every shape with
-    a solar split, where the solar segment's base 2*Psi*offset/L must
-    exceed 1."""
+    price, penalty), L below 2*Psi times the offset of every shape with a
+    solar split, where the solar segment's base 2*Psi*offset/L must exceed
+    1, and a finite base 2*Psi*(U - offset)/(L - offset) of every grid
+    segment: an infinite one makes every payment inf/inf = NaN."""
     out = []
     name = f"{family.name}: L_{family.bound}={lo}"
     if not (0 < lo <= hi):
@@ -101,6 +103,10 @@ def _curve_problems(family: Family, lo: float, hi: float, shapes: List[Shape],
     if solar and lo >= two_psi * min(solar):
         out.append(f"{name} must stay below 2*Psi*offset={two_psi * min(solar)} "
                    "at a cell with solar")
+    # the base grows with the offset, so the largest offset gives the largest
+    if not out and not math.isfinite(two_psi * (hi - top) / (lo - top)):
+        out.append(f"{family.name}: the price curve's base 2*Psi*(U - offset)/(L - offset) "
+                   f"overflows at (L, U) = ({lo}, {hi})")
     return out
 
 
@@ -340,11 +346,10 @@ class Cells:
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.horizon = config.horizon
-        evse_row = []  # first (facility, EVSE) row of each facility
-        rows = 0
+        # the first (facility, EVSE) row of each facility, then the row count
+        evse_row = [0]
         for fac in config.facilities:
-            evse_row.append(rows)
-            rows += fac.evse_count
+            evse_row.append(evse_row[-1] + fac.evse_count)
         self.evse_row = tuple(evse_row)
         self.shapes = tuple(tuple(cell_shape(k, *args) for _, args in family.cells(config))
                             for k, family in enumerate(FAMILIES))
@@ -416,8 +421,8 @@ def out_of_service_payment(y0: float, y1: float, cap: float, phi: float,
 
 
 class Snapshot:
-    """The posted prices and payments of one online run, at its bounds and
-    Psi, and the sums of them at one ledger's loads.
+    """One online run's state: its ledger, its bounds and Psi, its prices
+    and payments, and the prices the charging build reads at the loads.
 
     A price is a function of the cell's shape (its family and arguments,
     shared by equal cells) and its load, and a payment of those and the
@@ -429,33 +434,29 @@ class Snapshot:
     price of a run, its dual increments' included, is read through it, so
     no entry can be read at other bounds.
 
-    ``prices[k][i]`` is ``price(shape, min(load, cap))`` of cell i of
-    family k: a cell loaded beyond capacity keeps its ceiling price, as
-    posted prices only rank slots. ``charges[i]``, laid out as the
-    (facility, EVSE, slot) cells, is the energy plus generation price per
-    kWh there, the energy price alone in a slot without generation
-    capacity. Every cable window at a facility starts at the vehicle's
-    arrival slot there, and every out-of-service run at its t_minus, so
-    ``run`` keeps sums over consecutive cells as running sums from their
-    first cell, extended only as far as asked, and ``draw`` keeps the
-    payments of each set of charging slots. Every sum is added left to
-    right from 0.0, cell by cell, as a walk over the cells adds it, so
-    each float is bit-identical to the walk's own.
-
-    An online run keeps one snapshot for the whole run. The ledger does
-    not move while one session is handled, and a depot decision leaves it
-    as it was, so the sums outlive a ``dispatch`` until the next commit.
-    After a commit, ``update`` re-posts the cells the committed plan moved
-    and drops every sum. Each entry comes from the same ``price`` call
-    that a fresh snapshot makes, so it is bit-identical to it. A snapshot
-    belongs to its ledger's load lists; one of replaced loads is rebuilt,
-    never read.
+    ``ledger`` is the run's one ``ResourceLedger``. Laid out as its
+    (facility, EVSE, slot) cells, ``cables`` is the posted cable price and
+    ``charges`` the energy plus generation price per kWh, the energy price
+    alone in a slot without generation capacity; each term is ``price(shape,
+    min(load, cap))``, as posted prices only rank slots. Every cable
+    window at a facility starts at the vehicle's arrival slot there, and
+    every out-of-service run at its t_minus, so ``run`` keeps sums over
+    consecutive cells as running sums from their first cell, extended only
+    as far as asked, and ``draw`` keeps the payments of each set of
+    charging slots. Every sum is added left to right from 0.0, cell by
+    cell, as a walk over the cells adds it, so each float is bit-identical
+    to the walk's own. The sums outlive a ``dispatch``, as a depot
+    decision leaves the ledger as it was, until ``commit`` applies a plan
+    to the ledger, re-posts the cells it moved, each with the same
+    ``price`` call as a fresh snapshot, and drops them all. A write to the
+    loads by any other way is not seen: its caller builds a new snapshot.
     """
 
-    __slots__ = ("bounds", "psi", "loads", "cells", "prices", "charges", "_evse_rows",
+    __slots__ = ("ledger", "bounds", "psi", "loads", "cells", "cables", "charges",
                  "_priced", "_paid", "_runs", "_drawn")
 
     def __init__(self, ledger: ResourceLedger, bounds: PriceBounds, psi_: int) -> None:
+        self.ledger = ledger
         self.bounds = bounds
         self.psi = psi_
         self._priced: Dict[tuple, float] = {}
@@ -463,22 +464,14 @@ class Snapshot:
         self.loads = ledger.loads
         cells = self.cells = ledger.cells
         price = self.price
-        self.prices = [[price(shape, min(y, shape.cap)) for y, shape in zip(loads, shapes)]
-                       for loads, shapes in zip(ledger.loads, cells.shapes)]
-        T = cells.horizon
-        ends = cells.evse_row[1:] + (len(cells.shapes[CABLE]) // T,)
-        #: the (facility, EVSE) rows of each facility
-        self._evse_rows = [range(first, end) for first, end in zip(cells.evse_row, ends)]
-        self.charges = [0.0] * len(self.prices[ENERGY])
-        for f in range(len(self._evse_rows)):
-            for t in range(1, T + 1):
+        self.cables = [price(shape, min(y, shape.cap))
+                       for y, shape in zip(self.loads[CABLE], cells.shapes[CABLE])]
+        self.charges = [0.0] * len(self.cables)
+        for f in range(len(cells.evse_row) - 1):
+            for t in range(1, cells.horizon + 1):
                 self._post_charges(f, t)
         self._runs: Dict[tuple, List[float]] = {}
         self._drawn: Dict[tuple, Tuple[float, float]] = {}
-
-    def fits(self, ledger: ResourceLedger) -> bool:
-        """Whether this snapshot posts the prices of ``ledger``."""
-        return self.loads is ledger.loads
 
     def price(self, shape: Shape, y: float) -> float:
         """Posted price of a cell of ``shape`` at load y."""
@@ -487,16 +480,18 @@ class Snapshot:
             p = self._priced[shape, y] = shape.price(y, self.bounds, self.psi)
         return p
 
-    def update(self, schedule) -> None:
-        """Re-post every cell that applying ``schedule`` moved: each of its
-        demand cells, and the charging price of every EVSE of its facility
-        in each of its energy slots, as generation is per facility. Then
-        drop every sum, all of which read the loads before the commit."""
-        loads, prices, price = self.loads, self.prices, self.price
-        for k, i, _, shape in self.cells.demands(schedule):
-            prices[k][i] = price(shape, min(loads[k][i], shape.cap))
+    def commit(self, schedule) -> None:
+        """Apply ``schedule`` to the ledger and re-post every cell it moved:
+        each of its cable cells, and the charging price of every EVSE of its
+        facility in each of its energy slots, as generation is per facility.
+        Then drop every sum, all of which read the loads before the commit."""
+        self.ledger.apply(schedule)
         f = schedule.facility_id
         if f is not None:
+            row = self.cells.evse_cell(f, schedule.evse_index, 0)
+            loads, shapes = self.loads[CABLE], self.cells.shapes[CABLE]
+            for i in (row + t for t in schedule.cable_slots):
+                self.cables[i] = self.price(shapes[i], min(loads[i], shapes[i].cap))
             for t, _ in schedule.energy_slots:
                 self._post_charges(f, t)
         self._runs.clear()
@@ -504,14 +499,15 @@ class Snapshot:
 
     def _post_charges(self, f: int, t: int) -> None:
         """Post the charging price of every EVSE of facility f in slot t."""
-        cells, energy = self.cells, self.prices[ENERGY]
+        cells, charges, price = self.cells, self.charges, self.price
         g = cells.facility_cell(f, t)
-        generation = (self.prices[GENERATION][g] if cells.shapes[GENERATION][g].cap > 0
-                      else None)
-        T, t0, charges = cells.horizon, t - 1, self.charges
-        for row in self._evse_rows[f]:
-            i = row * T + t0
-            charges[i] = energy[i] if generation is None else energy[i] + generation
+        gen = cells.shapes[GENERATION][g]
+        generation = price(gen, min(self.loads[GENERATION][g], gen.cap)) if gen.cap > 0 else None
+        T, shapes, loads = cells.horizon, cells.shapes[ENERGY], self.loads[ENERGY]
+        for i in range(cells.evse_row[f] * T + t - 1, cells.evse_row[f + 1] * T, T):
+            shape = shapes[i]
+            energy = price(shape, min(loads[i], shape.cap))
+            charges[i] = energy if generation is None else energy + generation
 
     def pay(self, k: int, i: int, amount: float = 1) -> float:
         """Payment for ``amount`` more units of cell i of family k."""
@@ -524,22 +520,23 @@ class Snapshot:
                 y, y + amount, *shape.args, self.bounds, self.psi)
         return paid
 
-    def run(self, k: int, first: int, n: int, posted: bool = False) -> float:
+    def run(self, k: Optional[int], first: int, n: int) -> float:
         """Summed payments for one more unit of each of the n >= 1 cells of
-        family k from cell ``first`` on; their posted prices if ``posted``."""
+        family k from cell ``first`` on; with k None, the posted cable
+        prices of those cells."""
         if n < 1:
             raise ValueError(f"a run needs n >= 1 cells, got n={n}")
-        key = (posted, k, first)
+        key = (k, first)
         sums = self._runs.get(key)
         if sums is None:
             sums = self._runs[key] = []
         done = len(sums)
         if done < n:
             total = sums[-1] if done else 0.0
-            if posted:
-                row = self.prices[k]
+            if k is None:
+                cables = self.cables
                 for i in range(first + done, first + n):
-                    total += row[i]
+                    total += cables[i]
                     sums.append(total)
             else:
                 pay = self.pay

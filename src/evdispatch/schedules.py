@@ -38,10 +38,11 @@ occurrence only, and extends it only as far as the current tuple's last
 window end; the tuple makes one plan from each entry up to that end. A
 stream picks the EVSE and slots of each of its windows once.
 
-The charging build reads posted prices and charging prices from the
-caller's ``pricing.Snapshot`` of the ledger. An online run keeps one
-snapshot for the whole run, the one object that holds its bounds, Psi
-and prices; ``dispatch`` prices the candidates from the same snapshot.
+The charging build reads posted cable and charging prices from the
+caller's ``pricing.Snapshot``. An online run keeps one snapshot for the
+whole run, the one object that holds its ledger, bounds, Psi and prices;
+``dispatch`` prices the candidates from the same snapshot and commits
+through it.
 
 Every plan, here and in ``baselines``, is made by ``make_plan``, which
 works out a plan's arrival slot, cable window, final charge and value.
@@ -60,7 +61,7 @@ from . import pricing
 from .domain import (
     MONEY_ATOL, ScenarioConfig, Schedule, Session, facility_legs, plan_value,
 )
-from .pricing import CABLE, Snapshot, charge_slots
+from .pricing import CABLE, GENERATION, Snapshot, charge_slots
 
 #: How many nearest facilities a session considers.
 MAX_CANDIDATE_FACILITIES = 8
@@ -301,24 +302,25 @@ def _pick(fid: int, fac, start: int, end: int, k: int,
     cable load over the window sums the lowest prices, and no later EVSE
     can beat it: the scan stops there. The chosen slots, in slot order,
     are the k with the cheapest posted energy plus generation price on
-    that EVSE, ties to the earlier slot; a slot without generation
-    capacity ranks as infinitely dear. The dearest is the chosen slot
-    with the highest posted charging price, ties to the earlier slot."""
+    that EVSE, ties to the earlier slot; a slot whose generation cell has
+    no capacity ranks as infinitely dear, as the snapshot posts no
+    generation price there. The dearest is the chosen slot with the
+    highest posted charging price, ties to the earlier slot."""
+    cells, n = prices.cells, end - start + 1
     best_m, best_cost = 0, math.inf
-    first, n = prices.cells.evse_cell(fid, 0, start), end - start + 1
     loads = prices.loads[CABLE]
     for m in range(fac.evse_count):
-        cell = first + m * prices.cells.horizon
-        cost = prices.run(CABLE, cell, n, posted=True)
+        cell = cells.evse_cell(fid, m, start)
+        cost = prices.run(None, cell, n)  # the posted cable prices
         if cost < best_cost - 1e-15:
             best_m, best_cost = m, cost
         if m + 1 < fac.evse_count and not any(loads[cell:cell + n]):
             break
-    charges = prices.charges
-    base = prices.cells.evse_cell(fid, best_m, 0)
+    charges, generation = prices.charges, cells.shapes[GENERATION]
+    base, g = cells.evse_cell(fid, best_m, 0), cells.facility_cell(fid, 0)
     priced = []
     for t in range(start, end + 1):
-        if fac.solar[t - 1] + fac.grid_limit[t - 1] > 0:
+        if generation[g + t].cap > 0:
             priced.append((charges[base + t], t))
         else:
             priced.append((math.inf, t))

@@ -9,7 +9,8 @@ from dataclasses import replace
 import pytest
 
 from evdispatch import harness, pricing
-from evdispatch.domain import Facility, Region, ScenarioConfig, Session
+from evdispatch.dispatcher import DispatcherState
+from evdispatch.domain import Facility, Region, ResourceLedger, ScenarioConfig, Session
 
 
 def build_mini_config(**overrides) -> ScenarioConfig:
@@ -41,6 +42,17 @@ def build_mini_config(**overrides) -> ScenarioConfig:
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def twin_state(state):
+    """A fresh state of the run's day, on a copy of its ledger's loads and
+    at its last arrival slot: a run from there with no memo or sum kept."""
+    twin = DispatcherState.fresh(state.config, state.policy)
+    ledger = ResourceLedger(state.config.cells,
+                            [list(loads) for loads in state.posted.ledger.loads])
+    twin.posted = pricing.Snapshot(ledger, twin.posted.bounds, twin.posted.psi)
+    twin.last_t = state.last_t
+    return twin
 
 
 def cell_index(config: ScenarioConfig, family: int, *coords: int) -> int:

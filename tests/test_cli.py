@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -383,3 +385,23 @@ def test_nested_malformed_fields_exit_one_and_write_nothing(tmp_path, capsys, ki
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
     assert not out.exists()
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, capsys):
+    """Each ``evdispatch`` line of the README's "Quick start: CLI" block,
+    run through ``main`` with ``runs/`` in a fresh directory, exits 0, but
+    for the one marked ``must FAIL``, which exits 1."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Quick start: CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.startswith("evdispatch ")]
+    assert len(lines) == 9
+    failing = 0
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command.replace("runs/", f"{tmp_path}/"))[1:]
+        expected = 1 if "must FAIL" in comment else 0
+        failing += expected
+        assert main(argv) == expected, (line, capsys.readouterr())
+    assert failing == 1
+    assert (tmp_path / "comparison.csv").exists()

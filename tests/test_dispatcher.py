@@ -22,15 +22,15 @@ from evdispatch.domain import (
 )
 from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.offline import exact_offline, upper_bound
-from evdispatch.pricing import CABLE, DESTINATION, PriceBounds, Snapshot
+from evdispatch.pricing import CABLE, DESTINATION, ENERGY, GENERATION, PriceBounds, Snapshot
 from evdispatch.schedules import GenerationPolicy, feasible_schedules, ranked, rebalances
 
-from conftest import broken_configs, broken_sessions, build_mini_config, cell_index
+from conftest import broken_configs, broken_sessions, build_mini_config, cell_index, twin_state
 
 
 def _prices(state):
-    """A fresh snapshot of the state's live ledger, as ``dispatch`` builds one."""
-    return Snapshot(state.ledger, state.posted.bounds, state.posted.psi)
+    """A fresh snapshot of the state's live ledger, as ``fresh`` builds one."""
+    return Snapshot(state.posted.ledger, state.posted.bounds, state.posted.psi)
 
 
 def _candidates(session, config, prices, policy):
@@ -56,7 +56,7 @@ def test_bounds_below_the_value_density_breach_capacity():
 
     # below the density the barrier fails, and the run dies mid-way
     state = DispatcherState.fresh(config)
-    state = dataclasses.replace(state, posted=Snapshot(state.ledger, bounds,
+    state = dataclasses.replace(state, posted=Snapshot(state.posted.ledger, bounds,
                                                        state.posted.psi))
     with pytest.raises(CapacityError, match="session 111 "):
         for session in sessions:
@@ -78,7 +78,7 @@ def test_utility_is_value_minus_payments(mini_config, mini_session,
         assert breakdown.total > 0
     # prices are nondecreasing in load, so utility can only fall
     before = utility_breakdown(mini_charge, _prices(state))[0]
-    state.ledger.apply(mini_charge)
+    state.posted.ledger.apply(mini_charge)
     after = utility_breakdown(mini_charge, _prices(state))[0]
     assert after < before
 
@@ -156,7 +156,7 @@ def test_per_session_entry_points_reject_an_invalid_session(defect):
         with pytest.raises(ValueError, match=match):
             baselines.threshold_dispatch(session, config, ledger, threshold)
     zero = ResourceLedger.zero(config).loads
-    assert state.ledger.loads == ledger.loads == zero
+    assert state.posted.ledger.loads == ledger.loads == zero
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0, 5.0, math.nan, -1.0])
@@ -204,16 +204,20 @@ def _magnitude(low: int, high: int):
        battery=_magnitude(-2, 4), increments=st.integers(1, 6),
        per_hop_energy=st.one_of(st.just(0.0), _magnitude(-3, 3)),
        grid_limit=st.one_of(st.just(0.0), _magnitude(-3, 6)), seed=st.integers(0, 9),
-       max_candidates=st.integers(1, 24))
+       max_candidates=st.integers(1, 24), pickup=_magnitude(-3, 307.7))
 @example(energy_limit=1e13, cables=2, battery=15.0, increments=3, per_hop_energy=1.0,
-         grid_limit=10.0, seed=0, max_candidates=24)
+         grid_limit=10.0, seed=0, max_candidates=24, pickup=15.0)
 @example(energy_limit=1e-6, cables=1, battery=1000.0, increments=1, per_hop_energy=0.0,
-         grid_limit=0.0, seed=0, max_candidates=1)
+         grid_limit=0.0, seed=0, max_candidates=1, pickup=15.0)
 @example(energy_limit=10.0, cables=2, battery=15.0, increments=3, per_hop_energy=1.0,
-         grid_limit=4.99, seed=1, max_candidates=24)
+         grid_limit=4.99, seed=1, max_candidates=24, pickup=15.0)
+@example(energy_limit=10.0, cables=2, battery=15.0, increments=3, per_hop_energy=1.0,
+         grid_limit=10.0, seed=0, max_candidates=24, pickup=4e307)
+@example(energy_limit=10.0, cables=2, battery=15.0, increments=3, per_hop_energy=1.0,
+         grid_limit=10.0, seed=0, max_candidates=24, pickup=1e307)
 def test_runs_at_any_magnitude_refuse_at_load_or_keep_capacity(
         energy_limit, cables, battery, increments, per_hop_energy, grid_limit, seed,
-        max_candidates):
+        max_candidates, pickup):
     """A tiny day whose magnitudes are drawn wide either is refused with a
     named ValueError before its first session, or runs online, under all
     three thresholds and through ``upper_bound`` with no capacity breach,
@@ -227,11 +231,16 @@ def test_runs_at_any_magnitude_refuse_at_load_or_keep_capacity(
     listed a billion slot amounts before it saw that they end past the
     horizon, and died with MemoryError. With a grid limit of 4.99 kWh
     against a 5 kWh charge, a plan that fits no ledger paid only for its
-    overfill, won, and online died with ``CapacityError``."""
+    overfill, won, and online died with ``CapacityError``. With the best
+    pickup worth 4e307, the base of every price curve was infinite, each
+    payment NaN, and online committed two plans at utility NaN before it
+    died with ``CapacityError``; at 1e307 the day runs. The pickup values
+    are the preset's 15, 10 and 5 scaled to ``pickup``, 2/3 and 1/3 of it."""
     params = dataclasses.replace(
         PRESETS["tiny"], evse_energy_limit=energy_limit, cables_per_evse=cables,
         battery_capacity=battery, charge_increment=battery / increments,
-        per_hop_energy=per_hop_energy, grid_limit=grid_limit)
+        per_hop_energy=per_hop_energy, grid_limit=grid_limit,
+        pickup_values=(pickup, pickup * 2 / 3, pickup / 3))
     config, sessions = generate_scenario(seed, params)
     reports = []
     with mock.patch.object(dispatcher, "dispatch", wraps=dispatcher.dispatch) as dispatched:
@@ -295,9 +304,9 @@ def test_capacity_backstop_fires_without_the_barrier(mini_config,
     for d in range(len(mini_config.regions)):
         for t in range(mini_config.horizon):
             cell = cell_index(mini_config, DESTINATION, d, t + 1)
-            state.ledger.loads[DESTINATION][cell] = (
+            state.posted.ledger.loads[DESTINATION][cell] = (
                 mini_config.regions[d].vehicle_limit[t])
-    state = dataclasses.replace(state, posted=Snapshot(state.ledger, flat,
+    state = dataclasses.replace(state, posted=Snapshot(state.posted.ledger, flat,
                                                        state.posted.psi))
     with pytest.raises(CapacityError, match="price barrier failed"):
         dispatch(mini_session, state)
@@ -338,10 +347,11 @@ def test_a_thin_solar_slot_in_a_valid_config_keeps_capacity():
 def test_a_replaced_snapshot_starts_with_empty_memos_at_its_own_bounds():
     """``dataclasses.replace`` with a snapshot at other bounds gives a state
     whose snapshot is new and built on the other bounds: it holds no
-    payment and only the posted prices of the ledger's cells, at those
-    bounds. A run on it keeps only prices and payments at those bounds,
-    never an entry of the state it was copied from, whose snapshot it
-    leaves alone."""
+    payment and only the prices it posts for the charging build, those of
+    the ledger's cable and energy cells and of its generation cells with
+    capacity, at those bounds. A run on it keeps only prices and payments
+    at those bounds, never an entry of the state it was copied from, whose
+    snapshot it leaves alone."""
     config, sessions = generate_scenario(0, dataclasses.replace(PRESETS["desk"],
                                                                 max_sessions=60))
     state = DispatcherState.fresh(config)
@@ -354,15 +364,16 @@ def test_a_replaced_snapshot_starts_with_empty_memos_at_its_own_bounds():
         name: 2 * getattr(old.bounds, name) for name in
         ("U_c", "U_e", "U_g", "U_d", "U_o")})
 
-    moved = dataclasses.replace(state, posted=Snapshot(state.ledger, other, old.psi))
+    moved = dataclasses.replace(state, posted=Snapshot(old.ledger, other, old.psi))
     posted = moved.posted
     assert posted is not old and state.posted is old
     assert (posted.bounds, posted.psi) == (other, old.psi)
     assert posted._paid == {}
     assert set(posted._priced) == {
-        (shape, min(y, shape.cap)) for loads, shapes in zip(state.ledger.loads,
-                                                            config.cells.shapes)
-        for y, shape in zip(loads, shapes)}
+        (shape, min(y, shape.cap))
+        for k in (CABLE, ENERGY, GENERATION)
+        for y, shape in zip(old.ledger.loads[k], config.cells.shapes[k])
+        if k != GENERATION or shape.cap > 0}
     for session in sessions[30:]:
         dispatch(session, moved)
     assert moved.posted is posted and posted._paid
@@ -378,57 +389,42 @@ def test_a_replaced_snapshot_starts_with_empty_memos_at_its_own_bounds():
 
 def test_a_run_recovers_from_loads_written_in_place():
     """A caller that writes the ledger's loads in place between two
-    ``dispatch`` calls rebuilds ``state.posted`` at its bounds and Psi, as
-    the ``DispatcherState`` docstring asks: the run's snapshot cannot see
-    such a write, and would build other plans from its stale prices, but
-    from the rebuilt one every later decision is the one a fresh state on
-    a copy of the loads reaches."""
+    ``dispatch`` calls builds a new snapshot of the ledger at the run's
+    bounds and Psi, as the ``DispatcherState`` docstring asks: the run's
+    snapshot cannot see such a write, and would build other plans from its
+    stale prices, but from the new one every later decision is the one a
+    fresh state on a copy of the loads reaches."""
     config, sessions = generate_scenario(0, dataclasses.replace(PRESETS["desk"],
                                                                 max_sessions=40))
     state = DispatcherState.fresh(config)
     for session in sessions[:20]:
         dispatch(session, state)
     stale = state.posted
-    cables = state.ledger.loads[CABLE]
+    cables = stale.ledger.loads[CABLE]
     for t in range(1, config.horizon + 1):
         cables[config.cells.evse_cell(0, 0, t)] = config.facilities[0].cables_per_evse
-    assert stale.fits(state.ledger)
     later = sessions[20:]
     assert (feasible_schedules(later[0], config, stale)
             != feasible_schedules(later[0], config, _prices(state)))
-    state.posted = Snapshot(state.ledger, stale.bounds, stale.psi)
+    state.posted = Snapshot(stale.ledger, stale.bounds, stale.psi)
     for session in later:
-        twin = DispatcherState.fresh(config)
-        twin.ledger.loads = [list(loads) for loads in state.ledger.loads]
-        twin.last_t = state.last_t
+        twin = twin_state(state)
         assert dispatch(session, state) == dispatch(session, twin), session
-    assert state.posted is not stale
+    assert state.posted is not stale and state.posted.ledger is stale.ledger
 
 
-def test_a_replaced_ledger_gets_a_snapshot_of_its_own():
-    """A ledger swapped in mid-run, on copied loads with facility 0's EVSE
-    0 cables then filled, is not read through the run's snapshot: its loads
-    are other lists, so ``dispatch`` rebuilds the snapshot at the run's
-    bounds and Psi, and every later decision is the one a fresh state on a
-    copy of the loads reaches."""
-    config, sessions = generate_scenario(0, dataclasses.replace(PRESETS["desk"],
-                                                                max_sessions=40))
+def test_the_state_has_no_ledger_of_its_own(tiny_instance):
+    """The run's one ledger is its snapshot's. The state is slotted, so
+    assigning a ledger to it raises, where it once added an attribute that
+    no ``dispatch`` read."""
+    config, sessions = tiny_instance
     state = DispatcherState.fresh(config)
-    for session in sessions[:20]:
+    with pytest.raises(AttributeError):
+        state.ledger = ResourceLedger.zero(config)
+    assert not hasattr(state, "ledger") and not hasattr(state, "__dict__")
+    for session in sessions:
         dispatch(session, state)
-    old = state.posted
-    state.ledger = ResourceLedger(config.cells, [list(loads) for loads in state.ledger.loads])
-    cables = state.ledger.loads[CABLE]
-    for t in range(1, config.horizon + 1):
-        cables[config.cells.evse_cell(0, 0, t)] = config.facilities[0].cables_per_evse
-    assert not old.fits(state.ledger)
-    for session in sessions[20:]:
-        twin = DispatcherState.fresh(config)
-        twin.ledger.loads = [list(loads) for loads in state.ledger.loads]
-        twin.last_t = state.last_t
-        assert dispatch(session, state) == dispatch(session, twin), session
-        assert state.posted.fits(state.ledger)
-    assert (state.posted.bounds, state.posted.psi) == (old.bounds, old.psi)
+    assert state.posted.ledger.loads == recompute_ledger(state.decisions, config).loads
 
 
 def test_replay_matches_decisions(tiny_instance):
@@ -457,7 +453,7 @@ def test_replay_matches_decisions(tiny_instance):
         else:
             assert decision.schedule == best
             assert decision.utility == pytest.approx(best_key[0])
-            state.ledger.apply(best)
+            state.posted.ledger.apply(best)
 
 
 def test_a_full_day_prices_and_builds_under_half_its_candidates():
@@ -512,7 +508,7 @@ def test_trajectories_tie_out_to_the_objectives(tiny_instance):
         dispatch(session, state)
 
     ledger = recompute_ledger(state.decisions, config)
-    assert ledger.loads == state.ledger.loads
+    assert ledger.loads == state.posted.ledger.loads
 
     welfare = economics.primal_objective(state.decisions, ledger, config)
     assert state.primal_trajectory[-1] == pytest.approx(welfare, abs=1e-9)
@@ -543,5 +539,7 @@ def test_peak_utilization_stays_within_capacity(desk_instance):
         "cable", "energy", "generation", "out_of_service", "destination"}
     for name, frac in report.peak_utilization.items():
         assert 0.0 <= frac <= 1.0 + 1e-12, name
+    assert report.peak_utilization == peak_utilization(
+        recompute_ledger(report.decisions, config))
     assert report.welfare > 0
     assert report.accepted > 0

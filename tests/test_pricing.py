@@ -253,28 +253,29 @@ def test_payments_are_additive_and_guarded():
 
 
 def test_a_run_refuses_fewer_than_one_cell():
-    """``Snapshot.run`` sums n >= 1 consecutive cells. With n = 0 it once
-    raised IndexError on a fresh run, and after a 3-cell run it returned
-    that run's sum, with n = -1 the 2-cell sum."""
+    """``Snapshot.run`` sums n >= 1 consecutive cells, of payments or,
+    with no family, of posted cable prices. With n = 0 it once raised
+    IndexError on a fresh run, and after a 3-cell run it returned that
+    run's sum, with n = -1 the 2-cell sum."""
     config, _ = generate_scenario(0, "tiny")
     prices = pricing.Snapshot(ResourceLedger.zero(config), estimate_bounds(config),
                               psi(config))
-    for posted in (False, True):
+    for k in (OUT_OF_SERVICE, None):
         for n in (0, -1):
             with pytest.raises(ValueError, match=f"n >= 1 cells, got n={n}"):
-                prices.run(OUT_OF_SERVICE, 0, n, posted)
-        three = prices.run(OUT_OF_SERVICE, 0, 3, posted)
+                prices.run(k, 0, n)
+        three = prices.run(k, 0, 3)
         for n in (0, -1):
             with pytest.raises(ValueError, match=f"n >= 1 cells, got n={n}"):
-                prices.run(OUT_OF_SERVICE, 0, n, posted)
-        assert prices.run(OUT_OF_SERVICE, 0, 3, posted) == three > 0
+                prices.run(k, 0, n)
+        assert prices.run(k, 0, 3) == three > 0
 
 
 def test_a_commit_reposts_its_cells_and_drops_every_sum(desk_instance):
-    """After ``ledger.apply`` and ``update`` of a charging plan, then of a
-    rebalance, a snapshot reads as a fresh one of the ledger does: every
-    posted and charging price, and every running sum and draw it kept
-    from before the commit, the plan's own among them."""
+    """After ``commit`` of a charging plan, then of a rebalance, a snapshot
+    reads as a fresh one of its ledger does: every posted cable and
+    charging price, and every running sum and draw it kept from before the
+    commit, the plan's own among them."""
     config, sessions = desk_instance
     ledger = ResourceLedger.zero(config)
     bounds, psi_ = estimate_bounds(config), psi(config)
@@ -287,23 +288,22 @@ def test_a_commit_reposts_its_cells_and_drops_every_sum(desk_instance):
     def read(prices):
         out = []
         for plan in plans:
-            for posted in (False, True):
-                out.append(prices.run(OUT_OF_SERVICE, plan.t_minus - 1,
-                                      plan.t_plus - plan.t_minus + 1, posted))
-                if plan.facility_id is not None:
-                    out.append(prices.run(CABLE, config.cells.evse_cell(
-                        plan.facility_id, plan.evse_index, plan.cable_slots[0]),
-                        len(plan.cable_slots), posted))
+            out.append(prices.run(OUT_OF_SERVICE, plan.t_minus - 1,
+                                  plan.t_plus - plan.t_minus + 1))
             if plan.facility_id is not None:
+                first = config.cells.evse_cell(plan.facility_id, plan.evse_index,
+                                               plan.cable_slots[0])
+                for k in (CABLE, None):
+                    out.append(prices.run(k, first, len(plan.cable_slots)))
                 out.append(prices.draw(plan.facility_id, plan.evse_index, plan.energy_slots))
         return out
 
     before = read(holder)
     for plan in plans:
-        ledger.apply(plan)
-        holder.update(plan)
+        holder.commit(plan)
+        assert holder.ledger is ledger
         fresh = pricing.Snapshot(ledger, bounds, psi_)
-        assert (holder.prices, holder.charges) == (fresh.prices, fresh.charges)
+        assert (holder.cables, holder.charges) == (fresh.cables, fresh.charges)
         assert read(holder) == read(fresh)
     assert read(holder) != before
 
@@ -413,6 +413,10 @@ def test_validate_bounds_failure_modes(mini_config):
     bad = dataclasses.replace(estimate_bounds(mini_config), L_o=0.2)
     assert "out_of_service: L_o=0.2 must exceed the largest cost offset 0.4" in validate_bounds(
         bad, mini_config)
+    bad = dataclasses.replace(estimate_bounds(mini_config), U_d=1e308)
+    assert validate_bounds(bad, mini_config) == [
+        "destination: the price curve's base 2*Psi*(U - offset)/(L - offset) overflows "
+        f"at (L, U) = ({bad.L_d}, 1e+308)"]
     # 2*Psi*pi = 12 * 0.2: only a cell with solar has a solar segment whose
     # base 2*Psi*pi/L_g must exceed 1, and mini_config has none
     bad = dataclasses.replace(estimate_bounds(mini_config), L_g=2.41, U_g=5.0)
@@ -551,6 +555,9 @@ def test_dapr_rejects_bad_arguments():
         ("cable", dict(params, L=0.0), r"need 0 < L <= U, got \(0.0, 20.0\)"),
         ("cable", dict(params, L=30.0), r"need 0 < L <= U, got \(30.0, 20.0\)"),
         ("cable", dict(params, U=math.inf), "U=inf must be finite"),
+        # 2*Psi*U = 1.8e308 leaves the float range, and every payment was NaN
+        ("cable", dict(params, U=1e307),
+         r"base 2\*Psi\*\(U - offset\)/\(L - offset\) overflows at \(L, U\) = \(0.05, 1e\+307\)"),
         ("cable", dict(params, psi=0), "psi=0.0 must be a whole number of at least 1"),
         # a fractional psi was truncated, and 9.7 checked the curve of 9
         ("cable", dict(params, psi=9.7), "psi=9.7 must be a whole number"),

@@ -12,8 +12,8 @@ kept by key for the whole run. It skips the cable, energy and generation
 payments of a plan that its destination and out-of-service payments
 already put below the best utility so far.
 ``_dual_increment`` and ``primal_increment`` walk a schedule's demands on
-the config's cells; the snapshot's posted prices are updated by each
-commit, which drops its sums; ``feasible_schedules`` sums cable prices as
+the config's cells; the snapshot's posted cable and charging prices are
+re-posted by each commit, which drops its sums; ``feasible_schedules`` sums cable prices as
 running sums from the arrival slot, stops its EVSE scan at the first
 empty EVSE, ranks each window's slots once, keeps one list of distinct
 windows per (facility, target) stream and stops ordering charging tuples
@@ -62,6 +62,8 @@ from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, Snapshot,
     cell_shape,
 )
+
+from conftest import twin_state
 
 
 def _coordinates(config):
@@ -391,12 +393,12 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
     priced = skipped = committed = 0
     for session in sessions:
         bounds, psi_ = state.posted.bounds, state.posted.psi
-        live = Snapshot(state.ledger, bounds, psi_)
+        live = Snapshot(state.posted.ledger, bounds, psi_)
         candidates = list(ranked(rebalances(session, config),
                                  feasible_schedules(session, config, live, state.policy)))
         assert candidates == reference_feasible_schedules(
-            session, config, state.ledger, bounds, psi_, state.policy)
-        loads = _loads(config, state.ledger, coordinates)
+            session, config, state.posted.ledger, bounds, psi_, state.policy)
+        loads = _loads(config, state.posted.ledger, coordinates)
         expected = [reference_utility_breakdown(s, state, loads) for s in candidates]
         dual_steps = {}
         for schedule, (u, breakdown) in zip(candidates, expected):
@@ -404,10 +406,10 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
             assert utility_breakdown(schedule, live) == (u, breakdown)
             # increments are taken of schedules that fit, as every committed
             # one does
-            if state.ledger.fits(schedule):
+            if state.posted.ledger.fits(schedule):
                 dual_steps[schedule] = reference_dual_increment(schedule, u, state, loads)
                 assert _dual_increment(schedule, u, state) == dual_steps[schedule]
-                assert (economics.primal_increment(state.ledger, schedule)
+                assert (economics.primal_increment(state.posted.ledger, schedule)
                         == reference_primal_increment(schedule, state, loads))
         dual_before = state.dual_trajectory[-1]
         inside.clear()
@@ -480,10 +482,10 @@ def test_no_running_sum_outlives_a_commit(monkeypatch):
     kept_runs, kept_draws, reread = set(), set(), [False]
     run, draw = Snapshot.run, Snapshot.draw
 
-    def tracked_run(self, k, first, n, posted=False):
-        if self is state.posted and (posted, k, first) in kept_runs:
+    def tracked_run(self, k, first, n):
+        if self is state.posted and (k, first) in kept_runs:
             reread[0] = True
-        return run(self, k, first, n, posted)
+        return run(self, k, first, n)
 
     def tracked_draw(self, f, m, slots):
         if self is state.posted and (f, m, slots) in kept_draws:
@@ -495,9 +497,7 @@ def test_no_running_sum_outlives_a_commit(monkeypatch):
     outcomes = set()
     warm = cold = rereads = 0
     for session in sessions:
-        twin = DispatcherState.fresh(config)
-        twin.ledger.loads = [list(loads) for loads in state.ledger.loads]
-        twin.last_t = state.last_t
+        twin = twin_state(state)
         before = calls[0]
         expected = dispatch(session, twin)
         fresh_calls, before = calls[0] - before, calls[0]
@@ -511,10 +511,10 @@ def test_no_running_sum_outlives_a_commit(monkeypatch):
         outcomes.add(decision.is_depot)
 
         kept = state.posted
-        fresh = Snapshot(state.ledger, kept.bounds, kept.psi)
-        for (posted, k, first), sums in kept._runs.items():
-            fresh.run(k, first, len(sums), posted)
-            assert fresh._runs[posted, k, first] == sums, session
+        fresh = Snapshot(state.posted.ledger, kept.bounds, kept.psi)
+        for (k, first), sums in kept._runs.items():
+            fresh.run(k, first, len(sums))
+            assert fresh._runs[k, first] == sums, session
         for (f, m, slots), paid in kept._drawn.items():
             assert fresh.draw(f, m, slots) == paid, session
     assert outcomes == {True, False}
@@ -536,8 +536,8 @@ def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):
     config, sessions = generate_scenario(0, RUNS["desk"])
     session = sessions[0]
     state = DispatcherState.fresh(config)
-    loads = _loads(config, state.ledger, _coordinates(config))
-    candidates = reference_feasible_schedules(session, config, state.ledger,
+    loads = _loads(config, state.posted.ledger, _coordinates(config))
+    candidates = reference_feasible_schedules(session, config, state.posted.ledger,
                                               state.posted.bounds, state.posted.psi,
                                               state.policy)
     first = candidates[0]
@@ -586,20 +586,20 @@ def test_a_switched_snapshot_prices_payments_and_dual_increments_alike(monkeypat
     other = dataclasses.replace(old.bounds, **{
         name: 2 * getattr(old.bounds, name) for name in
         ("U_c", "U_e", "U_g", "U_d", "U_o")})
-    state.posted = Snapshot(state.ledger, other, old.psi)
+    state.posted = Snapshot(old.ledger, other, old.psi)
     at_old = dataclasses.replace(state, posted=old)
 
     committed = []
 
     def recorded(schedule, u, state_):
-        loads = _loads(config, state_.ledger, coordinates)
+        loads = _loads(config, state_.posted.ledger, coordinates)
         out = _dual_increment(schedule, u, state_)
         assert out == reference_dual_increment(schedule, u, state_, loads)
         committed.append(out != reference_dual_increment(schedule, u, at_old, loads))
         return out
     monkeypatch.setattr(dispatcher, "_dual_increment", recorded)
     for session in sessions[half:]:
-        loads = _loads(config, state.ledger, coordinates)
+        loads = _loads(config, state.posted.ledger, coordinates)
         decision = dispatch(session, state)
         if not decision.is_depot:
             assert ((decision.utility, decision.breakdown)
@@ -628,9 +628,10 @@ POSTED_DAYS = {"full": (0, dataclasses.replace(PRESETS["full"], max_sessions=60)
 @pytest.mark.parametrize("name", sorted(POSTED_DAYS))
 def test_posted_prices_follow_every_commit(name):
     """A run builds its snapshot once, in ``DispatcherState.fresh``, and
-    each commit updates it: after every ``dispatch`` its lists are the
-    reference's at the ledger's loads, the charging prices of the other
-    EVSEs of the committed facility included."""
+    each commit goes through it: after every ``dispatch`` its posted cable
+    and charging prices are the reference's at the ledger's loads, the
+    charging prices of the other EVSEs of the committed facility
+    included."""
     seed, params = POSTED_DAYS[name]
     config, sessions = generate_scenario(seed, params)
     state = DispatcherState.fresh(config)
@@ -639,8 +640,8 @@ def test_posted_prices_follow_every_commit(name):
     for session in sessions:
         committed += not dispatch(session, state).is_depot
         assert state.posted is holder
-        assert ((holder.prices, holder.charges)
-                == reference_posted(config, state.ledger, bounds, psi_)), session
+        prices, charges = reference_posted(config, holder.ledger, bounds, psi_)
+        assert (holder.cables, holder.charges) == (prices[CABLE], charges), session
     assert committed > len(sessions) // 4
 
 
@@ -661,7 +662,7 @@ def test_a_switched_snapshot_builds_no_plan_from_the_old_prices(monkeypatch):
     other = dataclasses.replace(old.bounds, **{
         name: 2 * getattr(old.bounds, name) for name in ("L_c", "L_e", "L_g")})
     assert pricing.validate_bounds(other, config) == []
-    state.posted = Snapshot(state.ledger, other, old.psi)
+    state.posted = Snapshot(old.ledger, other, old.psi)
 
     built = []
 
@@ -672,14 +673,14 @@ def test_a_switched_snapshot_builds_no_plan_from_the_old_prices(monkeypatch):
     monkeypatch.setattr(dispatcher, "feasible_schedules", recorded)
     moved = 0
     for session in sessions[half:]:
-        expected = feasible_schedules(session, config, Snapshot(state.ledger, other, old.psi))
+        expected = feasible_schedules(session, config, Snapshot(state.posted.ledger, other, old.psi))
         moved += expected != feasible_schedules(session, config,
-                                                Snapshot(state.ledger, old.bounds, old.psi))
+                                                Snapshot(state.posted.ledger, old.bounds, old.psi))
         built.clear()
         dispatch(session, state)
         assert built == [expected], session
-        assert ((state.posted.prices, state.posted.charges)
-                == reference_posted(config, state.ledger, other, old.psi))
+        prices, charges = reference_posted(config, state.posted.ledger, other, old.psi)
+        assert (state.posted.cables, state.posted.charges) == (prices[CABLE], charges)
     assert moved > 0
 
 
