@@ -38,10 +38,11 @@ class DispatcherState:
     Its ``posted`` is the one owner of the run's loads and prices, a
     ``pricing.Snapshot`` that ``fresh`` builds on an empty ledger: it holds
     the run's only ledger (``posted.ledger``), its bounds and Psi, and
-    every price, payment and running sum the run reads. Dual increments
-    read their prices through it too, and each plan is committed through
-    it, so a copy made by ``dataclasses.replace`` with a ``Snapshot`` at
-    other bounds prices everything at those. A caller that writes the
+    every price, payment and running sum the run reads. Each plan is
+    committed through it, and the commit returns the plan's dual
+    increment, read at its prices too, so a copy made by
+    ``dataclasses.replace`` with a ``Snapshot`` at other bounds prices
+    everything at those. A caller that writes the
     ledger's loads in place between two ``dispatch`` calls builds a new
     ``Snapshot(posted.ledger, posted.bounds, posted.psi)``."""
 
@@ -70,16 +71,20 @@ class DispatcherState:
 
 
 def utility_breakdown(schedule: Schedule, prices: Snapshot, best: float = -math.inf,
-                      ) -> Optional[Tuple[float, PriceBreakdown]]:
+                      ) -> Optional[Tuple[float, Tuple[float, ...]]]:
     """Utility of a schedule at the ledger state ``prices`` was taken of,
-    with per-family payments; None if it is below ``best`` for certain.
+    with its payments as plain floats, (destination, out_of_service, cable,
+    energy, generation), the fields of ``PriceBreakdown`` in order; None if
+    it is below ``best`` for certain. The utility is the value less their
+    sum, added in the order ``PriceBreakdown.total`` adds them, so it is
+    the same float as the breakdown ``dispatch`` builds of a winner's.
 
     The destination and out-of-service payments come first. Every payment
-    is >= 0 and ``PriceBreakdown.total`` adds those two first, so by
-    monotone rounding the utility is at most value - (destination + out of
-    service). When that is strictly below ``best``, the plan can neither
-    beat nor tie a plan of utility ``best``, and its cable, energy and
-    generation payments are not made.
+    is >= 0 and the sum adds those two first, so by monotone rounding the
+    utility is at most value - (destination + out of service). When that
+    is strictly below ``best``, the plan can neither beat nor tie a plan of
+    utility ``best``, and its cable, energy and generation payments are not
+    made.
 
     Schedules touching a saturated slot are priced, not rejected; the
     integral payment runs past capacity, so their utility is nonpositive.
@@ -102,21 +107,8 @@ def utility_breakdown(schedule: Schedule, prices: Snapshot, best: float = -math.
         slots = schedule.cable_slots
         if slots:
             cable = prices.run(CABLE, cells.evse_cell(f, m, slots[0]), len(slots))
-    breakdown = PriceBreakdown(destination=destination, out_of_service=out_of_service,
-                               cable=cable, energy=energy, generation=generation)
-    return schedule.value - breakdown.total, breakdown
-
-
-def _dual_increment(schedule: Schedule, u: float, state: DispatcherState) -> float:
-    """Exact dual objective change: u plus every touched conjugate's move,
-    each price read through the run's snapshot."""
-    price, loads = state.posted.price, state.posted.loads
-    total = u
-    for k, i, amount, shape in sorted(state.config.cells.demands(schedule),
-                                      key=lambda demand: pricing.DUAL_RANK[demand[0]]):
-        y = loads[k][i]
-        total += shape.conj(price(shape, y + amount)) - shape.conj(price(shape, y))
-    return total
+    return (schedule.value - (destination + out_of_service + cable + energy + generation),
+            (destination, out_of_service, cable, energy, generation))
 
 
 def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
@@ -129,9 +121,12 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
     exceeds its value: pricing stops at the first candidate whose value is
     below the best utility so far, as none from there on can win or tie, and
     ``utility_breakdown`` skips the rest of any plan that its destination
-    and out-of-service payments already put below it. Raises on a session
-    that ``validate_sessions`` rejects, on out-of-order arrivals and,
-    should the price barrier ever fail, on a capacity breach.
+    and out-of-service payments already put below it. A candidate's
+    payments stay plain floats: only an accepted plan's become a
+    ``PriceBreakdown``, and its dual increment is the one its commit walk
+    returns. Raises on a session that ``validate_sessions`` rejects, on
+    out-of-order arrivals and, should the price barrier ever fail, on a
+    capacity breach.
     """
     check_sessions((session,), state.config)
     if session.t_minus < state.last_t:
@@ -154,10 +149,10 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
         priced = utility_breakdown(schedule, prices, bar)
         if priced is None:
             continue
-        u, breakdown = priced
+        u, payments = priced
         key = (u, -schedule.t_plus, -idx)
         if best_key is None or key > best_key:
-            best, best_key, bar = (schedule, u, breakdown), key, u
+            best, best_key, bar = (schedule, u, payments), key, u
 
     # a trajectory never holds -0.0, so adding 0.0 for the depot keeps it
     d_primal = d_dual = 0.0
@@ -165,16 +160,15 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
         decision = DispatchDecision(session_id=session.id, schedule=None,
                                     utility=0.0)
     else:
-        schedule, u, breakdown = best
+        schedule, u, payments = best
         if not prices.ledger.fits(schedule):
             raise CapacityError(
                 f"price barrier failed: positive-utility schedule for session "
                 f"{session.id} breaches capacity")
         d_primal = economics.primal_increment(prices.ledger, schedule)
-        d_dual = _dual_increment(schedule, u, state)
-        prices.commit(schedule)
+        d_dual = prices.commit(schedule, u)
         decision = DispatchDecision(session_id=session.id, schedule=schedule,
-                                    utility=u, breakdown=breakdown)
+                                    utility=u, breakdown=PriceBreakdown(*payments))
     state.decisions.append(decision)
     state.primal_trajectory.append(state.primal_trajectory[-1] + d_primal)
     state.dual_trajectory.append(state.dual_trajectory[-1] + d_dual)

@@ -24,12 +24,14 @@ so far past capacity that it leaves the float range is infinite. A
 ``Snapshot`` is the one owner of an online run's state: its ledger, its
 bounds and Psi, and the run's prices and payments by key (shape, load,
 and amount), each a function of its key alone, so an entry holds for
-every ledger state of the run. At the ledger's loads it posts the cable
-and charging prices that the candidate build reads, and keeps the sums
-over consecutive cells that only those loads give. The run hands it to
-both the candidate build and the pricing of the candidates; its
-``commit`` applies a plan to the ledger, re-posts the cells the plan
-moved and drops the sums.
+every ledger state of the run. At the ledger's loads it posts the cable,
+energy and charging prices that the candidate build reads, and keeps the
+sums over consecutive cells that only those loads give. The run hands it
+to both the candidate build and the pricing of the candidates, whose
+payments stay plain floats until a plan wins. Its ``commit`` walks the
+winner's cells once, in the dual order: it applies the plan to the
+ledger, adds up the dual increment, re-posts the cells the plan moved
+and drops the sums.
 """
 
 from __future__ import annotations
@@ -238,12 +240,6 @@ NAMES = tuple(family.name for family in FAMILIES)
 #: Families whose primal cost is more than a capacity indicator.
 COSTED = (GENERATION, OUT_OF_SERVICE)
 
-#: Where each family's terms go in a dual increment: destination, out of
-#: service, cable, then energy and generation slot by slot. This is the
-#: order the family-by-family walk summed them in, kept so that dual
-#: trajectories stay bit-identical.
-DUAL_RANK = {DESTINATION: 0, OUT_OF_SERVICE: 1, CABLE: 2, ENERGY: 3, GENERATION: 3}
-
 
 class Shape:
     """A cell's family, arguments, and the capacity, offset and solar split
@@ -435,25 +431,26 @@ class Snapshot:
     no entry can be read at other bounds.
 
     ``ledger`` is the run's one ``ResourceLedger``. Laid out as its
-    (facility, EVSE, slot) cells, ``cables`` is the posted cable price and
-    ``charges`` the energy plus generation price per kWh, the energy price
-    alone in a slot without generation capacity; each term is ``price(shape,
-    min(load, cap))``, as posted prices only rank slots. Every cable
-    window at a facility starts at the vehicle's arrival slot there, and
-    every out-of-service run at its t_minus, so ``run`` keeps sums over
-    consecutive cells as running sums from their first cell, extended only
-    as far as asked, and ``draw`` keeps the payments of each set of
-    charging slots. Every sum is added left to right from 0.0, cell by
-    cell, as a walk over the cells adds it, so each float is bit-identical
-    to the walk's own. The sums outlive a ``dispatch``, as a depot
-    decision leaves the ledger as it was, until ``commit`` applies a plan
-    to the ledger, re-posts the cells it moved, each with the same
-    ``price`` call as a fresh snapshot, and drops them all. A write to the
-    loads by any other way is not seen: its caller builds a new snapshot.
+    (facility, EVSE, slot) cells, ``cables`` is the posted cable price,
+    ``energies`` the posted energy price and ``charges`` the energy plus
+    generation price per kWh, the energy price alone in a slot without
+    generation capacity; each term is ``price(shape, min(load, cap))``, as
+    posted prices only rank slots. Every cable window at a facility starts
+    at the vehicle's arrival slot there, and every out-of-service run at
+    its t_minus, so ``run`` keeps sums over consecutive cells as running
+    sums from their first cell, extended only as far as asked, and
+    ``draw`` keeps the payments of each set of charging slots. Every sum
+    is added left to right from 0.0, cell by cell, as a walk over the
+    cells adds it, so each float is bit-identical to the walk's own. The
+    sums outlive a ``dispatch``, as a depot decision leaves the ledger as
+    it was, until ``commit`` applies a plan to the ledger in one walk over
+    its cells, re-posts the cells it moved, each with the same ``price``
+    call as a fresh snapshot, and drops them all. A write to the loads by
+    any other way is not seen: its caller builds a new snapshot.
     """
 
-    __slots__ = ("ledger", "bounds", "psi", "loads", "cells", "cables", "charges",
-                 "_priced", "_paid", "_runs", "_drawn")
+    __slots__ = ("ledger", "bounds", "psi", "loads", "cells", "cables", "energies",
+                 "charges", "_priced", "_paid", "_runs", "_drawn")
 
     def __init__(self, ledger: ResourceLedger, bounds: PriceBounds, psi_: int) -> None:
         self.ledger = ledger
@@ -464,9 +461,10 @@ class Snapshot:
         self.loads = ledger.loads
         cells = self.cells = ledger.cells
         price = self.price
-        self.cables = [price(shape, min(y, shape.cap))
-                       for y, shape in zip(self.loads[CABLE], cells.shapes[CABLE])]
-        self.charges = [0.0] * len(self.cables)
+        self.cables, self.energies = (
+            [price(shape, min(y, shape.cap)) for y, shape in zip(self.loads[k], cells.shapes[k])]
+            for k in (CABLE, ENERGY))
+        self.charges = [0.0] * len(self.energies)
         for f in range(len(cells.evse_row) - 1):
             for t in range(1, cells.horizon + 1):
                 self._post_charges(f, t)
@@ -480,34 +478,57 @@ class Snapshot:
             p = self._priced[shape, y] = shape.price(y, self.bounds, self.psi)
         return p
 
-    def commit(self, schedule) -> None:
-        """Apply ``schedule`` to the ledger and re-post every cell it moved:
-        each of its cable cells, and the charging price of every EVSE of its
-        facility in each of its energy slots, as generation is per facility.
-        Then drop every sum, all of which read the loads before the commit."""
-        self.ledger.apply(schedule)
-        f = schedule.facility_id
+    def commit(self, schedule, utility: float) -> float:
+        """Apply ``schedule`` to the ledger and return its dual increment:
+        ``utility`` plus conj(price(y + a)) - conj(price(y)) of each cell it
+        takes a units of at load y, added in the dual order: the destination
+        arrival, the out-of-service slots, the cable slots, then energy and
+        generation slot by slot. The one walk over those cells writes each
+        load and re-posts each cable cell, and in each energy slot the
+        EVSE's energy price and the charging price of every EVSE of its
+        facility, as generation is per facility. Then it drops every sum,
+        all of which read the loads before the commit."""
+        cells, move = self.cells, self._move
+        T, f = cells.horizon, schedule.facility_id
+        total = utility + move(DESTINATION, schedule.dest_region * T + schedule.t_plus - 1, 1)
+        for i in range(schedule.t_minus - 1, schedule.t_plus):
+            total += move(OUT_OF_SERVICE, i, 1)
         if f is not None:
-            row = self.cells.evse_cell(f, schedule.evse_index, 0)
-            loads, shapes = self.loads[CABLE], self.cells.shapes[CABLE]
+            row = cells.evse_cell(f, schedule.evse_index, 0)
             for i in (row + t for t in schedule.cable_slots):
-                self.cables[i] = self.price(shapes[i], min(loads[i], shapes[i].cap))
-            for t, _ in schedule.energy_slots:
+                total += move(CABLE, i, 1)
+                self.cables[i] = self._posted(CABLE, i)
+            for t, e in schedule.energy_slots:
+                total += move(ENERGY, row + t, e)
+                total += move(GENERATION, cells.facility_cell(f, t), e)
+                self.energies[row + t] = self._posted(ENERGY, row + t)
                 self._post_charges(f, t)
         self._runs.clear()
         self._drawn.clear()
+        return total
+
+    def _move(self, k: int, i: int, amount: float) -> float:
+        """Add ``amount`` to the load of cell i of family k; return the move
+        of the cell's conjugate at its posted price."""
+        shape, loads, price = self.cells.shapes[k][i], self.loads[k], self.price
+        y = loads[i]
+        y1 = loads[i] = y + amount
+        return shape.conj(price(shape, y1)) - shape.conj(price(shape, y))
+
+    def _posted(self, k: int, i: int) -> float:
+        """The posted price of cell i of family k, at its load or capacity."""
+        shape = self.cells.shapes[k][i]
+        return self.price(shape, min(self.loads[k][i], shape.cap))
 
     def _post_charges(self, f: int, t: int) -> None:
-        """Post the charging price of every EVSE of facility f in slot t."""
-        cells, charges, price = self.cells, self.charges, self.price
-        g = cells.facility_cell(f, t)
-        gen = cells.shapes[GENERATION][g]
-        generation = price(gen, min(self.loads[GENERATION][g], gen.cap)) if gen.cap > 0 else None
-        T, shapes, loads = cells.horizon, cells.shapes[ENERGY], self.loads[ENERGY]
+        """Post the charging price of every EVSE of facility f in slot t:
+        its posted energy price plus the facility's generation price."""
+        cells, energies, charges = self.cells, self.energies, self.charges
+        g, T = cells.facility_cell(f, t), cells.horizon
+        # a price is positive, so adding 0.0 leaves it as it is
+        generation = self._posted(GENERATION, g) if cells.shapes[GENERATION][g].cap > 0 else 0.0
         for i in range(cells.evse_row[f] * T + t - 1, cells.evse_row[f + 1] * T, T):
-            shape = shapes[i]
-            energy = price(shape, min(loads[i], shape.cap))
-            charges[i] = energy if generation is None else energy + generation
+            charges[i] = energies[i] + generation
 
     def pay(self, k: int, i: int, amount: float = 1) -> float:
         """Payment for ``amount`` more units of cell i of family k."""

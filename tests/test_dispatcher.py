@@ -17,8 +17,8 @@ from evdispatch.dispatcher import (
     utility_breakdown,
 )
 from evdispatch.domain import (
-    MONEY_ATOL, CapacityError, DispatchDecision, ResourceLedger, Session, recompute_ledger,
-    validate, validate_sessions,
+    MONEY_ATOL, CapacityError, DispatchDecision, PriceBreakdown, ResourceLedger, Session,
+    recompute_ledger, validate, validate_sessions,
 )
 from evdispatch.harness import PRESETS, generate_scenario
 from evdispatch.offline import exact_offline, upper_bound
@@ -73,8 +73,9 @@ def test_utility_is_value_minus_payments(mini_config, mini_session,
                                          mini_charge, mini_rebalance):
     state = DispatcherState.fresh(mini_config)
     for schedule in (mini_charge, mini_rebalance):
-        u, breakdown = utility_breakdown(schedule, _prices(state))
-        assert u == pytest.approx(schedule.value - breakdown.total)
+        u, payments = utility_breakdown(schedule, _prices(state))
+        breakdown = PriceBreakdown(*payments)
+        assert u == schedule.value - breakdown.total
         assert breakdown.total > 0
     # prices are nondecreasing in load, so utility can only fall
     before = utility_breakdown(mini_charge, _prices(state))[0]
@@ -283,7 +284,8 @@ def test_candidate_with_infinite_payment_is_never_chosen(mini_config,
     state = DispatcherState.fresh(config)
     prices = _prices(state)
     candidates = feasible_schedules(mini_session, config, prices, state.policy)
-    priced = [utility_breakdown(s, prices) for s in candidates]
+    priced = [(u, PriceBreakdown(*payments))
+              for u, payments in (utility_breakdown(s, prices) for s in candidates)]
     infinite = [s for s, (u, b) in zip(candidates, priced)
                 if b.generation == math.inf]
     assert infinite and all(u == -math.inf for u, b in priced
@@ -454,6 +456,37 @@ def test_replay_matches_decisions(tiny_instance):
             assert decision.schedule == best
             assert decision.utility == pytest.approx(best_key[0])
             state.posted.ledger.apply(best)
+
+
+def test_only_an_accepted_plan_gets_a_breakdown(monkeypatch):
+    """Candidates are priced to plain floats: on a congested ``rush`` day
+    ``dispatch`` builds exactly one ``PriceBreakdown`` per accepted
+    decision, the winner's, and none per depot decision, though most
+    sessions price two or more candidates in full."""
+    config, sessions = generate_scenario(1, dataclasses.replace(PRESETS["rush"],
+                                                                max_sessions=300))
+    built, full = [0], [0]
+
+    def counted(*args, **kwargs):
+        built[0] += 1
+        return PriceBreakdown(*args, **kwargs)
+
+    def priced(*args):
+        out = utility_breakdown(*args)
+        full[0] += out is not None
+        return out
+    monkeypatch.setattr(dispatcher, "PriceBreakdown", counted)
+    monkeypatch.setattr(dispatcher, "utility_breakdown", priced)
+    state = DispatcherState.fresh(config)
+    depots = several = 0
+    for session in sessions:
+        built[0] = full[0] = 0
+        decision = dispatch(session, state)
+        assert built[0] == (not decision.is_depot), session
+        depots += decision.is_depot
+        several += full[0] > 1
+    assert 0 < depots < len(sessions)
+    assert several > len(sessions) // 2
 
 
 def test_a_full_day_prices_and_builds_under_half_its_candidates():

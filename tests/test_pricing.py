@@ -272,18 +272,21 @@ def test_a_run_refuses_fewer_than_one_cell():
 
 
 def test_a_commit_reposts_its_cells_and_drops_every_sum(desk_instance):
-    """After ``commit`` of a charging plan, then of a rebalance, a snapshot
-    reads as a fresh one of its ledger does: every posted cable and
-    charging price, and every running sum and draw it kept from before the
-    commit, the plan's own among them."""
+    """After each ``commit`` of three charging plans, then of a rebalance,
+    a snapshot reads as a fresh one of its ledger does: every posted cable,
+    energy and charging price, and every running sum and draw it kept from
+    before the commit, the plans' own among them. Two of the plans draw at
+    one facility, so a charging price that kept an EVSE's energy price
+    from before a commit would differ."""
     config, sessions = desk_instance
     ledger = ResourceLedger.zero(config)
     bounds, psi_ = estimate_bounds(config), psi(config)
     holder = pricing.Snapshot(ledger, bounds, psi_)
-    charge = next(plan for session in sessions
-                  for plan in feasible_schedules(session, config, holder))
+    charges = [plan for plan in (next(iter(feasible_schedules(session, config, holder)), None)
+                                 for session in sessions) if plan is not None][:3]
     rebalance = next(plan for session in sessions for plan in rebalances(session, config))
-    plans = (charge, rebalance)
+    plans = (*charges, rebalance)
+    assert len({plan.facility_id for plan in charges}) < len(charges)
 
     def read(prices):
         out = []
@@ -300,10 +303,12 @@ def test_a_commit_reposts_its_cells_and_drops_every_sum(desk_instance):
 
     before = read(holder)
     for plan in plans:
-        holder.commit(plan)
+        assert ledger.fits(plan)
+        holder.commit(plan, 0.0)
         assert holder.ledger is ledger
         fresh = pricing.Snapshot(ledger, bounds, psi_)
-        assert (holder.cables, holder.charges) == (fresh.cables, fresh.charges)
+        assert ((holder.cables, holder.energies, holder.charges)
+                == (fresh.cables, fresh.energies, fresh.charges))
         assert read(holder) == read(fresh)
     assert read(holder) != before
 

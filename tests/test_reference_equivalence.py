@@ -11,9 +11,10 @@ first slot, and per-cell lookups of the rest in the snapshot's payments,
 kept by key for the whole run. It skips the cable, energy and generation
 payments of a plan that its destination and out-of-service payments
 already put below the best utility so far.
-``_dual_increment`` and ``primal_increment`` walk a schedule's demands on
-the config's cells; the snapshot's posted cable and charging prices are
-re-posted by each commit, which drops its sums; ``feasible_schedules`` sums cable prices as
+``primal_increment`` walks a schedule's demands on the config's cells,
+and ``Snapshot.commit`` walks them once in the dual order, returning the
+dual increment; the snapshot's posted cable, energy and charging prices
+are re-posted by each commit, which drops its sums; ``feasible_schedules`` sums cable prices as
 running sums from the arrival slot, stops its EVSE scan at the first
 empty EVSE, ranks each window's slots once, keeps one list of distinct
 windows per (facility, target) stream and stops ordering charging tuples
@@ -46,7 +47,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from evdispatch import MONEY_ATOL, baselines, dispatcher, economics, pricing
 from evdispatch.dispatcher import (
-    DispatcherState, _dual_increment, dispatch, run_online, utility_breakdown,
+    DispatcherState, dispatch, run_online, utility_breakdown,
 )
 from evdispatch.domain import (
     PriceBreakdown, ResourceLedger, Schedule, as_plain, facility_legs, hop_row,
@@ -64,6 +65,40 @@ from evdispatch.pricing import (
 )
 
 from conftest import twin_state
+
+
+def with_breakdown(priced):
+    """``utility_breakdown``'s (utility, payments) as the (utility,
+    ``PriceBreakdown``) the references give; None stays None."""
+    if priced is None:
+        return None
+    u, payments = priced
+    return u, PriceBreakdown(*payments)
+
+
+def trial_commit(prices, schedule, u):
+    """The dual increment ``prices.commit`` returns for ``schedule`` at
+    utility u, with every load it wrote put back afterwards. Its posted
+    prices are then stale: the snapshot serves only such trials."""
+    loads = prices.loads
+    kept = [(k, i, loads[k][i]) for k, i, _, _ in prices.cells.demands(schedule)]
+    out = prices.commit(schedule, u)
+    for k, i, y in kept:
+        loads[k][i] = y
+    return out
+
+
+def recorded_commits(monkeypatch):
+    """Every (schedule, dual increment) a ``Snapshot.commit`` returns from
+    here on, in order."""
+    commit, out = Snapshot.commit, []
+
+    def recorded(self, schedule, u):
+        step = commit(self, schedule, u)
+        out.append((schedule, step))
+        return step
+    monkeypatch.setattr(Snapshot, "commit", recorded)
+    return out
 
 
 def _coordinates(config):
@@ -391,9 +426,16 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
 
     coordinates = _coordinates(config)
     priced = skipped = committed = 0
+    # dual increments of plans that are not committed, on a copy of the loads
+    trials = Snapshot(ResourceLedger(config.cells, [list(loads) for loads in
+                                                    state.posted.ledger.loads]),
+                      state.posted.bounds, state.posted.psi)
+    commits = recorded_commits(monkeypatch)
     for session in sessions:
         bounds, psi_ = state.posted.bounds, state.posted.psi
         live = Snapshot(state.posted.ledger, bounds, psi_)
+        for trial, loads in zip(trials.loads, state.posted.ledger.loads):
+            trial[:] = loads
         candidates = list(ranked(rebalances(session, config),
                                  feasible_schedules(session, config, live, state.policy)))
         assert candidates == reference_feasible_schedules(
@@ -403,16 +445,17 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
         dual_steps = {}
         for schedule, (u, breakdown) in zip(candidates, expected):
             # outside dispatch, a snapshot of the live ledger
-            assert utility_breakdown(schedule, live) == (u, breakdown)
+            assert with_breakdown(utility_breakdown(schedule, live)) == (u, breakdown)
             # increments are taken of schedules that fit, as every committed
             # one does
             if state.posted.ledger.fits(schedule):
                 dual_steps[schedule] = reference_dual_increment(schedule, u, state, loads)
-                assert _dual_increment(schedule, u, state) == dual_steps[schedule]
+                assert trial_commit(trials, schedule, u) == dual_steps[schedule]
                 assert (economics.primal_increment(state.posted.ledger, schedule)
                         == reference_primal_increment(schedule, state, loads))
         dual_before = state.dual_trajectory[-1]
         inside.clear()
+        commits.clear()
         decision = dispatch(session, state)
         # dispatch reads a prefix of the ranked candidates, stopping only at
         # one whose value is below the best utility so far. It prices each in
@@ -429,7 +472,7 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
                 assert (schedule.value - (breakdown.destination + breakdown.out_of_service)
                         < bar)
             else:
-                assert out == (u, breakdown)
+                assert with_breakdown(out) == (u, breakdown)
                 priced += 1
                 bar = max(bar, u)
         if n < len(candidates):
@@ -444,6 +487,8 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
             assert decision.is_depot
         else:
             assert (decision.schedule, decision.utility, decision.breakdown) == best
+        assert commits == ([] if decision.is_depot
+                           else [(decision.schedule, dual_steps[decision.schedule])])
         if not decision.is_depot:
             committed += 1
             assert (state.dual_trajectory[-1]
@@ -564,7 +609,7 @@ def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):
         dispatch(session, DispatcherState.fresh(config))
         assert [(s, best) for s, best, _ in inside] == [(first, -math.inf), (trial, bar)]
         if at:
-            u, breakdown = inside[1][2]
+            u, breakdown = with_breakdown(inside[1][2])
             assert breakdown.energy > 0 and breakdown.cable > 0
             assert (u, breakdown) == reference_utility_breakdown(trial, state, loads)
         else:
@@ -590,20 +635,21 @@ def test_a_switched_snapshot_prices_payments_and_dual_increments_alike(monkeypat
     at_old = dataclasses.replace(state, posted=old)
 
     committed = []
-
-    def recorded(schedule, u, state_):
-        loads = _loads(config, state_.posted.ledger, coordinates)
-        out = _dual_increment(schedule, u, state_)
-        assert out == reference_dual_increment(schedule, u, state_, loads)
-        committed.append(out != reference_dual_increment(schedule, u, at_old, loads))
-        return out
-    monkeypatch.setattr(dispatcher, "_dual_increment", recorded)
+    commits = recorded_commits(monkeypatch)
     for session in sessions[half:]:
         loads = _loads(config, state.posted.ledger, coordinates)
+        commits.clear()
         decision = dispatch(session, state)
         if not decision.is_depot:
             assert ((decision.utility, decision.breakdown)
                     == reference_utility_breakdown(decision.schedule, state, loads))
+            u = decision.utility
+            [(schedule, out)] = commits
+            assert schedule is decision.schedule
+            assert out == reference_dual_increment(schedule, u, state, loads)
+            committed.append(out != reference_dual_increment(schedule, u, at_old, loads))
+        else:
+            assert commits == []
     assert len(committed) > 10 and any(committed)
 
 
