@@ -1,13 +1,14 @@
 """The online engine: evaluate utilities, pick the argmax, update state.
 
 Sessions are consumed strictly in arrival order. For each one the engine
-reads the candidate schedules best value first and prices them against
-the current ledger until no candidate left can win, accepts the best
-candidate iff its utility is strictly positive, and otherwise sends the
-vehicle to the depot. Payments are exact integrals of the price
-curves, so a schedule that would overfill any resource meets prices above
-the family's U bound and can never win; a hard capacity check backs that
-barrier anyway.
+reads the candidates best value first, as the plain tuples that
+``schedules`` builds, and prices them against the current ledger until
+no candidate left can win or turn positive. It accepts the best
+candidate iff its utility is strictly positive, making a ``Schedule`` of
+that one alone, and otherwise sends the vehicle to the depot. Payments
+are exact integrals of the price curves, so a schedule that would
+overfill any resource meets prices above the family's U bound and can
+never win; a hard capacity check backs that barrier anyway.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .pricing import (
     CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, Snapshot,
 )
 from .schedules import (
-    DEFAULT_POLICY, GenerationPolicy, feasible_schedules, ranked, rebalances,
-    validate_policy,
+    DEFAULT_POLICY, Candidate, GenerationPolicy, feasible_schedules, plan_of, ranked,
+    rebalances, validate_policy,
 )
 
 
@@ -70,14 +71,15 @@ class DispatcherState:
                    captured={} if capture_candidates else None)
 
 
-def utility_breakdown(schedule: Schedule, prices: Snapshot, best: float = -math.inf,
+def utility_breakdown(plan: Candidate, prices: Snapshot, best: float = -math.inf,
                       ) -> Optional[Tuple[float, Tuple[float, ...]]]:
-    """Utility of a schedule at the ledger state ``prices`` was taken of,
-    with its payments as plain floats, (destination, out_of_service, cable,
-    energy, generation), the fields of ``PriceBreakdown`` in order; None if
-    it is below ``best`` for certain. The utility is the value less their
-    sum, added in the order ``PriceBreakdown.total`` adds them, so it is
-    the same float as the breakdown ``dispatch`` builds of a winner's.
+    """Utility of a candidate tuple (``schedules.Candidate``) at the ledger
+    state ``prices`` was taken of, with its payments as plain floats,
+    (destination, out_of_service, cable, energy, generation), the fields
+    of ``PriceBreakdown`` in order; None if it is below ``best`` for
+    certain. The utility is the value less their sum, added in the order
+    ``PriceBreakdown.total`` adds them, so it is the same float as the
+    breakdown ``dispatch`` builds of a winner's.
 
     The destination and out-of-service payments come first. Every payment
     is >= 0 and the sum adds those two first, so by monotone rounding the
@@ -86,28 +88,25 @@ def utility_breakdown(schedule: Schedule, prices: Snapshot, best: float = -math.
     utility ``best``, and its cable, energy and generation payments are not
     made.
 
-    Schedules touching a saturated slot are priced, not rejected; the
+    Plans touching a saturated slot are priced, not rejected; the
     integral payment runs past capacity, so their utility is nonpositive.
     Each family's terms are added in the order of ``Cells.demands``: energy
     and generation slot by slot, cable and out-of-service slots from the
     first.
     """
-    cells = prices.cells
-    t0, t1 = schedule.t_minus, schedule.t_plus
-    destination = prices.pay(DESTINATION, schedule.dest_region * cells.horizon + t1 - 1, 1)
+    neg_v, f, m, slots, dest, t1, t0, h1, _, _, t_leave = plan
+    cells, value = prices.cells, -neg_v
+    destination = prices.pay(DESTINATION, dest * cells.horizon + t1 - 1, 1)
     out_of_service = prices.run(OUT_OF_SERVICE, t0 - 1, t1 - t0 + 1)
-    if schedule.value - (destination + out_of_service) < best:
+    if value - (destination + out_of_service) < best:
         return None
     energy = generation = cable = 0.0
-    f = schedule.facility_id
-    if f is not None:
-        m = schedule.evse_index
-        energy, generation = prices.draw(f, m, schedule.energy_slots)
-        # cable slots run contiguously from the arrival slot
-        slots = schedule.cable_slots
-        if slots:
-            cable = prices.run(CABLE, cells.evse_cell(f, m, slots[0]), len(slots))
-    return (schedule.value - (destination + out_of_service + cable + energy + generation),
+    if f >= 0:
+        energy, generation = prices.draw(f, m, slots)
+        # the cable is held from the arrival slot through t_leave
+        t_arr = t0 + h1
+        cable = prices.run(CABLE, cells.evse_cell(f, m, t_arr), t_leave - t_arr + 1)
+    return (value - (destination + out_of_service + cable + energy + generation),
             (destination, out_of_service, cable, energy, generation))
 
 
@@ -116,17 +115,20 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
 
     Ties on utility go to the earlier destination arrival, then the lower
     candidate index. The candidates are built and priced from the run's
-    snapshot (``state.posted``), in descending order of value, and the
-    winner is committed through it. Every payment is >= 0, so no utility
-    exceeds its value: pricing stops at the first candidate whose value is
-    below the best utility so far, as none from there on can win or tie, and
-    ``utility_breakdown`` skips the rest of any plan that its destination
-    and out-of-service payments already put below it. A candidate's
-    payments stay plain floats: only an accepted plan's become a
-    ``PriceBreakdown``, and its dual increment is the one its commit walk
-    returns. Raises on a session that ``validate_sessions`` rejects, on
-    out-of-order arrivals and, should the price barrier ever fail, on a
-    capacity breach.
+    snapshot (``state.posted``) as plain tuples, in descending order of
+    value, and only the winner is made into a ``Schedule`` and committed
+    through it. Every plan is out of service in its first slot and every
+    payment is >= 0, so no utility exceeds its value less p0, the
+    out-of-service payment of slot t_minus; and a plan of utility <= 0 is
+    never accepted. So pricing stops at the first candidate whose value
+    less p0 is below max(best utility so far, 0), as none from there on
+    can win, tie or be accepted, and ``utility_breakdown`` skips the rest
+    of any plan that its destination and out-of-service payments already
+    put below that floor. A candidate's payments stay plain floats: only
+    an accepted plan's become a ``PriceBreakdown``, and its dual increment
+    is the one its commit walk returns. Raises on a session that
+    ``validate_sessions`` rejects, on out-of-order arrivals and, should
+    the price barrier ever fail, on a capacity breach.
     """
     check_sessions((session,), state.config)
     if session.t_minus < state.last_t:
@@ -134,33 +136,40 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
                          f"({session.t_minus} < {state.last_t})")
     state.last_t = session.t_minus
 
-    prices = state.posted
-    candidates = ranked(rebalances(session, state.config),
-                        feasible_schedules(session, state.config, prices, state.policy))
+    config, prices = state.config, state.posted
+    candidates = ranked(rebalances(session, config),
+                        feasible_schedules(session, config, prices, state.policy))
+    made = None
     if state.captured is not None:
-        candidates = state.captured[session.id] = list(candidates)
+        candidates = list(candidates)
+        made = state.captured[session.id] = [plan_of(session, config, plan)
+                                             for plan in candidates]
 
     best = None
     best_key = None
-    bar = -math.inf  # the best utility so far
-    for idx, schedule in enumerate(candidates):
-        if schedule.value < bar:
+    floor = 0.0  # max(best utility so far, 0)
+    p0 = prices.pay(OUT_OF_SERVICE, session.t_minus - 1, 1)
+    for idx, plan in enumerate(candidates):
+        if -plan[0] - p0 < floor:
             break
-        priced = utility_breakdown(schedule, prices, bar)
+        priced = utility_breakdown(plan, prices, floor)
         if priced is None:
             continue
         u, payments = priced
-        key = (u, -schedule.t_plus, -idx)
+        key = (u, -plan[5], -idx)
         if best_key is None or key > best_key:
-            best, best_key, bar = (schedule, u, payments), key, u
+            best, best_key = (idx, plan, u, payments), key
+            if u > floor:
+                floor = u
 
     # a trajectory never holds -0.0, so adding 0.0 for the depot keeps it
     d_primal = d_dual = 0.0
-    if best is None or best[1] <= 0.0:
+    if best is None or best[2] <= 0.0:
         decision = DispatchDecision(session_id=session.id, schedule=None,
                                     utility=0.0)
     else:
-        schedule, u, payments = best
+        idx, plan, u, payments = best
+        schedule = made[idx] if made is not None else plan_of(session, config, plan)
         if not prices.ledger.fits(schedule):
             raise CapacityError(
                 f"price barrier failed: positive-utility schedule for session "

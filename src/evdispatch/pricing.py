@@ -483,37 +483,51 @@ class Snapshot:
         ``utility`` plus conj(price(y + a)) - conj(price(y)) of each cell it
         takes a units of at load y, added in the dual order: the destination
         arrival, the out-of-service slots, the cable slots, then energy and
-        generation slot by slot. The one walk over those cells writes each
-        load and re-posts each cable cell, and in each energy slot the
-        EVSE's energy price and the charging price of every EVSE of its
-        facility, as generation is per facility. Then it drops every sum,
-        all of which read the loads before the commit."""
-        cells, move = self.cells, self._move
+        generation slot by slot. That walk reads every price before any
+        load is written, so a plan that does not fit raises ``ValueError``
+        (its price curve's "beyond capacity") and leaves the ledger as it
+        was. A second walk writes each load and re-posts each cable cell,
+        and in each energy slot the EVSE's energy price and the charging
+        price of every EVSE of its facility, as generation is per
+        facility. Then it drops every sum, all of which read the loads
+        before the commit."""
+        cells, loads, gain = self.cells, self.loads, self._gain
         T, f = cells.horizon, schedule.facility_id
-        total = utility + move(DESTINATION, schedule.dest_region * T + schedule.t_plus - 1, 1)
-        for i in range(schedule.t_minus - 1, schedule.t_plus):
-            total += move(OUT_OF_SERVICE, i, 1)
+        dest = schedule.dest_region * T + schedule.t_plus - 1
+        idle = range(schedule.t_minus - 1, schedule.t_plus)
+        total = utility + gain(DESTINATION, dest, 1)
+        for i in idle:
+            total += gain(OUT_OF_SERVICE, i, 1)
         if f is not None:
             row = cells.evse_cell(f, schedule.evse_index, 0)
-            for i in (row + t for t in schedule.cable_slots):
-                total += move(CABLE, i, 1)
-                self.cables[i] = self._posted(CABLE, i)
+            for t in schedule.cable_slots:
+                total += gain(CABLE, row + t, 1)
             for t, e in schedule.energy_slots:
-                total += move(ENERGY, row + t, e)
-                total += move(GENERATION, cells.facility_cell(f, t), e)
+                total += gain(ENERGY, row + t, e)
+                total += gain(GENERATION, cells.facility_cell(f, t), e)
+        loads[DESTINATION][dest] += 1
+        for i in idle:
+            loads[OUT_OF_SERVICE][i] += 1
+        if f is not None:
+            cable, energy, generation = loads[CABLE], loads[ENERGY], loads[GENERATION]
+            for t in schedule.cable_slots:
+                cable[row + t] += 1
+                self.cables[row + t] = self._posted(CABLE, row + t)
+            for t, e in schedule.energy_slots:
+                energy[row + t] += e
+                generation[cells.facility_cell(f, t)] += e
                 self.energies[row + t] = self._posted(ENERGY, row + t)
                 self._post_charges(f, t)
         self._runs.clear()
         self._drawn.clear()
         return total
 
-    def _move(self, k: int, i: int, amount: float) -> float:
-        """Add ``amount`` to the load of cell i of family k; return the move
-        of the cell's conjugate at its posted price."""
-        shape, loads, price = self.cells.shapes[k][i], self.loads[k], self.price
-        y = loads[i]
-        y1 = loads[i] = y + amount
-        return shape.conj(price(shape, y1)) - shape.conj(price(shape, y))
+    def _gain(self, k: int, i: int, amount: float) -> float:
+        """The move of the conjugate of cell i of family k at its posted
+        price when ``amount`` more is taken at its load; raises past the
+        cell's capacity."""
+        shape, y, price = self.cells.shapes[k][i], self.loads[k][i], self.price
+        return shape.conj(price(shape, y + amount)) - shape.conj(price(shape, y))
 
     def _posted(self, k: int, i: int) -> float:
         """The posted price of cell i of family k, at its load or capacity."""

@@ -3,11 +3,11 @@
 The dispatcher never enumerates every conceivable plan. For each session
 it considers a bounded family of tuples (facility, charge target,
 destination, start offset) plus pure rebalances, ranks them by analytic
-value, and only builds the candidates it reads into full schedules. A charge
-target is any multiple of the config's charge increment up to the
-battery's headroom, drawn at the facility's fair-share rate; the only
-knob a caller sets is the cap on charging candidates. Charging
-slots inside a tuple's dwell window are placed greedily on the cheapest
+value, and yields each candidate as a plain tuple (``Candidate``), never
+as a ``Schedule``. A charge target is any multiple of the config's charge
+increment up to the battery's headroom, drawn at the facility's
+fair-share rate; the only knob a caller sets is the cap on charging
+candidates. Charging slots inside a tuple's dwell window are placed greedily on the cheapest
 posted marginal energy price, so the candidate set adapts to current load
 without exhaustive search.
 
@@ -22,21 +22,21 @@ stops at the cap: the order is exactly that of sorting every tuple, and
 only the batches that the cap reaches are ever valued.
 
 The pure rebalances are one more such stream, from the origin with no
-facility (``rebalances``), and a rebalance is made only when it is read.
+facility (``rebalances``), valued one batch at a time as it is read.
 ``heapq.merge`` is the one merge rule: it merges the charging streams by
-their tuples and, in ``ranked``, the rebalances with the charging plans by
-value, into the order of sorting every candidate by ``_candidate_key``.
-``dispatch`` reads that order only as far as a candidate can still win.
-Rebalances are most of a session's candidates and are rarely chosen, so
-most of them are never built.
+their tuples and, in ``ranked``, the rebalances with the charging plans,
+into the order of sorting every candidate tuple. A candidate leads with
+its order key, so no merge or sort takes a key function. ``dispatch``
+reads that order only as far as a candidate can still win, prices the
+tuples, and makes a ``Schedule`` only of the winner.
 
 A charging tuple's windows all start at its facility arrival slot and end
 up to ``MAX_START_OFFSET`` slots apart, at most at ``T - h2``. Each
 (facility, target) stream keeps one list of its distinct windows (end,
 EVSE, energy slots, last charging slot), in ascending end, first
 occurrence only, and extends it only as far as the current tuple's last
-window end; the tuple makes one plan from each entry up to that end. A
-stream picks the EVSE and slots of each of its windows once.
+window end; the tuple makes one candidate from each entry up to that
+end. A stream picks the EVSE and slots of each of its windows once.
 
 The charging build reads posted cable and charging prices from the
 caller's ``pricing.Snapshot``. An online run keeps one snapshot for the
@@ -44,8 +44,9 @@ whole run, the one object that holds its ledger, bounds, Psi and prices;
 ``dispatch`` prices the candidates from the same snapshot and commits
 through it.
 
-Every plan, here and in ``baselines``, is made by ``make_plan``, which
-works out a plan's arrival slot, cable window, final charge and value.
+Every plan, a candidate's (``plan_of``) and each of ``baselines``, is made
+by ``make_plan``, which works out a plan's arrival slot, cable window,
+final charge and value.
 """
 
 from __future__ import annotations
@@ -70,6 +71,15 @@ MAX_CANDIDATE_FACILITIES = 8
 #: chosen greedily by posted price.
 MAX_START_OFFSET = 4
 
+#: A candidate plan as a plain tuple. Its first six fields, (-value,
+#: facility or -1, EVSE or -1, energy slots, destination, t_plus), are the
+#: candidate order: descending value, then a canonical structural
+#: tie-break, so plain tuple comparison orders candidates. The rest,
+#: (t_minus, h1, h2, stored energy, t_leave), are what pricing and
+#: ``plan_of`` read: the hops before and after the facility, the energy
+#: on leaving it (or the origin) and the slot of leaving.
+Candidate = Tuple[float, int, int, tuple, int, int, int, int, int, float, int]
+
 
 @dataclass(frozen=True)
 class GenerationPolicy:
@@ -86,7 +96,7 @@ class GenerationPolicy:
         Pure rebalances are never capped: they are the fallback moves.
         They are not free to build: making and sorting all of them took
         about a seventh of a ``full`` session's dispatch, so
-        ``rebalances`` makes each one only when it is read.
+        ``rebalances`` values each batch of them only when it is read.
     """
 
     max_candidates_total: int = 24
@@ -104,16 +114,16 @@ def validate_policy(policy: GenerationPolicy) -> List[str]:
 
 
 def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapshot,
-                       policy: GenerationPolicy = DEFAULT_POLICY) -> List[Schedule]:
+                       policy: GenerationPolicy = DEFAULT_POLICY) -> List[Candidate]:
     """Charging candidates for a session against the ledger state that
-    ``prices`` was taken of.
+    ``prices`` was taken of, as ``Candidate`` tuples.
 
     Deterministic in its inputs. Sessions arriving in the final slot get
     no candidates: there is no slot left to complete any move. Charging
     plans are capped at max_candidates_total, best analytic value first,
-    and sorted by descending value with a canonical tie-break
-    (``_candidate_key``). The pure rebalances come from ``rebalances``;
-    ``ranked`` merges the two into the session's whole candidate list.
+    and sorted into candidate order. The pure rebalances come from
+    ``rebalances``; ``ranked`` merges the two into the session's whole
+    candidate list, and ``plan_of`` makes the ``Schedule`` of any one.
     """
     T = config.horizon
     if not (1 <= session.t_minus <= T):
@@ -159,22 +169,23 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     # destination once, and two targets never draw the same energy slots.
     # So each stream keeps its distinct windows, first occurrence only, in
     # ascending end, extended up to the last window end of the tuple at
-    # hand; the tuple makes one plan from each of them up to that end.
-    out: List[Schedule] = []
+    # hand; the tuple makes one candidate from each of them up to that end.
+    out: List[Candidate] = []
     for neg_v, fid, target, dest, h2 in heapq.merge(*streams):
         stream = fixed[fid, target]
         top = min(T - h2, stream.lo + MAX_START_OFFSET)
         stream.extend(top, prices)
-        for end, charge, t_leave in stream.windows:
+        h1, stored = stream.h1, stream.stored
+        for end, evse, slots, t_leave in stream.windows:
             if end > top:
                 break
-            out.append(make_plan(session, config, dest, h2, stream.stored, t_leave,
-                                 charge, value=-neg_v))
+            out.append((neg_v, fid, evse, slots, dest, t_leave + h2, t0, h1, h2, stored,
+                        t_leave))
             if len(out) >= policy.max_candidates_total:
                 break
         if len(out) >= policy.max_candidates_total:
             break
-    out.sort(key=_candidate_key)
+    out.sort()
     return out
 
 
@@ -194,25 +205,23 @@ class _Stream:
 
     def extend(self, top: int, prices: Snapshot) -> None:
         """Add the stream's distinct windows that end by slot ``top``, each
-        as (end, the ``make_plan`` charge, last charging slot), in
-        ascending end, first occurrence only. Each window end is picked
-        once."""
+        as (end, EVSE, energy slots, last charging slot), in ascending end,
+        first occurrence only. Each window end is picked once."""
         fid, k, windows = self.fac.id, self.k, self.windows
         for end in range(self.next_end, top + 1):
             evse, chosen, dearest = _pick(fid, self.fac, self.t_arr, end, k, prices)
             # full rate on the chosen slots, the last slot's energy on the dearest
-            charge = (fid, evse, self.h1,
-                      tuple((t, self.last if t == dearest else self.rate) for t in chosen))
-            if all(charge != window[1] for window in windows):
-                windows.append((end, charge, chosen[-1]))
+            slots = tuple((t, self.last if t == dearest else self.rate) for t in chosen)
+            if all((evse, slots) != window[1:3] for window in windows):
+                windows.append((end, evse, slots, chosen[-1]))
         self.next_end = max(self.next_end, top + 1)
 
 
-def rebalances(session: Session, config: ScenarioConfig) -> Iterator[Schedule]:
-    """The session's pure rebalances, sorted by ``_candidate_key``: the
-    origin's destination batches in turn, each valued and sorted only when
-    the one before it is used up, and each plan made only when it is read.
-    Nothing for a session in the final slot, as in ``feasible_schedules``."""
+def rebalances(session: Session, config: ScenarioConfig) -> Iterator[Candidate]:
+    """The session's pure rebalances as candidates, in candidate order:
+    the origin's destination batches in turn, each valued and sorted only
+    when the one before it is used up. Nothing for a session in the final
+    slot, as in ``feasible_schedules``."""
     T, t0 = config.horizon, session.t_minus
     if t0 >= T:
         return
@@ -220,16 +229,25 @@ def rebalances(session: Session, config: ScenarioConfig) -> Iterator[Schedule]:
     # the batches with no hop before the origin and no charge
     for batch in _batches(config, session.origin_region, 0, energy0, T - t0, ()):
         for neg_v, dest, h2 in batch:
-            yield make_plan(session, config, dest, h2, energy0, t0, value=-neg_v)
+            yield (neg_v, -1, -1, (), dest, t0 + h2, t0, 0, h2, energy0, t0)
 
 
-def ranked(rebalances: Iterable[Schedule], charges: Iterable[Schedule]) -> Iterator[Schedule]:
-    """Pure rebalances and charging plans, each sorted by ``_candidate_key``,
-    merged into that order by ``heapq.merge`` on value alone. The merge is
-    stable, so at equal values the rebalance comes first, as its facility,
-    -1, sorts it; and it reads one plan ahead in each input, so a
-    rebalance is still made only when it is read."""
-    return heapq.merge(rebalances, charges, key=lambda plan: -plan.value)
+def ranked(rebalances: Iterable[Candidate], charges: Iterable[Candidate]
+           ) -> Iterator[Candidate]:
+    """Pure rebalances and charging plans, each in candidate order, merged
+    into that order by ``heapq.merge`` on the plain tuples: at equal
+    values the rebalance comes first, as its facility, -1, sorts it. The
+    merge reads one candidate ahead in each input, so a batch of
+    rebalances is still valued only when it is reached."""
+    return heapq.merge(rebalances, charges)
+
+
+def plan_of(session: Session, config: ScenarioConfig, candidate: Candidate) -> Schedule:
+    """The ``Schedule`` of one of the session's candidates, made by
+    ``make_plan``."""
+    neg_v, fid, evse, slots, dest, _, _, h1, h2, stored, t_leave = candidate
+    return make_plan(session, config, dest, h2, stored, t_leave,
+                     None if fid < 0 else (fid, evse, h1, slots), -neg_v)
 
 
 def make_plan(session: Session, config: ScenarioConfig, dest: int, h2: int,
@@ -281,14 +299,6 @@ def _batches(config: ScenarioConfig, region: int, h1: int, stored: float, reach:
             tuples.extend((-v, *head, dest, h2) for dest in dests)
         tuples.sort()
         yield tuples
-
-
-def _candidate_key(s: Schedule):
-    """Descending value, then a canonical structural tie-break."""
-    return (-s.value,
-            -1 if s.facility_id is None else s.facility_id,
-            -1 if s.evse_index is None else s.evse_index,
-            s.energy_slots, s.dest_region, s.t_plus)
 
 
 def _pick(fid: int, fac, start: int, end: int, k: int,

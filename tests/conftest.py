@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from evdispatch import harness, pricing
+from evdispatch import harness, pricing, schedules
 from evdispatch.dispatcher import DispatcherState
 from evdispatch.domain import Facility, Region, ResourceLedger, ScenarioConfig, Session
 
@@ -42,6 +42,13 @@ def build_mini_config(**overrides) -> ScenarioConfig:
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def as_plans(session, config, candidates):
+    """The ``Schedule`` of each of the session's candidate tuples, in
+    order, made by ``schedules.make_plan`` through ``schedules.plan_of``,
+    as ``dispatch`` makes its winner."""
+    return [schedules.plan_of(session, config, plan) for plan in candidates]
 
 
 def twin_state(state):

@@ -25,7 +25,9 @@ from evdispatch.offline import exact_offline, upper_bound
 from evdispatch.pricing import CABLE, DESTINATION, ENERGY, GENERATION, PriceBounds, Snapshot
 from evdispatch.schedules import GenerationPolicy, feasible_schedules, ranked, rebalances
 
-from conftest import broken_configs, broken_sessions, build_mini_config, cell_index, twin_state
+from conftest import (
+    as_plans, broken_configs, broken_sessions, build_mini_config, cell_index, twin_state,
+)
 
 
 def _prices(state):
@@ -34,7 +36,8 @@ def _prices(state):
 
 
 def _candidates(session, config, prices, policy):
-    """Every candidate of a session, in the order ``dispatch`` reads them."""
+    """Every candidate tuple of a session, in the order ``dispatch`` reads
+    them."""
     return list(ranked(rebalances(session, config),
                        feasible_schedules(session, config, prices, policy)))
 
@@ -72,15 +75,18 @@ def test_fresh_rejects_invalid_policy(mini_config):
 def test_utility_is_value_minus_payments(mini_config, mini_session,
                                          mini_charge, mini_rebalance):
     state = DispatcherState.fresh(mini_config)
-    for schedule in (mini_charge, mini_rebalance):
-        u, payments = utility_breakdown(schedule, _prices(state))
+    candidates = _candidates(mini_session, mini_config, _prices(state), state.policy)
+    plans = as_plans(mini_session, mini_config, candidates)
+    charge, rebalance = (candidates[plans.index(s)] for s in (mini_charge, mini_rebalance))
+    for plan, schedule in ((charge, mini_charge), (rebalance, mini_rebalance)):
+        u, payments = utility_breakdown(plan, _prices(state))
         breakdown = PriceBreakdown(*payments)
         assert u == schedule.value - breakdown.total
         assert breakdown.total > 0
     # prices are nondecreasing in load, so utility can only fall
-    before = utility_breakdown(mini_charge, _prices(state))[0]
+    before = utility_breakdown(charge, _prices(state))[0]
     state.posted.ledger.apply(mini_charge)
-    after = utility_breakdown(mini_charge, _prices(state))[0]
+    after = utility_breakdown(charge, _prices(state))[0]
     assert after < before
 
 
@@ -286,7 +292,7 @@ def test_candidate_with_infinite_payment_is_never_chosen(mini_config,
     candidates = feasible_schedules(mini_session, config, prices, state.policy)
     priced = [(u, PriceBreakdown(*payments))
               for u, payments in (utility_breakdown(s, prices) for s in candidates)]
-    infinite = [s for s, (u, b) in zip(candidates, priced)
+    infinite = [s for s, (u, b) in zip(as_plans(mini_session, config, candidates), priced)
                 if b.generation == math.inf]
     assert infinite and all(u == -math.inf for u, b in priced
                             if b.generation == math.inf)
@@ -438,14 +444,15 @@ def test_replay_matches_decisions(tiny_instance):
     for k, session in enumerate(sessions):
         candidates = captured[session.id]
         prices = _prices(state)
-        assert candidates == _candidates(session, config, prices, state.policy)
+        tuples = _candidates(session, config, prices, state.policy)
+        assert candidates == as_plans(session, config, tuples)
         # the early stop in dispatch rests on this order
         values = [s.value for s in candidates]
         assert values == sorted(values, reverse=True)
         # the argmax over every candidate, none skipped
         best_key, best = None, None
-        for idx, s in enumerate(candidates):
-            u = utility_breakdown(s, prices)[0]
+        for idx, (s, plan) in enumerate(zip(candidates, tuples)):
+            u = utility_breakdown(plan, prices)[0]
             key = (u, -s.t_plus, -idx)
             if best_key is None or key > best_key:
                 best_key, best = key, s
@@ -489,36 +496,80 @@ def test_only_an_accepted_plan_gets_a_breakdown(monkeypatch):
     assert several > len(sessions) // 2
 
 
+def test_only_the_winner_is_made(monkeypatch):
+    """Candidates are priced as plain tuples: on a congested ``rush`` day
+    ``dispatch`` calls ``schedules.make_plan`` once per accepted decision,
+    for the winner, and never for a depot decision. With
+    ``capture_candidates=True`` it makes each captured candidate once and
+    commits the winner's ``Schedule`` from among them."""
+    config, sessions = generate_scenario(1, dataclasses.replace(PRESETS["rush"],
+                                                                max_sessions=300))
+    make_plan, calls = schedules.make_plan, [0]
+
+    def made(*args, **kwargs):
+        calls[0] += 1
+        return make_plan(*args, **kwargs)
+    monkeypatch.setattr(schedules, "make_plan", made)
+    state = DispatcherState.fresh(config)
+    depots = 0
+    for session in sessions:
+        calls[0] = 0
+        decision = dispatch(session, state)
+        assert calls[0] == (not decision.is_depot), session
+        depots += decision.is_depot
+    assert 0 < depots < len(sessions)
+
+    capturing = DispatcherState.fresh(config, capture_candidates=True)
+    several = 0
+    for session, expected in zip(sessions, state.decisions):
+        calls[0] = 0
+        decision = dispatch(session, capturing)
+        captured = capturing.captured[session.id]
+        assert calls[0] == len(captured), session
+        assert decision == expected
+        assert decision.is_depot or any(decision.schedule is s for s in captured)
+        several += len(captured) > 1
+    assert several > len(sessions) // 2
+
+
 def test_a_full_day_prices_and_builds_under_half_its_candidates():
     """Guards the early stop and the lazy rebalances: on a short ``full``
     day ``dispatch`` prices fewer than half of the candidates it could
-    read, and makes fewer than half of the pure rebalances."""
+    read, reads fewer than half of the pure rebalances from their stream,
+    and makes a ``Schedule`` of the winner alone, one per accepted
+    decision."""
     config, sessions = generate_scenario(0, dataclasses.replace(PRESETS["full"],
                                                                 max_sessions=150))
     state = DispatcherState.fresh(config)
-    counts = {"candidates": 0, "rebalances": 0, "priced": 0, "made": 0}
-    make_plan = schedules.make_plan
+    counts = {"candidates": 0, "rebalances": 0, "priced": 0, "read": 0, "made": 0}
+    make_plan, stream = schedules.make_plan, dispatcher.rebalances
 
     def priced(*args):
         counts["priced"] += 1
         return utility_breakdown(*args)
 
+    def read(*args):
+        for plan in stream(*args):
+            counts["read"] += 1
+            yield plan
+
     def made(*args, **kwargs):
-        plan = make_plan(*args, **kwargs)
-        if plan is not None and not plan.charging:
-            counts["made"] += 1
-        return plan
+        counts["made"] += 1
+        return make_plan(*args, **kwargs)
+    accepted = 0
     for session in sessions:
         candidates = _candidates(session, config, _prices(state), state.policy)
         counts["candidates"] += len(candidates)
-        counts["rebalances"] += sum(not s.charging for s in candidates)
+        counts["rebalances"] += sum(plan[1] < 0 for plan in candidates)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dispatcher, "utility_breakdown", priced)
+            patch.setattr(dispatcher, "rebalances", read)
             patch.setattr(schedules, "make_plan", made)
-            dispatch(session, state)
+            accepted += not dispatch(session, state).is_depot
     assert counts["rebalances"] > 20 * len(sessions)
     assert 0 < counts["priced"] < counts["candidates"] / 2, counts
-    assert 0 < counts["made"] < counts["rebalances"] / 2, counts
+    assert 0 < counts["read"] < counts["rebalances"] / 2, counts
+    assert 0 < counts["made"] == accepted, counts
 
 
 @pytest.mark.parametrize("seed", range(6))

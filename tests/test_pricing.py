@@ -31,7 +31,7 @@ from evdispatch.pricing import (
 )
 from evdispatch.schedules import GenerationPolicy, feasible_schedules, rebalances
 
-from conftest import build_mini_config
+from conftest import as_plans, build_mini_config
 
 
 BOUNDS = PriceBounds(L_c=0.05, U_c=20.0, L_e=0.01, U_e=4.0,
@@ -282,9 +282,11 @@ def test_a_commit_reposts_its_cells_and_drops_every_sum(desk_instance):
     ledger = ResourceLedger.zero(config)
     bounds, psi_ = estimate_bounds(config), psi(config)
     holder = pricing.Snapshot(ledger, bounds, psi_)
-    charges = [plan for plan in (next(iter(feasible_schedules(session, config, holder)), None)
-                                 for session in sessions) if plan is not None][:3]
-    rebalance = next(plan for session in sessions for plan in rebalances(session, config))
+    charges = [plan for session in sessions
+               for plan in as_plans(session, config,
+                                    feasible_schedules(session, config, holder)[:1])][:3]
+    rebalance = next(plan for session in sessions
+                     for plan in as_plans(session, config, rebalances(session, config)))
     plans = (*charges, rebalance)
     assert len({plan.facility_id for plan in charges}) < len(charges)
 
@@ -311,6 +313,29 @@ def test_a_commit_reposts_its_cells_and_drops_every_sum(desk_instance):
                 == (fresh.cables, fresh.energies, fresh.charges))
         assert read(holder) == read(fresh)
     assert read(holder) != before
+
+
+def test_a_commit_that_does_not_fit_writes_no_load():
+    """A commit reads every price before it writes any load: committing
+    the first charging plan of desk seed 0 a third time overfills its
+    generation cell and raises, and the ledger keeps the loads of the
+    second commit, its destination, out-of-service, cable and energy
+    cells included."""
+    config, sessions = generate_scenario(0, "desk")
+    ledger = ResourceLedger.zero(config)
+    holder = pricing.Snapshot(ledger, estimate_bounds(config), psi(config))
+    session, plan = next((session, plans[0]) for session in sessions
+                         for plans in [as_plans(session, config,
+                                                feasible_schedules(session, config, holder))]
+                         if plans)
+    for _ in range(2):
+        assert ledger.fits(plan)
+        holder.commit(plan, 0.0)
+    assert not ledger.fits(plan)
+    loads = [list(family) for family in ledger.loads]
+    with pytest.raises(ValueError, match="generation: allocation 15.0 beyond capacity 12.0"):
+        holder.commit(plan, 0.0)
+    assert ledger.loads == loads
 
 
 def test_payment_beyond_capacity_prices_above_ceiling():

@@ -10,7 +10,12 @@ build: running sums of the cable and out-of-service payments from their
 first slot, and per-cell lookups of the rest in the snapshot's payments,
 kept by key for the whole run. It skips the cable, energy and generation
 payments of a plan that its destination and out-of-service payments
-already put below the best utility so far.
+already put below the floor, the larger of the best utility so far and
+zero, and ``dispatch`` stops at the first candidate whose value less the
+out-of-service payment of its first slot is below that floor; a
+dispatch that reads and prices every candidate in full must decide
+alike. Candidates are plain tuples; each is made into its ``Schedule``
+(``conftest.as_plans``) to meet the references.
 ``primal_increment`` walks a schedule's demands on the config's cells,
 and ``Snapshot.commit`` walks them once in the dual order, returning the
 dual increment; the snapshot's posted cable, energy and charging prices
@@ -20,7 +25,7 @@ empty EVSE, ranks each window's slots once, keeps one list of distinct
 windows per (facility, target) stream and stops ordering charging tuples
 at the candidate cap, and merges them lazily from the destination batches ranked
 once per config; ``rebalances`` values the origin's batches lazily too,
-and ``ranked`` merges the two by value alone; ``upper_bound`` and the
+and ``ranked`` merges the two tuples as they are; ``upper_bound`` and the
 threshold baselines read the same ranking. ``upper_bound`` stops each walk
 over the hop rings at the first ring that cannot win, and the threshold
 charging move picks its EVSE once per start delay. The exact search
@@ -57,14 +62,14 @@ from evdispatch.harness import PRESETS, generate_scenario, read_config, write_co
 from evdispatch.offline import exact_offline, upper_bound
 from evdispatch.schedules import (
     DEFAULT_POLICY, MAX_CANDIDATE_FACILITIES, MAX_START_OFFSET, GenerationPolicy,
-    _candidate_key, feasible_schedules, make_plan, ranked, rebalances,
+    feasible_schedules, make_plan, ranked, rebalances,
 )
 from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, Snapshot,
     cell_shape,
 )
 
-from conftest import twin_state
+from conftest import as_plans, twin_state
 
 
 def with_breakdown(priced):
@@ -392,8 +397,16 @@ def reference_feasible_schedules(session, config, ledger, bounds, psi_, policy):
                 t_plus=chosen[-1] + h2, hops_total=h1 + h2,
                 final_soc=(energy0 - h1 * e_hop + target - h2 * e_hop) / cap,
                 value=v))
-    out.sort(key=_candidate_key)
+    out.sort(key=reference_key)
     return out
+
+
+def reference_key(s):
+    """Descending value, then a canonical structural tie-break."""
+    return (-s.value,
+            -1 if s.facility_id is None else s.facility_id,
+            -1 if s.evse_index is None else s.evse_index,
+            s.energy_slots, s.dest_region, s.t_plus)
 
 
 RUNS = {
@@ -410,22 +423,56 @@ RUNS = {
 }
 
 
+def reference_p0(session, state, loads):
+    """The out-of-service payment of the session's first slot, integrated
+    afresh: every plan pays at least this much."""
+    config, t = state.config, session.t_minus
+    y = loads[3][t - 1]
+    return pricing.out_of_service_payment(
+        y, y + 1, config.out_of_service_cap[t - 1], config.out_of_service_penalty[t - 1],
+        state.posted.bounds, state.posted.psi)
+
+
+def read_everything_dispatch(session, state):
+    """``dispatch`` with no stop and no skip: every candidate priced in full
+    at a fresh snapshot of the live ledger, and the argmax by (utility,
+    earlier arrival, lower index), as (schedule, utility, breakdown, dual
+    increment); None where that utility is not positive."""
+    config, bounds, psi_ = state.config, state.posted.bounds, state.posted.psi
+    live = Snapshot(state.posted.ledger, bounds, psi_)
+    candidates = list(ranked(rebalances(session, config),
+                             feasible_schedules(session, config, live, state.policy)))
+    best_key = best = None
+    for idx, plan in enumerate(candidates):
+        u, payments = utility_breakdown(plan, live)
+        key = (u, -plan[5], -idx)
+        if best_key is None or key > best_key:
+            best_key, best = key, (plan, u, payments)
+    if best is None or best[1] <= 0.0:
+        return None
+    plan, u, payments = best
+    [schedule] = as_plans(session, config, [plan])
+    copy = Snapshot(ResourceLedger(config.cells, [list(loads) for loads in live.loads]),
+                    bounds, psi_)
+    return schedule, u, PriceBreakdown(*payments), copy.commit(schedule, u)
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_memo_and_build_match_the_references(name, monkeypatch):
     config, sessions = generate_scenario(3, RUNS[name])
     state = DispatcherState.fresh(config)
-    # every utility dispatch asks for, read from its snapshot, with the best
-    # utility so far that it passed
+    # every utility dispatch asks for, read from its snapshot, with the
+    # floor, max(best utility so far, 0), that it passed
     inside = []
 
-    def recorded(schedule, prices, best):
-        out = utility_breakdown(schedule, prices, best)
-        inside.append((schedule, best, out))
+    def recorded(plan, prices, best):
+        out = utility_breakdown(plan, prices, best)
+        inside.append((plan, best, out))
         return out
     monkeypatch.setattr(dispatcher, "utility_breakdown", recorded)
 
     coordinates = _coordinates(config)
-    priced = skipped = committed = 0
+    priced = skipped = stopped = committed = 0
     # dual increments of plans that are not committed, on a copy of the loads
     trials = Snapshot(ResourceLedger(config.cells, [list(loads) for loads in
                                                     state.posted.ledger.loads]),
@@ -438,14 +485,15 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
             trial[:] = loads
         candidates = list(ranked(rebalances(session, config),
                                  feasible_schedules(session, config, live, state.policy)))
-        assert candidates == reference_feasible_schedules(
+        plans = as_plans(session, config, candidates)
+        assert plans == reference_feasible_schedules(
             session, config, state.posted.ledger, bounds, psi_, state.policy)
         loads = _loads(config, state.posted.ledger, coordinates)
-        expected = [reference_utility_breakdown(s, state, loads) for s in candidates]
+        expected = [reference_utility_breakdown(s, state, loads) for s in plans]
         dual_steps = {}
-        for schedule, (u, breakdown) in zip(candidates, expected):
+        for plan, schedule, (u, breakdown) in zip(candidates, plans, expected):
             # outside dispatch, a snapshot of the live ledger
-            assert with_breakdown(utility_breakdown(schedule, live)) == (u, breakdown)
+            assert with_breakdown(utility_breakdown(plan, live)) == (u, breakdown)
             # increments are taken of schedules that fit, as every committed
             # one does
             if state.posted.ledger.fits(schedule):
@@ -453,49 +501,58 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
                 assert trial_commit(trials, schedule, u) == dual_steps[schedule]
                 assert (economics.primal_increment(state.posted.ledger, schedule)
                         == reference_primal_increment(schedule, state, loads))
+        everything = read_everything_dispatch(session, state)
+        p0 = reference_p0(session, state, loads)
         dual_before = state.dual_trajectory[-1]
         inside.clear()
         commits.clear()
         decision = dispatch(session, state)
-        # dispatch reads a prefix of the ranked candidates, stopping only at
-        # one whose value is below the best utility so far. It prices each in
-        # full but for those whose value less their destination and
-        # out-of-service payments is already below that best
+        # dispatch reads the prefix of the ranked candidates up to the first
+        # whose value less p0 is below the floor, max(best utility so far,
+        # 0), and skips the cable, energy and generation payments of exactly
+        # those whose value less their destination and out-of-service
+        # payments is below it
         n = len(inside)
-        assert [s for s, _, _ in inside] == candidates[:n]
-        assert (n > 0) == (len(candidates) > 0)
-        bar = -math.inf
-        for (schedule, best, out), (u, breakdown) in zip(inside, expected):
-            assert best == bar
-            if out is None:
+        assert [plan for plan, _, _ in inside] == candidates[:n]
+        floor = 0.0
+        for (plan, best, out), schedule, (u, breakdown) in zip(inside, plans, expected):
+            assert best == floor
+            assert not schedule.value - p0 < floor
+            if schedule.value - (breakdown.destination + breakdown.out_of_service) < floor:
                 skipped += 1
-                assert (schedule.value - (breakdown.destination + breakdown.out_of_service)
-                        < bar)
+                assert out is None
             else:
                 assert with_breakdown(out) == (u, breakdown)
                 priced += 1
-                bar = max(bar, u)
+                floor = max(floor, u)
         if n < len(candidates):
-            assert candidates[n].value < bar
+            stopped += 1
+            assert plans[n].value - p0 < floor
         # and decides as the argmax over every candidate would
         best_key, best = None, None
-        for idx, (schedule, (u, breakdown)) in enumerate(zip(candidates, expected)):
+        for idx, (schedule, (u, breakdown)) in enumerate(zip(plans, expected)):
             key = (u, -schedule.t_plus, -idx)
             if best_key is None or key > best_key:
                 best_key, best = key, (schedule, u, breakdown)
         if best_key is None or best_key[0] <= 0.0:
-            assert decision.is_depot
+            assert decision.is_depot and everything is None
         else:
             assert (decision.schedule, decision.utility, decision.breakdown) == best
-        assert commits == ([] if decision.is_depot
-                           else [(decision.schedule, dual_steps[decision.schedule])])
-        if not decision.is_depot:
+        # and as dispatch does with no stop and no skip, dual increment included
+        if everything is None:
+            assert decision.is_depot and commits == []
+            assert state.dual_trajectory[-1] == dual_before
+        else:
+            schedule, u, breakdown, step = everything
+            assert (decision.schedule, decision.utility, decision.breakdown) == (
+                schedule, u, breakdown)
+            assert commits == [(decision.schedule, step)]
+            assert step == dual_steps[schedule]
+            assert state.dual_trajectory[-1] == dual_before + step
             committed += 1
-            assert (state.dual_trajectory[-1]
-                    == dual_before + dual_steps[decision.schedule])
     assert committed > len(sessions) // 2
     assert priced > 10 * len(sessions)
-    assert skipped > 0
+    assert skipped > 0 and stopped > 0
 
 
 def test_no_running_sum_outlives_a_commit(monkeypatch):
@@ -582,13 +639,17 @@ def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):
     session = sessions[0]
     state = DispatcherState.fresh(config)
     loads = _loads(config, state.posted.ledger, _coordinates(config))
-    candidates = reference_feasible_schedules(session, config, state.posted.ledger,
-                                              state.posted.bounds, state.posted.psi,
-                                              state.policy)
+    candidates = list(ranked(rebalances(session, config),
+                             feasible_schedules(session, config, state.posted, state.policy)))
+    plans = as_plans(session, config, candidates)
+    assert plans == reference_feasible_schedules(session, config, state.posted.ledger,
+                                                 state.posted.bounds, state.posted.psi,
+                                                 state.policy)
     first = candidates[0]
-    plan = next(s for s in candidates if s.charging)
-    bar = reference_utility_breakdown(first, state, loads)[0]
-    head = reference_utility_breakdown(plan, state, loads)[1]
+    i = next(i for i, s in enumerate(plans) if s.charging)
+    bar = reference_utility_breakdown(plans[0], state, loads)[0]
+    assert bar > 0  # so the floor that dispatch passes is the bar
+    head = reference_utility_breakdown(plans[i], state, loads)[1]
     head = head.destination + head.out_of_service
     # a value that the subtraction takes back to the bar exactly
     value = next(v for v in (bar + head, math.nextafter(bar + head, -math.inf),
@@ -596,22 +657,23 @@ def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):
 
     inside = []
 
-    def recorded(schedule, prices, best):
-        out = utility_breakdown(schedule, prices, best)
-        inside.append((schedule, best, out))
+    def recorded(plan, prices, best):
+        out = utility_breakdown(plan, prices, best)
+        inside.append((plan, best, out))
         return out
     monkeypatch.setattr(dispatcher, "utility_breakdown", recorded)
     for trial_value, at in ((value, True), (math.nextafter(value, -math.inf), False)):
-        trial = dataclasses.replace(plan, value=trial_value)
-        assert (trial.value - head == bar) == at and trial.value >= bar
+        trial = (-trial_value,) + candidates[i][1:]
+        assert (trial_value - head == bar) == at and trial_value >= bar
         monkeypatch.setattr(dispatcher, "ranked", lambda *streams: iter([first, trial]))
         inside.clear()
         dispatch(session, DispatcherState.fresh(config))
-        assert [(s, best) for s, best, _ in inside] == [(first, -math.inf), (trial, bar)]
+        assert [(s, best) for s, best, _ in inside] == [(first, 0.0), (trial, bar)]
         if at:
             u, breakdown = with_breakdown(inside[1][2])
             assert breakdown.energy > 0 and breakdown.cable > 0
-            assert (u, breakdown) == reference_utility_breakdown(trial, state, loads)
+            assert (u, breakdown) == reference_utility_breakdown(
+                dataclasses.replace(plans[i], value=trial_value), state, loads)
         else:
             assert inside[1][2] is None
 
@@ -777,9 +839,9 @@ def _assert_enumeration_matches(seed, sessions, policy=DEFAULT_POLICY, **values)
     config, stream = generate_scenario(seed, params)
     ledger = ResourceLedger.zero(config)
     for session in stream:
-        got = list(ranked(rebalances(session, config),
-                          feasible_schedules(session, config,
-                                             Snapshot(ledger, DESK_BOUNDS, DESK_PSI), policy)))
+        got = as_plans(session, config, ranked(
+            rebalances(session, config),
+            feasible_schedules(session, config, Snapshot(ledger, DESK_BOUNDS, DESK_PSI), policy)))
         assert got == reference_feasible_schedules(session, config, ledger, DESK_BOUNDS,
                                                    DESK_PSI, policy), session
 

@@ -14,21 +14,25 @@ from evdispatch.domain import (
 )
 from evdispatch.harness import generate_scenario
 from evdispatch.schedules import (
-    DEFAULT_POLICY, GenerationPolicy, _candidate_key, feasible_schedules, ranked,
-    rebalances, validate_policy,
+    DEFAULT_POLICY, GenerationPolicy, feasible_schedules, ranked, rebalances,
+    validate_policy,
 )
 
-from conftest import build_mini_config
+from conftest import as_plans, build_mini_config
+
+
+def _snapshot(config, ledger=None):
+    if ledger is None:
+        ledger = ResourceLedger.zero(config)
+    return pricing.Snapshot(ledger, pricing.estimate_bounds(config), pricing.psi(config))
 
 
 def _candidates(config, session, policy=DEFAULT_POLICY, ledger=None):
-    """Every candidate of a session, in the order ``dispatch`` reads them."""
-    if ledger is None:
-        ledger = ResourceLedger.zero(config)
-    prices = pricing.Snapshot(ledger, pricing.estimate_bounds(config), pricing.psi(config))
-    charges = feasible_schedules(session, config, prices, policy)
-    assert all(s.charging for s in charges)
-    return list(ranked(rebalances(session, config), charges))
+    """Every candidate of a session, in the order ``dispatch`` reads them,
+    each made into its ``Schedule``."""
+    charges = feasible_schedules(session, config, _snapshot(config, ledger), policy)
+    assert all(s.charging for s in as_plans(session, config, charges))
+    return as_plans(session, config, ranked(rebalances(session, config), charges))
 
 
 def test_mini_candidate_set_by_hand(mini_config, mini_session, mini_charge):
@@ -185,31 +189,37 @@ def test_the_build_values_only_what_the_cap_reaches(monkeypatch):
     assert 0 < calls[0] <= 8113
 
 
-def test_ranked_puts_a_rebalance_first_at_equal_value(mini_rebalance, mini_charge):
-    """The value-only merge gives the order of sorting every candidate by
-    ``_candidate_key``, also where a rebalance and a charging plan have
+def test_ranked_puts_a_rebalance_first_at_equal_value():
+    """The merge of the plain candidate tuples gives the order of sorting
+    every candidate, also where a rebalance and a charging plan have
     bit-equal values: the rebalance's facility, -1, sorts first."""
-    stay, away = mini_rebalance, dataclasses.replace(mini_rebalance, dest_region=0)
-    for rebalance_values in ((12.5, 12.5), (13.0, 4.0), (4.0, 1.5), (0.0, -0.0)):
-        for charge_values in ((13.0, 12.5, 12.5), (12.5, 4.0, 1.5), (-0.0, 0.0, -1.0)):
-            plans = [dataclasses.replace(s, value=v)
-                     for s, v in zip((stay, away), rebalance_values)]
-            charges = [dataclasses.replace(mini_charge, value=v, evse_index=m)
-                       for m, v in enumerate(charge_values)]
-            plans.sort(key=_candidate_key)
-            charges.sort(key=_candidate_key)
-            merged = list(ranked(iter(plans), charges))
-            assert merged == sorted(plans + charges, key=_candidate_key)
-    # on mini_config: the stay and a charge to the same value, bit for bit
     config = build_mini_config()
     session = Session(id=0, t_minus=1, origin_region=1, soc=0.5)
-    candidates = _candidates(config, session)
-    assert candidates == sorted(candidates, key=_candidate_key)
-    stay_plan = next(s for s in candidates if not s.charging and s.dest_region == 1)
-    tied = dataclasses.replace(candidates[0], value=stay_plan.value)
-    charges = sorted([s for s in candidates if s.charging] + [tied], key=_candidate_key)
+    charge = feasible_schedules(session, config, _snapshot(config))[0]
+    stay, away = sorted(rebalances(session, config), key=lambda plan: -plan[4])
+    assert (stay[4], away[4], charge[1]) == (1, 0, 0)
+
+    def valued(plan, v, evse=None):
+        return (-v, plan[1], plan[2] if evse is None else evse) + plan[3:]
+    for rebalance_values in ((12.5, 12.5), (13.0, 4.0), (4.0, 1.5), (0.0, -0.0)):
+        for charge_values in ((13.0, 12.5, 12.5), (12.5, 4.0, 1.5), (-0.0, 0.0, -1.0)):
+            plans = sorted(valued(s, v) for s, v in zip((stay, away), rebalance_values))
+            charges = sorted(valued(charge, v, m) for m, v in enumerate(charge_values))
+            merged = list(ranked(iter(plans), charges))
+            assert merged == sorted(plans + charges)
+            # by value, and a rebalance before a charging plan of equal value
+            order = [(plan[0], plan[1] >= 0) for plan in merged]
+            assert order == sorted(order)
+    # on mini_config: the stay and a charge to the same value, bit for bit
+    candidates = list(ranked(rebalances(session, config),
+                             feasible_schedules(session, config, _snapshot(config))))
+    assert candidates == sorted(candidates)
+    stay_plan = next(c for c in candidates if c[1] < 0 and c[4] == 1)
+    tied = (stay_plan[0],) + candidates[0][1:]
+    assert tied[1] >= 0
+    charges = sorted([c for c in candidates if c[1] >= 0] + [tied])
     merged = list(ranked(rebalances(session, config), charges))
-    assert merged == sorted(merged, key=_candidate_key)
+    assert merged == sorted(merged)
     assert merged.index(stay_plan) == merged.index(tied) - 1
 
 
