@@ -105,7 +105,7 @@ def utility_breakdown(plan: Candidate, prices: Snapshot, best: float = -math.inf
         energy, generation = prices.draw(f, m, slots)
         # the cable is held from the arrival slot through t_leave
         t_arr = t0 + h1
-        cable = prices.run(CABLE, cells.evse_cell(f, m, t_arr), t_leave - t_arr + 1)
+        cable = prices.run(CABLE, cells.evse_cell(f, m, t_arr), t_leave - t_arr + 1, f)
     return (value - (destination + out_of_service + cable + energy + generation),
             (destination, out_of_service, cable, energy, generation))
 

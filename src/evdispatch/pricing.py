@@ -31,7 +31,9 @@ to both the candidate build and the pricing of the candidates, whose
 payments stay plain floats until a plan wins. Its ``commit`` walks the
 winner's cells once, in the dual order: it applies the plan to the
 ledger, adds up the dual increment, re-posts the cells the plan moved
-and drops the sums.
+and drops the sums that read them: the out-of-service sums on every
+commit, a facility's cable sums, draws and charging windows only on a
+charging commit there.
 """
 
 from __future__ import annotations
@@ -441,16 +443,27 @@ class Snapshot:
     sums from their first cell, extended only as far as asked, and
     ``draw`` keeps the payments of each set of charging slots. Every sum
     is added left to right from 0.0, cell by cell, as a walk over the
-    cells adds it, so each float is bit-identical to the walk's own. The
-    sums outlive a ``dispatch``, as a depot decision leaves the ledger as
-    it was, until ``commit`` applies a plan to the ledger in one walk over
+    cells adds it, so each float is bit-identical to the walk's own.
+
+    The sums outlive a ``dispatch``, as a depot decision leaves the ledger
+    as it was. ``commit`` applies a plan to the ledger in one walk over
     its cells, re-posts the cells it moved, each with the same ``price``
-    call as a fresh snapshot, and drops them all. A write to the loads by
-    any other way is not seen: its caller builds a new snapshot.
+    call as a fresh snapshot, and drops only the memos that read a cell
+    it moved. Every plan takes out-of-service slots, so every commit drops
+    the out-of-service sums, and with them every run filed under no
+    facility. What is filed under a facility reads only that facility's
+    cable, energy and generation cells: its cable runs (posted prices and
+    payments), its draws and the window lists that the charging build
+    keeps there (``windows``). Only a charging plan at the facility moves
+    those cells, so only its commit drops them; a rebalance, or a charge
+    at another facility, leaves them as a fresh snapshot would compute
+    them. A write to the loads by any other way is not seen: its caller
+    builds a new snapshot.
     """
 
     __slots__ = ("ledger", "bounds", "psi", "loads", "cells", "cables", "energies",
-                 "charges", "_priced", "_paid", "_runs", "_drawn")
+                 "charges", "_priced", "_paid", "_runs", "_facility_runs", "_drawn",
+                 "_windows")
 
     def __init__(self, ledger: ResourceLedger, bounds: PriceBounds, psi_: int) -> None:
         self.ledger = ledger
@@ -465,11 +478,16 @@ class Snapshot:
             [price(shape, min(y, shape.cap)) for y, shape in zip(self.loads[k], cells.shapes[k])]
             for k in (CABLE, ENERGY))
         self.charges = [0.0] * len(self.energies)
-        for f in range(len(cells.evse_row) - 1):
+        facilities = range(len(cells.evse_row) - 1)
+        for f in facilities:
             for t in range(1, cells.horizon + 1):
                 self._post_charges(f, t)
+        # dropped by every commit: the runs filed under no facility
         self._runs: Dict[tuple, List[float]] = {}
-        self._drawn: Dict[tuple, Tuple[float, float]] = {}
+        # per facility, dropped by a charging commit there
+        self._facility_runs: List[Dict[tuple, List[float]]] = [{} for _ in facilities]
+        self._drawn: List[Dict[tuple, Tuple[float, float]]] = [{} for _ in facilities]
+        self._windows: List[Dict[tuple, object]] = [{} for _ in facilities]
 
     def price(self, shape: Shape, y: float) -> float:
         """Posted price of a cell of ``shape`` at load y."""
@@ -489,8 +507,10 @@ class Snapshot:
         was. A second walk writes each load and re-posts each cable cell,
         and in each energy slot the EVSE's energy price and the charging
         price of every EVSE of its facility, as generation is per
-        facility. Then it drops every sum, all of which read the loads
-        before the commit."""
+        facility. Then it drops the memos that read a moved cell: the runs
+        filed under no facility, the out-of-service sums among them, and,
+        for a charging plan, every memo of its facility. The memos of
+        every other facility read none of the cells the plan took."""
         cells, loads, gain = self.cells, self.loads, self._gain
         T, f = cells.horizon, schedule.facility_id
         dest = schedule.dest_region * T + schedule.t_plus - 1
@@ -518,8 +538,10 @@ class Snapshot:
                 generation[cells.facility_cell(f, t)] += e
                 self.energies[row + t] = self._posted(ENERGY, row + t)
                 self._post_charges(f, t)
+            self._facility_runs[f] = {}
+            self._drawn[f] = {}
+            self._windows[f] = {}
         self._runs.clear()
-        self._drawn.clear()
         return total
 
     def _gain(self, k: int, i: int, amount: float) -> float:
@@ -555,16 +577,19 @@ class Snapshot:
                 y, y + amount, *shape.args, self.bounds, self.psi)
         return paid
 
-    def run(self, k: Optional[int], first: int, n: int) -> float:
+    def run(self, k: Optional[int], first: int, n: int, f: Optional[int] = None) -> float:
         """Summed payments for one more unit of each of the n >= 1 cells of
         family k from cell ``first`` on; with k None, the posted cable
-        prices of those cells."""
+        prices of those cells. A cable run names its facility ``f``, and
+        is kept until a charging commit there; a run with f None, such as
+        an out-of-service run, is kept until the next commit."""
         if n < 1:
             raise ValueError(f"a run needs n >= 1 cells, got n={n}")
         key = (k, first)
-        sums = self._runs.get(key)
+        runs = self._runs if f is None else self._facility_runs[f]
+        sums = runs.get(key)
         if sums is None:
-            sums = self._runs[key] = []
+            sums = runs[key] = []
         done = len(sums)
         if done < n:
             total = sums[-1] if done else 0.0
@@ -583,17 +608,25 @@ class Snapshot:
     def draw(self, f: int, m: int, slots: Tuple[Tuple[int, float], ...]) -> Tuple[float, float]:
         """Summed energy and generation payments for drawing each (slot,
         kWh) of ``slots`` at EVSE m of facility f, kept per set of slots,
-        which the candidates for every destination share."""
-        key = (f, m, slots)
-        paid = self._drawn.get(key)
+        which the candidates for every destination share, until a
+        charging commit at f."""
+        drawn = self._drawn[f]
+        paid = drawn.get((m, slots))
         if paid is None:
             cells = self.cells
             energy = generation = 0.0
             for t, e in slots:
                 energy += self.pay(ENERGY, cells.evse_cell(f, m, t), e)
                 generation += self.pay(GENERATION, cells.facility_cell(f, t), e)
-            paid = self._drawn[key] = (energy, generation)
+            paid = drawn[m, slots] = (energy, generation)
         return paid
+
+    def windows(self, f: int) -> Dict[tuple, object]:
+        """Facility f's window memo, which the charging build fills and
+        reads (``schedules``), keyed by (arrival slot, charge target), kept
+        until a charging commit at f. What it holds is picked from the
+        facility's posted cable and charging prices alone."""
+        return self._windows[f]
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,15 @@ tuples, and makes a ``Schedule`` only of the winner.
 
 A charging tuple's windows all start at its facility arrival slot and end
 up to ``MAX_START_OFFSET`` slots apart, at most at ``T - h2``. Each
-(facility, target) stream keeps one list of its distinct windows (end,
-EVSE, energy slots, last charging slot), in ascending end, first
-occurrence only, and extends it only as far as the current tuple's last
-window end; the tuple makes one candidate from each entry up to that
-end. A stream picks the EVSE and slots of each of its windows once.
+(facility, arrival slot, target) has one list of its distinct windows
+(end, EVSE, energy slots, last charging slot), in ascending end, first
+occurrence only, extended only as far as a tuple's last window end; the
+tuple makes one candidate from each entry up to that end. The list is
+picked from the facility's posted cable and charging prices alone, so
+the snapshot keeps it (``Snapshot.windows``) across sessions until a
+charging commit at that facility moves those prices: a rebalance or a
+charge elsewhere leaves it as a fresh pick would make it. Each window
+end is picked once between two such commits.
 
 The charging build reads posted cable and charging prices from the
 caller's ``pricing.Snapshot``. An online run keeps one snapshot for the
@@ -141,7 +145,7 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     # The first four fields are unique across the streams, so the merge
     # never compares h2 and its order is that of sorting every tuple.
     streams = []
-    fixed = {}  # (fid, target) -> _Stream
+    fixed = {}  # (fid, target) -> (_Windows, h1, stored energy)
     targets = pricing.default_charge_targets(config)
     legs = facility_legs(session.origin_region, energy0, t0, config)
     for h1, fac in legs[:MAX_CANDIDATE_FACILITIES]:
@@ -149,14 +153,18 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
         headroom = cap - arrival_energy
         t_arr = t0 + h1
         rate = pricing.effective_charge_rate(fac)
+        kept = prices.windows(fac.id)
         for target in targets:
             if target > headroom + MONEY_ATOL:
                 break
             k, last = charge_slots(target, rate)
             if t_arr + k - 1 > T:
                 continue
+            windows = kept.get((t_arr, target))
+            if windows is None:
+                windows = kept[t_arr, target] = _Windows(fac, t_arr, rate, k, last)
             stored = arrival_energy + target
-            fixed[fac.id, target] = _Stream(fac, h1, t_arr, rate, k, last, stored)
+            fixed[fac.id, target] = (windows, h1, stored)
             streams.append(chain.from_iterable(_batches(
                 config, fac.region_id, h1, stored, T - (t_arr + k - 1), (fac.id, target))))
 
@@ -167,16 +175,17 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     # holds k slots. A plan recurs when the cheapest EVSE flips and flips
     # back, and only inside one tuple's windows: a stream yields each
     # destination once, and two targets never draw the same energy slots.
-    # So each stream keeps its distinct windows, first occurrence only, in
-    # ascending end, extended up to the last window end of the tuple at
-    # hand; the tuple makes one candidate from each of them up to that end.
+    # So each (facility, arrival slot, target) keeps its distinct windows,
+    # first occurrence only, in ascending end, extended up to the last
+    # window end of the tuple at hand; the tuple makes one candidate from
+    # each of them up to that end. Entries past that end, which an earlier
+    # session may have added, change none before it.
     out: List[Candidate] = []
     for neg_v, fid, target, dest, h2 in heapq.merge(*streams):
-        stream = fixed[fid, target]
-        top = min(T - h2, stream.lo + MAX_START_OFFSET)
-        stream.extend(top, prices)
-        h1, stored = stream.h1, stream.stored
-        for end, evse, slots, t_leave in stream.windows:
+        windows, h1, stored = fixed[fid, target]
+        top = min(T - h2, windows.lo + MAX_START_OFFSET)
+        windows.extend(top, prices)
+        for end, evse, slots, t_leave in windows.picked:
             if end > top:
                 break
             out.append((neg_v, fid, evse, slots, dest, t_leave + h2, t0, h1, h2, stored,
@@ -189,31 +198,30 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     return out
 
 
-class _Stream:
-    """One (facility, target) charging stream of a session: what its
-    tuples share, and its distinct windows so far."""
+class _Windows:
+    """The distinct windows of charging ``k`` slots at one facility from
+    arrival slot ``t_arr``, picked so far: what every session arriving
+    there then with one target shares, kept in the snapshot's
+    ``windows`` memo of the facility until a charging commit there."""
 
-    __slots__ = ("fac", "h1", "t_arr", "rate", "k", "last", "stored", "lo",
-                 "windows", "next_end")
+    __slots__ = ("fac", "t_arr", "rate", "k", "last", "lo", "picked", "next_end")
 
-    def __init__(self, fac, h1: int, t_arr: int, rate: float, k: int, last: float,
-                 stored: float) -> None:
-        self.fac, self.h1, self.t_arr, self.rate = fac, h1, t_arr, rate
-        self.k, self.last, self.stored = k, last, stored
+    def __init__(self, fac, t_arr: int, rate: float, k: int, last: float) -> None:
+        self.fac, self.t_arr, self.rate, self.k, self.last = fac, t_arr, rate, k, last
         self.lo = self.next_end = t_arr + k - 1  # the shortest window's end
-        self.windows: List[tuple] = []
+        self.picked: List[tuple] = []
 
     def extend(self, top: int, prices: Snapshot) -> None:
-        """Add the stream's distinct windows that end by slot ``top``, each
-        as (end, EVSE, energy slots, last charging slot), in ascending end,
-        first occurrence only. Each window end is picked once."""
-        fid, k, windows = self.fac.id, self.k, self.windows
+        """Add the distinct windows that end by slot ``top``, each as (end,
+        EVSE, energy slots, last charging slot), in ascending end, first
+        occurrence only. Each window end is picked once."""
+        fid, k, picked = self.fac.id, self.k, self.picked
         for end in range(self.next_end, top + 1):
             evse, chosen, dearest = _pick(fid, self.fac, self.t_arr, end, k, prices)
             # full rate on the chosen slots, the last slot's energy on the dearest
             slots = tuple((t, self.last if t == dearest else self.rate) for t in chosen)
-            if all((evse, slots) != window[1:3] for window in windows):
-                windows.append((end, evse, slots, chosen[-1]))
+            if all((evse, slots) != window[1:3] for window in picked):
+                picked.append((end, evse, slots, chosen[-1]))
         self.next_end = max(self.next_end, top + 1)
 
 
@@ -321,7 +329,7 @@ def _pick(fid: int, fac, start: int, end: int, k: int,
     loads = prices.loads[CABLE]
     for m in range(fac.evse_count):
         cell = cells.evse_cell(fid, m, start)
-        cost = prices.run(None, cell, n)  # the posted cable prices
+        cost = prices.run(None, cell, n, fid)  # the posted cable prices
         if cost < best_cost - 1e-15:
             best_m, best_cost = m, cost
         if m + 1 < fac.evse_count and not any(loads[cell:cell + n]):

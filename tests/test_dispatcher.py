@@ -532,6 +532,42 @@ def test_only_the_winner_is_made(monkeypatch):
     assert several > len(sessions) // 2
 
 
+def test_no_window_is_picked_twice_between_commits_at_its_facility(monkeypatch):
+    """The snapshot keeps each facility's window lists until a charging
+    commit there: on a congested ``rush`` day, whose plans are nearly all
+    rebalances, ``schedules._pick`` picks no (facility, arrival slot,
+    target, window end) twice between two such commits, and some it picks
+    again after one. Each target of the day charges in its own number of
+    slots k, so (facility, arrival slot, k, end) names the pick."""
+    config, sessions = generate_scenario(1, "rush")
+    for fac in config.facilities:
+        rate = pricing.effective_charge_rate(fac)
+        ks = [pricing.charge_slots(t, rate)[0] for t in pricing.default_charge_targets(config)]
+        assert len(set(ks)) == len(ks)
+    pick, picked = schedules._pick, []
+
+    def counted(fid, fac, start, end, k, prices):
+        picked.append((fid, start, k, end))
+        return pick(fid, fac, start, end, k, prices)
+    monkeypatch.setattr(schedules, "_pick", counted)
+    state = DispatcherState.fresh(config)
+    since, ever = [set() for _ in config.facilities], set()
+    again = charges = 0
+    for session in sessions:
+        picked.clear()
+        decision = dispatch(session, state)
+        for key in picked:
+            assert key not in since[key[0]], (session, key)
+            since[key[0]].add(key)
+            again += key in ever
+            ever.add(key)
+        if not decision.is_depot and decision.schedule.charging:
+            since[decision.schedule.facility_id].clear()
+            charges += 1
+    assert 0 < charges < len(sessions) // 10
+    assert again > 0
+
+
 def test_a_full_day_prices_and_builds_under_half_its_candidates():
     """Guards the early stop and the lazy rebalances: on a short ``full``
     day ``dispatch`` prices fewer than half of the candidates it could

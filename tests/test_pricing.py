@@ -275,7 +275,8 @@ def test_a_commit_reposts_its_cells_and_drops_every_sum(desk_instance):
     """After each ``commit`` of three charging plans, then of a rebalance,
     a snapshot reads as a fresh one of its ledger does: every posted cable,
     energy and charging price, and every running sum and draw it kept from
-    before the commit, the plans' own among them. Two of the plans draw at
+    before the commit, the plans' own among them, whether a cable sum is
+    filed under no facility or under its own. Two of the plans draw at
     one facility, so a charging price that kept an EVSE's energy price
     from before a commit would differ."""
     config, sessions = desk_instance
@@ -299,7 +300,9 @@ def test_a_commit_reposts_its_cells_and_drops_every_sum(desk_instance):
                 first = config.cells.evse_cell(plan.facility_id, plan.evse_index,
                                                plan.cable_slots[0])
                 for k in (CABLE, None):
-                    out.append(prices.run(k, first, len(plan.cable_slots)))
+                    # filed under no facility, then under the plan's own
+                    for f in (None, plan.facility_id):
+                        out.append(prices.run(k, first, len(plan.cable_slots), f))
                 out.append(prices.draw(plan.facility_id, plan.evse_index, plan.energy_slots))
         return out
 

@@ -19,10 +19,12 @@ alike. Candidates are plain tuples; each is made into its ``Schedule``
 ``primal_increment`` walks a schedule's demands on the config's cells,
 and ``Snapshot.commit`` walks them once in the dual order, returning the
 dual increment; the snapshot's posted cable, energy and charging prices
-are re-posted by each commit, which drops its sums; ``feasible_schedules`` sums cable prices as
+are re-posted by each commit, which drops the sums that read a cell it
+moved; ``feasible_schedules`` sums cable prices as
 running sums from the arrival slot, stops its EVSE scan at the first
-empty EVSE, ranks each window's slots once, keeps one list of distinct
-windows per (facility, target) stream and stops ordering charging tuples
+empty EVSE, ranks each window's slots once, reads one list of distinct
+windows per (facility, arrival slot, target), kept in the snapshot until
+a charging commit at the facility, and stops ordering charging tuples
 at the candidate cap, and merges them lazily from the destination batches ranked
 once per config; ``rebalances`` values the origin's batches lazily too,
 and ``ranked`` merges the two tuples as they are; ``upper_bound`` and the
@@ -50,7 +52,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evdispatch import MONEY_ATOL, baselines, dispatcher, economics, pricing
+from evdispatch import MONEY_ATOL, baselines, dispatcher, economics, pricing, schedules
 from evdispatch.dispatcher import (
     DispatcherState, dispatch, run_online, utility_breakdown,
 )
@@ -66,7 +68,7 @@ from evdispatch.schedules import (
 )
 from evdispatch.pricing import (
     CABLE, DESTINATION, ENERGY, FAMILIES, GENERATION, OUT_OF_SERVICE, Snapshot,
-    cell_shape,
+    cell_shape, charge_slots,
 )
 
 from conftest import as_plans, twin_state
@@ -555,16 +557,57 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
     assert skipped > 0 and stopped > 0
 
 
-def test_no_running_sum_outlives_a_commit(monkeypatch):
-    """Only the run's snapshot outlives a dispatch call, and every sum it
+def facility_memos(prices):
+    """Every memo that ``prices`` files under a facility, by (facility,
+    kind, key): its cable runs, draws and window lists."""
+    return {(f, kind, key) for kind, memos in (("run", prices._facility_runs),
+                                               ("draw", prices._drawn),
+                                               ("windows", prices._windows))
+            for f, memo in enumerate(memos) for key in memo}
+
+
+def assert_memos_are_fresh(prices, where):
+    """Every memo that ``prices`` keeps is what a fresh snapshot of its
+    ledger gives at the memo's key: each running sum, filed under no
+    facility or under one, each draw and each window list."""
+    fresh = Snapshot(prices.ledger, prices.bounds, prices.psi)
+    for (k, first), sums in prices._runs.items():
+        fresh.run(k, first, len(sums))
+        assert fresh._runs[k, first] == sums, where
+    for f, runs in enumerate(prices._facility_runs):
+        for (k, first), sums in runs.items():
+            fresh.run(k, first, len(sums), f)
+            assert fresh._facility_runs[f][k, first] == sums, where
+    for f, drawn in enumerate(prices._drawn):
+        for (m, slots), paid in drawn.items():
+            assert fresh.draw(f, m, slots) == paid, where
+    for f, kept in enumerate(prices._windows):
+        for (t_arr, target), windows in kept.items():
+            fac, rate = windows.fac, pricing.effective_charge_rate(windows.fac)
+            assert (fac.id, windows.t_arr, windows.rate) == (f, t_arr, rate), where
+            k, last = charge_slots(target, rate)
+            assert (windows.k, windows.last) == (k, last), where
+            again = schedules._Windows(fac, t_arr, rate, k, last)
+            again.extend(windows.next_end - 1, fresh)
+            assert ((again.picked, again.next_end)
+                    == (windows.picked, windows.next_end)), where
+
+
+def test_a_commit_drops_only_the_memos_that_read_its_cells(monkeypatch):
+    """Only the run's snapshot outlives a dispatch call, and every memo it
     keeps reads the ledger as it is now: after every ``dispatch``, whether
-    the vehicle is committed or sent to the depot, each kept running sum
-    and each kept draw is the one a fresh snapshot of the ledger gives at
-    its key. A commit drops them all; a depot decision keeps them, and
-    some sessions read sums kept from the depot session before them. Each
-    kept price and payment is the one a fresh curve gives at its key, so a
-    twin state on a copy of the ledger's loads, with a snapshot of its
-    own, reaches the same decision and breakdown, making at least as many
+    the vehicle charges, rebalances or goes to the depot, each kept
+    out-of-service sum, cable sum, draw and window list is the one a
+    fresh snapshot of the ledger gives at its key. Every commit drops the
+    out-of-service sums; a facility's cable sums, draws and window lists
+    read only its own cells and outlive every commit but a charging one
+    there. On a congested day of one facility, where nearly every plan is
+    a rebalance, some session reads a facility memo kept across a
+    rebalance commit. On a day of two facilities, a charging commit at one
+    drops its memos and keeps every memo of the other. Each kept price
+    and payment is the one a fresh curve gives at its key, so a twin
+    state on a copy of the ledger's loads, with a snapshot of its own,
+    reaches the same decision and breakdown, making at least as many
     payments."""
     config, sessions = generate_scenario(3, RUNS["rush"])
     calls = [0]
@@ -578,50 +621,65 @@ def test_no_running_sum_outlives_a_commit(monkeypatch):
         name = family.name + "_payment"
         monkeypatch.setattr(pricing, name, counted(getattr(pricing, name)))
 
-    # whether a dispatch reads a sum that the run's snapshot already held
-    # when the dispatch began: a running sum it returns or extends, or a draw
+    # whether a dispatch reads a memo that the run's snapshot already held
+    # when the dispatch began, and whether it reads a facility memo that
+    # has outlived a rebalance commit
     state = DispatcherState.fresh(config)
-    kept_runs, kept_draws, reread = set(), set(), [False]
-    run, draw = Snapshot.run, Snapshot.draw
+    held, across, reread = set(), set(), {"held": False, "across": False}
+    run, draw, extend = Snapshot.run, Snapshot.draw, schedules._Windows.extend
 
-    def tracked_run(self, k, first, n):
-        if self is state.posted and (k, first) in kept_runs:
-            reread[0] = True
-        return run(self, k, first, n)
+    def seen(memo):
+        reread["held"] |= memo in held
+        reread["across"] |= memo in across
+
+    def tracked_run(self, k, first, n, f=None):
+        if self is state.posted:
+            seen(("run", k, first) if f is None else (f, "run", (k, first)))
+        return run(self, k, first, n, f)
 
     def tracked_draw(self, f, m, slots):
-        if self is state.posted and (f, m, slots) in kept_draws:
-            reread[0] = True
+        if self is state.posted:
+            seen((f, "draw", (m, slots)))
         return draw(self, f, m, slots)
+
+    def tracked_extend(self, top, prices):
+        if prices is state.posted:
+            key = next(key for key, kept in prices._windows[self.fac.id].items()
+                       if kept is self)
+            seen((self.fac.id, "windows", key))
+        return extend(self, top, prices)
     monkeypatch.setattr(Snapshot, "run", tracked_run)
     monkeypatch.setattr(Snapshot, "draw", tracked_draw)
+    monkeypatch.setattr(schedules._Windows, "extend", tracked_extend)
 
     outcomes = set()
-    warm = cold = rereads = 0
+    warm = cold = rereads = kept_across = 0
     for session in sessions:
         twin = twin_state(state)
         before = calls[0]
         expected = dispatch(session, twin)
         fresh_calls, before = calls[0] - before, calls[0]
-        kept_runs, kept_draws = set(state.posted._runs), set(state.posted._drawn)
-        reread[0] = False
+        held = facility_memos(state.posted) | {("run", *key) for key in state.posted._runs}
+        reread.update(held=False, across=False)
         decision = dispatch(session, state)
         assert calls[0] - before <= fresh_calls
         warm, cold = warm + calls[0] - before, cold + fresh_calls
         assert decision == expected
-        rereads += reread[0]
-        outcomes.add(decision.is_depot)
-
-        kept = state.posted
-        fresh = Snapshot(state.posted.ledger, kept.bounds, kept.psi)
-        for (k, first), sums in kept._runs.items():
-            fresh.run(k, first, len(sums))
-            assert fresh._runs[k, first] == sums, session
-        for (f, m, slots), paid in kept._drawn.items():
-            assert fresh.draw(f, m, slots) == paid, session
-    assert outcomes == {True, False}
+        rereads += reread["held"]
+        kept_across += reread["across"]
+        if decision.is_depot:
+            outcomes.add("depot")
+        elif decision.schedule.charging:
+            outcomes.add("charge")
+            across = set()  # the one facility's memos are dropped
+        else:
+            outcomes.add("rebalance")
+            # every facility memo now held was made before the commit
+            across = facility_memos(state.posted)
+        assert_memos_are_fresh(state.posted, session)
+    assert outcomes == {"depot", "charge", "rebalance"}
     assert warm < cold / 2
-    assert rereads > 0
+    assert rereads > 0 and kept_across > 0
 
     bounds, psi_ = state.posted.bounds, state.posted.psi
     for (shape, y), p in state.posted._priced.items():
@@ -629,6 +687,49 @@ def test_no_running_sum_outlives_a_commit(monkeypatch):
     for (shape, y, amount), paid in state.posted._paid.items():
         function = getattr(pricing, shape.family.name + "_payment")
         assert paid == function(y, y + amount, *shape.args, bounds, psi_)
+
+    config, sessions = generate_scenario(0, RUNS["desk"])
+    assert len(config.facilities) == 2
+    state = DispatcherState.fresh(config)
+    kept_elsewhere = 0
+    for session in sessions:
+        posted = state.posted
+        before = [tuple(dict(memos[f]) for memos in
+                        (posted._facility_runs, posted._drawn, posted._windows))
+                  for f in range(len(config.facilities))]
+        decision = dispatch(session, state)
+        f = None if decision.is_depot else decision.schedule.facility_id
+        for g, was in enumerate(before):
+            now = tuple(memos[g] for memos in
+                        (posted._facility_runs, posted._drawn, posted._windows))
+            if g == f:
+                assert now == ({}, {}, {}), session
+                continue
+            for old, memo in zip(was, now):
+                assert all(memo.get(key) is value for key, value in old.items()), session
+            kept_elsewhere += f is not None and any(was)
+        assert_memos_are_fresh(posted, session)
+    assert kept_elsewhere > 0
+
+
+def test_a_run_decides_as_with_a_fresh_snapshot_before_every_dispatch():
+    """The memos that a snapshot keeps across commits change no decision:
+    a ``desk`` and a ``rush`` day run again with a fresh snapshot of the
+    ledger swapped in before every ``dispatch``, so that nothing is kept
+    from one session to the next, give the same decisions, breakdowns
+    and primal and dual trajectories."""
+    for name, seed in (("desk", 0), ("rush", 1)):
+        config, sessions = generate_scenario(seed, name)
+        kept, fresh = DispatcherState.fresh(config), DispatcherState.fresh(config)
+        for session in sessions:
+            dispatch(session, kept)
+            posted = fresh.posted
+            fresh.posted = Snapshot(posted.ledger, posted.bounds, posted.psi)
+            dispatch(session, fresh)
+        assert any(d.schedule is not None and d.schedule.charging for d in kept.decisions)
+        assert kept.decisions == fresh.decisions, name
+        assert kept.primal_trajectory == fresh.primal_trajectory, name
+        assert kept.dual_trajectory == fresh.dual_trajectory, name
 
 
 def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):

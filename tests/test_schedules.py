@@ -235,10 +235,10 @@ def test_an_empty_window_reads_one_evse(monkeypatch):
     reads = []
     run = pricing.Snapshot.run
 
-    def counted(self, k, first, n):
+    def counted(self, k, first, n, f=None):
         if k is None:  # a sum of posted cable prices
             reads.append(first)
-        return run(self, k, first, n)
+        return run(self, k, first, n, f)
     monkeypatch.setattr(pricing.Snapshot, "run", counted)
 
     start, end = 10, 14
