@@ -121,13 +121,10 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold {threshold} outside (0, 1)")
 
 
-def threshold_dispatch(session: Session, config: ScenarioConfig,
-                       ledger: ResourceLedger, threshold: float) -> Optional[Schedule]:
-    """One session under the threshold policy; None means depot. Raises
-    on a threshold outside (0, 1) and on a session that
-    ``validate_sessions`` rejects."""
-    _check_threshold(threshold)
-    check_sessions((session,), config)
+def _decide(session: Session, config: ScenarioConfig, ledger: ResourceLedger,
+            threshold: float) -> Optional[Schedule]:
+    """``threshold_dispatch`` without its checks: the depot in the final
+    slot, a rebalance at or above the threshold, else charge, then go."""
     if session.t_minus >= config.horizon:
         return None
     if session.soc >= threshold:
@@ -135,12 +132,23 @@ def threshold_dispatch(session: Session, config: ScenarioConfig,
     return _charge_then_go(session, config, ledger)
 
 
+def threshold_dispatch(session: Session, config: ScenarioConfig,
+                       ledger: ResourceLedger, threshold: float) -> Optional[Schedule]:
+    """One session under the threshold policy; None means depot. Raises
+    on a threshold outside (0, 1) and on a session that
+    ``validate_sessions`` rejects."""
+    _check_threshold(threshold)
+    check_sessions((session,), config)
+    return _decide(session, config, ledger, threshold)
+
+
 def run_threshold(sessions: Sequence[Session], config: ScenarioConfig,
                   threshold: float = 0.5) -> RunReport:
     """Run a threshold baseline over an ordered session stream.
 
     The recorded utility of a decision is the raw schedule value; the
-    baseline has no prices and no dual trajectory.
+    baseline has no prices and no dual trajectory. The threshold, config
+    and stream are checked once, up front, and no session again.
     """
     _check_threshold(threshold)
     check_config(config)
@@ -150,7 +158,7 @@ def run_threshold(sessions: Sequence[Session], config: ScenarioConfig,
     decisions: List[DispatchDecision] = []
     primal = [0.0]
     for session in sessions:
-        schedule = threshold_dispatch(session, config, ledger, threshold)
+        schedule = _decide(session, config, ledger, threshold)
         if schedule is None:
             decisions.append(DispatchDecision(session_id=session.id,
                                               schedule=None, utility=0.0))

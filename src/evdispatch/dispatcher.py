@@ -23,7 +23,7 @@ from .domain import (
     ScenarioConfig, Schedule, Session, check_config, check_sessions, instance_hash,
 )
 from .pricing import (
-    CABLE, DESTINATION, OUT_OF_SERVICE, Alphas, Snapshot,
+    CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE, Alphas, Snapshot,
 )
 from .schedules import (
     DEFAULT_POLICY, Candidate, GenerationPolicy, feasible_schedules, plan_of, ranked,
@@ -88,6 +88,10 @@ def utility_breakdown(plan: Candidate, prices: Snapshot, best: float = -math.inf
     utility ``best``, and its cable, energy and generation payments are not
     made.
 
+    A charging plan's cable, energy and generation payments are made once
+    per window and kept in the facility memo of ``prices``, by (arrival
+    slot, EVSE, energy slots), so another snapshot makes its own.
+
     Plans touching a saturated slot are priced, not rejected; the
     integral payment runs past capacity, so their utility is nonpositive.
     Each family's terms are added in the order of ``Cells.demands``: energy
@@ -97,15 +101,23 @@ def utility_breakdown(plan: Candidate, prices: Snapshot, best: float = -math.inf
     neg_v, f, m, slots, dest, t1, t0, h1, _, _, t_leave = plan
     cells, value = prices.cells, -neg_v
     destination = prices.pay(DESTINATION, dest * cells.horizon + t1 - 1, 1)
-    out_of_service = prices.run(OUT_OF_SERVICE, t0 - 1, t1 - t0 + 1)
+    out_of_service = prices.run(t0 - 1, t1 - t0 + 1)
     if value - (destination + out_of_service) < best:
         return None
     energy = generation = cable = 0.0
     if f >= 0:
-        energy, generation = prices.draw(f, m, slots)
-        # the cable is held from the arrival slot through t_leave
-        t_arr = t0 + h1
-        cable = prices.run(CABLE, cells.evse_cell(f, m, t_arr), t_leave - t_arr + 1, f)
+        memo, t_arr = prices.windows(f), t0 + h1
+        paid = memo.get((t_arr, m, slots))
+        if paid is None:
+            pay, row = prices.pay, cells.evse_cell(f, m, 0)
+            for t, e in slots:
+                energy += pay(ENERGY, row + t, e)
+                generation += pay(GENERATION, cells.facility_cell(f, t), e)
+            # the cable is held from the arrival slot through t_leave
+            for t in range(t_arr, t_leave + 1):
+                cable += pay(CABLE, row + t)
+            paid = memo[t_arr, m, slots] = (cable, energy, generation)
+        cable, energy, generation = paid
     return (value - (destination + out_of_service + cable + energy + generation),
             (destination, out_of_service, cable, energy, generation))
 

@@ -25,15 +25,16 @@ so far past capacity that it leaves the float range is infinite. A
 bounds and Psi, and the run's prices and payments by key (shape, load,
 and amount), each a function of its key alone, so an entry holds for
 every ledger state of the run. At the ledger's loads it posts the cable,
-energy and charging prices that the candidate build reads, and keeps the
-sums over consecutive cells that only those loads give. The run hands it
-to both the candidate build and the pricing of the candidates, whose
-payments stay plain floats until a plan wins. Its ``commit`` walks the
-winner's cells once, in the dual order: it applies the plan to the
-ledger, adds up the dual increment, re-posts the cells the plan moved
-and drops the sums that read them: the out-of-service sums on every
-commit, a facility's cable sums, draws and charging windows only on a
-charging commit there.
+energy and charging prices that the candidate build reads, and keeps two
+memos that only those loads give: the out-of-service sums, and per
+facility the charging build's window lists, with their cable sums, and
+each window's payments (``schedules``). The run hands it to both the
+candidate build and the pricing of the candidates, whose payments stay
+plain floats until a plan wins. Its ``commit`` walks the winner's cells
+once, in the dual order: it applies the plan to the ledger, adds up the
+dual increment, re-posts the cells the plan moved and drops the memos
+that read them: the out-of-service sums on every commit, a facility's
+window lists and payments only on a charging commit there.
 """
 
 from __future__ import annotations
@@ -437,33 +438,24 @@ class Snapshot:
     ``energies`` the posted energy price and ``charges`` the energy plus
     generation price per kWh, the energy price alone in a slot without
     generation capacity; each term is ``price(shape, min(load, cap))``, as
-    posted prices only rank slots. Every cable window at a facility starts
-    at the vehicle's arrival slot there, and every out-of-service run at
-    its t_minus, so ``run`` keeps sums over consecutive cells as running
-    sums from their first cell, extended only as far as asked, and
-    ``draw`` keeps the payments of each set of charging slots. Every sum
-    is added left to right from 0.0, cell by cell, as a walk over the
-    cells adds it, so each float is bit-identical to the walk's own.
+    posted prices only rank slots.
 
-    The sums outlive a ``dispatch``, as a depot decision leaves the ledger
-    as it was. ``commit`` applies a plan to the ledger in one walk over
-    its cells, re-posts the cells it moved, each with the same ``price``
-    call as a fresh snapshot, and drops only the memos that read a cell
-    it moved. Every plan takes out-of-service slots, so every commit drops
-    the out-of-service sums, and with them every run filed under no
-    facility. What is filed under a facility reads only that facility's
-    cable, energy and generation cells: its cable runs (posted prices and
-    payments), its draws and the window lists that the charging build
-    keeps there (``windows``). Only a charging plan at the facility moves
-    those cells, so only its commit drops them; a rebalance, or a charge
-    at another facility, leaves them as a fresh snapshot would compute
-    them. A write to the loads by any other way is not seen: its caller
-    builds a new snapshot.
+    Two memos read the loads, and both outlive a ``dispatch``, as a depot
+    decision leaves the ledger as it was. ``run`` keeps the out-of-service
+    sums, each a running sum from a session's t_minus, added left to right
+    from 0.0 as a walk over the slots adds it, so each float is
+    bit-identical to the walk's own; every plan takes out-of-service
+    slots, so every ``commit`` drops them. ``windows`` keeps, per
+    facility, the charging build's window lists, with their cable sums,
+    and each window's payments (``schedules``); they read only the
+    facility's cable, energy and generation cells, so only a charging
+    commit there drops them. ``commit`` re-posts the cells it moved, each
+    with the same ``price`` call as a fresh snapshot. A write to the loads
+    by any other way is not seen: its caller builds a new snapshot.
     """
 
     __slots__ = ("ledger", "bounds", "psi", "loads", "cells", "cables", "energies",
-                 "charges", "_priced", "_paid", "_runs", "_facility_runs", "_drawn",
-                 "_windows")
+                 "charges", "_priced", "_paid", "_runs", "_windows")
 
     def __init__(self, ledger: ResourceLedger, bounds: PriceBounds, psi_: int) -> None:
         self.ledger = ledger
@@ -482,11 +474,9 @@ class Snapshot:
         for f in facilities:
             for t in range(1, cells.horizon + 1):
                 self._post_charges(f, t)
-        # dropped by every commit: the runs filed under no facility
-        self._runs: Dict[tuple, List[float]] = {}
+        # dropped by every commit
+        self._runs: Dict[int, List[float]] = {}
         # per facility, dropped by a charging commit there
-        self._facility_runs: List[Dict[tuple, List[float]]] = [{} for _ in facilities]
-        self._drawn: List[Dict[tuple, Tuple[float, float]]] = [{} for _ in facilities]
         self._windows: List[Dict[tuple, object]] = [{} for _ in facilities]
 
     def price(self, shape: Shape, y: float) -> float:
@@ -507,10 +497,9 @@ class Snapshot:
         was. A second walk writes each load and re-posts each cable cell,
         and in each energy slot the EVSE's energy price and the charging
         price of every EVSE of its facility, as generation is per
-        facility. Then it drops the memos that read a moved cell: the runs
-        filed under no facility, the out-of-service sums among them, and,
-        for a charging plan, every memo of its facility. The memos of
-        every other facility read none of the cells the plan took."""
+        facility. Then it drops the memos that read a moved cell: the
+        out-of-service sums and, for a charging plan, its facility's window
+        lists."""
         cells, loads, gain = self.cells, self.loads, self._gain
         T, f = cells.horizon, schedule.facility_id
         dest = schedule.dest_region * T + schedule.t_plus - 1
@@ -538,8 +527,6 @@ class Snapshot:
                 generation[cells.facility_cell(f, t)] += e
                 self.energies[row + t] = self._posted(ENERGY, row + t)
                 self._post_charges(f, t)
-            self._facility_runs[f] = {}
-            self._drawn[f] = {}
             self._windows[f] = {}
         self._runs.clear()
         return total
@@ -577,55 +564,28 @@ class Snapshot:
                 y, y + amount, *shape.args, self.bounds, self.psi)
         return paid
 
-    def run(self, k: Optional[int], first: int, n: int, f: Optional[int] = None) -> float:
-        """Summed payments for one more unit of each of the n >= 1 cells of
-        family k from cell ``first`` on; with k None, the posted cable
-        prices of those cells. A cable run names its facility ``f``, and
-        is kept until a charging commit there; a run with f None, such as
-        an out-of-service run, is kept until the next commit."""
+    def run(self, first: int, n: int) -> float:
+        """Summed out-of-service payments for one more vehicle in each of
+        the n >= 1 slots from slot index ``first`` on, kept until the next
+        commit."""
         if n < 1:
             raise ValueError(f"a run needs n >= 1 cells, got n={n}")
-        key = (k, first)
-        runs = self._runs if f is None else self._facility_runs[f]
-        sums = runs.get(key)
+        sums = self._runs.get(first)
         if sums is None:
-            sums = runs[key] = []
+            sums = self._runs[first] = []
         done = len(sums)
         if done < n:
             total = sums[-1] if done else 0.0
-            if k is None:
-                cables = self.cables
-                for i in range(first + done, first + n):
-                    total += cables[i]
-                    sums.append(total)
-            else:
-                pay = self.pay
-                for i in range(first + done, first + n):
-                    total += pay(k, i)
-                    sums.append(total)
+            pay = self.pay
+            for i in range(first + done, first + n):
+                total += pay(OUT_OF_SERVICE, i)
+                sums.append(total)
         return sums[n - 1]
 
-    def draw(self, f: int, m: int, slots: Tuple[Tuple[int, float], ...]) -> Tuple[float, float]:
-        """Summed energy and generation payments for drawing each (slot,
-        kWh) of ``slots`` at EVSE m of facility f, kept per set of slots,
-        which the candidates for every destination share, until a
-        charging commit at f."""
-        drawn = self._drawn[f]
-        paid = drawn.get((m, slots))
-        if paid is None:
-            cells = self.cells
-            energy = generation = 0.0
-            for t, e in slots:
-                energy += self.pay(ENERGY, cells.evse_cell(f, m, t), e)
-                generation += self.pay(GENERATION, cells.facility_cell(f, t), e)
-            paid = drawn[m, slots] = (energy, generation)
-        return paid
-
     def windows(self, f: int) -> Dict[tuple, object]:
-        """Facility f's window memo, which the charging build fills and
-        reads (``schedules``), keyed by (arrival slot, charge target), kept
-        until a charging commit at f. What it holds is picked from the
-        facility's posted cable and charging prices alone."""
+        """Facility f's window memo, kept until a charging commit at f: the
+        charging build's window lists by (arrival slot, charge target), and
+        each window's payments by (arrival slot, EVSE, energy slots)."""
         return self._windows[f]
 
 

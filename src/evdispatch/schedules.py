@@ -35,18 +35,18 @@ up to ``MAX_START_OFFSET`` slots apart, at most at ``T - h2``. Each
 (facility, arrival slot, target) has one list of its distinct windows
 (end, EVSE, energy slots, last charging slot), in ascending end, first
 occurrence only, extended only as far as a tuple's last window end; the
-tuple makes one candidate from each entry up to that end. The list is
-picked from the facility's posted cable and charging prices alone, so
-the snapshot keeps it (``Snapshot.windows``) across sessions until a
-charging commit at that facility moves those prices: a rebalance or a
-charge elsewhere leaves it as a fresh pick would make it. Each window
-end is picked once between two such commits.
-
-The charging build reads posted cable and charging prices from the
-caller's ``pricing.Snapshot``. An online run keeps one snapshot for the
-whole run, the one object that holds its ledger, bounds, Psi and prices;
-``dispatch`` prices the candidates from the same snapshot and commits
-through it.
+tuple makes one candidate from each entry up to that end. The list keeps,
+per EVSE, running sums of the posted cable prices from the arrival slot.
+A window's plans share their cable, energy and generation payments,
+which ``dispatcher.utility_breakdown`` makes on first pricing and keeps
+by (arrival slot, EVSE, energy slots), what names the window at its
+facility. Lists and payments read only the facility's cable, energy and
+generation cells, so the snapshot keeps both in one memo per facility
+(``Snapshot.windows``) until a charging commit there: each window end is
+picked once, and each window paid once, between two such commits. An
+online run keeps one snapshot, the one object that holds its ledger,
+bounds, Psi and prices; ``dispatch`` builds and prices the candidates
+from it and commits through it.
 
 Every plan, a candidate's (``plan_of``) and each of ``baselines``, is made
 by ``make_plan``, which works out a plan's arrival slot, cable window,
@@ -59,8 +59,8 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, List, Optional, Tuple
+from itertools import accumulate, chain
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import pricing
 from .domain import (
@@ -202,22 +202,24 @@ class _Windows:
     """The distinct windows of charging ``k`` slots at one facility from
     arrival slot ``t_arr``, picked so far: what every session arriving
     there then with one target shares, kept in the snapshot's
-    ``windows`` memo of the facility until a charging commit there."""
+    ``windows`` memo of the facility until a charging commit there, with
+    each EVSE's running sums of posted cable prices from ``t_arr``."""
 
-    __slots__ = ("fac", "t_arr", "rate", "k", "last", "lo", "picked", "next_end")
+    __slots__ = ("fac", "t_arr", "rate", "k", "last", "lo", "picked", "next_end", "sums")
 
     def __init__(self, fac, t_arr: int, rate: float, k: int, last: float) -> None:
         self.fac, self.t_arr, self.rate, self.k, self.last = fac, t_arr, rate, k, last
         self.lo = self.next_end = t_arr + k - 1  # the shortest window's end
         self.picked: List[tuple] = []
+        self.sums: Dict[int, List[float]] = {}
 
     def extend(self, top: int, prices: Snapshot) -> None:
         """Add the distinct windows that end by slot ``top``, each as (end,
         EVSE, energy slots, last charging slot), in ascending end, first
         occurrence only. Each window end is picked once."""
-        fid, k, picked = self.fac.id, self.k, self.picked
+        picked = self.picked
         for end in range(self.next_end, top + 1):
-            evse, chosen, dearest = _pick(fid, self.fac, self.t_arr, end, k, prices)
+            evse, chosen, dearest = _pick(self, end, prices)
             # full rate on the chosen slots, the last slot's energy on the dearest
             slots = tuple((t, self.last if t == dearest else self.rate) for t in chosen)
             if all((evse, slots) != window[1:3] for window in picked):
@@ -309,29 +311,33 @@ def _batches(config: ScenarioConfig, region: int, h1: int, stored: float, reach:
         yield tuples
 
 
-def _pick(fid: int, fac, start: int, end: int, k: int,
-          prices: Snapshot) -> Tuple[int, List[int], int]:
+def _pick(windows: _Windows, end: int, prices: Snapshot) -> Tuple[int, List[int], int]:
     """The EVSE, charging slots and dearest slot of a k-slot charge in
-    the window of slots start..end.
+    the window of slots ``windows.t_arr``..end.
 
     The EVSE is the one with the cheapest summed posted cable price over
-    the window, ties to the lower index. The facility's EVSEs share one
-    cable shape and posted prices rise with load, so an EVSE with no
-    cable load over the window sums the lowest prices, and no later EVSE
-    can beat it: the scan stops there. The chosen slots, in slot order,
-    are the k with the cheapest posted energy plus generation price on
-    that EVSE, ties to the earlier slot; a slot whose generation cell has
-    no capacity ranks as infinitely dear, as the snapshot posts no
-    generation price there. The dearest is the chosen slot with the
-    highest posted charging price, ties to the earlier slot."""
-    cells, n = prices.cells, end - start + 1
+    the window (``_Windows.sums``), ties to the lower index. The
+    facility's EVSEs share one cable shape and posted prices rise with
+    load, so an EVSE with no cable load over the window sums the lowest
+    prices, and no later EVSE can beat it: the scan stops there. The
+    chosen slots, in slot order, are the k with the cheapest posted
+    energy plus generation price on that EVSE, ties to the earlier slot;
+    a slot whose generation cell has no capacity ranks as infinitely
+    dear, as the snapshot posts no generation price there. The dearest is
+    the chosen slot with the highest posted charging price, ties to the
+    earlier slot."""
+    fac, start, k = windows.fac, windows.t_arr, windows.k
+    fid, cells, n = fac.id, prices.cells, end - start + 1
     best_m, best_cost = 0, math.inf
-    loads = prices.loads[CABLE]
+    loads, cables = prices.loads[CABLE], prices.cables
     for m in range(fac.evse_count):
         cell = cells.evse_cell(fid, m, start)
-        cost = prices.run(None, cell, n, fid)  # the posted cable prices
-        if cost < best_cost - 1e-15:
-            best_m, best_cost = m, cost
+        sums = windows.sums.get(m)
+        if sums is None or len(sums) < n:
+            # left to right, the floats of a walk that adds from 0.0
+            sums = windows.sums[m] = list(accumulate(cables[cell:cell + n]))
+        if sums[n - 1] < best_cost - 1e-15:
+            best_m, best_cost = m, sums[n - 1]
         if m + 1 < fac.evse_count and not any(loads[cell:cell + n]):
             break
     charges, generation = prices.charges, cells.shapes[GENERATION]

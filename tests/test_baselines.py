@@ -182,3 +182,32 @@ def test_argument_validation(mini_config, tiny_instance):
     if sessions[-1].t_minus > sessions[0].t_minus:
         with pytest.raises(ValueError, match="out of order"):
             run_threshold(shuffled, config, 0.5)
+
+
+def test_a_threshold_run_checks_its_sessions_once(monkeypatch):
+    """``run_threshold`` checks the whole stream once, up front, and decides
+    each session unchecked: ``check_sessions`` runs once per run, not once
+    more per session. The per-session entry point still checks: it refuses
+    a session past the horizon and a threshold outside (0, 1), and writes
+    no load."""
+    config, sessions = generate_scenario(0, "tiny")
+    check, calls = baselines.check_sessions, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return check(*args)
+    monkeypatch.setattr(baselines, "check_sessions", counted)
+    for threshold in (0.25, 0.5, 0.75):
+        calls[0] = 0
+        report = run_threshold(sessions, config, threshold)
+        assert calls[0] == 1
+        assert len(report.decisions) == len(sessions) > 1
+
+    ledger = ResourceLedger.zero(config)
+    late = replace(sessions[0], t_minus=config.horizon + 1)
+    with pytest.raises(ValueError, match="invalid sessions: t_minus at session "):
+        threshold_dispatch(late, config, ledger, 0.5)
+    for bad in (0.0, 1.0, -0.2, 1.7):
+        with pytest.raises(ValueError, match=r"threshold .* outside \(0, 1\)"):
+            threshold_dispatch(sessions[0], config, ledger, bad)
+    assert ledger.loads == ResourceLedger.zero(config).loads

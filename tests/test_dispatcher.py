@@ -90,6 +90,67 @@ def test_utility_is_value_minus_payments(mini_config, mini_session,
     assert after < before
 
 
+def test_a_window_is_paid_anew_at_a_snapshot_that_does_not_hold_it():
+    """A charging candidate's cable, energy and generation payments are
+    kept on its window for the snapshot that holds the window. Priced at
+    the snapshot that built it, then, with its plan applied to the ledger,
+    at a new snapshot of that ledger, the same tuple gets each snapshot's
+    own payments: the sums of its ``Snapshot.pay`` over the plan's cells,
+    each higher the second time. So does the building snapshot after a
+    charging commit there, and a snapshot at other bounds."""
+    config, sessions = generate_scenario(0, "desk")
+    session = sessions[0]
+
+    def first_charge(prices):
+        plan = feasible_schedules(session, config, prices)[0]
+        return plan, as_plans(session, config, [plan])[0]
+
+    def paid(prices, schedule):
+        """The plan's (cable, energy, generation) payments at ``prices``,
+        each added from 0.0 in the order of ``Cells.demands``."""
+        cells, f, m = prices.cells, schedule.facility_id, schedule.evse_index
+        cable = energy = generation = 0.0
+        for t, e in schedule.energy_slots:
+            energy += prices.pay(ENERGY, cells.evse_cell(f, m, t), e)
+            generation += prices.pay(GENERATION, cells.facility_cell(f, t), e)
+        for t in schedule.cable_slots:
+            cable += prices.pay(CABLE, cells.evse_cell(f, m, t))
+        return cable, energy, generation
+
+    def priced(plan, prices):
+        return utility_breakdown(plan, prices)[1][2:]
+
+    state = DispatcherState.fresh(config)
+    built = state.posted
+    plan, schedule = first_charge(built)
+    before = priced(plan, built)
+    assert before == paid(built, schedule)
+    built.ledger.apply(schedule)
+    fresh = Snapshot(built.ledger, built.bounds, built.psi)
+    after = priced(plan, fresh)
+    assert after == paid(fresh, schedule)
+    assert all(a > b for a, b in zip(after, before))
+
+    # the run's snapshot, after a charging commit at the plan's facility
+    holder = DispatcherState.fresh(config).posted
+    plan, schedule = first_charge(holder)
+    before = priced(plan, holder)
+    holder.commit(schedule, 0.0)
+    after = priced(plan, holder)
+    assert after == paid(holder, schedule)
+    assert all(a > b for a, b in zip(after, before))
+
+    # a snapshot of the same loads at other bounds
+    built = DispatcherState.fresh(config).posted
+    plan, schedule = first_charge(built)
+    before = priced(plan, built)
+    other = dataclasses.replace(built.bounds, **{
+        name: 2 * getattr(built.bounds, name) for name in ("L_c", "L_e", "L_g")})
+    elsewhere = Snapshot(built.ledger, other, built.psi)
+    assert priced(plan, elsewhere) == paid(elsewhere, schedule) != before
+    assert priced(plan, built) == before
+
+
 def test_dispatch_picks_the_utility_argmax(mini_config, mini_session):
     probe = DispatcherState.fresh(mini_config)
     prices = _prices(probe)
@@ -131,7 +192,7 @@ def test_runs_reject_invalid_sessions_before_the_first(defect, monkeypatch):
     _, sessions = streams[defect]
     calls = []
     monkeypatch.setattr(dispatcher, "dispatch", lambda *args: calls.append(args))
-    monkeypatch.setattr(baselines, "threshold_dispatch", lambda *args: calls.append(args))
+    monkeypatch.setattr(baselines, "_decide", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="invalid sessions: "):
         run_online(sessions, config)
     for threshold in (0.25, 0.5, 0.75):
@@ -192,7 +253,7 @@ def test_runs_reject_non_finite_configs_before_the_first(defect, monkeypatch):
     _, sessions = generate_scenario(0, "tiny")
     calls = []
     monkeypatch.setattr(dispatcher, "dispatch", lambda *args: calls.append(args))
-    monkeypatch.setattr(baselines, "threshold_dispatch", lambda *args: calls.append(args))
+    monkeypatch.setattr(baselines, "_decide", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=f"invalid config: {field} at "):
         run_online(sessions, config)
     for threshold in (0.25, 0.5, 0.75):
@@ -546,9 +607,9 @@ def test_no_window_is_picked_twice_between_commits_at_its_facility(monkeypatch):
         assert len(set(ks)) == len(ks)
     pick, picked = schedules._pick, []
 
-    def counted(fid, fac, start, end, k, prices):
-        picked.append((fid, start, k, end))
-        return pick(fid, fac, start, end, k, prices)
+    def counted(windows, end, prices):
+        picked.append((windows.fac.id, windows.t_arr, windows.k, end))
+        return pick(windows, end, prices)
     monkeypatch.setattr(schedules, "_pick", counted)
     state = DispatcherState.fresh(config)
     since, ever = [set() for _ in config.facilities], set()

@@ -19,6 +19,7 @@ from scipy import integrate
 
 from evdispatch import pricing, run_online
 from evdispatch.baselines import run_threshold
+from evdispatch.dispatcher import utility_breakdown
 from evdispatch.domain import (
     MONEY_ATOL, Facility, Region, ResourceLedger, as_plain, recompute_ledger,
 )
@@ -253,57 +254,51 @@ def test_payments_are_additive_and_guarded():
 
 
 def test_a_run_refuses_fewer_than_one_cell():
-    """``Snapshot.run`` sums n >= 1 consecutive cells, of payments or,
-    with no family, of posted cable prices. With n = 0 it once raised
-    IndexError on a fresh run, and after a 3-cell run it returned that
-    run's sum, with n = -1 the 2-cell sum."""
+    """``Snapshot.run`` sums the out-of-service payments of n >= 1
+    consecutive slots. With n = 0 it once raised IndexError on a fresh
+    run, and after a 3-slot run it returned that run's sum, with n = -1
+    the 2-slot sum."""
     config, _ = generate_scenario(0, "tiny")
     prices = pricing.Snapshot(ResourceLedger.zero(config), estimate_bounds(config),
                               psi(config))
-    for k in (OUT_OF_SERVICE, None):
-        for n in (0, -1):
-            with pytest.raises(ValueError, match=f"n >= 1 cells, got n={n}"):
-                prices.run(k, 0, n)
-        three = prices.run(k, 0, 3)
-        for n in (0, -1):
-            with pytest.raises(ValueError, match=f"n >= 1 cells, got n={n}"):
-                prices.run(k, 0, n)
-        assert prices.run(k, 0, 3) == three > 0
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n >= 1 cells, got n={n}"):
+            prices.run(0, n)
+    three = prices.run(0, 3)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n >= 1 cells, got n={n}"):
+            prices.run(0, n)
+    assert prices.run(0, 3) == three > 0
 
 
 def test_a_commit_reposts_its_cells_and_drops_every_sum(desk_instance):
     """After each ``commit`` of three charging plans, then of a rebalance,
     a snapshot reads as a fresh one of its ledger does: every posted cable,
-    energy and charging price, and every running sum and draw it kept from
-    before the commit, the plans' own among them, whether a cable sum is
-    filed under no facility or under its own. Two of the plans draw at
-    one facility, so a charging price that kept an EVSE's energy price
-    from before a commit would differ."""
+    energy and charging price, every out-of-service sum it kept from
+    before the commit, and the charging candidates that its kept window
+    lists give, with their EVSE picks from the lists' cable sums and their
+    payments from the lists' windows, the plans' own among them. Two of
+    the plans draw at one facility, so a charging price that kept an
+    EVSE's energy price from before a commit would differ."""
     config, sessions = desk_instance
     ledger = ResourceLedger.zero(config)
     bounds, psi_ = estimate_bounds(config), psi(config)
     holder = pricing.Snapshot(ledger, bounds, psi_)
-    charges = [plan for session in sessions
-               for plan in as_plans(session, config,
-                                    feasible_schedules(session, config, holder)[:1])][:3]
+    charging = [(session, plan) for session in sessions
+                for plan in feasible_schedules(session, config, holder)[:1]][:3]
+    charges = [as_plans(session, config, [plan])[0] for session, plan in charging]
     rebalance = next(plan for session in sessions
                      for plan in as_plans(session, config, rebalances(session, config)))
     plans = (*charges, rebalance)
     assert len({plan.facility_id for plan in charges}) < len(charges)
 
     def read(prices):
-        out = []
-        for plan in plans:
-            out.append(prices.run(OUT_OF_SERVICE, plan.t_minus - 1,
-                                  plan.t_plus - plan.t_minus + 1))
-            if plan.facility_id is not None:
-                first = config.cells.evse_cell(plan.facility_id, plan.evse_index,
-                                               plan.cable_slots[0])
-                for k in (CABLE, None):
-                    # filed under no facility, then under the plan's own
-                    for f in (None, plan.facility_id):
-                        out.append(prices.run(k, first, len(plan.cable_slots), f))
-                out.append(prices.draw(plan.facility_id, plan.evse_index, plan.energy_slots))
+        out = [prices.run(plan.t_minus - 1, plan.t_plus - plan.t_minus + 1)
+               for plan in plans]
+        for session, own in charging:
+            out.append(utility_breakdown(own, prices))
+            for plan in feasible_schedules(session, config, prices):
+                out.append((plan, utility_breakdown(plan, prices)))
         return out
 
     before = read(holder)

@@ -6,9 +6,10 @@ cached JSON against plain reference implementations.
 
 ``utility_breakdown`` reads payments from the snapshot of the ledger that
 ``dispatch`` keeps for the whole run and also hands to the candidate
-build: running sums of the cable and out-of-service payments from their
-first slot, and per-cell lookups of the rest in the snapshot's payments,
-kept by key for the whole run. It skips the cable, energy and generation
+build: running sums of the out-of-service payments from their first slot,
+each charging window's cable, energy and generation payments, kept per
+window, and per-cell lookups of the rest in the snapshot's payments, kept
+by key for the whole run. It skips the cable, energy and generation
 payments of a plan that its destination and out-of-service payments
 already put below the floor, the larger of the best utility so far and
 zero, and ``dispatch`` stops at the first candidate whose value less the
@@ -19,10 +20,10 @@ alike. Candidates are plain tuples; each is made into its ``Schedule``
 ``primal_increment`` walks a schedule's demands on the config's cells,
 and ``Snapshot.commit`` walks them once in the dual order, returning the
 dual increment; the snapshot's posted cable, energy and charging prices
-are re-posted by each commit, which drops the sums that read a cell it
-moved; ``feasible_schedules`` sums cable prices as
-running sums from the arrival slot, stops its EVSE scan at the first
-empty EVSE, ranks each window's slots once, reads one list of distinct
+are re-posted by each commit, which drops the memos that read a cell it
+moved; ``feasible_schedules`` sums cable prices as running sums from the
+arrival slot, kept per EVSE in each window list, stops its EVSE scan at
+the first empty EVSE, ranks each window's slots once, reads one list of distinct
 windows per (facility, arrival slot, target), kept in the snapshot until
 a charging commit at the facility, and stops ordering charging tuples
 at the candidate cap, and merges them lazily from the destination batches ranked
@@ -559,51 +560,60 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
 
 def facility_memos(prices):
     """Every memo that ``prices`` files under a facility, by (facility,
-    kind, key): its cable runs, draws and window lists."""
-    return {(f, kind, key) for kind, memos in (("run", prices._facility_runs),
-                                               ("draw", prices._drawn),
-                                               ("windows", prices._windows))
-            for f, memo in enumerate(memos) for key in memo}
+    kind, key): its window lists and its windows' payments."""
+    return {(f, "windows", key) for f, memo in enumerate(prices._windows) for key in memo}
 
 
 def assert_memos_are_fresh(prices, where):
     """Every memo that ``prices`` keeps is what a fresh snapshot of its
-    ledger gives at the memo's key: each running sum, filed under no
-    facility or under one, each draw and each window list."""
+    ledger gives at the memo's key: each out-of-service sum, and each
+    window list with its windows, its EVSEs' cable sums and the payments
+    of each of its windows that ``prices`` has paid. Returns how many
+    windows it found paid."""
     fresh = Snapshot(prices.ledger, prices.bounds, prices.psi)
-    for (k, first), sums in prices._runs.items():
-        fresh.run(k, first, len(sums))
-        assert fresh._runs[k, first] == sums, where
-    for f, runs in enumerate(prices._facility_runs):
-        for (k, first), sums in runs.items():
-            fresh.run(k, first, len(sums), f)
-            assert fresh._facility_runs[f][k, first] == sums, where
-    for f, drawn in enumerate(prices._drawn):
-        for (m, slots), paid in drawn.items():
-            assert fresh.draw(f, m, slots) == paid, where
+    for first, sums in prices._runs.items():
+        fresh.run(first, len(sums))
+        assert fresh._runs[first] == sums, where
+    cells, paid = prices.cells, 0
     for f, kept in enumerate(prices._windows):
-        for (t_arr, target), windows in kept.items():
-            fac, rate = windows.fac, pricing.effective_charge_rate(windows.fac)
+        for key, windows in kept.items():
+            if len(key) != 2:
+                continue  # a window's payments, checked with its list below
+            (t_arr, target), fac = key, windows.fac
+            rate = pricing.effective_charge_rate(fac)
             assert (fac.id, windows.t_arr, windows.rate) == (f, t_arr, rate), where
             k, last = charge_slots(target, rate)
             assert (windows.k, windows.last) == (k, last), where
             again = schedules._Windows(fac, t_arr, rate, k, last)
             again.extend(windows.next_end - 1, fresh)
-            assert ((again.picked, again.next_end)
-                    == (windows.picked, windows.next_end)), where
+            assert ((again.picked, again.next_end, again.sums)
+                    == (windows.picked, windows.next_end, windows.sums)), where
+            for _, m, slots, t_leave in windows.picked:
+                if (t_arr, m, slots) not in kept:
+                    continue
+                paid += 1
+                row = cells.evse_cell(f, m, 0)
+                cable = energy = generation = 0.0
+                for t, e in slots:
+                    energy += fresh.pay(ENERGY, row + t, e)
+                    generation += fresh.pay(GENERATION, cells.facility_cell(f, t), e)
+                for t in range(t_arr, t_leave + 1):
+                    cable += fresh.pay(CABLE, row + t)
+                assert kept[t_arr, m, slots] == (cable, energy, generation), where
+    return paid
 
 
 def test_a_commit_drops_only_the_memos_that_read_its_cells(monkeypatch):
     """Only the run's snapshot outlives a dispatch call, and every memo it
     keeps reads the ledger as it is now: after every ``dispatch``, whether
     the vehicle charges, rebalances or goes to the depot, each kept
-    out-of-service sum, cable sum, draw and window list is the one a
-    fresh snapshot of the ledger gives at its key. Every commit drops the
-    out-of-service sums; a facility's cable sums, draws and window lists
-    read only its own cells and outlive every commit but a charging one
-    there. On a congested day of one facility, where nearly every plan is
-    a rebalance, some session reads a facility memo kept across a
-    rebalance commit. On a day of two facilities, a charging commit at one
+    out-of-service sum and window list, with its cable sums and its
+    windows' payments, is the one a fresh snapshot of the ledger gives at
+    its key. Every commit drops the out-of-service sums; a facility's
+    window lists read only its own cells and outlive every commit but a
+    charging one there. On a congested day of one facility, where nearly
+    every plan is a rebalance, some session reads a facility memo kept
+    across a rebalance commit. On a day of two facilities, a charging commit at one
     drops its memos and keeps every memo of the other. Each kept price
     and payment is the one a fresh curve gives at its key, so a twin
     state on a copy of the ledger's loads, with a snapshot of its own,
@@ -626,21 +636,16 @@ def test_a_commit_drops_only_the_memos_that_read_its_cells(monkeypatch):
     # has outlived a rebalance commit
     state = DispatcherState.fresh(config)
     held, across, reread = set(), set(), {"held": False, "across": False}
-    run, draw, extend = Snapshot.run, Snapshot.draw, schedules._Windows.extend
+    run, extend = Snapshot.run, schedules._Windows.extend
 
     def seen(memo):
         reread["held"] |= memo in held
         reread["across"] |= memo in across
 
-    def tracked_run(self, k, first, n, f=None):
+    def tracked_run(self, first, n):
         if self is state.posted:
-            seen(("run", k, first) if f is None else (f, "run", (k, first)))
-        return run(self, k, first, n, f)
-
-    def tracked_draw(self, f, m, slots):
-        if self is state.posted:
-            seen((f, "draw", (m, slots)))
-        return draw(self, f, m, slots)
+            seen(("run", first))
+        return run(self, first, n)
 
     def tracked_extend(self, top, prices):
         if prices is state.posted:
@@ -649,17 +654,16 @@ def test_a_commit_drops_only_the_memos_that_read_its_cells(monkeypatch):
             seen((self.fac.id, "windows", key))
         return extend(self, top, prices)
     monkeypatch.setattr(Snapshot, "run", tracked_run)
-    monkeypatch.setattr(Snapshot, "draw", tracked_draw)
     monkeypatch.setattr(schedules._Windows, "extend", tracked_extend)
 
     outcomes = set()
-    warm = cold = rereads = kept_across = 0
+    warm = cold = rereads = kept_across = paid = 0
     for session in sessions:
         twin = twin_state(state)
         before = calls[0]
         expected = dispatch(session, twin)
         fresh_calls, before = calls[0] - before, calls[0]
-        held = facility_memos(state.posted) | {("run", *key) for key in state.posted._runs}
+        held = facility_memos(state.posted) | {("run", first) for first in state.posted._runs}
         reread.update(held=False, across=False)
         decision = dispatch(session, state)
         assert calls[0] - before <= fresh_calls
@@ -676,9 +680,9 @@ def test_a_commit_drops_only_the_memos_that_read_its_cells(monkeypatch):
             outcomes.add("rebalance")
             # every facility memo now held was made before the commit
             across = facility_memos(state.posted)
-        assert_memos_are_fresh(state.posted, session)
+        paid += assert_memos_are_fresh(state.posted, session)
     assert outcomes == {"depot", "charge", "rebalance"}
-    assert warm < cold / 2
+    assert warm < cold / 2 and paid > 0
     assert rereads > 0 and kept_across > 0
 
     bounds, psi_ = state.posted.bounds, state.posted.psi
@@ -694,32 +698,30 @@ def test_a_commit_drops_only_the_memos_that_read_its_cells(monkeypatch):
     kept_elsewhere = 0
     for session in sessions:
         posted = state.posted
-        before = [tuple(dict(memos[f]) for memos in
-                        (posted._facility_runs, posted._drawn, posted._windows))
-                  for f in range(len(config.facilities))]
+        before = [dict(memo) for memo in posted._windows]
         decision = dispatch(session, state)
         f = None if decision.is_depot else decision.schedule.facility_id
         for g, was in enumerate(before):
-            now = tuple(memos[g] for memos in
-                        (posted._facility_runs, posted._drawn, posted._windows))
+            now = posted._windows[g]
             if g == f:
-                assert now == ({}, {}, {}), session
+                assert now == {}, session
                 continue
-            for old, memo in zip(was, now):
-                assert all(memo.get(key) is value for key, value in old.items()), session
-            kept_elsewhere += f is not None and any(was)
+            assert all(now.get(key) is value for key, value in was.items()), session
+            kept_elsewhere += f is not None and bool(was)
         assert_memos_are_fresh(posted, session)
     assert kept_elsewhere > 0
 
 
 def test_a_run_decides_as_with_a_fresh_snapshot_before_every_dispatch():
     """The memos that a snapshot keeps across commits change no decision:
-    a ``desk`` and a ``rush`` day run again with a fresh snapshot of the
-    ledger swapped in before every ``dispatch``, so that nothing is kept
-    from one session to the next, give the same decisions, breakdowns
-    and primal and dual trajectories."""
-    for name, seed in (("desk", 0), ("rush", 1)):
+    a ``desk`` and a ``rush`` day, and the first 100 sessions of a
+    ``full`` day of eight facilities, run again with a fresh snapshot of
+    the ledger swapped in before every ``dispatch``, so that nothing is
+    kept from one session to the next, give the same decisions,
+    breakdowns and primal and dual trajectories."""
+    for name, seed, n in (("desk", 0, None), ("rush", 1, None), ("full", 0, 100)):
         config, sessions = generate_scenario(seed, name)
+        sessions = sessions[:n]
         kept, fresh = DispatcherState.fresh(config), DispatcherState.fresh(config)
         for session in sessions:
             dispatch(session, kept)

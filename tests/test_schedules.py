@@ -223,32 +223,34 @@ def test_ranked_puts_a_rebalance_first_at_equal_value():
     assert merged.index(stay_plan) == merged.index(tied) - 1
 
 
-def test_an_empty_window_reads_one_evse(monkeypatch):
+def test_an_empty_window_reads_one_evse():
     """``_pick`` stops its EVSE scan at the first EVSE with no cable
     load over the window: on an empty ``full`` ledger it sums one EVSE's
-    posted cable prices, not all ten, and it skips a loaded EVSE."""
+    posted cable prices, not all ten, and it skips a loaded EVSE. The
+    window list keeps each EVSE's running sums from its arrival slot, as
+    far as the window's end."""
     config, _ = generate_scenario(0, "full")
     fid, fac = 0, config.facilities[0]
     assert fac.evse_count > 2
     ledger = ResourceLedger.zero(config)
     bounds, psi_ = pricing.estimate_bounds(config), pricing.psi(config)
-    reads = []
-    run = pricing.Snapshot.run
+    rate = pricing.effective_charge_rate(fac)
 
-    def counted(self, k, first, n, f=None):
-        if k is None:  # a sum of posted cable prices
-            reads.append(first)
-        return run(self, k, first, n, f)
-    monkeypatch.setattr(pricing.Snapshot, "run", counted)
+    def reads(windows):
+        """The EVSEs whose posted cable prices the list has summed."""
+        return sorted(windows.sums)
 
     start, end = 10, 14
     prices = pricing.Snapshot(ledger, bounds, psi_)
-    assert schedules._pick(fid, fac, start, end, 1, prices)[0] == 0
-    assert len(reads) == 1
+    windows = schedules._Windows(fac, start, rate, 1, rate)
+    assert schedules._pick(windows, end, prices)[0] == 0
+    assert reads(windows) == [0]
+    cables = [prices.cables[config.cells.evse_cell(fid, 0, t)] for t in range(start, end + 1)]
+    assert windows.sums[0] == [sum(cables[:n]) for n in range(1, len(cables) + 1)]
 
     # a cable taken on EVSE 0 inside the window: EVSE 1 is empty and wins
     ledger.loads[pricing.CABLE][ledger.cells.evse_cell(fid, 0, 12)] = 1.0
-    reads.clear()
     prices = pricing.Snapshot(ledger, bounds, psi_)
-    assert schedules._pick(fid, fac, start, end, 1, prices)[0] == 1
-    assert len(reads) == 2
+    windows = schedules._Windows(fac, start, rate, 1, rate)
+    assert schedules._pick(windows, end, prices)[0] == 1
+    assert reads(windows) == [0, 1]
