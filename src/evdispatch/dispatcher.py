@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import economics, pricing
 from .domain import (
     CapacityError, DispatchDecision, PriceBreakdown, ResourceLedger, RunReport,
     ScenarioConfig, Schedule, Session, check_config, check_sessions, instance_hash,
 )
-from .pricing import (
-    CABLE, DESTINATION, ENERGY, GENERATION, OUT_OF_SERVICE, Alphas, Snapshot,
-)
+from .pricing import DESTINATION, OUT_OF_SERVICE, Alphas, Snapshot
 from .schedules import (
     DEFAULT_POLICY, Candidate, GenerationPolicy, feasible_schedules, plan_of, ranked,
     rebalances, validate_policy,
@@ -88,9 +86,11 @@ def utility_breakdown(plan: Candidate, prices: Snapshot, best: float = -math.inf
     utility ``best``, and its cable, energy and generation payments are not
     made.
 
-    A charging plan's cable, energy and generation payments are made once
-    per window and kept in the facility memo of ``prices``, by (arrival
-    slot, EVSE, energy slots), so another snapshot makes its own.
+    A charging plan's cable, energy and generation payments are its
+    window's, ``Snapshot.window_payments``: made once per window and kept
+    in the facility memo of ``prices``, by (arrival slot, EVSE, energy
+    slots), so another snapshot makes its own, and the charging build's
+    bound (``schedules.feasible_schedules``) reads the same floats.
 
     Plans touching a saturated slot are priced, not rejected; the
     integral payment runs past capacity, so their utility is nonpositive.
@@ -99,25 +99,15 @@ def utility_breakdown(plan: Candidate, prices: Snapshot, best: float = -math.inf
     first.
     """
     neg_v, f, m, slots, dest, t1, t0, h1, _, _, t_leave = plan
-    cells, value = prices.cells, -neg_v
-    destination = prices.pay(DESTINATION, dest * cells.horizon + t1 - 1, 1)
+    value = -neg_v
+    destination = prices.pay(DESTINATION, dest * prices.cells.horizon + t1 - 1, 1)
     out_of_service = prices.run(t0 - 1, t1 - t0 + 1)
     if value - (destination + out_of_service) < best:
         return None
-    energy = generation = cable = 0.0
     if f >= 0:
-        memo, t_arr = prices.windows(f), t0 + h1
-        paid = memo.get((t_arr, m, slots))
-        if paid is None:
-            pay, row = prices.pay, cells.evse_cell(f, m, 0)
-            for t, e in slots:
-                energy += pay(ENERGY, row + t, e)
-                generation += pay(GENERATION, cells.facility_cell(f, t), e)
-            # the cable is held from the arrival slot through t_leave
-            for t in range(t_arr, t_leave + 1):
-                cable += pay(CABLE, row + t)
-            paid = memo[t_arr, m, slots] = (cable, energy, generation)
-        cable, energy, generation = paid
+        cable, energy, generation = prices.window_payments(f, t0 + h1, m, slots, t_leave)
+    else:
+        cable = energy = generation = 0.0
     return (value - (destination + out_of_service + cable + energy + generation),
             (destination, out_of_service, cable, energy, generation))
 
@@ -127,20 +117,32 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
 
     Ties on utility go to the earlier destination arrival, then the lower
     candidate index. The candidates are built and priced from the run's
-    snapshot (``state.posted``) as plain tuples, in descending order of
-    value, and only the winner is made into a ``Schedule`` and committed
-    through it. Every plan is out of service in its first slot and every
-    payment is >= 0, so no utility exceeds its value less p0, the
-    out-of-service payment of slot t_minus; and a plan of utility <= 0 is
-    never accepted. So pricing stops at the first candidate whose value
-    less p0 is below max(best utility so far, 0), as none from there on
-    can win, tie or be accepted, and ``utility_breakdown`` skips the rest
-    of any plan that its destination and out-of-service payments already
-    put below that floor. A candidate's payments stay plain floats: only
-    an accepted plan's become a ``PriceBreakdown``, and its dual increment
-    is the one its commit walk returns. Raises on a session that
-    ``validate_sessions`` rejects, on out-of-order arrivals and, should
-    the price barrier ever fail, on a capacity breach.
+    snapshot (``state.posted``) as plain tuples, and only the winner is
+    made into a ``Schedule`` and committed through it. Every plan is out
+    of service in its first slot and every payment is >= 0, so no utility
+    exceeds its value less p0, the out-of-service payment of slot t_minus;
+    and a plan of utility <= 0 is never accepted. So each stream of
+    candidates, read in descending order of value, is priced only up to
+    the first candidate whose value less p0 is below max(best utility so
+    far, 0), as none from there on can win, tie or be accepted, and
+    ``utility_breakdown`` skips the rest of any plan that its destination
+    and out-of-service payments already put below that floor.
+
+    The pure rebalances are priced first. Their best utility, or 0 if that
+    is lower, is the floor that ``feasible_schedules`` gets: it builds no
+    charging plan when none can reach it, which on a congested day is
+    most sessions. Otherwise the charging plans are priced from that
+    floor, and the better of the two winners wins. Candidate tuples lead
+    with their unique order key, so the lower index in the merged order
+    is the smaller tuple, and no rebalance is priced twice. A capturing
+    run (``capture_candidates``) builds every candidate and prices the
+    merged order in one pass.
+
+    A candidate's payments stay plain floats: only an accepted plan's
+    become a ``PriceBreakdown``, and its dual increment is the one its
+    commit walk returns. Raises on a session that ``validate_sessions``
+    rejects, on out-of-order arrivals and, should the price barrier ever
+    fail, on a capacity breach.
     """
     check_sessions((session,), state.config)
     if session.t_minus < state.last_t:
@@ -149,30 +151,22 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
     state.last_t = session.t_minus
 
     config, prices = state.config, state.posted
-    candidates = ranked(rebalances(session, config),
-                        feasible_schedules(session, config, prices, state.policy))
+    p0 = prices.pay(OUT_OF_SERVICE, session.t_minus - 1, 1)
     made = None
-    if state.captured is not None:
-        candidates = list(candidates)
+    if state.captured is None:
+        best = _best(rebalances(session, config), prices, p0, 0.0)
+        floor = best[2] if best is not None and best[2] > 0.0 else 0.0
+        charges = feasible_schedules(session, config, prices, state.policy, floor)
+        if charges:
+            charge = _best(charges, prices, p0, floor)
+            if best is None or (charge is not None and _rank(charge) < _rank(best)):
+                best = charge
+    else:
+        candidates = list(ranked(rebalances(session, config),
+                                 feasible_schedules(session, config, prices, state.policy)))
         made = state.captured[session.id] = [plan_of(session, config, plan)
                                              for plan in candidates]
-
-    best = None
-    best_key = None
-    floor = 0.0  # max(best utility so far, 0)
-    p0 = prices.pay(OUT_OF_SERVICE, session.t_minus - 1, 1)
-    for idx, plan in enumerate(candidates):
-        if -plan[0] - p0 < floor:
-            break
-        priced = utility_breakdown(plan, prices, floor)
-        if priced is None:
-            continue
-        u, payments = priced
-        key = (u, -plan[5], -idx)
-        if best_key is None or key > best_key:
-            best, best_key = (idx, plan, u, payments), key
-            if u > floor:
-                floor = u
+        best = _best(candidates, prices, p0, 0.0)
 
     # a trajectory never holds -0.0, so adding 0.0 for the depot keeps it
     d_primal = d_dual = 0.0
@@ -194,6 +188,39 @@ def dispatch(session: Session, state: DispatcherState) -> DispatchDecision:
     state.primal_trajectory.append(state.primal_trajectory[-1] + d_primal)
     state.dual_trajectory.append(state.dual_trajectory[-1] + d_dual)
     return decision
+
+
+def _best(candidates: Iterable[Candidate], prices: Snapshot, p0: float, floor: float,
+          ) -> Optional[Tuple[int, Candidate, float, Tuple[float, ...]]]:
+    """(index, plan, utility, payments) of the best of ``candidates``,
+    read in candidate order, that is priced; None if none is. The best has
+    the highest utility, then the earliest arrival, then the lowest index.
+    Reading stops at the first candidate whose value less p0 is below
+    max(best utility so far, ``floor``), and a candidate that is below it
+    for certain is not priced, so ``floor`` is the least utility that
+    matters."""
+    best = best_key = None
+    for idx, plan in enumerate(candidates):
+        if -plan[0] - p0 < floor:
+            break
+        priced = utility_breakdown(plan, prices, floor)
+        if priced is None:
+            continue
+        u, payments = priced
+        key = (u, -plan[5])
+        if best_key is None or key > best_key:
+            best, best_key = (idx, plan, u, payments), key
+            if u > floor:
+                floor = u
+    return best
+
+
+def _rank(best: Tuple[int, Candidate, float, Tuple[float, ...]]) -> tuple:
+    """The order of two of ``_best``'s winners, the first the better: the
+    higher utility, then the earlier arrival, then the smaller tuple, which
+    comes first in the merged candidate order."""
+    _, plan, u, _ = best
+    return (-u, plan[5], plan)
 
 
 def peak_utilization(ledger: ResourceLedger) -> Dict[str, float]:

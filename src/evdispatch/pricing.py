@@ -588,6 +588,31 @@ class Snapshot:
         each window's payments by (arrival slot, EVSE, energy slots)."""
         return self._windows[f]
 
+    def window_payments(self, f: int, t_arr: int, m: int, slots: tuple, t_leave: int
+                        ) -> Tuple[float, float, float]:
+        """The (cable, energy, generation) payments of one charging window
+        at facility f: the energy ``slots``, each (slot, kWh), on EVSE m,
+        with the cable held from the arrival slot ``t_arr`` through
+        ``t_leave``, the last charging slot. Made through ``pay`` on first
+        asking and kept in f's window memo by (t_arr, m, slots), what names
+        the window at its facility, so every reader of a window reads the
+        same floats. Each family's terms are added in the order of
+        ``Cells.demands``: energy and generation slot by slot, cable from
+        the arrival slot."""
+        memo = self._windows[f]
+        paid = memo.get((t_arr, m, slots))
+        if paid is None:
+            cells, pay = self.cells, self.pay
+            row = cells.evse_cell(f, m, 0)
+            cable = energy = generation = 0.0
+            for t, e in slots:
+                energy += pay(ENERGY, row + t, e)
+                generation += pay(GENERATION, cells.facility_cell(f, t), e)
+            for t in range(t_arr, t_leave + 1):
+                cable += pay(CABLE, row + t)
+            paid = memo[t_arr, m, slots] = (cable, energy, generation)
+        return paid
+
 
 # ---------------------------------------------------------------------------
 # Bound estimation from the config alone

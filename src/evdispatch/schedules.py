@@ -27,8 +27,15 @@ facility (``rebalances``), valued one batch at a time as it is read.
 their tuples and, in ``ranked``, the rebalances with the charging plans,
 into the order of sorting every candidate tuple. A candidate leads with
 its order key, so no merge or sort takes a key function. ``dispatch``
-reads that order only as far as a candidate can still win, prices the
-tuples, and makes a ``Schedule`` only of the winner.
+prices the rebalances first, each stream only as far as a candidate can
+still win, and makes a ``Schedule`` only of the winner. It passes the
+build the floor they leave, the best rebalance utility or 0, and the
+build returns no plan when no plan of any (facility, target) stream can
+reach it: a bound per stream, exact by monotone rounding
+(``feasible_schedules``), read from the stream's first tuple, the
+out-of-service payments through its shortest window and its windows'
+payments. On a congested day that is most sessions. A capturing run
+builds every candidate and prices them in the merged order (``ranked``).
 
 A charging tuple's windows all start at its facility arrival slot and end
 up to ``MAX_START_OFFSET`` slots apart, at most at ``T - h2``. Each
@@ -38,8 +45,9 @@ occurrence only, extended only as far as a tuple's last window end; the
 tuple makes one candidate from each entry up to that end. The list keeps,
 per EVSE, running sums of the posted cable prices from the arrival slot.
 A window's plans share their cable, energy and generation payments,
-which ``dispatcher.utility_breakdown`` makes on first pricing and keeps
-by (arrival slot, EVSE, energy slots), what names the window at its
+which ``Snapshot.window_payments`` makes on first asking, for the
+build's bound or for ``dispatcher.utility_breakdown``, and keeps by
+(arrival slot, EVSE, energy slots), what names the window at its
 facility. Lists and payments read only the facility's cable, energy and
 generation cells, so the snapshot keeps both in one memo per facility
 (``Snapshot.windows``) until a charging commit there: each window end is
@@ -118,9 +126,11 @@ def validate_policy(policy: GenerationPolicy) -> List[str]:
 
 
 def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapshot,
-                       policy: GenerationPolicy = DEFAULT_POLICY) -> List[Candidate]:
+                       policy: GenerationPolicy = DEFAULT_POLICY,
+                       floor: float = -math.inf) -> List[Candidate]:
     """Charging candidates for a session against the ledger state that
-    ``prices`` was taken of, as ``Candidate`` tuples.
+    ``prices`` was taken of, as ``Candidate`` tuples; [] if no charging
+    plan's utility can reach ``floor``.
 
     Deterministic in its inputs. Sessions arriving in the final slot get
     no candidates: there is no slot left to complete any move. Charging
@@ -128,6 +138,22 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     and sorted into candidate order. The pure rebalances come from
     ``rebalances``; ``ranked`` merges the two into the session's whole
     candidate list, and ``plan_of`` makes the ``Schedule`` of any one.
+
+    Every payment is >= 0, and ``dispatcher.utility_breakdown`` adds a
+    plan's destination, out-of-service, cable, energy and generation
+    payments left to right and subtracts the sum from its value. So by
+    monotone rounding, no plan of a (facility, target) stream has a
+    utility above the value of the stream's first tuple less the sum of
+    the out-of-service run from t_minus through the stream's shortest
+    window end (``_Windows.lo``), which every plan of it is out of service
+    for, and the cable, energy and generation payments of the window the
+    plan charges in (``Snapshot.window_payments``), added in that order.
+    The streams are bounded best first tuple first, the out-of-service
+    run alone first, as it needs no pick, then window by window up to the
+    latest end any plan of the stream can have, picking each window end
+    only when it is reached. At the first window whose bound reaches
+    ``floor`` everything is built as without one; when none does, no plan
+    can reach ``floor``, and none is built.
     """
     T = config.horizon
     if not (1 <= session.t_minus <= T):
@@ -142,8 +168,9 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
 
     # ---- one stream of charging tuples per (facility, target) ----
     # Each stream yields (-v, fid, target, dest, h2) in ascending order.
-    # The first four fields are unique across the streams, so the merge
-    # never compares h2 and its order is that of sorting every tuple.
+    # The first four fields are unique across the streams, so neither the
+    # merge nor the sort of the first tuples ever compares h2 or a stream,
+    # and the merge's order is that of sorting every tuple.
     streams = []
     fixed = {}  # (fid, target) -> (_Windows, h1, stored energy)
     targets = pricing.default_charge_targets(config)
@@ -167,6 +194,16 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
             fixed[fac.id, target] = (windows, h1, stored)
             streams.append(chain.from_iterable(_batches(
                 config, fac.region_id, h1, stored, T - (t_arr + k - 1), (fac.id, target))))
+
+    # ---- bound the streams, best first tuple first, unless unfloored ----
+    # The merge reads each stream's first tuple anyway.
+    if floor > -math.inf:
+        firsts = sorted((first, stream) for stream in streams
+                        if (first := next(stream, None)) is not None)
+        if not any(_may_reach(first, fixed[first[1:3]][0], t0, T, floor, prices)
+                   for first, _ in firsts):
+            return []
+        streams = [chain((first,), rest) for first, rest in firsts]
 
     # ---- build charging tuples, best value first, until the cap ----
     # A window runs from the facility arrival slot t_arr to its end slot.
@@ -198,6 +235,23 @@ def feasible_schedules(session: Session, config: ScenarioConfig, prices: Snapsho
     return out
 
 
+def _may_reach(first: tuple, windows: "_Windows", t0: int, T: int, floor: float,
+               prices: Snapshot) -> bool:
+    """Whether a plan of the charging stream whose first tuple is ``first``
+    and whose windows ``windows`` holds may reach utility ``floor``, by the
+    bound in ``feasible_schedules``."""
+    value = -first[0]
+    out_of_service = prices.run(t0 - 1, windows.lo - t0 + 1)
+    if value - out_of_service < floor:
+        return False
+    f, t_arr = windows.fac.id, windows.t_arr
+    for _, m, slots, t_leave in windows.upto(min(T, windows.lo + MAX_START_OFFSET), prices):
+        cable, energy, generation = prices.window_payments(f, t_arr, m, slots, t_leave)
+        if value - (out_of_service + cable + energy + generation) >= floor:
+            return True
+    return False
+
+
 class _Windows:
     """The distinct windows of charging ``k`` slots at one facility from
     arrival slot ``t_arr``, picked so far: what every session arriving
@@ -225,6 +279,22 @@ class _Windows:
             if all((evse, slots) != window[1:3] for window in picked):
                 picked.append((end, evse, slots, chosen[-1]))
         self.next_end = max(self.next_end, top + 1)
+
+    def upto(self, top: int, prices: Snapshot) -> Iterator[tuple]:
+        """The distinct windows that end by slot ``top``, as ``picked``
+        holds them, picking each window end only when every window before
+        it has been read."""
+        picked, i = self.picked, 0
+        while True:
+            if i < len(picked):
+                if picked[i][0] > top:
+                    return
+                yield picked[i]
+                i += 1
+            elif self.next_end <= top:
+                self.extend(self.next_end, prices)
+            else:
+                return
 
 
 def rebalances(session: Session, config: ScenarioConfig) -> Iterator[Candidate]:

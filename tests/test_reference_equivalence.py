@@ -13,10 +13,12 @@ by key for the whole run. It skips the cable, energy and generation
 payments of a plan that its destination and out-of-service payments
 already put below the floor, the larger of the best utility so far and
 zero, and ``dispatch`` stops at the first candidate whose value less the
-out-of-service payment of its first slot is below that floor; a
-dispatch that reads and prices every candidate in full must decide
-alike. Candidates are plain tuples; each is made into its ``Schedule``
-(``conftest.as_plans``) to meet the references.
+out-of-service payment of its first slot is below that floor. It prices
+the rebalances first, and ``feasible_schedules`` builds no charging plan
+when none can reach the floor they leave; a dispatch that reads and
+prices every candidate in full must decide alike. Candidates are plain
+tuples; each is made into its ``Schedule`` (``conftest.as_plans``) to
+meet the references.
 ``primal_increment`` walks a schedule's demands on the config's cells,
 and ``Snapshot.commit`` walks them once in the dual order, returning the
 dual increment; the snapshot's posted cable, energy and charging prices
@@ -473,9 +475,17 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
         inside.append((plan, best, out))
         return out
     monkeypatch.setattr(dispatcher, "utility_breakdown", recorded)
+    # every charging build dispatch asks for, with the floor it passed
+    built = []
+
+    def recorded_build(session, config, prices, policy, floor):
+        out = feasible_schedules(session, config, prices, policy, floor)
+        built.append((floor, out))
+        return out
+    monkeypatch.setattr(dispatcher, "feasible_schedules", recorded_build)
 
     coordinates = _coordinates(config)
-    priced = skipped = stopped = committed = 0
+    priced = skipped = stopped = committed = cut = 0
     # dual increments of plans that are not committed, on a copy of the loads
     trials = Snapshot(ResourceLedger(config.cells, [list(loads) for loads in
                                                     state.posted.ledger.loads]),
@@ -486,13 +496,14 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
         live = Snapshot(state.posted.ledger, bounds, psi_)
         for trial, loads in zip(trials.loads, state.posted.ledger.loads):
             trial[:] = loads
-        candidates = list(ranked(rebalances(session, config),
-                                 feasible_schedules(session, config, live, state.policy)))
+        charging = feasible_schedules(session, config, live, state.policy)
+        candidates = list(ranked(rebalances(session, config), charging))
         plans = as_plans(session, config, candidates)
         assert plans == reference_feasible_schedules(
             session, config, state.posted.ledger, bounds, psi_, state.policy)
         loads = _loads(config, state.posted.ledger, coordinates)
         expected = [reference_utility_breakdown(s, state, loads) for s in plans]
+        of = dict(zip(candidates, zip(plans, expected)))
         dual_steps = {}
         for plan, schedule, (u, breakdown) in zip(candidates, plans, expected):
             # outside dispatch, a snapshot of the live ledger
@@ -509,28 +520,44 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
         dual_before = state.dual_trajectory[-1]
         inside.clear()
         commits.clear()
+        built.clear()
         decision = dispatch(session, state)
-        # dispatch reads the prefix of the ranked candidates up to the first
+        # dispatch prices the rebalances first, then the charging plans
+        # that its build returns; each stream up to the first candidate
         # whose value less p0 is below the floor, max(best utility so far,
-        # 0), and skips the cable, energy and generation payments of exactly
+        # 0), skipping the cable, energy and generation payments of exactly
         # those whose value less their destination and out-of-service
-        # payments is below it
-        n = len(inside)
-        assert [plan for plan, _, _ in inside] == candidates[:n]
+        # payments is below it. The build gets the floor the rebalances
+        # leave, and returns every charging plan or, when none reaches that
+        # floor, none
+        [(floor_passed, charges)] = built
+        assert charges in (charging, [])
+        read = [plan for plan, _, _ in inside]
+        n = sum(plan[1] < 0 for plan in read)
+        streams = [plan for plan in candidates if plan[1] < 0], charges
+        assert read == streams[0][:n] + charges[:len(read) - n]
         floor = 0.0
-        for (plan, best, out), schedule, (u, breakdown) in zip(inside, plans, expected):
-            assert best == floor
-            assert not schedule.value - p0 < floor
-            if schedule.value - (breakdown.destination + breakdown.out_of_service) < floor:
-                skipped += 1
-                assert out is None
-            else:
-                assert with_breakdown(out) == (u, breakdown)
-                priced += 1
-                floor = max(floor, u)
-        if n < len(candidates):
-            stopped += 1
-            assert plans[n].value - p0 < floor
+        for part, stream in zip((inside[:n], inside[n:]), streams):
+            for plan, best, out in part:
+                schedule, (u, breakdown) = of[plan]
+                assert best == floor
+                assert not schedule.value - p0 < floor
+                if schedule.value - (breakdown.destination + breakdown.out_of_service) < floor:
+                    skipped += 1
+                    assert out is None
+                else:
+                    assert with_breakdown(out) == (u, breakdown)
+                    priced += 1
+                    floor = max(floor, u)
+            if len(part) < len(stream):
+                stopped += 1
+                assert of[stream[len(part)]][0].value - p0 < floor
+            if stream is streams[0]:
+                assert floor_passed == floor
+        if charging and not charges:
+            # no charging plan can win, tie or be accepted
+            cut += 1
+            assert all(of[plan][1][0] < floor_passed for plan in charging)
         # and decides as the argmax over every candidate would
         best_key, best = None, None
         for idx, (schedule, (u, breakdown)) in enumerate(zip(plans, expected)):
@@ -554,8 +581,10 @@ def test_memo_and_build_match_the_references(name, monkeypatch):
             assert state.dual_trajectory[-1] == dual_before + step
             committed += 1
     assert committed > len(sessions) // 2
-    assert priced > 10 * len(sessions)
-    assert skipped > 0 and stopped > 0
+    # the cut leaves about five plans priced per session on rush, nine to
+    # thirteen elsewhere
+    assert priced > 4 * len(sessions)
+    assert skipped > 0 and stopped > 0 and cut > 0
 
 
 def facility_memos(prices):
@@ -748,9 +777,10 @@ def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):
     assert plans == reference_feasible_schedules(session, config, state.posted.ledger,
                                                  state.posted.bounds, state.posted.psi,
                                                  state.policy)
-    first = candidates[0]
+    r = next(i for i, s in enumerate(plans) if not s.charging)
     i = next(i for i, s in enumerate(plans) if s.charging)
-    bar = reference_utility_breakdown(plans[0], state, loads)[0]
+    first = candidates[r]
+    bar = reference_utility_breakdown(plans[r], state, loads)[0]
     assert bar > 0  # so the floor that dispatch passes is the bar
     head = reference_utility_breakdown(plans[i], state, loads)[1]
     head = head.destination + head.out_of_service
@@ -765,10 +795,15 @@ def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):
         inside.append((plan, best, out))
         return out
     monkeypatch.setattr(dispatcher, "utility_breakdown", recorded)
-    for trial_value, at in ((value, True), (math.nextafter(value, -math.inf), False)):
+    # the rebalance first, then the plan on trial as the one charging plan
+    monkeypatch.setattr(dispatcher, "rebalances", lambda *args: iter([first]))
+    below = value
+    while below - head == bar:
+        below = math.nextafter(below, -math.inf)
+    for trial_value, at in ((value, True), (below, False)):
         trial = (-trial_value,) + candidates[i][1:]
         assert (trial_value - head == bar) == at and trial_value >= bar
-        monkeypatch.setattr(dispatcher, "ranked", lambda *streams: iter([first, trial]))
+        monkeypatch.setattr(dispatcher, "feasible_schedules", lambda *args: [trial])
         inside.clear()
         dispatch(session, DispatcherState.fresh(config))
         assert [(s, best) for s, best, _ in inside] == [(first, 0.0), (trial, bar)]
@@ -779,6 +814,132 @@ def test_a_plan_at_the_bar_is_priced_in_full(monkeypatch):
                 dataclasses.replace(plans[i], value=trial_value), state, loads)
         else:
             assert inside[1][2] is None
+
+
+def reference_best_bound(session, state, loads):
+    """The largest bound on a charging plan's utility that the build's cut
+    reads, worked out from every charging plan of the session, uncapped,
+    with payments integrated afresh: per (facility, target) stream, its
+    best value less the sum of the out-of-service payments from t_minus
+    through its shortest window end, then a window's cable, energy and
+    generation payments, added in that order. Every window the cut reads
+    ends by the shortest end plus MAX_START_OFFSET, so the session must
+    leave the plans room to reach past that."""
+    config = state.config
+    every = GenerationPolicy(max_candidates_total=10 ** 6)
+    plans = [s for s in reference_feasible_schedules(
+        session, config, state.posted.ledger, state.posted.bounds, state.posted.psi, every)
+        if s.charging]
+    streams = {}
+    for s in plans:
+        streams.setdefault((s.facility_id, tuple(sorted(e for _, e in s.energy_slots))),
+                           []).append(s)
+    best = -math.inf
+    for stream in streams.values():
+        lo = stream[0].t_arrival + len(stream[0].energy_slots) - 1
+        assert lo + MAX_START_OFFSET <= config.horizon - min(s.hops_total for s in stream)
+        out_of_service = 0.0
+        for t in range(session.t_minus, lo + 1):
+            y = loads[3][t - 1]
+            out_of_service += pricing.out_of_service_payment(
+                y, y + 1, config.out_of_service_cap[t - 1],
+                config.out_of_service_penalty[t - 1], state.posted.bounds, state.posted.psi)
+        value = max(s.value for s in stream)
+        for s in stream:
+            paid = reference_utility_breakdown(s, state, loads)[1]
+            best = max(best, value - (out_of_service + paid.cable + paid.energy
+                                      + paid.generation))
+    return best, plans
+
+
+def test_the_charging_build_is_cut_only_below_its_best_bound():
+    """``feasible_schedules`` builds nothing only when no (facility,
+    target) stream's bound reaches the floor, and then no charging plan
+    can: at a floor equal to the best bound, or a float below it, it
+    builds every charging plan, and at a float above it none, on an empty
+    ledger and on a congested one."""
+    days = [("desk", 0, 0, range(0, 1)), ("rush", 1, 120, range(120, 126))]
+    cut = whole = 0
+    for name, seed, played, trials in days:
+        config, sessions = generate_scenario(seed, RUNS[name])
+        state = DispatcherState.fresh(config)
+        for session in sessions[:played]:
+            dispatch(session, state)
+        loads = _loads(config, state.posted.ledger, _coordinates(config))
+        for session in (sessions[i] for i in trials):
+            best, plans = reference_best_bound(session, state, loads)
+            assert all(reference_utility_breakdown(s, state, loads)[0] <= best for s in plans)
+            charging = feasible_schedules(session, config, Snapshot(
+                state.posted.ledger, state.posted.bounds, state.posted.psi), state.policy)
+            assert charging
+            for floor, built in ((best, True), (math.nextafter(best, -math.inf), True),
+                                 (math.nextafter(best, math.inf), False)):
+                fresh = Snapshot(state.posted.ledger, state.posted.bounds, state.posted.psi)
+                assert feasible_schedules(session, config, fresh, state.policy, floor) == (
+                    charging if built else []), (session, floor)
+            # and at the floor the run passes, as dispatch decides
+            built = []
+
+            def recorded(*args):
+                built.append(feasible_schedules(*args))
+                return built[-1]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dispatcher, "feasible_schedules", recorded)
+                dispatch(session, state)
+            cut, whole = cut + (built == [[]]), whole + (built == [charging])
+            loads = _loads(config, state.posted.ledger, _coordinates(config))
+    assert cut > 0 and whole > 0
+
+
+def test_some_sessions_skip_the_charging_build_and_some_do_not(monkeypatch):
+    """On the congested ``rush`` day most sessions build no charging plan,
+    as none can beat the best rebalance, and some build them all; a
+    ``full`` day builds them more often than not, and skips some."""
+    counts = {False: 0, True: 0}
+
+    def counted(*args):
+        out = feasible_schedules(*args)
+        counts[bool(out)] += 1
+        return out
+    monkeypatch.setattr(dispatcher, "feasible_schedules", counted)
+    for name, seed, most in (("rush", 1, False), ("full", 0, True)):
+        counts.update({False: 0, True: 0})
+        config, sessions = generate_scenario(seed, name)
+        run_online(sessions, config)
+        assert counts[most] > counts[not most] > 0, (name, counts)
+
+
+def test_a_tie_between_a_rebalance_and_a_charging_plan_goes_to_the_smaller_tuple(
+        monkeypatch):
+    """A charging plan of the same utility and arrival as the best
+    rebalance wins when it is the smaller tuple, the earlier in candidate
+    order, as when the two are priced in one merged order; with its
+    utility one step lower, the rebalance wins."""
+    config, sessions = generate_scenario(0, RUNS["desk"])
+    session = sessions[0]
+    state = DispatcherState.fresh(config)
+    charging = feasible_schedules(session, config, state.posted, state.policy)
+    by_arrival = {plan[5]: plan for plan in reversed(list(rebalances(session, config)))}
+    charge = next(plan for plan in charging if plan[5] in by_arrival)
+    rebalance = by_arrival[charge[5]]
+    u = utility_breakdown(rebalance, state.posted)[0]
+    assert u > 0
+    paid = sum(utility_breakdown(charge, state.posted)[1])
+    # a value that the subtraction takes back to the rebalance's utility
+    value = next(v for v in (u + paid, math.nextafter(u + paid, -math.inf),
+                             math.nextafter(u + paid, math.inf)) if v - paid == u)
+    lower = value
+    while lower - paid == u:
+        lower = math.nextafter(lower, -math.inf)
+    monkeypatch.setattr(dispatcher, "rebalances", lambda *args: iter([rebalance]))
+    for trial_value, wins in ((value, True), (lower, False)):
+        trial = (-trial_value,) + charge[1:]
+        assert trial < rebalance
+        monkeypatch.setattr(dispatcher, "feasible_schedules", lambda *args: [trial])
+        decisions = [dispatch(session, DispatcherState.fresh(config, capture_candidates=c))
+                     for c in (False, True)]
+        assert decisions[0] == decisions[1]
+        assert decisions[0].schedule.charging == wins and decisions[0].utility == u
 
 
 def test_a_switched_snapshot_prices_payments_and_dual_increments_alike(monkeypatch):
@@ -859,11 +1020,13 @@ def test_posted_prices_follow_every_commit(name):
 def test_a_switched_snapshot_builds_no_plan_from_the_old_prices(monkeypatch):
     """After ``state.posted`` is switched for a snapshot at other bounds
     mid-run, every session's charging candidates are the ones a fresh
-    snapshot of the ledger at the new bounds gives, and after every ``dispatch``
-    the posted prices are the reference's at the new bounds. Doubling the
-    floors of the cable, energy and generation curves moves the EVSE or
-    slot picks of two sessions of this congested day; doubling every
-    ceiling moves none."""
+    snapshot of the ledger at the new bounds gives at the floor that
+    ``dispatch`` passes, and after every ``dispatch`` the posted prices, and
+    the window lists and payments that the build and its bound keep, are
+    the reference's at the new bounds. Doubling the floors of the cable,
+    energy and generation curves moves the EVSE or slot picks of two
+    sessions of this congested day; doubling every ceiling moves none.
+    Some builds return every charging plan."""
     config, sessions = generate_scenario(0, RUNS["rush"])
     state = DispatcherState.fresh(config)
     half = len(sessions) // 2
@@ -879,20 +1042,29 @@ def test_a_switched_snapshot_builds_no_plan_from_the_old_prices(monkeypatch):
 
     def recorded(*args):
         out = feasible_schedules(*args)
-        built.append(out)
+        built.append((args[-1], out))
         return out
     monkeypatch.setattr(dispatcher, "feasible_schedules", recorded)
-    moved = 0
+    moved = whole = 0
     for session in sessions[half:]:
-        expected = feasible_schedules(session, config, Snapshot(state.posted.ledger, other, old.psi))
-        moved += expected != feasible_schedules(session, config,
-                                                Snapshot(state.posted.ledger, old.bounds, old.psi))
+        unfloored = feasible_schedules(session, config,
+                                       Snapshot(state.posted.ledger, other, old.psi))
+        moved += unfloored != feasible_schedules(session, config,
+                                                 Snapshot(state.posted.ledger, old.bounds,
+                                                          old.psi))
+        fresh = Snapshot(ResourceLedger(config.cells, [list(loads) for loads in
+                                                       state.posted.ledger.loads]),
+                         other, old.psi)
         built.clear()
         dispatch(session, state)
-        assert built == [expected], session
+        [(floor, out)] = built
+        assert out == feasible_schedules(session, config, fresh, state.policy, floor), session
+        assert out in (unfloored, []), session
+        whole += out != []
         prices, charges = reference_posted(config, state.posted.ledger, other, old.psi)
         assert (state.posted.cables, state.posted.charges) == (prices[CABLE], charges)
-    assert moved > 0
+        assert_memos_are_fresh(state.posted, session)
+    assert moved > 0 and whole > 0
 
 
 def test_every_payment_goes_through_its_family_function(monkeypatch):
@@ -981,6 +1153,59 @@ def test_enumeration_matches_at_any_magnitude(pickups, slope, penalty, per_hop_e
     _assert_enumeration_matches(
         seed, 25, policy, pickup_values=tuple(pickups), soc_value_slope=slope,
         per_hop_value_penalty=penalty, per_hop_energy=per_hop_energy)
+
+
+#: The congested preset's bounds and Psi, which a redrawn day of it shares
+#: but for its value ceilings.
+RUSH_CONFIG = generate_scenario(0, "rush")[0]
+RUSH_BOUNDS = pricing.estimate_bounds(RUSH_CONFIG)
+RUSH_PSI = pricing.psi(RUSH_CONFIG)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(pickups=st.one_of(_large, _small).filter(lambda p: max(p) > 0),
+       slope=_rates, penalty=_rates,
+       per_hop_energy=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+       seed=st.integers(0, 2))
+@example(pickups=[3e8 + 0.1, 3e8 + 0.3, 3e8 + 0.2], slope=0.1, penalty=0.1,
+         per_hop_energy=1.0, seed=1)
+def test_the_charging_cut_decides_alike_at_any_magnitude(pickups, slope, penalty,
+                                                         per_hop_energy, seed):
+    """The cut of the charging build is exact wherever rounding falls: on a
+    short congested day whose plan values are redrawn, every decision,
+    breakdown and dual increment is the one of pricing every candidate in
+    full (``read_everything_dispatch``), and a capturing run, which builds
+    and prices every candidate in one merged order, decides the same."""
+    params = dataclasses.replace(
+        PRESETS["rush"], max_sessions=60, pickup_values=tuple(pickups),
+        soc_value_slope=slope, per_hop_value_penalty=penalty,
+        per_hop_energy=per_hop_energy)
+    config, sessions = generate_scenario(seed, params)
+    assert pricing.psi(config) == RUSH_PSI
+    # the preset's floors, which clear its grid prices and penalties, under
+    # ceilings raised to the drawn values, so that the price barrier holds
+    bounds = dataclasses.replace(RUSH_BOUNDS, **{
+        f"U_{family.bound}": max(getattr(RUSH_BOUNDS, f"U_{family.bound}"), density)
+        for family, density in zip(FAMILIES, pricing.value_densities(config))})
+    state, capturing = (
+        DispatcherState(config, DEFAULT_POLICY, pricing.alphas(bounds, RUSH_PSI, config),
+                        Snapshot(ResourceLedger.zero(config), bounds, RUSH_PSI),
+                        captured=captured)
+        for captured in (None, {}))
+    for session in sessions:
+        everything = read_everything_dispatch(session, state)
+        dual_before = state.dual_trajectory[-1]
+        decision = dispatch(session, state)
+        assert dispatch(session, capturing) == decision
+        if everything is None:
+            assert decision.is_depot and state.dual_trajectory[-1] == dual_before
+        else:
+            schedule, u, breakdown, step = everything
+            assert (decision.schedule, decision.utility, decision.breakdown) == (
+                schedule, u, breakdown)
+            assert state.dual_trajectory[-1] == dual_before + step
+    assert state.primal_trajectory == capturing.primal_trajectory
+    assert state.dual_trajectory == capturing.dual_trajectory
 
 
 # ---------------------------------------------------------------------------
